@@ -45,6 +45,75 @@ impl Default for BaselineConfig {
     }
 }
 
+/// What one baseline step charges: the time slot its duration lands
+/// in, and the critical-path hand-off that ends it.
+struct Step {
+    slot: fn(&mut Ledger) -> &mut SimDuration,
+    edge: &'static str,
+    kind: CritKind,
+}
+
+/// JIT recompile from scratch (no incremental path).
+const COMPILE: Step = Step {
+    slot: |l| &mut l.breakdown.host,
+    edge: "readout->host",
+    kind: CritKind::Complete,
+};
+/// Upload the binary over Ethernet.
+const UPLOAD: Step = Step {
+    slot: |l| &mut l.comm.q_set,
+    edge: "host->bus",
+    kind: CritKind::Grant,
+};
+/// FPGA pulse generation: every pulse, sequentially.
+const PULSES: Step = Step {
+    slot: |l| &mut l.breakdown.pulse_generation,
+    edge: "pgu->pipeline",
+    kind: CritKind::Dispatch,
+};
+/// Quantum execution behind the ADI.
+const QUANTUM: Step = Step {
+    slot: |l| &mut l.breakdown.quantum,
+    edge: "pipeline->chip",
+    kind: CritKind::Complete,
+};
+/// Stream per-shot readout packets back to the host.
+const DOWNLOAD: Step = Step {
+    slot: |l| &mut l.comm.q_acquire,
+    edge: "chip->readout",
+    kind: CritKind::Drain,
+};
+/// Host work on a result: post-processing through the software stack,
+/// or the optimizer update.
+const HOST: Step = Step {
+    slot: |l| &mut l.breakdown.host,
+    edge: "readout->host",
+    kind: CritKind::Ack,
+};
+
+/// The baseline's time ledger. The system is strictly sequential: every
+/// step blocks the next, so the causal chain is the whole timeline and
+/// each step's hand-off lands at the running total.
+#[derive(Default)]
+struct Ledger {
+    total: SimDuration,
+    breakdown: TimeBreakdown,
+    comm: CommBreakdown,
+    critpath: CritPathTracker,
+}
+
+impl Ledger {
+    /// Charges `d` to `step`'s slot and the running total, and advances
+    /// the critical path along the step's edge.
+    fn charge(&mut self, step: &Step, d: SimDuration) {
+        *(step.slot)(self) += d;
+        self.total += d;
+        let edge = self.critpath.edge(step.edge);
+        self.critpath
+            .advance(edge, SimTime::ZERO + self.total, step.kind);
+    }
+}
+
 /// Executes hybrid workloads on the decoupled baseline, producing the
 /// same [`RunReport`] shape as the Qtenon runner.
 ///
@@ -106,94 +175,64 @@ impl BaselineRunner {
     ) -> Result<RunReport, SystemError> {
         let cfg = self.config;
         let jit = BaselineCompiler::new(cfg.compiler);
-        let mut total = SimDuration::ZERO;
-        let mut breakdown = TimeBreakdown::default();
-        let mut comm = CommBreakdown::default();
+        let mut ledger = Ledger::default();
+        ledger.critpath.open_at(SimTime::ZERO);
         let mut host_ops_total = OpCounter::new();
         let mut dynamic_instructions = 0u64;
         let mut pulses_generated = 0u64;
+        let mut evaluations = 0u64;
         let mut cost_history = Vec::with_capacity(iterations);
         let bytes_per_shot = (self.workload.n_qubits() as u64).div_ceil(8);
-
-        // Strictly sequential system: every step blocks the next, so the
-        // causal chain is the whole timeline. Node times mirror `total`.
-        let mut critpath = CritPathTracker::new();
-        let compile_edge = critpath.edge("readout->host");
-        let upload_edge = critpath.edge("host->bus");
-        let fpga_edge = critpath.edge("pgu->pipeline");
-        let quantum_edge = critpath.edge("pipeline->chip");
-        let download_edge = critpath.edge("chip->readout");
-        critpath.open_at(SimTime::ZERO);
-        let at = |total: SimDuration| SimTime::ZERO + total;
 
         let mut params = self.workload.initial_params.clone();
         for _iter in 0..iterations {
             let plan = optimizer.iteration_plan(&params);
             let mut evals = Vec::with_capacity(plan.len());
             for eval_params in &plan {
-                // 1. JIT recompile from scratch (no incremental path).
                 let bound = self.workload.circuit.bind(eval_params)?;
                 let compiled = jit.compile(&bound);
-                breakdown.host += compiled.compile_time;
-                total += compiled.compile_time;
                 dynamic_instructions += compiled.instruction_count;
-                critpath.advance(compile_edge, at(total), CritKind::Complete);
+                ledger.charge(&COMPILE, compiled.compile_time);
 
-                // 2. Upload the binary over Ethernet.
-                let upload = cfg.network.message_time(compiled.binary_bytes);
-                comm.q_set += upload;
-                comm.q_set_count += 1;
-                total += upload;
-                critpath.advance(upload_edge, at(total), CritKind::Grant);
+                ledger.charge(&UPLOAD, cfg.network.message_time(compiled.binary_bytes));
 
-                // 3. FPGA pulse generation: every pulse, sequentially.
-                let pg = cfg.fpga_pulse_latency * compiled.pulses_required;
-                breakdown.pulse_generation += pg;
                 pulses_generated += compiled.pulses_required;
-                total += pg;
-                critpath.advance(fpga_edge, at(total), CritKind::Dispatch);
+                ledger.charge(&PULSES, cfg.fpga_pulse_latency * compiled.pulses_required);
 
-                // 4. Quantum execution behind the ADI.
                 let timing = CircuitTiming::of(&bound, &cfg.gate_times);
-                let q = cfg.adi_latency * 2 + timing.shot_duration * shots;
-                breakdown.quantum += q;
-                total += q;
-                critpath.advance(quantum_edge, at(total), CritKind::Complete);
+                ledger.charge(&QUANTUM, cfg.adi_latency * 2 + timing.shot_duration * shots);
                 let results = self.simulator.run(&bound, shots)?;
 
-                // 5. Stream per-shot readout packets back to the host.
-                let download = cfg.network.stream_time(shots, bytes_per_shot);
-                comm.q_acquire += download;
-                comm.q_acquire_count += shots;
-                total += download;
-                critpath.advance(download_edge, at(total), CritKind::Drain);
+                ledger.charge(&DOWNLOAD, cfg.network.stream_time(shots, bytes_per_shot));
 
-                // 6. Host post-processing through the software stack.
                 let mut ops = OpCounter::new();
                 let cost = evaluate_cost(&self.workload.hamiltonian, &results, &mut ops);
-                let d = cfg.host.duration_for(&ops);
+                ledger.charge(&HOST, cfg.host.duration_for(&ops));
                 host_ops_total += ops;
-                breakdown.host += d;
-                total += d;
-                critpath.advance(compile_edge, at(total), CritKind::Ack);
                 evals.push(cost);
+                evaluations += 1;
             }
             let mut ops = OpCounter::new();
             params = optimizer.update(&params, &plan, &evals, &mut ops);
-            let d = cfg.host.duration_for(&ops);
+            ledger.charge(&HOST, cfg.host.duration_for(&ops));
             host_ops_total += ops;
-            breakdown.host += d;
-            total += d;
-            critpath.advance(compile_edge, at(total), CritKind::Ack);
             let mean = evals.iter().sum::<f64>() / evals.len().max(1) as f64;
             cost_history.push(mean);
         }
 
-        breakdown.communication = comm.total();
+        // One binary upload and one readout packet per shot, per evaluation.
+        let comm = CommBreakdown {
+            q_set_count: evaluations,
+            q_acquire_count: evaluations * shots,
+            ..ledger.comm
+        };
         let final_cost = cost_history.last().copied().unwrap_or(f64::NAN);
         Ok(RunReport {
-            total,
-            breakdown,
+            total: ledger.total,
+            breakdown: TimeBreakdown {
+                communication: comm.total(),
+                ..ledger.breakdown
+            },
             comm,
             dynamic_instructions,
             static_instructions: dynamic_instructions / (iterations as u64 * 2).max(1), // one compile's worth
@@ -208,8 +247,7 @@ impl BaselineRunner {
             pulse_reduction: 0.0,
             resilience: Default::default(),
             phases: Default::default(),
-            critpath: critpath.report(),
-            cache: Default::default(),
+            critpath: ledger.critpath.report(),
         })
     }
 }
@@ -274,6 +312,45 @@ mod tests {
         let per_eval = report.comm.total() / evals;
         assert!(per_eval >= SimDuration::from_us(300), "per_eval={per_eval}");
         assert!(per_eval <= SimDuration::from_ms(10), "per_eval={per_eval}");
+    }
+
+    #[test]
+    fn critical_path_edges_match_the_components_they_charge() {
+        // Strictly sequential: every step is on the path, so each edge's
+        // on-path time is the component it charges, up to the per-
+        // traversal nanosecond truncation of the critical-path report.
+        for (kind, n) in [
+            (WorkloadKind::Qaoa, 8),
+            (WorkloadKind::Vqe, 16),
+            (WorkloadKind::Qnn, 8),
+        ] {
+            let optimizers: [Box<dyn Optimizer>; 2] = [
+                Box::new(SpsaOptimizer::new(5)),
+                Box::new(GradientDescentOptimizer::new(0.05)),
+            ];
+            for mut optimizer in optimizers {
+                let workload = Workload::benchmark(kind, n, 11).unwrap();
+                let r = BaselineRunner::new(BaselineConfig::default(), workload)
+                    .run(optimizer.as_mut(), 2, 20)
+                    .unwrap();
+                for (edge, component) in [
+                    ("readout->host", r.breakdown.host),
+                    ("host->bus", r.comm.q_set),
+                    ("pgu->pipeline", r.breakdown.pulse_generation),
+                    ("pipeline->chip", r.breakdown.quantum),
+                    ("chip->readout", r.comm.q_acquire),
+                ] {
+                    let row = r.critpath.row(edge).unwrap();
+                    let component_ns = component.as_ps() / 1_000;
+                    assert!(
+                        row.total_ns <= component_ns && component_ns - row.total_ns <= row.count,
+                        "{kind:?}-{n} {edge}: on-path {} ns over {} traversals vs {component_ns} ns",
+                        row.total_ns,
+                        row.count
+                    );
+                }
+            }
+        }
     }
 
     #[test]

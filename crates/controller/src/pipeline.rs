@@ -286,6 +286,16 @@ impl PulsePipeline {
         Ok((report, resolved))
     }
 
+    /// Entries processed since the last reset.
+    pub fn total_entries(&self) -> u64 {
+        self.total_entries
+    }
+
+    /// Pulses generated since the last reset.
+    pub fn total_generated(&self) -> u64 {
+        self.total_generated
+    }
+
     /// Injected PGU stalls observed so far.
     pub fn pgu_stalls(&self) -> u64 {
         self.pgus.stalls()

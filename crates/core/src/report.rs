@@ -165,76 +165,6 @@ impl std::ops::AddAssign for ResilienceSummary {
     }
 }
 
-/// Compilation-cache activity observed by one run.
-///
-/// All-zero (the [`Default`]) whenever the run executed without a cache,
-/// and only ever recorded for runs that own their cache privately — a
-/// cache shared across a worker pool makes per-run hit counts depend on
-/// scheduling interleaving, so batch jobs never record this section and
-/// their artefacts stay byte-identical at any pool width.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheActivity {
-    /// Program-level cache hits.
-    pub program_hits: u64,
-    /// Program-level cache misses (cold compiles).
-    pub program_misses: u64,
-    /// Pulse-level cache hits.
-    pub pulse_hits: u64,
-    /// Pulse-level cache misses (cold work-item generation).
-    pub pulse_misses: u64,
-    /// Bound-circuit cache hits.
-    pub bound_hits: u64,
-    /// Bound-circuit cache misses (cold parameter binds).
-    pub bound_misses: u64,
-}
-
-impl CacheActivity {
-    /// Total cache lookups across all levels.
-    pub fn lookups(&self) -> u64 {
-        self.program_hits
-            + self.program_misses
-            + self.pulse_hits
-            + self.pulse_misses
-            + self.bound_hits
-            + self.bound_misses
-    }
-
-    /// Hit fraction; `None` for zero lookups so renderers print a fixed
-    /// placeholder instead of a NaN.
-    pub fn hit_rate(&self) -> Option<f64> {
-        let lookups = self.lookups();
-        if lookups == 0 {
-            None
-        } else {
-            Some((self.program_hits + self.pulse_hits + self.bound_hits) as f64 / lookups as f64)
-        }
-    }
-
-    /// Human-readable one-liner; never NaN, fixed text when idle.
-    pub fn describe(&self) -> String {
-        match self.hit_rate() {
-            None => "compile cache: idle (0 lookups)".to_string(),
-            Some(rate) => format!(
-                "compile cache: {}/{} lookups hit ({:.1}%)",
-                self.program_hits + self.pulse_hits + self.bound_hits,
-                self.lookups(),
-                rate * 100.0
-            ),
-        }
-    }
-}
-
-impl std::ops::AddAssign for CacheActivity {
-    fn add_assign(&mut self, rhs: CacheActivity) {
-        self.program_hits += rhs.program_hits;
-        self.program_misses += rhs.program_misses;
-        self.pulse_hits += rhs.pulse_hits;
-        self.pulse_misses += rhs.pulse_misses;
-        self.bound_hits += rhs.bound_hits;
-        self.bound_misses += rhs.bound_misses;
-    }
-}
-
 /// The complete result of one end-to-end VQA run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
@@ -268,9 +198,6 @@ pub struct RunReport {
     /// Per-edge critical-path attribution (who-blocks-whom blocking
     /// time along the causal chain).
     pub critpath: CritPathReport,
-    /// Compilation-cache activity (all zero unless the run used the
-    /// cache).
-    pub cache: CacheActivity,
 }
 
 impl RunReport {
@@ -359,7 +286,6 @@ impl RunReport {
         self.resilience += other.resilience;
         self.phases.merge(&other.phases);
         self.critpath.merge(&other.critpath);
-        self.cache += other.cache;
     }
 }
 
@@ -484,7 +410,6 @@ mod tests {
             resilience: ResilienceSummary::default(),
             phases: PhaseTable::default(),
             critpath: CritPathReport::default(),
-            cache: CacheActivity::default(),
         };
         let mut merged = base.clone();
         let mut second = base.clone();
@@ -505,26 +430,6 @@ mod tests {
         // 35 generated of 200 reconstructed work items.
         assert!((merged.pulse_reduction - (1.0 - 35.0 / 200.0)).abs() < 1e-12);
         assert_eq!(merged.classical_time(), ns(80));
-    }
-
-    #[test]
-    fn cache_activity_placeholder_and_rates_never_nan() {
-        let idle = CacheActivity::default();
-        assert_eq!(idle.lookups(), 0);
-        assert_eq!(idle.hit_rate(), None);
-        assert_eq!(idle.describe(), "compile cache: idle (0 lookups)");
-        let mut busy = CacheActivity {
-            program_hits: 1,
-            program_misses: 1,
-            pulse_hits: 4,
-            pulse_misses: 2,
-            bound_hits: 2,
-            bound_misses: 0,
-        };
-        assert!((busy.hit_rate().unwrap() - 0.7).abs() < 1e-12);
-        assert_eq!(busy.describe(), "compile cache: 7/10 lookups hit (70.0%)");
-        busy += busy;
-        assert_eq!(busy.lookups(), 20);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use qtenon_quantum::sim::Simulator;
 use qtenon_quantum::{BitString, Circuit, CircuitTiming, FuseStats};
 use qtenon_sim_engine::{
     CritKind, CritPathReport, CritPathTracker, EdgeId, FaultInjector, FaultSite, Histogram,
-    MetricsRegistry, PhaseId, PhaseTable, Profiler, SimDuration, SimTime,
+    MetricsRegistry, OpCounter, PhaseId, PhaseTable, Profiler, SimDuration, SimTime,
 };
 
 use std::borrow::Cow;
@@ -183,6 +183,8 @@ pub struct QtenonSystem {
     barrier: MemoryBarrier,
     hierarchy: MemoryHierarchy,
     host: HostCoreModel,
+    /// Host ops timed by [`QtenonSystem::host_time`] since the last reset.
+    host_ops: OpCounter,
     adi: AdiModel,
     simulator: Simulator,
     comm: CommBreakdown,
@@ -263,6 +265,7 @@ impl QtenonSystem {
             barrier: MemoryBarrier::new(),
             hierarchy: MemoryHierarchy::new(config.hierarchy)?,
             host: HostCoreModel::new(config.core),
+            host_ops: OpCounter::new(),
             adi: config.adi,
             simulator: Simulator::fast(config.n_qubits, config.seed).with_fusion(config.fuse),
             comm: CommBreakdown::default(),
@@ -293,9 +296,26 @@ impl QtenonSystem {
         &self.config
     }
 
-    /// The host core model.
-    pub fn host(&self) -> HostCoreModel {
-        self.host
+    /// Times `ops` of host-side classical work on the host core and adds
+    /// them to the host op tally behind [`QtenonSystem::host_cycles`].
+    pub(crate) fn host_time(&mut self, ops: &OpCounter) -> SimDuration {
+        self.host_ops += *ops;
+        self.host.duration_for(ops)
+    }
+
+    /// Host core cycles of every op timed by
+    /// [`QtenonSystem::host_time`] since the last reset.
+    pub(crate) fn host_cycles(&self) -> u64 {
+        self.host.cycles_for(&self.host_ops)
+    }
+
+    /// Pulses generated and pulse work items processed since the last
+    /// cold reset.
+    pub(crate) fn pulse_tallies(&self) -> (u64, u64) {
+        (
+            self.pipeline.total_generated(),
+            self.pipeline.total_entries(),
+        )
     }
 
     /// The quantum controller cache (for inspection).
@@ -922,6 +942,7 @@ impl QtenonSystem {
     /// keeping the warm SLT (use [`QtenonSystem::cold_reset`] to drop it).
     pub fn reset_accounting(&mut self) {
         self.comm = CommBreakdown::default();
+        self.host_ops = OpCounter::new();
         self.dynamic_instructions = 0;
         self.bus.reset();
         self.barrier.reset();

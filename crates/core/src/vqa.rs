@@ -31,7 +31,7 @@ use qtenon_workloads::cost::{CostEvaluator, BLOCK_SHOTS};
 use qtenon_workloads::{Optimizer, Workload};
 
 use crate::config::{QtenonConfig, SyncMode, TransmissionPolicy};
-use crate::report::{CacheActivity, RunReport, TimeBreakdown};
+use crate::report::{CommBreakdown, RunReport, TimeBreakdown};
 use crate::schedule::{TransmissionBatch, TransmissionPlan};
 use crate::system::QtenonSystem;
 use crate::SystemError;
@@ -75,6 +75,19 @@ impl VqaPhases {
             readout_drain: profiler.phase("vqa.readout_drain"),
             host_post: profiler.phase("vqa.host_post"),
             optimizer_step: profiler.phase("vqa.optimizer_step"),
+        }
+    }
+
+    /// The run's component busy times, read off the picosecond-exact
+    /// phase totals plus the communication ledger.
+    fn breakdown(self, profiler: &Profiler, comm: CommBreakdown) -> TimeBreakdown {
+        TimeBreakdown {
+            quantum: profiler.total(self.quantum_execute),
+            communication: comm.total(),
+            pulse_generation: profiler.total(self.pulse_gen),
+            host: profiler.total(self.compile_patch)
+                + profiler.total(self.host_post)
+                + profiler.total(self.optimizer_step),
         }
     }
 }
@@ -124,10 +137,6 @@ pub struct VqaRunner {
     cache: Option<CacheBinding>,
     /// The workload Hamiltonian's term table, built once per runner.
     evaluator: CostEvaluator,
-    /// Program-level lookup made at construction time.
-    compile_cache_activity: CacheActivity,
-    /// Pulse-level lookups made by the current run.
-    run_cache_activity: CacheActivity,
     evaluations: u64,
     iterations: u64,
     eval_latency: Histogram,
@@ -190,15 +199,9 @@ impl VqaRunner {
                 config.n_qubits
             )));
         }
-        let mut compile_cache_activity = CacheActivity::default();
         let (program, cache) = match cache {
             Some(shared) => {
                 let cached = shared.compile(config.layout, &workload.circuit)?;
-                if cached.is_hit() {
-                    compile_cache_activity.program_hits += 1;
-                } else {
-                    compile_cache_activity.program_misses += 1;
-                }
                 (
                     Arc::clone(cached.program()),
                     Some(CacheBinding {
@@ -218,8 +221,6 @@ impl VqaRunner {
             workload,
             program,
             cache,
-            compile_cache_activity,
-            run_cache_activity: CacheActivity::default(),
             evaluations: 0,
             iterations: 0,
             eval_latency: Histogram::new(),
@@ -231,26 +232,12 @@ impl VqaRunner {
         })
     }
 
-    /// Cache activity seen by this runner so far (construction compile
-    /// plus the most recent run's pulse lookups). All-zero without a
-    /// cache.
-    pub fn cache_activity(&self) -> CacheActivity {
-        let mut a = self.compile_cache_activity;
-        a += self.run_cache_activity;
-        a
-    }
-
     /// Resolves the pulse work-item stream for `params` — through the
     /// cache when one is attached, generating directly otherwise.
-    fn resolve_work_items(&mut self, params: &[f64]) -> Result<PulseSchedule, SystemError> {
+    fn resolve_work_items(&self, params: &[f64]) -> Result<PulseSchedule, SystemError> {
         match &self.cache {
             Some(binding) => {
                 let pulses = binding.cache.work_items(&binding.program, params)?;
-                if pulses.is_hit() {
-                    self.run_cache_activity.pulse_hits += 1;
-                } else {
-                    self.run_cache_activity.pulse_misses += 1;
-                }
                 Ok(Arc::clone(pulses.items()))
             }
             None => Ok(Arc::new(self.program.work_items(params)?)),
@@ -260,15 +247,10 @@ impl VqaRunner {
     /// Resolves the parameter-bound circuit for `params` — through the
     /// cache when one is attached, binding directly otherwise. Binding
     /// is pure, so both paths produce identical circuits.
-    fn resolve_bound(&mut self, params: &[f64]) -> Result<Arc<Circuit>, SystemError> {
+    fn resolve_bound(&self, params: &[f64]) -> Result<Arc<Circuit>, SystemError> {
         match &self.cache {
             Some(binding) => {
                 let bound = binding.cache.bound_circuit(&binding.program, params)?;
-                if bound.is_hit() {
-                    self.run_cache_activity.bound_hits += 1;
-                } else {
-                    self.run_cache_activity.bound_misses += 1;
-                }
                 Ok(Arc::clone(bound.circuit()))
             }
             None => Ok(Arc::new(self.workload.circuit.bind(params)?)),
@@ -363,16 +345,11 @@ impl VqaRunner {
         self.des_scheduled = 0;
         self.des_dispatched = 0;
         self.des_high_water = 0;
-        self.run_cache_activity = CacheActivity::default();
         let phases = VqaPhases::intern(self.system.profiler_mut());
         // Root the causal chain at t=0: every subsequent op hangs its
         // provenance node off the previous chain head.
         self.system.critpath_mut().open_at(SimTime::ZERO);
         let mut now = SimTime::ZERO;
-        let mut breakdown = TimeBreakdown::default();
-        let mut host_ops_total = OpCounter::new();
-        let mut pulses_generated = 0u64;
-        let mut pulse_work_items = 0u64;
         let mut cost_history = Vec::with_capacity(iterations);
 
         let mut params = self.workload.initial_params.clone();
@@ -384,13 +361,10 @@ impl VqaRunner {
             ops.record(OpClass::IntAlu, 25 * self.program.total_entries());
             ops.record(OpClass::Mem, 12 * self.program.total_entries());
             ops.record(OpClass::Branch, 4 * self.program.total_entries());
-            let d = self.system.host().duration_for(&ops);
-            host_ops_total += ops;
-            breakdown.host += d;
+            let d = self.system.host_time(&ops);
             now = self.system.host_segment(phases.compile_patch, now, d);
 
             let upload_start = now;
-            let comm_before = self.system.comm().total();
             for (chunk_idx, instr) in self
                 .program
                 .load_instructions(HOST_PROGRAM_ADDR)
@@ -422,16 +396,12 @@ impl VqaRunner {
                     now = self.system.q_update(now, qaddr, value)?;
                 }
             }
-            breakdown.communication += self.system.comm().total() - comm_before;
             self.system
                 .profiler_mut()
                 .span(phases.upload, upload_start, now);
 
             let items = self.resolve_work_items(&params)?;
-            pulse_work_items += items.len() as u64;
             let (report, gen_done) = self.system.q_gen(now, &items)?;
-            pulses_generated += report.generated;
-            breakdown.pulse_generation += report.total_time;
             self.system
                 .profiler_mut()
                 .record(phases.pulse_gen, report.total_time);
@@ -458,18 +428,8 @@ impl VqaRunner {
             let plan = optimizer.iteration_plan(&params);
             let mut evals = Vec::with_capacity(plan.len());
             for eval_params in &plan {
-                let (cost, t) = self.evaluate(
-                    &config,
-                    now,
-                    &loaded_params,
-                    eval_params,
-                    shots,
-                    phases,
-                    &mut breakdown,
-                    &mut host_ops_total,
-                    &mut pulses_generated,
-                    &mut pulse_work_items,
-                )?;
+                let (cost, t) =
+                    self.evaluate(&config, now, &loaded_params, eval_params, shots, phases)?;
                 loaded_params.clone_from(eval_params);
                 evals.push(cost);
                 self.eval_latency
@@ -480,9 +440,7 @@ impl VqaRunner {
             // Optimizer update on the host.
             let mut ops = OpCounter::new();
             params = optimizer.update(&params, &plan, &evals, &mut ops);
-            let d = self.system.host().duration_for(&ops);
-            host_ops_total += ops;
-            breakdown.host += d;
+            let d = self.system.host_time(&ops);
             now = self.system.host_segment(phases.optimizer_step, now, d);
             let mean = evals.iter().sum::<f64>() / evals.len().max(1) as f64;
             cost_history.push(mean);
@@ -492,8 +450,7 @@ impl VqaRunner {
         }
 
         let comm = self.system.comm();
-        breakdown.communication = comm.total();
-        let host_cycles = self.system.host().cycles_for(&host_ops_total);
+        let (pulses_generated, pulse_work_items) = self.system.pulse_tallies();
         let final_cost = cost_history.last().copied().unwrap_or(f64::NAN);
         self.final_cost = final_cost;
         let status = DeadlineStatus {
@@ -503,13 +460,13 @@ impl VqaRunner {
         };
         let report = RunReport {
             total: now.elapsed(),
-            breakdown,
+            breakdown: phases.breakdown(self.system.profiler(), comm),
             comm,
             dynamic_instructions: self.system.dynamic_instructions(),
             static_instructions: self.static_instructions(),
             pulses_generated,
             slt: self.system.slt_stats(),
-            host_cycles,
+            host_cycles: self.system.host_cycles(),
             cost_history,
             final_cost,
             pulse_reduction: if pulse_work_items == 0 {
@@ -520,18 +477,12 @@ impl VqaRunner {
             resilience: self.system.resilience(),
             phases: self.system.phase_table(),
             critpath: self.system.critpath_report(),
-            // Hit counts on a cache shared across a pool depend on worker
-            // interleaving, and per-job artefacts must stay byte-identical
-            // at any pool width, so the report never records them;
-            // `cache_activity` exposes them instead.
-            cache: CacheActivity::default(),
         };
         Ok((report, status))
     }
 
     /// One circuit evaluation: incremental update → pulse generation →
     /// run with transmission/post-processing per the configured policies.
-    #[allow(clippy::too_many_arguments)]
     fn evaluate(
         &mut self,
         config: &QtenonConfig,
@@ -540,10 +491,6 @@ impl VqaRunner {
         eval_params: &[f64],
         shots: u64,
         phases: VqaPhases,
-        breakdown: &mut TimeBreakdown,
-        host_ops_total: &mut OpCounter,
-        pulses_generated: &mut u64,
-        pulse_work_items: &mut u64,
     ) -> Result<(f64, SimTime), SystemError> {
         let mut now = start;
 
@@ -555,9 +502,7 @@ impl VqaRunner {
             ops.record(OpClass::FpAlu, 2 * slots);
             ops.record(OpClass::Mem, 3 * slots);
             ops.record(OpClass::Branch, slots);
-            let d = self.system.host().duration_for(&ops);
-            *host_ops_total += ops;
-            breakdown.host += d;
+            let d = self.system.host_time(&ops);
             now = self.system.host_segment(phases.compile_patch, now, d);
         }
         let upload_start = now;
@@ -572,10 +517,7 @@ impl VqaRunner {
 
         // 2. Pulse generation: the SLT skips everything unchanged.
         let items = self.resolve_work_items(eval_params)?;
-        *pulse_work_items += items.len() as u64;
         let (gen_report, gen_done) = self.system.q_gen(now, &items)?;
-        *pulses_generated += gen_report.generated;
-        breakdown.pulse_generation += gen_report.total_time;
         self.system
             .profiler_mut()
             .record(phases.pulse_gen, gen_report.total_time);
@@ -586,12 +528,9 @@ impl VqaRunner {
         let run_start = now;
         let outcome = self.system.q_run(now, &bound, shots)?;
         let quantum = outcome.complete.saturating_since(run_start);
-        breakdown.quantum += quantum;
         self.system
             .profiler_mut()
             .record(phases.quantum_execute, quantum);
-
-        let host = self.system.host();
 
         let (cost, end) = match config.sync {
             SyncMode::Fence => {
@@ -611,9 +550,7 @@ impl VqaRunner {
                 let mut ops = OpCounter::new();
                 let cost = self.evaluator.mean_over(&outcome.shots, &mut ops);
                 batch_overhead_ops(&mut ops);
-                let d = host.duration_for(&ops);
-                *host_ops_total += ops;
-                breakdown.host += d;
+                let d = self.system.host_time(&ops);
                 let end = self.system.host_segment(phases.host_post, acq_done, d);
                 (cost, end)
             }
@@ -662,9 +599,7 @@ impl VqaRunner {
                         value_sum += self.evaluator.block_value_sum(block, &mut planes, &mut ops);
                         flushed += BLOCK_SHOTS;
                     }
-                    let d = host.duration_for(&ops);
-                    *host_ops_total += ops;
-                    breakdown.host += d;
+                    let d = self.system.host_time(&ops);
                     self.system.profiler_mut().record(phases.host_post, d);
                     if overlap {
                         host_free = host_free.max(put_done) + d;
@@ -685,9 +620,7 @@ impl VqaRunner {
                         &mut planes,
                         &mut ops,
                     );
-                    let d = host.duration_for(&ops);
-                    *host_ops_total += ops;
-                    breakdown.host += d;
+                    let d = self.system.host_time(&ops);
                     self.system.profiler_mut().record(phases.host_post, d);
                     host_free += d;
                 }

@@ -161,57 +161,19 @@ impl MeanFieldState {
     }
 
     /// Runs all gates of a bound native circuit under a noise model:
-    /// each gate is followed by the corresponding depolarizing shrink on
-    /// its operands.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MeanFieldState::apply_circuit`].
-    pub fn apply_circuit_noisy(
-        &mut self,
-        circuit: &Circuit,
-        noise: &NoiseModel,
-    ) -> Result<(), QuantumError> {
-        if noise.is_noiseless() {
-            return self.apply_circuit(circuit);
-        }
-        for op in circuit.operations() {
-            match op.gate {
-                Gate::Rx(a) | Gate::Ry(a) | Gate::Rz(a) => {
-                    let theta = match a {
-                        Angle::Value(v) => v,
-                        Angle::Param { param, .. } => {
-                            return Err(QuantumError::UnboundParameter { param })
-                        }
-                    };
-                    match op.gate {
-                        Gate::Rx(_) => self.apply_rx(op.qubit, theta),
-                        Gate::Ry(_) => self.apply_ry(op.qubit, theta),
-                        Gate::Rz(_) => self.apply_rz(op.qubit, theta),
-                        _ => unreachable!(),
-                    }
-                    self.depolarize(op.qubit, noise.shrink_1q());
-                }
-                Gate::Cz => {
-                    let b = op.qubit2.expect("CZ has two operands");
-                    self.apply_cz(op.qubit, b);
-                    self.depolarize(op.qubit, noise.shrink_2q());
-                    self.depolarize(b, noise.shrink_2q());
-                }
-                Gate::Measure => {}
-                other => return Err(QuantumError::NonNativeGate { gate: other.name() }),
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs all gates of a bound native circuit.
+    /// unless the model is noiseless, each gate is followed by the
+    /// corresponding depolarizing shrink on its operands.
     ///
     /// # Errors
     ///
     /// Returns [`QuantumError::NonNativeGate`] or
     /// [`QuantumError::UnboundParameter`] as appropriate.
-    pub fn apply_circuit(&mut self, circuit: &Circuit) -> Result<(), QuantumError> {
+    pub fn apply_circuit_noisy(
+        &mut self,
+        circuit: &Circuit,
+        noise: &NoiseModel,
+    ) -> Result<(), QuantumError> {
+        let noisy = !noise.is_noiseless();
         for op in circuit.operations() {
             match op.gate {
                 Gate::Rx(a) | Gate::Ry(a) | Gate::Rz(a) => {
@@ -227,8 +189,18 @@ impl MeanFieldState {
                         Gate::Rz(_) => self.apply_rz(op.qubit, theta),
                         _ => unreachable!(),
                     }
+                    if noisy {
+                        self.depolarize(op.qubit, noise.shrink_1q());
+                    }
                 }
-                Gate::Cz => self.apply_cz(op.qubit, op.qubit2.expect("CZ has two operands")),
+                Gate::Cz => {
+                    let b = op.qubit2.expect("CZ has two operands");
+                    self.apply_cz(op.qubit, b);
+                    if noisy {
+                        self.depolarize(op.qubit, noise.shrink_2q());
+                        self.depolarize(b, noise.shrink_2q());
+                    }
+                }
                 Gate::Measure => {}
                 other => return Err(QuantumError::NonNativeGate { gate: other.name() }),
             }

@@ -125,6 +125,12 @@ impl Profiler {
         slot.hist.record(d.as_ps() / 1_000);
     }
 
+    /// Total sim time recorded against `id`, at picosecond precision
+    /// (a [`PhaseTable`] row truncates it to nanoseconds).
+    pub fn total(&self, id: PhaseId) -> SimDuration {
+        self.slots[id.0 as usize].total
+    }
+
     /// Records the sim-time span from `start` to `end` (clamped at zero)
     /// against `id`.
     pub fn span(&mut self, id: PhaseId, start: SimTime, end: SimTime) {

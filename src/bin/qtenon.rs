@@ -110,7 +110,7 @@ use qtenon::isa::{disasm, QubitId};
 use qtenon::quantum::noise::NoiseModel;
 use qtenon::quantum::{qasm, transpile, Circuit};
 use qtenon::sim_engine::json::{self, JsonValue};
-use qtenon::sim_engine::{FaultPlan, MetricsRegistry, SimTime};
+use qtenon::sim_engine::{FaultPlan, MetricsRegistry, MetricsSnapshot, SimTime};
 use qtenon::workloads::WorkloadKind;
 
 /// The parsed command line: the subcommand plus every flag, each taken
@@ -394,8 +394,12 @@ fn run_chaos(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Exports a metric tree to `PATH` (JSON) and `PATH.prom` (Prometheus).
-fn write_metrics_pair(path: &str, export: impl FnOnce(&mut MetricsRegistry)) -> Result<(), String> {
+/// Exports a metric tree to `PATH` (JSON) and `PATH.prom` (Prometheus),
+/// returning the snapshot written.
+fn write_metrics_pair(
+    path: &str,
+    export: impl FnOnce(&mut MetricsRegistry),
+) -> Result<MetricsSnapshot, String> {
     let mut registry = MetricsRegistry::new();
     export(&mut registry);
     let snapshot = registry.snapshot();
@@ -403,7 +407,7 @@ fn write_metrics_pair(path: &str, export: impl FnOnce(&mut MetricsRegistry)) -> 
     let prom_path = format!("{path}.prom");
     std::fs::write(&prom_path, snapshot.to_prometheus())
         .map_err(|e| format!("cannot write {prom_path}: {e}"))?;
-    Ok(())
+    Ok(snapshot)
 }
 
 /// Builds the fault plan from `--faults`/`--fault-seed`: the argument is
@@ -540,16 +544,10 @@ fn run() -> Result<(), String> {
             let (complete, shots, _) = outcome;
 
             if let Some(path) = &args.metrics {
-                let mut registry = MetricsRegistry::new();
-                system.export_metrics(&mut registry);
-                let snapshot = registry.snapshot();
-                std::fs::write(path, snapshot.to_json())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                let prom_path = format!("{path}.prom");
-                std::fs::write(&prom_path, snapshot.to_prometheus())
-                    .map_err(|e| format!("cannot write {prom_path}: {e}"))?;
+                let snapshot =
+                    write_metrics_pair(path, |registry| system.export_metrics(registry))?;
                 print!("{}", snapshot.to_text());
-                println!("metrics written to {path} (JSON) and {prom_path} (Prometheus)");
+                println!("metrics written to {path} (JSON) and {path}.prom (Prometheus)");
             }
 
             if tracing {

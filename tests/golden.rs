@@ -1,23 +1,27 @@
 //! Golden-file snapshot tests for the experiments telemetry export — the
 //! JSON artefact `qtenon --metrics` and `experiments --metrics` write.
 //!
-//! Goldens live in `tests/golden/`. A missing golden is bootstrapped from
-//! the current output on first run; after an intentional schema or model
-//! change, regenerate with `UPDATE_GOLDEN=1 cargo test -p qtenon --test
-//! golden` (see README). The determinism assertions (serial vs sharded)
+//! Goldens live in `tests/golden/`, and a missing one fails its test.
+//! After an intentional schema or model change, regenerate with
+//! `UPDATE_GOLDEN=1 cargo test -p qtenon --test golden` (see README). The determinism assertions (serial vs sharded)
 //! run unconditionally — they never depend on the files.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use qtenon_bench::experiments::{telemetry_snapshot, telemetry_snapshot_exact, ExperimentScale};
-use qtenon_core::config::{CoreModel, QtenonConfig};
+use qtenon_baseline::{BaselineConfig, BaselineRunner};
+use qtenon_bench::experiments::{
+    telemetry_snapshot, telemetry_snapshot_exact, ExperimentScale, OptimizerKind,
+};
+use qtenon_core::config::{CoreModel, QtenonConfig, SyncMode, TransmissionPolicy};
 use qtenon_core::parallel::MIN_SHOTS_PER_SHARD;
+use qtenon_core::report::RunReport;
 use qtenon_core::system::QtenonSystem;
 use qtenon_core::vqa::VqaRunner;
 use qtenon_isa::{EncodedAngle, GateType, ProgramEntry, QubitId};
 use qtenon_quantum::Circuit;
 use qtenon_sim_engine::{
-    FaultPlan, FaultSite, MetricValue, MetricsRegistry, MetricsSnapshot, SimTime,
+    FaultPlan, FaultSite, MetricValue, MetricsRegistry, MetricsSnapshot, SimDuration, SimTime,
 };
 use qtenon_workloads::{SpsaOptimizer, Workload, WorkloadKind};
 
@@ -48,19 +52,23 @@ fn golden_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Compares `actual` against the stored golden. Bootstraps a missing
-/// golden and rewrites it under `UPDATE_GOLDEN=1`.
+/// Compares `actual` against the stored golden, which must exist.
+/// `UPDATE_GOLDEN=1` writes it instead, creating it if missing.
 fn check_golden(name: &str, actual: &str) {
     let path = golden_path(name);
     let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
-    if update || !path.exists() {
+    if update {
         std::fs::create_dir_all(path.parent().expect("golden dir has parent"))
             .expect("create tests/golden");
         std::fs::write(&path, actual).expect("write golden");
         eprintln!("golden {name}: wrote {} bytes", actual.len());
         return;
     }
-    let expected = std::fs::read_to_string(&path).expect("read golden");
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "golden {name} is missing ({e}); create it with UPDATE_GOLDEN=1 after verifying the output"
+        )
+    });
     assert_eq!(
         expected, actual,
         "golden {name} is stale; regenerate with UPDATE_GOLDEN=1 after verifying the change"
@@ -329,4 +337,164 @@ fn faulty_ops_trace_matches_golden() {
     }
     assert!(sys.phase_table().row("controller.rbq_wait").is_some());
     check_golden("trace_ops_faulty.json", &json);
+}
+
+/// Renders the accounting fields of one [`RunReport`] under `label`:
+/// every duration in picoseconds, every tally as an integer, and
+/// `pulse_reduction` through `{:?}`, which round-trips an `f64` exactly.
+fn render_report(out: &mut String, label: &str, r: &RunReport) {
+    let b = &r.breakdown;
+    let c = &r.comm;
+    writeln!(out, "[{label}]").unwrap();
+    writeln!(out, "total_ps {}", r.total.as_ps()).unwrap();
+    writeln!(
+        out,
+        "breakdown_ps quantum={} communication={} pulse_generation={} host={}",
+        b.quantum.as_ps(),
+        b.communication.as_ps(),
+        b.pulse_generation.as_ps(),
+        b.host.as_ps()
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "comm q_set_ps={} q_update_ps={} q_acquire_ps={} q_set_count={} q_update_count={} q_acquire_count={}",
+        c.q_set.as_ps(),
+        c.q_update.as_ps(),
+        c.q_acquire.as_ps(),
+        c.q_set_count,
+        c.q_update_count,
+        c.q_acquire_count
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "instructions dynamic={} static={}",
+        r.dynamic_instructions, r.static_instructions
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "pulses generated={} reduction={:?}",
+        r.pulses_generated, r.pulse_reduction
+    )
+    .unwrap();
+    writeln!(out, "host_cycles {}", r.host_cycles).unwrap();
+    writeln!(out, "slt {:?}", r.slt).unwrap();
+    writeln!(out, "resilience {:?}", r.resilience).unwrap();
+}
+
+/// The active plan of the faulty report runs: every site fires, and most
+/// completion responses are lost to a slow watchdog, so the RBQ runs out
+/// of tags and stalls shift the start of `q_gen`/`q_run`.
+fn report_fault_plan() -> FaultPlan {
+    FaultPlan {
+        watchdog_timeout_ns: 100_000_000,
+        ..FaultPlan::all(0.05)
+            .with_rate(FaultSite::RbqStuck, 0.99)
+            .with_seed(0xFA17)
+    }
+}
+
+/// An 8-qubit runner for `kind` under `sync`/`transmission`/`faults`.
+fn report_runner(
+    kind: WorkloadKind,
+    sync: SyncMode,
+    transmission: TransmissionPolicy,
+    faults: FaultPlan,
+) -> VqaRunner {
+    let scale = golden_scale();
+    let config = QtenonConfig::table4(8, CoreModel::Rocket)
+        .expect("valid config")
+        .with_seed(scale.seed)
+        .with_sync(sync)
+        .with_transmission(transmission)
+        .with_faults(faults);
+    let workload = Workload::benchmark(kind, 8, scale.seed).expect("workload");
+    VqaRunner::new(config, workload).expect("runner builds")
+}
+
+/// The accounting fields of a fixed set of runs: QAOA-8 SPSA and VQE-8
+/// GD under each synchronisation/transmission pair, inert and faulty,
+/// then one deadline-cut run and one baseline run.
+fn run_reports() -> String {
+    let scale = golden_scale();
+    let mut out = String::new();
+    let mut stalled = false;
+    let workloads = [
+        ("qaoa8-spsa", WorkloadKind::Qaoa, OptimizerKind::Spsa),
+        ("vqe8-gd", WorkloadKind::Vqe, OptimizerKind::Gd),
+    ];
+    let modes = [
+        (
+            "fine-batched",
+            SyncMode::FineGrained,
+            TransmissionPolicy::Batched,
+        ),
+        (
+            "fine-immediate",
+            SyncMode::FineGrained,
+            TransmissionPolicy::Immediate,
+        ),
+        ("fence", SyncMode::Fence, TransmissionPolicy::Batched),
+    ];
+    for (name, kind, optimizer) in workloads {
+        for (mode, sync, transmission) in modes {
+            for (faults_name, faults) in [
+                ("inert", FaultPlan::default()),
+                ("faulty", report_fault_plan()),
+            ] {
+                let report = report_runner(kind, sync, transmission, faults)
+                    .run(
+                        optimizer.build(scale.seed).as_mut(),
+                        scale.iterations,
+                        scale.shots,
+                    )
+                    .expect("run succeeds");
+                stalled |= report.phases.row("controller.rbq_wait").is_some();
+                render_report(&mut out, &format!("{name} {mode} {faults_name}"), &report);
+            }
+        }
+    }
+
+    assert!(stalled, "no faulty run stalled on the RBQ");
+
+    // A deadline one nanosecond past the first iteration cuts a
+    // three-iteration run after its second iteration.
+    let runner = || {
+        report_runner(
+            WorkloadKind::Qaoa,
+            SyncMode::FineGrained,
+            TransmissionPolicy::Batched,
+            FaultPlan::default(),
+        )
+    };
+    let one = runner()
+        .run(&mut SpsaOptimizer::new(7), 1, scale.shots)
+        .expect("run succeeds");
+    let budget = one.total + SimDuration::from_ns(1);
+    let (cut, status) = runner()
+        .run_with_deadline(&mut SpsaOptimizer::new(7), 3, scale.shots, Some(budget))
+        .expect("run succeeds");
+    assert!(status.hit, "the deadline never fired: {status:?}");
+    render_report(
+        &mut out,
+        &format!(
+            "qaoa8-spsa deadline {}/{}",
+            status.completed_iterations, status.requested_iterations
+        ),
+        &cut,
+    );
+
+    let workload = Workload::benchmark(WorkloadKind::Qaoa, 8, scale.seed).expect("workload");
+    let baseline = BaselineRunner::new(BaselineConfig::default(), workload)
+        .run(&mut SpsaOptimizer::new(7), scale.iterations, scale.shots)
+        .expect("run succeeds");
+    render_report(&mut out, "baseline qaoa8-spsa", &baseline);
+    out
+}
+
+#[test]
+fn run_reports_match_golden() {
+    check_golden("run_reports.txt", &run_reports());
 }
