@@ -14,18 +14,144 @@
 //! additionally runs the representative 64-qubit VQE and dumps its full
 //! metric tree to `PATH` (JSON) and `PATH.prom` (Prometheus text format).
 //! Valid ids: `fig1 table1 table2 table4 fig11 fig12 fig13 fig14 table5
-//! fig15 fig16a fig16b fig17 ablation resilience parallel fleet
-//! cachefleet breakdown critpath chaos kernels`. Every study is also mirrored to
-//! `target/experiments/<id>.txt` (gitignored), with the path printed
-//! after each table.
+//! fig15 fig16a fig16b fig17 ablation resilience breakdown critpath
+//! chaos`; an unknown id exits 2. Every study measures sim time; host
+//! wall time is `perfbench`'s. Every table is also mirrored to
+//! `target/experiments/<file id>.txt` (gitignored), with the path
+//! printed after each table.
 
-use qtenon_bench::experiments::{self, ExperimentScale, OptimizerKind};
+use qtenon_bench::experiments::{self, ExperimentScale};
+use qtenon_bench::TextTable;
+use qtenon_core::jobs::JobOptimizer;
+
+type Study = fn(&ExperimentScale) -> TextTable;
+
+/// Every table the harness prints, in print order: (selector on the
+/// command line, file id, title, study). One selector may print several
+/// tables (`fig14` prints one per optimizer).
+const STUDIES: &[(&str, &str, &str, Study)] = &[
+    (
+        "fig1",
+        "fig1",
+        "Fig. 1 — baseline time shares (quantum execution is a minor fraction)",
+        experiments::fig1,
+    ),
+    (
+        "table1",
+        "table1",
+        "Table 1 — decoupled vs tightly coupled systems",
+        experiments::table1,
+    ),
+    (
+        "table2",
+        "table2",
+        "Table 2 — quantum controller cache design for 64 qubits",
+        |_| experiments::table2(),
+    ),
+    (
+        "table4",
+        "table4",
+        "Table 4 — hardware configuration",
+        |_| experiments::table4(),
+    ),
+    (
+        "fig11",
+        "fig11",
+        "Fig. 11 — speedups under Gradient Descent",
+        |s| experiments::fig11_12(s, JobOptimizer::Gd),
+    ),
+    ("fig12", "fig12", "Fig. 12 — speedups under SPSA", |s| {
+        experiments::fig11_12(s, JobOptimizer::Spsa)
+    }),
+    (
+        "fig13",
+        "fig13",
+        "Fig. 13 — 64-qubit VQE (SPSA) end-to-end breakdown",
+        experiments::fig13,
+    ),
+    (
+        "fig14",
+        "fig14_gd",
+        "Fig. 14 — quantum-host communication (GD)",
+        |s| experiments::fig14(s, JobOptimizer::Gd),
+    ),
+    (
+        "fig14",
+        "fig14_spsa",
+        "Fig. 14 — quantum-host communication (SPSA)",
+        |s| experiments::fig14(s, JobOptimizer::Spsa),
+    ),
+    (
+        "table5",
+        "table5",
+        "Table 5 — pulse generation speedup and computation reduction",
+        experiments::table5,
+    ),
+    (
+        "fig15",
+        "fig15",
+        "Fig. 15 — host execution time",
+        experiments::fig15,
+    ),
+    (
+        "fig16a",
+        "fig16a",
+        "Fig. 16a — FENCE vs fine-grained synchronisation",
+        experiments::fig16a,
+    ),
+    (
+        "fig16b",
+        "fig16b",
+        "Fig. 16b — transmission scheduling (Algorithm 1)",
+        experiments::fig16b,
+    ),
+    (
+        "fig17",
+        "fig17",
+        "Fig. 17 — scalability",
+        experiments::fig17,
+    ),
+    (
+        "ablation",
+        "ablation",
+        "Ablation (beyond the paper) — PGU pool width × SLT reuse",
+        experiments::ablation,
+    ),
+    (
+        "resilience",
+        "resilience",
+        "Resilience (beyond the paper) — 64-qubit VQE under fault injection",
+        experiments::resilience,
+    ),
+    (
+        "breakdown",
+        "breakdown",
+        "Breakdown (beyond the paper) — phase-level latency attribution \
+         (deterministic sim time, same rows as `qtenon run --profile`)",
+        experiments::breakdown,
+    ),
+    (
+        "critpath",
+        "critpath",
+        "Critical path (beyond the paper) — who-blocks-whom causal attribution, \
+         Qtenon vs decoupled baseline (same rows as `qtenon run --critpath`)",
+        experiments::critpath,
+    ),
+    (
+        "chaos",
+        "chaos",
+        "Chaos (beyond the paper) — fault-rate x retry-budget campaign over a \
+         synthetic fleet; per-cell containment invariants checked \
+         (same harness as `qtenon batch --chaos`)",
+        experiments::chaos,
+    ),
+];
 
 fn main() {
     let mut full = false;
     let mut threads = 1usize;
     let mut metrics_path: Option<String> = None;
-    let mut ids: Vec<String> = Vec::new();
+    let mut ids: Vec<&str> = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
@@ -48,10 +174,21 @@ fn main() {
                 eprintln!("error: unknown flag {other:?}");
                 std::process::exit(2);
             }
-            other => ids.push(other.to_string()),
+            other => match STUDIES.iter().find(|&&(selector, ..)| selector == other) {
+                Some(&(selector, ..)) => ids.push(selector),
+                None => {
+                    let mut valid: Vec<&str> =
+                        STUDIES.iter().map(|&(selector, ..)| selector).collect();
+                    valid.dedup();
+                    eprintln!(
+                        "error: unknown experiment id {other:?}; valid ids: {}",
+                        valid.join(" ")
+                    );
+                    std::process::exit(2);
+                }
+            },
         }
     }
-    let ids: Vec<&str> = ids.iter().map(String::as_str).collect();
     let scale = if full {
         ExperimentScale::paper()
     } else {
@@ -69,174 +206,10 @@ fn main() {
         if scale.threads == 1 { "" } else { "s" }
     );
 
-    if want("fig1") {
-        section(
-            "fig1",
-            "Fig. 1 — baseline time shares (quantum execution is a minor fraction)",
-            experiments::fig1(&scale).to_string(),
-        );
-    }
-    if want("table1") {
-        section(
-            "table1",
-            "Table 1 — decoupled vs tightly coupled systems",
-            experiments::table1(&scale).to_string(),
-        );
-    }
-    if want("table2") {
-        section(
-            "table2",
-            "Table 2 — quantum controller cache design for 64 qubits",
-            experiments::table2().to_string(),
-        );
-    }
-    if want("table4") {
-        section(
-            "table4",
-            "Table 4 — hardware configuration",
-            experiments::table4().to_string(),
-        );
-    }
-    if want("fig11") {
-        section(
-            "fig11",
-            "Fig. 11 — speedups under Gradient Descent",
-            experiments::fig11_12(&scale, OptimizerKind::Gd).to_string(),
-        );
-    }
-    if want("fig12") {
-        section(
-            "fig12",
-            "Fig. 12 — speedups under SPSA",
-            experiments::fig11_12(&scale, OptimizerKind::Spsa).to_string(),
-        );
-    }
-    if want("fig13") {
-        section(
-            "fig13",
-            "Fig. 13 — 64-qubit VQE (SPSA) end-to-end breakdown",
-            experiments::fig13(&scale).to_string(),
-        );
-    }
-    if want("fig14") {
-        section(
-            "fig14_gd",
-            "Fig. 14 — quantum-host communication (GD)",
-            experiments::fig14(&scale, OptimizerKind::Gd).to_string(),
-        );
-        section(
-            "fig14_spsa",
-            "Fig. 14 — quantum-host communication (SPSA)",
-            experiments::fig14(&scale, OptimizerKind::Spsa).to_string(),
-        );
-    }
-    if want("table5") {
-        section(
-            "table5",
-            "Table 5 — pulse generation speedup and computation reduction",
-            experiments::table5(&scale).to_string(),
-        );
-    }
-    if want("fig15") {
-        section(
-            "fig15",
-            "Fig. 15 — host execution time",
-            experiments::fig15(&scale).to_string(),
-        );
-    }
-    if want("fig16a") {
-        section(
-            "fig16a",
-            "Fig. 16a — FENCE vs fine-grained synchronisation",
-            experiments::fig16a(&scale).to_string(),
-        );
-    }
-    if want("fig16b") {
-        section(
-            "fig16b",
-            "Fig. 16b — transmission scheduling (Algorithm 1)",
-            experiments::fig16b(&scale).to_string(),
-        );
-    }
-    if want("fig17") {
-        section(
-            "fig17",
-            "Fig. 17 — scalability",
-            experiments::fig17(&scale).to_string(),
-        );
-    }
-    if want("ablation") {
-        section(
-            "ablation",
-            "Ablation (beyond the paper) — PGU pool width × SLT reuse",
-            experiments::ablation(&scale).to_string(),
-        );
-    }
-    if want("resilience") {
-        section(
-            "resilience",
-            "Resilience (beyond the paper) — 64-qubit VQE under fault injection",
-            experiments::resilience(&scale).to_string(),
-        );
-    }
-    if want("parallel") {
-        section(
-            "parallel",
-            "Parallel (beyond the paper) — shot-sharded wall-clock vs serial, \
-             bitwise-determinism checked",
-            experiments::parallel(&scale).to_string(),
-        );
-    }
-    if want("fleet") {
-        section(
-            "fleet",
-            "Fleet (beyond the paper) — multi-job batch scheduler, jobs x threads sweep, \
-             per-job artefacts checked against standalone runs",
-            experiments::fleet(&scale).to_string(),
-        );
-    }
-    if want("cachefleet") {
-        section(
-            "cachefleet",
-            "Cache fleet (beyond the paper) — fleet compilation cache, duplication x \
-             pool-width sweep, cold-vs-hit byte-equality checked live",
-            experiments::cachefleet(&scale).to_string(),
-        );
-    }
-    if want("breakdown") {
-        section(
-            "breakdown",
-            "Breakdown (beyond the paper) — phase-level latency attribution \
-             (deterministic sim time, same rows as `qtenon run --profile`)",
-            experiments::breakdown(&scale).to_string(),
-        );
-    }
-    if want("critpath") {
-        section(
-            "critpath",
-            "Critical path (beyond the paper) — who-blocks-whom causal attribution, \
-             Qtenon vs decoupled baseline (same rows as `qtenon run --critpath`)",
-            experiments::critpath(&scale).to_string(),
-        );
-    }
-
-    if want("chaos") {
-        section(
-            "chaos",
-            "Chaos (beyond the paper) — fault-rate x retry-budget campaign over a \
-             synthetic fleet; per-cell containment invariants checked \
-             (same harness as `qtenon batch --chaos`)",
-            experiments::chaos(&scale).to_string(),
-        );
-    }
-
-    if want("kernels") {
-        section(
-            "kernels",
-            "Kernels (beyond the paper) — reference vs unfused vs fused statevector \
-             execution on transpiled QAOA, bitwise-identity checked per width",
-            experiments::kernels(&scale).to_string(),
-        );
+    for &(selector, id, title, study) in STUDIES {
+        if want(selector) {
+            section(id, title, study(&scale).to_string());
+        }
     }
 
     if let Some(path) = metrics_path {

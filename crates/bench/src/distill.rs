@@ -34,11 +34,10 @@
 use std::collections::BTreeMap;
 
 use qtenon_core::config::{CoreModel, QtenonConfig};
+use qtenon_core::jobs::JobOptimizer;
 use qtenon_core::vqa::VqaRunner;
 use qtenon_sim_engine::json::{self, JsonValue};
 use qtenon_workloads::{Workload, WorkloadKind};
-
-use crate::experiments::OptimizerKind;
 
 /// Schema version stamped into every snapshot.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -163,7 +162,7 @@ const PIN_ITERATIONS: usize = 2;
 const PIN_SHOTS: u64 = 100;
 const PIN_SEED: u64 = 42;
 
-fn pinned_run(kind: WorkloadKind, n: u32, opt: OptimizerKind) -> qtenon_core::report::RunReport {
+fn pinned_run(kind: WorkloadKind, n: u32, opt: JobOptimizer) -> qtenon_core::report::RunReport {
     let config = QtenonConfig::table4(n, CoreModel::Rocket)
         .expect("valid config")
         .with_seed(PIN_SEED);
@@ -185,10 +184,10 @@ pub fn distill_sim(suite: &str) -> Option<BenchSnapshot> {
             // deterministic run has no distribution: median == mean.
             let mut snap = BenchSnapshot::new("end_to_end", "sim");
             for (id, kind, n, opt) in [
-                ("vqe_8_spsa", WorkloadKind::Vqe, 8, OptimizerKind::Spsa),
-                ("qaoa_8_spsa", WorkloadKind::Qaoa, 8, OptimizerKind::Spsa),
-                ("qnn_8_spsa", WorkloadKind::Qnn, 8, OptimizerKind::Spsa),
-                ("vqe_16_gd", WorkloadKind::Vqe, 16, OptimizerKind::Gd),
+                ("vqe_8_spsa", WorkloadKind::Vqe, 8, JobOptimizer::Spsa),
+                ("qaoa_8_spsa", WorkloadKind::Qaoa, 8, JobOptimizer::Spsa),
+                ("qnn_8_spsa", WorkloadKind::Qnn, 8, JobOptimizer::Spsa),
+                ("vqe_16_gd", WorkloadKind::Vqe, 16, JobOptimizer::Gd),
             ] {
                 let report = pinned_run(kind, n, opt);
                 let total_ns = (report.total.as_ps() / 1_000) as f64;
@@ -199,7 +198,7 @@ pub fn distill_sim(suite: &str) -> Option<BenchSnapshot> {
         "profile_vqe" => {
             // Per-phase attribution of the representative VQE: median is
             // the phase histogram's p50, mean is total/count.
-            let report = pinned_run(WorkloadKind::Vqe, 8, OptimizerKind::Spsa);
+            let report = pinned_run(WorkloadKind::Vqe, 8, JobOptimizer::Spsa);
             let mut snap = BenchSnapshot::new("profile_vqe", "profile");
             for row in &report.phases.rows {
                 if row.count == 0 {

@@ -4,43 +4,14 @@ use qtenon_baseline::{BaselineConfig, BaselineRunner};
 use qtenon_compiler::{BaselineCompiler, ParameterDiff, QtenonCompiler};
 use qtenon_controller::{BusConfig, TileLinkBus};
 use qtenon_core::config::{CoreModel, QtenonConfig, SyncMode, TransmissionPolicy};
-use qtenon_core::jobs::{run_standalone, BatchScheduler, JobOptimizer, JobSpec};
+use qtenon_core::jobs::JobOptimizer;
 use qtenon_core::report::RunReport;
 use qtenon_core::vqa::VqaRunner;
 use qtenon_isa::{QccLayout, Segment};
 use qtenon_sim_engine::{MetricsRegistry, MetricsSnapshot, SimDuration, SimTime};
-use qtenon_workloads::{
-    GradientDescentOptimizer, Optimizer, SpsaOptimizer, Workload, WorkloadKind,
-};
+use qtenon_workloads::{Workload, WorkloadKind};
 
 use crate::table::TextTable;
-
-/// Which optimizer an experiment uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OptimizerKind {
-    /// Gradient descent via the parameter-shift rule.
-    Gd,
-    /// SPSA.
-    Spsa,
-}
-
-impl OptimizerKind {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            OptimizerKind::Gd => "GD",
-            OptimizerKind::Spsa => "SPSA",
-        }
-    }
-
-    /// Builds the optimizer.
-    pub fn build(self, seed: u64) -> Box<dyn Optimizer> {
-        match self {
-            OptimizerKind::Gd => Box::new(GradientDescentOptimizer::new(0.05)),
-            OptimizerKind::Spsa => Box::new(SpsaOptimizer::new(seed)),
-        }
-    }
-}
 
 /// Experiment sizing knobs.
 #[derive(Debug, Clone)]
@@ -122,7 +93,7 @@ pub fn qtenon_run(
     kind: WorkloadKind,
     n: u32,
     core: CoreModel,
-    opt: OptimizerKind,
+    opt: JobOptimizer,
     scale: &ExperimentScale,
     sync: SyncMode,
     policy: TransmissionPolicy,
@@ -146,7 +117,7 @@ pub fn qtenon_default(
     kind: WorkloadKind,
     n: u32,
     core: CoreModel,
-    opt: OptimizerKind,
+    opt: JobOptimizer,
     scale: &ExperimentScale,
 ) -> RunReport {
     qtenon_run(
@@ -168,7 +139,7 @@ pub fn qtenon_default(
 pub fn baseline_run(
     kind: WorkloadKind,
     n: u32,
-    opt: OptimizerKind,
+    opt: JobOptimizer,
     scale: &ExperimentScale,
 ) -> RunReport {
     let workload = Workload::benchmark(kind, n, scale.seed).expect("valid workload");
@@ -203,7 +174,7 @@ pub fn fig1(scale: &ExperimentScale) -> TextTable {
         (WorkloadKind::Vqe, 56),
         (WorkloadKind::Qnn, 64),
     ] {
-        let r = baseline_run(kind, n, OptimizerKind::Spsa, scale);
+        let r = baseline_run(kind, n, JobOptimizer::Spsa, scale);
         let shares = r.exposed_shares();
         t.row(vec![
             kind.to_string(),
@@ -356,7 +327,7 @@ pub fn table4() -> TextTable {
 
 /// Figs. 11/12: classical-time and end-to-end speedups vs the baseline
 /// across the qubit sweep, for both cores.
-pub fn fig11_12(scale: &ExperimentScale, opt: OptimizerKind) -> TextTable {
+pub fn fig11_12(scale: &ExperimentScale, opt: JobOptimizer) -> TextTable {
     let mut t = TextTable::new(vec![
         "workload".into(),
         "#qubits".into(),
@@ -394,17 +365,17 @@ pub fn fig13(scale: &ExperimentScale) -> TextTable {
         "host %".into(),
     ]);
     let kind = WorkloadKind::Vqe;
-    let base = baseline_run(kind, 64, OptimizerKind::Spsa, scale);
+    let base = baseline_run(kind, 64, JobOptimizer::Spsa, scale);
     let hw_only = qtenon_run(
         kind,
         64,
         CoreModel::Rocket,
-        OptimizerKind::Spsa,
+        JobOptimizer::Spsa,
         scale,
         SyncMode::Fence,
         TransmissionPolicy::Immediate,
     );
-    let full = qtenon_default(kind, 64, CoreModel::Rocket, OptimizerKind::Spsa, scale);
+    let full = qtenon_default(kind, 64, CoreModel::Rocket, JobOptimizer::Spsa, scale);
     for (name, r) in [
         ("baseline", &base),
         ("Qtenon w/o software", &hw_only),
@@ -424,7 +395,7 @@ pub fn fig13(scale: &ExperimentScale) -> TextTable {
 }
 
 /// Fig. 14: quantum-host communication time and per-instruction split.
-pub fn fig14(scale: &ExperimentScale, opt: OptimizerKind) -> TextTable {
+pub fn fig14(scale: &ExperimentScale, opt: JobOptimizer) -> TextTable {
     let mut t = TextTable::new(vec![
         "workload".into(),
         "baseline comm".into(),
@@ -460,7 +431,7 @@ pub fn table5(scale: &ExperimentScale) -> TextTable {
         "pulse-gen speedup".into(),
         "computation reduction".into(),
     ]);
-    for opt in [OptimizerKind::Gd, OptimizerKind::Spsa] {
+    for opt in [JobOptimizer::Gd, JobOptimizer::Spsa] {
         for kind in WorkloadKind::ALL {
             let base = baseline_run(kind, 64, opt, scale);
             let qt = qtenon_default(kind, 64, CoreModel::Rocket, opt, scale);
@@ -488,7 +459,7 @@ pub fn fig15(scale: &ExperimentScale) -> TextTable {
         "Qtenon-Rocket host".into(),
         "speedup (Boom)".into(),
     ]);
-    for opt in [OptimizerKind::Gd, OptimizerKind::Spsa] {
+    for opt in [JobOptimizer::Gd, JobOptimizer::Spsa] {
         for kind in WorkloadKind::ALL {
             let base = baseline_run(kind, 64, opt, scale);
             let boom = qtenon_default(kind, 64, CoreModel::BoomLarge, opt, scale);
@@ -515,7 +486,7 @@ pub fn fig16a(scale: &ExperimentScale) -> TextTable {
         "fine-grained classical".into(),
         "speedup".into(),
     ]);
-    for opt in [OptimizerKind::Gd, OptimizerKind::Spsa] {
+    for opt in [JobOptimizer::Gd, JobOptimizer::Spsa] {
         for kind in WorkloadKind::ALL {
             let fence = qtenon_run(
                 kind,
@@ -548,7 +519,7 @@ pub fn fig16b(scale: &ExperimentScale) -> TextTable {
         "w/ schedule classical".into(),
         "speedup".into(),
     ]);
-    for opt in [OptimizerKind::Gd, OptimizerKind::Spsa] {
+    for opt in [JobOptimizer::Gd, JobOptimizer::Spsa] {
         for kind in WorkloadKind::ALL {
             let unsched = qtenon_run(
                 kind,
@@ -586,7 +557,7 @@ pub fn fig17(scale: &ExperimentScale) -> TextTable {
     for kind in [WorkloadKind::Qaoa, WorkloadKind::Vqe] {
         let mut first: Option<(SimDuration, SimDuration)> = None;
         for &n in &scale.scaling_sweep {
-            let r = qtenon_default(kind, n, CoreModel::BoomLarge, OptimizerKind::Spsa, scale);
+            let r = qtenon_default(kind, n, CoreModel::BoomLarge, JobOptimizer::Spsa, scale);
             let comm = r.comm.total();
             let classical = r.classical_time();
             let (c0, h0) = *first.get_or_insert((comm, classical));
@@ -619,7 +590,7 @@ pub fn telemetry_snapshot(scale: &ExperimentScale) -> MetricsSnapshot {
         .with_threads(scale.threads);
     let workload = Workload::benchmark(WorkloadKind::Vqe, 64, scale.seed).expect("valid workload");
     let mut runner = VqaRunner::new(config, workload).expect("runner builds");
-    let mut optimizer = OptimizerKind::Spsa.build(scale.seed);
+    let mut optimizer = JobOptimizer::Spsa.build(scale.seed);
     runner
         .run(optimizer.as_mut(), scale.iterations, scale.shots)
         .expect("run succeeds");
@@ -654,447 +625,13 @@ pub fn telemetry_snapshot_exact(
         .with_fuse(fuse);
     let workload = Workload::benchmark(WorkloadKind::Qaoa, 8, scale.seed).expect("valid workload");
     let mut runner = VqaRunner::new(config, workload).expect("runner builds");
-    let mut optimizer = OptimizerKind::Spsa.build(scale.seed);
+    let mut optimizer = JobOptimizer::Spsa.build(scale.seed);
     let report = runner
         .run(optimizer.as_mut(), scale.iterations, scale.shots)
         .expect("run succeeds");
     let mut registry = MetricsRegistry::new();
     runner.export_metrics(&mut registry);
     (registry.snapshot(), report)
-}
-
-/// Statevector kernel study (beyond the paper): naive-reference vs
-/// unfused-kernel vs fused-kernel wall-clock for the transpiled QAOA
-/// circuit at exact widths, with the fusion plan's gate accounting and a
-/// live bitwise-identity check per row — `fused` and `unfused` amplitudes
-/// are compared bit-for-bit (zero signs included), the reference after
-/// canonicalizing IEEE signed zeros (DESIGN.md §13).
-///
-/// # Panics
-///
-/// Panics if construction or execution fails (the configurations are
-/// known-valid).
-pub fn kernels(scale: &ExperimentScale) -> TextTable {
-    use qtenon_quantum::fuse::plan;
-    use qtenon_quantum::kernels::{mat_rx, mat_ry, mat_rz};
-    use qtenon_quantum::{Angle, Gate, StateVector};
-    use std::time::Instant;
-
-    let canonical_bits = |sv: &StateVector| -> Vec<(u64, u64)> {
-        let canon = |x: f64| {
-            if x == 0.0 {
-                0.0f64.to_bits()
-            } else {
-                x.to_bits()
-            }
-        };
-        (0..1usize << sv.n_qubits())
-            .map(|i| {
-                let a = sv.amplitude(i);
-                (canon(a.re), canon(a.im))
-            })
-            .collect()
-    };
-    let raw_bits = |sv: &StateVector| -> Vec<(u64, u64)> {
-        (0..1usize << sv.n_qubits())
-            .map(|i| {
-                let a = sv.amplitude(i);
-                (a.re.to_bits(), a.im.to_bits())
-            })
-            .collect()
-    };
-
-    let mut t = TextTable::new(vec![
-        "qubits".into(),
-        "native gates".into(),
-        "runs".into(),
-        "fused runs".into(),
-        "reference wall".into(),
-        "unfused wall".into(),
-        "fused wall".into(),
-        "fused speedup".into(),
-        "bitwise identical".into(),
-    ]);
-    for n in [8u32, 12, 16] {
-        let workload = Workload::benchmark(WorkloadKind::Qaoa, n, scale.seed).expect("workload");
-        let circuit = workload
-            .circuit
-            .bind(&workload.initial_params)
-            .expect("bound circuit");
-
-        let start = Instant::now();
-        let mut reference = StateVector::new(n).expect("state");
-        for op in circuit.operations() {
-            match op.gate {
-                Gate::Rx(Angle::Value(v)) => reference.apply_matrix2_reference(op.qubit, mat_rx(v)),
-                Gate::Ry(Angle::Value(v)) => reference.apply_matrix2_reference(op.qubit, mat_ry(v)),
-                Gate::Rz(Angle::Value(v)) => reference.apply_matrix2_reference(op.qubit, mat_rz(v)),
-                Gate::Cz => reference.apply_cz_reference(op.qubit, op.qubit2.expect("CZ operands")),
-                Gate::Measure => {}
-                ref g => panic!("non-native gate {g:?} after transpile"),
-            }
-        }
-        let reference_wall = start.elapsed();
-
-        let unfused_plan = plan(&circuit, false).expect("plan");
-        let start = Instant::now();
-        let mut unfused = StateVector::new(n).expect("state");
-        unfused.apply_plan(&unfused_plan);
-        let unfused_wall = start.elapsed();
-
-        let fused_plan = plan(&circuit, true).expect("plan");
-        let start = Instant::now();
-        let mut fused = StateVector::new(n).expect("state");
-        fused.apply_plan(&fused_plan);
-        let fused_wall = start.elapsed();
-
-        let identical = raw_bits(&fused) == raw_bits(&unfused)
-            && canonical_bits(&reference) == canonical_bits(&fused);
-        let speedup = unfused_wall.as_secs_f64() / fused_wall.as_secs_f64().max(1e-12);
-        t.row(vec![
-            n.to_string(),
-            fused_plan.stats.gates_in.to_string(),
-            fused_plan.stats.runs.to_string(),
-            fused_plan.stats.fused_runs.to_string(),
-            format!("{reference_wall:.2?}"),
-            format!("{unfused_wall:.2?}"),
-            format!("{fused_wall:.2?}"),
-            format!("{speedup:.2}x"),
-            if identical { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    t
-}
-
-/// Shot-sharded parallel execution study (beyond the paper): serial vs
-/// multi-threaded wall-clock on the largest qubit-sweep size across the
-/// three VQA workloads, with a live bitwise-determinism check per cell —
-/// the `bitwise identical` column compares the threaded run's full
-/// metrics JSON and [`RunReport`] byte-for-byte against the serial run.
-/// The final row re-dispatches the three threaded runs concurrently under
-/// [`std::thread::scope`] (each worker owns its whole system) and also
-/// checks that the [`RunReport::merge`] reduction of the threaded reports
-/// matches the reduction of the serial ones. Runs sample at least
-/// `threads × MIN_SHOTS_PER_SHARD` shots per evaluation, so the threaded
-/// column really fans out instead of collapsing to one inline shard.
-///
-/// # Panics
-///
-/// Panics if construction or execution fails (the configurations are
-/// known-valid).
-pub fn parallel(scale: &ExperimentScale) -> TextTable {
-    use qtenon_core::parallel::MIN_SHOTS_PER_SHARD;
-    use std::time::{Duration, Instant};
-
-    let n = scale.qubit_sweep.last().copied().unwrap_or(64);
-    let threads = scale.threads.max(4);
-    let shots = scale.shots.max(threads as u64 * MIN_SHOTS_PER_SHARD);
-    let kinds = [WorkloadKind::Vqe, WorkloadKind::Qaoa, WorkloadKind::Qnn];
-
-    let timed_run = |threads: usize, kind: WorkloadKind| -> (Duration, RunReport, String) {
-        let config = QtenonConfig::table4(n, CoreModel::Rocket)
-            .expect("valid config")
-            .with_seed(scale.seed)
-            .with_threads(threads);
-        let workload = Workload::benchmark(kind, n, scale.seed).expect("valid workload");
-        let mut runner = VqaRunner::new(config, workload).expect("runner builds");
-        let mut optimizer = OptimizerKind::Spsa.build(scale.seed);
-        let start = Instant::now();
-        let report = runner
-            .run(optimizer.as_mut(), scale.iterations, shots)
-            .expect("run succeeds");
-        let wall = start.elapsed();
-        let mut registry = MetricsRegistry::new();
-        runner.export_metrics(&mut registry);
-        (wall, report, registry.snapshot().to_json())
-    };
-
-    let mut t = TextTable::new(vec![
-        "workload".into(),
-        "serial wall".into(),
-        format!("{threads}-thread wall"),
-        "speedup".into(),
-        "bitwise identical".into(),
-    ]);
-    let mut serial_wall = Duration::ZERO;
-    let mut merged_serial: Option<RunReport> = None;
-    let mut merged_sharded: Option<RunReport> = None;
-    let mut all_identical = true;
-    for kind in kinds {
-        let (ws, serial_report, serial_json) = timed_run(1, kind);
-        let (wt, sharded_report, sharded_json) = timed_run(threads, kind);
-        let identical = serial_report == sharded_report && serial_json == sharded_json;
-        all_identical &= identical;
-        serial_wall += ws;
-        match merged_serial.as_mut() {
-            Some(m) => m.merge(&serial_report),
-            None => merged_serial = Some(serial_report),
-        }
-        match merged_sharded.as_mut() {
-            Some(m) => m.merge(&sharded_report),
-            None => merged_sharded = Some(sharded_report),
-        }
-        t.row(vec![
-            format!("{kind:?}-{n}"),
-            format!("{ws:.2?}"),
-            format!("{wt:.2?}"),
-            fmt_x(ws.as_secs_f64() / wt.as_secs_f64().max(f64::MIN_POSITIVE)),
-            if identical { "yes".into() } else { "NO".into() },
-        ]);
-    }
-
-    // Fleet dispatch: the same three sharded runs, launched together.
-    let timed_run = &timed_run;
-    let fleet_start = Instant::now();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = kinds
-            .iter()
-            .map(|&kind| scope.spawn(move || timed_run(threads, kind)))
-            .collect();
-        for h in handles {
-            h.join().expect("fleet worker panicked");
-        }
-    });
-    let fleet_wall = fleet_start.elapsed();
-    let merges_match = merged_serial == merged_sharded;
-    t.row(vec![
-        "all (concurrent dispatch)".into(),
-        format!("{serial_wall:.2?}"),
-        format!("{fleet_wall:.2?}"),
-        fmt_x(serial_wall.as_secs_f64() / fleet_wall.as_secs_f64().max(f64::MIN_POSITIVE)),
-        if all_identical && merges_match {
-            "yes".into()
-        } else {
-            "NO".into()
-        },
-    ]);
-    t
-}
-
-/// The jobs the fleet study schedules: a mixed bag of workload kinds,
-/// host cores, optimizers, and priorities, sized from the experiment
-/// scale. One job carries an active fault plan so the determinism check
-/// covers fault accounting too.
-fn fleet_jobs(scale: &ExperimentScale) -> Vec<JobSpec> {
-    use qtenon_sim_engine::FaultPlan;
-
-    let n = scale.qubit_sweep.first().copied().unwrap_or(8);
-    let kinds = [WorkloadKind::Vqe, WorkloadKind::Qaoa, WorkloadKind::Qnn];
-    (0..6)
-        .map(|i| {
-            let kind = kinds[i % kinds.len()];
-            let mut spec = JobSpec::new(&format!("{}-{i}", kind.name().to_lowercase()), kind, n)
-                .with_iterations(scale.iterations)
-                .with_shots(scale.shots)
-                .with_priority((i % 3) as u8);
-            if i == 1 {
-                spec = spec.with_core(CoreModel::BoomLarge);
-            }
-            if i % 2 == 1 {
-                spec = spec.with_optimizer(JobOptimizer::Gd);
-            }
-            if i == 4 {
-                spec = spec.with_faults(FaultPlan::all(0.01).with_seed(scale.seed ^ 0xFA17));
-            }
-            spec
-        })
-        .collect()
-}
-
-/// Multi-job fleet study (beyond the paper): the same 6-job batch —
-/// mixed workloads, cores, optimizers, priorities, one job under active
-/// fault injection — dispatched through [`BatchScheduler`] at increasing
-/// pool widths. The serial baseline is the identical batch on one
-/// thread; the `bitwise identical` column compares every job's full
-/// metrics JSON and [`RunReport`] byte-for-byte against a standalone
-/// [`run_standalone`] execution of the same spec and seed.
-///
-/// # Panics
-///
-/// Panics if admission or execution fails (the fleet is known-valid).
-pub fn fleet(scale: &ExperimentScale) -> TextTable {
-    use std::time::Duration;
-
-    let jobs = fleet_jobs(scale);
-    let mut sched = BatchScheduler::new(scale.seed);
-    for job in &jobs {
-        sched.submit(job.clone()).expect("fleet fits the queue");
-    }
-
-    // Standalone reference artefacts, one isolated run per job.
-    let references: Vec<_> = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, job)| {
-            let seed = sched
-                .seed_of(qtenon_core::jobs::JobId::from_index(i))
-                .expect("admitted job");
-            run_standalone(job, seed, 1).expect("standalone run succeeds")
-        })
-        .collect();
-
-    let mut t = TextTable::new(vec![
-        "pool threads".into(),
-        "pool shape".into(),
-        "wall".into(),
-        "jobs/s".into(),
-        "shots/s".into(),
-        "speedup".into(),
-        "bitwise identical".into(),
-    ]);
-    let mut serial_wall = Duration::ZERO;
-    for threads in [1usize, 2, 4, 8] {
-        let batch = sched.run(threads).expect("batch run succeeds");
-        if threads == 1 {
-            serial_wall = batch.wall;
-        }
-        let identical = batch.results.iter().enumerate().all(|(i, r)| {
-            let a = r.outcome.artifacts().expect("job completes");
-            a.report == references[i].report && a.metrics_json == references[i].metrics_json
-        });
-        t.row(vec![
-            threads.to_string(),
-            format!(
-                "{} jobs x {} shards",
-                batch.pool.job_workers, batch.pool.shard_threads
-            ),
-            format!("{:.2?}", batch.wall),
-            format!("{:.2}", batch.jobs_per_second()),
-            format!("{:.0}", batch.shots_per_second()),
-            fmt_x(serial_wall.as_secs_f64() / batch.wall.as_secs_f64().max(f64::MIN_POSITIVE)),
-            if identical { "yes".into() } else { "NO".into() },
-        ]);
-    }
-    t
-}
-
-/// Jobs for the fleet-cache study at a given duplication percentage:
-/// `dup_pct` of the fleet replicate one canonical 128-qubit QAOA spec
-/// (identical seed → identical circuit AND identical optimizer
-/// trajectory, so duplicates hit at both cache levels), the rest are
-/// structurally distinct workload/width combinations whose program keys
-/// cannot collide with the duplicate's or each other's.
-fn cachefleet_jobs(scale: &ExperimentScale, dup_pct: usize) -> Vec<JobSpec> {
-    const FLEET: usize = 12;
-    let distinct: [(WorkloadKind, u32); FLEET] = [
-        (WorkloadKind::Vqe, 128),
-        (WorkloadKind::Qnn, 128),
-        (WorkloadKind::Qaoa, 120),
-        (WorkloadKind::Vqe, 120),
-        (WorkloadKind::Qnn, 120),
-        (WorkloadKind::Qaoa, 112),
-        (WorkloadKind::Vqe, 112),
-        (WorkloadKind::Qnn, 112),
-        (WorkloadKind::Qaoa, 104),
-        (WorkloadKind::Vqe, 104),
-        (WorkloadKind::Qnn, 104),
-        (WorkloadKind::Vqe, 96),
-    ];
-    let dups = FLEET * dup_pct / 100;
-    (0..FLEET)
-        .map(|i| {
-            let (name, kind, n, seed) = if i < dups {
-                (
-                    format!("dup-{i}"),
-                    WorkloadKind::Qaoa,
-                    128,
-                    scale.seed ^ 0xCAC4E,
-                )
-            } else {
-                let (kind, n) = distinct[i];
-                (format!("uniq-{i}"), kind, n, scale.seed + i as u64)
-            };
-            // Two iterations at few shots: compilation and pulse
-            // generation — what duplication amortises — stay a
-            // meaningful share of each job, and the second iteration
-            // exercises cross-job pulse reuse along the shared
-            // optimizer trajectory.
-            JobSpec::new(&name, kind, n)
-                .with_iterations(2)
-                .with_shots(scale.shots.min(4))
-                .with_seed(seed)
-        })
-        .collect()
-}
-
-/// Fleet compilation-cache study (beyond the paper): the same 12-job
-/// batch at increasing duplication rates — the fraction of jobs that
-/// are byte-for-byte re-submissions of one canonical 128-qubit QAOA —
-/// dispatched at two pool widths, each cell run cold (cache off) and
-/// cached. Each mode is measured three times in alternating order and
-/// scored by its best wall, so the uplift column reflects the cache and
-/// not allocator warm-up. `uplift` is cached-over-cold jobs/s;
-/// `cold=hit bytes` is a live check that every cached job's
-/// [`RunReport`] and metrics JSON are byte-identical to the cache-free
-/// run — the cache's core contract, at every width.
-///
-/// # Panics
-///
-/// Panics if admission or execution fails (the fleet is known-valid).
-pub fn cachefleet(scale: &ExperimentScale) -> TextTable {
-    // Container timers are noisy (the same batch varies tens of percent
-    // run to run); min-of-N paired measurement recovers the true walls.
-    const REPS: usize = 8;
-    let mut t = TextTable::new(vec![
-        "duplication".into(),
-        "pool threads".into(),
-        "cold wall".into(),
-        "cached wall".into(),
-        "jobs/s cold".into(),
-        "jobs/s cached".into(),
-        "uplift".into(),
-        "hit rate".into(),
-        "cold=hit bytes".into(),
-    ]);
-    for dup_pct in [0usize, 50, 100] {
-        let jobs = cachefleet_jobs(scale, dup_pct);
-        for threads in [1usize, 4] {
-            let run = |cache: bool| {
-                let mut sched = BatchScheduler::new(scale.seed).with_cache(cache);
-                for job in &jobs {
-                    sched.submit(job.clone()).expect("fleet fits the queue");
-                }
-                sched.run(threads).expect("batch run succeeds")
-            };
-            let mut cold = run(false);
-            let mut cached = run(true);
-            let identical = cold.results.iter().zip(&cached.results).all(|(a, b)| {
-                match (a.outcome.artifacts(), b.outcome.artifacts()) {
-                    (Some(x), Some(y)) => x.report == y.report && x.metrics_json == y.metrics_json,
-                    _ => false,
-                }
-            });
-            for _ in 1..REPS {
-                let c = run(false);
-                if c.wall < cold.wall {
-                    cold = c;
-                }
-                let h = run(true);
-                if h.wall < cached.wall {
-                    cached = h;
-                }
-            }
-            let stats = cached
-                .cache_stats
-                .clone()
-                .expect("cached batch reports stats");
-            t.row(vec![
-                format!("{dup_pct}%"),
-                threads.to_string(),
-                format!("{:.2?}", cold.wall),
-                format!("{:.2?}", cached.wall),
-                format!("{:.2}", cold.jobs_per_second()),
-                format!("{:.2}", cached.jobs_per_second()),
-                format!(
-                    "{:.2}x",
-                    cached.jobs_per_second() / cold.jobs_per_second().max(f64::MIN_POSITIVE)
-                ),
-                fmt_pct(stats.hit_rate().unwrap_or(0.0)),
-                if identical { "yes".into() } else { "NO".into() },
-            ]);
-        }
-    }
-    t
 }
 
 /// Resilience sweep (beyond the paper): the 64-qubit VQE under rising
@@ -1129,7 +666,7 @@ pub fn resilience(scale: &ExperimentScale) -> TextTable {
         let workload =
             Workload::benchmark(WorkloadKind::Vqe, 64, scale.seed).expect("valid workload");
         let mut runner = VqaRunner::new(config, workload).expect("runner builds");
-        let mut optimizer = OptimizerKind::Spsa.build(scale.seed);
+        let mut optimizer = JobOptimizer::Spsa.build(scale.seed);
         let r = runner
             .run(optimizer.as_mut(), scale.iterations, scale.shots)
             .expect("run survives faults");
@@ -1222,7 +759,7 @@ pub fn breakdown(scale: &ExperimentScale) -> TextTable {
     ]);
     let n = scale.qubit_sweep.first().copied().unwrap_or(8);
     for kind in WorkloadKind::ALL {
-        let report = qtenon_default(kind, n, CoreModel::Rocket, OptimizerKind::Spsa, scale);
+        let report = qtenon_default(kind, n, CoreModel::Rocket, JobOptimizer::Spsa, scale);
         let total = report.phases.total_ns().max(1);
         for row in &report.phases.rows {
             t.row(vec![
@@ -1259,7 +796,7 @@ pub fn critpath(scale: &ExperimentScale) -> TextTable {
     let systems = [
         (
             "baseline",
-            baseline_run(WorkloadKind::Vqe, n, OptimizerKind::Spsa, scale),
+            baseline_run(WorkloadKind::Vqe, n, JobOptimizer::Spsa, scale),
         ),
         (
             "qtenon",
@@ -1267,7 +804,7 @@ pub fn critpath(scale: &ExperimentScale) -> TextTable {
                 WorkloadKind::Vqe,
                 n,
                 CoreModel::Rocket,
-                OptimizerKind::Spsa,
+                JobOptimizer::Spsa,
                 scale,
             ),
         ),
@@ -1394,7 +931,7 @@ mod tests {
 
     #[test]
     fn speedup_table_has_expected_rows() {
-        let t = fig11_12(&tiny(), OptimizerKind::Spsa);
+        let t = fig11_12(&tiny(), JobOptimizer::Spsa);
         assert_eq!(t.len(), 3); // 3 workloads × 1 size
         for row in t.rows() {
             let e2e: f64 = row[4].trim_end_matches('x').parse().unwrap();
@@ -1405,12 +942,12 @@ mod tests {
     #[test]
     fn critpath_contrasts_comm_vs_onchip() {
         let scale = tiny();
-        let baseline = baseline_run(WorkloadKind::Vqe, 8, OptimizerKind::Spsa, &scale);
+        let baseline = baseline_run(WorkloadKind::Vqe, 8, JobOptimizer::Spsa, &scale);
         let qtenon = qtenon_default(
             WorkloadKind::Vqe,
             8,
             CoreModel::Rocket,
-            OptimizerKind::Spsa,
+            JobOptimizer::Spsa,
             &scale,
         );
         let b = comm_edge_share(&baseline);
@@ -1479,15 +1016,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_study_is_bitwise_identical_per_cell() {
-        let t = parallel(&tiny());
-        assert_eq!(t.len(), 4); // 3 workloads + concurrent-dispatch row
-        for row in t.rows() {
-            assert_eq!(row[4], "yes", "determinism violated in {row:?}");
-        }
-    }
-
-    #[test]
     fn experiments_honor_the_thread_knob_without_changing_results() {
         let mut serial = tiny();
         serial.shots = 4 * qtenon_core::parallel::MIN_SHOTS_PER_SHARD;
@@ -1496,14 +1024,14 @@ mod tests {
             WorkloadKind::Qaoa,
             8,
             CoreModel::Rocket,
-            OptimizerKind::Spsa,
+            JobOptimizer::Spsa,
             &serial,
         );
         let b = qtenon_default(
             WorkloadKind::Qaoa,
             8,
             CoreModel::Rocket,
-            OptimizerKind::Spsa,
+            JobOptimizer::Spsa,
             &sharded,
         );
         assert_eq!(a, b);

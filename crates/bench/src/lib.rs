@@ -21,5 +21,5 @@ pub mod experiments;
 pub mod table;
 
 pub use distill::{BenchSnapshot, CompareReport};
-pub use experiments::{ExperimentScale, OptimizerKind};
+pub use experiments::ExperimentScale;
 pub use table::TextTable;

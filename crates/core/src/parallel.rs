@@ -7,9 +7,9 @@
 //! [`qtenon_sim_engine::rng::stream_seed`]), a worker needs nothing from
 //! its neighbours: shard results concatenated in canonical shard order
 //! are bitwise identical to the serial run, at any thread count. The
-//! merge rules live with the data being merged — counters sum,
-//! histograms bucket-merge, reports reduce — and DESIGN.md §"Parallel
-//! execution model" spells out why the order must stay canonical.
+//! merge rules live with the data being merged — counters sum and
+//! histograms bucket-merge — and DESIGN.md §"Parallel execution model"
+//! spells out why the order must stay canonical.
 //!
 //! # Examples
 //!

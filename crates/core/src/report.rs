@@ -239,54 +239,6 @@ impl RunReport {
             f(self.breakdown.host),
         ]
     }
-
-    /// Folds `other` into this report as if its run had executed directly
-    /// after this one: durations and counters add, the cost history
-    /// concatenates, and `final_cost` takes the later run's value.
-    ///
-    /// `pulse_reduction` is rebuilt from the underlying tallies — each
-    /// side's pulse work-item count is recovered from its reduction and
-    /// generation count, the tallies are summed, and the merged ratio is
-    /// recomputed — so merging N single-run reports yields exactly the
-    /// reduction a single N-run accounting would have produced. The
-    /// reduction with respect to `self`/`other` asymmetry (`final_cost`,
-    /// history order) is why shard merges must follow canonical order.
-    pub fn merge(&mut self, other: &RunReport) {
-        // Recover work items before the counters move: r = 1 - g/w, so
-        // w = g / (1 - r). A degenerate side (r == 1 with no generated
-        // pulses, only possible for an empty run) contributes nothing.
-        let work_items = |r: &RunReport| -> f64 {
-            if r.pulse_reduction < 1.0 {
-                r.pulses_generated as f64 / (1.0 - r.pulse_reduction)
-            } else {
-                0.0
-            }
-        };
-        let items = work_items(self) + work_items(other);
-        self.total += other.total;
-        self.breakdown += other.breakdown;
-        self.comm += other.comm;
-        self.dynamic_instructions += other.dynamic_instructions;
-        self.static_instructions += other.static_instructions;
-        self.pulses_generated += other.pulses_generated;
-        self.slt.lookups += other.slt.lookups;
-        self.slt.hits += other.slt.hits;
-        self.slt.qspace_hits += other.slt.qspace_hits;
-        self.slt.allocations += other.slt.allocations;
-        self.slt.evictions += other.slt.evictions;
-        self.slt.parity_invalidations += other.slt.parity_invalidations;
-        self.host_cycles += other.host_cycles;
-        self.cost_history.extend_from_slice(&other.cost_history);
-        self.final_cost = other.final_cost;
-        self.pulse_reduction = if items > 0.0 {
-            1.0 - self.pulses_generated as f64 / items
-        } else {
-            0.0
-        };
-        self.resilience += other.resilience;
-        self.phases.merge(&other.phases);
-        self.critpath.merge(&other.critpath);
-    }
 }
 
 #[cfg(test)]
@@ -377,59 +329,6 @@ mod tests {
         assert_eq!(a.bus_retries, 2);
         assert_eq!(a.readout_retries, 4);
         assert_eq!(a.total_retries(), 9);
-    }
-
-    #[test]
-    fn run_report_merge_sums_and_rebuilds_reduction() {
-        let base = RunReport {
-            total: ns(100),
-            breakdown: TimeBreakdown {
-                quantum: ns(60),
-                communication: ns(10),
-                pulse_generation: ns(20),
-                host: ns(10),
-            },
-            comm: CommBreakdown {
-                q_set: ns(5),
-                q_set_count: 1,
-                ..CommBreakdown::default()
-            },
-            dynamic_instructions: 10,
-            static_instructions: 4,
-            pulses_generated: 25,
-            slt: SltStats {
-                lookups: 100,
-                hits: 75,
-                allocations: 25,
-                ..SltStats::default()
-            },
-            host_cycles: 1000,
-            cost_history: vec![1.0, 0.5],
-            final_cost: 0.5,
-            pulse_reduction: 0.75, // 25 generated of 100 work items
-            resilience: ResilienceSummary::default(),
-            phases: PhaseTable::default(),
-            critpath: CritPathReport::default(),
-        };
-        let mut merged = base.clone();
-        let mut second = base.clone();
-        second.pulses_generated = 10;
-        second.pulse_reduction = 0.9; // 10 generated of 100 work items
-        second.cost_history = vec![0.25];
-        second.final_cost = 0.25;
-        merged.merge(&second);
-        assert_eq!(merged.total, ns(200));
-        assert_eq!(merged.breakdown.quantum, ns(120));
-        assert_eq!(merged.comm.q_set_count, 2);
-        assert_eq!(merged.dynamic_instructions, 20);
-        assert_eq!(merged.pulses_generated, 35);
-        assert_eq!(merged.slt.lookups, 200);
-        assert_eq!(merged.host_cycles, 2000);
-        assert_eq!(merged.cost_history, vec![1.0, 0.5, 0.25]);
-        assert_eq!(merged.final_cost, 0.25);
-        // 35 generated of 200 reconstructed work items.
-        assert!((merged.pulse_reduction - (1.0 - 35.0 / 200.0)).abs() < 1e-12);
-        assert_eq!(merged.classical_time(), ns(80));
     }
 
     #[test]

@@ -210,16 +210,3 @@ fn empty_tables_render_fixed_placeholders() {
         "no critical path recorded\n"
     );
 }
-
-#[test]
-fn merged_reports_merge_phase_tables() {
-    let (a, _, _) = run_at(1, false, 1);
-    let (b, _, _) = run_at(1, false, 2);
-    let mut merged = a.clone();
-    merged.merge(&b);
-    let row =
-        |r: &RunReport, name: &str| r.phases.row(name).map(|p| (p.count, p.total_ns)).unwrap();
-    let (ca, ta) = row(&a, "vqa.pulse_gen");
-    let (cb, tb) = row(&b, "vqa.pulse_gen");
-    assert_eq!(row(&merged, "vqa.pulse_gen"), (ca + cb, ta + tb));
-}

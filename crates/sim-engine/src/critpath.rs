@@ -14,8 +14,8 @@
 //! a new node to the current chain head. After a run,
 //! [`CritPathTracker::report`] walks backwards from the final event and
 //! aggregates the path into per-edge blocking-time attribution — a
-//! [`CritPathReport`] that merges exactly across shot shards and jobs
-//! and renders byte-stably, like [`crate::profile::PhaseTable`].
+//! [`CritPathReport`] that renders byte-stably, like
+//! [`crate::profile::PhaseTable`].
 //!
 //! # Determinism contract
 //!
@@ -267,8 +267,8 @@ impl CritPathTracker {
 }
 
 /// One row of a [`CritPathReport`]: an edge's on-path blocking-time
-/// accumulator. The full [`Histogram`] is embedded so reports merge
-/// exactly (bucket-for-bucket), with percentiles derived on render.
+/// accumulator. The full [`Histogram`] is embedded, and percentiles are
+/// derived from it on render.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CritPathRow {
     /// Causal edge name (`host->bus`, `pipeline->chip`, ...).
@@ -316,23 +316,6 @@ impl CritPathReport {
             .filter(|r| edge_component(&r.name) == component)
             .map(|r| r.total_ns)
             .sum()
-    }
-
-    /// Folds `other` into this report row-by-row (union of edge names,
-    /// counts and totals summed, histograms bucket-merged). Merging is
-    /// commutative, mirroring `PhaseTable::merge`.
-    pub fn merge(&mut self, other: &CritPathReport) {
-        for theirs in &other.rows {
-            match self.rows.iter_mut().find(|r| r.name == theirs.name) {
-                Some(mine) => {
-                    mine.count += theirs.count;
-                    mine.total_ns += theirs.total_ns;
-                    mine.hist.merge(&theirs.hist);
-                }
-                None => self.rows.push(theirs.clone()),
-            }
-        }
-        self.rows.sort_by(|a, b| a.name.cmp(&b.name));
     }
 
     /// Exports the per-edge accumulators under `<prefix>.<edge>` paths:
@@ -539,50 +522,6 @@ mod tests {
         t.open_at(at(0));
         t.advance(e, at(7), CritKind::Ack);
         assert_eq!(t.report().row("readout->host").unwrap().total_ns, 7);
-    }
-
-    #[test]
-    fn report_merge_matches_union() {
-        let mut t1 = CritPathTracker::new();
-        let mut t2 = CritPathTracker::new();
-        let mut union = CritPathTracker::new();
-        let a1 = t1.edge("a->x");
-        let a2 = t2.edge("a->x");
-        let b2 = t2.edge("b->y");
-        let ua = union.edge("a->x");
-        let ub = union.edge("b->y");
-        t1.open_at(at(0));
-        union.open_at(at(0));
-        let mut now = 0;
-        for ns in [10, 20, 30] {
-            now += ns;
-            t1.advance(a1, at(now), CritKind::Complete);
-            union.advance(ua, at(now), CritKind::Complete);
-        }
-        t2.open_at(at(0));
-        t2.advance(a2, at(5), CritKind::Complete);
-        t2.advance(b2, at(82), CritKind::Complete);
-        // The union tracker continues its own chain with the same deltas.
-        union.advance(ua, at(now + 5), CritKind::Complete);
-        union.advance(ub, at(now + 82), CritKind::Complete);
-        let mut merged = t1.report();
-        merged.merge(&t2.report());
-        assert_eq!(merged, union.report());
-    }
-
-    #[test]
-    fn merging_empty_report_is_identity() {
-        let mut t = CritPathTracker::new();
-        let e = t.edge("pgu->pipeline");
-        t.open_at(at(0));
-        t.advance(e, at(42), CritKind::Dispatch);
-        let r = t.report();
-        let mut merged = r.clone();
-        merged.merge(&CritPathReport::default());
-        assert_eq!(merged, r);
-        let mut from_empty = CritPathReport::default();
-        from_empty.merge(&r);
-        assert_eq!(from_empty, r);
     }
 
     #[test]

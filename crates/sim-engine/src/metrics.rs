@@ -315,32 +315,6 @@ impl MetricsRegistry {
         self.metrics.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Folds `other` into this registry, path by path.
-    ///
-    /// Counters meeting counters add; histograms meeting histograms
-    /// bucket-merge (see [`Histogram::merge`]); everything else —
-    /// gauges, paths absent on one side, or mismatched kinds — takes
-    /// `other`'s value, matching the registry's overwrite semantics.
-    /// Addition and bucket-merging are commutative, so this reduction is
-    /// deterministic for any merge order; the parallel engine still
-    /// merges shards in canonical shard order so that the overwrite
-    /// cases (gauges) are well defined too.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (path, value) in &other.metrics {
-            match (self.metrics.get_mut(path), value) {
-                (Some(MetricValue::Counter(mine)), MetricValue::Counter(theirs)) => {
-                    *mine += theirs;
-                }
-                (Some(MetricValue::Histogram(mine)), MetricValue::Histogram(theirs)) => {
-                    mine.merge(theirs);
-                }
-                _ => {
-                    self.metrics.insert(path.clone(), value.clone());
-                }
-            }
-        }
-    }
-
     /// Freezes the current state into a snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -606,58 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_merge_sums_counters_and_buckets() {
-        let mut a = MetricsRegistry::new();
-        a.counter("hits", 3);
-        a.observe("lat", 10);
-        a.gauge("rate", 0.25);
-        a.counter("only_a", 1);
-        let mut b = MetricsRegistry::new();
-        b.counter("hits", 4);
-        b.observe("lat", 20);
-        b.gauge("rate", 0.75);
-        b.counter("only_b", 2);
-        a.merge(&b);
-        assert_eq!(a.get("hits"), Some(&MetricValue::Counter(7)));
-        assert_eq!(a.get("only_a"), Some(&MetricValue::Counter(1)));
-        assert_eq!(a.get("only_b"), Some(&MetricValue::Counter(2)));
-        // Gauges take the merged-in value.
-        assert_eq!(a.get("rate"), Some(&MetricValue::Gauge(0.75)));
-        match a.get("lat") {
-            Some(MetricValue::Histogram(h)) => {
-                assert_eq!(h.count(), 2);
-                assert_eq!(h.sum(), 30);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn registry_merge_equals_serial_recording() {
-        // Recording everything into one registry and recording shards
-        // then merging must produce identical snapshots (and JSON).
-        let samples = [3u64, 17, 1000, 5, 0, 250, 99_999];
-        let mut serial = MetricsRegistry::new();
-        for &s in &samples {
-            serial.observe("lat", s);
-        }
-        serial.counter("n", samples.len() as u64);
-        let mut left = MetricsRegistry::new();
-        let mut right = MetricsRegistry::new();
-        for &s in &samples[..3] {
-            left.observe("lat", s);
-        }
-        left.counter("n", 3);
-        for &s in &samples[3..] {
-            right.observe("lat", s);
-        }
-        right.counter("n", samples.len() as u64 - 3);
-        left.merge(&right);
-        assert_eq!(left, serial);
-        assert_eq!(left.snapshot().to_json(), serial.snapshot().to_json());
-    }
-
-    #[test]
     fn registry_iter_walks_sorted_paths() {
         let mut m = MetricsRegistry::new();
         m.counter("b", 2);
@@ -749,40 +671,6 @@ mod tests {
         assert_eq!(one_bucket.p50(), Some(6));
         assert_eq!(one_bucket.p90(), Some(6));
         assert_eq!(one_bucket.p99(), Some(6));
-    }
-
-    #[test]
-    fn registry_merge_disjoint_keys_is_union() {
-        let mut a = MetricsRegistry::new();
-        a.counter("left.hits", 1);
-        a.observe("left.lat", 10);
-        let mut b = MetricsRegistry::new();
-        b.counter("right.hits", 2);
-        b.gauge("right.rate", 0.5);
-        a.merge(&b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.get("left.hits"), Some(&MetricValue::Counter(1)));
-        assert_eq!(a.get("right.hits"), Some(&MetricValue::Counter(2)));
-        assert_eq!(a.get("right.rate"), Some(&MetricValue::Gauge(0.5)));
-    }
-
-    #[test]
-    fn registry_merge_type_collisions_take_incoming_value() {
-        let mut a = MetricsRegistry::new();
-        a.counter("x", 5);
-        a.observe("y", 10);
-        a.gauge("z", 1.0);
-        let mut b = MetricsRegistry::new();
-        b.gauge("x", 0.25); // counter ← gauge
-        b.counter("y", 3); // histogram ← counter
-        b.observe("z", 7); // gauge ← histogram
-        a.merge(&b);
-        assert_eq!(a.get("x"), Some(&MetricValue::Gauge(0.25)));
-        assert_eq!(a.get("y"), Some(&MetricValue::Counter(3)));
-        match a.get("z") {
-            Some(MetricValue::Histogram(h)) => assert_eq!(h.count(), 1),
-            other => panic!("expected histogram, got {other:?}"),
-        }
     }
 
     #[test]

@@ -232,8 +232,8 @@ impl Profiler {
 }
 
 /// One row of a [`PhaseTable`]: a phase's deterministic sim-time
-/// accumulator. The full [`Histogram`] is embedded so tables merge
-/// exactly (bucket-for-bucket), with percentiles derived on render.
+/// accumulator. The full [`Histogram`] is embedded, and percentiles are
+/// derived from it on render.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseRow {
     /// Phase name (`vqa.pulse_gen`, `controller.bus_transfer`, ...).
@@ -271,23 +271,6 @@ impl PhaseTable {
     /// The row for `name`, if present.
     pub fn row(&self, name: &str) -> Option<&PhaseRow> {
         self.rows.iter().find(|r| r.name == name)
-    }
-
-    /// Folds `other` into this table row-by-row (union of phase names,
-    /// counts and totals summed, histograms bucket-merged). Merging is
-    /// commutative, mirroring [`Histogram::merge`].
-    pub fn merge(&mut self, other: &PhaseTable) {
-        for theirs in &other.rows {
-            match self.rows.iter_mut().find(|r| r.name == theirs.name) {
-                Some(mine) => {
-                    mine.count += theirs.count;
-                    mine.total_ns += theirs.total_ns;
-                    mine.hist.merge(&theirs.hist);
-                }
-                None => self.rows.push(theirs.clone()),
-            }
-        }
-        self.rows.sort_by(|a, b| a.name.cmp(&b.name));
     }
 
     /// Renders the table as aligned text: one row per phase with count,
@@ -461,31 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn table_merge_matches_union() {
-        let mut p1 = Profiler::new();
-        let mut p2 = Profiler::new();
-        let mut union = Profiler::new();
-        let a1 = p1.phase("a");
-        let a2 = p2.phase("a");
-        let b2 = p2.phase("b");
-        let ua = union.phase("a");
-        let ub = union.phase("b");
-        for ns in [10, 20, 30] {
-            p1.record(a1, SimDuration::from_ns(ns));
-            union.record(ua, SimDuration::from_ns(ns));
-        }
-        for ns in [5, 1000] {
-            p2.record(a2, SimDuration::from_ns(ns));
-            union.record(ua, SimDuration::from_ns(ns));
-        }
-        p2.record(b2, SimDuration::from_ns(77));
-        union.record(ub, SimDuration::from_ns(77));
-        let mut merged = p1.table();
-        merged.merge(&p2.table());
-        assert_eq!(merged, union.table());
-    }
-
-    #[test]
     fn render_is_stable_and_shares_sum() {
         let mut p = Profiler::new();
         let a = p.phase("long.phase.name");
@@ -515,19 +473,5 @@ mod tests {
         // ps→ns truncation: both the total and the histogram sample see 1.
         assert_eq!(t.row("a").unwrap().total_ns, 1);
         assert_eq!(t.row("a").unwrap().hist.max(), Some(1));
-    }
-
-    #[test]
-    fn merging_empty_table_is_identity() {
-        let mut p = Profiler::new();
-        let a = p.phase("a");
-        p.record(a, SimDuration::from_ns(42));
-        let t = p.table();
-        let mut merged = t.clone();
-        merged.merge(&PhaseTable::default());
-        assert_eq!(merged, t);
-        let mut from_empty = PhaseTable::default();
-        from_empty.merge(&t);
-        assert_eq!(from_empty, t);
     }
 }

@@ -240,3 +240,63 @@ fn shots_scale_quantum_time_linearly() {
     assert!((delta - 2.0).abs() < 0.1, "quantum time ratio {delta}");
     assert!(q100 > SimDuration::ZERO);
 }
+
+/// The statevector kernels on the transpiled QAOA circuit at the widths
+/// the exact backend serves and the differential harness in
+/// `crates/quantum/tests/kernel_equiv.rs` does not reach: fused and
+/// unfused plans must agree bit for bit, zero signs included, and the
+/// naive reference must agree with them once IEEE signed zeros are
+/// canonicalised (DESIGN.md §13).
+#[test]
+fn fused_kernels_match_reference_on_transpiled_qaoa() {
+    use qtenon::quantum::fuse::plan;
+    use qtenon::quantum::kernels::{mat_rx, mat_ry, mat_rz};
+    use qtenon::quantum::{Angle, Gate, StateVector};
+
+    let bits = |sv: &StateVector, canonical: bool| -> Vec<(u64, u64)> {
+        let bits = |x: f64| {
+            if canonical && x == 0.0 {
+                0
+            } else {
+                x.to_bits()
+            }
+        };
+        (0..1usize << sv.n_qubits())
+            .map(|i| {
+                let a = sv.amplitude(i);
+                (bits(a.re), bits(a.im))
+            })
+            .collect()
+    };
+    for n in [8u32, 12, 16] {
+        let workload = Workload::benchmark(WorkloadKind::Qaoa, n, 42).unwrap();
+        let circuit = workload.circuit.bind(&workload.initial_params).unwrap();
+
+        let mut reference = StateVector::new(n).unwrap();
+        for op in circuit.operations() {
+            match op.gate {
+                Gate::Rx(Angle::Value(v)) => reference.apply_matrix2_reference(op.qubit, mat_rx(v)),
+                Gate::Ry(Angle::Value(v)) => reference.apply_matrix2_reference(op.qubit, mat_ry(v)),
+                Gate::Rz(Angle::Value(v)) => reference.apply_matrix2_reference(op.qubit, mat_rz(v)),
+                Gate::Cz => reference.apply_cz_reference(op.qubit, op.qubit2.unwrap()),
+                Gate::Measure => {}
+                ref g => panic!("non-native gate {g:?} after transpile"),
+            }
+        }
+        let mut unfused = StateVector::new(n).unwrap();
+        unfused.apply_plan(&plan(&circuit, false).unwrap());
+        let fused_plan = plan(&circuit, true).unwrap();
+        assert!(fused_plan.stats.fused_runs > 0, "{n} qubits: nothing fused");
+        let mut fused = StateVector::new(n).unwrap();
+        fused.apply_plan(&fused_plan);
+
+        assert!(
+            bits(&fused, false) == bits(&unfused, false),
+            "{n} qubits: fused and unfused amplitudes differ in their raw bits"
+        );
+        assert!(
+            bits(&reference, true) == bits(&fused, true),
+            "{n} qubits: reference and fused amplitudes differ after canonicalising zeros"
+        );
+    }
+}

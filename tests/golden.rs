@@ -10,10 +10,9 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use qtenon_baseline::{BaselineConfig, BaselineRunner};
-use qtenon_bench::experiments::{
-    telemetry_snapshot, telemetry_snapshot_exact, ExperimentScale, OptimizerKind,
-};
+use qtenon_bench::experiments::{telemetry_snapshot, telemetry_snapshot_exact, ExperimentScale};
 use qtenon_core::config::{CoreModel, QtenonConfig, SyncMode, TransmissionPolicy};
+use qtenon_core::jobs::JobOptimizer;
 use qtenon_core::parallel::MIN_SHOTS_PER_SHARD;
 use qtenon_core::report::RunReport;
 use qtenon_core::system::QtenonSystem;
@@ -422,8 +421,8 @@ fn run_reports() -> String {
     let mut out = String::new();
     let mut stalled = false;
     let workloads = [
-        ("qaoa8-spsa", WorkloadKind::Qaoa, OptimizerKind::Spsa),
-        ("vqe8-gd", WorkloadKind::Vqe, OptimizerKind::Gd),
+        ("qaoa8-spsa", WorkloadKind::Qaoa, JobOptimizer::Spsa),
+        ("vqe8-gd", WorkloadKind::Vqe, JobOptimizer::Gd),
     ];
     let modes = [
         (
