@@ -1,44 +1,33 @@
-//! Perf-trajectory tool: distils measurements into `BENCH_<name>.json`
-//! snapshots and gates regressions against a committed baseline.
+//! Perf-trajectory tool: distils a pinned sim-time suite into a
+//! `BENCH_<name>.json` snapshot.
 //!
 //! Usage:
 //!
 //! ```text
 //! qtenon-bench distill --sim <suite> [--out PATH]
-//! qtenon-bench distill --metrics FILE --name NAME [--prefix profile.] [--out PATH]
-//! qtenon-bench compare --baseline FILE --current FILE
-//!                      [--threshold 0.15] [--enforce]
 //! ```
 //!
 //! `distill --sim` runs a pinned deterministic suite (`end_to_end` or
-//! `profile_vqe`) and records sim-time medians — the committed-per-PR
-//! path, reproducible bit-for-bit on any machine. `--metrics` distils a
-//! `profile.*` metrics dump. `--out` defaults to `BENCH_<name>.json` in
-//! the current directory.
-//!
-//! `compare` prints every tracked median's movement and exits non-zero
-//! on a >threshold regression (or a disappeared entry) only when
-//! `--enforce` is given or `QTENON_BENCH_ENFORCE=1` is set; otherwise
-//! regressions are warnings, so the CI gate can land warn-only first.
+//! `profile_vqe`) and records sim-time medians, reproducible bit-for-bit
+//! on any machine. `--out` defaults to `BENCH_<name>.json` in the
+//! current directory. A committed snapshot is checked by re-distilling
+//! it and `cmp`-ing the two files.
 
 use std::path::Path;
 use std::process::exit;
 
-use qtenon_bench::distill::{
-    self, compare, compare_exit_code, distill_metrics, distill_sim, enforce_enabled, BenchSnapshot,
-};
+use qtenon_bench::distill::{self, distill_sim};
 
 fn main() {
     let mut argv = std::env::args().skip(1);
     match argv.next().as_deref() {
         Some("distill") => run_distill(argv.collect()),
-        Some("compare") => run_compare(argv.collect()),
         Some("--help" | "-h" | "help") | None => {
-            eprintln!("usage: qtenon-bench <distill|compare> [options]");
-            eprintln!("  distill --sim <{}>", distill::SIM_SUITES.join("|"));
-            eprintln!("  distill --metrics FILE --name NAME [--prefix profile.]");
+            eprintln!(
+                "usage: qtenon-bench distill --sim <{}>",
+                distill::SIM_SUITES.join("|")
+            );
             eprintln!("          [--out PATH]   (default BENCH_<name>.json)");
-            eprintln!("  compare --baseline FILE --current FILE [--threshold 0.15] [--enforce]");
             exit(if std::env::args().len() > 1 { 0 } else { 2 });
         }
         Some(other) => die(&format!("unknown command {other:?}")),
@@ -59,57 +48,28 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         })
 }
 
-fn check_known_flags(args: &[String], known: &[&str]) {
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a.starts_with("--") {
-            if !known.contains(&a.as_str()) {
-                die(&format!("unknown flag {a:?}"));
-            }
-            // All known flags except --enforce consume a value.
-            if a != "--enforce" {
-                i += 1;
-            }
-        } else {
+/// Rejects anything but `--sim VALUE` and `--out VALUE` pairs.
+fn check_known_flags(args: &[String]) {
+    for pair in args.chunks(2) {
+        let a = &pair[0];
+        if !a.starts_with("--") {
             die(&format!("unexpected argument {a:?}"));
         }
-        i += 1;
+        if a != "--sim" && a != "--out" {
+            die(&format!("unknown flag {a:?}"));
+        }
     }
 }
 
 fn run_distill(args: Vec<String>) {
-    check_known_flags(
-        &args,
-        &["--sim", "--metrics", "--name", "--prefix", "--out"],
-    );
-    let sim = flag_value(&args, "--sim");
-    let metrics = flag_value(&args, "--metrics");
-    let snapshot = match (sim, metrics) {
-        (Some(suite), None) => distill_sim(&suite).unwrap_or_else(|| {
-            die(&format!(
-                "unknown sim suite {suite:?} (known: {})",
-                distill::SIM_SUITES.join(", ")
-            ))
-        }),
-        (None, Some(path)) => {
-            let name = flag_value(&args, "--name")
-                .unwrap_or_else(|| die("--metrics distill needs --name"));
-            let prefix = flag_value(&args, "--prefix").unwrap_or_else(|| "profile.".to_string());
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-            distill_metrics(&text, &name, &prefix)
-                .unwrap_or_else(|e| die(&format!("cannot distill {path}: {e}")))
-        }
-        _ => die("distill needs exactly one of --sim, --metrics"),
-    };
-
-    if snapshot.entries.is_empty() {
+    check_known_flags(&args);
+    let suite = flag_value(&args, "--sim").unwrap_or_else(|| die("distill needs --sim"));
+    let snapshot = distill_sim(&suite).unwrap_or_else(|| {
         die(&format!(
-            "snapshot {:?} distilled zero entries",
-            snapshot.name
-        ));
-    }
+            "unknown sim suite {suite:?} (known: {})",
+            distill::SIM_SUITES.join(", ")
+        ))
+    });
     let out = flag_value(&args, "--out").unwrap_or_else(|| format!("BENCH_{}.json", snapshot.name));
     if let Some(parent) = Path::new(&out)
         .parent()
@@ -125,56 +85,4 @@ fn run_distill(args: Vec<String>) {
         snapshot.kind,
         snapshot.name
     );
-}
-
-fn run_compare(args: Vec<String>) {
-    check_known_flags(
-        &args,
-        &["--baseline", "--current", "--threshold", "--enforce"],
-    );
-    let baseline_path =
-        flag_value(&args, "--baseline").unwrap_or_else(|| die("compare needs --baseline"));
-    let current_path =
-        flag_value(&args, "--current").unwrap_or_else(|| die("compare needs --current"));
-    let threshold = match flag_value(&args, "--threshold") {
-        Some(t) => t
-            .parse::<f64>()
-            .ok()
-            .filter(|t| t.is_finite() && *t >= 0.0)
-            .unwrap_or_else(|| die("--threshold needs a non-negative number")),
-        None => distill::DEFAULT_THRESHOLD,
-    };
-    let env = std::env::var("QTENON_BENCH_ENFORCE").ok();
-    let enforce = enforce_enabled(&args, env.as_deref());
-
-    let load = |path: &str| -> BenchSnapshot {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        BenchSnapshot::from_json(&text)
-            .unwrap_or_else(|e| die(&format!("cannot parse {path}: {e}")))
-    };
-    let baseline = load(&baseline_path);
-    let current = load(&current_path);
-    if baseline.name != current.name {
-        eprintln!(
-            "warning: comparing different snapshot families ({:?} vs {:?})",
-            baseline.name, current.name
-        );
-    }
-
-    let report = compare(&baseline, &current, threshold);
-    print!("{}", report.render(threshold));
-    let code = compare_exit_code(&report, enforce);
-    if report.gate_failed() {
-        if code != 0 {
-            eprintln!("perf gate FAILED ({} vs {})", current_path, baseline_path);
-            exit(code);
-        }
-        println!(
-            "perf gate: regressions found, but enforcement is off \
-             (set QTENON_BENCH_ENFORCE=1 or pass --enforce)"
-        );
-    } else {
-        println!("perf gate OK");
-    }
 }

@@ -12,14 +12,14 @@
 
 //!
 //! The crate also carries the perf-trajectory tooling: [`distill`]
-//! produces and compares the stable `BENCH_<name>.json` snapshots
-//! (driven by the `qtenon-bench` binary), reading JSON through
-//! `qtenon_sim_engine::json`.
+//! produces the stable `BENCH_<name>.json` snapshots (driven by the
+//! `qtenon-bench` binary), which CI re-distils and `cmp`s against the
+//! committed files.
 
 pub mod distill;
 pub mod experiments;
 pub mod table;
 
-pub use distill::{BenchSnapshot, CompareReport};
+pub use distill::BenchSnapshot;
 pub use experiments::ExperimentScale;
 pub use table::TextTable;

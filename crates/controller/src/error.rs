@@ -1,7 +1,7 @@
 //! Typed errors for structural controller failures.
 //!
 //! Injected faults and structural surprises (misrouted tags, exhausted
-//! retry budgets, empty lanes) must surface as values the system layer can
+//! retry budgets) must surface as values the system layer can
 //! react to — degrade, retry elsewhere, or report — never as panics that
 //! abort a simulation mid-run.
 
@@ -18,18 +18,6 @@ pub enum ControllerError {
     DoubleCompletion {
         /// The raw 5-bit tag value.
         tag: u8,
-    },
-    /// A WBQ operation named a lane outside the configured lane count.
-    LaneOutOfRange {
-        /// The offending lane index.
-        lane: usize,
-        /// The number of configured lanes.
-        lanes: usize,
-    },
-    /// A WBQ pop was issued for a lane with no buffered data.
-    EmptyLane {
-        /// The offending lane index.
-        lane: usize,
     },
     /// A PGU pool was configured with zero units.
     NoPguUnits,
@@ -74,12 +62,6 @@ impl std::fmt::Display for ControllerError {
             }
             ControllerError::DoubleCompletion { tag } => {
                 write!(f, "RBQ tag {tag} completed twice")
-            }
-            ControllerError::LaneOutOfRange { lane, lanes } => {
-                write!(f, "WBQ lane {lane} out of range (have {lanes})")
-            }
-            ControllerError::EmptyLane { lane } => {
-                write!(f, "WBQ pop from empty lane {lane}")
             }
             ControllerError::NoPguUnits => write!(f, "PGU pool configured with zero units"),
             ControllerError::BusRetriesExhausted { attempts } => {

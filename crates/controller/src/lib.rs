@@ -2,12 +2,12 @@
 //!
 //! The controller sits between the host memory hierarchy and the quantum
 //! chip, owning the quantum controller cache and the pulse compute units.
-//! This crate models every hardware structure from Figs. 5–7:
+//! This crate models the hardware structures from Figs. 5–7 (the Write
+//! Buffer Queue has no model of its own: `q_set` bytes are charged as
+//! 256-bit beats on the [`bus`]):
 //!
 //! - [`rbq`]: the Reorder Buffer Queue — 32 tagged outstanding TileLink
 //!   transactions realigned to issue order;
-//! - [`wbq`]: the Write Buffer Queue — eight 32-bit lanes adapting the
-//!   256-bit system bus to the 32-bit public-segment write width;
 //! - [`barrier`]: the soft memory barrier enabling fine-grained
 //!   synchronisation (queried via RoCC in one cycle, Section 6.2);
 //! - [`bus`]: the TileLink system-bus timing model with tag-limited
@@ -32,7 +32,6 @@ pub mod pipeline;
 pub mod rbq;
 pub mod readout;
 pub mod slt;
-pub mod wbq;
 
 pub use adi::AdiModel;
 pub use barrier::MemoryBarrier;
@@ -43,4 +42,3 @@ pub use pipeline::{PipelineConfig, PipelineReport, PulsePipeline};
 pub use rbq::ReorderBufferQueue;
 pub use readout::ReadoutProcessor;
 pub use slt::{PulseResolution, SltController, SltStats};
-pub use wbq::WriteBufferQueue;

@@ -3,7 +3,7 @@
 use qtenon_prop::check;
 
 use qtenon_controller::pgu::{PguConfig, PguPool};
-use qtenon_controller::{MemoryBarrier, ReorderBufferQueue, SltController, WriteBufferQueue};
+use qtenon_controller::{MemoryBarrier, ReorderBufferQueue, SltController};
 use qtenon_isa::{GateType, QccLayout, QubitId};
 use qtenon_sim_engine::{SimDuration, SimTime};
 
@@ -24,28 +24,6 @@ fn rbq_realigns_any_completion_order() {
         for expected in 0..16 {
             assert_eq!(rbq.pop_in_order(), Some(expected));
         }
-    });
-}
-
-#[test]
-fn wbq_preserves_order_and_lane_mapping() {
-    check("wbq_preserves_order_and_lane_mapping", 256, |g| {
-        let writes = g.vec(0..20, |g| (g.draw(0usize..8), g.vec(1..12, |g| g.u32())));
-        let mut wbq = WriteBufferQueue::new();
-        let mut expected = Vec::new();
-        for (lane, data) in &writes {
-            wbq.enqueue(*lane, data).unwrap();
-            for (i, &d) in data.iter().enumerate() {
-                expected.push(((lane + i) % 8, d));
-            }
-        }
-        let drained = wbq.drain().unwrap();
-        assert_eq!(drained.len(), expected.len());
-        for (got, (lane, data)) in drained.iter().zip(expected) {
-            assert_eq!(got.lane, lane);
-            assert_eq!(got.data, data);
-        }
-        assert!(wbq.is_empty());
     });
 }
 

@@ -1,6 +1,6 @@
 //! Set-associative cache timing model with LRU replacement.
 
-use qtenon_sim_engine::{Counter, MetricsRegistry};
+use qtenon_sim_engine::MetricsRegistry;
 
 use crate::MemError;
 
@@ -81,9 +81,9 @@ pub struct Cache {
     config: CacheConfig,
     sets: Vec<Vec<Line>>,
     clock: u64,
-    hits: Counter,
-    misses: Counter,
-    writebacks: Counter,
+    hits: u64,
+    misses: u64,
+    writebacks: u64,
 }
 
 impl Cache {
@@ -112,9 +112,9 @@ impl Cache {
             config,
             sets: vec![Vec::new(); n_sets as usize],
             clock: 0,
-            hits: Counter::new(),
-            misses: Counter::new(),
-            writebacks: Counter::new(),
+            hits: 0,
+            misses: 0,
+            writebacks: 0,
         })
     }
 
@@ -134,14 +134,14 @@ impl Cache {
         if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
             line.last_use = self.clock;
             line.dirty |= write;
-            self.hits.incr();
+            self.hits += 1;
             return AccessOutcome {
                 hit: true,
                 writeback: false,
             };
         }
 
-        self.misses.incr();
+        self.misses += 1;
         let mut writeback = false;
         if set.len() as u32 >= self.config.ways {
             let victim = set
@@ -153,7 +153,7 @@ impl Cache {
             let evicted = set.swap_remove(victim);
             if evicted.dirty {
                 writeback = true;
-                self.writebacks.incr();
+                self.writebacks += 1;
             }
         }
         set.push(Line {
@@ -169,17 +169,17 @@ impl Cache {
 
     /// Number of hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits.count()
+        self.hits
     }
 
     /// Number of misses so far.
     pub fn misses(&self) -> u64 {
-        self.misses.count()
+        self.misses
     }
 
     /// Number of dirty evictions so far.
     pub fn writebacks(&self) -> u64 {
-        self.writebacks.count()
+        self.writebacks
     }
 
     /// Hit rate over all accesses (0 if none).
@@ -206,9 +206,9 @@ impl Cache {
             set.clear();
         }
         self.clock = 0;
-        self.hits.reset();
-        self.misses.reset();
-        self.writebacks.reset();
+        self.hits = 0;
+        self.misses = 0;
+        self.writebacks = 0;
     }
 }
 

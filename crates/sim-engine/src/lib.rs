@@ -10,7 +10,6 @@
 //!   three clock domains (1 GHz host, 200 MHz controller SRAM, 2 GHz DAC);
 //! - [`EventQueue`]: a deterministic priority queue of timestamped events
 //!   with stable FIFO ordering among simultaneous events;
-//! - [`stats`]: counters and tallies used by the component models;
 //! - [`json`]: the workspace's one JSON reader and string escaper;
 //! - [`metrics`]: the unified telemetry layer — a hierarchical registry
 //!   of counters, gauges, and log-bucketed latency histograms with JSON
@@ -55,7 +54,6 @@ pub mod metrics;
 pub mod opcount;
 pub mod profile;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub use clock::ClockDomain;
@@ -66,5 +64,4 @@ pub use metrics::{Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use opcount::{OpClass, OpCounter};
 pub use profile::{PhaseId, PhaseRow, PhaseTable, Profiler};
 pub use rng::{splitmix64, stream_seed, unit};
-pub use stats::{Counter, Tally};
 pub use time::{SimDuration, SimTime};

@@ -18,7 +18,7 @@
 //! - [`isa`]: QAddress space, RoCC encodings, the five Qtenon
 //!   instructions, program-entry formats;
 //! - [`mem`]: caches, DRAM, the quantum controller cache, QSpace;
-//! - [`controller`]: RBQ, WBQ, memory barrier, TileLink bus, SLT, PGU
+//! - [`controller`]: RBQ, memory barrier, TileLink bus, SLT, PGU
 //!   pool, pulse pipeline, SerDes/ADI;
 //! - [`compiler`]: Qtenon compilation + dynamic incremental compilation,
 //!   and the baseline JIT model;
