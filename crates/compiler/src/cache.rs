@@ -170,15 +170,10 @@ fn encode_program_key(circuit: &Circuit, layout: &QccLayout) -> Vec<u8> {
 /// of a pulse key. Hash identity implies hardware identity, because two
 /// parameter vectors that encode identically drive identical pulses.
 fn encode_slot_codes(program: &CompiledProgram, params: &[f64]) -> Result<Vec<u8>, CompileError> {
-    if params.len() != program.num_params() {
-        return Err(CompileError::ParameterCountMismatch {
-            expected: program.num_params(),
-            got: params.len(),
-        });
-    }
-    let mut out = Vec::with_capacity(program.slots().len() * 4);
-    for slot in program.slots() {
-        push_u32(&mut out, slot.encoded_value(params).code());
+    let codes = program.slot_codes(params)?;
+    let mut out = Vec::with_capacity(codes.len() * 4);
+    for code in codes {
+        push_u32(&mut out, code);
     }
     Ok(out)
 }

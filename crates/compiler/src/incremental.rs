@@ -24,7 +24,8 @@ pub struct ParameterDiff {
 
 impl ParameterDiff {
     /// Computes the diff for `program` between `old` and `new` parameter
-    /// vectors.
+    /// vectors: [`ParameterDiff::from_codes`] over their
+    /// [`CompiledProgram::slot_codes`].
     ///
     /// # Errors
     ///
@@ -38,29 +39,31 @@ impl ParameterDiff {
         old: &[f64],
         new: &[f64],
     ) -> Result<Self, CompileError> {
-        let n = program.num_params();
-        for v in [old, new] {
-            if v.len() != n {
-                return Err(CompileError::ParameterCountMismatch {
-                    expected: n,
-                    got: v.len(),
-                });
-            }
-        }
-        let changed = program
-            .slots()
+        let old: Vec<u32> = program.slot_codes(old)?.collect();
+        let new: Vec<u32> = program.slot_codes(new)?.collect();
+        Ok(Self::from_codes(&old, &new))
+    }
+
+    /// The diff between two slot-code vectors of one program (as
+    /// [`CompiledProgram::slot_codes`] encodes them): one update per slot
+    /// whose code differs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vectors differ in length.
+    pub fn from_codes(old: &[u32], new: &[u32]) -> Self {
+        assert_eq!(old.len(), new.len(), "slot-code vectors differ in length");
+        let changed = old
             .iter()
+            .zip(new)
             .enumerate()
-            .filter_map(|(i, slot)| {
-                let before = slot.encoded_value(old);
-                let after = slot.encoded_value(new);
-                (before != after).then_some((i as u32, after.code()))
-            })
+            .filter(|(_, (before, after))| before != after)
+            .map(|(i, (_, &after))| (i as u32, after))
             .collect();
-        Ok(ParameterDiff {
+        ParameterDiff {
             changed,
-            total_slots: program.slots().len(),
-        })
+            total_slots: new.len(),
+        }
     }
 
     /// Number of slots whose hardware value changed.

@@ -152,9 +152,33 @@ impl CompiledProgram {
             .collect()
     }
 
+    /// The encoded register value of every slot for `params`, in slot
+    /// (regfile) order: each slot's angle encoded once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::ParameterCountMismatch`] on a vector whose
+    /// length differs from [`CompiledProgram::num_params`].
+    pub fn slot_codes<'a>(
+        &'a self,
+        params: &'a [f64],
+    ) -> Result<impl ExactSizeIterator<Item = u32> + 'a, CompileError> {
+        if params.len() != self.num_params {
+            return Err(CompileError::ParameterCountMismatch {
+                expected: self.num_params,
+                got: params.len(),
+            });
+        }
+        Ok(self
+            .slots
+            .iter()
+            .map(|slot| slot.encoded_value(params).code()))
+    }
+
     /// The pulse work implied by the program for a parameter vector: the
     /// regfile-resolved `(qubit, gate, data)` stream the controller
-    /// pipeline consumes, in chunk order.
+    /// pipeline consumes, in chunk order. Encodes each slot once
+    /// ([`CompiledProgram::slot_codes`]), however many entries share it.
     ///
     /// # Errors
     ///
@@ -166,23 +190,36 @@ impl CompiledProgram {
         &self,
         params: &[f64],
     ) -> Result<Vec<(QubitId, GateType, u32)>, CompileError> {
-        if params.len() != self.num_params {
-            return Err(CompileError::ParameterCountMismatch {
-                expected: self.num_params,
-                got: params.len(),
-            });
-        }
+        let codes: Vec<u32> = self.slot_codes(params)?.collect();
+        self.work_items_for_codes(&codes)
+    }
+
+    /// [`CompiledProgram::work_items`] for slot codes already encoded by
+    /// [`CompiledProgram::slot_codes`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::SlotOutOfRange`] if a `reg_flag` entry
+    /// references a slot outside the slot table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes` does not hold one code per slot.
+    pub fn work_items_for_codes(
+        &self,
+        codes: &[u32],
+    ) -> Result<Vec<(QubitId, GateType, u32)>, CompileError> {
+        assert_eq!(codes.len(), self.slots.len(), "one code per slot");
         let mut out = Vec::with_capacity(self.total_entries() as usize);
         for (q, chunk) in self.chunks.iter().enumerate() {
             for entry in chunk {
                 let data = if entry.reg_flag {
-                    let slot = self.slots.get(entry.data as usize).ok_or(
-                        CompileError::SlotOutOfRange {
+                    *codes
+                        .get(entry.data as usize)
+                        .ok_or(CompileError::SlotOutOfRange {
                             slot: entry.data as usize,
                             capacity: self.slots.len() as u64,
-                        },
-                    )?;
-                    slot.encoded_value(params).code()
+                        })?
                 } else {
                     entry.data
                 };

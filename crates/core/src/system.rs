@@ -188,7 +188,6 @@ pub struct QtenonSystem {
     adi: AdiModel,
     simulator: Simulator,
     comm: CommBreakdown,
-    measure_cursor: u64,
     dynamic_instructions: u64,
     trace: Option<Trace>,
     /// RBQ tags naming in-flight logical requests: every op runs inside
@@ -269,7 +268,6 @@ impl QtenonSystem {
             adi: config.adi,
             simulator: Simulator::fast(config.n_qubits, config.seed).with_fusion(config.fuse),
             comm: CommBreakdown::default(),
-            measure_cursor: 0,
             dynamic_instructions: 0,
             trace: None,
             rbq: ReorderBufferQueue::new(),
@@ -795,8 +793,7 @@ impl QtenonSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`SystemError::Quantum`] for simulation failures and
-    /// [`SystemError::Mem`] if `.measure` overflows.
+    /// Returns [`SystemError::Quantum`] for simulation failures.
     pub fn q_run(
         &mut self,
         now: SimTime,
@@ -815,48 +812,45 @@ impl QtenonSystem {
         let wall = self.profiler.wall_start();
         let simulator = &self.simulator;
         let shard_outputs = parallel::run_sharded(&plan, |shard| {
-            let mut bits = Vec::with_capacity(shard.shots as usize);
+            let bits = prepared.sample_range(simulator, base + shard.first_shot, shard.shots);
             let mut ones = Histogram::new();
-            for s in shard.first_shot..shard.first_shot + shard.shots {
-                let shot = prepared.sample_shot(&mut simulator.shot_rng(base + s));
+            for shot in &bits {
                 ones.record(u64::from(shot.count_ones()));
-                bits.push(shot);
             }
             (bits, ones)
         });
-        let mut results: Vec<BitString> = Vec::with_capacity(shots as usize);
+        // A one-shard run hands its vector over; later shards append in
+        // canonical order.
+        let mut shard_outputs = shard_outputs.into_iter();
+        let (mut results, ones) = shard_outputs.next().expect("a plan has at least one shard");
+        self.ones_per_shot.merge(&ones);
         for (bits, ones) in shard_outputs {
             results.extend(bits);
             self.ones_per_shot.merge(&ones);
         }
         *self.shots_sampled.get_or_insert(0) += shots;
         self.profiler.wall_end(self.phases.chip_execute, wall);
-        // Pack each shot's bits into consecutive 64-bit measure entries.
-        self.measure_cursor = 0;
-        let layout = self.config.layout;
+        // Pack each shot's bits into consecutive 64-bit measure entries,
+        // by segment index: the cursor wraps modulo the segment size, so
+        // every index is in range.
+        let entries = self.config.layout.measure_entries() as usize;
         let faults_active = self.injector.is_active();
+        let mut cursor = 0usize;
         for (i, bits) in results.iter().enumerate() {
             // Bit-flip draws come from the shot's own fault sub-stream,
             // keyed by global shot index, so the schedule is independent
             // of shard boundaries; counters fold back in shot order.
             let mut shot_injector = faults_active.then(|| self.injector.for_shot(base + i as u64));
             for &word in bits.words() {
-                let addr = layout.measure_entry(self.measure_cursor).map_err(|_| {
-                    SystemError::Config(format!(
-                        ".measure overflow at {} entries",
-                        self.measure_cursor
-                    ))
-                })?;
-                self.qcc.write_measure(AccessPort::Controller, addr, word)?;
+                self.qcc.deposit_measure(cursor, word);
                 if let Some(inj) = shot_injector.as_mut() {
                     if inj.bernoulli(FaultSite::QccBitFlip) {
                         // A single-event upset lands on the freshly written
                         // word; the ECC decoder corrects it on the next read.
-                        self.qcc
-                            .poison_measure(addr, 1u64 << (self.measure_cursor & 63))?;
+                        self.qcc.poison_measure_index(cursor, 1u64 << (cursor & 63));
                     }
                 }
-                self.measure_cursor = (self.measure_cursor + 1) % layout.measure_entries();
+                cursor = (cursor + 1) % entries;
             }
             if let Some(inj) = shot_injector {
                 self.injector.absorb(&inj);

@@ -232,15 +232,20 @@ impl VqaRunner {
         })
     }
 
-    /// Resolves the pulse work-item stream for `params` — through the
-    /// cache when one is attached, generating directly otherwise.
-    fn resolve_work_items(&self, params: &[f64]) -> Result<PulseSchedule, SystemError> {
+    /// Resolves the pulse work-item stream for `params`, whose slot codes
+    /// are `codes` — through the cache when one is attached, generating
+    /// directly from the codes otherwise.
+    fn resolve_work_items(
+        &self,
+        params: &[f64],
+        codes: &[u32],
+    ) -> Result<PulseSchedule, SystemError> {
         match &self.cache {
             Some(binding) => {
                 let pulses = binding.cache.work_items(&binding.program, params)?;
                 Ok(Arc::clone(pulses.items()))
             }
-            None => Ok(Arc::new(self.program.work_items(params)?)),
+            None => Ok(Arc::new(self.program.work_items_for_codes(codes)?)),
         }
     }
 
@@ -353,6 +358,10 @@ impl VqaRunner {
         let mut cost_history = Vec::with_capacity(iterations);
 
         let mut params = self.workload.initial_params.clone();
+        // The slot codes the regfile holds, and a buffer for the next
+        // evaluation's: each evaluation encodes its codes once, diffs them
+        // against the loaded ones, then swaps the two.
+        let mut codes = [self.program.slot_codes(&params)?.collect(), Vec::new()];
 
         // --- Setup: load program, bind registers, cold pulse generation.
         {
@@ -400,7 +409,7 @@ impl VqaRunner {
                 .profiler_mut()
                 .span(phases.upload, upload_start, now);
 
-            let items = self.resolve_work_items(&params)?;
+            let items = self.resolve_work_items(&params, &codes[0])?;
             let (report, gen_done) = self.system.q_gen(now, &items)?;
             self.system
                 .profiler_mut()
@@ -412,7 +421,6 @@ impl VqaRunner {
         }
 
         // --- Optimisation loop.
-        let mut loaded_params = params.clone();
         let mut deadline_hit = false;
         for _iter in 0..iterations {
             // Cooperative deadline: checked only at iteration boundaries,
@@ -429,8 +437,7 @@ impl VqaRunner {
             let mut evals = Vec::with_capacity(plan.len());
             for eval_params in &plan {
                 let (cost, t) =
-                    self.evaluate(&config, now, &loaded_params, eval_params, shots, phases)?;
-                loaded_params.clone_from(eval_params);
+                    self.evaluate(&config, now, &mut codes, eval_params, shots, phases)?;
                 evals.push(cost);
                 self.eval_latency
                     .record(t.saturating_since(now).as_ps() / 1_000);
@@ -483,11 +490,13 @@ impl VqaRunner {
 
     /// One circuit evaluation: incremental update → pulse generation →
     /// run with transmission/post-processing per the configured policies.
+    /// `codes[0]` holds the regfile's slot codes and is left holding
+    /// `eval_params`'s; `codes[1]` is scratch.
     fn evaluate(
         &mut self,
         config: &QtenonConfig,
         start: SimTime,
-        loaded_params: &[f64],
+        codes: &mut [Vec<u32>; 2],
         eval_params: &[f64],
         shots: u64,
         phases: VqaPhases,
@@ -495,7 +504,11 @@ impl VqaRunner {
         let mut now = start;
 
         // 1. Incremental compilation: diff on the host, minimal q_updates.
-        let diff = ParameterDiff::between(&self.program, loaded_params, eval_params)?;
+        codes.swap(0, 1);
+        let [new, old] = codes;
+        new.clear();
+        new.extend(self.program.slot_codes(eval_params)?);
+        let diff = ParameterDiff::from_codes(old, new);
         {
             let mut ops = OpCounter::new();
             let slots = self.program.slots().len() as u64;
@@ -516,7 +529,7 @@ impl VqaRunner {
             .span(phases.upload, upload_start, now);
 
         // 2. Pulse generation: the SLT skips everything unchanged.
-        let items = self.resolve_work_items(eval_params)?;
+        let items = self.resolve_work_items(eval_params, &codes[0])?;
         let (gen_report, gen_done) = self.system.q_gen(now, &items)?;
         self.system
             .profiler_mut()

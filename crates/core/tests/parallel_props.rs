@@ -7,9 +7,13 @@
 use qtenon_core::config::{CoreModel, QtenonConfig};
 use qtenon_core::parallel::{ShardPlan, MIN_SHOTS_PER_SHARD};
 use qtenon_core::report::RunReport;
+use qtenon_core::system::QtenonSystem;
 use qtenon_core::vqa::VqaRunner;
+use qtenon_mem::qcc::AccessPort;
 use qtenon_prop::check;
-use qtenon_sim_engine::{FaultPlan, MetricsRegistry};
+use qtenon_quantum::sim::Simulator;
+use qtenon_quantum::{BitString, Circuit};
+use qtenon_sim_engine::{FaultPlan, MetricsRegistry, SimTime};
 use qtenon_workloads::{SpsaOptimizer, Workload, WorkloadKind};
 
 /// Thread count for the sharded side: `QTENON_THREADS` when set (the CI
@@ -101,6 +105,50 @@ fn shard_plans_partition_any_range() {
         assert!(max - min <= 1, "unbalanced shards: {min} vs {max}");
         if plan.len() > 1 {
             assert!(min >= MIN_SHOTS_PER_SHARD);
+        }
+    });
+}
+
+/// `q_run`'s shards sample in blocks; whatever the shard cut, they must
+/// draw exactly what one `sample_shot` per shot draws, and `.measure`
+/// must hold those shots' packed words, wrapping modulo its size.
+#[test]
+fn q_run_shards_draw_what_per_shot_sampling_draws() {
+    check("q_run_shards_draw_what_per_shot_sampling_draws", 12, |g| {
+        let n = g.select(&[8u32, 16, 65, 130]);
+        let seed = g.u64();
+        let shots = 2 * MIN_SHOTS_PER_SHARD + g.draw(0u64..8);
+        let mut circuit = Circuit::new(n);
+        for q in 0..n {
+            circuit.ry(q, g.draw(-7.0f64..7.0));
+        }
+        for q in 1..n {
+            circuit.cz(q - 1, q).rx(q, g.draw(-7.0f64..7.0));
+        }
+        circuit.measure_all();
+        let sim = Simulator::fast(n, seed);
+        let prepared = sim.prepare(&circuit).unwrap();
+        let expected: Vec<BitString> = (0..shots)
+            .map(|s| prepared.sample_shot(&mut sim.shot_rng(s)))
+            .collect();
+        for threads in [1usize, 2] {
+            assert_eq!(ShardPlan::new(shots, threads).len(), threads);
+            let config = QtenonConfig::table4(n, CoreModel::Rocket)
+                .unwrap()
+                .with_seed(seed)
+                .with_threads(threads);
+            let mut system = QtenonSystem::new(config).unwrap();
+            let outcome = system.q_run(SimTime::ZERO, &circuit, shots).unwrap();
+            assert_eq!(outcome.shots, expected, "{n} qubits, {threads} threads");
+            let layout = config.layout;
+            let entries = layout.measure_entries() as usize;
+            let words: Vec<u64> = expected.iter().flat_map(|b| b.words().to_vec()).collect();
+            let last = words.len().saturating_sub(entries);
+            for (i, &word) in words.iter().enumerate().skip(last) {
+                let addr = layout.measure_entry((i % entries) as u64).unwrap();
+                let held = system.qcc().read_measure(AccessPort::HostPublic, addr);
+                assert_eq!(held.unwrap(), word, "{n} qubits, word {i}");
+            }
         }
     });
 }

@@ -216,7 +216,22 @@ pub struct QccLayout {
     regfile_entries: u64,
     slt_ways: u64,
     slt_entries_per_way: u64,
+    /// Segment bases in [`ADDRESS_ORDER`], derived once at construction
+    /// from the fields above.
+    bases: [u64; 5],
 }
+
+/// The segments in ascending base-address order, which is the same for
+/// every geometry: `.program` starts at 0 and each later base is past the
+/// end of the one before it (all segments but `.regfile` are non-empty,
+/// and `.measure` sits a fixed `0x1000` above `.regfile`).
+const ADDRESS_ORDER: [Segment; 5] = [
+    Segment::Program,
+    Segment::Regfile,
+    Segment::Measure,
+    Segment::Pulse,
+    Segment::Slt,
+];
 
 /// `.program` entry width: type(4) + reg_flag(1) + data(27) + status(3) +
 /// qaddr(30) bits.
@@ -278,7 +293,7 @@ impl QccLayout {
                 message: "segment sizes must be non-zero".into(),
             });
         }
-        let layout = QccLayout {
+        let mut layout = QccLayout {
             n_qubits,
             program_entries,
             pulse_entries,
@@ -286,7 +301,9 @@ impl QccLayout {
             regfile_entries,
             slt_ways: 2,
             slt_entries_per_way: 128,
+            bases: [0; 5],
         };
+        layout.bases = layout.derive_bases();
         let end = layout.segment_base(Segment::Slt)
             + layout.n_qubits as u64 * layout.slt_ways * layout.slt_entries_per_way;
         if end > QADDRESS_MASK {
@@ -339,22 +356,18 @@ impl QccLayout {
     /// at `0x71000`, `.pulse` at `0x80000`); larger configurations shift
     /// the shared segments upward so chunks never collide.
     pub fn segment_base(&self, segment: Segment) -> u64 {
-        let [program, regfile, measure, pulse, slt] = self.bases_by_address();
-        match segment {
-            Segment::Program => program.1,
-            Segment::Regfile => regfile.1,
-            Segment::Measure => measure.1,
-            Segment::Pulse => pulse.1,
-            Segment::Slt => slt.1,
-        }
+        let position = match segment {
+            Segment::Program => 0,
+            Segment::Regfile => 1,
+            Segment::Measure => 2,
+            Segment::Pulse => 3,
+            Segment::Slt => 4,
+        };
+        self.bases[position]
     }
 
-    /// Every segment with its base, in ascending address order. The
-    /// order is the same for every geometry: `.program` starts at 0 and
-    /// each later base is past the end of the one before it (all
-    /// segments but `.regfile` are non-empty, and `.measure` sits a fixed
-    /// `0x1000` above `.regfile`).
-    fn bases_by_address(&self) -> [(Segment, u64); 5] {
+    /// The segment bases in [`ADDRESS_ORDER`].
+    fn derive_bases(&self) -> [u64; 5] {
         let program_span = self.n_qubits as u64 * self.program_entries;
         let regfile_base = REGFILE_BASE_64.max(next_multiple(program_span, 0x1000));
         let measure_base = (regfile_base + self.regfile_entries)
@@ -362,13 +375,7 @@ impl QccLayout {
         let pulse_base =
             PULSE_BASE_64.max(next_multiple(measure_base + self.measure_entries, 0x10000));
         let slt_base = pulse_base + self.n_qubits as u64 * self.pulse_entries;
-        [
-            (Segment::Program, 0),
-            (Segment::Regfile, regfile_base),
-            (Segment::Measure, measure_base),
-            (Segment::Pulse, pulse_base),
-            (Segment::Slt, slt_base),
-        ]
+        [0, regfile_base, measure_base, pulse_base, slt_base]
     }
 
     /// Number of entries in a segment (all qubit chunks together).
@@ -484,9 +491,9 @@ impl QccLayout {
         let raw = addr.raw();
         // The owning segment is the one with the highest base at or
         // below the address.
-        let (seg, base) = self
-            .bases_by_address()
+        let (seg, base) = ADDRESS_ORDER
             .into_iter()
+            .zip(self.bases)
             .rev()
             .find(|&(_, base)| raw >= base)
             .expect("program segment starts at 0");

@@ -250,12 +250,24 @@ impl QuantumControllerCache {
         value: u64,
     ) -> Result<(), MemError> {
         let idx = self.locate(port, addr, Segment::Measure)?;
-        self.measure[idx] = value;
+        self.deposit_measure(idx, value);
+        Ok(())
+    }
+
+    /// The controller's readout deposit: writes `.measure` entry `index`
+    /// (a flat segment index, not an address) without decoding an
+    /// address, exactly as [`write_measure`](Self::write_measure) writes
+    /// the entry at that index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below the segment size.
+    pub fn deposit_measure(&mut self, index: usize, value: u64) {
+        self.measure[index] = value;
         // A full-word write refreshes the check bits, clearing any
         // pending upset without a correction event.
-        self.measure_faults.borrow_mut().remove(&idx);
+        self.measure_faults.get_mut().remove(&index);
         self.writes += 1;
-        Ok(())
     }
 
     /// Injects a single-event upset into the `.measure` entry at `addr`:
@@ -268,15 +280,29 @@ impl QuantumControllerCache {
     /// Returns [`MemError`] for unmapped or wrong-segment addresses.
     pub fn poison_measure(&mut self, addr: QAddress, mask: u64) -> Result<(), MemError> {
         let idx = self.locate(AccessPort::Controller, addr, Segment::Measure)?;
+        self.poison_measure_index(idx, mask);
+        Ok(())
+    }
+
+    /// [`poison_measure`](Self::poison_measure) by flat segment index, the
+    /// index [`deposit_measure`](Self::deposit_measure) takes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below the segment size.
+    pub fn poison_measure_index(&mut self, index: usize, mask: u64) {
+        assert!(
+            index < self.measure.len(),
+            ".measure index {index} out of range"
+        );
         if mask != 0 {
-            let mut faults = self.measure_faults.borrow_mut();
-            let pending = faults.entry(idx).or_insert(0);
+            let faults = self.measure_faults.get_mut();
+            let pending = faults.entry(index).or_insert(0);
             *pending ^= mask;
             if *pending == 0 {
-                faults.remove(&idx);
+                faults.remove(&index);
             }
         }
-        Ok(())
     }
 
     /// Upsets detected and corrected by the `.measure` ECC decoder.

@@ -11,6 +11,7 @@
 //! be wasteful in a simulator) but accounts the architectural capacity.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use qtenon_isa::QAddress;
 
@@ -19,6 +20,32 @@ pub const ENTRIES_PER_QUBIT: u64 = 1 << 20;
 
 /// Bytes per entry (a packed 30-bit QAddress plus a valid bit).
 pub const BYTES_PER_ENTRY: u64 = 4;
+
+/// Hashes a tag with one multiply by the golden-ratio constant
+/// (Fibonacci hashing). The maps are only probed, filled, cleared and
+/// counted, never iterated, so no output depends on the hasher; SipHash's
+/// resistance to chosen keys buys nothing for controller-internal tags.
+#[derive(Debug, Clone, Copy, Default)]
+struct TagHasher(u64);
+
+impl Hasher for TagHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0.rotate_left(32) ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// One qubit's tag store.
+type TagMap = HashMap<u32, QSpaceEntry, BuildHasherDefault<TagHasher>>;
 
 /// One qubit's stored tag→pulse mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +71,7 @@ pub struct QSpaceEntry {
 #[derive(Debug, Clone, Default)]
 pub struct QSpace {
     n_qubits: u32,
-    tables: Vec<HashMap<u32, QSpaceEntry>>,
+    tables: Vec<TagMap>,
     reads: u64,
     writes: u64,
 }
@@ -54,7 +81,7 @@ impl QSpace {
     pub fn new(n_qubits: u32) -> Self {
         QSpace {
             n_qubits,
-            tables: vec![HashMap::new(); n_qubits as usize],
+            tables: vec![TagMap::default(); n_qubits as usize],
             reads: 0,
             writes: 0,
         }
