@@ -12,8 +12,8 @@
 //! full-array sweep per kernel; only the order between independent pairs
 //! changes. So fused and single-kernel runs are raw-bitwise identical,
 //! signs of zero included. A sweep is a monomorphic loop over a tile's
-//! lo/hi slices of both arrays, chosen once per tile and kernel, never
-//! per pair:
+//! lo/hi slices of both arrays, or over a gathered group's lanes, chosen
+//! once per tile or group and kernel, never per pair:
 //!
 //! - [`Kernel1Q::Diag`]: diagonal gates (RZ and friends) scale each
 //!   amplitude with a single complex multiply — 4× fewer flops and half
@@ -24,8 +24,18 @@
 //!   (RX) takes `c·a_self ± s·swap(a_other)` — again half the multiplies;
 //! - [`Kernel1Q::General`]: the full 2×2 complex multiply
 //!   `m[r][0]·a0 + m[r][1]·a1`, in that order;
-//! - `apply_cz`: controlled-Z enumerates only the n/4 basis states with
-//!   both operand bits set instead of scanning and testing all n.
+//! - low strides: on qubits 0–2 a block's half is at most 4 `f64`s
+//!   long, too short for a block loop to fill vector registers, so
+//!   `apply_run` cuts each tile into aligned groups of 8 amplitudes (4
+//!   whole pairs), gathers their lo and hi values into 4-lane arrays,
+//!   sweeps those with the same four arms and scatters the results back:
+//!   every stride fills a whole vector register;
+//! - `apply_cz`: when the lower operand is qubit 0 or 1 and the higher
+//!   one is at least 2, controlled-Z negates the same lanes of every
+//!   aligned group of 4 among the n/2 amplitudes with the higher bit set
+//!   (one XOR with a constant sign mask per group, branch-free); every
+//!   other operand pair enumerates only the n/4 basis states with both
+//!   operand bits set instead of scanning and testing all n.
 //!
 //! Each output component is the expression the `C64` operators compute
 //! for it: the same products of the same operands, added in the same
@@ -47,7 +57,9 @@
 //! `apply_matrix2_reference`/`apply_cz_reference` on
 //! [`crate::StateVector`], and the baseline instance as
 //! `apply_plan_baseline`; `crates/quantum/tests/kernel_equiv.rs` proves
-//! the equivalences on every CI run (DESIGN.md §13).
+//! the equivalences on every CI run, and `stride_props.rs` pins the raw
+//! bits of both instances at every stride and CZ operand pair
+//! (DESIGN.md §13).
 
 use crate::fuse::PlanOp;
 use crate::statevector::C64;
@@ -302,8 +314,9 @@ fn apply_ops_body(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
 /// tile-major: each kernel sweeps a whole tile of about `TILE_PAIRS`
 /// pairs before the next starts on it. The result is bitwise identical
 /// to one full-array sweep per kernel; tiling only keeps traffic in L1.
-/// `re` and `im` are the real and imaginary parts of the same 2ⁿ
-/// amplitudes.
+/// Strides of 1, 2 and 4 pairs sweep gathered 4-pair groups
+/// ([`gathered`]). `re` and `im` are the real and imaginary parts of the
+/// same 2ⁿ amplitudes.
 #[inline(always)]
 pub(crate) fn apply_run(re: &mut [f64], im: &mut [f64], q: u32, kernels: &[Kernel1Q]) {
     debug_assert!(1usize << q < re.len(), "qubit {q} out of range");
@@ -311,9 +324,12 @@ pub(crate) fn apply_run(re: &mut [f64], im: &mut [f64], q: u32, kernels: &[Kerne
     // A compile-time block width lets LLVM unroll small strides: 1.3–1.8×
     // per pair over a run-time width (12 qubits, 2-vCPU Intel Xeon VM).
     match q {
-        0 => blocks::<1>(re, im, kernels),
-        1 => blocks::<2>(re, im, kernels),
-        2 => blocks::<4>(re, im, kernels),
+        // States of 2 or 4 amplitudes hold no group of 8 to gather.
+        0 if re.len() < 8 => blocks::<1>(re, im, kernels),
+        1 if re.len() < 8 => blocks::<2>(re, im, kernels),
+        0 => gathered::<1>(re, im, kernels),
+        1 => gathered::<2>(re, im, kernels),
+        2 => gathered::<4>(re, im, kernels),
         3 => blocks::<8>(re, im, kernels),
         4 => blocks::<16>(re, im, kernels),
         5 => blocks::<32>(re, im, kernels),
@@ -333,6 +349,34 @@ fn blocks<const S: usize>(re: &mut [f64], im: &mut [f64], kernels: &[Kernel1Q]) 
                 let (re_lo, re_hi) = re.split_at_mut(S);
                 let (im_lo, im_hi) = im.split_at_mut(S);
                 sweep(re_lo, re_hi, im_lo, im_hi, kernel);
+            }
+        }
+    }
+}
+
+/// Strides `S` of 1, 2 and 4 on states of at least 8 amplitudes: each
+/// aligned group of 8 holds 4 whole pairs, and the lo amplitude of pair
+/// `p` sits at `(p / S)·2S + p % S`, its hi partner `S` above. The
+/// group's lo and hi values are gathered into 4-lane arrays, swept, and
+/// scattered back, so a low stride fills a whole vector register.
+#[inline(always)]
+fn gathered<const S: usize>(re: &mut [f64], im: &mut [f64], kernels: &[Kernel1Q]) {
+    let lanes: [usize; 4] = std::array::from_fn(|p| p / S * 2 * S + p % S);
+    for (re, im) in re
+        .chunks_mut(TILE_PAIRS << 1)
+        .zip(im.chunks_mut(TILE_PAIRS << 1))
+    {
+        for kernel in kernels {
+            for (re, im) in re.chunks_exact_mut(8).zip(im.chunks_exact_mut(8)) {
+                let mut re_lo = lanes.map(|i| re[i]);
+                let mut re_hi = lanes.map(|i| re[i + S]);
+                let mut im_lo = lanes.map(|i| im[i]);
+                let mut im_hi = lanes.map(|i| im[i + S]);
+                sweep(&mut re_lo, &mut re_hi, &mut im_lo, &mut im_hi, kernel);
+                for (p, &i) in lanes.iter().enumerate() {
+                    (re[i], re[i + S]) = (re_lo[p], re_hi[p]);
+                    (im[i], im[i + S]) = (im_lo[p], im_hi[p]);
+                }
             }
         }
     }
@@ -424,9 +468,13 @@ fn sweep(
 }
 
 /// Controlled-Z kernel: negates exactly the amplitudes with both operand
-/// bits set by enumerating them (n/4 iterations) instead of scanning all
-/// n basis states and testing masks. Negation is sign-bit flipping, so
-/// the result is bitwise identical to the scanning reference.
+/// bits set. When the lower operand is qubit 0 or 1 and the higher one is
+/// at least 2, it negates the same lanes of every aligned group of 4 among
+/// the n/2 amplitudes with the higher bit set, branch-free; every other
+/// pair enumerates the n/4 affected amplitudes instead of scanning all n
+/// basis states and testing masks. Negation is sign-bit flipping, NaN
+/// payloads included, so both are bitwise identical to the scanning
+/// reference.
 #[inline(always)]
 pub(crate) fn apply_cz(re: &mut [f64], im: &mut [f64], a: u32, b: u32) {
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
@@ -435,6 +483,25 @@ pub(crate) fn apply_cz(re: &mut [f64], im: &mut [f64], a: u32, b: u32) {
     let n = re.len();
     debug_assert!(shi < n, "qubit out of range");
     debug_assert_ne!(a, b, "CZ operands must differ");
+    if lo < 2 && hi >= 2 {
+        // Each aligned group of 4 in the set half of `hi` has `lo` set in
+        // the same lanes, so the negations compile to one XOR with a
+        // constant sign mask. Spelled as `-x`, not as a `to_bits` XOR:
+        // that form changed code generation elsewhere in the crate, where
+        // `sample_shot`'s SplitMix loop got vectorised and slowed down.
+        for part in [re, im] {
+            for block in part.chunks_exact_mut(shi << 1) {
+                for group in block[shi..].chunks_exact_mut(4) {
+                    for (j, x) in group.iter_mut().enumerate() {
+                        if j & slo != 0 {
+                            *x = -*x;
+                        }
+                    }
+                }
+            }
+        }
+        return;
+    }
     let mut base_hi = shi;
     while base_hi < n {
         let mut base_lo = base_hi + slo;

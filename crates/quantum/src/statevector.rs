@@ -207,8 +207,12 @@ impl StateVector {
         self.apply_matrix2(q, kernels::mat_rz(theta));
     }
 
-    /// Applies a controlled-Z between two qubits via the enumerating
-    /// kernel (visits the n/4 affected amplitudes instead of scanning n).
+    /// Applies a controlled-Z between two qubits without scanning and
+    /// testing all n amplitudes. When the lower operand is qubit 0 or 1
+    /// and the higher one is at least 2, the kernel negates the same
+    /// lanes of every aligned group of 4 among the n/2 amplitudes with the
+    /// higher bit set, branch-free; every other pair visits only the n/4
+    /// affected amplitudes.
     ///
     /// # Panics
     ///
@@ -237,8 +241,8 @@ impl StateVector {
     }
 
     /// Executes a lowered plan (see [`fuse::plan`]): kernel runs
-    /// tile-major, CZs via the enumerating kernel, all through the widest
-    /// kernel instance the CPU supports (DESIGN.md §13).
+    /// tile-major, CZs via the masked or enumerating kernel, all through
+    /// the widest kernel instance the CPU supports (DESIGN.md §13).
     ///
     /// # Panics
     ///
