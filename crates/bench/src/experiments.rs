@@ -8,7 +8,9 @@ use qtenon_core::jobs::JobOptimizer;
 use qtenon_core::report::RunReport;
 use qtenon_core::vqa::VqaRunner;
 use qtenon_isa::{QccLayout, Segment};
-use qtenon_sim_engine::{MetricsRegistry, MetricsSnapshot, SimDuration, SimTime};
+use qtenon_sim_engine::{
+    FaultInjector, FaultPlan, MetricsRegistry, MetricsSnapshot, SimDuration, SimTime,
+};
 use qtenon_workloads::{Workload, WorkloadKind};
 
 use crate::table::TextTable;
@@ -201,7 +203,10 @@ pub fn table1(scale: &ExperimentScale) -> TextTable {
     // Communication latency: one small transfer each way.
     let net = qtenon_baseline::NetworkModel::default();
     let mut bus = TileLinkBus::new(BusConfig::default());
-    let qt = bus.schedule_transfer(SimTime::ZERO, 8);
+    let mut no_faults = FaultInjector::new(FaultPlan::default());
+    let qt = bus
+        .schedule_transfer(SimTime::ZERO, 8, &mut no_faults)
+        .expect("fault-free transfer");
     t.row(vec![
         "comm. latency".into(),
         fmt_dur(net.message_time(8)),
@@ -643,8 +648,6 @@ pub fn telemetry_snapshot_exact(
 /// Panics if construction or execution fails (the configuration is
 /// known-valid and the retry budget covers the swept rates).
 pub fn resilience(scale: &ExperimentScale) -> TextTable {
-    use qtenon_sim_engine::FaultPlan;
-
     let mut t = TextTable::new(vec![
         "fault rate".into(),
         "total".into(),
@@ -725,13 +728,20 @@ pub fn ablation(scale: &ExperimentScale) -> TextTable {
             },
             ..PipelineConfig::default()
         };
+        let run = |pipe: &mut PulsePipeline| {
+            let mut no_faults = FaultInjector::new(FaultPlan::default());
+            let (report, _) = pipe
+                .process(SimTime::ZERO, &items, &mut no_faults)
+                .expect("pipeline run");
+            report
+        };
         let mut pipe = PulsePipeline::new(config, layout).expect("pipeline builds");
-        let (cold, _) = pipe.process(SimTime::ZERO, &items).expect("pipeline run");
-        let (warm, _) = pipe.process(SimTime::ZERO, &items).expect("pipeline run");
+        let cold = run(&mut pipe);
+        let warm = run(&mut pipe);
         let mut no_slt = PulsePipeline::new(config, layout).expect("pipeline builds");
-        no_slt.process(SimTime::ZERO, &items).expect("pipeline run");
+        run(&mut no_slt);
         no_slt.reset();
-        let (cold_again, _) = no_slt.process(SimTime::ZERO, &items).expect("pipeline run");
+        let cold_again = run(&mut no_slt);
         t.row(vec![
             units.to_string(),
             fmt_dur(cold.total_time),

@@ -54,11 +54,13 @@ pub struct TransferTiming {
 ///
 /// ```
 /// use qtenon_controller::{BusConfig, TileLinkBus};
-/// use qtenon_sim_engine::SimTime;
+/// use qtenon_sim_engine::{FaultInjector, FaultPlan, SimTime};
 ///
 /// let mut bus = TileLinkBus::new(BusConfig::default());
-/// let t = bus.schedule_transfer(SimTime::ZERO, 64); // two 256-bit beats
+/// let mut no_faults = FaultInjector::new(FaultPlan::default());
+/// let t = bus.schedule_transfer(SimTime::ZERO, 64, &mut no_faults)?; // two 256-bit beats
 /// assert!(t.complete > t.start);
+/// # Ok::<(), qtenon_controller::ControllerError>(())
 /// ```
 #[derive(Debug)]
 pub struct TileLinkBus {
@@ -102,10 +104,10 @@ impl TileLinkBus {
         (bytes * 8).div_ceil(self.config.width_bits as u64).max(1)
     }
 
-    /// Schedules a transfer of `bytes` requested at time `now`; returns
-    /// its start (bus grant) and completion times and advances the bus
-    /// state.
-    pub fn schedule_transfer(&mut self, now: SimTime, bytes: u64) -> TransferTiming {
+    /// One attempt of a transfer of `bytes` requested at time `now`:
+    /// returns its start (bus grant) and completion times and advances
+    /// the bus state.
+    fn attempt(&mut self, now: SimTime, bytes: u64) -> TransferTiming {
         // Drop bookkeeping for transactions that finished before `now`.
         while let Some(&t) = self.outstanding.front() {
             if t <= now {
@@ -134,16 +136,17 @@ impl TileLinkBus {
         TransferTiming { start, complete }
     }
 
-    /// Schedules a transfer under fault injection: drops and corruptions
-    /// drawn from `faults` each force a retransmission after an
-    /// exponential backoff, and the returned timing covers the whole
-    /// retry chain (first grant to last successful completion).
+    /// Schedules a transfer of `bytes` requested at time `now` and
+    /// advances the bus state. Drops and corruptions drawn from `faults`
+    /// each force a retransmission after an exponential backoff, and the
+    /// returned timing covers the whole retry chain (first grant to last
+    /// successful completion); an inert injector yields one attempt.
     ///
     /// # Errors
     ///
     /// Returns [`ControllerError::BusRetriesExhausted`] when the drawn
     /// failure count meets the plan's `max_attempts` budget.
-    pub fn schedule_transfer_resilient(
+    pub fn schedule_transfer(
         &mut self,
         now: SimTime,
         bytes: u64,
@@ -154,7 +157,7 @@ impl TileLinkBus {
         let failures = drops + corruptions;
         let plan = *faults.plan();
         let budget = plan.max_attempts.max(1);
-        let first = self.schedule_transfer(now, bytes);
+        let first = self.attempt(now, bytes);
         if failures == 0 {
             return Ok(first);
         }
@@ -164,7 +167,7 @@ impl TileLinkBus {
             for attempt in 2..=budget {
                 self.retries += 1;
                 let retry_at = first.complete + plan.backoff(attempt - 1);
-                self.schedule_transfer(retry_at, bytes);
+                self.attempt(retry_at, bytes);
             }
             self.retries_exhausted += 1;
             return Err(ControllerError::BusRetriesExhausted { attempts: budget });
@@ -175,7 +178,7 @@ impl TileLinkBus {
         for attempt in 1..=failures {
             self.retries += 1;
             let retry_at = timing.complete + plan.backoff(attempt);
-            timing = self.schedule_transfer(retry_at, bytes);
+            timing = self.attempt(retry_at, bytes);
         }
         Ok(TransferTiming {
             start: first.start,
@@ -230,15 +233,23 @@ impl TileLinkBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qtenon_sim_engine::FaultPlan;
 
     fn ns(v: u64) -> SimDuration {
         SimDuration::from_ns(v)
     }
 
+    /// A fault-free transfer requested at time zero.
+    fn transfer(bus: &mut TileLinkBus, bytes: u64) -> TransferTiming {
+        let mut no_faults = FaultInjector::new(FaultPlan::default());
+        bus.schedule_transfer(SimTime::ZERO, bytes, &mut no_faults)
+            .unwrap()
+    }
+
     #[test]
     fn single_beat_latency() {
         let mut bus = TileLinkBus::new(BusConfig::default());
-        let t = bus.schedule_transfer(SimTime::ZERO, 32); // exactly one beat
+        let t = transfer(&mut bus, 32); // exactly one beat
         assert_eq!(t.start, SimTime::ZERO);
         assert_eq!(t.complete - t.start, ns(21)); // 20 ns request + 1 beat
     }
@@ -247,7 +258,7 @@ mod tests {
     fn table1_latency_band() {
         // Table 1 claims 10 ns – 100 ns for tightly-coupled communication.
         let mut bus = TileLinkBus::new(BusConfig::default());
-        let small = bus.schedule_transfer(SimTime::ZERO, 8);
+        let small = transfer(&mut bus, 8);
         let latency = small.complete - small.start;
         assert!(latency >= ns(10) && latency <= ns(100), "latency={latency}");
     }
@@ -264,8 +275,8 @@ mod tests {
     #[test]
     fn back_to_back_transfers_pipeline_request_latency() {
         let mut bus = TileLinkBus::new(BusConfig::default());
-        let a = bus.schedule_transfer(SimTime::ZERO, 32);
-        let b = bus.schedule_transfer(SimTime::ZERO, 32);
+        let a = transfer(&mut bus, 32);
+        let b = transfer(&mut bus, 32);
         // Second transfer starts as soon as the link frees (1 ns), not
         // after the first completes (21 ns): request latency is hidden.
         assert_eq!(b.start - SimTime::ZERO, ns(1));
@@ -279,9 +290,9 @@ mod tests {
             max_outstanding: 2,
             ..BusConfig::default()
         });
-        let a = bus.schedule_transfer(SimTime::ZERO, 32);
-        let _b = bus.schedule_transfer(SimTime::ZERO, 32);
-        let c = bus.schedule_transfer(SimTime::ZERO, 32);
+        let a = transfer(&mut bus, 32);
+        let _b = transfer(&mut bus, 32);
+        let c = transfer(&mut bus, 32);
         // Third transfer cannot start before the first completes.
         assert!(c.start >= a.complete);
     }
@@ -294,7 +305,7 @@ mod tests {
             complete: SimTime::ZERO,
         };
         for _ in 0..100 {
-            last = bus.schedule_transfer(SimTime::ZERO, 32);
+            last = transfer(&mut bus, 32);
         }
         // 100 beats at 1 ns each, plus one request latency at the tail.
         assert_eq!(last.complete - SimTime::ZERO, ns(100 + 20));
@@ -303,24 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn resilient_transfer_without_faults_matches_plain_path() {
-        use qtenon_sim_engine::{FaultInjector, FaultPlan};
-        let mut plain = TileLinkBus::new(BusConfig::default());
-        let mut faulty = TileLinkBus::new(BusConfig::default());
-        let mut inj = FaultInjector::new(FaultPlan::default());
-        for bytes in [8, 64, 288] {
-            let a = plain.schedule_transfer(SimTime::ZERO, bytes);
-            let b = faulty
-                .schedule_transfer_resilient(SimTime::ZERO, bytes, &mut inj)
-                .unwrap();
-            assert_eq!(a, b);
-        }
-        assert_eq!(faulty.retries(), 0);
-    }
-
-    #[test]
     fn injected_drops_force_retransmission_and_lengthen_transfers() {
-        use qtenon_sim_engine::{FaultInjector, FaultPlan, FaultSite};
         let plan = FaultPlan::default()
             .with_rate(FaultSite::BusDrop, 0.4)
             .with_seed(11);
@@ -329,8 +323,8 @@ mod tests {
         let mut clean = TileLinkBus::new(BusConfig::default());
         let mut saw_retry = false;
         for _ in 0..50 {
-            let base = clean.schedule_transfer(SimTime::ZERO, 32);
-            match bus.schedule_transfer_resilient(SimTime::ZERO, 32, &mut inj) {
+            let base = transfer(&mut clean, 32);
+            match bus.schedule_transfer(SimTime::ZERO, 32, &mut inj) {
                 Ok(t) => {
                     assert!(t.complete >= base.complete);
                     if t.complete > base.complete + SimDuration::from_ns(40) {
@@ -350,9 +344,9 @@ mod tests {
     #[test]
     fn reset_returns_to_idle() {
         let mut bus = TileLinkBus::new(BusConfig::default());
-        bus.schedule_transfer(SimTime::ZERO, 1024);
+        transfer(&mut bus, 1024);
         bus.reset();
-        let t = bus.schedule_transfer(SimTime::ZERO, 32);
+        let t = transfer(&mut bus, 32);
         assert_eq!(t.start, SimTime::ZERO);
         assert_eq!(bus.transfers(), 1);
     }

@@ -49,12 +49,14 @@ pub struct Dispatch {
 ///
 /// ```
 /// use qtenon_controller::pgu::{PguConfig, PguPool};
-/// use qtenon_sim_engine::SimTime;
+/// use qtenon_sim_engine::{FaultInjector, FaultPlan, SimTime};
 ///
-/// let mut pool = PguPool::new(PguConfig::default()).unwrap();
-/// let d = pool.dispatch(SimTime::ZERO);
+/// let mut pool = PguPool::new(PguConfig::default())?;
+/// let mut no_faults = FaultInjector::new(FaultPlan::default());
+/// let d = pool.dispatch(SimTime::ZERO, &mut no_faults)?;
 /// assert_eq!(d.unit, 0);
 /// assert_eq!((d.done - d.start).as_us(), 1.0); // 1000 cycles @ 1 GHz
+/// # Ok::<(), qtenon_controller::ControllerError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct PguPool {
@@ -115,10 +117,10 @@ impl PguPool {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Dispatches one pulse computation requested at `now`: the job starts
-    /// immediately if a unit is free, otherwise as soon as the earliest
-    /// unit frees (the stall the pipeline observes).
-    pub fn dispatch(&mut self, now: SimTime) -> Dispatch {
+    /// One attempt of a pulse computation requested at `now`: the job
+    /// starts immediately if a unit is free, otherwise as soon as the
+    /// earliest unit frees (the stall the pipeline observes).
+    fn attempt(&mut self, now: SimTime) -> Dispatch {
         let (unit, start) = match self.free_unit_at(now) {
             Some(unit) => (unit, now),
             None => {
@@ -134,15 +136,16 @@ impl PguPool {
         Dispatch { unit, start, done }
     }
 
-    /// Dispatches under fault injection: a stall fault holds the unit for
-    /// the plan's extra cycles, and each bad-pulse failure forces a
-    /// re-dispatch after an exponential backoff.
+    /// Dispatches one pulse computation requested at `now`. A stall fault
+    /// drawn from `faults` holds the unit for the plan's extra cycles, and
+    /// each bad-pulse failure forces a re-dispatch after an exponential
+    /// backoff; an inert injector yields one attempt.
     ///
     /// # Errors
     ///
     /// Returns [`ControllerError::PguRetriesExhausted`] when the drawn
     /// failure count meets the plan's `max_attempts` budget.
-    pub fn dispatch_resilient(
+    pub fn dispatch(
         &mut self,
         now: SimTime,
         faults: &mut FaultInjector,
@@ -154,7 +157,7 @@ impl PguPool {
         if failures >= budget {
             return Err(ControllerError::PguRetriesExhausted { attempts: budget });
         }
-        let mut d = self.dispatch(now);
+        let mut d = self.attempt(now);
         if stalled {
             let penalty = self.config.clock.cycles(plan.pgu_stall_cycles);
             d.done += penalty;
@@ -164,7 +167,7 @@ impl PguPool {
         for attempt in 1..=failures {
             self.redispatches += 1;
             let retry_at = d.done + plan.backoff(attempt);
-            d = self.dispatch(retry_at);
+            d = self.attempt(retry_at);
         }
         Ok(d)
     }
@@ -209,28 +212,35 @@ impl PguPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qtenon_sim_engine::FaultPlan;
 
     fn at(ns: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_ns(ns)
     }
 
+    /// A fault-free dispatch requested at time zero.
+    fn dispatch(pool: &mut PguPool) -> Dispatch {
+        let mut no_faults = FaultInjector::new(FaultPlan::default());
+        pool.dispatch(SimTime::ZERO, &mut no_faults).unwrap()
+    }
+
     #[test]
     fn priority_encoder_picks_lowest_free() {
         let mut pool = PguPool::new(PguConfig::default()).unwrap();
-        assert_eq!(pool.dispatch(SimTime::ZERO).unit, 0);
-        assert_eq!(pool.dispatch(SimTime::ZERO).unit, 1);
-        assert_eq!(pool.dispatch(SimTime::ZERO).unit, 2);
+        assert_eq!(dispatch(&mut pool).unit, 0);
+        assert_eq!(dispatch(&mut pool).unit, 1);
+        assert_eq!(dispatch(&mut pool).unit, 2);
     }
 
     #[test]
     fn eight_jobs_run_in_parallel_ninth_stalls() {
         let mut pool = PguPool::new(PguConfig::default()).unwrap();
         for i in 0..8 {
-            let d = pool.dispatch(SimTime::ZERO);
+            let d = dispatch(&mut pool);
             assert_eq!(d.unit, i);
             assert_eq!(d.start, SimTime::ZERO);
         }
-        let ninth = pool.dispatch(SimTime::ZERO);
+        let ninth = dispatch(&mut pool);
         assert_eq!(ninth.start, at(1000)); // waits for unit 0
         assert_eq!(ninth.unit, 0);
         assert_eq!(ninth.done, at(2000));
@@ -239,7 +249,7 @@ mod tests {
     #[test]
     fn unit_frees_after_latency() {
         let mut pool = PguPool::new(PguConfig::default()).unwrap();
-        pool.dispatch(SimTime::ZERO);
+        dispatch(&mut pool);
         assert_eq!(pool.free_unit_at(SimTime::ZERO), Some(1));
         assert_eq!(pool.free_unit_at(at(1000)), Some(0));
     }
@@ -249,7 +259,7 @@ mod tests {
         let mut pool = PguPool::new(PguConfig::default()).unwrap();
         let mut last_done = SimTime::ZERO;
         for _ in 0..80 {
-            last_done = pool.dispatch(SimTime::ZERO).done;
+            last_done = dispatch(&mut pool).done;
         }
         // 80 jobs over 8 units = 10 sequential rounds of 1 µs.
         assert_eq!(last_done, at(10_000));
@@ -264,10 +274,10 @@ mod tests {
             clock: ClockDomain::from_ghz(1.0),
         })
         .unwrap();
-        let d = pool.dispatch(SimTime::ZERO);
+        let d = dispatch(&mut pool);
         assert_eq!(d.done, at(10));
         pool.reset();
-        assert_eq!(pool.dispatch(SimTime::ZERO).start, SimTime::ZERO);
+        assert_eq!(dispatch(&mut pool).start, SimTime::ZERO);
     }
 
     #[test]
@@ -282,13 +292,12 @@ mod tests {
 
     #[test]
     fn injected_stall_extends_completion() {
-        use qtenon_sim_engine::{FaultInjector, FaultPlan, FaultSite};
         let plan = FaultPlan::default()
             .with_rate(FaultSite::PguStall, 0.999_999)
             .with_seed(5);
         let mut inj = FaultInjector::new(plan);
         let mut pool = PguPool::new(PguConfig::default()).unwrap();
-        let d = pool.dispatch_resilient(SimTime::ZERO, &mut inj).unwrap();
+        let d = pool.dispatch(SimTime::ZERO, &mut inj).unwrap();
         // 1000 nominal cycles + 500 stall cycles at 1 GHz.
         assert_eq!(d.done, at(1500));
         assert_eq!(pool.stalls(), 1);
@@ -296,7 +305,6 @@ mod tests {
 
     #[test]
     fn injected_failures_force_redispatch_or_typed_error() {
-        use qtenon_sim_engine::{FaultInjector, FaultPlan, FaultSite};
         let plan = FaultPlan::default()
             .with_rate(FaultSite::PguFail, 0.5)
             .with_seed(21);
@@ -304,7 +312,7 @@ mod tests {
         let mut pool = PguPool::new(PguConfig::default()).unwrap();
         let mut saw_redispatch = false;
         for _ in 0..100 {
-            match pool.dispatch_resilient(SimTime::ZERO, &mut inj) {
+            match pool.dispatch(SimTime::ZERO, &mut inj) {
                 Ok(_) => {}
                 Err(ControllerError::PguRetriesExhausted { attempts }) => {
                     assert_eq!(attempts, plan.max_attempts);

@@ -95,16 +95,17 @@ impl PipelineReport {
 /// ```
 /// use qtenon_controller::pipeline::{PipelineConfig, PulsePipeline, WorkItem};
 /// use qtenon_isa::{EncodedAngle, GateType, QccLayout, QubitId};
-/// use qtenon_sim_engine::SimTime;
+/// use qtenon_sim_engine::{FaultInjector, FaultPlan, SimTime};
 ///
 /// let layout = QccLayout::for_qubits(4)?;
 /// let mut pipe = PulsePipeline::new(PipelineConfig::default(), layout)?;
+/// let mut no_faults = FaultInjector::new(FaultPlan::default());
 /// let item = WorkItem {
 ///     qubit: QubitId::new(0),
 ///     gate: GateType::Rx,
 ///     data27: EncodedAngle::from_radians(0.5).code(),
 /// };
-/// let (report, _) = pipe.process(SimTime::ZERO, &[item, item])?;
+/// let (report, _) = pipe.process(SimTime::ZERO, &[item, item], &mut no_faults)?;
 /// assert_eq!(report.generated, 1); // second occurrence hits the SLT
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -153,44 +154,23 @@ impl PulsePipeline {
     }
 
     /// Processes `items` starting at `start`, returning the run report and
-    /// each item's resolved pulse address in order.
+    /// each item's resolved pulse address in order. SLT lookups run their
+    /// parity check and PGU dispatches draw stall/failure faults from
+    /// `faults`, with retries and degradation costed into the report's
+    /// timing; an inert injector changes nothing.
     ///
     /// # Errors
     ///
     /// Returns [`ControllerError::QubitOutOfRange`] when a work item names
     /// a qubit outside the layout (malformed program or config) — the run
-    /// degrades into a typed error instead of aborting the process.
+    /// degrades into a typed error instead of aborting the process — and
+    /// [`ControllerError::PguRetriesExhausted`] when a dispatch burns
+    /// through the plan's retry budget.
     pub fn process(
         &mut self,
         start: SimTime,
         items: &[WorkItem],
-    ) -> Result<(PipelineReport, Vec<ResolvedPulse>), ControllerError> {
-        self.process_with_faults(start, items, None)
-    }
-
-    /// Processes `items` under fault injection: SLT lookups run their
-    /// parity check and PGU dispatches draw stall/failure faults, with
-    /// retries and degradation costed into the report's timing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ControllerError::PguRetriesExhausted`] when a dispatch
-    /// burns through the plan's retry budget, plus everything
-    /// [`PulsePipeline::process`] can return.
-    pub fn process_resilient(
-        &mut self,
-        start: SimTime,
-        items: &[WorkItem],
         faults: &mut FaultInjector,
-    ) -> Result<(PipelineReport, Vec<ResolvedPulse>), ControllerError> {
-        self.process_with_faults(start, items, Some(faults))
-    }
-
-    fn process_with_faults(
-        &mut self,
-        start: SimTime,
-        items: &[WorkItem],
-        mut faults: Option<&mut FaultInjector>,
     ) -> Result<(PipelineReport, Vec<ResolvedPulse>), ControllerError> {
         let cycle = self.config.clock.period();
         let slt_before = self.slt.stats();
@@ -218,12 +198,9 @@ impl PulsePipeline {
             // one entry per cycle; `front` models the initiation interval.
             front += cycle;
             let decode_done = front + cycle;
-            let resolution = match faults.as_deref_mut() {
-                Some(f) => self
-                    .slt
-                    .resolve_resilient(item.qubit, item.gate, item.data27, f)?,
-                None => self.slt.resolve(item.qubit, item.gate, item.data27)?,
-            };
+            let resolution = self
+                .slt
+                .resolve(item.qubit, item.gate, item.data27, faults)?;
             let (complete, was_generated) = match resolution {
                 PulseResolution::SltHit(qaddr) | PulseResolution::QSpaceHit(qaddr) => {
                     // No PGU work: the QAddress link writes back next cycle.
@@ -236,10 +213,7 @@ impl PulsePipeline {
                 }
                 PulseResolution::Allocated(qaddr) => {
                     // Stage 3: dispatch, stalling the front if all busy.
-                    let dispatch = match faults.as_deref_mut() {
-                        Some(f) => self.pgus.dispatch_resilient(decode_done, f)?,
-                        None => self.pgus.dispatch(decode_done),
-                    };
+                    let dispatch = self.pgus.dispatch(decode_done, faults)?;
                     if dispatch.start > decode_done {
                         let stall = dispatch.start - decode_done;
                         stall_time += stall;
@@ -343,6 +317,11 @@ impl PulsePipeline {
 mod tests {
     use super::*;
     use qtenon_isa::EncodedAngle;
+    use qtenon_sim_engine::FaultPlan;
+
+    fn no_faults() -> FaultInjector {
+        FaultInjector::new(FaultPlan::default())
+    }
 
     fn pipeline() -> PulsePipeline {
         PulsePipeline::new(PipelineConfig::default(), QccLayout::for_qubits(8).unwrap()).unwrap()
@@ -359,7 +338,9 @@ mod tests {
     #[test]
     fn single_item_takes_pipeline_plus_pgu_latency() {
         let mut p = pipeline();
-        let (report, resolved) = p.process(SimTime::ZERO, &[rx(0, 1.0)]).unwrap();
+        let (report, resolved) = p
+            .process(SimTime::ZERO, &[rx(0, 1.0)], &mut no_faults())
+            .unwrap();
         // fetch (1) + decode (1) + PGU (1000) + writeback (1) cycles.
         assert_eq!(report.total_time, SimDuration::from_ns(1003));
         assert_eq!(report.generated, 1);
@@ -370,7 +351,7 @@ mod tests {
     fn repeated_parameter_is_skipped() {
         let mut p = pipeline();
         let items = [rx(0, 1.0), rx(0, 1.0), rx(0, 1.0)];
-        let (report, resolved) = p.process(SimTime::ZERO, &items).unwrap();
+        let (report, resolved) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
         assert_eq!(report.generated, 1);
         assert_eq!(report.slt.hits, 2);
         assert_eq!(resolved[0].qaddr, resolved[1].qaddr);
@@ -382,8 +363,8 @@ mod tests {
     fn warm_second_run_is_fast() {
         let mut p = pipeline();
         let items: Vec<WorkItem> = (0..8).map(|q| rx(q, 0.7)).collect();
-        let (cold, _) = p.process(SimTime::ZERO, &items).unwrap();
-        let (warm, _) = p.process(SimTime::ZERO, &items).unwrap();
+        let (cold, _) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
+        let (warm, _) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
         assert_eq!(warm.generated, 0);
         assert!(warm.total_time < cold.total_time / 10);
     }
@@ -392,7 +373,7 @@ mod tests {
     fn eight_pgus_absorb_eight_misses_without_stall() {
         let mut p = pipeline();
         let items: Vec<WorkItem> = (0..8).map(|q| rx(q, 0.1)).collect();
-        let (report, _) = p.process(SimTime::ZERO, &items).unwrap();
+        let (report, _) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
         assert_eq!(report.stall_time, SimDuration::ZERO);
         // Entries enter one per cycle; last enters at cycle 8, finishes
         // ~1002 cycles later.
@@ -404,7 +385,7 @@ mod tests {
         let mut p = pipeline();
         // Nine distinct parameters on one qubit: the ninth waits for PGU 0.
         let items: Vec<WorkItem> = (0..9).map(|i| rx(0, 0.1 + 0.2 * i as f64)).collect();
-        let (report, _) = p.process(SimTime::ZERO, &items).unwrap();
+        let (report, _) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
         assert!(report.stall_time > SimDuration::ZERO);
         assert_eq!(report.generated, 9);
     }
@@ -417,7 +398,7 @@ mod tests {
             gate: GateType::Idle,
             data27: 0,
         }];
-        let (report, resolved) = p.process(SimTime::ZERO, &items).unwrap();
+        let (report, resolved) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
         assert_eq!(report.generated, 0);
         assert_eq!(report.slt.lookups, 0);
         assert!(!resolved[0].generated);
@@ -431,8 +412,8 @@ mod tests {
             gate: GateType::Measure,
             data27: 0,
         };
-        let (r1, _) = p.process(SimTime::ZERO, &[m]).unwrap();
-        let (r2, _) = p.process(SimTime::ZERO, &[m]).unwrap();
+        let (r1, _) = p.process(SimTime::ZERO, &[m], &mut no_faults()).unwrap();
+        let (r2, _) = p.process(SimTime::ZERO, &[m], &mut no_faults()).unwrap();
         assert_eq!(r1.generated, 1);
         assert_eq!(r2.generated, 0);
     }
@@ -440,43 +421,33 @@ mod tests {
     #[test]
     fn reset_forces_regeneration() {
         let mut p = pipeline();
-        p.process(SimTime::ZERO, &[rx(0, 1.0)]).unwrap();
+        p.process(SimTime::ZERO, &[rx(0, 1.0)], &mut no_faults())
+            .unwrap();
         p.reset();
-        let (report, _) = p.process(SimTime::ZERO, &[rx(0, 1.0)]).unwrap();
+        let (report, _) = p
+            .process(SimTime::ZERO, &[rx(0, 1.0)], &mut no_faults())
+            .unwrap();
         assert_eq!(report.generated, 1);
     }
 
     #[test]
-    fn resilient_process_with_zero_rates_matches_plain() {
-        use qtenon_sim_engine::{FaultInjector, FaultPlan};
-        let mut inj = FaultInjector::new(FaultPlan::default());
-        let mut a = pipeline();
-        let mut b = pipeline();
-        let items: Vec<WorkItem> = (0..12).map(|i| rx(i % 4, (i % 3) as f64 * 0.4)).collect();
-        let (ra, pa) = a.process(SimTime::ZERO, &items).unwrap();
-        let (rb, pb) = b
-            .process_resilient(SimTime::ZERO, &items, &mut inj)
-            .unwrap();
-        assert_eq!(ra, rb);
-        assert_eq!(pa, pb);
-    }
-
-    #[test]
     fn parity_faults_force_regeneration_with_longer_runtime() {
-        use qtenon_sim_engine::{FaultInjector, FaultPlan, FaultSite};
+        use qtenon_sim_engine::FaultSite;
         let plan = FaultPlan::default()
             .with_rate(FaultSite::SltBitFlip, 0.8)
             .with_seed(17);
         let mut inj = FaultInjector::new(plan);
         let mut p = pipeline();
         let items = vec![rx(0, 1.0); 20];
-        p.process(SimTime::ZERO, &items).unwrap(); // warm
+        p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap(); // warm
         let mut clean = pipeline();
-        clean.process(SimTime::ZERO, &items).unwrap(); // warm
-        let (faulty, _) = p
-            .process_resilient(SimTime::ZERO, &items, &mut inj)
+        clean
+            .process(SimTime::ZERO, &items, &mut no_faults())
+            .unwrap(); // warm
+        let (faulty, _) = p.process(SimTime::ZERO, &items, &mut inj).unwrap();
+        let (warm, _) = clean
+            .process(SimTime::ZERO, &items, &mut no_faults())
             .unwrap();
-        let (warm, _) = clean.process(SimTime::ZERO, &items).unwrap();
         assert!(faulty.slt.parity_invalidations > 0);
         assert!(faulty.generated + faulty.slt.qspace_hits > 0);
         assert!(
@@ -490,7 +461,9 @@ mod tests {
         let mut p = pipeline();
         // The layout has 8 qubits; qubit 12 is a malformed program, not a
         // reason to abort the process.
-        let err = p.process(SimTime::ZERO, &[rx(12, 1.0)]).unwrap_err();
+        let err = p
+            .process(SimTime::ZERO, &[rx(12, 1.0)], &mut no_faults())
+            .unwrap_err();
         assert_eq!(
             err,
             ControllerError::QubitOutOfRange {
@@ -499,14 +472,18 @@ mod tests {
             }
         );
         // The pipeline stays usable for well-formed work afterwards.
-        let (report, _) = p.process(SimTime::ZERO, &[rx(0, 1.0)]).unwrap();
+        let (report, _) = p
+            .process(SimTime::ZERO, &[rx(0, 1.0)], &mut no_faults())
+            .unwrap();
         assert_eq!(report.generated, 1);
     }
 
     #[test]
     fn report_attributes_front_and_pgu_time() {
         let mut p = pipeline();
-        let (report, _) = p.process(SimTime::ZERO, &[rx(0, 1.0)]).unwrap();
+        let (report, _) = p
+            .process(SimTime::ZERO, &[rx(0, 1.0)], &mut no_faults())
+            .unwrap();
         // One entry occupies the front for one initiation cycle and the
         // PGU for its full generation latency.
         assert_eq!(report.front_time, SimDuration::from_ns(1));
@@ -514,7 +491,7 @@ mod tests {
         // A stalled run charges the stall to the front as well.
         let mut q = pipeline();
         let items: Vec<WorkItem> = (0..9).map(|i| rx(0, 0.1 + 0.2 * i as f64)).collect();
-        let (stalled, _) = q.process(SimTime::ZERO, &items).unwrap();
+        let (stalled, _) = q.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
         assert!(stalled.front_time >= SimDuration::from_ns(9) + stalled.stall_time);
         assert_eq!(stalled.pgu_busy, SimDuration::from_ns(9 * 1000));
     }
@@ -523,7 +500,7 @@ mod tests {
     fn report_counts_are_consistent() {
         let mut p = pipeline();
         let items: Vec<WorkItem> = (0..20).map(|i| rx(i % 4, (i % 5) as f64 * 0.3)).collect();
-        let (report, resolved) = p.process(SimTime::ZERO, &items).unwrap();
+        let (report, resolved) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
         assert_eq!(report.entries, 20);
         assert_eq!(
             report.generated,

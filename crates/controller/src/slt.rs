@@ -132,13 +132,16 @@ impl SltStats {
 /// ```
 /// use qtenon_controller::SltController;
 /// use qtenon_isa::{EncodedAngle, GateType, QccLayout, QubitId};
+/// use qtenon_sim_engine::{FaultInjector, FaultPlan};
 ///
 /// let layout = QccLayout::for_qubits(4)?;
 /// let mut slt = SltController::new(layout);
+/// let mut no_faults = FaultInjector::new(FaultPlan::default());
 /// let angle = EncodedAngle::from_radians(1.0);
-/// let first = slt.resolve(QubitId::new(0), GateType::Rx, angle.code())?;
+/// let q = QubitId::new(0);
+/// let first = slt.resolve(q, GateType::Rx, angle.code(), &mut no_faults)?;
 /// assert!(first.needs_generation());
-/// let again = slt.resolve(QubitId::new(0), GateType::Rx, angle.code())?;
+/// let again = slt.resolve(q, GateType::Rx, angle.code(), &mut no_faults)?;
 /// assert!(!again.needs_generation()); // cached
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -191,22 +194,13 @@ impl SltController {
         Ok(())
     }
 
-    /// Resolves a pulse request for `(qubit, gate, data27)` through the
-    /// Fig. 7 workflow.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ControllerError::QubitOutOfRange`] if `qubit` is outside
-    /// the layout, and [`ControllerError::PulseSlotOutOfRange`] if the
-    /// allocator and layout geometry disagree. Rejected requests are not
-    /// counted as lookups.
-    pub fn resolve(
+    /// Walks the Fig. 7 workflow for an in-range `(qubit, gate, data27)`.
+    fn lookup(
         &mut self,
         qubit: QubitId,
         gate: GateType,
         data27: u32,
     ) -> Result<PulseResolution, ControllerError> {
-        self.check_qubit(qubit)?;
         let key = SltKey::for_gate(gate, data27);
         self.stats.lookups += 1;
         let q = qubit.index() as usize;
@@ -271,17 +265,20 @@ impl SltController {
         Ok(resolution)
     }
 
-    /// Like [`SltController::resolve`], with a per-lookup parity check
-    /// drawn from `faults`. A detected bit flip on the matching entry
-    /// invalidates that way, so the lookup degrades to the QSpace lookup
-    /// or a full PGU recomputation — trading the skip speedup for
-    /// correctness instead of serving a corrupted pulse address.
+    /// Resolves a pulse request for `(qubit, gate, data27)` through the
+    /// Fig. 7 workflow, with a per-lookup parity check drawn from
+    /// `faults`. A detected bit flip on the matching entry invalidates
+    /// that way, so the lookup degrades to the QSpace lookup or a full PGU
+    /// recomputation — trading the skip speedup for correctness instead
+    /// of serving a corrupted pulse address.
     ///
     /// # Errors
     ///
-    /// Same contract as [`SltController::resolve`]; a rejected request
-    /// draws no fault, so RNG streams stay aligned with the plain path.
-    pub fn resolve_resilient(
+    /// Returns [`ControllerError::QubitOutOfRange`] if `qubit` is outside
+    /// the layout, and [`ControllerError::PulseSlotOutOfRange`] if the
+    /// allocator and layout geometry disagree. Rejected requests are not
+    /// counted as lookups and draw no fault.
+    pub fn resolve(
         &mut self,
         qubit: QubitId,
         gate: GateType,
@@ -300,7 +297,7 @@ impl SltController {
                 self.stats.parity_invalidations += 1;
             }
         }
-        self.resolve(qubit, gate, data27)
+        self.lookup(qubit, gate, data27)
     }
 
     /// Registers SLT and QSpace statistics under `prefix`
@@ -342,9 +339,14 @@ impl SltController {
 mod tests {
     use super::*;
     use qtenon_isa::EncodedAngle;
+    use qtenon_sim_engine::FaultPlan;
 
     fn controller(n: u32) -> SltController {
         SltController::new(QccLayout::for_qubits(n).unwrap())
+    }
+
+    fn no_faults() -> FaultInjector {
+        FaultInjector::new(FaultPlan::default())
     }
 
     fn code(theta: f64) -> u32 {
@@ -355,11 +357,11 @@ mod tests {
     fn first_use_allocates_second_hits() {
         let mut slt = controller(2);
         let r1 = slt
-            .resolve(QubitId::new(0), GateType::Rx, code(1.0))
+            .resolve(QubitId::new(0), GateType::Rx, code(1.0), &mut no_faults())
             .unwrap();
         assert!(matches!(r1, PulseResolution::Allocated(_)));
         let r2 = slt
-            .resolve(QubitId::new(0), GateType::Rx, code(1.0))
+            .resolve(QubitId::new(0), GateType::Rx, code(1.0), &mut no_faults())
             .unwrap();
         assert!(matches!(r2, PulseResolution::SltHit(_)));
         assert_eq!(r1.qaddr(), r2.qaddr());
@@ -371,10 +373,10 @@ mod tests {
     fn per_qubit_isolation() {
         let mut slt = controller(2);
         let a = slt
-            .resolve(QubitId::new(0), GateType::Rx, code(1.0))
+            .resolve(QubitId::new(0), GateType::Rx, code(1.0), &mut no_faults())
             .unwrap();
         let b = slt
-            .resolve(QubitId::new(1), GateType::Rx, code(1.0))
+            .resolve(QubitId::new(1), GateType::Rx, code(1.0), &mut no_faults())
             .unwrap();
         // Same parameter on a different qubit is a separate pulse.
         assert!(b.needs_generation());
@@ -385,10 +387,10 @@ mod tests {
     fn distinct_gate_types_do_not_collide() {
         let mut slt = controller(1);
         let rx = slt
-            .resolve(QubitId::new(0), GateType::Rx, code(1.0))
+            .resolve(QubitId::new(0), GateType::Rx, code(1.0), &mut no_faults())
             .unwrap();
         let ry = slt
-            .resolve(QubitId::new(0), GateType::Ry, code(1.0))
+            .resolve(QubitId::new(0), GateType::Ry, code(1.0), &mut no_faults())
             .unwrap();
         assert!(rx.needs_generation());
         assert!(ry.needs_generation());
@@ -400,10 +402,15 @@ mod tests {
         // Angles within tag resolution share a pulse — quantization reuse.
         let mut slt = controller(1);
         let a = slt
-            .resolve(QubitId::new(0), GateType::Rz, code(1.0))
+            .resolve(QubitId::new(0), GateType::Rz, code(1.0), &mut no_faults())
             .unwrap();
         let b = slt
-            .resolve(QubitId::new(0), GateType::Rz, code(1.0 + 1e-8))
+            .resolve(
+                QubitId::new(0),
+                GateType::Rz,
+                code(1.0 + 1e-8),
+                &mut no_faults(),
+            )
             .unwrap();
         assert!(!b.needs_generation());
         assert_eq!(a.qaddr(), b.qaddr());
@@ -420,20 +427,25 @@ mod tests {
         let c1 = base | (1 << 7);
         let c2 = base | (2 << 7);
         let c3 = base | (3 << 7);
-        let r1 = slt.resolve(q, GateType::Rx, c1).unwrap();
+        let r1 = slt.resolve(q, GateType::Rx, c1, &mut no_faults()).unwrap();
         // Bump c1's count so c2 is the least-counted victim later.
-        slt.resolve(q, GateType::Rx, c1).unwrap();
-        let _r2 = slt.resolve(q, GateType::Rx, c2).unwrap();
-        let _r3 = slt.resolve(q, GateType::Rx, c3).unwrap(); // evicts c2 (count 1)
+        slt.resolve(q, GateType::Rx, c1, &mut no_faults()).unwrap();
+        let _r2 = slt.resolve(q, GateType::Rx, c2, &mut no_faults()).unwrap();
+        let _r3 = slt.resolve(q, GateType::Rx, c3, &mut no_faults()).unwrap(); // evicts c2 (count 1)
         assert_eq!(slt.stats().evictions, 1);
         // c1 must still be cached.
-        assert!(!slt.resolve(q, GateType::Rx, c1).unwrap().needs_generation());
+        assert!(!slt
+            .resolve(q, GateType::Rx, c1, &mut no_faults())
+            .unwrap()
+            .needs_generation());
         assert_eq!(
-            slt.resolve(q, GateType::Rx, c1).unwrap().qaddr(),
+            slt.resolve(q, GateType::Rx, c1, &mut no_faults())
+                .unwrap()
+                .qaddr(),
             r1.qaddr()
         );
         // c2 now misses the SLT but hits QSpace: no regeneration.
-        let back = slt.resolve(q, GateType::Rx, c2).unwrap();
+        let back = slt.resolve(q, GateType::Rx, c2, &mut no_faults()).unwrap();
         assert!(matches!(back, PulseResolution::QSpaceHit(_)));
     }
 
@@ -442,9 +454,11 @@ mod tests {
         let mut slt = controller(1);
         let q = QubitId::new(0);
         let base = 0b0001 << 23;
-        slt.resolve(q, GateType::Rx, base | (1 << 7)).unwrap();
+        slt.resolve(q, GateType::Rx, base | (1 << 7), &mut no_faults())
+            .unwrap();
         // Second distinct tag should fill the invalid way, evicting nothing.
-        slt.resolve(q, GateType::Rx, base | (2 << 7)).unwrap();
+        slt.resolve(q, GateType::Rx, base | (2 << 7), &mut no_faults())
+            .unwrap();
         assert_eq!(slt.stats().evictions, 0);
     }
 
@@ -453,7 +467,8 @@ mod tests {
         let mut slt = controller(1);
         let q = QubitId::new(0);
         for _ in 0..9 {
-            slt.resolve(q, GateType::Ry, code(0.5)).unwrap();
+            slt.resolve(q, GateType::Ry, code(0.5), &mut no_faults())
+                .unwrap();
         }
         // 1 allocation + 8 hits.
         let s = slt.stats();
@@ -466,7 +481,8 @@ mod tests {
         let mut slt = controller(1);
         let q = QubitId::new(0);
         for _ in 0..100 {
-            slt.resolve(q, GateType::Rx, code(2.0)).unwrap();
+            slt.resolve(q, GateType::Rx, code(2.0), &mut no_faults())
+                .unwrap();
         }
         let key = SltKey::for_gate(GateType::Rx, code(2.0));
         let set = &slt.tables[0][key.index as usize];
@@ -482,7 +498,9 @@ mod tests {
         let mut addrs = Vec::new();
         for i in 0..6u32 {
             // Distinct tags forcing fresh allocations.
-            let r = slt.resolve(q, GateType::Rx, (i + 1) << 7).unwrap();
+            let r = slt
+                .resolve(q, GateType::Rx, (i + 1) << 7, &mut no_faults())
+                .unwrap();
             if r.needs_generation() {
                 addrs.push(r.qaddr().raw());
             }
@@ -496,19 +514,18 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let mut slt = controller(1);
-        slt.resolve(QubitId::new(0), GateType::Rx, code(1.0))
+        slt.resolve(QubitId::new(0), GateType::Rx, code(1.0), &mut no_faults())
             .unwrap();
         slt.reset();
         assert_eq!(slt.stats(), SltStats::default());
         assert!(slt
-            .resolve(QubitId::new(0), GateType::Rx, code(1.0))
+            .resolve(QubitId::new(0), GateType::Rx, code(1.0), &mut no_faults())
             .unwrap()
             .needs_generation());
     }
 
     #[test]
     fn parity_poison_degrades_to_recompute_without_wrong_data() {
-        use qtenon_sim_engine::{FaultInjector, FaultPlan, FaultSite};
         let plan = FaultPlan::default()
             .with_rate(FaultSite::SltBitFlip, 0.999_999)
             .with_seed(13);
@@ -516,44 +533,27 @@ mod tests {
         let mut slt = controller(1);
         let q = QubitId::new(0);
         // Warm the entry through the fault-free path.
-        let first = slt.resolve(q, GateType::Rx, code(1.0)).unwrap();
+        let first = slt
+            .resolve(q, GateType::Rx, code(1.0), &mut no_faults())
+            .unwrap();
         assert!(first.needs_generation());
         // Near-certain parity error on the re-lookup: the hit is refused
         // and the pulse is recomputed rather than served corrupted.
-        let degraded = slt
-            .resolve_resilient(q, GateType::Rx, code(1.0), &mut inj)
-            .unwrap();
+        let degraded = slt.resolve(q, GateType::Rx, code(1.0), &mut inj).unwrap();
         assert!(!matches!(degraded, PulseResolution::SltHit(_)));
         assert_eq!(slt.stats().parity_invalidations, 1);
         // The warm path is restored afterwards (fault-free lookup hits).
-        let healed = slt.resolve(q, GateType::Rx, code(1.0)).unwrap();
+        let healed = slt
+            .resolve(q, GateType::Rx, code(1.0), &mut no_faults())
+            .unwrap();
         assert!(matches!(healed, PulseResolution::SltHit(_)));
     }
 
     #[test]
-    fn zero_rate_resilient_resolve_matches_plain() {
-        use qtenon_sim_engine::{FaultInjector, FaultPlan};
-        let mut inj = FaultInjector::new(FaultPlan::default());
-        let mut a = controller(1);
-        let mut b = controller(1);
-        for i in 0..50u32 {
-            let ra = a
-                .resolve(QubitId::new(0), GateType::Ry, (i % 7 + 1) << 7)
-                .unwrap();
-            let rb = b
-                .resolve_resilient(QubitId::new(0), GateType::Ry, (i % 7 + 1) << 7, &mut inj)
-                .unwrap();
-            assert_eq!(ra, rb);
-        }
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
     fn out_of_range_qubit_is_a_typed_error_not_a_panic() {
-        use qtenon_sim_engine::{FaultInjector, FaultPlan};
         let mut slt = controller(2);
         let err = slt
-            .resolve(QubitId::new(7), GateType::Rx, code(1.0))
+            .resolve(QubitId::new(7), GateType::Rx, code(1.0), &mut no_faults())
             .unwrap_err();
         assert_eq!(
             err,
@@ -562,11 +562,6 @@ mod tests {
                 n_qubits: 2
             }
         );
-        let mut inj = FaultInjector::new(FaultPlan::default());
-        let err = slt
-            .resolve_resilient(QubitId::new(7), GateType::Rx, code(1.0), &mut inj)
-            .unwrap_err();
-        assert!(matches!(err, ControllerError::QubitOutOfRange { .. }));
         // Rejected requests leave the stats untouched.
         assert_eq!(slt.stats(), SltStats::default());
     }

@@ -5,7 +5,7 @@ use qtenon_prop::check;
 use qtenon_controller::pgu::{PguConfig, PguPool};
 use qtenon_controller::{MemoryBarrier, ReorderBufferQueue, SltController};
 use qtenon_isa::{GateType, QccLayout, QubitId};
-use qtenon_sim_engine::{SimDuration, SimTime};
+use qtenon_sim_engine::{FaultInjector, FaultPlan, SimDuration, SimTime};
 
 #[test]
 fn rbq_realigns_any_completion_order() {
@@ -53,9 +53,10 @@ fn pgu_pool_never_overlaps_a_unit() {
             ..PguConfig::default()
         })
         .unwrap();
+        let mut no_faults = FaultInjector::new(FaultPlan::default());
         let mut per_unit: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); units];
         for _ in 0..jobs {
-            let d = pool.dispatch(SimTime::ZERO);
+            let d = pool.dispatch(SimTime::ZERO, &mut no_faults).unwrap();
             per_unit[d.unit].push((d.start, d.done));
         }
         for intervals in &per_unit {
@@ -73,9 +74,12 @@ fn slt_same_key_same_address_forever() {
         let codes = g.vec(1..64, |g| g.draw(0u32..(1 << 27)));
         let layout = QccLayout::for_qubits(4).unwrap();
         let mut slt = SltController::new(layout);
+        let mut no_faults = FaultInjector::new(FaultPlan::default());
         let mut book = std::collections::HashMap::new();
         for &code in &codes {
-            let r = slt.resolve(QubitId::new(0), GateType::Rx, code).unwrap();
+            let r = slt
+                .resolve(QubitId::new(0), GateType::Rx, code, &mut no_faults)
+                .unwrap();
             // Key = the tag the hardware uses (top 20 bits of the code).
             let key = code >> 7;
             let addr = r.qaddr();

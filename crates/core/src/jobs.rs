@@ -139,8 +139,8 @@ pub struct JobSpec {
     pub sync: SyncMode,
     /// Measurement transmission policy.
     pub transmission: TransmissionPolicy,
-    /// Optional fault-injection plan for this job only.
-    pub faults: Option<FaultPlan>,
+    /// Fault-injection plan for this job only (inert by default).
+    pub faults: FaultPlan,
     /// Transient-failure retry budget: how many times a failed attempt
     /// re-enters the queue before the job is quarantined. 0 (the
     /// default) preserves the pre-containment behaviour: one attempt,
@@ -180,7 +180,7 @@ impl JobSpec {
             seed: None,
             sync: SyncMode::default(),
             transmission: TransmissionPolicy::default(),
-            faults: None,
+            faults: FaultPlan::default(),
             retry_budget: 0,
             deadline: None,
             chaos_panic: false,
@@ -240,7 +240,7 @@ impl JobSpec {
 
     /// Returns a copy with a fault-injection plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = Some(faults);
+        self.faults = faults;
         self
     }
 
@@ -304,10 +304,8 @@ impl JobSpec {
             "sync" => self.sync = field_keyword(value, key, SYNC_MODES)?,
             "transmission" => self.transmission = field_keyword(value, key, TRANSMISSIONS)?,
             "faults" => {
-                self.faults = Some(
-                    FaultPlan::parse(field_str(value, key)?)
-                        .map_err(|e| spec_err(format!("bad fault spec: {e}")))?,
-                )
+                self.faults = FaultPlan::parse(field_str(value, key)?)
+                    .map_err(|e| spec_err(format!("bad fault spec: {e}")))?
             }
             "retries" => self.retry_budget = field_u32(value, key)?,
             "deadline_ns" => self.deadline = Some(SimDuration::from_ns(field_u64(value, key)?)),
@@ -898,15 +896,13 @@ pub fn run_attempt(
         Ok(c) => c,
         Err(e) => return permanent(fail(e.to_string())),
     };
-    let mut config = config
+    let config = config
         .with_sync(spec.sync)
         .with_transmission(spec.transmission)
         .with_seed(seed)
         .with_threads(threads)
-        .with_fuse(spec.fuse);
-    if let Some(faults) = spec.faults {
-        config = config.with_faults(faults);
-    }
+        .with_fuse(spec.fuse)
+        .with_faults(spec.faults);
     let workload = match Workload::benchmark(spec.kind, spec.n_qubits, seed) {
         Ok(w) => w,
         Err(e) => return permanent(fail(e.to_string())),
@@ -2183,7 +2179,7 @@ mod tests {
         assert_eq!(b.name, "job1");
         assert_eq!(b.kind, WorkloadKind::Qnn);
         assert_eq!(b.seed, Some(77));
-        assert!(b.faults.expect("fault plan").is_active());
+        assert!(b.faults.is_active());
     }
 
     #[test]

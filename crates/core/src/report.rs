@@ -42,24 +42,6 @@ impl TimeBreakdown {
     }
 }
 
-impl std::ops::Add for TimeBreakdown {
-    type Output = TimeBreakdown;
-    fn add(self, rhs: TimeBreakdown) -> TimeBreakdown {
-        TimeBreakdown {
-            quantum: self.quantum + rhs.quantum,
-            communication: self.communication + rhs.communication,
-            pulse_generation: self.pulse_generation + rhs.pulse_generation,
-            host: self.host + rhs.host,
-        }
-    }
-}
-
-impl std::ops::AddAssign for TimeBreakdown {
-    fn add_assign(&mut self, rhs: TimeBreakdown) {
-        *self = *self + rhs;
-    }
-}
-
 /// Communication time and instruction counts split by data-communication
 /// instruction (Fig. 14's breakdown).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -95,17 +77,6 @@ impl CommBreakdown {
             self.q_update.fraction_of(total),
             self.q_acquire.fraction_of(total),
         ]
-    }
-}
-
-impl std::ops::AddAssign for CommBreakdown {
-    fn add_assign(&mut self, rhs: CommBreakdown) {
-        self.q_set += rhs.q_set;
-        self.q_update += rhs.q_update;
-        self.q_acquire += rhs.q_acquire;
-        self.q_set_count += rhs.q_set_count;
-        self.q_update_count += rhs.q_update_count;
-        self.q_acquire_count += rhs.q_acquire_count;
     }
 }
 
@@ -149,19 +120,6 @@ impl ResilienceSummary {
     /// Whether any fault fired or any recovery action ran.
     pub fn is_zero(&self) -> bool {
         self.faults_injected == 0 && self.total_retries() == 0
-    }
-}
-
-impl std::ops::AddAssign for ResilienceSummary {
-    fn add_assign(&mut self, rhs: ResilienceSummary) {
-        self.faults_injected += rhs.faults_injected;
-        self.bus_retries += rhs.bus_retries;
-        self.pgu_stalls += rhs.pgu_stalls;
-        self.pgu_redispatches += rhs.pgu_redispatches;
-        self.slt_invalidations += rhs.slt_invalidations;
-        self.rbq_reclaims += rhs.rbq_reclaims;
-        self.readout_retries += rhs.readout_retries;
-        self.ecc_corrections += rhs.ecc_corrections;
     }
 }
 
@@ -310,37 +268,5 @@ mod tests {
             ..ResilienceSummary::default()
         };
         assert!(!r.is_zero());
-    }
-
-    #[test]
-    fn resilience_accumulates_fieldwise() {
-        let mut a = ResilienceSummary {
-            faults_injected: 1,
-            bus_retries: 2,
-            ecc_corrections: 3,
-            ..ResilienceSummary::default()
-        };
-        a += ResilienceSummary {
-            faults_injected: 10,
-            readout_retries: 4,
-            ..ResilienceSummary::default()
-        };
-        assert_eq!(a.faults_injected, 11);
-        assert_eq!(a.bus_retries, 2);
-        assert_eq!(a.readout_retries, 4);
-        assert_eq!(a.total_retries(), 9);
-    }
-
-    #[test]
-    fn breakdown_accumulates() {
-        let mut a = TimeBreakdown {
-            quantum: ns(1),
-            communication: ns(2),
-            pulse_generation: ns(3),
-            host: ns(4),
-        };
-        a += a;
-        assert_eq!(a.quantum, ns(2));
-        assert_eq!(a.host, ns(8));
     }
 }

@@ -385,15 +385,9 @@ impl QtenonSystem {
         now + stall
     }
 
-    /// Schedules a bus transfer, routing through the retry-aware path
-    /// only when fault injection is live.
+    /// Schedules a bus transfer, retrying injected drops and corruptions.
     fn bus_transfer(&mut self, now: SimTime, bytes: u64) -> Result<TransferTiming, SystemError> {
-        let timing = if self.injector.is_active() {
-            self.bus
-                .schedule_transfer_resilient(now, bytes, &mut self.injector)?
-        } else {
-            self.bus.schedule_transfer(now, bytes)
-        };
+        let timing = self.bus.schedule_transfer(now, bytes, &mut self.injector)?;
         self.profiler
             .span(self.phases.bus_transfer, now, timing.complete);
         Ok(timing)
@@ -474,7 +468,7 @@ impl QtenonSystem {
             return;
         }
         self.active_flow = None;
-        if self.injector.is_active() && self.injector.bernoulli(FaultSite::RbqStuck) {
+        if self.injector.bernoulli(FaultSite::RbqStuck) {
             // The completion response is lost: the tag stays allocated
             // until the watchdog reclaims it.
             if let Some(trace) = &mut self.trace {
@@ -662,23 +656,21 @@ impl QtenonSystem {
         let write = self.hierarchy.access_range(classical_addr, bytes, true);
         self.profiler.record(self.phases.host_write, write);
         let mut complete = transfer.complete.max(now + write);
-        if self.injector.is_active() {
-            let timeouts = self.injector.geometric_failures(FaultSite::ReadoutTimeout);
-            let budget = self.injector.plan().max_attempts.max(1);
-            if timeouts >= budget {
-                self.readout_retries += u64::from(budget - 1);
-                return Err(SystemError::Controller(
-                    ControllerError::ReadoutRetriesExhausted { attempts: budget },
-                ));
-            }
-            if timeouts > 0 {
-                let penalty = self.readout.retry_penalty(timeouts, self.injector.plan());
-                self.readout_retries += u64::from(timeouts);
-                complete += penalty;
-                if let Some(trace) = &mut self.trace {
-                    let lane = TraceLane::Communication;
-                    trace.record("fault:readout_timeout", lane, now, SimDuration::ZERO);
-                }
+        let timeouts = self.injector.geometric_failures(FaultSite::ReadoutTimeout);
+        let budget = self.injector.plan().max_attempts.max(1);
+        if timeouts >= budget {
+            self.readout_retries += u64::from(budget - 1);
+            return Err(SystemError::Controller(
+                ControllerError::ReadoutRetriesExhausted { attempts: budget },
+            ));
+        }
+        if timeouts > 0 {
+            let penalty = self.readout.retry_penalty(timeouts, self.injector.plan());
+            self.readout_retries += u64::from(timeouts);
+            complete += penalty;
+            if let Some(trace) = &mut self.trace {
+                let lane = TraceLane::Communication;
+                trace.record("fault:readout_timeout", lane, now, SimDuration::ZERO);
             }
         }
         self.barrier
@@ -732,12 +724,7 @@ impl QtenonSystem {
             })
             .collect();
         let wall = self.profiler.wall_start();
-        let (report, resolved) = if self.injector.is_active() {
-            self.pipeline
-                .process_resilient(now, &work, &mut self.injector)?
-        } else {
-            self.pipeline.process(now, &work)?
-        };
+        let (report, resolved) = self.pipeline.process(now, &work, &mut self.injector)?;
         self.profiler.wall_end(self.phases.pgu_dispatch, wall);
         for (item, pulse) in work.iter().zip(&resolved) {
             if pulse.generated {

@@ -94,7 +94,7 @@ fn faulty_job_recovers_identically_in_and_out_of_fleet() {
     let jobs = fleet();
     let sched = scheduler();
     let faulty = 4;
-    assert!(jobs[faulty].faults.expect("fault plan").is_active());
+    assert!(jobs[faulty].faults.is_active());
     let seed = sched.seed_of(JobId::from_index(faulty)).expect("admitted");
     let standalone = run_standalone(&jobs[faulty], seed, 1).expect("standalone run succeeds");
     assert!(

@@ -410,9 +410,20 @@ impl FaultPlan {
 
 /// The runtime half of a [`FaultPlan`]: per-site RNG streams plus
 /// checked/injected counters for the `faults.*` metrics namespace.
+///
+/// Every fault site calls the injector unconditionally; the injector
+/// alone decides "no faults". On an inert plan [`bernoulli`] answers
+/// `false` and [`geometric_failures`] answers `0` without touching a
+/// stream or a counter. On an active plan every decision spends exactly
+/// one draw and counts one check, including at sites whose rate is zero.
+///
+/// [`bernoulli`]: FaultInjector::bernoulli
+/// [`geometric_failures`]: FaultInjector::geometric_failures
 #[derive(Clone, Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
+    /// `plan.is_active()`, computed once at construction.
+    active: bool,
     streams: [u64; FaultSite::ALL.len()],
     checked: [u64; FaultSite::ALL.len()],
     injected: [u64; FaultSite::ALL.len()],
@@ -430,6 +441,7 @@ impl FaultInjector {
         });
         FaultInjector {
             plan,
+            active: plan.is_active(),
             streams,
             checked: [0; FaultSite::ALL.len()],
             injected: [0; FaultSite::ALL.len()],
@@ -442,12 +454,18 @@ impl FaultInjector {
     }
 
     /// True when any site can fire (see [`FaultPlan::is_active`]).
+    #[inline]
     pub fn is_active(&self) -> bool {
-        self.plan.is_active()
+        self.active
     }
 
-    /// One Bernoulli trial at `site`; consumes exactly one draw.
+    /// One Bernoulli trial at `site`: exactly one draw on an active plan,
+    /// none on an inert one.
+    #[inline]
     pub fn bernoulli(&mut self, site: FaultSite) -> bool {
+        if !self.active {
+            return false;
+        }
         let i = site.index();
         self.checked[i] += 1;
         let hit = unit(&mut self.streams[i]) < self.plan.rate(site);
@@ -460,8 +478,12 @@ impl FaultInjector {
     /// The number of consecutive failures before the first success at
     /// `site`, from exactly one draw: `k = max k with u < rate^k`. A zero
     /// rate always returns 0; the count is capped at 64 so a pathological
-    /// draw cannot spin.
+    /// draw cannot spin. An inert plan returns 0 without drawing.
+    #[inline]
     pub fn geometric_failures(&mut self, site: FaultSite) -> u32 {
+        if !self.active {
+            return 0;
+        }
         let i = site.index();
         self.checked[i] += 1;
         let rate = self.plan.rate(site);
@@ -547,6 +569,52 @@ mod tests {
             assert_eq!(inj.geometric_failures(site), 0);
         }
         assert_eq!(inj.injected_total(), 0);
+    }
+
+    #[test]
+    fn inert_injector_draws_nothing_and_counts_nothing() {
+        // Rates all zero but every other knob non-default: only the rates
+        // decide inertness.
+        let plan = FaultPlan {
+            max_attempts: 1,
+            ..FaultPlan::default()
+        }
+        .with_seed(0xDEAD);
+        let mut inj = FaultInjector::new(plan);
+        assert!(!inj.is_active());
+        let streams = inj.streams;
+        for _ in 0..3 {
+            for site in FaultSite::ALL {
+                assert!(!inj.bernoulli(site));
+                assert_eq!(inj.geometric_failures(site), 0);
+            }
+        }
+        assert_eq!(inj.streams, streams, "an inert plan touched a stream");
+        for site in FaultSite::ALL {
+            assert_eq!(inj.checked(site), 0, "{}", site.name());
+        }
+        assert_eq!(inj.for_shot(5).checked(FaultSite::QccBitFlip), 0);
+    }
+
+    #[test]
+    fn active_plan_checks_zero_rate_sites_once_per_decision() {
+        let plan = FaultPlan::default()
+            .with_rate(FaultSite::BusDrop, 0.3)
+            .with_seed(5);
+        let mut inj = FaultInjector::new(plan);
+        assert!(inj.is_active());
+        let before = inj.streams;
+        for _ in 0..4 {
+            assert!(!inj.bernoulli(FaultSite::RbqStuck));
+            assert_eq!(inj.geometric_failures(FaultSite::PguFail), 0);
+        }
+        assert_eq!(inj.checked(FaultSite::RbqStuck), 4);
+        assert_eq!(inj.checked(FaultSite::PguFail), 4);
+        assert_eq!(inj.injected_total(), 0);
+        // The zero-rate sites' streams advanced; the untouched one did not.
+        let moved = |s: FaultSite| inj.streams[s.index()] != before[s.index()];
+        assert!(moved(FaultSite::RbqStuck) && moved(FaultSite::PguFail));
+        assert!(!moved(FaultSite::BusDrop));
     }
 
     #[test]

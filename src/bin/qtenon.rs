@@ -3,7 +3,7 @@
 //! execution traces.
 //!
 //! ```text
-//! qtenon run <file.qasm> [--shots N] [--seed S] [--noise]   # execute on the system
+//! qtenon run <file.qasm> [--shots N] [--seed S]             # execute on the system
 //!             [--threads T]                                 # shot-sharded sampling
 //!             [--metrics out.json] [--trace out.json]       # telemetry export
 //!             [--faults SPEC|FILE] [--fault-seed S]         # fault injection
@@ -107,7 +107,6 @@ use qtenon::core::config::{CoreModel, QtenonConfig};
 use qtenon::core::jobs::{BatchReport, BatchSpec, JobSpec};
 use qtenon::core::system::QtenonSystem;
 use qtenon::isa::{disasm, QubitId};
-use qtenon::quantum::noise::NoiseModel;
 use qtenon::quantum::{qasm, transpile, Circuit};
 use qtenon::sim_engine::json::{self, JsonValue};
 use qtenon::sim_engine::{FaultPlan, MetricsRegistry, MetricsSnapshot, SimTime};
@@ -122,7 +121,6 @@ struct Args {
     file: Option<String>,
     shots: u64,
     seed: u64,
-    noise: bool,
     trace_out: Option<String>,
     faults: Option<String>,
     fault_seed: Option<u64>,
@@ -193,7 +191,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             ("--no-fuse", _) => a.no_fuse = true,
             ("--shots", false) => a.shots = value(&mut argv, flag)?,
             ("--seed", false) => a.seed = value(&mut argv, flag)?,
-            ("--noise", false) => a.noise = true,
             ("--trace", false) => a.trace_out = Some(value(&mut argv, flag)?),
             ("--faults", false) => a.faults = Some(value(&mut argv, flag)?),
             ("--fault-seed", false) => a.fault_seed = Some(value(&mut argv, flag)?),
@@ -222,7 +219,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
 
 fn usage() -> String {
     "usage: qtenon <run|disasm|trace> <file.qasm> [--shots N] [--seed S] [--threads T] \
-     [--noise] [--metrics out.json] [--trace out.json] [--faults SPEC|FILE] [--fault-seed S] \
+     [--metrics out.json] [--trace out.json] [--faults SPEC|FILE] [--fault-seed S] \
      [--profile] [--critpath] [--no-fuse]\n\
      \u{20}      qtenon batch --jobs <spec.json> [--threads T] [--metrics out.json] \
      [--job-metrics DIR] [--only NAME] [--profile] [--critpath] \
@@ -490,12 +487,6 @@ fn run() -> Result<(), String> {
         _ => {
             let tracing = args.command == "trace" || args.trace_out.is_some();
             let mut system = QtenonSystem::new(config).map_err(|e| e.to_string())?;
-            if args.noise {
-                // The CLI uses the system's chip; attach noise by running
-                // through a noisy standalone simulator for the sampling
-                // step below instead.
-                eprintln!("note: --noise applies typical superconducting error rates");
-            }
             system.set_tracing(tracing);
             // Root the causal chain at t=0 so the first q_set edge is
             // charged from program start rather than auto-rooted at its
@@ -528,20 +519,9 @@ fn run() -> Result<(), String> {
             }
             let items = program.work_items(&[]).map_err(|e| e.to_string())?;
             let (gen, t) = system.q_gen(now, &items).map_err(|e| e.to_string())?;
-            let outcome = if args.noise {
-                // Sample through a noisy simulator, then deposit manually.
-                let mut sim = qtenon::quantum::sim::Simulator::fast(n, args.seed)
-                    .with_noise(NoiseModel::typical_superconducting());
-                let shots = sim.run(&circuit, args.shots).map_err(|e| e.to_string())?;
-                (None, shots, t)
-            } else {
-                let o = system
-                    .q_run(t, &circuit, args.shots)
-                    .map_err(|e| e.to_string())?;
-                let complete = o.complete;
-                (Some(complete), o.shots, t)
-            };
-            let (complete, shots, _) = outcome;
+            let outcome = system
+                .q_run(t, &circuit, args.shots)
+                .map_err(|e| e.to_string())?;
 
             if let Some(path) = &args.metrics {
                 let snapshot =
@@ -598,20 +578,17 @@ fn run() -> Result<(), String> {
 
             // Histogram of outcomes (top 16).
             let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-            for s in &shots {
+            for s in &outcome.shots {
                 *counts.entry(s.to_string()).or_insert(0) += 1;
             }
             let mut sorted: Vec<_> = counts.into_iter().collect();
             sorted.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
             println!(
-                "{} qubits, {} shots, {} pulses generated{}",
+                "{} qubits, {} shots, {} pulses generated, simulated time {}",
                 n,
                 args.shots,
                 gen.generated,
-                match complete {
-                    Some(c) => format!(", simulated time {}", c.elapsed()),
-                    None => String::new(),
-                }
+                outcome.complete.elapsed()
             );
             for (bits, count) in sorted.iter().take(16) {
                 let bar = "#".repeat((count * 40 / args.shots.max(1)) as usize);
@@ -642,14 +619,14 @@ mod tests {
     #[test]
     fn run_takes_its_flags() {
         let a = parse(
-            "run bell.qasm --shots 7 --seed 9 --threads 3 --noise --metrics m.json \
+            "run bell.qasm --shots 7 --seed 9 --threads 3 --metrics m.json \
              --trace t.json --faults all=0.1 --fault-seed 5 --profile --critpath --no-fuse",
         )
         .unwrap();
         assert_eq!(a.command, "run");
         assert_eq!(a.file.as_deref(), Some("bell.qasm"));
         assert_eq!((a.shots, a.seed, a.threads), (7, 9, 3));
-        assert!(a.noise && a.profile && a.critpath && a.no_fuse);
+        assert!(a.profile && a.critpath && a.no_fuse);
         assert_eq!(a.metrics.as_deref(), Some("m.json"));
         assert_eq!(a.trace_out.as_deref(), Some("t.json"));
         assert_eq!(a.faults.as_deref(), Some("all=0.1"));
@@ -702,7 +679,6 @@ mod tests {
         for flag in [
             "--shots 5",
             "--seed 1",
-            "--noise",
             "--trace t.json",
             "--faults all=0.1",
         ] {
@@ -734,6 +710,15 @@ mod tests {
         rejects(
             "batch --jobs f.json --cache-capacity 8",
             "unknown argument \"--cache-capacity\"",
+        );
+    }
+
+    #[test]
+    fn removed_noise_flag_is_unknown() {
+        rejects("run bell.qasm --noise", "unknown argument \"--noise\"");
+        rejects(
+            "batch --jobs f.json --noise",
+            "unknown argument \"--noise\"",
         );
     }
 

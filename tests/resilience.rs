@@ -1,10 +1,15 @@
 //! Acceptance test for the fault-injection and resilience layer: a
 //! 64-qubit VQE run under non-zero fault rates must complete, report its
 //! recovery work in the exported metrics, and reproduce exactly under the
-//! same seed.
+//! same seed. The `qtenon run` CLI must do the same for a fixed fault
+//! schedule, and keep fault namespaces out of a fault-free export.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use qtenon::core::config::{CoreModel, QtenonConfig};
 use qtenon::core::vqa::VqaRunner;
+use qtenon::sim_engine::json::{self, JsonValue};
 use qtenon::sim_engine::{FaultPlan, MetricsRegistry};
 use qtenon::workloads::{SpsaOptimizer, Workload, WorkloadKind};
 
@@ -61,4 +66,60 @@ fn inert_plan_leaves_64q_metrics_free_of_fault_namespaces() {
     assert!(report.resilience.is_zero());
     assert!(!metrics.contains("faults."), "{metrics}");
     assert!(!metrics.contains("resilience."), "{metrics}");
+}
+
+/// Runs `qtenon run examples/qasm/bell.qasm --shots 500 <extra>
+/// --metrics <tmp>/<name>` and returns the parsed `metrics` object.
+fn cli_metrics(name: &str, extra: &[&str]) -> Vec<(String, JsonValue)> {
+    let bell = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/qasm/bell.qasm");
+    let out: PathBuf = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let run = Command::new(env!("CARGO_BIN_EXE_qtenon"))
+        .arg("run")
+        .arg(&bell)
+        .args(["--shots", "500"])
+        .args(extra)
+        .arg("--metrics")
+        .arg(&out)
+        .output()
+        .expect("qtenon binary runs");
+    assert!(run.status.success(), "{run:?}");
+    let text = std::fs::read_to_string(&out).expect("metrics written");
+    let doc = json::parse(&text).expect("metrics JSON parses");
+    doc.get("metrics")
+        .and_then(JsonValue::as_object)
+        .expect("a metrics object")
+        .to_vec()
+}
+
+fn value(metrics: &[(String, JsonValue)], path: &str) -> f64 {
+    metrics
+        .iter()
+        .find(|(k, _)| k == path)
+        .and_then(|(_, v)| v.get("value"))
+        .and_then(JsonValue::as_f64)
+        .unwrap_or_else(|| panic!("{path} missing"))
+}
+
+#[test]
+fn cli_fault_schedule_reports_injections_and_recoveries() {
+    let faulty = cli_metrics(
+        "cli-faults.json",
+        &["--faults", "all=0.25,max_attempts=8", "--fault-seed", "7"],
+    );
+    assert!(
+        value(&faulty, "faults.injected.total") > 0.0,
+        "fixed-seed fault schedule injected nothing"
+    );
+    assert!(
+        value(&faulty, "resilience.retries") > 0.0,
+        "no recovery activity despite injected faults"
+    );
+
+    let clean = cli_metrics("cli-clean.json", &[]);
+    let leaked: Vec<&str> = clean
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .filter(|k| k.starts_with("faults.") || k.starts_with("resilience."))
+        .collect();
+    assert!(leaked.is_empty(), "fault-free run exported {leaked:?}");
 }
