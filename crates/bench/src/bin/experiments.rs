@@ -14,8 +14,8 @@
 //! additionally runs the representative 64-qubit VQE and dumps its full
 //! metric tree to `PATH` (JSON) and `PATH.prom` (Prometheus text format).
 //! Valid ids: `fig1 table1 table2 table4 fig11 fig12 fig13 fig14 table5
-//! fig15 fig16a fig16b fig17 ablation resilience breakdown critpath
-//! chaos`; an unknown id exits 2. Every study measures sim time; host
+//! fig15 fig16a fig16b fig17 ablation resilience breakdown
+//! critpath`; an unknown id exits 2. Every study measures sim time; host
 //! wall time is `perfbench`'s. Every table is also mirrored to
 //! `target/experiments/<file id>.txt` (gitignored), with the path
 //! printed after each table.
@@ -136,14 +136,6 @@ const STUDIES: &[(&str, &str, &str, Study)] = &[
         "Critical path (beyond the paper) — who-blocks-whom causal attribution, \
          Qtenon vs decoupled baseline (same rows as `qtenon run --critpath`)",
         experiments::critpath,
-    ),
-    (
-        "chaos",
-        "chaos",
-        "Chaos (beyond the paper) — fault-rate x retry-budget campaign over a \
-         synthetic fleet; per-cell containment invariants checked \
-         (same harness as `qtenon batch --chaos`)",
-        experiments::chaos,
     ),
 ];
 

@@ -834,66 +834,6 @@ pub fn critpath(scale: &ExperimentScale) -> TextTable {
     t
 }
 
-/// Chaos campaign (beyond the paper): fault-injection rates × retry
-/// budgets swept over a synthetic fleet — healthy, fault-injected,
-/// scripted-flaky, deadline-bounded, and deliberately-panicking jobs —
-/// with the containment invariants checked per cell: width-invariant
-/// ledgers, bounded retries, and survivor artefacts byte-identical to
-/// standalone runs.
-///
-/// # Panics
-///
-/// Panics if the campaign harness itself fails to admit or run a fleet
-/// (job failures are the point and land in the cells) or if any cell
-/// violates an invariant.
-pub fn chaos(scale: &ExperimentScale) -> TextTable {
-    use qtenon_core::chaos::ChaosCampaign;
-
-    let campaign = ChaosCampaign::quick()
-        .with_scale(scale.iterations, scale.shots.min(64))
-        .with_pool_widths(vec![1, scale.threads.max(2)]);
-    let report = campaign.run().expect("campaign harness is well-formed");
-    assert!(
-        report.all_invariants_hold(),
-        "chaos campaign violated a containment invariant:\n{}",
-        report.to_table()
-    );
-
-    let widths = report
-        .pool_widths
-        .iter()
-        .map(usize::to_string)
-        .collect::<Vec<_>>()
-        .join("/");
-    let mut t = TextTable::new(vec![
-        "fault rate".into(),
-        "retry budget".into(),
-        "completed".into(),
-        "timed out".into(),
-        "quarantined".into(),
-        "failed".into(),
-        "retries".into(),
-        format!("invariants (widths {widths})"),
-    ]);
-    for cell in &report.cells {
-        t.row(vec![
-            format!("{:.2}", cell.rate),
-            cell.retry_budget.to_string(),
-            format!("{}/{}", cell.completed, cell.jobs),
-            cell.timed_out.to_string(),
-            cell.quarantined.to_string(),
-            cell.failed.to_string(),
-            cell.retries.to_string(),
-            if cell.invariants_hold() {
-                "ok".into()
-            } else {
-                "VIOLATED".into()
-            },
-        ]);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1003,15 +943,6 @@ mod tests {
     fn fig17_scales_monotonically() {
         let t = fig17(&tiny());
         assert_eq!(t.len(), 4); // 2 workloads × 2 sizes
-    }
-
-    #[test]
-    fn chaos_campaign_table_reports_every_cell_clean() {
-        let t = chaos(&tiny());
-        assert_eq!(t.len(), 6); // 3 rates × 2 budgets
-        for row in t.rows() {
-            assert_eq!(row.last().unwrap(), "ok");
-        }
     }
 
     #[test]

@@ -61,7 +61,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -860,7 +860,9 @@ pub fn attempt_seed(job_seed: u64, attempt: u32) -> u64 {
 ///
 /// This function may panic (that is the point of the chaos hook, and
 /// nothing stops library code from panicking); schedulers call
-/// [`run_attempt_caught`] instead.
+/// [`run_attempt_caught`] instead. The chaos hook unwinds with
+/// [`resume_unwind`], which skips the panic hook: a deliberate panic
+/// prints nothing to stderr, and the failure table attributes it.
 pub fn run_attempt(
     spec: &JobSpec,
     job_seed: u64,
@@ -869,10 +871,10 @@ pub fn run_attempt(
     cache: Option<&Arc<CompilationCache>>,
 ) -> AttemptOutcome {
     if spec.chaos_panic {
-        panic!(
+        resume_unwind(Box::new(format!(
             "chaos: deliberate panic in job {:?} (attempt {attempt})",
             spec.name
-        );
+        )));
     }
     if attempt < spec.chaos_fail_attempts {
         return AttemptOutcome::Errored {
@@ -1327,7 +1329,7 @@ impl BatchScheduler {
                     // a worker can only die from a bug in the scheduler
                     // itself, which is rightly fatal.
                     Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
+                    Err(payload) => resume_unwind(payload),
                 })
                 .collect()
         });

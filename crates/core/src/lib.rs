@@ -24,9 +24,6 @@
 //!   pool, with per-job artefacts byte-identical to standalone runs,
 //!   plus the fault-containment layer: panic quarantine, per-job
 //!   sim-time deadlines, and deterministic retry with bounded backoff;
-//! - [`chaos`]: the chaos-campaign harness — fault-rate × retry-policy
-//!   sweeps over a fleet with per-cell invariant checks (no hangs,
-//!   bounded retries, survivor artefacts byte-identical to standalone);
 //! - [`report`]: the time-breakdown structures every figure is built
 //!   from.
 //!
@@ -47,7 +44,6 @@
 
 #![deny(unsafe_code)]
 
-pub mod chaos;
 pub mod config;
 pub mod host;
 pub mod jobs;
@@ -58,7 +54,6 @@ pub mod system;
 pub mod trace;
 pub mod vqa;
 
-pub use chaos::{ChaosCampaign, ChaosCell, ChaosReport};
 pub use config::{CoreModel, QtenonConfig, SyncMode, TransmissionPolicy};
 pub use host::HostCoreModel;
 pub use jobs::{

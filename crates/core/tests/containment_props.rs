@@ -1,42 +1,39 @@
-//! Differential determinism tests for the fault-containment layer: the
-//! same fleet — including an actively fault-injected job, a scripted
-//! flake, a deliberately-panicking job, and a deadline-bounded job —
-//! must produce a byte-identical outcome ledger at pool widths 1, 2,
-//! and 8, for every retry budget. With zero retries and no deadlines
-//! the new machinery must be invisible: artefacts byte-identical to
-//! plain completed runs.
+//! Differential determinism tests for the fault-containment layer, on
+//! the chaos fleet of `examples/chaos.json`: a healthy job, an actively
+//! fault-injected job, a scripted flake, a deliberately panicking job
+//! and a deadline-bounded job. Swept over fault rates × retry budgets,
+//! every batch must return, produce a byte-identical outcome ledger at
+//! pool widths 1, 2 and 8, stay within its retry budget, and keep every
+//! completed job byte-identical to a standalone run. With zero retries
+//! and no deadlines the machinery must be invisible: artefacts
+//! byte-identical to plain completed runs.
 
-use qtenon_core::jobs::{attempt_seed, run_standalone, BatchScheduler, JobId, JobOutcome, JobSpec};
-use qtenon_sim_engine::{FaultPlan, SimDuration};
+use qtenon_core::jobs::{
+    attempt_seed, run_standalone, BatchReport, BatchScheduler, BatchSpec, JobId, JobOutcome,
+    JobSpec,
+};
+use qtenon_sim_engine::json::JsonValue;
+use qtenon_sim_engine::FaultPlan;
 use qtenon_workloads::WorkloadKind;
 
-/// A fleet that exercises every arm of the outcome machine.
-fn chaos_fleet(budget: u32) -> Vec<JobSpec> {
-    vec![
-        JobSpec::new("clean-vqe", WorkloadKind::Vqe, 8)
-            .with_iterations(2)
-            .with_shots(48)
-            .with_retry_budget(budget),
-        JobSpec::new("faulty-qaoa", WorkloadKind::Qaoa, 8)
-            .with_iterations(2)
-            .with_shots(48)
-            .with_priority(5)
-            .with_retry_budget(budget)
-            .with_faults(FaultPlan::all(0.02).with_seed(0xFA17)),
-        JobSpec::new("flaky-qnn", WorkloadKind::Qnn, 8)
-            .with_iterations(1)
-            .with_shots(48)
-            .with_retry_budget(budget)
-            .with_chaos_fail_attempts(1),
-        JobSpec::new("panic-vqe", WorkloadKind::Vqe, 8)
-            .with_retry_budget(budget)
-            .with_chaos_panic(),
-        JobSpec::new("deadline-qaoa", WorkloadKind::Qaoa, 8)
-            .with_iterations(8)
-            .with_shots(48)
-            .with_retry_budget(budget)
-            .with_deadline(SimDuration::from_ns(1)),
-    ]
+/// The chaos fleet of `examples/chaos.json` with every job's retry
+/// budget set to `budget` and the fault-injected job's plan set to every
+/// site at `rate` (a zero rate is the no-fault control).
+fn chaos_fleet(rate: f64, budget: u32) -> Vec<JobSpec> {
+    let spec = BatchSpec::from_json(include_str!("../../../examples/chaos.json"))
+        .expect("examples/chaos.json parses");
+    let faults = JsonValue::String(format!("all={rate},max_attempts=8"));
+    let retries = JsonValue::Number(f64::from(budget));
+    spec.jobs
+        .into_iter()
+        .map(|mut job| {
+            if job.faults.is_active() {
+                job.set("faults", &faults).expect("valid fault spec");
+            }
+            job.set("retries", &retries).expect("valid budget");
+            job
+        })
+        .collect()
 }
 
 fn scheduler(jobs: &[JobSpec]) -> BatchScheduler {
@@ -47,28 +44,106 @@ fn scheduler(jobs: &[JobSpec]) -> BatchScheduler {
     sched
 }
 
+/// The pool widths every campaign cell runs at.
+const WIDTHS: [usize; 3] = [1, 2, 8];
+
+/// One campaign cell: the chaos fleet at one (rate, budget), its
+/// scheduler, and its batch at each of [`WIDTHS`].
+struct Cell {
+    label: String,
+    budget: u32,
+    jobs: Vec<JobSpec>,
+    sched: BatchScheduler,
+    batches: Vec<BatchReport>,
+}
+
+/// Runs the campaign: fault rates {0, 0.02, 0.08} × retry budgets
+/// {0, 3}, each cell at every pool width. Every run must return; a hang
+/// would stall the test here.
+fn campaign() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for rate in [0.0, 0.02, 0.08] {
+        for budget in [0u32, 3] {
+            let jobs = chaos_fleet(rate, budget);
+            let sched = scheduler(&jobs);
+            let batches = WIDTHS
+                .iter()
+                .map(|&w| sched.run(w).expect("batch run returns"))
+                .collect();
+            cells.push(Cell {
+                label: format!("rate {rate} budget {budget}"),
+                budget,
+                jobs,
+                sched,
+                batches,
+            });
+        }
+    }
+    cells
+}
+
 #[test]
 fn ledger_is_byte_identical_at_widths_1_2_8_for_every_budget() {
-    for budget in [0u32, 3] {
-        let sched = scheduler(&chaos_fleet(budget));
-        let ledgers: Vec<String> = [1usize, 2, 8]
-            .iter()
-            .map(|&w| sched.run(w).expect("batch run succeeds").ledger())
-            .collect();
-        assert_eq!(
-            ledgers[0], ledgers[1],
-            "budget {budget}: width 2 ledger diverged from width 1"
-        );
-        assert_eq!(
-            ledgers[0], ledgers[2],
-            "budget {budget}: width 8 ledger diverged from width 1"
-        );
+    for cell in campaign() {
+        let ledger = cell.batches[0].ledger();
+        for (batch, width) in cell.batches.iter().zip(WIDTHS) {
+            assert_eq!(batch.ledger(), ledger, "{}: width {width}", cell.label);
+        }
+    }
+}
+
+#[test]
+fn no_job_takes_more_than_its_budget_plus_one_attempts() {
+    for cell in campaign() {
+        for (batch, width) in cell.batches.iter().zip(WIDTHS) {
+            for r in &batch.results {
+                assert!(
+                    r.outcome.attempts() <= cell.budget + 1,
+                    "{} width {width} job {}: {} attempts",
+                    cell.label,
+                    r.name,
+                    r.outcome.attempts()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn completed_jobs_match_standalone_runs_at_their_attempt_seed() {
+    for cell in campaign() {
+        for (batch, width) in cell.batches.iter().zip(WIDTHS) {
+            for (idx, r) in batch.results.iter().enumerate() {
+                let JobOutcome::Completed {
+                    artifacts,
+                    attempts,
+                } = &r.outcome
+                else {
+                    continue;
+                };
+                let seed = cell
+                    .sched
+                    .seed_of(JobId::from_index(idx))
+                    .expect("admitted");
+                // The scripted flake's failures are the scheduler's to
+                // retry; standalone runs only the attempt that completed.
+                let mut bare = cell.jobs[idx].clone();
+                bare.chaos_fail_attempts = 0;
+                let reference = run_standalone(&bare, attempt_seed(seed, attempts - 1), 1)
+                    .expect("standalone run succeeds");
+                assert_eq!(
+                    *artifacts, reference,
+                    "{} width {width} job {}",
+                    cell.label, r.name
+                );
+            }
+        }
     }
 }
 
 #[test]
 fn batch_with_panicking_and_deadline_jobs_attributes_both_and_keeps_survivors_exact() {
-    let jobs = chaos_fleet(3);
+    let jobs = chaos_fleet(0.02, 3);
     let sched = scheduler(&jobs);
     for width in [1usize, 8] {
         let batch = sched.run(width).expect("panics are contained");
@@ -174,8 +249,8 @@ fn retry_budget_changes_recovery_but_never_survivor_artifacts() {
     // The flake fails its first attempt. With budget 0 it fails for
     // good; with budget 3 it recovers on attempt 2 — and the healthy
     // jobs' artefacts are identical in both worlds.
-    let no_budget = scheduler(&chaos_fleet(0)).run(4).expect("runs");
-    let budgeted = scheduler(&chaos_fleet(3)).run(4).expect("runs");
+    let no_budget = scheduler(&chaos_fleet(0.02, 0)).run(4).expect("runs");
+    let budgeted = scheduler(&chaos_fleet(0.02, 3)).run(4).expect("runs");
 
     match &no_budget.results[2].outcome {
         JobOutcome::Failed { attempts: 1, .. } => {}

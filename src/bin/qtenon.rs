@@ -18,8 +18,6 @@
 //!             [--retries N] [--deadline NS]                 # containment overrides
 //!             [--ledger PATH] [--no-fuse]                   # ledger + fusion toggle
 //!             [--no-cache]                                  # fleet compilation cache
-//! qtenon batch --chaos [--threads T] [--ledger PATH]        # chaos campaign
-//!             [--metrics out.json]                          # resilience telemetry
 //! ```
 //!
 //! `--profile` prints the per-phase latency-attribution table after the
@@ -86,15 +84,6 @@
 //! matching nothing) renders a fixed placeholder ledger and exits 0;
 //! any failed, timed-out, or quarantined job makes the exit code
 //! nonzero after a per-job failure table.
-//!
-//! `batch --chaos` ignores `--jobs` and instead sweeps fault-injection
-//! rates × retry budgets over a synthetic fleet (healthy, faulty,
-//! flaky, deadline-bounded, and deliberately-panicking jobs), replaying
-//! every cell at pool widths 1 and `--threads` and checking the
-//! containment invariants per cell: ledgers byte-identical across
-//! widths, retries bounded by budget, and survivors' artefacts
-//! byte-identical to standalone runs. Exit is nonzero if any cell
-//! violates an invariant.
 
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -102,7 +91,6 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use qtenon::compiler::QtenonCompiler;
-use qtenon::core::chaos::ChaosCampaign;
 use qtenon::core::config::{CoreModel, QtenonConfig};
 use qtenon::core::jobs::{BatchReport, BatchSpec, JobSpec};
 use qtenon::core::system::QtenonSystem;
@@ -131,7 +119,6 @@ struct Args {
     /// Job keys set on every job (`--retries`, `--deadline`).
     job_keys: Vec<(&'static str, JsonValue)>,
     ledger: Option<String>,
-    chaos: bool,
     no_cache: bool,
     // Both.
     threads: usize,
@@ -200,7 +187,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             ("--retries", true) => a.job_keys.push(job_key(&mut argv, flag, "retries")?),
             ("--deadline", true) => a.job_keys.push(job_key(&mut argv, flag, "deadline_ns")?),
             ("--ledger", true) => a.ledger = Some(value(&mut argv, flag)?),
-            ("--chaos", true) => a.chaos = true,
             ("--no-cache", true) => a.no_cache = true,
             (other, false) if a.file.is_none() && !other.starts_with("--") => {
                 a.file = Some(arg);
@@ -208,7 +194,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             (other, _) => return Err(format!("unknown argument {other:?}\n{}", usage())),
         }
     }
-    if batch && a.jobs.is_none() && !a.chaos {
+    if batch && a.jobs.is_none() {
         return Err(format!("batch needs --jobs <spec.json>\n{}", usage()));
     }
     if !batch && a.file.is_none() {
@@ -223,17 +209,13 @@ fn usage() -> String {
      [--profile] [--critpath] [--no-fuse]\n\
      \u{20}      qtenon batch --jobs <spec.json> [--threads T] [--metrics out.json] \
      [--job-metrics DIR] [--only NAME] [--profile] [--critpath] \
-     [--retries N] [--deadline NS] [--ledger PATH] [--no-fuse] [--no-cache]\n\
-     \u{20}      qtenon batch --chaos [--threads T] [--metrics out.json] [--ledger PATH]"
+     [--retries N] [--deadline NS] [--ledger PATH] [--no-fuse] [--no-cache]"
         .into()
 }
 
 /// `qtenon batch`: run a JSON-specified fleet of VQA jobs over one
 /// shared worker pool and report per-job plus fleet-level results.
 fn run_batch(args: &Args) -> Result<(), String> {
-    if args.chaos {
-        return run_chaos(args);
-    }
     let jobs_path = args.jobs.as_deref().expect("parse_args requires it");
     let text =
         std::fs::read_to_string(jobs_path).map_err(|e| format!("cannot read {jobs_path}: {e}"))?;
@@ -364,30 +346,6 @@ fn run_batch(args: &Args) -> Result<(), String> {
             batch.failed() - batch.timed_out() - batch.quarantined(),
         ));
     }
-    Ok(())
-}
-
-/// `qtenon batch --chaos`: sweep fault rates × retry budgets over the
-/// synthetic chaos fleet, checking the containment invariants per cell.
-fn run_chaos(args: &Args) -> Result<(), String> {
-    let campaign = ChaosCampaign::quick().with_pool_widths(vec![1, args.threads.max(2)]);
-    let report = campaign.run().map_err(|e| e.to_string())?;
-    print!("{}", report.to_table());
-    if let Some(path) = &args.ledger {
-        std::fs::write(path, report.ledgers()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("campaign ledgers written to {path}");
-    }
-    if let Some(path) = &args.metrics {
-        write_metrics_pair(path, |registry| report.export_metrics(registry))?;
-        println!("campaign metrics written to {path} (JSON) and {path}.prom (Prometheus)");
-    }
-    if !report.all_invariants_hold() {
-        return Err("chaos campaign violated a containment invariant (see table)".into());
-    }
-    println!(
-        "all containment invariants hold across {} cells",
-        report.cells.len()
-    );
     Ok(())
 }
 
@@ -651,7 +609,7 @@ mod tests {
         assert_eq!(a.job_metrics.as_deref(), Some("dir"));
         assert_eq!(a.only.as_deref(), Some("a"));
         assert_eq!(a.ledger.as_deref(), Some("l.txt"));
-        assert!(a.profile && a.critpath && a.no_fuse && a.no_cache && !a.chaos);
+        assert!(a.profile && a.critpath && a.no_fuse && a.no_cache);
         assert_eq!(
             a.job_keys,
             [
@@ -659,7 +617,6 @@ mod tests {
                 ("deadline_ns", JsonValue::Number(9000.0)),
             ]
         );
-        assert!(parse("batch --chaos --threads 2").unwrap().chaos);
         rejects("batch --threads 2", "batch needs --jobs");
     }
 
@@ -694,7 +651,7 @@ mod tests {
         ] {
             rejects(&format!("run bell.qasm {flag}"), "unknown argument");
         }
-        for flag in ["--deadline 5", "--ledger l", "--chaos", "--no-cache"] {
+        for flag in ["--deadline 5", "--ledger l", "--no-cache"] {
             rejects(&format!("run bell.qasm {flag}"), "unknown argument");
         }
         rejects("run a.qasm b.qasm", "unknown argument");
@@ -720,6 +677,17 @@ mod tests {
             "batch --jobs f.json --noise",
             "unknown argument \"--noise\"",
         );
+    }
+
+    #[test]
+    fn removed_chaos_flag_is_unknown() {
+        rejects("batch --chaos", "unknown argument \"--chaos\"");
+        rejects("batch --chaos --threads 2", "unknown argument \"--chaos\"");
+        rejects(
+            "batch --jobs f.json --chaos",
+            "unknown argument \"--chaos\"",
+        );
+        rejects("run bell.qasm --chaos", "unknown argument \"--chaos\"");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! 64-qubit VQE run under non-zero fault rates must complete, report its
 //! recovery work in the exported metrics, and reproduce exactly under the
 //! same seed. The `qtenon run` CLI must do the same for a fixed fault
-//! schedule, and keep fault namespaces out of a fault-free export.
+//! schedule, and keep fault namespaces out of a fault-free export; and
+//! `qtenon batch` must contain the chaos fleet's failures.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -122,4 +123,72 @@ fn cli_fault_schedule_reports_injections_and_recoveries() {
         .filter(|k| k.starts_with("faults.") || k.starts_with("resilience."))
         .collect();
     assert!(leaked.is_empty(), "fault-free run exported {leaked:?}");
+}
+
+/// Runs `qtenon batch --jobs examples/chaos.json --ledger <tmp>/<name>
+/// <extra>` with `RUST_BACKTRACE=1` and returns the exit status, stderr
+/// and ledger.
+fn cli_chaos_batch(name: &str, extra: &[&str]) -> (Option<i32>, String, String) {
+    let fleet = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/chaos.json");
+    let ledger: PathBuf = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let run = Command::new(env!("CARGO_BIN_EXE_qtenon"))
+        .args(["batch", "--jobs"])
+        .arg(&fleet)
+        .arg("--ledger")
+        .arg(&ledger)
+        .args(extra)
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .expect("qtenon binary runs");
+    let ledger = std::fs::read_to_string(&ledger).expect("ledger written");
+    (
+        run.status.code(),
+        String::from_utf8_lossy(&run.stderr).into_owned(),
+        ledger,
+    )
+}
+
+#[test]
+fn cli_chaos_fleet_attributes_failures_with_width_invariant_ledgers() {
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let metrics = tmp.join("chaos-fleet.json");
+    let metrics = metrics.to_str().expect("UTF-8 path");
+    let (w1_status, w1_stderr, w1_ledger) = cli_chaos_batch(
+        "chaos-ledger-w1.txt",
+        &["--threads", "1", "--metrics", metrics],
+    );
+    let (w8_status, _, w8_ledger) = cli_chaos_batch("chaos-ledger-w8.txt", &["--threads", "8"]);
+    // The fleet holds a panicking and a deadline-exceeding job: the batch
+    // fails with exit code 1, both attributed on stderr, not an abort.
+    assert_eq!(w1_status, Some(1), "width 1");
+    assert_eq!(w8_status, Some(1), "width 8");
+    assert!(w1_stderr.contains("quarantined"), "{w1_stderr}");
+    assert!(w1_stderr.contains("timed-out"), "{w1_stderr}");
+    assert_eq!(w1_ledger, w8_ledger, "ledger depends on the pool width");
+    // The file's top-level `"retries": 3`, which no job overrides, set by
+    // the flag instead: the same field, so the same ledger.
+    let (r3_status, _, r3_ledger) =
+        cli_chaos_batch("chaos-ledger-r3.txt", &["--threads", "1", "--retries", "3"]);
+    assert_eq!(r3_status, Some(1), "--retries 3");
+    assert_eq!(
+        w1_ledger, r3_ledger,
+        "--retries 3 diverged from the file key"
+    );
+    let exported = std::fs::read_to_string(tmp.join("chaos-fleet.json.prom"))
+        .expect("Prometheus export written");
+    assert!(exported.contains("resilience_jobs_"), "{exported}");
+}
+
+#[test]
+fn cli_deliberate_panic_is_quarantined_without_panic_hook_output() {
+    let (status, stderr, _) = cli_chaos_batch("chaos-ledger-panic.txt", &["--threads", "2"]);
+    assert_eq!(status, Some(1));
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    assert!(!stderr.contains("stack backtrace"), "{stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("3\tpanic-vqe\tquarantined\t")),
+        "{stderr}"
+    );
 }
