@@ -1,12 +1,11 @@
 //! Deterministic multi-job batch scheduling over one shared worker pool.
 //!
-//! PR 4's shot-sharded engine executes exactly one VQA job at a time;
-//! this module is the platform layer on top of it: N independent jobs —
-//! each with its own configuration, seed, and optional fault plan — are
-//! admitted into a bounded queue (FIFO within a priority level, higher
-//! priorities first) and executed by a pool of job workers, each of
-//! which shot-shards its job across the pool's remaining threads
-//! ([`PoolPlan`] splits `threads` into `job_workers × shard_threads`).
+//! N independent VQA jobs — each with its own configuration, seed, and
+//! fault plan — are admitted into a bounded queue and executed by a pool
+//! of job workers. Workers claim jobs in [`BatchScheduler::schedule_order`]
+//! (higher priorities first, FIFO within a level), and each worker
+//! shot-shards its job across the pool's remaining threads ([`PoolPlan`]
+//! splits `threads` into `job_workers × shard_threads`).
 //!
 //! # Determinism
 //!
@@ -17,8 +16,8 @@
 //!    spec, else [`stream_seed`]`(fleet_seed, submission_index)`. It
 //!    never depends on scheduling order or completion order.
 //! 2. Jobs share no mutable state: each runs in its own
-//!    [`VqaRunner`](crate::vqa::VqaRunner) via the same
-//!    [`run_standalone`] function the standalone path uses.
+//!    [`VqaRunner`] via the same attempt function
+//!    [`run_standalone`] uses.
 //! 3. Within a job, the shot-sharded engine is thread-count invariant,
 //!    so the pool's `shard_threads` choice never shows up in results.
 //! 4. Results are collected into canonical submission order regardless
@@ -30,18 +29,17 @@
 //!
 //! # Fault containment
 //!
-//! PR 8 adds the recovery layer: each attempt runs under
-//! `catch_unwind`, so a panicking job becomes a
+//! Each attempt runs under `catch_unwind`, so a panicking job becomes a
 //! [`JobOutcome::Quarantined`] line in the ledger instead of killing the
 //! fleet; per-job sim-time deadlines cut the VQA loop at iteration
 //! boundaries into [`JobOutcome::TimedOut`] with partial-progress stats;
-//! and transient execution failures re-enter the queue with a
-//! per-attempt seed from [`stream_seed`]`(job_seed, attempt)` under a
-//! bounded retry budget, after which the job is quarantined. Retry
-//! decisions are [`retry_decision`] — a pure function of (spec, attempt,
-//! outcome) — and backoff is expressed in *admission-order dispatch
-//! slots*, not wall-clock, so every pool width produces the identical
-//! outcome [`BatchReport::ledger`].
+//! and a transient execution failure is retried under a bounded budget,
+//! after which the job is quarantined. The worker that claimed a job runs
+//! all of its attempts in a row; attempt `n` draws its job seed from
+//! [`attempt_seed`]`(job_seed, n)` and its fault schedule from
+//! [`attempt_seed`]`(plan_seed, n)`. Retry decisions are
+//! [`retry_decision`] — a pure function of (spec, attempt, outcome) — so
+//! every pool width produces the identical outcome [`BatchReport::ledger`].
 //!
 //! # Examples
 //!
@@ -60,9 +58,10 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qtenon_compiler::{CacheStats, CompilationCache};
@@ -141,8 +140,8 @@ pub struct JobSpec {
     pub transmission: TransmissionPolicy,
     /// Fault-injection plan for this job only (inert by default).
     pub faults: FaultPlan,
-    /// Transient-failure retry budget: how many times a failed attempt
-    /// re-enters the queue before the job is quarantined. 0 (the
+    /// Transient-failure retry budget: how many more attempts a
+    /// transiently failing job gets before it is quarantined. 0 (the
     /// default) preserves the pre-containment behaviour: one attempt,
     /// failures surface as [`JobOutcome::Failed`].
     pub retry_budget: u32,
@@ -247,12 +246,6 @@ impl JobSpec {
     /// Returns a copy with a transient-failure retry budget.
     pub fn with_retry_budget(mut self, retries: u32) -> Self {
         self.retry_budget = retries;
-        self
-    }
-
-    /// Returns a copy with a per-job sim-time deadline.
-    pub fn with_deadline(mut self, deadline: SimDuration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 
@@ -529,7 +522,8 @@ pub struct JobResult {
     /// The job's terminal state. One failing job never poisons its
     /// neighbours.
     pub outcome: JobOutcome,
-    /// Batch start → job picked up by a worker.
+    /// Batch start → job picked up by a worker (its first attempt; any
+    /// retries run right after it on the same worker).
     pub wait: Duration,
     /// Batch start → job finished.
     pub turnaround: Duration,
@@ -611,8 +605,10 @@ impl BatchReport {
     /// The deterministic outcome ledger: one line per job in submission
     /// order with seed, priority, outcome, attempts, and a sim-time-only
     /// detail column. Byte-identical at every pool width (it contains no
-    /// wall-clock observables), which is exactly what the CI chaos-smoke
-    /// job `cmp`s. An empty batch renders a fixed placeholder.
+    /// wall-clock observables); `tests/resilience.rs` and
+    /// `tests/cli_artefacts.rs` compare it across widths through the
+    /// `qtenon batch --ledger` export. An empty batch renders a fixed
+    /// placeholder.
     pub fn ledger(&self) -> String {
         if self.results.is_empty() {
             return Self::empty_ledger();
@@ -672,7 +668,6 @@ impl BatchReport {
         m.counter("jobs.completed", self.completed() as u64);
         m.counter("jobs.failed", self.failed() as u64);
         m.counter("jobs.rejected", self.rejected);
-        m.gauge("jobs.queue.depth", self.results.len() as f64);
         m.gauge("jobs.pool.job_workers", self.pool.job_workers as f64);
         m.gauge("jobs.pool.shard_threads", self.pool.shard_threads as f64);
         let mut wait = Histogram::new();
@@ -692,7 +687,6 @@ impl BatchReport {
         // and retry pressure are deterministic; the time-to-recovery
         // histogram is wall-clock and, like `jobs.*`, deliberately
         // outside the determinism contract.
-        m.counter("resilience.jobs.completed", self.completed() as u64);
         m.counter(
             "resilience.jobs.failed",
             self.results
@@ -703,7 +697,6 @@ impl BatchReport {
         m.counter("resilience.jobs.timed_out", self.timed_out() as u64);
         m.counter("resilience.jobs.quarantined", self.quarantined() as u64);
         m.counter("resilience.jobs.retries", self.total_retries());
-        m.counter("resilience.jobs.deadline_hits", self.timed_out() as u64);
         let mut attempts = Histogram::new();
         let mut recovery = Histogram::new();
         for r in &self.results {
@@ -726,8 +719,7 @@ impl BatchReport {
 }
 
 /// How one attempt of one job ended, before any retry policy is applied.
-/// [`run_attempt`] produces the first three variants; `Panicked` is
-/// added by [`run_attempt_caught`] when `catch_unwind` traps a panic.
+/// `Panicked` is what `catch_unwind` makes of a panicking attempt.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttemptOutcome {
     /// All requested iterations ran.
@@ -744,7 +736,8 @@ pub enum AttemptOutcome {
     /// The attempt failed with a typed error. `permanent` failures
     /// (config/workload/system construction) can never succeed on retry;
     /// execution failures are transient — a retry reruns with a fresh
-    /// per-attempt seed and may draw a survivable fault schedule.
+    /// per-attempt job seed and fault seed, so it may draw a survivable
+    /// fault schedule.
     Errored {
         /// The typed failure.
         error: JobError,
@@ -758,27 +751,11 @@ pub enum AttemptOutcome {
     },
 }
 
-/// What the scheduler does with a finished attempt: record a terminal
-/// [`JobOutcome`], or requeue the job.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RetryDecision {
-    /// The job is done; record this outcome in its slot. Boxed: an
-    /// outcome carries its artefacts, many times the size of `Retry`.
-    Final(Box<JobOutcome>),
-    /// Requeue: run attempt `next_attempt` after `backoff_slots` more
-    /// dispatch slots have been consumed (geometric: `2^attempt`).
-    Retry {
-        /// The attempt index to run next (1-based after the first).
-        next_attempt: u32,
-        /// Admission-order backoff before the retry becomes ready.
-        backoff_slots: u64,
-    },
-}
-
 /// The retry/quarantine policy: a pure function of the spec, the 0-based
 /// index of the attempt that just finished, and its outcome. No clock,
 /// no pool state — which is why every pool width replays the identical
-/// decision sequence and produces the identical ledger.
+/// decision sequence and produces the identical ledger. `None` means
+/// "run attempt `attempt + 1`"; `Some` is the job's final outcome.
 ///
 /// The state machine:
 ///
@@ -787,11 +764,10 @@ pub enum RetryDecision {
 /// - `Panicked` → [`JobOutcome::Quarantined`] immediately (a panic means
 ///   broken invariants, not bad luck);
 /// - permanent errors → [`JobOutcome::Failed`] immediately;
-/// - transient errors → retry while `attempt < retry_budget`, with
-///   geometric backoff `2^attempt` dispatch slots; once the budget is
-///   exhausted the job is quarantined (or, with a zero budget, simply
-///   fails — the pre-containment behaviour).
-pub fn retry_decision(spec: &JobSpec, attempt: u32, outcome: AttemptOutcome) -> RetryDecision {
+/// - transient errors → retry while `attempt < retry_budget`; once the
+///   budget is exhausted the job is quarantined (or, with a zero budget,
+///   simply fails — the pre-containment behaviour).
+pub fn retry_decision(spec: &JobSpec, attempt: u32, outcome: AttemptOutcome) -> Option<JobOutcome> {
     let attempts = attempt + 1;
     let outcome = match outcome {
         AttemptOutcome::Completed(artifacts) => JobOutcome::Completed {
@@ -814,10 +790,7 @@ pub fn retry_decision(spec: &JobSpec, attempt: u32, outcome: AttemptOutcome) -> 
         },
         AttemptOutcome::Errored { error, permanent } => {
             if !permanent && attempt < spec.retry_budget {
-                return RetryDecision::Retry {
-                    next_attempt: attempt + 1,
-                    backoff_slots: 1u64 << attempt.min(20),
-                };
+                return None;
             } else if !permanent && spec.retry_budget > 0 {
                 JobOutcome::Quarantined {
                     reason: format!(
@@ -831,14 +804,15 @@ pub fn retry_decision(spec: &JobSpec, attempt: u32, outcome: AttemptOutcome) -> 
             }
         }
     };
-    RetryDecision::Final(Box::new(outcome))
+    Some(outcome)
 }
 
-/// The seed attempt number `attempt` runs with: the job's admission seed
-/// for the first attempt (so zero-retry batches are byte-identical to
-/// the pre-containment scheduler), then `stream_seed(job_seed, attempt)`
-/// — deterministic, collision-free, and independent of which worker or
-/// pool width executes the retry.
+/// The seed attempt number `attempt` runs with, for the job seed and the
+/// fault-plan seed alike: the given seed for the first attempt (so
+/// zero-retry batches are byte-identical to the pre-containment
+/// scheduler), then `stream_seed(seed, attempt)` — deterministic,
+/// collision-free, and independent of which worker or pool width
+/// executes the retry.
 pub fn attempt_seed(job_seed: u64, attempt: u32) -> u64 {
     if attempt == 0 {
         job_seed
@@ -859,11 +833,11 @@ pub fn attempt_seed(job_seed: u64, attempt: u32) -> u64 {
 /// job's [`RunReport`] — a shared cache makes them pool-width dependent.
 ///
 /// This function may panic (that is the point of the chaos hook, and
-/// nothing stops library code from panicking); schedulers call
+/// nothing stops library code from panicking); the scheduler calls
 /// [`run_attempt_caught`] instead. The chaos hook unwinds with
 /// [`resume_unwind`], which skips the panic hook: a deliberate panic
 /// prints nothing to stderr, and the failure table attributes it.
-pub fn run_attempt(
+fn run_attempt(
     spec: &JobSpec,
     job_seed: u64,
     attempt: u32,
@@ -904,7 +878,10 @@ pub fn run_attempt(
         .with_seed(seed)
         .with_threads(threads)
         .with_fuse(spec.fuse)
-        .with_faults(spec.faults);
+        .with_faults(
+            spec.faults
+                .with_seed(attempt_seed(spec.faults.seed, attempt)),
+        );
     let workload = match Workload::benchmark(spec.kind, spec.n_qubits, seed) {
         Ok(w) => w,
         Err(e) => return permanent(fail(e.to_string())),
@@ -927,8 +904,8 @@ pub fn run_attempt(
         Ok(done) => done,
         Err(e) => {
             // Execution failures are transient by classification: a
-            // retry reruns under a fresh seed (different fault
-            // draws), which is exactly the recovery the budget buys.
+            // retry reruns under fresh job and fault seeds (different
+            // fault draws), which is exactly the recovery the budget buys.
             return AttemptOutcome::Errored {
                 error: fail(e.to_string()),
                 permanent: false,
@@ -962,7 +939,7 @@ pub fn run_attempt(
 /// into the worker pool. The payload is downcast to text when it is a
 /// string (which `panic!` payloads are). The batch scheduler's workers
 /// call this.
-pub fn run_attempt_caught(
+fn run_attempt_caught(
     spec: &JobSpec,
     job_seed: u64,
     attempt: u32,
@@ -986,15 +963,22 @@ pub fn run_attempt_caught(
     }
 }
 
-/// Runs one job standalone (first attempt, no retry) and returns its
-/// artefacts — the byte-identity reference the fleet is checked against.
-/// A deadline-cut run still returns its partial artefacts.
+/// Runs attempt `attempt` of one job standalone (no retry) and returns
+/// its artefacts — the byte-identity reference the fleet is checked
+/// against. `seed` is the job's admission seed; the attempt's job and
+/// fault seeds derive from it and from the spec's fault plan exactly as
+/// in the fleet. A deadline-cut run still returns its partial artefacts.
 ///
 /// # Errors
 ///
 /// Returns [`JobError::Execution`] wrapping the underlying failure.
-pub fn run_standalone(spec: &JobSpec, seed: u64, threads: usize) -> Result<JobArtifacts, JobError> {
-    match run_attempt(spec, seed, 0, threads, None) {
+pub fn run_standalone(
+    spec: &JobSpec,
+    seed: u64,
+    attempt: u32,
+    threads: usize,
+) -> Result<JobArtifacts, JobError> {
+    match run_attempt(spec, seed, attempt, threads, None) {
         AttemptOutcome::Completed(artifacts) | AttemptOutcome::TimedOut { artifacts, .. } => {
             Ok(artifacts)
         }
@@ -1008,10 +992,10 @@ pub fn run_standalone(spec: &JobSpec, seed: u64, threads: usize) -> Result<JobAr
     }
 }
 
-/// A job admitted into the queue with its seed already fixed.
+/// A job admitted into the queue with its seed already fixed; its
+/// submission index is its position in the queue.
 #[derive(Debug, Clone)]
 struct QueuedJob {
-    id: usize,
     seed: u64,
     spec: JobSpec,
 }
@@ -1095,7 +1079,7 @@ impl BatchScheduler {
         let seed = spec
             .seed
             .unwrap_or_else(|| stream_seed(self.fleet_seed, id as u64));
-        self.queue.push(QueuedJob { id, seed, spec });
+        self.queue.push(QueuedJob { seed, spec });
         Ok(JobId(id))
     }
 
@@ -1143,22 +1127,15 @@ impl BatchScheduler {
     /// Runs every admitted job over a pool of `threads` threads and
     /// returns the batch report in canonical submission order.
     ///
-    /// [`PoolPlan::new`]`(jobs, threads)` decides the split; workers pull
-    /// work off a shared run queue — the priority order first, then any
-    /// retries whose admission-order backoff has elapsed — so higher
-    /// priorities start first but nothing about the results depends on
-    /// who finishes when. Every attempt runs under `catch_unwind`
-    /// ([`run_attempt_caught`]) and is fed through [`retry_decision`]:
-    /// a panicking or failing job becomes a typed [`JobOutcome`] in its
-    /// slot while the rest of the fleet keeps going.
-    ///
-    /// Backoff is counted in *dispatch slots* (jobs handed to workers),
-    /// not wall-clock: a retry scheduled at slot `s` with backoff `b`
-    /// becomes ready once `s + b` dispatches have happened. When only
-    /// not-yet-ready retries remain and nothing is in flight, the
-    /// earliest one runs immediately — backoff orders work, it never
-    /// stalls the pool. None of this affects outcomes, which are fixed
-    /// by [`attempt_seed`] and [`retry_decision`] alone.
+    /// [`PoolPlan::new`]`(jobs, threads)` decides the split. Workers
+    /// claim jobs in [`schedule_order`](Self::schedule_order) off one
+    /// shared cursor, so higher priorities start first, and the worker
+    /// that claims a job runs every attempt of it before claiming the
+    /// next: each attempt runs under `catch_unwind` and is fed through
+    /// [`retry_decision`] until that yields the job's final
+    /// [`JobOutcome`]. A panicking or failing job ends as a typed outcome
+    /// in its slot while the rest of the fleet keeps going, and nothing
+    /// about the results depends on who finishes when.
     ///
     /// # Errors
     ///
@@ -1180,143 +1157,42 @@ impl BatchScheduler {
             None
         };
         let started = Instant::now();
+        let cursor = AtomicUsize::new(0);
+        let (order, cursor, attribution, fleet_cache) =
+            (&order, &cursor, &attribution, &fleet_cache);
 
-        /// A failed attempt waiting out its backoff.
-        struct Pending {
-            ready_slot: u64,
-            priority: u8,
-            id: usize,
-            attempt: u32,
-        }
-        struct RunQueue {
-            /// First attempts, in schedule (priority, FIFO) order.
-            initial: VecDeque<usize>,
-            /// Retries with their admission-order ready slots.
-            retries: Vec<Pending>,
-            /// Dispatch slots consumed so far (the backoff clock).
-            slot: u64,
-            /// Attempts currently executing on some worker.
-            in_flight: usize,
-        }
-        impl RunQueue {
-            /// Pops the most urgent dispatchable attempt, if any:
-            /// ready retries first (earliest slot, then priority, then
-            /// id), else the schedule-order head, else — when the pool
-            /// has fully drained — the earliest unready retry.
-            fn pop_next(&mut self) -> Option<(usize, u32)> {
-                let min_retry = |retries: &[Pending]| {
-                    retries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, p)| (p.ready_slot, Reverse(p.priority), p.id))
-                        .map(|(i, _)| i)
-                };
-                if let Some(i) = min_retry(&self.retries) {
-                    if self.retries[i].ready_slot <= self.slot {
-                        let p = self.retries.swap_remove(i);
-                        return Some((p.id, p.attempt));
-                    }
-                }
-                if let Some(id) = self.initial.pop_front() {
-                    return Some((id, 0));
-                }
-                if self.in_flight == 0 {
-                    // Only unready retries remain and no completion can
-                    // advance the slot clock: take the earliest rather
-                    // than stall (backoff orders, never hangs).
-                    if let Some(i) = min_retry(&self.retries) {
-                        let p = self.retries.swap_remove(i);
-                        self.slot = self.slot.max(p.ready_slot);
-                        return Some((p.id, p.attempt));
-                    }
-                }
-                None
-            }
-
-            fn drained(&self) -> bool {
-                self.initial.is_empty() && self.retries.is_empty() && self.in_flight == 0
-            }
-        }
-
-        let state = Mutex::new(RunQueue {
-            initial: order.iter().copied().collect(),
-            retries: Vec::new(),
-            slot: 0,
-            in_flight: 0,
-        });
-        let work_ready = Condvar::new();
-        let (state, work_ready, queue) = (&state, &work_ready, &self.queue);
-        let (attribution, fleet_cache) = (&attribution, &fleet_cache);
-
-        let per_worker: Vec<Vec<(usize, JobResult)>> = std::thread::scope(|scope| {
+        let per_worker: Vec<Vec<JobResult>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..pool.job_workers)
                 .map(|_| {
                     scope.spawn(move || {
                         let mut mine = Vec::new();
-                        loop {
-                            // Block until an attempt is dispatchable or
-                            // the whole batch has drained.
-                            let dispatched = {
-                                let mut q = state.lock().expect("run queue lock");
-                                loop {
-                                    if let Some((id, attempt)) = q.pop_next() {
-                                        q.slot += 1;
-                                        q.in_flight += 1;
-                                        break Some((id, attempt));
-                                    }
-                                    if q.drained() {
-                                        break None;
-                                    }
-                                    q = work_ready.wait(q).expect("run queue lock");
-                                }
-                            };
-                            let Some((id, attempt)) = dispatched else {
-                                break;
-                            };
-                            let job = &queue[id];
+                        while let Some(&id) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                            let job = &self.queue[id];
                             let wait = started.elapsed();
-                            let outcome = run_attempt_caught(
-                                &job.spec,
-                                job.seed,
-                                attempt,
-                                pool.shard_threads,
-                                fleet_cache.as_ref(),
-                            );
-                            match retry_decision(&job.spec, attempt, outcome) {
-                                RetryDecision::Final(outcome) => {
-                                    mine.push((
-                                        job.id,
-                                        JobResult {
-                                            id: JobId(job.id),
-                                            name: job.spec.name.clone(),
-                                            seed: job.seed,
-                                            priority: job.spec.priority,
-                                            outcome: *outcome,
-                                            wait,
-                                            turnaround: started.elapsed(),
-                                            cache: attribution[job.id],
-                                        },
-                                    ));
-                                    let mut q = state.lock().expect("run queue lock");
-                                    q.in_flight -= 1;
-                                    work_ready.notify_all();
+                            let mut attempt = 0;
+                            let outcome = loop {
+                                let outcome = run_attempt_caught(
+                                    &job.spec,
+                                    job.seed,
+                                    attempt,
+                                    pool.shard_threads,
+                                    fleet_cache.as_ref(),
+                                );
+                                match retry_decision(&job.spec, attempt, outcome) {
+                                    Some(outcome) => break outcome,
+                                    None => attempt += 1,
                                 }
-                                RetryDecision::Retry {
-                                    next_attempt,
-                                    backoff_slots,
-                                } => {
-                                    let mut q = state.lock().expect("run queue lock");
-                                    let ready_slot = q.slot.saturating_add(backoff_slots);
-                                    q.retries.push(Pending {
-                                        ready_slot,
-                                        priority: job.spec.priority,
-                                        id,
-                                        attempt: next_attempt,
-                                    });
-                                    q.in_flight -= 1;
-                                    work_ready.notify_all();
-                                }
-                            }
+                            };
+                            mine.push(JobResult {
+                                id: JobId(id),
+                                name: job.spec.name.clone(),
+                                seed: job.seed,
+                                priority: job.spec.priority,
+                                outcome,
+                                wait,
+                                turnaround: started.elapsed(),
+                                cache: attribution[id],
+                            });
                         }
                         mine
                     })
@@ -1335,16 +1211,11 @@ impl BatchScheduler {
         });
         let wall = started.elapsed();
 
-        // Canonical collection: scatter by submission index, regardless
-        // of which worker finished which job when.
-        let mut slots: Vec<Option<JobResult>> = vec![None; self.queue.len()];
-        for (id, result) in per_worker.into_iter().flatten() {
-            slots[id] = Some(result);
-        }
-        let results: Vec<JobResult> = slots
-            .into_iter()
-            .map(|s| s.expect("every admitted job produces exactly one result"))
-            .collect();
+        // Canonical collection: submission order, regardless of which
+        // worker finished which job when. The cursor hands out each
+        // index exactly once, so every job has exactly one result.
+        let mut results: Vec<JobResult> = per_worker.into_iter().flatten().collect();
+        results.sort_unstable_by_key(|r| r.id.index());
         Ok(BatchReport {
             results,
             pool,
@@ -1682,7 +1553,7 @@ mod tests {
         assert_eq!(batch.failed(), 0);
         for result in &batch.results {
             let standalone =
-                run_standalone(&sched.queue[result.id.index()].spec, result.seed, 1).unwrap();
+                run_standalone(&sched.queue[result.id.index()].spec, result.seed, 0, 1).unwrap();
             let fleet = result.outcome.artifacts().unwrap();
             assert_eq!(fleet.report, standalone.report);
             assert_eq!(fleet.metrics_json, standalone.metrics_json);
@@ -1744,7 +1615,7 @@ mod tests {
             other => panic!("expected quarantine, got {other:?}"),
         }
         // The healthy neighbour is byte-identical to standalone.
-        let standalone = run_standalone(&sched.queue[1].spec, batch.results[1].seed, 1).unwrap();
+        let standalone = run_standalone(&sched.queue[1].spec, batch.results[1].seed, 0, 1).unwrap();
         assert_eq!(batch.results[1].outcome.artifacts(), Some(&standalone));
     }
 
@@ -1766,12 +1637,9 @@ mod tests {
             other => panic!("expected recovery on attempt 2, got {other:?}"),
         }
         assert_eq!(batch.total_retries(), 2);
-        // The recovered attempt ran with the attempt-2 seed stream.
-        let spec = &sched.queue[0].spec;
+        // The recovered attempt is attempt 2, standalone or in the fleet.
         let job_seed = sched.seed_of(JobId::from_index(0)).unwrap();
-        let mut bare = spec.clone();
-        bare.chaos_fail_attempts = 0;
-        let reference = run_standalone(&bare, attempt_seed(job_seed, 2), 1).unwrap();
+        let reference = run_standalone(&sched.queue[0].spec, job_seed, 2, 1).unwrap();
         assert_eq!(batch.results[0].outcome.artifacts(), Some(&reference));
     }
 
@@ -1806,31 +1674,19 @@ mod tests {
             },
             permanent: false,
         };
-        // Transient failures retry with geometric backoff...
-        assert_eq!(
-            retry_decision(&spec, 0, transient()),
-            RetryDecision::Retry {
-                next_attempt: 1,
-                backoff_slots: 1
-            }
-        );
-        assert_eq!(
-            retry_decision(&spec, 1, transient()),
-            RetryDecision::Retry {
-                next_attempt: 2,
-                backoff_slots: 2
-            }
-        );
+        // Transient failures retry...
+        assert_eq!(retry_decision(&spec, 0, transient()), None);
+        assert_eq!(retry_decision(&spec, 1, transient()), None);
         // ...until the budget runs out: quarantined with attribution.
         assert!(matches!(
             retry_decision(&spec, 2, transient()),
-            RetryDecision::Final(o) if matches!(*o, JobOutcome::Quarantined { attempts: 3, .. })
+            Some(JobOutcome::Quarantined { attempts: 3, .. })
         ));
         // Zero budget keeps the pre-containment shape: Failed, 1 attempt.
         let legacy = JobSpec::new("j", WorkloadKind::Vqe, 8);
         assert!(matches!(
             retry_decision(&legacy, 0, transient()),
-            RetryDecision::Final(o) if matches!(*o, JobOutcome::Failed { attempts: 1, .. })
+            Some(JobOutcome::Failed { attempts: 1, .. })
         ));
         // Permanent errors never retry, budget or not.
         assert!(matches!(
@@ -1845,7 +1701,7 @@ mod tests {
                     permanent: true
                 }
             ),
-            RetryDecision::Final(o) if matches!(*o, JobOutcome::Failed { attempts: 1, .. })
+            Some(JobOutcome::Failed { attempts: 1, .. })
         ));
         // Panics quarantine immediately.
         assert!(matches!(
@@ -1856,7 +1712,7 @@ mod tests {
                     message: "ouch".into()
                 }
             ),
-            RetryDecision::Final(o) if matches!(*o, JobOutcome::Quarantined { attempts: 1, .. })
+            Some(JobOutcome::Quarantined { attempts: 1, .. })
         ));
     }
 
@@ -2101,10 +1957,7 @@ mod tests {
         let batch = sched.run(2).unwrap();
         let mut m = MetricsRegistry::new();
         batch.export_metrics(&mut m);
-        assert_eq!(
-            m.get("resilience.jobs.completed"),
-            Some(&MetricValue::Counter(2))
-        );
+        assert_eq!(m.get("jobs.completed"), Some(&MetricValue::Counter(2)));
         assert_eq!(
             m.get("resilience.jobs.quarantined"),
             Some(&MetricValue::Counter(1))

@@ -23,7 +23,7 @@
 //!   priority admission of independent VQA jobs over one shared worker
 //!   pool, with per-job artefacts byte-identical to standalone runs,
 //!   plus the fault-containment layer: panic quarantine, per-job
-//!   sim-time deadlines, and deterministic retry with bounded backoff;
+//!   sim-time deadlines, and deterministic, budgeted retry;
 //! - [`report`]: the time-breakdown structures every figure is built
 //!   from.
 //!

@@ -4,9 +4,11 @@
 //! and a deadline-bounded job. Swept over fault rates × retry budgets,
 //! every batch must return, produce a byte-identical outcome ledger at
 //! pool widths 1, 2 and 8, stay within its retry budget, and keep every
-//! completed job byte-identical to a standalone run. With zero retries
-//! and no deadlines the machinery must be invisible: artefacts
-//! byte-identical to plain completed runs.
+//! completed job byte-identical to a standalone run. The sweep's fault
+//! plans allow one attempt per fault site, so an injected fault fails
+//! the attempt and the retry budget decides the faulty job's outcome.
+//! With zero retries and no deadlines the machinery must be invisible:
+//! artefacts byte-identical to plain completed runs.
 
 use qtenon_core::jobs::{
     attempt_seed, run_standalone, BatchReport, BatchScheduler, BatchSpec, JobId, JobOutcome,
@@ -16,13 +18,16 @@ use qtenon_sim_engine::json::JsonValue;
 use qtenon_sim_engine::FaultPlan;
 use qtenon_workloads::WorkloadKind;
 
+/// Index of the fault-injected job in `examples/chaos.json`.
+const FAULTY: usize = 1;
+
 /// The chaos fleet of `examples/chaos.json` with every job's retry
-/// budget set to `budget` and the fault-injected job's plan set to every
-/// site at `rate` (a zero rate is the no-fault control).
-fn chaos_fleet(rate: f64, budget: u32) -> Vec<JobSpec> {
+/// budget set to `budget` and the fault-injected job's plan set to
+/// `faults` (a zero rate is the no-fault control).
+fn chaos_fleet(faults: &str, budget: u32) -> Vec<JobSpec> {
     let spec = BatchSpec::from_json(include_str!("../../../examples/chaos.json"))
         .expect("examples/chaos.json parses");
-    let faults = JsonValue::String(format!("all={rate},max_attempts=8"));
+    let faults = JsonValue::String(faults.to_string());
     let retries = JsonValue::Number(f64::from(budget));
     spec.jobs
         .into_iter()
@@ -57,14 +62,20 @@ struct Cell {
     batches: Vec<BatchReport>,
 }
 
-/// Runs the campaign: fault rates {0, 0.02, 0.08} × retry budgets
+/// The campaign's fault plan at `rate`: one attempt per fault site, so
+/// any injected fault fails the job's attempt.
+fn one_shot_faults(rate: f64) -> String {
+    format!("all={rate},max_attempts=1")
+}
+
+/// Runs the campaign: fault rates {0, 0.001, 0.005} × retry budgets
 /// {0, 3}, each cell at every pool width. Every run must return; a hang
 /// would stall the test here.
 fn campaign() -> Vec<Cell> {
     let mut cells = Vec::new();
-    for rate in [0.0, 0.02, 0.08] {
+    for rate in [0.0, 0.001, 0.005] {
         for budget in [0u32, 3] {
-            let jobs = chaos_fleet(rate, budget);
+            let jobs = chaos_fleet(&one_shot_faults(rate), budget);
             let sched = scheduler(&jobs);
             let batches = WIDTHS
                 .iter()
@@ -125,11 +136,8 @@ fn completed_jobs_match_standalone_runs_at_their_attempt_seed() {
                     .sched
                     .seed_of(JobId::from_index(idx))
                     .expect("admitted");
-                // The scripted flake's failures are the scheduler's to
-                // retry; standalone runs only the attempt that completed.
-                let mut bare = cell.jobs[idx].clone();
-                bare.chaos_fail_attempts = 0;
-                let reference = run_standalone(&bare, attempt_seed(seed, attempts - 1), 1)
+                // Standalone runs only the attempt that completed.
+                let reference = run_standalone(&cell.jobs[idx], seed, attempts - 1, 1)
                     .expect("standalone run succeeds");
                 assert_eq!(
                     *artifacts, reference,
@@ -141,9 +149,13 @@ fn completed_jobs_match_standalone_runs_at_their_attempt_seed() {
     }
 }
 
+/// A fault plan whose in-attempt recovery (eight tries per site) absorbs
+/// every injected fault, so the faulty job completes on attempt 1.
+const RECOVERABLE_FAULTS: &str = "all=0.02,max_attempts=8";
+
 #[test]
 fn batch_with_panicking_and_deadline_jobs_attributes_both_and_keeps_survivors_exact() {
-    let jobs = chaos_fleet(0.02, 3);
+    let jobs = chaos_fleet(RECOVERABLE_FAULTS, 3);
     let sched = scheduler(&jobs);
     for width in [1usize, 8] {
         let batch = sched.run(width).expect("panics are contained");
@@ -179,10 +191,8 @@ fn batch_with_panicking_and_deadline_jobs_attributes_both_and_keeps_survivors_ex
                 } => (artifacts, *attempts),
                 other => panic!("job {idx} should complete, got {other:?}"),
             };
-            let mut bare = jobs[idx].clone();
-            bare.chaos_fail_attempts = 0;
-            let reference = run_standalone(&bare, attempt_seed(seed, attempts - 1), 1)
-                .expect("standalone run succeeds");
+            let reference =
+                run_standalone(&jobs[idx], seed, attempts - 1, 1).expect("standalone run succeeds");
             assert_eq!(
                 artifacts.report, reference.report,
                 "width {width} job {idx}"
@@ -231,7 +241,7 @@ fn zero_retry_zero_deadline_fleet_is_byte_identical_to_the_plain_path() {
                     attempts: 1,
                 } => {
                     let reference =
-                        run_standalone(&jobs[i], seed, 1).expect("standalone run succeeds");
+                        run_standalone(&jobs[i], seed, 0, 1).expect("standalone run succeeds");
                     assert_eq!(artifacts.report, reference.report, "width {width} job {i}");
                     assert_eq!(
                         artifacts.metrics_json, reference.metrics_json,
@@ -249,8 +259,12 @@ fn retry_budget_changes_recovery_but_never_survivor_artifacts() {
     // The flake fails its first attempt. With budget 0 it fails for
     // good; with budget 3 it recovers on attempt 2 — and the healthy
     // jobs' artefacts are identical in both worlds.
-    let no_budget = scheduler(&chaos_fleet(0.02, 0)).run(4).expect("runs");
-    let budgeted = scheduler(&chaos_fleet(0.02, 3)).run(4).expect("runs");
+    let no_budget = scheduler(&chaos_fleet(RECOVERABLE_FAULTS, 0))
+        .run(4)
+        .expect("runs");
+    let budgeted = scheduler(&chaos_fleet(RECOVERABLE_FAULTS, 3))
+        .run(4)
+        .expect("runs");
 
     match &no_budget.results[2].outcome {
         JobOutcome::Failed { attempts: 1, .. } => {}
@@ -268,5 +282,32 @@ fn retry_budget_changes_recovery_but_never_survivor_artifacts() {
             budgeted.results[idx].outcome.artifacts().expect("clean"),
             "budget must not perturb healthy job {idx}"
         );
+    }
+}
+
+#[test]
+fn a_retry_draws_fresh_faults_so_the_budget_decides_the_faulty_job() {
+    // The faulty job alone (its seed is fixed by its file position), at
+    // one attempt per fault site: an injected fault fails the attempt.
+    let faulty = |rate: f64, budget: u32| {
+        let job = chaos_fleet(&one_shot_faults(rate), budget).swap_remove(FAULTY);
+        let batch = scheduler(&[job]).run(1).expect("batch run returns");
+        batch.results[0].outcome.clone()
+    };
+    // At rate 0.001 the first attempt draws a fault...
+    match faulty(0.001, 0) {
+        JobOutcome::Failed { attempts: 1, .. } => {}
+        other => panic!("rate 0.001 budget 0: {other:?}"),
+    }
+    // ...and a retry, under its own fault seed, draws a schedule it
+    // survives. Replaying attempt 0's schedule would fail every time.
+    match faulty(0.001, 3) {
+        JobOutcome::Completed { attempts, .. } => assert!(attempts > 1, "{attempts}"),
+        other => panic!("rate 0.001 budget 3: {other:?}"),
+    }
+    // At rate 0.005 every attempt draws a fault: the budget runs out.
+    match faulty(0.005, 3) {
+        JobOutcome::Quarantined { attempts: 4, .. } => {}
+        other => panic!("rate 0.005 budget 3: {other:?}"),
     }
 }

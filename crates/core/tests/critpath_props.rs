@@ -112,7 +112,7 @@ fn batch_and_standalone_jobs_agree_on_the_critpath() {
         .enumerate()
         .map(|(i, spec)| {
             let seed = sched.seed_of(JobId::from_index(i)).expect("admitted");
-            run_standalone(spec, seed, 1).expect("standalone run succeeds")
+            run_standalone(spec, seed, 0, 1).expect("standalone run succeeds")
         })
         .collect();
     for threads in [1usize, 4] {

@@ -61,7 +61,7 @@ fn fleet_results_match_standalone_at_any_pool_width() {
         .enumerate()
         .map(|(i, spec)| {
             let seed = sched.seed_of(JobId::from_index(i)).expect("admitted");
-            run_standalone(spec, seed, 1).expect("standalone run succeeds")
+            run_standalone(spec, seed, 0, 1).expect("standalone run succeeds")
         })
         .collect();
 
@@ -96,7 +96,7 @@ fn faulty_job_recovers_identically_in_and_out_of_fleet() {
     let faulty = 4;
     assert!(jobs[faulty].faults.is_active());
     let seed = sched.seed_of(JobId::from_index(faulty)).expect("admitted");
-    let standalone = run_standalone(&jobs[faulty], seed, 1).expect("standalone run succeeds");
+    let standalone = run_standalone(&jobs[faulty], seed, 0, 1).expect("standalone run succeeds");
     assert!(
         standalone.report.resilience.faults_injected > 0,
         "fault plan must actually fire for the comparison to mean anything"

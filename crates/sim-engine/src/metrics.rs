@@ -7,7 +7,7 @@
 //! `core.instr.q_run.latency`), so one [`MetricsSnapshot`] captures the
 //! whole system and experiments can diff structured telemetry instead of
 //! parsing stdout. The batch scheduler's fleet-level observables live
-//! under `jobs.*` (queue depth, wait/turnaround histograms, pool shape,
+//! under `jobs.*` (job tallies, wait/turnaround histograms, pool shape,
 //! throughput) in their own registry, keeping per-job system trees
 //! byte-stable while the schedule's wall-clock telemetry varies freely.
 //!
