@@ -205,6 +205,9 @@ mod tests {
         let a = distill_sim("profile_vqe").unwrap();
         let b = distill_sim("profile_vqe").unwrap();
         assert_eq!(a.to_json(), b.to_json());
+        // The committed trajectory re-distils bit for bit: a drift is a
+        // modelling change, and the snapshot must be re-committed with it.
+        assert_eq!(a.to_json(), include_str!("../../../BENCH_profile_vqe.json"));
         assert!(a.entries.contains_key("vqa.quantum_execute"));
         assert!(a.entries.contains_key("chip.execute"));
     }
@@ -219,5 +222,9 @@ mod tests {
         for e in snap.entries.values() {
             assert!(e.median_ns > 0.0);
         }
+        assert_eq!(
+            snap.to_json(),
+            include_str!("../../../BENCH_end_to_end.json")
+        );
     }
 }

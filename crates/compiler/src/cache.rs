@@ -27,25 +27,25 @@
 //!
 //! Determinism rule: a hit must be byte-identical to a cold compile at
 //! any pool width. Three properties enforce it. Keys store the *full*
-//! canonical bytes and lookups compare them, so a 64-bit shard-hash
-//! collision can never alias two circuits. The compiler itself is a pure
-//! function of the key, so racing workers that each miss produce
-//! identical values and first-writer-wins insertion only ever discards a
-//! duplicate. And cached values are immutable behind `Arc`, so sharing
-//! cannot mutate.
+//! canonical bytes and lookups compare them, so a 64-bit hash collision
+//! can never alias two circuits. Each key is filled once: the first
+//! lookup runs the compiler, a pure function of the key, and racing
+//! lookups wait for its value instead of compiling again, so a level's
+//! misses count the fills it ran and do not depend on the pool width.
+//! And cached values are immutable behind `Arc`, so sharing cannot
+//! mutate.
 //!
-//! Eviction is per-shard FIFO in insertion order: deterministic given an
-//! insertion order, cheap, and a good fit for fleet queues where
-//! near-identical jobs arrive near each other.
+//! Eviction is FIFO per level in the order keys were first claimed:
+//! deterministic given that order, cheap, and a good fit for fleet
+//! queues where near-identical jobs arrive near each other.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use qtenon_isa::{GateType, QccLayout, QubitId};
 use qtenon_quantum::{Angle, Circuit, Gate};
-use qtenon_sim_engine::{Histogram, MetricsRegistry};
+use qtenon_sim_engine::MetricsRegistry;
 
 use crate::program::{CompiledProgram, QtenonCompiler};
 use crate::CompileError;
@@ -53,10 +53,8 @@ use crate::CompileError;
 /// A cached, immutable pulse work-item stream.
 pub type PulseSchedule = Arc<Vec<(QubitId, GateType, u32)>>;
 
-/// Number of lock stripes. Power of two so shard selection is a mask.
-const SHARDS: usize = 16;
-
-/// Default entry budget per cache level (programs and pulses each).
+/// Default entry budget per cache level (programs, pulses and bound
+/// circuits each).
 pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// Key-encoding version; bumped whenever the canonical byte layout
@@ -67,10 +65,9 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a folded over 8-byte words (tail handled bytewise), seeded so
-/// pulse hashes can continue from program hashes. Used only for shard
-/// selection and hash-table bucketing — equality always compares the
-/// full canonical bytes, so hash quality affects speed, never
-/// correctness.
+/// pulse hashes can continue from program hashes. Used only for
+/// hash-table bucketing — equality always compares the full canonical
+/// bytes, so hash quality affects speed, never correctness.
 fn hash_bytes(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
     let mut chunks = bytes.chunks_exact(8);
@@ -179,8 +176,8 @@ fn encode_slot_codes(program: &CompiledProgram, params: &[f64]) -> Result<Vec<u8
 }
 
 /// Interned canonical program key: the full bytes plus their hash,
-/// computed once at interning so every probe, shard pick, and pulse-key
-/// derivation reuses it instead of re-hashing ~20 bytes per operation.
+/// computed once at interning so every probe and pulse-key derivation
+/// reuses it instead of re-hashing ~20 bytes per operation.
 #[derive(Debug, Clone)]
 struct ProgramKey {
     hash: u64,
@@ -259,23 +256,6 @@ impl std::hash::Hash for PulseKey {
     }
 }
 
-/// Shard selection for a cache key: the precomputed content hash.
-trait ShardKey {
-    fn shard_hash(&self) -> u64;
-}
-
-impl ShardKey for ProgramKey {
-    fn shard_hash(&self) -> u64 {
-        self.hash
-    }
-}
-
-impl ShardKey for PulseKey {
-    fn shard_hash(&self) -> u64 {
-        self.hash
-    }
-}
-
 /// A compiled program handed out by the cache, carrying its canonical
 /// key so pulse lookups can reuse it.
 #[derive(Debug, Clone)]
@@ -347,76 +327,75 @@ impl std::ops::Deref for CachedPulses {
     }
 }
 
-struct Shard<K, V> {
-    entries: HashMap<K, V>,
-    order: VecDeque<K>,
-}
+/// A fill-once cell: empty until a fill succeeds, then fixed. Its lock
+/// is held for the whole fill, so racing lookups of one key wait for
+/// the first instead of filling again.
+type Slot<V> = Arc<Mutex<Option<V>>>;
 
-impl<K, V> Shard<K, V> {
-    fn new() -> Self {
-        Shard {
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-}
+/// A level's fill-once slots plus their keys in claim order, for FIFO
+/// eviction.
+type Slots<K, V> = (HashMap<K, Slot<V>>, VecDeque<K>);
 
+/// One cache level. Its lock covers only claiming and evicting slots
+/// and is never held during a fill.
 struct Level<K, V> {
-    shards: Vec<Mutex<Shard<K, V>>>,
-    per_shard_capacity: usize,
-}
-
-/// What a level insert did, for stats accounting.
-enum Inserted<V> {
-    /// Our value went in; `evicted` values were displaced.
-    Fresh { evicted: u64 },
-    /// Another worker won the race; their value is returned.
-    Raced(V),
+    slots: Mutex<Slots<K, V>>,
+    capacity: usize,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl<K, V> Level<K, V>
 where
-    K: ShardKey + std::hash::Hash + Eq + Clone,
+    K: std::hash::Hash + Eq + Clone,
     V: Clone,
 {
     fn new(capacity: usize) -> Self {
-        let per_shard_capacity = capacity.div_ceil(SHARDS).max(1);
         Level {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
-            per_shard_capacity,
+            slots: Mutex::new((HashMap::new(), VecDeque::new())),
+            capacity: capacity.max(1),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        &self.shards[(key.shard_hash() as usize) & (SHARDS - 1)]
-    }
-
-    fn get(&self, key: &K) -> Option<V> {
-        let shard = self.shard(key).lock().expect("cache shard poisoned");
-        shard.entries.get(key).cloned()
-    }
-
-    /// First-writer-wins insert: if `key` is already present the
-    /// existing value is kept and returned, so every worker converges on
-    /// one shared artefact regardless of interleaving.
-    fn insert(&self, key: K, value: V) -> Inserted<V> {
-        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
-        if let Some(existing) = shard.entries.get(&key) {
-            return Inserted::Raced(existing.clone());
-        }
-        let mut evicted = 0u64;
-        while shard.entries.len() >= self.per_shard_capacity {
-            match shard.order.pop_front() {
-                Some(oldest) => {
-                    shard.entries.remove(&oldest);
-                    evicted += 1;
+    /// The value for `key` and whether it was a hit. The lookup that
+    /// finds the slot empty runs `fill` and counts a miss, even when
+    /// the fill errors; every other lookup counts a hit. A fill that
+    /// errors or panics leaves the slot empty, and the next lookup
+    /// waiting on it fills it.
+    fn get_or_fill<E>(&self, key: &K, fill: impl FnOnce() -> Result<V, E>) -> Result<(V, bool), E> {
+        let slot = {
+            let mut guard = self.slots.lock().expect("cache level poisoned");
+            let (slots, order) = &mut *guard;
+            match slots.get(key) {
+                Some(slot) => Arc::clone(slot),
+                None => {
+                    if slots.len() >= self.capacity {
+                        let oldest = order.pop_front().expect("every slot's key is queued");
+                        slots.remove(&oldest);
+                        self.evictions.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let slot = Slot::default();
+                    order.push_back(key.clone());
+                    slots.insert(key.clone(), Arc::clone(&slot));
+                    slot
                 }
-                None => break,
             }
+        };
+        // A panicking fill poisons the slot but never writes it, so the
+        // `None` it leaves is valid and the next lookup fills it.
+        let mut value = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(v) = value.as_ref() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((v.clone(), true));
         }
-        shard.order.push_back(key.clone());
-        shard.entries.insert(key, value);
-        Inserted::Fresh { evicted }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let v = fill()?;
+        *value = Some(v.clone());
+        Ok((v, false))
     }
 }
 
@@ -435,16 +414,11 @@ pub struct CacheStats {
     pub bound_hits: u64,
     /// Bound-circuit misses (cold parameter binds).
     pub bound_misses: u64,
-    /// Entries inserted (both levels).
-    pub inserts: u64,
-    /// Concurrent inserts that lost first-writer-wins.
-    pub insert_races: u64,
-    /// Entries displaced by FIFO eviction.
+    /// Entries displaced by FIFO eviction (all levels).
     pub evictions: u64,
-    /// Approximate bytes currently cached.
+    /// Approximate bytes inserted (all levels). Cumulative: eviction
+    /// does not subtract.
     pub bytes: u64,
-    /// Wall-clock latency of cache hits, in nanoseconds.
-    pub hit_latency_ns: Histogram,
 }
 
 impl CacheStats {
@@ -475,11 +449,10 @@ impl CacheStats {
         match self.hit_rate() {
             None => "compile cache: idle (0 lookups)".to_string(),
             Some(rate) => format!(
-                "compile cache: {}/{} lookups hit ({:.1}%), {} inserts, {} evictions, {} bytes",
+                "compile cache: {}/{} lookups hit ({:.1}%), {} evictions, {} bytes inserted",
                 self.program_hits + self.pulse_hits + self.bound_hits,
                 self.lookups(),
                 rate * 100.0,
-                self.inserts,
                 self.evictions,
                 self.bytes,
             ),
@@ -494,12 +467,9 @@ impl CacheStats {
         m.counter("cache.fleet.pulse.misses", self.pulse_misses);
         m.counter("cache.fleet.bound.hits", self.bound_hits);
         m.counter("cache.fleet.bound.misses", self.bound_misses);
-        m.counter("cache.fleet.inserts", self.inserts);
-        m.counter("cache.fleet.insert_races", self.insert_races);
         m.counter("cache.fleet.evictions", self.evictions);
         m.counter("cache.fleet.bytes", self.bytes);
         m.gauge("cache.fleet.hit_rate", self.hit_rate().unwrap_or_default());
-        m.histogram("cache.fleet.hit_latency_ns", &self.hit_latency_ns);
     }
 }
 
@@ -530,17 +500,7 @@ pub struct CompilationCache {
     programs: Level<ProgramKey, (Arc<CompiledProgram>, Arc<Circuit>)>,
     pulses: Level<PulseKey, PulseSchedule>,
     bounds: Level<PulseKey, Arc<Circuit>>,
-    program_hits: AtomicU64,
-    program_misses: AtomicU64,
-    pulse_hits: AtomicU64,
-    pulse_misses: AtomicU64,
-    bound_hits: AtomicU64,
-    bound_misses: AtomicU64,
-    inserts: AtomicU64,
-    insert_races: AtomicU64,
-    evictions: AtomicU64,
     bytes: AtomicU64,
-    hit_latency_ns: Mutex<Histogram>,
 }
 
 impl std::fmt::Debug for CompilationCache {
@@ -558,17 +518,7 @@ impl CompilationCache {
             programs: Level::new(capacity),
             pulses: Level::new(capacity),
             bounds: Level::new(capacity),
-            program_hits: AtomicU64::new(0),
-            program_misses: AtomicU64::new(0),
-            pulse_hits: AtomicU64::new(0),
-            pulse_misses: AtomicU64::new(0),
-            bound_hits: AtomicU64::new(0),
-            bound_misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            insert_races: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
-            hit_latency_ns: Mutex::new(Histogram::new()),
         }
     }
 
@@ -595,38 +545,18 @@ impl CompilationCache {
         layout: QccLayout,
         circuit: &Circuit,
     ) -> Result<CachedProgram, CompileError> {
-        let started = Instant::now();
         let key = ProgramKey::new(encode_program_key(circuit, &layout));
-        if let Some((program, source)) = self.programs.get(&key) {
-            self.program_hits.fetch_add(1, Ordering::Relaxed);
-            self.observe_hit(started);
-            return Ok(CachedProgram {
-                program,
-                source,
-                key,
-                hit: true,
-            });
-        }
-        self.program_misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = Arc::new(QtenonCompiler::new(layout).compile(circuit)?);
-        let source = Arc::new(circuit.clone());
-        let cost = program_bytes(&compiled) + circuit_bytes(circuit) + key.bytes.len() as u64;
-        let value = (Arc::clone(&compiled), Arc::clone(&source));
-        let (program, source) = match self.programs.insert(key.clone(), value) {
-            Inserted::Fresh { evicted } => {
-                self.account_insert(evicted, cost);
-                (compiled, source)
-            }
-            Inserted::Raced(existing) => {
-                self.insert_races.fetch_add(1, Ordering::Relaxed);
-                existing
-            }
-        };
+        let ((program, source), hit) = self.programs.get_or_fill(&key, || {
+            let compiled = QtenonCompiler::new(layout).compile(circuit)?;
+            let cost = program_bytes(&compiled) + circuit_bytes(circuit) + key.bytes.len() as u64;
+            self.bytes.fetch_add(cost, Ordering::Relaxed);
+            Ok((Arc::new(compiled), Arc::new(circuit.clone())))
+        })?;
         Ok(CachedProgram {
             program,
             source,
             key,
-            hit: false,
+            hit,
         })
     }
 
@@ -644,36 +574,19 @@ impl CompilationCache {
         cached: &CachedProgram,
         params: &[f64],
     ) -> Result<CachedBound, CompileError> {
-        let started = Instant::now();
         let codes = encode_slot_codes(cached.program(), params)?;
         let key = PulseKey::new(cached.key.clone(), codes);
-        if let Some(circuit) = self.bounds.get(&key) {
-            self.bound_hits.fetch_add(1, Ordering::Relaxed);
-            self.observe_hit(started);
-            return Ok(CachedBound { circuit, hit: true });
-        }
-        self.bound_misses.fetch_add(1, Ordering::Relaxed);
-        let bound = Arc::new(cached.source.bind(params).map_err(|_| {
-            CompileError::ParameterCountMismatch {
-                expected: cached.program().num_params(),
-                got: params.len(),
-            }
-        })?);
-        let cost = circuit_bytes(&bound) + key.cost();
-        let circuit = match self.bounds.insert(key, Arc::clone(&bound)) {
-            Inserted::Fresh { evicted } => {
-                self.account_insert(evicted, cost);
-                bound
-            }
-            Inserted::Raced(existing) => {
-                self.insert_races.fetch_add(1, Ordering::Relaxed);
-                existing
-            }
+        let mismatch = |_| CompileError::ParameterCountMismatch {
+            expected: cached.program().num_params(),
+            got: params.len(),
         };
-        Ok(CachedBound {
-            circuit,
-            hit: false,
-        })
+        let (circuit, hit) = self.bounds.get_or_fill(&key, || {
+            let bound = cached.source.bind(params).map_err(mismatch)?;
+            let cost = circuit_bytes(&bound) + key.cost();
+            self.bytes.fetch_add(cost, Ordering::Relaxed);
+            Ok(Arc::new(bound))
+        })?;
+        Ok(CachedBound { circuit, hit })
     }
 
     /// Resolves the pulse work-item stream for `params`, serving from
@@ -689,62 +602,31 @@ impl CompilationCache {
         cached: &CachedProgram,
         params: &[f64],
     ) -> Result<CachedPulses, CompileError> {
-        let started = Instant::now();
         let codes = encode_slot_codes(cached.program(), params)?;
         let key = PulseKey::new(cached.key.clone(), codes);
-        if let Some(items) = self.pulses.get(&key) {
-            self.pulse_hits.fetch_add(1, Ordering::Relaxed);
-            self.observe_hit(started);
-            return Ok(CachedPulses { items, hit: true });
-        }
-        self.pulse_misses.fetch_add(1, Ordering::Relaxed);
-        let generated = Arc::new(cached.program().work_items(params)?);
-        let cost = pulse_bytes(&generated) + key.cost();
-        let items = match self.pulses.insert(key, Arc::clone(&generated)) {
-            Inserted::Fresh { evicted } => {
-                self.account_insert(evicted, cost);
-                generated
-            }
-            Inserted::Raced(existing) => {
-                self.insert_races.fetch_add(1, Ordering::Relaxed);
-                existing
-            }
-        };
-        Ok(CachedPulses { items, hit: false })
-    }
-
-    fn account_insert(&self, evicted: u64, cost: u64) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        self.bytes.fetch_add(cost, Ordering::Relaxed);
-    }
-
-    fn observe_hit(&self, started: Instant) {
-        let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.hit_latency_ns
-            .lock()
-            .expect("cache histogram poisoned")
-            .record(ns);
+        let (items, hit) = self.pulses.get_or_fill(&key, || {
+            let generated = cached.program().work_items(params)?;
+            let cost = pulse_bytes(&generated) + key.cost();
+            self.bytes.fetch_add(cost, Ordering::Relaxed);
+            Ok(Arc::new(generated))
+        })?;
+        Ok(CachedPulses { items, hit })
     }
 
     /// A consistent-enough snapshot of the counters for telemetry.
     pub fn stats(&self) -> CacheStats {
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
         CacheStats {
-            program_hits: self.program_hits.load(Ordering::Relaxed),
-            program_misses: self.program_misses.load(Ordering::Relaxed),
-            pulse_hits: self.pulse_hits.load(Ordering::Relaxed),
-            pulse_misses: self.pulse_misses.load(Ordering::Relaxed),
-            bound_hits: self.bound_hits.load(Ordering::Relaxed),
-            bound_misses: self.bound_misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            insert_races: self.insert_races.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            hit_latency_ns: self
-                .hit_latency_ns
-                .lock()
-                .expect("cache histogram poisoned")
-                .clone(),
+            program_hits: count(&self.programs.hits),
+            program_misses: count(&self.programs.misses),
+            pulse_hits: count(&self.pulses.hits),
+            pulse_misses: count(&self.pulses.misses),
+            bound_hits: count(&self.bounds.hits),
+            bound_misses: count(&self.bounds.misses),
+            evictions: count(&self.programs.evictions)
+                + count(&self.pulses.evictions)
+                + count(&self.bounds.evictions),
+            bytes: count(&self.bytes),
         }
     }
 }
@@ -772,6 +654,8 @@ fn circuit_bytes(circuit: &Circuit) -> u64 {
 mod tests {
     use super::*;
     use qtenon_quantum::ParamId;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     fn layout() -> QccLayout {
         QccLayout::for_qubits(4).unwrap()
@@ -797,7 +681,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.program_hits, 1);
         assert_eq!(stats.program_misses, 1);
-        assert_eq!(stats.hit_latency_ns.count(), 1);
     }
 
     #[test]
@@ -859,9 +742,8 @@ mod tests {
     #[test]
     fn fifo_eviction_is_bounded_and_counted() {
         let cache = CompilationCache::new(1);
-        // Distinct single-qubit circuits with different literal angles
-        // all land somewhere; with 1-entry shards insertions past the
-        // first occupant of a shard must evict.
+        // Distinct single-qubit circuits with different literal angles:
+        // in a 1-entry level every claim after the first evicts.
         for i in 0..64 {
             let mut c = Circuit::new(1);
             c.rx(0, i as f64 * 0.1);
@@ -871,7 +753,57 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!(stats.program_misses, 64);
-        assert!(stats.evictions > 0, "1-entry shards never evicted");
+        assert_eq!(stats.evictions, 63);
+    }
+
+    /// Blocks until `waiters` lookups besides the filler hold `key`'s
+    /// slot. Probes with `try_lock`, so a level lock held during the
+    /// fill fails the deadline instead of hanging.
+    fn await_waiters(level: &Level<u32, u32>, key: u32, waiters: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Ok(guard) = level.slots.try_lock() {
+                // The map, the filler, the waiters and this probe.
+                if Arc::strong_count(&guard.0[&key]) >= waiters + 2 {
+                    return;
+                }
+            }
+            assert!(Instant::now() < deadline, "no lookup waited on the slot");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_failed_or_panicking_fill_hands_the_slot_to_its_waiter() {
+        for panics in [false, true] {
+            let level = Level::<u32, u32>::new(4);
+            let (filling, started) = mpsc::channel();
+            std::thread::scope(|scope| {
+                let first = scope.spawn(|| {
+                    level.get_or_fill(&7, || {
+                        filling.send(()).expect("test thread listens");
+                        await_waiters(&level, 7, 1);
+                        if panics {
+                            panic!("deliberate fill panic");
+                        }
+                        Err("deliberate fill error")
+                    })
+                });
+                started.recv().expect("first lookup claims the slot");
+                let waiter = scope.spawn(|| level.get_or_fill(&7, || Ok::<_, &str>(42)));
+                match first.join() {
+                    Ok(result) => assert!(!panics && result.is_err()),
+                    Err(_) => assert!(panics),
+                }
+                assert_eq!(waiter.join().expect("waiter returns"), Ok((42, false)));
+            });
+            assert_eq!(
+                level.get_or_fill(&7, || Err("filled twice")),
+                Ok((42, true))
+            );
+            let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            assert_eq!((count(&level.misses), count(&level.hits)), (2, 1));
+        }
     }
 
     #[test]

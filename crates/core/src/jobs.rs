@@ -549,9 +549,9 @@ pub struct BatchReport {
     /// Jobs rejected at admission (bounded queue overflow).
     pub rejected: u64,
     /// Fleet compilation-cache statistics for the run; `None` when the
-    /// batch ran without a cache. Fleet-level only: hit ordering races
-    /// across pool widths, so these counters never appear in any per-job
-    /// artefact.
+    /// batch ran without a cache. Fleet-level only: which job's lookup
+    /// fills a shared entry depends on worker interleaving, so these
+    /// counters never appear in any per-job artefact.
     pub cache_stats: Option<CacheStats>,
 }
 
@@ -709,9 +709,9 @@ impl BatchReport {
         m.histogram("resilience.jobs.time_to_recovery_ns", &recovery);
 
         // Fleet compilation-cache observables (`cache.fleet.*`). Like
-        // `jobs.*` these belong to the fleet, not to any job: hit/miss
-        // ordering depends on worker interleaving, so the counters are
-        // exported here and never in per-job artefacts.
+        // `jobs.*` these belong to the fleet, not to any job: which job
+        // fills a shared entry depends on worker interleaving, so the
+        // counters are exported here and never in per-job artefacts.
         if let Some(stats) = &self.cache_stats {
             stats.export(m);
         }
@@ -1803,20 +1803,14 @@ mod tests {
                 assert_eq!(cold.metrics_json, hit.metrics_json, "width {threads}");
             }
             let stats = cached.cache_stats.expect("cached batch reports stats");
-            // One program lookup per job always; the hit/miss split is
-            // only deterministic serially (concurrent duplicates can
-            // race to a miss; first-writer-wins keeps them identical).
+            // One program lookup per job, and one fill per key: concurrent
+            // duplicates wait for the first compile instead of racing it.
             assert_eq!(
-                stats.program_hits + stats.program_misses,
-                4,
+                (stats.program_hits, stats.program_misses),
+                (3, 1),
                 "width {threads}"
             );
-            assert!(stats.program_misses >= 1, "width {threads}");
-            if threads == 1 {
-                assert_eq!(stats.program_hits, 3);
-                assert_eq!(stats.program_misses, 1);
-                assert!(stats.pulse_hits > 0);
-            }
+            assert!(stats.pulse_hits > 0, "width {threads}");
         }
     }
 
@@ -1881,7 +1875,6 @@ mod tests {
                     )
                     .unwrap();
             }
-            // Serial: the 1-miss-then-1-hit split is deterministic.
             let batch = sched.run(1).unwrap();
             let mut m = MetricsRegistry::new();
             batch.export_metrics(&mut m);

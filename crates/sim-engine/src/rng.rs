@@ -5,7 +5,7 @@
 //! configured seed and on *s* — never on which thread ran the shot, how
 //! many shards the run was cut into, or what any other shot drew. This
 //! module supplies that primitive. [`splitmix64`] is the engine's single
-//! shared generator (also used by the fault injector), [`unit`] converts
+//! shared generator (also used by the fault injector), [`unit()`] converts
 //! draws to uniform floats, and [`stream_seed`] derives the independent
 //! per-index sub-stream seeds that make shot-sharded execution bitwise
 //! reproducible at any thread count.

@@ -1,8 +1,12 @@
-//! Artefact determinism of `qtenon batch`, checked through the binary:
-//! every per-job metrics file is byte-identical at pool widths 1 and 4,
+//! Artefact determinism of the `qtenon` binary. For `qtenon batch`:
+//! every per-job metrics file is byte-identical at any pool width,
 //! against a standalone `--only` run, and with the fleet compilation
-//! cache on or off; the cached ledger does not depend on the pool width;
-//! and the fleet cache's hits reach both metrics exports.
+//! cache on or off; the cached ledger and the `cache.fleet.*` telemetry
+//! do not depend on the pool width, and that telemetry reaches both
+//! metrics exports. For `qtenon run`: the `--critpath` report and the
+//! Chrome trace, inert and fault-injected, are byte-identical at 1 and
+//! 4 shot-shard threads, and the annotated trace paints the critical
+//! path on its own lane.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -31,6 +35,22 @@ fn batch(fleet: &str, tag: &str, extra: &[&str]) -> PathBuf {
         .expect("qtenon binary runs");
     assert!(run.status.success(), "{fleet} {extra:?}: {run:?}");
     dir
+}
+
+/// Runs `qtenon run examples/qasm/bell.qasm --shots 2000 --seed 42
+/// <extra>` in the test tmpdir and returns its stdout. Paths in `extra`
+/// are relative to that tmpdir.
+fn run_bell(extra: &[&str]) -> Vec<u8> {
+    let run = Command::new(env!("CARGO_BIN_EXE_qtenon"))
+        .current_dir(tmpdir())
+        .arg("run")
+        .arg(Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/qasm/bell.qasm"))
+        .args(["--shots", "2000", "--seed", "42"])
+        .args(extra)
+        .output()
+        .expect("qtenon binary runs");
+    assert!(run.status.success(), "{extra:?}: {run:?}");
+    run.stdout
 }
 
 fn tmpdir() -> PathBuf {
@@ -113,44 +133,95 @@ fn cachefleet_artefacts_and_ledger_depend_on_neither_cache_nor_width() {
         "cache-off-w1",
         &["--threads", "1", "--no-cache"],
     );
-    let on_w1 = batch(
-        "cachefleet.json",
-        "cache-on-w1",
-        &[
-            "--threads",
-            "1",
-            "--ledger",
-            "cache-on-w1.txt",
-            "--metrics",
-            "cache-on-w1.json",
-        ],
-    );
-    let on_w4 = batch(
-        "cachefleet.json",
-        "cache-on-w4",
-        &["--threads", "4", "--ledger", "cache-on-w4.txt"],
-    );
-    assert_same_job_files(&off, &on_w1);
-    assert_same_job_files(&off, &on_w4);
-
     let tmp = tmpdir();
     let read = |name: &str| std::fs::read_to_string(tmp.join(name)).expect(name);
-    assert_eq!(
-        read("cache-on-w1.txt"),
-        read("cache-on-w4.txt"),
-        "cache attribution in the ledger depends on the pool width"
+    let mut fleet_cache = Vec::new();
+    for width in ["1", "2", "8"] {
+        let ledger = format!("cache-on-w{width}.txt");
+        let metrics = format!("cache-on-w{width}.json");
+        let on = batch(
+            "cachefleet.json",
+            &format!("cache-on-w{width}"),
+            &[
+                "--threads",
+                width,
+                "--ledger",
+                &ledger,
+                "--metrics",
+                &metrics,
+            ],
+        );
+        assert_same_job_files(&off, &on);
+        assert_eq!(
+            read(&ledger),
+            read("cache-on-w1.txt"),
+            "cache attribution in the ledger depends on the pool width"
+        );
+        assert!(read(&format!("{metrics}.prom")).contains("cache_fleet_"));
+        let doc = json::parse(&read(&metrics)).expect("metrics JSON parses");
+        let entries: Vec<(String, JsonValue)> = doc
+            .get("metrics")
+            .and_then(JsonValue::as_object)
+            .expect("metrics object")
+            .iter()
+            .filter(|(key, _)| key.starts_with("cache.fleet."))
+            .cloned()
+            .collect();
+        fleet_cache.push((width, entries));
+    }
+    // One fill per key: (hits, misses) per level at every width.
+    let (_, serial) = &fleet_cache[0];
+    let count = |key: &str| {
+        serial
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| v.get("value"))
+            .and_then(JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("{key} missing"))
+    };
+    for (level, hits, misses) in [("program", 2, 4), ("pulse", 10, 20), ("bound", 8, 16)] {
+        assert_eq!(
+            (
+                count(&format!("cache.fleet.{level}.hits")),
+                count(&format!("cache.fleet.{level}.misses"))
+            ),
+            (hits, misses),
+            "cache.fleet.{level}"
+        );
+    }
+    for (width, entries) in &fleet_cache[1..] {
+        assert_eq!(entries, serial, "cache.fleet.* differs at width {width}");
+    }
+}
+
+#[test]
+fn critpath_report_is_width_invariant_and_paints_its_trace_lane() {
+    assert!(
+        run_bell(&["--threads", "1", "--critpath"]) == run_bell(&["--threads", "4", "--critpath"]),
+        "--critpath report differs between 1 and 4 threads"
     );
-    assert!(read("cache-on-w1.json.prom").contains("cache_fleet_"));
-    let doc = json::parse(&read("cache-on-w1.json")).expect("metrics JSON parses");
-    let hits: f64 = ["program", "pulse", "bound"]
-        .iter()
-        .map(|level| {
-            doc.get("metrics")
-                .and_then(|m| m.get(&format!("cache.fleet.{level}.hits")))
-                .and_then(|v| v.get("value"))
-                .and_then(JsonValue::as_f64)
-                .unwrap_or_else(|| panic!("cache.fleet.{level}.hits missing"))
-        })
-        .sum();
-    assert!(hits > 0.0, "the duplicated fleet produced no cache hits");
+    run_bell(&["--critpath", "--trace", "critpath-trace.json"]);
+    let trace = std::fs::read_to_string(tmpdir().join("critpath-trace.json")).expect("trace");
+    assert!(
+        trace.contains(r#""tid":6"#),
+        "annotated trace has no critpath lane"
+    );
+}
+
+#[test]
+fn traces_are_width_invariant_inert_and_faulty() {
+    let faulty = ["--faults", "all=0.25,max_attempts=8", "--fault-seed", "7"];
+    for (kind, faults) in [("inert", &[][..]), ("faulty", &faulty[..])] {
+        let trace = |threads: &str| {
+            let path = format!("{kind}-t{threads}.json");
+            let mut args = vec!["--threads", threads, "--trace", &path];
+            args.extend_from_slice(faults);
+            run_bell(&args);
+            std::fs::read(tmpdir().join(&path)).expect("trace written")
+        };
+        assert!(
+            trace("1") == trace("4"),
+            "{kind} trace differs between 1 and 4 threads"
+        );
+    }
 }
