@@ -38,11 +38,6 @@ impl BaselineHostModel {
         let factor = self.software_overhead / self.hardware_speedup;
         SimDuration::from_ns_f64(reference.as_ns() * factor)
     }
-
-    /// The net slowdown factor relative to bare-metal Rocket.
-    pub fn net_factor(&self) -> f64 {
-        self.software_overhead / self.hardware_speedup
-    }
 }
 
 #[cfg(test)]
@@ -52,8 +47,12 @@ mod tests {
 
     #[test]
     fn default_net_factor_is_50x() {
-        let m = BaselineHostModel::default();
-        assert!((m.net_factor() - 50.0).abs() < 1e-9);
+        let mut ops = OpCounter::new();
+        ops.record(OpClass::IntAlu, 300);
+        ops.record(OpClass::FpComplex, 20);
+        ops.record(OpClass::Mem, 90);
+        let rocket = HostCoreModel::new(CoreModel::Rocket).duration_for(&ops);
+        assert_eq!(BaselineHostModel::default().duration_for(&ops), rocket * 50);
     }
 
     #[test]
@@ -75,6 +74,8 @@ mod tests {
         ops.record(OpClass::FpAlu, 100);
         let slow = BaselineHostModel::default();
         assert!(fast.duration_for(&ops) < slow.duration_for(&ops));
-        assert!((fast.net_factor() - 1.0).abs() < 1e-12);
+        // Equal speedup and overhead cancel: Rocket's own time.
+        let rocket = HostCoreModel::new(CoreModel::Rocket).duration_for(&ops);
+        assert_eq!(fast.duration_for(&ops), rocket);
     }
 }

@@ -45,12 +45,6 @@ impl AdiModel {
     pub fn readout_latency(&self) -> SimDuration {
         self.interface_latency
     }
-
-    /// Aggregate output bandwidth for `n_qubits` in bytes per second.
-    pub fn total_bandwidth_bytes_per_sec(&self, n_qubits: u32) -> u64 {
-        // bits/ns → bytes/s: ×1e9 / 8.
-        self.bits_per_ns_per_qubit * n_qubits as u64 * 1_000_000_000 / 8
-    }
 }
 
 #[cfg(test)]
@@ -66,8 +60,8 @@ mod tests {
     #[test]
     fn per_qubit_bandwidth_is_8_gb_per_sec() {
         let adi = AdiModel::default();
-        assert_eq!(adi.total_bandwidth_bytes_per_sec(1), 8_000_000_000);
-        assert_eq!(adi.total_bandwidth_bytes_per_sec(64), 512_000_000_000);
+        // 8 bytes per ns is 8 GB/s.
+        assert_eq!(adi.bits_per_ns_per_qubit / 8, 8);
     }
 
     #[test]

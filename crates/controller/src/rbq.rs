@@ -164,11 +164,6 @@ impl<T> ReorderBufferQueue<T> {
         self.order.len()
     }
 
-    /// Whether a new request can be issued right now.
-    pub fn has_free_tag(&self) -> bool {
-        !self.free.is_empty()
-    }
-
     /// Total tags ever issued.
     pub fn issued(&self) -> u64 {
         self.issued
@@ -235,7 +230,6 @@ mod tests {
         let mut rbq = ReorderBufferQueue::new();
         let tags: Vec<_> = (0..TAG_COUNT).map(|_| rbq.issue().unwrap()).collect();
         assert!(rbq.issue().is_none());
-        assert!(!rbq.has_free_tag());
         rbq.complete(tags[0], 0u32).unwrap();
         assert!(rbq.pop_in_order().is_some());
         // A tag freed by popping becomes issuable again.

@@ -2,35 +2,16 @@
 //! in Qtenon).
 //!
 //! Superconducting readout returns an analog IQ point per qubit per shot;
-//! a data processor classifies it into a bit ("state determination")
-//! before anything reaches the `.measure` segment. This module models
-//! that unit: a matched-filter integrator producing an IQ point from the
-//! qubit's true state plus Gaussian noise, and a linear discriminator
-//! with a calibrated threshold. Classification fidelity is a function of
-//! the IQ separation-to-noise ratio, which is how real readout error
-//! arises (the `quantum::noise` readout channel is the aggregate view of
-//! this unit's mistakes).
+//! a data processor integrates and classifies it into a bit ("state
+//! determination") before anything reaches the `.measure` segment. The
+//! timing model needs only that unit's latency, and the cost of re-arming
+//! it after a readout timeout.
 
 use qtenon_sim_engine::{ClockDomain, FaultPlan, SimDuration};
 
-/// An integrated IQ point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IqPoint {
-    /// In-phase component.
-    pub i: f64,
-    /// Quadrature component.
-    pub q: f64,
-}
-
-/// The readout discriminator configuration.
+/// The readout data processor's timing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadoutProcessor {
-    /// IQ centroid for |0⟩.
-    pub center0: IqPoint,
-    /// IQ centroid for |1⟩.
-    pub center1: IqPoint,
-    /// Standard deviation of the integrated noise (same both axes).
-    pub sigma: f64,
     /// Cycles needed to integrate and classify one shot.
     pub latency_cycles: u64,
     /// Clock the unit runs at.
@@ -40,9 +21,6 @@ pub struct ReadoutProcessor {
 impl Default for ReadoutProcessor {
     fn default() -> Self {
         ReadoutProcessor {
-            center0: IqPoint { i: -1.0, q: 0.0 },
-            center1: IqPoint { i: 1.0, q: 0.0 },
-            sigma: 0.35,
             // Integration a few hundred ns at the 200 MHz SRAM clock.
             latency_cycles: 60,
             clock: ClockDomain::from_mhz(200.0),
@@ -54,41 +32,6 @@ impl ReadoutProcessor {
     /// Classification latency per shot.
     pub fn latency(&self) -> SimDuration {
         self.clock.cycles(self.latency_cycles)
-    }
-
-    /// The distance between centroids over noise — the discrimination
-    /// SNR.
-    pub fn separation_snr(&self) -> f64 {
-        let di = self.center1.i - self.center0.i;
-        let dq = self.center1.q - self.center0.q;
-        (di * di + dq * dq).sqrt() / self.sigma
-    }
-
-    /// Synthesises the integrated IQ point for a qubit that is truly in
-    /// `state`, using two unit-normal noise draws.
-    pub fn integrate(&self, state: bool, noise_i: f64, noise_q: f64) -> IqPoint {
-        let c = if state { self.center1 } else { self.center0 };
-        IqPoint {
-            i: c.i + self.sigma * noise_i,
-            q: c.q + self.sigma * noise_q,
-        }
-    }
-
-    /// Classifies an IQ point: nearest centroid along the separation
-    /// axis (the matched-filter decision rule).
-    pub fn classify(&self, point: IqPoint) -> bool {
-        let di = self.center1.i - self.center0.i;
-        let dq = self.center1.q - self.center0.q;
-        // Project onto the separation axis; threshold at the midpoint.
-        let proj = (point.i - (self.center0.i + self.center1.i) / 2.0) * di
-            + (point.q - (self.center0.q + self.center1.q) / 2.0) * dq;
-        proj > 0.0
-    }
-
-    /// The theoretical assignment error rate for this SNR:
-    /// `Q(SNR/2)` where `Q` is the Gaussian tail function.
-    pub fn expected_error_rate(&self) -> f64 {
-        q_function(self.separation_snr() / 2.0)
     }
 
     /// Total modelled cost of `timeouts` consecutive readout timeouts
@@ -104,83 +47,14 @@ impl ReadoutProcessor {
     }
 }
 
-/// Gaussian tail probability `Q(x) = P(N(0,1) > x)` via the Abramowitz &
-/// Stegun complementary-error-function approximation (max error ~1.5e-7).
-fn q_function(x: f64) -> f64 {
-    if x < 0.0 {
-        return 1.0 - q_function(-x);
-    }
-    let t = 1.0 / (1.0 + 0.2316419 * x);
-    let poly = t
-        * (0.319381530
-            + t * (-0.356563782 + t * (1.781477937 + t * (-1.821255978 + t * 1.330274429))));
-    let pdf = (-x * x / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt();
-    pdf * poly
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qtenon_sim_engine::rng::unit;
-
-    fn gaussian(state: &mut u64) -> f64 {
-        // Box-Muller.
-        let u1 = unit(state).max(1e-12);
-        let u2 = unit(state);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
-    #[test]
-    fn noiseless_points_classify_exactly() {
-        let r = ReadoutProcessor::default();
-        assert!(!r.classify(r.center0));
-        assert!(r.classify(r.center1));
-    }
 
     #[test]
     fn latency_is_sub_microsecond() {
         let r = ReadoutProcessor::default();
         assert_eq!(r.latency(), SimDuration::from_ns(300));
-    }
-
-    #[test]
-    fn error_rate_matches_theory() {
-        let r = ReadoutProcessor::default();
-        let mut rng = 5u64;
-        let trials = 50_000;
-        let mut errors = 0;
-        for t in 0..trials {
-            let state = t % 2 == 0;
-            let point = r.integrate(state, gaussian(&mut rng), gaussian(&mut rng));
-            if r.classify(point) != state {
-                errors += 1;
-            }
-        }
-        let measured = errors as f64 / trials as f64;
-        let predicted = r.expected_error_rate();
-        assert!(
-            (measured - predicted).abs() < 0.005,
-            "measured {measured}, predicted {predicted}"
-        );
-    }
-
-    #[test]
-    fn higher_snr_means_fewer_errors() {
-        let base = ReadoutProcessor::default();
-        let better = ReadoutProcessor {
-            sigma: 0.15,
-            ..base
-        };
-        assert!(better.separation_snr() > base.separation_snr());
-        assert!(better.expected_error_rate() < base.expected_error_rate());
-    }
-
-    #[test]
-    fn classification_only_depends_on_separation_axis() {
-        let r = ReadoutProcessor::default();
-        // Orthogonal (quadrature) offsets do not change the decision.
-        assert!(r.classify(IqPoint { i: 0.6, q: 5.0 }));
-        assert!(!r.classify(IqPoint { i: -0.6, q: -5.0 }));
     }
 
     #[test]
@@ -191,12 +65,5 @@ mod tests {
         // One re-arm: 300 ns latency + 300 ns penalty + 50 ns backoff.
         assert_eq!(r.retry_penalty(1, &plan), SimDuration::from_ns(650));
         assert!(r.retry_penalty(3, &plan) > r.retry_penalty(1, &plan) * 2);
-    }
-
-    #[test]
-    fn q_function_sanity() {
-        assert!((q_function(0.0) - 0.5).abs() < 1e-6);
-        assert!(q_function(3.0) < 0.002);
-        assert!((q_function(-1.0) + q_function(1.0) - 1.0).abs() < 1e-6);
     }
 }

@@ -24,15 +24,14 @@ use qtenon_compiler::{
 use qtenon_isa::Instruction;
 use qtenon_quantum::{BitString, Circuit};
 use qtenon_sim_engine::{
-    EventQueue, Histogram, MetricsRegistry, OpClass, OpCounter, PhaseId, Profiler, SimDuration,
-    SimTime,
+    Histogram, MetricsRegistry, OpClass, OpCounter, PhaseId, Profiler, SimDuration, SimTime,
 };
 use qtenon_workloads::cost::{CostEvaluator, BLOCK_SHOTS};
 use qtenon_workloads::{Optimizer, Workload};
 
 use crate::config::{QtenonConfig, SyncMode, TransmissionPolicy};
 use crate::report::{CommBreakdown, RunReport, TimeBreakdown};
-use crate::schedule::{TransmissionBatch, TransmissionPlan};
+use crate::schedule::TransmissionPlan;
 use crate::system::QtenonSystem;
 use crate::SystemError;
 
@@ -142,11 +141,9 @@ pub struct VqaRunner {
     eval_latency: Histogram,
     iter_latency: Histogram,
     final_cost: f64,
-    /// PUT events scheduled on the fine-grained drain queue.
-    des_scheduled: u64,
-    /// PUT events dispatched from the drain queue.
-    des_dispatched: u64,
-    /// Deepest the drain queue has ever been across evaluations.
+    /// Fine-grained PUT batches drained, summed over evaluations.
+    des_puts: u64,
+    /// The most PUT batches in one evaluation.
     des_high_water: u64,
 }
 
@@ -226,8 +223,7 @@ impl VqaRunner {
             eval_latency: Histogram::new(),
             iter_latency: Histogram::new(),
             final_cost: f64::NAN,
-            des_scheduled: 0,
-            des_dispatched: 0,
+            des_puts: 0,
             des_high_water: 0,
         })
     }
@@ -281,16 +277,13 @@ impl VqaRunner {
         m.histogram("core.vqa.eval_latency_ns", &self.eval_latency);
         m.histogram("core.vqa.iteration_latency_ns", &self.iter_latency);
         m.gauge("core.vqa.final_cost", self.final_cost);
-        m.counter("profile.des.puts_scheduled", self.des_scheduled);
-        m.counter("profile.des.puts_dispatched", self.des_dispatched);
+        // PUT batch tallies: every batch scheduled is drained within its
+        // evaluation, so scheduled = dispatched and no PUT is left queued.
+        m.counter("profile.des.puts_scheduled", self.des_puts);
+        m.counter("profile.des.puts_dispatched", self.des_puts);
         m.counter("profile.des.put_queue_high_water", self.des_high_water);
-        // Queue-shape gauges: the registry exports gauges in both JSON
-        // and Prometheus, so scrapers see the DES queue shape directly.
         m.gauge("profile.des.high_water", self.des_high_water as f64);
-        m.gauge(
-            "profile.des.queue_depth",
-            self.des_scheduled.saturating_sub(self.des_dispatched) as f64,
-        );
+        m.gauge("profile.des.queue_depth", 0.0);
     }
 
     /// Static instruction count of the program text: setup instructions
@@ -347,8 +340,7 @@ impl VqaRunner {
         self.eval_latency.reset();
         self.iter_latency.reset();
         self.final_cost = f64::NAN;
-        self.des_scheduled = 0;
-        self.des_dispatched = 0;
+        self.des_puts = 0;
         self.des_high_water = 0;
         let phases = VqaPhases::intern(self.system.profiler_mut());
         // Root the causal chain at t=0: every subsequent op hangs its
@@ -586,20 +578,12 @@ impl VqaRunner {
                 let mut addr = HOST_RESULT_ADDR;
                 let mut flushed = 0usize;
                 let mut arrived = 0usize;
-                // The controller's PUTs are discrete events: schedule each
-                // batch at the time its last shot finishes and drain the
-                // queue in timestamp order. Ready times are monotone in
-                // batch order, so the drain is behaviourally identical to
-                // the direct loop while exercising (and instrumenting) the
-                // DES event path.
-                let mut puts: EventQueue<TransmissionBatch> =
-                    EventQueue::with_capacity(plan.batches().len());
+                // Each batch's PUT is ready when its last shot finishes;
+                // ready times rise in batch order, so batch order is
+                // timestamp order.
                 for batch in plan.batches() {
                     let ready =
                         first_shot_at + outcome.shot_duration * (batch.first_shot + batch.shots);
-                    puts.push(ready, *batch);
-                }
-                while let Some((ready, batch)) = puts.pop() {
                     let put_done = self.system.put_results(ready, addr, batch.bytes)?;
                     addr += batch.bytes;
                     // Per-PUT host wake: barrier query + buffer
@@ -622,9 +606,9 @@ impl VqaRunner {
                         host_free = host_free.max(outcome.complete).max(put_done) + d;
                     }
                 }
-                self.des_scheduled += puts.pushed();
-                self.des_dispatched += puts.popped();
-                self.des_high_water = self.des_high_water.max(puts.high_water() as u64);
+                let batches = plan.batches().len() as u64;
+                self.des_puts += batches;
+                self.des_high_water = self.des_high_water.max(batches);
                 // Tail block after the final PUT.
                 if flushed < arrived {
                     let mut ops = OpCounter::new();

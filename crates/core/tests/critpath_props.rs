@@ -9,13 +9,15 @@
 //! whether a job runs inside a batch fleet or standalone. These tests
 //! enforce all three axes on rendered bytes, not just parsed values.
 
-use qtenon_core::config::{CoreModel, QtenonConfig};
+use qtenon_core::config::{CoreModel, QtenonConfig, SyncMode, TransmissionPolicy};
 use qtenon_core::jobs::{run_standalone, BatchScheduler, JobId, JobSpec};
 use qtenon_core::parallel::MIN_SHOTS_PER_SHARD;
 use qtenon_core::report::RunReport;
 use qtenon_core::vqa::VqaRunner;
 use qtenon_sim_engine::{FaultPlan, MetricsRegistry};
-use qtenon_workloads::{SpsaOptimizer, Workload, WorkloadKind};
+use qtenon_workloads::{
+    GradientDescentOptimizer, Optimizer, SpsaOptimizer, Workload, WorkloadKind,
+};
 
 /// Thread count for the sharded leg: `QTENON_THREADS` when set (the CI
 /// matrix pins 1 and 4), otherwise 4.
@@ -150,4 +152,45 @@ fn critpath_covers_the_canonical_edges_and_exports_metrics() {
     // The critpath namespace made it into the metrics artefact.
     assert!(json.contains("\"critpath.edge.pipeline->chip.count\""));
     assert!(json.contains("\"critpath.edge.readout->host.sim_total_ns\""));
+}
+
+#[test]
+fn critpath_edges_sum_to_the_run_total() {
+    // The analyser conserves time: the on-path edges charge every
+    // nanosecond from t=0 to the run's end exactly once, inert and faulty,
+    // whatever the sync mode, PUT policy, host core or optimizer.
+    let faulty = FaultPlan::parse("all=0.02,max_attempts=8").expect("valid fault spec");
+    for kind in [WorkloadKind::Qaoa, WorkloadKind::Vqe, WorkloadKind::Qnn] {
+        for core in [CoreModel::Rocket, CoreModel::BoomLarge] {
+            for sync in [SyncMode::Fence, SyncMode::FineGrained] {
+                for transmission in [TransmissionPolicy::Batched, TransmissionPolicy::Immediate] {
+                    for faults in [FaultPlan::default(), faulty] {
+                        let config = QtenonConfig::table4(8, core)
+                            .expect("valid config")
+                            .with_sync(sync)
+                            .with_transmission(transmission)
+                            .with_faults(faults);
+                        let optimizers: [Box<dyn Optimizer>; 2] = [
+                            Box::new(SpsaOptimizer::new(5)),
+                            Box::new(GradientDescentOptimizer::new(0.05)),
+                        ];
+                        for mut optimizer in optimizers {
+                            let workload = Workload::benchmark(kind, 8, 11).expect("workload");
+                            let report = VqaRunner::new(config, workload)
+                                .expect("runner")
+                                .run(optimizer.as_mut(), 2, 100)
+                                .expect("run succeeds");
+                            assert_eq!(
+                                report.critpath.total_ns(),
+                                report.total.as_ps() / 1_000,
+                                "{kind:?} {core:?} {sync:?} {transmission:?} {} faults {:?}",
+                                optimizer.name(),
+                                faults.is_active(),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

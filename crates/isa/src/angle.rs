@@ -85,13 +85,6 @@ impl EncodedAngle {
     pub fn slt_tag(self) -> u32 {
         self.0 >> (ANGLE_BITS - SLT_TAG_BITS)
     }
-
-    /// The SLT set index contribution: 4 data bits (Fig. 7 describes them
-    /// as "two digits before and after the decimal point"; in the
-    /// fixed-point format these are the top 4 code bits).
-    pub fn slt_data_bits(self) -> u32 {
-        self.0 >> (ANGLE_BITS - 4)
-    }
 }
 
 impl fmt::Display for EncodedAngle {
@@ -157,7 +150,6 @@ mod tests {
         let full = EncodedAngle::from_radians(TAU - 1e-9);
         assert!(full.code() < ANGLE_CODES as u32);
         assert!(full.slt_tag() < (1 << SLT_TAG_BITS));
-        assert!(full.slt_data_bits() < 16);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! data path ❸ reaches it.
 //!
 //! The model stores mappings sparsely (a dense 4 MB/qubit allocation would
-//! be wasteful in a simulator) but accounts the architectural capacity.
+//! be wasteful in a simulator); [`ENTRIES_PER_QUBIT`] and
+//! [`BYTES_PER_ENTRY`] keep the architectural capacity.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -90,11 +91,6 @@ impl QSpace {
     /// The number of qubits.
     pub fn n_qubits(&self) -> u32 {
         self.n_qubits
-    }
-
-    /// Architectural capacity in bytes (4 MB per qubit).
-    pub fn reserved_bytes(&self) -> u64 {
-        self.n_qubits as u64 * ENTRIES_PER_QUBIT * BYTES_PER_ENTRY
     }
 
     /// Looks up a tag for one qubit.
@@ -193,8 +189,7 @@ mod tests {
 
     #[test]
     fn reserved_capacity_is_4mb_per_qubit() {
-        let qs = QSpace::new(64);
-        assert_eq!(qs.reserved_bytes(), 64 * 4 * 1024 * 1024);
+        assert_eq!(ENTRIES_PER_QUBIT * BYTES_PER_ENTRY, 4 * 1024 * 1024);
     }
 
     #[test]

@@ -222,27 +222,6 @@ impl Circuit {
         }
         Ok(out)
     }
-
-    /// Counts operations by kind: `(single_qubit, two_qubit, measure)`.
-    pub fn gate_census(&self) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for op in &self.ops {
-            match op.gate {
-                Gate::Measure => counts.2 += 1,
-                g if g.arity() == 2 => counts.1 += 1,
-                _ => counts.0 += 1,
-            }
-        }
-        counts
-    }
-
-    /// Iterates over the parameterised operations with their indices.
-    pub fn parameterised_ops(&self) -> impl Iterator<Item = (usize, &Operation)> + '_ {
-        self.ops
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| op.gate.angle().and_then(|a| a.param_id()).is_some())
-    }
 }
 
 impl fmt::Display for Circuit {
@@ -268,8 +247,11 @@ mod tests {
     fn builder_and_census() {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).cz(1, 2).rx(2, 0.5).measure_all();
-        assert_eq!(c.gate_census(), (2, 2, 3));
-        assert_eq!(c.operations().len(), 7);
+        let gates: Vec<&str> = c.operations().iter().map(|op| op.gate.name()).collect();
+        assert_eq!(
+            gates,
+            ["H", "CX", "CZ", "RX", "MEASURE", "MEASURE", "MEASURE"]
+        );
     }
 
     #[test]
@@ -339,8 +321,16 @@ mod tests {
             .ry_param(0, ParamId::new(0))
             .cz(0, 1)
             .rx_param(1, ParamId::new(1));
-        let idxs: Vec<usize> = c.parameterised_ops().map(|(i, _)| i).collect();
-        assert_eq!(idxs, vec![1, 3]);
+        let params: Vec<_> = c
+            .operations()
+            .iter()
+            .map(|op| op.gate.angle().and_then(|a| a.param_id()))
+            .collect();
+        assert_eq!(
+            params,
+            [None, Some(ParamId::new(0)), None, Some(ParamId::new(1))]
+        );
+        assert_eq!(c.num_params(), 2);
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //! - [`timing`]: the analytic circuit-duration model with the paper's gate
 //!   times (single-qubit 20 ns, two-qubit 40 ns, measurement 600 ns).
 //!
+//! Both backends sample without noise, as the paper's Qiskit chip I/O
+//! does: the evaluation measures latency, which no draw affects.
+//!
 //! # Examples
 //!
 //! ```
@@ -41,7 +44,6 @@ pub mod fuse;
 pub mod gate;
 pub mod hamiltonian;
 pub mod kernels;
-pub mod noise;
 pub mod qasm;
 pub mod sim;
 pub mod statevector;

@@ -36,7 +36,6 @@ use crate::bits::BitString;
 use crate::circuit::Circuit;
 use crate::fuse::{self, FuseStats};
 use crate::gate::{Angle, Gate};
-use crate::noise::NoiseModel;
 use crate::statevector::StateVector;
 use crate::QuantumError;
 
@@ -194,29 +193,13 @@ impl MeanFieldState {
         qubits.iter().map(|&q| self.qubits[q as usize].z).product()
     }
 
-    /// Applies a depolarizing shrink to one qubit's Bloch vector (the
-    /// exact action of the channel on a product state).
-    pub fn depolarize(&mut self, q: u32, shrink: f64) {
-        let b = &mut self.qubits[q as usize];
-        b.x *= shrink;
-        b.y *= shrink;
-        b.z *= shrink;
-    }
-
-    /// Runs all gates of a bound native circuit under a noise model:
-    /// unless the model is noiseless, each gate is followed by the
-    /// corresponding depolarizing shrink on its operands.
+    /// Runs all gates of a bound native circuit.
     ///
     /// # Errors
     ///
     /// Returns [`QuantumError::NonNativeGate`] or
     /// [`QuantumError::UnboundParameter`] as appropriate.
-    pub fn apply_circuit_noisy(
-        &mut self,
-        circuit: &Circuit,
-        noise: &NoiseModel,
-    ) -> Result<(), QuantumError> {
-        let noisy = !noise.is_noiseless();
+    pub fn apply_circuit(&mut self, circuit: &Circuit) -> Result<(), QuantumError> {
         for op in circuit.operations() {
             match op.gate {
                 Gate::Rx(a) | Gate::Ry(a) | Gate::Rz(a) => {
@@ -232,17 +215,10 @@ impl MeanFieldState {
                         Gate::Rz(_) => self.apply_rz(op.qubit, theta),
                         _ => unreachable!(),
                     }
-                    if noisy {
-                        self.depolarize(op.qubit, noise.shrink_1q());
-                    }
                 }
                 Gate::Cz => {
                     let b = op.qubit2.expect("CZ has two operands");
                     self.apply_cz(op.qubit, b);
-                    if noisy {
-                        self.depolarize(op.qubit, noise.shrink_2q());
-                        self.depolarize(b, noise.shrink_2q());
-                    }
                 }
                 Gate::Measure => {}
                 other => return Err(QuantumError::NonNativeGate { gate: other.name() }),
@@ -297,7 +273,6 @@ enum PreparedBackend {
 #[derive(Debug, Clone)]
 pub struct PreparedCircuit {
     n_qubits: u32,
-    noise: NoiseModel,
     backend: PreparedBackend,
     fuse_stats: FuseStats,
 }
@@ -315,9 +290,8 @@ impl PreparedCircuit {
         self.fuse_stats
     }
 
-    /// Draws one measurement outcome (including readout noise, when the
-    /// owning simulator carries a noise model) from the SplitMix64 stream
-    /// `state`, normally a [`Simulator::shot_rng`]: the one-lane case of
+    /// Draws one measurement outcome from the SplitMix64 stream `state`,
+    /// normally a [`Simulator::shot_rng`]: the one-lane case of
     /// [`PreparedCircuit::sample_lanes`].
     pub fn sample_shot(&self, state: &mut u64) -> BitString {
         let [bits] = self.sample_lanes(std::array::from_mut(state));
@@ -347,11 +321,10 @@ impl PreparedCircuit {
     /// each drawn exactly as that stream would draw it alone. Per lane,
     /// the exact backend takes one draw; the mean-field backend takes one
     /// per qubit in qubit order, accumulating each 64-qubit word in a
-    /// register; readout noise then corrupts the lane from the lane's own
-    /// post-draw state. On return every state has advanced past its
-    /// shot's draws.
+    /// register. On return every state has advanced past its shot's
+    /// draws.
     pub fn sample_lanes<const N: usize>(&self, states: &mut [u64; N]) -> [BitString; N] {
-        let mut lanes: [BitString; N] = match &self.backend {
+        match &self.backend {
             PreparedBackend::Exact { cumulative, total } => std::array::from_fn(|lane| {
                 let r = rng::unit(&mut states[lane]) * total;
                 let idx = cumulative.partition_point(|&c| c < r);
@@ -361,10 +334,18 @@ impl PreparedCircuit {
                 let mut lanes = std::array::from_fn(|_| BitString::zeros(self.n_qubits));
                 for (w, word_thresholds) in thresholds.chunks(64).enumerate() {
                     let mut words = [0u64; N];
-                    for (j, &t) in word_thresholds.iter().enumerate() {
+                    let mut bit = 1u64;
+                    for &t in word_thresholds {
+                        // Set under a branch, not OR-ed in as a shifted
+                        // bool: the latter lets LLVM vectorise the one-lane
+                        // instance over qubits with SSE2 64-bit multiplies
+                        // (`pmuludq`); this form keeps it scalar.
                         for (word, state) in words.iter_mut().zip(states.iter_mut()) {
-                            *word |= u64::from((splitmix64(state) >> 11) < t) << j;
+                            if (splitmix64(state) >> 11) < t {
+                                *word |= bit;
+                            }
                         }
+                        bit <<= 1;
                     }
                     for (bits, word) in lanes.iter_mut().zip(words) {
                         bits.words_mut()[w] = word;
@@ -372,13 +353,7 @@ impl PreparedCircuit {
                 }
                 lanes
             }
-        };
-        if !self.noise.is_noiseless() {
-            for (bits, state) in lanes.iter_mut().zip(states.iter_mut()) {
-                self.noise.corrupt_readout(bits, state);
-            }
         }
-        lanes
     }
 }
 
@@ -412,7 +387,6 @@ pub struct Simulator {
     exact: bool,
     seed: u64,
     shot_cursor: u64,
-    noise: NoiseModel,
     fuse: bool,
 }
 
@@ -424,7 +398,6 @@ impl Simulator {
             exact: n_qubits <= EXACT_QUBIT_LIMIT,
             seed,
             shot_cursor: 0,
-            noise: NoiseModel::NONE,
             fuse: true,
         }
     }
@@ -441,7 +414,6 @@ impl Simulator {
             exact: n_qubits <= FAST_EXACT_LIMIT,
             seed,
             shot_cursor: 0,
-            noise: NoiseModel::NONE,
             fuse: true,
         }
     }
@@ -454,7 +426,6 @@ impl Simulator {
             exact: false,
             seed,
             shot_cursor: 0,
-            noise: NoiseModel::NONE,
             fuse: true,
         }
     }
@@ -466,19 +437,6 @@ impl Simulator {
     pub fn with_fusion(mut self, fuse: bool) -> Self {
         self.fuse = fuse;
         self
-    }
-
-    /// Returns a copy of this simulator with a NISQ noise model attached:
-    /// depolarizing error after each gate (mean-field backend) and
-    /// readout bit-flips on every sampled shot (both backends).
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = noise;
-        self
-    }
-
-    /// The attached noise model.
-    pub fn noise(&self) -> NoiseModel {
-        self.noise
     }
 
     /// The configured width.
@@ -554,7 +512,7 @@ impl Simulator {
             PreparedBackend::Exact { cumulative, total }
         } else {
             let mut mf = MeanFieldState::new(self.n_qubits);
-            mf.apply_circuit_noisy(circuit, &self.noise)?;
+            mf.apply_circuit(circuit)?;
             PreparedBackend::MeanField {
                 thresholds: mf
                     .qubits
@@ -565,7 +523,6 @@ impl Simulator {
         };
         Ok(PreparedCircuit {
             n_qubits: self.n_qubits,
-            noise: self.noise,
             backend,
             fuse_stats,
         })
@@ -593,7 +550,7 @@ mod tests {
     /// The marginals `prepare` freezes into thresholds, as probabilities.
     fn marginals(c: &Circuit) -> Vec<f64> {
         let mut mf = MeanFieldState::new(c.n_qubits());
-        mf.apply_circuit_noisy(c, &NoiseModel::NONE).unwrap();
+        mf.apply_circuit(c).unwrap();
         mf.qubits.iter().map(|b| (1.0 - b.z) / 2.0).collect()
     }
 
@@ -880,24 +837,6 @@ mod tests {
             );
             assert_eq!(sharded, serial, "split at {split} diverged");
         }
-    }
-
-    #[test]
-    fn noisy_sharded_sampling_reproduces_serial_run() {
-        let mut c = Circuit::new(8);
-        c.ry(0, 1.2).ry(3, 0.4).cz(0, 3).measure_all();
-        let noise = NoiseModel::typical_superconducting();
-        let serial = Simulator::mean_field(8, 21)
-            .with_noise(noise)
-            .run(&c, 40)
-            .unwrap();
-        let mut sim = Simulator::mean_field(8, 21).with_noise(noise);
-        let prepared = sim.prepare(&c).unwrap();
-        let base = sim.advance_cursor(40);
-        let sharded: Vec<BitString> = (0..40)
-            .map(|s| prepared.sample_shot(&mut sim.shot_rng(base + s)))
-            .collect();
-        assert_eq!(sharded, serial);
     }
 
     #[test]

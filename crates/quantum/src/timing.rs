@@ -94,11 +94,6 @@ impl CircuitTiming {
             critical_path_gates: gates_on_path.into_iter().max().unwrap_or(0),
         }
     }
-
-    /// Duration of `shots` sequential repetitions of this circuit.
-    pub fn shots_duration(&self, shots: u64) -> SimDuration {
-        self.shot_duration * shots
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +152,8 @@ mod tests {
         let mut c = Circuit::new(1);
         c.measure(0);
         let t = CircuitTiming::of(&c, &GateTimes::default());
-        assert_eq!(t.shots_duration(500), ns(1200 * 500));
+        assert_eq!(t.shot_duration, ns(1200));
+        assert_eq!(t.shot_duration * 500, ns(1200 * 500));
     }
 
     #[test]

@@ -3,12 +3,10 @@
 //! The oracle is the sampler as it was before shots were drawn in blocks
 //! and mean-field draws became integer compares: one shot at a time, an
 //! exact shot as one inverse-CDF draw, a mean-field shot as one
-//! `rng::unit(state) < p` per qubit, then readout noise from the same
-//! stream. Every sampling entry point must reproduce it bit for bit and
+//! `rng::unit(state) < p` per qubit. Every sampling entry point must reproduce it bit for bit and
 //! leave every stream where the oracle leaves it.
 
 use qtenon_prop::check;
-use qtenon_quantum::noise::NoiseModel;
 use qtenon_quantum::sim::{MeanFieldState, PreparedCircuit, Simulator, SHOT_LANES};
 use qtenon_quantum::{fuse, BitString, Circuit, StateVector};
 use qtenon_sim_engine::rng;
@@ -29,7 +27,7 @@ impl Oracle {
             Oracle::Exact { cumulative, total }
         } else {
             let mut mf = MeanFieldState::new(n);
-            mf.apply_circuit_noisy(circuit, &sim.noise()).unwrap();
+            mf.apply_circuit(circuit).unwrap();
             Oracle::MeanField {
                 p1: (0..n).map(|q| (1.0 - mf.expectation_z(q)) / 2.0).collect(),
             }
@@ -37,8 +35,8 @@ impl Oracle {
     }
 
     /// One shot from `state`, drawn the per-shot, floating-point way.
-    fn shot(&self, n: u32, noise: NoiseModel, state: &mut u64) -> BitString {
-        let mut bits = match self {
+    fn shot(&self, n: u32, state: &mut u64) -> BitString {
+        match self {
             Oracle::Exact { cumulative, total } => {
                 let r = rng::unit(state) * total;
                 let idx = cumulative.partition_point(|&c| c < r);
@@ -53,11 +51,7 @@ impl Oracle {
                 }
                 bits
             }
-        };
-        if !noise.is_noiseless() {
-            noise.corrupt_readout(&mut bits, state);
         }
-        bits
     }
 }
 
@@ -91,25 +85,19 @@ const SHOT_COUNTS: [u64; 11] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1_000];
 #[test]
 fn block_sampler_matches_the_per_shot_oracle() {
     check("block_sampler_matches_the_per_shot_oracle", 96, |g| {
-        // (width, exact backend?, noisy?)
+        // (width, exact backend?)
         let exact = g.bool();
         let n = if exact {
             g.select(&[1u32, 16])
         } else {
             g.select(&[1u32, 16, 64, 65, 130])
         };
-        let noise = if g.bool() {
-            NoiseModel::typical_superconducting()
-        } else {
-            NoiseModel::NONE
-        };
         let seed = g.u64();
         let sim = if exact {
             Simulator::auto(n, seed)
         } else {
             Simulator::mean_field(n, seed)
-        }
-        .with_noise(noise);
+        };
         assert_eq!(sim.is_exact(), exact);
         let circuit = random_circuit(g, n);
         let prepared: PreparedCircuit = sim.prepare(&circuit).unwrap();
@@ -118,7 +106,7 @@ fn block_sampler_matches_the_per_shot_oracle() {
         let first = g.draw(0u64..1 << 40);
 
         let expected: Vec<BitString> = (first..first + shots)
-            .map(|s| oracle.shot(n, noise, &mut sim.shot_rng(s)))
+            .map(|s| oracle.shot(n, &mut sim.shot_rng(s)))
             .collect();
         assert_eq!(
             prepared.sample_range(&sim, first, shots),
@@ -133,13 +121,13 @@ fn block_sampler_matches_the_per_shot_oracle() {
         let mut oracle_states = states;
         let block = prepared.sample_lanes(&mut states);
         for (lane, (bits, state)) in block.iter().zip(&mut oracle_states).enumerate() {
-            assert_eq!(*bits, oracle.shot(n, noise, state), "lane {lane}");
+            assert_eq!(*bits, oracle.shot(n, state), "lane {lane}");
         }
         assert_eq!(states, oracle_states, "stream end states");
         let (mut one, mut oracle_one) = (sim.shot_rng(first), sim.shot_rng(first));
         assert_eq!(
             prepared.sample_shot(&mut one),
-            oracle.shot(n, noise, &mut oracle_one)
+            oracle.shot(n, &mut oracle_one)
         );
         assert_eq!(one, oracle_one, "sample_shot end state");
     });
@@ -157,7 +145,7 @@ fn simulator_run_matches_the_per_shot_oracle() {
         sim.run(&circuit, warmup).unwrap();
         let shots = g.select(&SHOT_COUNTS);
         let expected: Vec<BitString> = (warmup..warmup + shots)
-            .map(|s| oracle.shot(n, NoiseModel::NONE, &mut sim.shot_rng(s)))
+            .map(|s| oracle.shot(n, &mut sim.shot_rng(s)))
             .collect();
         assert_eq!(sim.run(&circuit, shots).unwrap(), expected);
     });

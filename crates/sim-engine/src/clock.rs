@@ -51,11 +51,6 @@ impl ClockDomain {
         SimDuration::from_ps(self.period_ps)
     }
 
-    /// The frequency in GHz.
-    pub fn freq_ghz(self) -> f64 {
-        1_000.0 / self.period_ps as f64
-    }
-
     /// The duration of `n` cycles.
     pub fn cycles(self, n: u64) -> SimDuration {
         SimDuration::from_ps(self.period_ps * n)
@@ -75,7 +70,6 @@ mod tests {
     fn ghz_and_period_agree() {
         let host = ClockDomain::from_ghz(1.0);
         assert_eq!(host.period(), SimDuration::from_ns(1));
-        assert!((host.freq_ghz() - 1.0).abs() < 1e-12);
 
         let dac = ClockDomain::from_ghz(2.0);
         assert_eq!(dac.period(), SimDuration::from_ps(500));

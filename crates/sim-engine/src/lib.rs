@@ -1,15 +1,14 @@
-//! Discrete-event simulation kernel for the Qtenon reproduction.
+//! Simulation-time kernel for the Qtenon reproduction.
 //!
-//! This crate is the timing substrate every other Qtenon crate builds on. It
-//! provides:
+//! This crate is the timing substrate every other Qtenon crate builds on.
+//! There is no event queue: each simulated op threads a [`SimTime`]
+//! through the components it visits. The crate provides:
 //!
 //! - [`SimTime`] and [`SimDuration`]: picosecond-resolution simulation time,
 //!   so that a 2 GHz DAC (0.5 ns period) and a 1 GHz host core can coexist
 //!   without rounding error;
 //! - [`ClockDomain`]: frequency-aware cycle/time conversion for the paper's
 //!   three clock domains (1 GHz host, 200 MHz controller SRAM, 2 GHz DAC);
-//! - [`EventQueue`]: a deterministic priority queue of timestamped events
-//!   with stable FIFO ordering among simultaneous events;
 //! - [`json`]: the workspace's one JSON reader and string escaper;
 //! - [`metrics`]: the unified telemetry layer — a hierarchical registry
 //!   of counters, gauges, and log-bucketed latency histograms with JSON
@@ -34,20 +33,20 @@
 //! # Examples
 //!
 //! ```
-//! use qtenon_sim_engine::{ClockDomain, EventQueue, SimTime};
+//! use qtenon_sim_engine::{ClockDomain, SimDuration, SimTime};
 //!
+//! // An op threads its time through each component it visits.
 //! let host = ClockDomain::from_ghz(1.0);
-//! let mut queue = EventQueue::new();
-//! queue.push(SimTime::ZERO + host.cycles(3), "pulse ready");
-//! queue.push(SimTime::ZERO + host.cycles(1), "request issued");
-//! assert_eq!(queue.pop().unwrap().1, "request issued");
+//! let sram = ClockDomain::from_mhz(200.0);
+//! let issued = SimTime::ZERO + host.cycles(3);
+//! let ready = issued + sram.cycles(2);
+//! assert_eq!(ready.elapsed(), SimDuration::from_ns(13));
 //! ```
 
 #![deny(unsafe_code)]
 
 pub mod clock;
 pub mod critpath;
-pub mod event;
 pub mod faults;
 pub mod json;
 pub mod metrics;
@@ -58,7 +57,6 @@ pub mod time;
 
 pub use clock::ClockDomain;
 pub use critpath::{CritKind, CritPathReport, CritPathRow, CritPathTracker, EdgeId};
-pub use event::EventQueue;
 pub use faults::{FaultInjector, FaultPlan, FaultSite, FaultSpecError};
 pub use metrics::{Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use opcount::{OpClass, OpCounter};

@@ -69,15 +69,6 @@ impl SimDuration {
         SimDuration(ps.round() as u64)
     }
 
-    /// Creates a duration from a (non-negative, finite) number of seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative, NaN, or overflows.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        Self::from_ns_f64(secs * 1e9)
-    }
-
     /// Raw picosecond count.
     pub const fn as_ps(self) -> u64 {
         self.0
@@ -309,7 +300,7 @@ mod tests {
     fn duration_from_f64_rounds() {
         assert_eq!(SimDuration::from_ns_f64(0.5), SimDuration::from_ps(500));
         assert_eq!(SimDuration::from_ns_f64(20.0), SimDuration::from_ns(20));
-        assert_eq!(SimDuration::from_secs_f64(0.001), SimDuration::from_ms(1));
+        assert_eq!(SimDuration::from_ns_f64(1e6), SimDuration::from_ms(1));
     }
 
     #[test]

@@ -2,35 +2,7 @@
 
 use qtenon_prop::check;
 
-use qtenon_sim_engine::{
-    ClockDomain, EventQueue, Histogram, OpClass, OpCounter, SimDuration, SimTime,
-};
-
-#[test]
-fn event_queue_pops_sorted_and_stable() {
-    check("event_queue_pops_sorted_and_stable", 256, |g| {
-        let times = g.vec(1..200, |g| g.draw(0u64..1_000));
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::ZERO + SimDuration::from_ns(t), i);
-        }
-        let mut last_time = SimTime::ZERO;
-        let mut seen_at_time: Vec<usize> = Vec::new();
-        let mut current = None;
-        while let Some((t, idx)) = q.pop() {
-            assert!(t >= last_time, "times must be non-decreasing");
-            if current == Some(t) {
-                // FIFO among equal timestamps: indices increase.
-                assert!(seen_at_time.last().is_none_or(|&prev| prev < idx));
-            } else {
-                current = Some(t);
-                seen_at_time.clear();
-            }
-            seen_at_time.push(idx);
-            last_time = t;
-        }
-    });
-}
+use qtenon_sim_engine::{ClockDomain, Histogram, OpClass, OpCounter, SimDuration};
 
 #[test]
 fn duration_arithmetic_is_consistent() {

@@ -35,7 +35,7 @@ pub mod workload;
 
 pub use cost::{evaluate_cost, CostEvaluator};
 pub use graph::Graph;
-pub use optimizer::{AdamOptimizer, GradientDescentOptimizer, Optimizer, SpsaOptimizer};
+pub use optimizer::{GradientDescentOptimizer, Optimizer, SpsaOptimizer};
 pub use workload::{Workload, WorkloadKind};
 
 use qtenon_sim_engine::OpCounter;

@@ -340,149 +340,3 @@ mod tests {
         let _ = GradientDescentOptimizer::new(-1.0);
     }
 }
-
-/// Adam on parameter-shift gradients (an "extension" optimizer beyond the
-/// paper's two: same 2P-evaluation plan as [`GradientDescentOptimizer`],
-/// with per-parameter adaptive moments in the update).
-#[derive(Debug, Clone)]
-pub struct AdamOptimizer {
-    learning_rate: f64,
-    beta1: f64,
-    beta2: f64,
-    epsilon: f64,
-    m: Vec<f64>,
-    v: Vec<f64>,
-    t: u64,
-}
-
-impl AdamOptimizer {
-    /// Creates an Adam optimizer with standard moment decays
-    /// (β₁ = 0.9, β₂ = 0.999).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `learning_rate` is not finite and positive.
-    pub fn new(learning_rate: f64) -> Self {
-        assert!(
-            learning_rate.is_finite() && learning_rate > 0.0,
-            "learning rate must be positive"
-        );
-        AdamOptimizer {
-            learning_rate,
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
-            m: Vec::new(),
-            v: Vec::new(),
-            t: 0,
-        }
-    }
-}
-
-impl Optimizer for AdamOptimizer {
-    fn name(&self) -> &'static str {
-        "Adam"
-    }
-
-    fn iteration_plan(&mut self, params: &[f64]) -> Vec<Params> {
-        // Same parameter-shift plan as plain GD.
-        let mut plan = Vec::with_capacity(2 * params.len());
-        for i in 0..params.len() {
-            for sign in [1.0, -1.0] {
-                let mut shifted = params.to_vec();
-                shifted[i] += sign * FRAC_PI_2;
-                plan.push(shifted);
-            }
-        }
-        plan
-    }
-
-    fn update(
-        &mut self,
-        params: &[f64],
-        plan: &[Params],
-        evals: &[f64],
-        ops: &mut OpCounter,
-    ) -> Params {
-        assert_eq!(plan.len(), evals.len(), "plan/evals misaligned");
-        assert_eq!(plan.len(), 2 * params.len(), "parameter-shift plan size");
-        if self.m.len() != params.len() {
-            self.m = vec![0.0; params.len()];
-            self.v = vec![0.0; params.len()];
-        }
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let mut next = params.to_vec();
-        for i in 0..params.len() {
-            let grad = (evals[2 * i] - evals[2 * i + 1]) / 2.0;
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * grad;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * grad * grad;
-            let m_hat = self.m[i] / bc1;
-            let v_hat = self.v[i] / bc2;
-            next[i] -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
-            // FMA-heavy update: ~10 fp ops + sqrt/div + loads/stores.
-            ops.record(OpClass::FpAlu, 10);
-            ops.record(OpClass::FpComplex, 2);
-            ops.record(OpClass::Mem, 8);
-            ops.record(OpClass::IntAlu, 3);
-            ops.record(OpClass::Branch, 1);
-        }
-        next
-    }
-
-    fn is_single_parameter_stepped(&self) -> bool {
-        true
-    }
-}
-
-#[cfg(test)]
-mod adam_tests {
-    use super::*;
-    use crate::optimize;
-
-    fn quadratic(params: &[f64]) -> f64 {
-        params.iter().map(|p| (p - 1.0) * (p - 1.0)).sum()
-    }
-
-    #[test]
-    fn adam_descends_quadratic() {
-        let mut adam = AdamOptimizer::new(0.3);
-        let start = vec![4.0, -3.0];
-        let initial = quadratic(&start);
-        let (_, final_cost) = optimize(&mut adam, start, 60, quadratic);
-        assert!(final_cost < initial / 50.0, "final={final_cost}");
-    }
-
-    #[test]
-    fn adam_plan_matches_gd_shape() {
-        let mut adam = AdamOptimizer::new(0.1);
-        let mut gd = GradientDescentOptimizer::new(0.1);
-        let params = vec![0.3; 5];
-        assert_eq!(
-            adam.iteration_plan(&params).len(),
-            gd.iteration_plan(&params).len()
-        );
-        assert!(adam.is_single_parameter_stepped());
-    }
-
-    #[test]
-    fn adam_update_costs_more_host_ops_than_gd() {
-        let params = vec![0.0; 4];
-        let mut adam = AdamOptimizer::new(0.1);
-        let plan = adam.iteration_plan(&params);
-        let evals = vec![0.5; plan.len()];
-        let mut adam_ops = OpCounter::new();
-        adam.update(&params, &plan, &evals, &mut adam_ops);
-        let mut gd = GradientDescentOptimizer::new(0.1);
-        let mut gd_ops = OpCounter::new();
-        gd.update(&params, &plan, &evals, &mut gd_ops);
-        assert!(adam_ops.total() > gd_ops.total());
-    }
-
-    #[test]
-    #[should_panic(expected = "learning rate")]
-    fn adam_rejects_bad_rate() {
-        let _ = AdamOptimizer::new(f64::NAN);
-    }
-}

@@ -3,7 +3,8 @@
 //! against a standalone `--only` run, and with the fleet compilation
 //! cache on or off; the cached ledger and the `cache.fleet.*` telemetry
 //! do not depend on the pool width, and that telemetry reaches both
-//! metrics exports. For `qtenon run`: the `--critpath` report and the
+//! metrics exports; gate fusion changes no kernels-fleet artefact beyond
+//! its own `quantum.fuse.*` accounting. For `qtenon run`: the `--critpath` report and the
 //! Chrome trace, inert and fault-injected, are byte-identical at 1 and
 //! 4 shot-shard threads, and the annotated trace paints the critical
 //! path on its own lane.
@@ -72,6 +73,26 @@ fn job_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files.sort();
     assert!(!files.is_empty(), "{} holds no job files", dir.display());
     files
+}
+
+/// The `metrics` entries of a metrics-JSON artefact, in file order.
+fn metric_entries(text: &str) -> Vec<(String, JsonValue)> {
+    json::parse(text)
+        .expect("metrics JSON parses")
+        .get("metrics")
+        .and_then(JsonValue::as_object)
+        .expect("metrics object")
+        .to_vec()
+}
+
+/// The integer value of metric `key` in `entries`.
+fn metric_u64(entries: &[(String, JsonValue)], key: &str) -> u64 {
+    entries
+        .iter()
+        .find(|(k, _)| k == key)
+        .and_then(|(_, v)| v.get("value"))
+        .and_then(JsonValue::as_u64)
+        .unwrap_or_else(|| panic!("{key} missing"))
 }
 
 /// Asserts that `a` and `b` hold the same job files, byte for byte.
@@ -158,32 +179,17 @@ fn cachefleet_artefacts_and_ledger_depend_on_neither_cache_nor_width() {
             "cache attribution in the ledger depends on the pool width"
         );
         assert!(read(&format!("{metrics}.prom")).contains("cache_fleet_"));
-        let doc = json::parse(&read(&metrics)).expect("metrics JSON parses");
-        let entries: Vec<(String, JsonValue)> = doc
-            .get("metrics")
-            .and_then(JsonValue::as_object)
-            .expect("metrics object")
-            .iter()
-            .filter(|(key, _)| key.starts_with("cache.fleet."))
-            .cloned()
-            .collect();
+        let mut entries = metric_entries(&read(&metrics));
+        entries.retain(|(key, _)| key.starts_with("cache.fleet."));
         fleet_cache.push((width, entries));
     }
     // One fill per key: (hits, misses) per level at every width.
     let (_, serial) = &fleet_cache[0];
-    let count = |key: &str| {
-        serial
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.get("value"))
-            .and_then(JsonValue::as_u64)
-            .unwrap_or_else(|| panic!("{key} missing"))
-    };
     for (level, hits, misses) in [("program", 2, 4), ("pulse", 10, 20), ("bound", 8, 16)] {
         assert_eq!(
             (
-                count(&format!("cache.fleet.{level}.hits")),
-                count(&format!("cache.fleet.{level}.misses"))
+                metric_u64(serial, &format!("cache.fleet.{level}.hits")),
+                metric_u64(serial, &format!("cache.fleet.{level}.misses"))
             ),
             (hits, misses),
             "cache.fleet.{level}"
@@ -191,6 +197,53 @@ fn cachefleet_artefacts_and_ledger_depend_on_neither_cache_nor_width() {
     }
     for (width, entries) in &fleet_cache[1..] {
         assert_eq!(entries, serial, "cache.fleet.* differs at width {width}");
+    }
+}
+
+#[test]
+fn kernels_fleet_artefacts_differ_by_fusion_only_in_its_accounting() {
+    // 64q VQE rides the mean-field backend, which never fuses, so its file
+    // is byte-identical. 8q and 12q QAOA ride the exact backend, where
+    // only the quantum.fuse.* counters may differ: 256 amplitudes fit one
+    // kernel tile, 4096 span many. At 6 threads each of the three jobs
+    // gets two shard threads, and its 1024 shots cut two real shards.
+    for width in ["1", "6"] {
+        let fused = batch(
+            "kernels.json",
+            &format!("kernels-fused-w{width}"),
+            &["--threads", width],
+        );
+        let unfused = batch(
+            "kernels.json",
+            &format!("kernels-unfused-w{width}"),
+            &["--threads", width, "--no-fuse"],
+        );
+        let read = |dir: &Path, job: &str| {
+            std::fs::read_to_string(dir.join(format!("{job}.json"))).expect("job metrics readable")
+        };
+        assert!(
+            read(&fused, "vqe-64-meanfield") == read(&unfused, "vqe-64-meanfield"),
+            "vqe-64-meanfield differs fused vs unfused at width {width}"
+        );
+        for job in ["qaoa-8-exact", "qaoa-12-exact"] {
+            let (f, u) = (
+                metric_entries(&read(&fused, job)),
+                metric_entries(&read(&unfused, job)),
+            );
+            let strip = |entries: &[(String, JsonValue)]| -> Vec<(String, JsonValue)> {
+                let mut kept = entries.to_vec();
+                kept.retain(|(key, _)| !key.starts_with("quantum.fuse."));
+                kept
+            };
+            assert_eq!(
+                strip(&f),
+                strip(&u),
+                "{job} at width {width}: fusion leaked beyond quantum.fuse.*"
+            );
+            let key = "quantum.fuse.gates_fused";
+            assert!(metric_u64(&f, key) > 0, "{job}: fused run fused nothing");
+            assert_eq!(metric_u64(&u, key), 0, "{job}: --no-fuse still fused");
+        }
     }
 }
 
