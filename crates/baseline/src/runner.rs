@@ -5,7 +5,7 @@ use qtenon_core::report::{CommBreakdown, RunReport, TimeBreakdown};
 use qtenon_core::SystemError;
 use qtenon_quantum::sim::Simulator;
 use qtenon_quantum::{CircuitTiming, GateTimes};
-use qtenon_sim_engine::{CritKind, CritPathTracker, OpCounter, SimDuration, SimTime};
+use qtenon_sim_engine::{CritPathTracker, OpCounter, SimDuration, SimTime};
 use qtenon_workloads::{evaluate_cost, Optimizer, Workload};
 
 use crate::host_model::BaselineHostModel;
@@ -50,45 +50,38 @@ impl Default for BaselineConfig {
 struct Step {
     slot: fn(&mut Ledger) -> &mut SimDuration,
     edge: &'static str,
-    kind: CritKind,
 }
 
 /// JIT recompile from scratch (no incremental path).
 const COMPILE: Step = Step {
     slot: |l| &mut l.breakdown.host,
     edge: "readout->host",
-    kind: CritKind::Complete,
 };
 /// Upload the binary over Ethernet.
 const UPLOAD: Step = Step {
     slot: |l| &mut l.comm.q_set,
     edge: "host->bus",
-    kind: CritKind::Grant,
 };
 /// FPGA pulse generation: every pulse, sequentially.
 const PULSES: Step = Step {
     slot: |l| &mut l.breakdown.pulse_generation,
     edge: "pgu->pipeline",
-    kind: CritKind::Dispatch,
 };
 /// Quantum execution behind the ADI.
 const QUANTUM: Step = Step {
     slot: |l| &mut l.breakdown.quantum,
     edge: "pipeline->chip",
-    kind: CritKind::Complete,
 };
 /// Stream per-shot readout packets back to the host.
 const DOWNLOAD: Step = Step {
     slot: |l| &mut l.comm.q_acquire,
     edge: "chip->readout",
-    kind: CritKind::Drain,
 };
 /// Host work on a result: post-processing through the software stack,
 /// or the optimizer update.
 const HOST: Step = Step {
     slot: |l| &mut l.breakdown.host,
     edge: "readout->host",
-    kind: CritKind::Ack,
 };
 
 /// The baseline's time ledger. The system is strictly sequential: every
@@ -109,8 +102,7 @@ impl Ledger {
         *(step.slot)(self) += d;
         self.total += d;
         let edge = self.critpath.edge(step.edge);
-        self.critpath
-            .advance(edge, SimTime::ZERO + self.total, step.kind);
+        self.critpath.advance(edge, SimTime::ZERO + self.total);
     }
 }
 

@@ -70,8 +70,8 @@ pub struct TileLinkBus {
     /// Completion times of outstanding transactions (for tag limiting).
     outstanding: VecDeque<SimTime>,
     bytes_moved: u64,
-    transfers: u64,
-    /// Grant-to-completion latency of each transfer, in nanoseconds.
+    /// Grant-to-completion latency of each transfer, in nanoseconds; its
+    /// count is the number of transfers scheduled.
     latency: Histogram,
     /// Retransmissions performed after injected drops/corruptions.
     retries: u64,
@@ -87,7 +87,6 @@ impl TileLinkBus {
             link_free_at: SimTime::ZERO,
             outstanding: VecDeque::new(),
             bytes_moved: 0,
-            transfers: 0,
             latency: Histogram::new(),
             retries: 0,
             retries_exhausted: 0,
@@ -131,7 +130,6 @@ impl TileLinkBus {
         self.link_free_at = start + data_time;
         self.outstanding.push_back(complete);
         self.bytes_moved += bytes;
-        self.transfers += 1;
         self.latency.record((complete - start).as_ps() / 1_000);
         TransferTiming { start, complete }
     }
@@ -191,11 +189,6 @@ impl TileLinkBus {
         self.bytes_moved
     }
 
-    /// Total transfers scheduled.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
     /// Per-transfer latency distribution in nanoseconds.
     pub fn latency(&self) -> &Histogram {
         &self.latency
@@ -214,7 +207,6 @@ impl TileLinkBus {
     /// Registers bus statistics under `prefix` (e.g. `controller.bus`).
     pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
         m.counter(&format!("{prefix}.bytes_moved"), self.bytes_moved);
-        m.counter(&format!("{prefix}.transfers"), self.transfers);
         m.histogram(&format!("{prefix}.latency_ns"), &self.latency);
     }
 
@@ -223,7 +215,6 @@ impl TileLinkBus {
         self.link_free_at = SimTime::ZERO;
         self.outstanding.clear();
         self.bytes_moved = 0;
-        self.transfers = 0;
         self.latency.reset();
         self.retries = 0;
         self.retries_exhausted = 0;
@@ -310,7 +301,7 @@ mod tests {
         // 100 beats at 1 ns each, plus one request latency at the tail.
         assert_eq!(last.complete - SimTime::ZERO, ns(100 + 20));
         assert_eq!(bus.bytes_moved(), 3200);
-        assert_eq!(bus.transfers(), 100);
+        assert_eq!(bus.latency().count(), 100);
     }
 
     #[test]
@@ -348,6 +339,6 @@ mod tests {
         bus.reset();
         let t = transfer(&mut bus, 32);
         assert_eq!(t.start, SimTime::ZERO);
-        assert_eq!(bus.transfers(), 1);
+        assert_eq!(bus.latency().count(), 1);
     }
 }

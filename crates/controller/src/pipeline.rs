@@ -9,9 +9,7 @@
 //! ready-valid interface.
 
 use qtenon_isa::{GateType, QAddress, QccLayout, QubitId};
-use qtenon_sim_engine::{
-    ClockDomain, FaultInjector, Histogram, MetricsRegistry, SimDuration, SimTime,
-};
+use qtenon_sim_engine::{ClockDomain, FaultInjector, MetricsRegistry, SimDuration, SimTime};
 
 use crate::error::ControllerError;
 use crate::pgu::{PguConfig, PguPool};
@@ -109,8 +107,6 @@ pub struct PulsePipeline {
     total_generated: u64,
     /// Cumulative stall time across runs.
     total_stall: SimDuration,
-    /// Wall time of each `process` call, in nanoseconds.
-    run_latency: Histogram,
 }
 
 impl PulsePipeline {
@@ -128,7 +124,6 @@ impl PulsePipeline {
             total_entries: 0,
             total_generated: 0,
             total_stall: SimDuration::ZERO,
-            run_latency: Histogram::new(),
         })
     }
 
@@ -245,7 +240,6 @@ impl PulsePipeline {
         self.total_entries += report.entries;
         self.total_generated += report.generated;
         self.total_stall += report.stall_time;
-        self.run_latency.record(report.total_time.as_ps() / 1_000);
         Ok((report, resolved))
     }
 
@@ -282,10 +276,6 @@ impl PulsePipeline {
             &format!("{prefix}.pipeline.stall_ns"),
             self.total_stall.as_ns(),
         );
-        m.histogram(
-            &format!("{prefix}.pipeline.run_latency_ns"),
-            &self.run_latency,
-        );
         self.slt.export_metrics(m, &format!("{prefix}.slt"));
         self.pgus.export_metrics(m, &format!("{prefix}.pgu"));
     }
@@ -298,7 +288,6 @@ impl PulsePipeline {
         self.total_entries = 0;
         self.total_generated = 0;
         self.total_stall = SimDuration::ZERO;
-        self.run_latency.reset();
     }
 }
 

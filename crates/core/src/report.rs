@@ -1,7 +1,7 @@
 //! Time-accounting structures behind every figure.
 
 use qtenon_controller::SltStats;
-use qtenon_sim_engine::{CritPathReport, PhaseTable, SimDuration};
+use qtenon_sim_engine::{SimDuration, SpanTable};
 
 /// Busy time per system component over a run. Because Qtenon overlaps
 /// components, the end-to-end wall time is *not* the sum of these.
@@ -152,10 +152,10 @@ pub struct RunReport {
     /// Fault-injection and recovery counters (all zero without faults).
     pub resilience: ResilienceSummary,
     /// Per-phase latency attribution (deterministic sim-time spans).
-    pub phases: PhaseTable,
+    pub phases: SpanTable,
     /// Per-edge critical-path attribution (who-blocks-whom blocking
     /// time along the causal chain).
-    pub critpath: CritPathReport,
+    pub critpath: SpanTable,
 }
 
 impl RunReport {

@@ -18,8 +18,8 @@ use qtenon_mem::MemoryHierarchy;
 use qtenon_quantum::sim::Simulator;
 use qtenon_quantum::{BitString, Circuit, CircuitTiming, FuseStats};
 use qtenon_sim_engine::{
-    CritKind, CritPathReport, CritPathTracker, EdgeId, FaultInjector, FaultSite, Histogram,
-    MetricsRegistry, OpCounter, PhaseId, PhaseTable, Profiler, SimDuration, SimTime,
+    CritPathTracker, EdgeId, FaultInjector, FaultSite, Histogram, MetricsRegistry, OpCounter,
+    PhaseId, Profiler, SimDuration, SimTime, SpanStats, SpanTable,
 };
 
 use std::borrow::Cow;
@@ -118,11 +118,8 @@ enum Op {
     Run,
 }
 
-/// Selects one time-and-count pair of a [`CommBreakdown`].
-type CommSlot = fn(&mut CommBreakdown) -> (&mut SimDuration, &mut u64);
-
-/// How one op feeds the comm, metrics, trace and critical-path sinks
-/// when it retires.
+/// How one op feeds the latency, trace and critical-path sinks when it
+/// retires.
 struct OpSpec {
     /// Its trace-slice label.
     slice: &'static str,
@@ -131,47 +128,35 @@ struct OpSpec {
     /// Whether it closes the RBQ flow (the chip finished the request)
     /// rather than stepping it.
     ends_flow: bool,
-    /// Its latency histogram: an index into [`LATENCY_METRICS`].
+    /// Its latency accumulator: an index into [`LATENCY_OPS`].
     latency: usize,
     /// Whether it counts as a dynamic instruction (a controller-initiated
     /// PUT does not).
     instruction: bool,
-    /// The [`CommBreakdown`] time and count it is charged to, if any.
-    comm: Option<CommSlot>,
-    /// The critical-path edge its completion closes, and how.
+    /// The critical-path edge its completion closes.
     edge: fn(&SystemEdges) -> EdgeId,
-    kind: CritKind,
 }
 
-/// Metric paths of the per-op latency histograms; a PUT shares
-/// `q_acquire`'s.
-const LATENCY_METRICS: [&str; 5] = [
-    "core.instr.q_update.latency_ns",
-    "core.instr.q_set.latency_ns",
-    "core.instr.q_acquire.latency_ns",
-    "core.instr.q_gen.latency_ns",
-    "core.instr.q_run.latency_ns",
-];
+/// The instructions behind the per-op latency accumulators, exported
+/// under `core.instr.<op>`; a PUT shares `q_acquire`'s. The first three
+/// are the communication instructions [`QtenonSystem::comm`] reads.
+const LATENCY_OPS: [&str; 5] = ["q_update", "q_set", "q_acquire", "q_gen", "q_run"];
 
 /// One row per [`Op`], in declaration order.
 #[rustfmt::skip]
 static OPS: [OpSpec; 6] = [
     OpSpec { slice: "q_update", lane: TraceLane::Communication, ends_flow: false, latency: 0,
-             instruction: true, comm: Some(|c| (&mut c.q_update, &mut c.q_update_count)),
-             edge: |e| e.host_bus, kind: CritKind::Grant },
+             instruction: true, edge: |e| e.host_bus },
     OpSpec { slice: "q_set", lane: TraceLane::Communication, ends_flow: false, latency: 1,
-             instruction: true, comm: Some(|c| (&mut c.q_set, &mut c.q_set_count)),
-             edge: |e| e.host_bus, kind: CritKind::Grant },
+             instruction: true, edge: |e| e.host_bus },
     OpSpec { slice: "q_acquire", lane: TraceLane::Communication, ends_flow: false, latency: 2,
-             instruction: true, comm: Some(|c| (&mut c.q_acquire, &mut c.q_acquire_count)),
-             edge: |e| e.chip_readout, kind: CritKind::Drain },
+             instruction: true, edge: |e| e.chip_readout },
     OpSpec { slice: "put", lane: TraceLane::Communication, ends_flow: false, latency: 2,
-             instruction: false, comm: Some(|c| (&mut c.q_acquire, &mut c.q_acquire_count)),
-             edge: |e| e.chip_readout, kind: CritKind::Drain },
+             instruction: false, edge: |e| e.chip_readout },
     OpSpec { slice: "q_gen", lane: TraceLane::PulsePipeline, ends_flow: false, latency: 3,
-             instruction: true, comm: None, edge: |e| e.pgu_pipeline, kind: CritKind::Dispatch },
+             instruction: true, edge: |e| e.pgu_pipeline },
     OpSpec { slice: "q_run", lane: TraceLane::QuantumChip, ends_flow: true, latency: 4,
-             instruction: true, comm: None, edge: |e| e.pipeline_chip, kind: CritKind::Complete },
+             instruction: true, edge: |e| e.pipeline_chip },
 ];
 
 /// The tightly coupled system (Fig. 3).
@@ -187,7 +172,6 @@ pub struct QtenonSystem {
     host_ops: OpCounter,
     adi: AdiModel,
     simulator: Simulator,
-    comm: CommBreakdown,
     dynamic_instructions: u64,
     trace: Option<Trace>,
     /// RBQ tags naming in-flight logical requests: every op runs inside
@@ -229,9 +213,9 @@ pub struct QtenonSystem {
     critpath: CritPathTracker,
     /// Pre-interned causal-edge ids for the hand-offs ops annotate.
     edges: SystemEdges,
-    /// Per-instruction latency distributions in nanoseconds, indexed by
+    /// Per-instruction latency accumulators, indexed by
     /// [`OpSpec::latency`].
-    latency: [Histogram; LATENCY_METRICS.len()],
+    latency: [SpanStats; LATENCY_OPS.len()],
 }
 
 impl std::fmt::Debug for QtenonSystem {
@@ -267,7 +251,6 @@ impl QtenonSystem {
             host_ops: OpCounter::new(),
             adi: config.adi,
             simulator: Simulator::fast(config.n_qubits, config.seed).with_fusion(config.fuse),
-            comm: CommBreakdown::default(),
             dynamic_instructions: 0,
             trace: None,
             rbq: ReorderBufferQueue::new(),
@@ -328,7 +311,15 @@ impl QtenonSystem {
 
     /// Communication accounting so far.
     pub fn comm(&self) -> CommBreakdown {
-        self.comm
+        let [update, set, acquire, ..] = &self.latency;
+        CommBreakdown {
+            q_set: set.total(),
+            q_update: update.total(),
+            q_acquire: acquire.total(),
+            q_set_count: set.count(),
+            q_update_count: update.count(),
+            q_acquire_count: acquire.count(),
+        }
     }
 
     /// Dynamic instructions executed so far.
@@ -356,7 +347,7 @@ impl QtenonSystem {
             return;
         }
         let steps = self.critpath.path();
-        let Some(((first_name, _, first_at), rest)) = steps.split_first() else {
+        let Some(((first_name, first_at), rest)) = steps.split_first() else {
             return;
         };
         self.flow_seq += 1;
@@ -364,8 +355,8 @@ impl QtenonSystem {
         let trace = self.trace.as_mut().expect("tracing checked above");
         trace.record_flow_start(*first_name, TraceLane::CritPath, *first_at, flow);
         match rest.split_last() {
-            Some(((last_name, _, last_at), middle)) => {
-                for (name, _, at) in middle {
+            Some(((last_name, last_at), middle)) => {
+                for (name, at) in middle {
                     trace.record_flow_step(*name, TraceLane::CritPath, *at, flow);
                 }
                 trace.record_flow_end(*last_name, TraceLane::CritPath, *last_at, flow);
@@ -487,21 +478,15 @@ impl QtenonSystem {
     }
 
     /// The shared tail of every op, driven by its [`OPS`] row: charges
-    /// the comm slot, instruction count and latency histogram with
-    /// `end - now`, steps (or ends) the RBQ flow, records the trace slice
-    /// (labelled `slice[count]` when a count is given, formatted only
-    /// when tracing), and advances the critical path to `end`. Returns
-    /// `end`.
+    /// the instruction count and latency accumulator with `end - now`,
+    /// steps (or ends) the RBQ flow, records the trace slice (labelled
+    /// `slice[count]` when a count is given, formatted only when
+    /// tracing), and advances the critical path to `end`. Returns `end`.
     fn retire(&mut self, op: Op, now: SimTime, end: SimTime, count: Option<u64>) -> SimTime {
         let spec = &OPS[op as usize];
         let d = end.saturating_since(now);
-        if let Some(slot) = spec.comm {
-            let (time, ops) = slot(&mut self.comm);
-            *time += d;
-            *ops += 1;
-        }
         self.dynamic_instructions += u64::from(spec.instruction);
-        self.latency[spec.latency].record(d.as_ps() / 1_000);
+        self.latency[spec.latency].record(d);
         self.flow_event(spec.lane, now, spec.ends_flow);
         if let Some(trace) = &mut self.trace {
             let name: Cow<'static, str> = match count {
@@ -510,8 +495,7 @@ impl QtenonSystem {
             };
             trace.record(name, spec.lane, now, d);
         }
-        self.critpath
-            .advance((spec.edge)(&self.edges), end, spec.kind);
+        self.critpath.advance((spec.edge)(&self.edges), end);
         end
     }
 
@@ -530,7 +514,7 @@ impl QtenonSystem {
 
     /// Snapshot of the per-phase attribution table (deterministic: built
     /// from sim-time only).
-    pub fn phase_table(&self) -> PhaseTable {
+    pub fn phase_table(&self) -> SpanTable {
         self.profiler.table()
     }
 
@@ -541,8 +525,8 @@ impl QtenonSystem {
     }
 
     /// Freezes the tracker's current chain into a per-edge
-    /// blocking-time [`CritPathReport`].
-    pub fn critpath_report(&self) -> CritPathReport {
+    /// blocking-time [`SpanTable`].
+    pub fn critpath_report(&self) -> SpanTable {
         self.critpath.report()
     }
 
@@ -553,8 +537,7 @@ impl QtenonSystem {
     /// that delivered it data). Returns `start + d`.
     pub fn host_segment(&mut self, phase: PhaseId, start: SimTime, d: SimDuration) -> SimTime {
         self.profiler.record(phase, d);
-        self.critpath
-            .advance(self.edges.readout_host, start + d, CritKind::Ack);
+        self.critpath.advance(self.edges.readout_host, start + d);
         start + d
     }
 
@@ -753,15 +736,11 @@ impl QtenonSystem {
         // Stages overlap in the model, so intermediate steps are capped
         // at the op's completion time.
         let gen_done = now + report.total_time;
-        self.critpath.advance(
-            self.edges.bus_slt,
-            (now + report.front_time).min(gen_done),
-            CritKind::Pop,
-        );
+        self.critpath
+            .advance(self.edges.bus_slt, (now + report.front_time).min(gen_done));
         self.critpath.advance(
             self.edges.slt_pgu,
             (now + report.front_time + report.pgu_busy).min(gen_done),
-            CritKind::Dispatch,
         );
         let gen_done = self.retire(Op::Gen, now, gen_done, Some(report.entries));
         Ok((report, gen_done))
@@ -862,7 +841,7 @@ impl QtenonSystem {
     /// Calling this repeatedly overwrites earlier values, so one registry
     /// can track a system across snapshots.
     pub fn export_metrics(&self, m: &mut MetricsRegistry) {
-        self.profiler.export_metrics(m, "profile");
+        self.profiler.table().export_metrics(m, "profile");
         self.critpath.report().export_metrics(m, "critpath.edge");
         self.hierarchy.export_metrics(m, "mem");
         self.qcc.export_metrics(m, "mem.qcc");
@@ -871,14 +850,13 @@ impl QtenonSystem {
         self.barrier.export_metrics(m, "controller.barrier");
         self.rbq.export_metrics(m, "controller.rbq");
         m.counter("core.instructions", self.dynamic_instructions);
-        m.counter("core.instr.q_update.count", self.comm.q_update_count);
-        m.gauge("core.instr.q_update.total_ns", self.comm.q_update.as_ns());
-        m.counter("core.instr.q_set.count", self.comm.q_set_count);
-        m.gauge("core.instr.q_set.total_ns", self.comm.q_set.as_ns());
-        m.counter("core.instr.q_acquire.count", self.comm.q_acquire_count);
-        m.gauge("core.instr.q_acquire.total_ns", self.comm.q_acquire.as_ns());
-        for (path, hist) in LATENCY_METRICS.iter().zip(&self.latency) {
-            m.histogram(path, hist);
+        for (i, (op, span)) in LATENCY_OPS.iter().zip(&self.latency).enumerate() {
+            // The communication instructions also export their tallies.
+            if i < 3 {
+                m.counter(&format!("core.instr.{op}.count"), span.count());
+                m.gauge(&format!("core.instr.{op}.total_ns"), span.total().as_ns());
+            }
+            m.histogram(&format!("core.instr.{op}.latency_ns"), span.hist());
         }
         // Shot-shard worker telemetry (the shard-order merge already
         // happened inside q_run).
@@ -922,7 +900,6 @@ impl QtenonSystem {
     /// Resets transient state between independent experiment runs while
     /// keeping the warm SLT (use [`QtenonSystem::cold_reset`] to drop it).
     pub fn reset_accounting(&mut self) {
-        self.comm = CommBreakdown::default();
         self.host_ops = OpCounter::new();
         self.dynamic_instructions = 0;
         self.bus.reset();
@@ -938,7 +915,7 @@ impl QtenonSystem {
         self.ones_per_shot.reset();
         self.profiler.reset();
         self.critpath.reset();
-        self.latency.iter_mut().for_each(Histogram::reset);
+        self.latency = Default::default();
     }
 
     /// Drops all cached pulse state as well (a from-scratch system).
@@ -1367,7 +1344,7 @@ mod tests {
         }
         let mut m = MetricsRegistry::new();
         sys.export_metrics(&mut m);
-        assert!(m.get("profile.chip.execute.count").is_some());
+        assert!(m.get("profile.chip.execute.sim_total_ns").is_some());
         assert!(m.get("profile.chip.execute.sim_ns").is_some());
         // Enabling wall-clock capture must not change exported metrics.
         let mut m2 = MetricsRegistry::new();

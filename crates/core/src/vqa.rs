@@ -24,7 +24,7 @@ use qtenon_compiler::{
 use qtenon_isa::Instruction;
 use qtenon_quantum::{BitString, Circuit};
 use qtenon_sim_engine::{
-    Histogram, MetricsRegistry, OpClass, OpCounter, PhaseId, Profiler, SimDuration, SimTime,
+    MetricsRegistry, OpClass, OpCounter, PhaseId, Profiler, SimDuration, SimTime, SpanStats,
 };
 use qtenon_workloads::cost::{CostEvaluator, BLOCK_SHOTS};
 use qtenon_workloads::{Optimizer, Workload};
@@ -136,10 +136,9 @@ pub struct VqaRunner {
     cache: Option<CacheBinding>,
     /// The workload Hamiltonian's term table, built once per runner.
     evaluator: CostEvaluator,
-    evaluations: u64,
-    iterations: u64,
-    eval_latency: Histogram,
-    iter_latency: Histogram,
+    /// Evaluation and iteration latencies of the most recent run.
+    evaluations: SpanStats,
+    iterations: SpanStats,
     final_cost: f64,
     /// Fine-grained PUT batches drained, summed over evaluations.
     des_puts: u64,
@@ -218,10 +217,8 @@ impl VqaRunner {
             workload,
             program,
             cache,
-            evaluations: 0,
-            iterations: 0,
-            eval_latency: Histogram::new(),
-            iter_latency: Histogram::new(),
+            evaluations: SpanStats::default(),
+            iterations: SpanStats::default(),
             final_cost: f64::NAN,
             des_puts: 0,
             des_high_water: 0,
@@ -272,18 +269,13 @@ impl VqaRunner {
     /// `core.vqa.*` statistics from the most recent [`run`](Self::run).
     pub fn export_metrics(&self, m: &mut MetricsRegistry) {
         self.system.export_metrics(m);
-        m.counter("core.vqa.evaluations", self.evaluations);
-        m.counter("core.vqa.iterations", self.iterations);
-        m.histogram("core.vqa.eval_latency_ns", &self.eval_latency);
-        m.histogram("core.vqa.iteration_latency_ns", &self.iter_latency);
+        m.histogram("core.vqa.eval_latency_ns", self.evaluations.hist());
+        m.histogram("core.vqa.iteration_latency_ns", self.iterations.hist());
         m.gauge("core.vqa.final_cost", self.final_cost);
-        // PUT batch tallies: every batch scheduled is drained within its
-        // evaluation, so scheduled = dispatched and no PUT is left queued.
+        // PUT batch tallies. Every batch scheduled is drained within its
+        // evaluation, so no dispatch count or queue depth is exported.
         m.counter("profile.des.puts_scheduled", self.des_puts);
-        m.counter("profile.des.puts_dispatched", self.des_puts);
         m.counter("profile.des.put_queue_high_water", self.des_high_water);
-        m.gauge("profile.des.high_water", self.des_high_water as f64);
-        m.gauge("profile.des.queue_depth", 0.0);
     }
 
     /// Static instruction count of the program text: setup instructions
@@ -335,10 +327,8 @@ impl VqaRunner {
     ) -> Result<(RunReport, DeadlineStatus), SystemError> {
         let config = *self.system.config();
         self.system.cold_reset();
-        self.evaluations = 0;
-        self.iterations = 0;
-        self.eval_latency.reset();
-        self.iter_latency.reset();
+        self.evaluations = SpanStats::default();
+        self.iterations = SpanStats::default();
         self.final_cost = f64::NAN;
         self.des_puts = 0;
         self.des_high_water = 0;
@@ -431,9 +421,7 @@ impl VqaRunner {
                 let (cost, t) =
                     self.evaluate(&config, now, &mut codes, eval_params, shots, phases)?;
                 evals.push(cost);
-                self.eval_latency
-                    .record(t.saturating_since(now).as_ps() / 1_000);
-                self.evaluations += 1;
+                self.evaluations.record(t.saturating_since(now));
                 now = t;
             }
             // Optimizer update on the host.
@@ -443,9 +431,7 @@ impl VqaRunner {
             now = self.system.host_segment(phases.optimizer_step, now, d);
             let mean = evals.iter().sum::<f64>() / evals.len().max(1) as f64;
             cost_history.push(mean);
-            self.iter_latency
-                .record(now.saturating_since(iter_start).as_ps() / 1_000);
-            self.iterations += 1;
+            self.iterations.record(now.saturating_since(iter_start));
         }
 
         let comm = self.system.comm();
@@ -454,7 +440,7 @@ impl VqaRunner {
         self.final_cost = final_cost;
         let status = DeadlineStatus {
             hit: deadline_hit,
-            completed_iterations: self.iterations as usize,
+            completed_iterations: self.iterations.count() as usize,
             requested_iterations: iterations,
         };
         let report = RunReport {
@@ -823,7 +809,10 @@ mod tests {
         let mut m = MetricsRegistry::new();
         r.export_metrics(&mut m);
         assert!(m.len() >= 20, "only {} metrics exported", m.len());
-        assert_eq!(m.get("core.vqa.iterations"), Some(&MetricValue::Counter(2)));
+        match m.get("core.vqa.iteration_latency_ns") {
+            Some(MetricValue::Histogram(h)) => assert_eq!(h.count(), 2),
+            other => panic!("expected histogram, got {other:?}"),
+        }
         match m.get("core.vqa.eval_latency_ns") {
             Some(MetricValue::Histogram(h)) => {
                 assert!(h.count() > 0);

@@ -1,9 +1,9 @@
 //! Differential determinism tests for the causal critical-path
 //! analyzer.
 //!
-//! The contract (DESIGN.md §11): the [`CritPathReport`] in a
-//! `RunReport` — the who-blocks-whom table `qtenon run --critpath`
-//! prints and every `critpath.edge.*` metric — derives purely from
+//! The contract (DESIGN.md §11): `RunReport::critpath`, the per-edge
+//! `SpanTable` behind the who-blocks-whom table `qtenon run --critpath`
+//! prints and every `critpath.edge.*` metric, derives purely from
 //! simulated completion times, so it is byte-identical across
 //! `--threads`, invisible to zero-rate fault plans, and identical
 //! whether a job runs inside a batch fleet or standalone. These tests
@@ -46,7 +46,7 @@ fn run_at(threads: usize, faults: Option<FaultPlan>, seed: u64) -> (RunReport, S
         .expect("run succeeds");
     let mut m = MetricsRegistry::new();
     runner.export_metrics(&mut m);
-    let rendered = report.critpath.render();
+    let rendered = report.critpath.render_critpath();
     (report, rendered, m.snapshot().to_json())
 }
 
@@ -127,8 +127,8 @@ fn batch_and_standalone_jobs_agree_on_the_critpath() {
                 result.name
             );
             assert_eq!(
-                artefacts.report.critpath.render(),
-                references[i].report.critpath.render(),
+                artefacts.report.critpath.render_critpath(),
+                references[i].report.critpath.render_critpath(),
                 "job {} rendered table differs at pool width {threads}",
                 result.name
             );
@@ -150,7 +150,7 @@ fn critpath_covers_the_canonical_edges_and_exports_metrics() {
     // shares attribute 100% of the on-path time.
     assert!(rendered.contains("component"));
     // The critpath namespace made it into the metrics artefact.
-    assert!(json.contains("\"critpath.edge.pipeline->chip.count\""));
+    assert!(json.contains("\"critpath.edge.pipeline->chip.sim_ns\""));
     assert!(json.contains("\"critpath.edge.readout->host.sim_total_ns\""));
 }
 

@@ -78,9 +78,9 @@ impl Shape {
         let allocated = allocations() - before;
         let mut m = qtenon_sim_engine::MetricsRegistry::new();
         runner.export_metrics(&mut m);
-        let evaluations = match m.get("core.vqa.evaluations") {
-            Some(qtenon_sim_engine::MetricValue::Counter(n)) => *n,
-            other => panic!("core.vqa.evaluations missing: {other:?}"),
+        let evaluations = match m.get("core.vqa.eval_latency_ns") {
+            Some(qtenon_sim_engine::MetricValue::Histogram(h)) => h.count(),
+            other => panic!("core.vqa.eval_latency_ns missing: {other:?}"),
         };
         (allocated, evaluations)
     }

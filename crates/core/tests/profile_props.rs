@@ -39,7 +39,7 @@ fn run_at(threads: usize, profile: bool, seed: u64) -> (RunReport, String, Strin
         .expect("run succeeds");
     let mut m = MetricsRegistry::new();
     runner.export_metrics(&mut m);
-    let rendered = report.phases.render();
+    let rendered = report.phases.render("phase");
     (report, rendered, m.snapshot().to_json())
 }
 
@@ -86,18 +86,18 @@ fn phase_attribution_is_consistent_with_the_breakdown() {
     // profile namespace made it into the metrics artefact.
     assert_eq!(rendered.lines().count(), report.phases.rows.len() + 2);
     assert!(json.contains("\"profile.vqa.quantum_execute.sim_total_ns\""));
-    assert!(json.contains("\"profile.chip.execute.count\""));
+    assert!(json.contains("\"profile.chip.execute.sim_ns\""));
     // Wall-clock never leaks into stable output.
     assert!(!json.contains("wall"));
     assert!(!rendered.contains("wall"));
 }
 
-/// The DES occupancy gauges reach the Prometheus exporter (not just
-/// the JSON artefact), and every exported histogram's cumulative
+/// The DES batch tallies and a gauge reach the Prometheus exporter (not
+/// just the JSON artefact), and every exported histogram's cumulative
 /// `le`-series is internally consistent: the `+Inf` bucket equals
 /// `_count`, and finite cumulative counts never exceed it.
 #[test]
-fn des_gauges_export_to_prometheus_with_cumulative_histograms() {
+fn des_tallies_and_gauges_export_to_prometheus_with_cumulative_histograms() {
     let config = QtenonConfig::table4(8, CoreModel::Rocket)
         .expect("valid config")
         .with_seed(42);
@@ -111,18 +111,27 @@ fn des_gauges_export_to_prometheus_with_cumulative_histograms() {
     let snapshot = m.snapshot();
     let json = snapshot.to_json();
     let prom = snapshot.to_prometheus();
-    for key in ["profile.des.high_water", "profile.des.queue_depth"] {
+    // The DES batch tallies, and a gauge: a metric's kind never keeps
+    // it out of either export.
+    for key in [
+        "profile.des.puts_scheduled",
+        "profile.des.put_queue_high_water",
+        "core.instr.q_update.total_ns",
+    ] {
         assert!(
             json.contains(&format!("\"{key}\"")),
             "{key} missing from JSON"
         );
-    }
-    for name in ["profile_des_high_water", "profile_des_queue_depth"] {
+        let name = key.replace('.', "_");
         assert!(
             prom.lines().any(|l| l.starts_with(&format!("{name} "))),
             "{name} missing from Prometheus output:\n{prom}"
         );
     }
+    assert!(
+        json.contains("\"core.instr.q_update.total_ns\":{\"type\":\"gauge\""),
+        "core.instr.q_update.total_ns is not a gauge"
+    );
     // Cumulative-histogram consistency, checked on the exporter's own
     // output: per metric, finite le-buckets are non-decreasing and the
     // final +Inf bucket equals the _count sample.
@@ -178,8 +187,8 @@ fn zero_iteration_and_zero_shot_runs_render_stable_tables() {
         runner.export_metrics(&mut m);
         let snapshot = m.snapshot();
         (
-            report.phases.render(),
-            report.critpath.render(),
+            report.phases.render("phase"),
+            report.critpath.render_critpath(),
             snapshot.to_json(),
             snapshot.to_prometheus(),
             snapshot.to_text(),
@@ -203,10 +212,10 @@ fn zero_iteration_and_zero_shot_runs_render_stable_tables() {
 /// header or a NaN-percentile row.
 #[test]
 fn empty_tables_render_fixed_placeholders() {
-    use qtenon_sim_engine::{CritPathReport, PhaseTable};
-    assert_eq!(PhaseTable::default().render(), "no phases recorded\n");
+    use qtenon_sim_engine::SpanTable;
+    assert_eq!(SpanTable::default().render("phase"), "no phases recorded\n");
     assert_eq!(
-        CritPathReport::default().render(),
+        SpanTable::default().render_critpath(),
         "no critical path recorded\n"
     );
 }

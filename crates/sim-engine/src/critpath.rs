@@ -8,14 +8,14 @@
 //! drain, a host ACK) explains the finish time.
 //!
 //! A [`CritPathTracker`] maintains a compact arena of provenance nodes
-//! `(cause_id, edge, sim_time, kind)` with interned edge labels
-//! (mirroring [`crate::profile::PhaseId`] interning). Components call
+//! `(cause, edge, sim_time)` with interned edge labels (mirroring
+//! [`crate::profile::PhaseId`] interning). Components call
 //! [`CritPathTracker::advance`] as their work completes; each call links
 //! a new node to the current chain head. After a run,
 //! [`CritPathTracker::report`] walks backwards from the final event and
-//! aggregates the path into per-edge blocking-time attribution — a
-//! [`CritPathReport`] that renders byte-stably, like
-//! [`crate::profile::PhaseTable`].
+//! aggregates the path into per-edge blocking-time attribution — the
+//! same [`SpanTable`] the profiler's phases freeze into, rendered with
+//! a per-component section by [`SpanTable::render_critpath`].
 //!
 //! # Determinism contract
 //!
@@ -38,49 +38,26 @@
 //!
 //! ```
 //! use qtenon_sim_engine::critpath::CritPathTracker;
-//! use qtenon_sim_engine::{CritKind, SimDuration, SimTime};
+//! use qtenon_sim_engine::{SimDuration, SimTime};
 //!
 //! let mut t = CritPathTracker::new();
 //! let upload = t.edge("host->bus");
 //! let execute = t.edge("pipeline->chip");
 //! let t0 = SimTime::ZERO;
 //! t.open_at(t0);
-//! t.advance(upload, t0 + SimDuration::from_ns(40), CritKind::Grant);
-//! t.advance(execute, t0 + SimDuration::from_ns(140), CritKind::Complete);
+//! t.advance(upload, t0 + SimDuration::from_ns(40));
+//! t.advance(execute, t0 + SimDuration::from_ns(140));
 //! let report = t.report();
 //! assert_eq!(report.row("pipeline->chip").unwrap().total_ns, 100);
 //! ```
 
-use crate::metrics::{Histogram, MetricsRegistry};
-use crate::time::SimTime;
+use crate::profile::{permille, SpanStats, SpanTable};
+use crate::time::{SimDuration, SimTime};
 
 /// An interned causal-edge name: a cheap copyable handle into a
 /// [`CritPathTracker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeId(u16);
-
-/// A node's position in the provenance arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeId(u32);
-
-/// What kind of causal hand-off a node records. Pure provenance
-/// metadata: it names the mechanism that enabled the event (useful when
-/// inspecting the raw path) and never affects attribution arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CritKind {
-    /// A command was dispatched downstream (PGU dispatch, q_gen issue).
-    Dispatch,
-    /// An arbitration grant (bus grant, channel acquisition).
-    Grant,
-    /// A queue pop released the event (RBQ pop, transmission-queue pop).
-    Pop,
-    /// Buffered data drained to its consumer (readout drain).
-    Drain,
-    /// An acknowledgement closed a round trip (host ACK).
-    Ack,
-    /// A unit of work ran to completion (shot batch, classical segment).
-    Complete,
-}
 
 /// Sentinel cause for root nodes.
 const NO_CAUSE: u32 = u32::MAX;
@@ -88,13 +65,12 @@ const NO_CAUSE: u32 = u32::MAX;
 const NO_EDGE: u16 = u16::MAX;
 
 /// One provenance record: the event's cause, the interned edge it
-/// arrived over, its (clamped) sim time, and the hand-off kind.
+/// arrived over, and its (clamped) sim time.
 #[derive(Debug, Clone, Copy)]
 struct CritNode {
     cause: u32,
     edge: u16,
     at: SimTime,
-    kind: CritKind,
 }
 
 /// The causal critical-path tracker: interned edge labels, a compact
@@ -144,23 +120,11 @@ impl CritPathTracker {
         EdgeId(id)
     }
 
-    /// The interned name of `id`.
-    pub fn edge_name(&self, id: EdgeId) -> &'static str {
-        self.labels[id.0 as usize]
-    }
-
     /// Opens a new causal chain rooted at `at`, abandoning any previous
     /// head. The root carries no incoming edge and contributes no
     /// attributed time.
-    pub fn open_at(&mut self, at: SimTime) -> NodeId {
-        let id = self.push(CritNode {
-            cause: NO_CAUSE,
-            edge: NO_EDGE,
-            at,
-            kind: CritKind::Dispatch,
-        });
-        self.head = id.0;
-        id
+    pub fn open_at(&mut self, at: SimTime) {
+        self.push(NO_CAUSE, NO_EDGE, at);
     }
 
     /// Appends a node at `at` whose cause is the current chain head and
@@ -168,57 +132,41 @@ impl CritPathTracker {
     /// cause's time (the monotone-chain invariant: overlapped work
     /// charges only its exposed portion). If no chain is open, the node
     /// auto-roots at `at` first.
-    pub fn advance(&mut self, edge: EdgeId, at: SimTime, kind: CritKind) -> NodeId {
+    pub fn advance(&mut self, edge: EdgeId, at: SimTime) {
         if self.head == NO_CAUSE {
             self.open_at(at);
         }
         let cause = self.head;
         let clamped = at.max(self.nodes[cause as usize].at);
-        let id = self.push(CritNode {
-            cause,
-            edge: edge.0,
-            at: clamped,
-            kind,
-        });
-        self.head = id.0;
-        id
+        self.push(cause, edge.0, clamped);
     }
 
-    fn push(&mut self, node: CritNode) -> NodeId {
+    /// Appends a node and makes it the chain head.
+    fn push(&mut self, cause: u32, edge: u16, at: SimTime) {
         let id = u32::try_from(self.nodes.len()).expect("provenance arena overflow");
         assert!(id != NO_CAUSE, "provenance arena overflow");
-        self.nodes.push(node);
-        NodeId(id)
+        self.nodes.push(CritNode { cause, edge, at });
+        self.head = id;
     }
 
-    /// The current chain head, if a chain is open.
-    pub fn head(&self) -> Option<NodeId> {
-        (self.head != NO_CAUSE).then_some(NodeId(self.head))
-    }
-
-    /// Number of nodes in the arena.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the arena is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Walks backwards from the chain head to its root and returns the
-    /// path in causal (root-first) order as `(edge_name, kind, at)`
-    /// steps. The root itself is omitted (it has no incoming edge).
-    pub fn path(&self) -> Vec<(&'static str, CritKind, SimTime)> {
-        let mut steps = Vec::new();
+    /// Walks backwards from the chain head to its root, calling `step`
+    /// with each node that arrived over an edge and its cause's time.
+    fn walk(&self, mut step: impl FnMut(&CritNode, SimTime)) {
         let mut cursor = self.head;
         while cursor != NO_CAUSE {
             let node = &self.nodes[cursor as usize];
             if node.edge != NO_EDGE {
-                steps.push((self.labels[node.edge as usize], node.kind, node.at));
+                step(node, self.nodes[node.cause as usize].at);
             }
             cursor = node.cause;
         }
+    }
+
+    /// The path in causal (root-first) order as `(edge_name, at)` steps.
+    /// The root itself is omitted (it has no incoming edge).
+    pub fn path(&self) -> Vec<(&'static str, SimTime)> {
+        let mut steps = Vec::new();
+        self.walk(|node, _| steps.push((self.labels[node.edge as usize], node.at)));
         steps.reverse();
         steps
     }
@@ -226,36 +174,14 @@ impl CritPathTracker {
     /// Extracts the critical path and aggregates it into per-edge
     /// blocking-time attribution. Each step charges `node.at -
     /// cause.at` (never negative, by the monotone-chain invariant) to
-    /// its edge.
-    pub fn report(&self) -> CritPathReport {
-        let mut rows: Vec<CritPathRow> = Vec::new();
-        let mut cursor = self.head;
-        while cursor != NO_CAUSE {
-            let node = &self.nodes[cursor as usize];
-            if node.edge != NO_EDGE {
-                let cause_at = self.nodes[node.cause as usize].at;
-                let ns = node.at.saturating_since(cause_at).as_ps() / 1_000;
-                let name = self.labels[node.edge as usize];
-                let row = match rows.iter_mut().find(|r| r.name == name) {
-                    Some(row) => row,
-                    None => {
-                        rows.push(CritPathRow {
-                            name: name.to_string(),
-                            count: 0,
-                            total_ns: 0,
-                            hist: Histogram::new(),
-                        });
-                        rows.last_mut().expect("just pushed")
-                    }
-                };
-                row.count += 1;
-                row.total_ns += ns;
-                row.hist.record(ns);
-            }
-            cursor = node.cause;
-        }
-        rows.sort_by(|a, b| a.name.cmp(&b.name));
-        CritPathReport { rows }
+    /// its edge, truncated to whole nanoseconds before it is summed.
+    pub fn report(&self) -> SpanTable {
+        let mut spans = vec![SpanStats::default(); self.labels.len()];
+        self.walk(|node, cause_at| {
+            let ns = node.at.saturating_since(cause_at).as_ps() / 1_000;
+            spans[node.edge as usize].record(SimDuration::from_ns(ns));
+        });
+        SpanTable::from_spans(self.labels.iter().copied().zip(&spans))
     }
 
     /// Forgets the arena and chain head but keeps interned edges, so
@@ -266,48 +192,9 @@ impl CritPathTracker {
     }
 }
 
-/// One row of a [`CritPathReport`]: an edge's on-path blocking-time
-/// accumulator. The full [`Histogram`] is embedded, and percentiles are
-/// derived from it on render.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CritPathRow {
-    /// Causal edge name (`host->bus`, `pipeline->chip`, ...).
-    pub name: String,
-    /// On-path traversals of this edge.
-    pub count: u64,
-    /// Total blocking sim time attributed to this edge, in nanoseconds.
-    pub total_ns: u64,
-    /// Per-traversal blocking-time distribution (nanosecond samples).
-    pub hist: Histogram,
-}
-
-/// The per-run critical-path attribution carried in `RunReport`.
-///
-/// Rows are sorted by edge name; sim-time-only, so two runs that
-/// simulate the same timeline produce byte-identical reports regardless
-/// of thread count or batch-vs-standalone execution.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CritPathReport {
-    /// Rows sorted by edge name.
-    pub rows: Vec<CritPathRow>,
-}
-
-impl CritPathReport {
-    /// Whether the report has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Sum of all on-path blocking time in nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.rows.iter().map(|r| r.total_ns).sum()
-    }
-
-    /// The row for `name`, if present.
-    pub fn row(&self, name: &str) -> Option<&CritPathRow> {
-        self.rows.iter().find(|r| r.name == name)
-    }
-
+/// The critical-path view of a [`SpanTable`] whose rows are causal
+/// edges (`host->bus`, `pipeline->chip`, ...).
+impl SpanTable {
     /// Total blocking time attributed to `component` — the sum over
     /// edges whose destination (the part after `->`) is `component`.
     pub fn component_ns(&self, component: &str) -> u64 {
@@ -318,64 +205,17 @@ impl CritPathReport {
             .sum()
     }
 
-    /// Exports the per-edge accumulators under `<prefix>.<edge>` paths:
-    /// a `.count` counter, a `.sim_total_ns` counter, and a `.sim_ns`
-    /// blocking-time histogram (mirroring `Profiler::export_metrics`).
-    pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
-        for row in &self.rows {
-            if row.count == 0 {
-                continue;
-            }
-            m.counter(&format!("{prefix}.{}.count", row.name), row.count);
-            m.counter(&format!("{prefix}.{}.sim_total_ns", row.name), row.total_ns);
-            m.histogram(&format!("{prefix}.{}.sim_ns", row.name), &row.hist);
-        }
-    }
-
-    /// Renders the who-blocks-whom table as aligned text: one row per
-    /// causal edge with count, total blocking time, percentile estimates
-    /// (all integer nanoseconds), and the edge's share of the on-path
-    /// total — followed by a per-component summary (% of end-to-end
-    /// on-path per blocking component, the destination side of each
-    /// edge). Every column derives from sim time, so the rendering is
-    /// byte-stable across thread counts.
-    pub fn render(&self) -> String {
+    /// Renders the who-blocks-whom table (see [`SpanTable::render`])
+    /// followed by a per-component summary (% of end-to-end on-path per
+    /// blocking component, the destination side of each edge). Every
+    /// column derives from sim time, so the rendering is byte-stable
+    /// across thread counts.
+    pub fn render_critpath(&self) -> String {
         if self.rows.is_empty() {
             return String::from("no critical path recorded\n");
         }
-        let width = self
-            .rows
-            .iter()
-            .map(|r| r.name.len())
-            .max()
-            .unwrap_or(0)
-            .max(4);
+        let mut out = self.render("edge");
         let grand = self.total_ns();
-        let mut out = format!(
-            "{:<width$}  {:>10}  {:>14}  {:>10}  {:>10}  {:>10}  {:>10}  {:>6}\n",
-            "edge", "count", "sim_total_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns", "share"
-        );
-        for r in &self.rows {
-            let share = permille(r.total_ns, grand);
-            out.push_str(&format!(
-                "{:<width$}  {:>10}  {:>14}  {:>10}  {:>10}  {:>10}  {:>10}  {:>5}.{}%\n",
-                r.name,
-                r.count,
-                r.total_ns,
-                r.hist.p50().unwrap_or(0),
-                r.hist.p90().unwrap_or(0),
-                r.hist.p99().unwrap_or(0),
-                r.hist.max().unwrap_or(0),
-                share / 10,
-                share % 10,
-            ));
-        }
-        out.push_str(&format!(
-            "{:<width$}  {:>10}  {:>14}\n",
-            "total",
-            self.rows.iter().map(|r| r.count).sum::<u64>(),
-            grand
-        ));
         // Per-component section: who holds the chain, summed over every
         // edge that hands off *to* that component.
         let mut components: Vec<(&str, u64)> = Vec::new();
@@ -412,12 +252,6 @@ impl CritPathReport {
     }
 }
 
-/// Integer permille of `part` in `whole` — exact arithmetic, so
-/// byte-stable when rendered as a percentage with one decimal.
-fn permille(part: u64, whole: u64) -> u64 {
-    part.saturating_mul(1000).checked_div(whole).unwrap_or(0)
-}
-
 /// The component an edge hands off *to*: the substring after `->`, or
 /// the whole name for labels without one.
 fn edge_component(name: &str) -> &str {
@@ -430,7 +264,7 @@ fn edge_component(name: &str) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
+    use crate::metrics::MetricsRegistry;
 
     fn at(ns: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_ns(ns)
@@ -443,8 +277,7 @@ mod tests {
         let b = t.edge("bus->slt");
         assert_ne!(a, b);
         assert_eq!(t.edge("host->bus"), a);
-        assert_eq!(t.edge_name(a), "host->bus");
-        assert_eq!(t.edge_name(b), "bus->slt");
+        assert_eq!(t.edge("bus->slt"), b);
     }
 
     #[test]
@@ -453,9 +286,9 @@ mod tests {
         let up = t.edge("host->bus");
         let run = t.edge("pipeline->chip");
         t.open_at(at(0));
-        t.advance(up, at(40), CritKind::Grant);
-        t.advance(run, at(140), CritKind::Complete);
-        t.advance(up, at(150), CritKind::Grant);
+        t.advance(up, at(40));
+        t.advance(run, at(140));
+        t.advance(up, at(150));
         let r = t.report();
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.row("host->bus").unwrap().count, 2);
@@ -468,13 +301,13 @@ mod tests {
     fn advance_auto_roots_without_open() {
         let mut t = CritPathTracker::new();
         let e = t.edge("chip->readout");
-        assert!(t.head().is_none());
-        t.advance(e, at(25), CritKind::Drain);
+        assert!(t.path().is_empty());
+        t.advance(e, at(25));
         // Auto-root at the same instant: edge fires with zero duration.
         let r = t.report();
         assert_eq!(r.row("chip->readout").unwrap().count, 1);
         assert_eq!(r.row("chip->readout").unwrap().total_ns, 0);
-        assert_eq!(t.len(), 2); // root + one edge node
+        assert_eq!(t.path(), [("chip->readout", at(25))]);
     }
 
     #[test]
@@ -483,13 +316,13 @@ mod tests {
         let run = t.edge("pipeline->chip");
         let drain = t.edge("chip->readout");
         t.open_at(at(0));
-        t.advance(run, at(100), CritKind::Complete);
+        t.advance(run, at(100));
         // A result batch that completed *before* the chip node: fully
         // overlapped, so the edge charges zero, not negative time.
-        t.advance(drain, at(60), CritKind::Drain);
+        t.advance(drain, at(60));
         // The next batch lands after the chain: only the exposed 20 ns
         // past the clamped node is charged.
-        t.advance(drain, at(120), CritKind::Drain);
+        t.advance(drain, at(120));
         let r = t.report();
         assert_eq!(r.row("chip->readout").unwrap().count, 2);
         assert_eq!(r.row("chip->readout").unwrap().total_ns, 20);
@@ -502,12 +335,12 @@ mod tests {
         let a = t.edge("host->bus");
         let b = t.edge("bus->slt");
         t.open_at(at(0));
-        t.advance(a, at(10), CritKind::Grant);
-        t.advance(b, at(30), CritKind::Pop);
+        t.advance(a, at(10));
+        t.advance(b, at(30));
         let path = t.path();
         assert_eq!(path.len(), 2);
-        assert_eq!(path[0], ("host->bus", CritKind::Grant, at(10)));
-        assert_eq!(path[1], ("bus->slt", CritKind::Pop, at(30)));
+        assert_eq!(path[0], ("host->bus", at(10)));
+        assert_eq!(path[1], ("bus->slt", at(30)));
     }
 
     #[test]
@@ -515,12 +348,12 @@ mod tests {
         let mut t = CritPathTracker::new();
         let e = t.edge("readout->host");
         t.open_at(at(0));
-        t.advance(e, at(5), CritKind::Ack);
+        t.advance(e, at(5));
         t.reset();
-        assert!(t.is_empty());
+        assert!(t.path().is_empty());
         assert!(t.report().is_empty());
         t.open_at(at(0));
-        t.advance(e, at(7), CritKind::Ack);
+        t.advance(e, at(7));
         assert_eq!(t.report().row("readout->host").unwrap().total_ns, 7);
     }
 
@@ -530,14 +363,15 @@ mod tests {
         let a = t.edge("pipeline->chip");
         let b = t.edge("readout->host");
         t.open_at(at(0));
-        t.advance(a, at(750), CritKind::Complete);
-        t.advance(b, at(1000), CritKind::Ack);
+        t.advance(a, at(750));
+        t.advance(b, at(1000));
         let r = t.report();
-        let r1 = r.render();
-        let r2 = r.render();
+        let r1 = r.render_critpath();
+        let r2 = r.render_critpath();
         assert_eq!(r1, r2);
         assert!(r1.contains("75.0%"));
         assert!(r1.contains("25.0%"));
+        assert!(r1.starts_with("edge  "));
         assert!(r1.contains("component"));
         assert!(r1.contains("chip"));
         assert!(r1.contains("host"));
@@ -546,7 +380,7 @@ mod tests {
     #[test]
     fn empty_report_renders_placeholder() {
         assert_eq!(
-            CritPathReport::default().render(),
+            SpanTable::default().render_critpath(),
             "no critical path recorded\n"
         );
     }
@@ -558,10 +392,10 @@ mod tests {
         let b = t.edge("readout->host");
         let c = t.edge("host->bus");
         t.open_at(at(0));
-        t.advance(a, at(10), CritKind::Drain);
-        t.advance(b, at(30), CritKind::Ack);
-        t.advance(c, at(60), CritKind::Grant);
-        t.advance(b, at(100), CritKind::Ack);
+        t.advance(a, at(10));
+        t.advance(b, at(30));
+        t.advance(c, at(60));
+        t.advance(b, at(100));
         let r = t.report();
         assert_eq!(r.component_ns("readout"), 10);
         assert_eq!(r.component_ns("host"), 60);
@@ -574,23 +408,22 @@ mod tests {
         let mut t = CritPathTracker::new();
         let e = t.edge("host->bus");
         t.open_at(at(0));
-        t.advance(e, at(40), CritKind::Grant);
+        t.advance(e, at(40));
         let mut m = MetricsRegistry::new();
         t.report().export_metrics(&mut m, "critpath.edge");
         assert_eq!(
             m.paths(),
             vec![
-                "critpath.edge.host->bus.count",
                 "critpath.edge.host->bus.sim_ns",
                 "critpath.edge.host->bus.sim_total_ns",
             ]
         );
         // The arrow survives JSON and sanitises in Prometheus.
         let snap = m.snapshot();
-        assert!(snap.to_json().contains("critpath.edge.host->bus.count"));
+        assert!(snap.to_json().contains("critpath.edge.host->bus.sim_ns"));
         assert!(snap
             .to_prometheus()
-            .contains("critpath_edge_host__bus_count 1"));
+            .contains("critpath_edge_host__bus_sim_total_ns 40"));
     }
 
     #[test]
@@ -598,10 +431,11 @@ mod tests {
         let mut t = CritPathTracker::new();
         let e = t.edge("host->bus");
         t.open_at(at(0));
-        t.advance(e, at(10), CritKind::Grant);
+        t.advance(e, at(10));
         t.open_at(at(100));
-        t.advance(e, at(130), CritKind::Grant);
-        // Both chains' edges aggregate; the gap between chains does not.
+        t.advance(e, at(130));
+        // Only the chain opened last is walked: the first chain's edge
+        // and the gap between the chains charge nothing.
         let r = t.report();
         assert_eq!(r.row("host->bus").unwrap().count, 1);
         assert_eq!(r.row("host->bus").unwrap().total_ns, 30);

@@ -15,14 +15,15 @@
 //!   and Prometheus exporters;
 //! - [`opcount`]: the abstract-operation counter that drives the host core
 //!   cost models;
-//! - [`profile`]: span-based latency attribution — deterministic
-//!   sim-time phase spans plus explicitly unstable wall-clock scopes,
-//!   distilled into the `profile.*` metrics namespace and per-run
-//!   [`PhaseTable`]s;
+//! - [`profile`]: span-based latency attribution — one span accumulator
+//!   ([`SpanStats`]) and one name-sorted table of them ([`SpanTable`]),
+//!   fed by deterministic sim-time phase spans, plus explicitly unstable
+//!   wall-clock scopes; the table renders as text and exports the
+//!   `profile.*` metrics namespace;
 //! - [`critpath`]: causal critical-path analysis — a provenance arena of
 //!   who-enabled-whom events walked backwards into per-edge blocking-time
-//!   attribution (the `critpath.edge.*` namespace and per-run
-//!   [`CritPathReport`]s);
+//!   attribution, frozen into the same [`SpanTable`] (the
+//!   `critpath.edge.*` namespace);
 //! - [`faults`]: deterministic, seeded fault injection ([`FaultPlan`] /
 //!   [`FaultInjector`]) used by the component models to exercise their
 //!   retry/degradation paths reproducibly;
@@ -56,10 +57,10 @@ pub mod rng;
 pub mod time;
 
 pub use clock::ClockDomain;
-pub use critpath::{CritKind, CritPathReport, CritPathRow, CritPathTracker, EdgeId};
+pub use critpath::{CritPathTracker, EdgeId};
 pub use faults::{FaultInjector, FaultPlan, FaultSite, FaultSpecError};
 pub use metrics::{Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use opcount::{OpClass, OpCounter};
-pub use profile::{PhaseId, PhaseRow, PhaseTable, Profiler};
+pub use profile::{PhaseId, Profiler, SpanRow, SpanStats, SpanTable};
 pub use rng::{splitmix64, stream_seed, unit};
 pub use time::{SimDuration, SimTime};

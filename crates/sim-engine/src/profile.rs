@@ -3,16 +3,19 @@
 //! The Qtenon argument is a latency breakdown: which integration layer
 //! (compile, pulse generation, communication, execution, readout,
 //! classical optimise) eats each nanosecond of a hybrid iteration. This
-//! module is the measurement substrate behind that breakdown: a
-//! [`Profiler`] holding interned phase names and constant-memory
-//! per-phase accumulators (reusing [`Histogram`]) fed by deterministic
-//! sim-time spans, plus optional wall-clock timers.
+//! module is the measurement substrate behind that breakdown: one span
+//! accumulator, [`SpanStats`] (a count, a picosecond-exact total and a
+//! nanosecond [`Histogram`]), and one frozen, name-sorted table of them,
+//! [`SpanTable`]. The [`Profiler`] keeps one accumulator per interned
+//! phase, fed by deterministic sim-time spans, plus optional wall-clock
+//! timers; the critical path (`crate::critpath`) freezes its per-edge
+//! attribution into the same table.
 //!
 //! # Determinism contract
 //!
 //! Sim-time spans are *always* collected and derive exclusively from
 //! [`SimTime`]/[`SimDuration`] arithmetic, so the phase accumulators —
-//! and everything rendered from them ([`PhaseTable`], the `profile.*`
+//! and everything rendered from them ([`SpanTable`], the `profile.*`
 //! metrics namespace) — are byte-identical across thread counts and
 //! across profile-on/off runs. Wall-clock timers are the explicitly
 //! unstable section: they are only collected when
@@ -44,13 +47,44 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseId(u16);
 
-/// Per-phase constant-memory accumulator.
+/// A span accumulator: how many spans were recorded, their total at
+/// picosecond precision, and a histogram of their lengths in whole
+/// nanoseconds. Constant memory, whatever the number of spans.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SpanStats {
+    total: SimDuration,
+    hist: Histogram,
+}
+
+impl SpanStats {
+    /// Records one span of duration `d`.
+    pub fn record(&mut self, d: SimDuration) {
+        self.total += d;
+        self.hist.record(d.as_ps() / 1_000);
+    }
+
+    /// Spans recorded.
+    pub fn count(&self) -> u64 {
+        self.hist.count()
+    }
+
+    /// Total recorded time, at picosecond precision.
+    pub fn total(&self) -> SimDuration {
+        self.total
+    }
+
+    /// Span-length distribution (nanosecond samples).
+    pub fn hist(&self) -> &Histogram {
+        &self.hist
+    }
+}
+
+/// Per-phase accumulators: the sim-time spans, plus the wall-clock
+/// timers that only run when enabled.
 #[derive(Debug, Clone)]
 struct PhaseSlot {
     name: &'static str,
-    count: u64,
-    total: SimDuration,
-    hist: Histogram,
+    sim: SpanStats,
     wall_count: u64,
     wall_total_ns: u128,
 }
@@ -59,9 +93,7 @@ impl PhaseSlot {
     fn new(name: &'static str) -> Self {
         PhaseSlot {
             name,
-            count: 0,
-            total: SimDuration::ZERO,
-            hist: Histogram::new(),
+            sim: SpanStats::default(),
             wall_count: 0,
             wall_total_ns: 0,
         }
@@ -92,11 +124,6 @@ impl Profiler {
         self.wall_enabled = enabled;
     }
 
-    /// Whether wall-clock spans are being collected.
-    pub fn wall_enabled(&self) -> bool {
-        self.wall_enabled
-    }
-
     /// Interns `name`, returning its [`PhaseId`]. Repeated calls with
     /// the same name return the same id.
     ///
@@ -112,23 +139,15 @@ impl Profiler {
         PhaseId(id)
     }
 
-    /// The interned name of `id`.
-    pub fn name(&self, id: PhaseId) -> &'static str {
-        self.slots[id.0 as usize].name
-    }
-
     /// Records one completed sim-time span of duration `d` against `id`.
     pub fn record(&mut self, id: PhaseId, d: SimDuration) {
-        let slot = &mut self.slots[id.0 as usize];
-        slot.count += 1;
-        slot.total += d;
-        slot.hist.record(d.as_ps() / 1_000);
+        self.slots[id.0 as usize].sim.record(d);
     }
 
     /// Total sim time recorded against `id`, at picosecond precision
-    /// (a [`PhaseTable`] row truncates it to nanoseconds).
+    /// (a [`SpanTable`] row truncates it to nanoseconds).
     pub fn total(&self, id: PhaseId) -> SimDuration {
-        self.slots[id.0 as usize].total
+        self.slots[id.0 as usize].sim.total()
     }
 
     /// Records the sim-time span from `start` to `end` (clamped at zero)
@@ -167,41 +186,12 @@ impl Profiler {
         }
     }
 
-    /// Exports the deterministic (sim-time) accumulators under
-    /// `<prefix>.<phase>` paths: a `.count` counter, a `.sim_total_ns`
-    /// counter, and a `.sim_ns` latency histogram. Wall-clock values are
-    /// deliberately never exported here — they would break the
-    /// byte-identical metrics contract.
-    pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
-        for slot in &self.slots {
-            if slot.count == 0 {
-                continue;
-            }
-            m.counter(&format!("{prefix}.{}.count", slot.name), slot.count);
-            m.counter(
-                &format!("{prefix}.{}.sim_total_ns", slot.name),
-                slot.total.as_ps() / 1_000,
-            );
-            m.histogram(&format!("{prefix}.{}.sim_ns", slot.name), &slot.hist);
-        }
-    }
-
-    /// Freezes the deterministic accumulators into a [`PhaseTable`]
+    /// Freezes the deterministic accumulators into a [`SpanTable`]
     /// (rows sorted by phase name; phases that never fired are omitted).
-    pub fn table(&self) -> PhaseTable {
-        let mut rows: Vec<PhaseRow> = self
-            .slots
-            .iter()
-            .filter(|s| s.count > 0)
-            .map(|s| PhaseRow {
-                name: s.name.to_string(),
-                count: s.count,
-                total_ns: s.total.as_ps() / 1_000,
-                hist: s.hist.clone(),
-            })
-            .collect();
-        rows.sort_by(|a, b| a.name.cmp(&b.name));
-        PhaseTable { rows }
+    /// Wall-clock values never enter it: they would break the
+    /// byte-identical contract of everything rendered from the table.
+    pub fn table(&self) -> SpanTable {
+        SpanTable::from_spans(self.slots.iter().map(|s| (s.name, &s.sim)))
     }
 
     /// Renders the wall-clock section. Wall times vary run to run and
@@ -231,33 +221,53 @@ impl Profiler {
     }
 }
 
-/// One row of a [`PhaseTable`]: a phase's deterministic sim-time
-/// accumulator. The full [`Histogram`] is embedded, and percentiles are
-/// derived from it on render.
+/// One row of a [`SpanTable`]: a named accumulator, frozen. The full
+/// [`Histogram`] is embedded, and percentiles are derived from it on
+/// render.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseRow {
-    /// Phase name (`vqa.pulse_gen`, `controller.bus_transfer`, ...).
+pub struct SpanRow {
+    /// Phase or edge name (`vqa.pulse_gen`, `host->bus`, ...).
     pub name: String,
-    /// Completed spans.
+    /// Recorded spans.
     pub count: u64,
-    /// Total attributed sim time in nanoseconds.
+    /// Total attributed sim time, truncated to nanoseconds.
     pub total_ns: u64,
-    /// Span-duration distribution (nanosecond samples).
+    /// Span-length distribution (nanosecond samples).
     pub hist: Histogram,
 }
 
-/// The per-run phase attribution table carried in `RunReport`.
+/// A per-run attribution table: the profiler's phases
+/// ([`Profiler::table`]) or the critical path's edges
+/// (`CritPathTracker::report`), as carried in `RunReport`.
 ///
-/// Rows are sorted by phase name; sim-time-only, so two runs that
-/// simulate the same timeline produce byte-identical tables regardless
-/// of thread count or whether profiling output was requested.
+/// Rows are sorted by name; sim-time-only, so two runs that simulate
+/// the same timeline produce byte-identical tables regardless of thread
+/// count, batch-vs-standalone execution, or whether profiling output
+/// was requested.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PhaseTable {
-    /// Rows sorted by phase name.
-    pub rows: Vec<PhaseRow>,
+pub struct SpanTable {
+    /// Rows sorted by name.
+    pub rows: Vec<SpanRow>,
 }
 
-impl PhaseTable {
+impl SpanTable {
+    /// Freezes named accumulators into a table: accumulators that never
+    /// recorded a span are omitted, and rows are sorted by name.
+    pub fn from_spans<'a>(spans: impl IntoIterator<Item = (&'a str, &'a SpanStats)>) -> Self {
+        let mut rows: Vec<SpanRow> = spans
+            .into_iter()
+            .filter(|(_, s)| s.count() > 0)
+            .map(|(name, s)| SpanRow {
+                name: name.to_string(),
+                count: s.count(),
+                total_ns: s.total.as_ps() / 1_000,
+                hist: s.hist.clone(),
+            })
+            .collect();
+        rows.sort_by(|a, b| a.name.cmp(&b.name));
+        SpanTable { rows }
+    }
+
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
@@ -269,17 +279,28 @@ impl PhaseTable {
     }
 
     /// The row for `name`, if present.
-    pub fn row(&self, name: &str) -> Option<&PhaseRow> {
+    pub fn row(&self, name: &str) -> Option<&SpanRow> {
         self.rows.iter().find(|r| r.name == name)
     }
 
-    /// Renders the table as aligned text: one row per phase with count,
-    /// total, percentile estimates (all integer nanoseconds), and the
-    /// phase's share of the attributed total. Every column derives from
-    /// sim time, so the rendering is byte-stable across thread counts.
-    pub fn render(&self) -> String {
+    /// Exports each row under `<prefix>.<name>` paths: a `.sim_total_ns`
+    /// counter and a `.sim_ns` histogram, whose count is the row's.
+    pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
+        for row in &self.rows {
+            m.counter(&format!("{prefix}.{}.sim_total_ns", row.name), row.total_ns);
+            m.histogram(&format!("{prefix}.{}.sim_ns", row.name), &row.hist);
+        }
+    }
+
+    /// Renders the table as aligned text under a first-column `header`
+    /// (`phase`, `edge`): one row per name with count, total, percentile
+    /// estimates (all integer nanoseconds), and the row's share of the
+    /// attributed total, then a `total` row. An empty table renders as
+    /// `no <header>s recorded`. Every column derives from sim time, so
+    /// the rendering is byte-stable across thread counts.
+    pub fn render(&self, header: &str) -> String {
         if self.rows.is_empty() {
-            return String::from("no phases recorded\n");
+            return format!("no {header}s recorded\n");
         }
         let width = self
             .rows
@@ -287,20 +308,14 @@ impl PhaseTable {
             .map(|r| r.name.len())
             .max()
             .unwrap_or(0)
-            .max(5);
+            .max(header.len());
         let grand = self.total_ns();
         let mut out = format!(
             "{:<width$}  {:>10}  {:>14}  {:>10}  {:>10}  {:>10}  {:>10}  {:>6}\n",
-            "phase", "count", "sim_total_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns", "share"
+            header, "count", "sim_total_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns", "share"
         );
         for r in &self.rows {
-            // Integer permille, rendered as a percentage with one
-            // decimal: exact arithmetic, so byte-stable.
-            let share = r
-                .total_ns
-                .saturating_mul(1000)
-                .checked_div(grand)
-                .unwrap_or(0);
+            let share = permille(r.total_ns, grand);
             out.push_str(&format!(
                 "{:<width$}  {:>10}  {:>14}  {:>10}  {:>10}  {:>10}  {:>10}  {:>5}.{}%\n",
                 r.name,
@@ -324,6 +339,12 @@ impl PhaseTable {
     }
 }
 
+/// Integer permille of `part` in `whole` — exact arithmetic, so
+/// byte-stable when rendered as a percentage with one decimal.
+pub(crate) fn permille(part: u64, whole: u64) -> u64 {
+    part.saturating_mul(1000).checked_div(whole).unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,8 +360,7 @@ mod tests {
         let b = p.phase("beta");
         assert_ne!(a, b);
         assert_eq!(p.phase("alpha"), a);
-        assert_eq!(p.name(a), "alpha");
-        assert_eq!(p.name(b), "beta");
+        assert_eq!(p.phase("beta"), b);
     }
 
     #[test]
@@ -418,7 +438,7 @@ mod tests {
         // Wall spans never leak into the deterministic table or metrics.
         assert!(p.table().is_empty());
         let mut m = MetricsRegistry::new();
-        p.export_metrics(&mut m, "profile");
+        p.table().export_metrics(&mut m, "profile");
         assert!(m.is_empty());
     }
 
@@ -430,11 +450,10 @@ mod tests {
         p.record(a, SimDuration::from_ns(40));
         p.record_wall_ns(a, 9_999);
         let mut m = MetricsRegistry::new();
-        p.export_metrics(&mut m, "profile");
+        p.table().export_metrics(&mut m, "profile");
         assert_eq!(
             m.paths(),
             vec![
-                "profile.vqa.pulse_gen.count",
                 "profile.vqa.pulse_gen.sim_ns",
                 "profile.vqa.pulse_gen.sim_total_ns",
             ]
@@ -451,17 +470,18 @@ mod tests {
         p.record(a, SimDuration::from_ns(750));
         p.record(b, SimDuration::from_ns(250));
         let t = p.table();
-        let r1 = t.render();
-        let r2 = t.render();
+        let r1 = t.render("phase");
+        let r2 = t.render("phase");
         assert_eq!(r1, r2);
         assert!(r1.contains("75.0%"));
         assert!(r1.contains("25.0%"));
+        assert!(r1.starts_with("phase  "));
         assert!(r1.lines().last().unwrap().starts_with("total"));
     }
 
     #[test]
     fn empty_table_renders_placeholder() {
-        assert_eq!(PhaseTable::default().render(), "no phases recorded\n");
+        assert_eq!(SpanTable::default().render("phase"), "no phases recorded\n");
     }
 
     #[test]

@@ -292,7 +292,7 @@ fn run_batch(args: &Args) -> Result<(), String> {
                     "\nphase attribution for {} (sim time, deterministic):",
                     r.name
                 );
-                print!("{}", a.report.phases.render());
+                print!("{}", a.report.phases.render("phase"));
             }
         }
     }
@@ -300,7 +300,7 @@ fn run_batch(args: &Args) -> Result<(), String> {
         for r in &batch.results {
             if let Some(a) = r.outcome.artifacts() {
                 println!("\ncritical path for {} (sim time, deterministic):", r.name);
-                print!("{}", a.report.critpath.render());
+                print!("{}", a.report.critpath.render_critpath());
             }
         }
     }
@@ -504,7 +504,7 @@ fn run() -> Result<(), String> {
 
             if args.profile {
                 println!("phase attribution (sim time, deterministic):");
-                print!("{}", system.phase_table().render());
+                print!("{}", system.phase_table().render("phase"));
                 let wall = system.profiler().render_wall_unstable();
                 if !wall.is_empty() {
                     println!();
@@ -514,7 +514,7 @@ fn run() -> Result<(), String> {
 
             if args.critpath {
                 println!("critical path (who blocks whom, sim time, deterministic):");
-                print!("{}", system.critpath_report().render());
+                print!("{}", system.critpath_report().render_critpath());
             }
 
             if plan.is_active() {

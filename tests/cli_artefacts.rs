@@ -4,10 +4,11 @@
 //! cache on or off; the cached ledger and the `cache.fleet.*` telemetry
 //! do not depend on the pool width, and that telemetry reaches both
 //! metrics exports; gate fusion changes no kernels-fleet artefact beyond
-//! its own `quantum.fuse.*` accounting. For `qtenon run`: the `--critpath` report and the
-//! Chrome trace, inert and fault-injected, are byte-identical at 1 and
-//! 4 shot-shard threads, and the annotated trace paints the critical
-//! path on its own lane.
+//! its own `quantum.fuse.*` accounting. For `qtenon run`: the
+//! `--critpath` report, the Chrome trace and both metrics exports, inert
+//! and fault-injected, are byte-identical at 1 and 4 shot-shard threads
+//! (2,000 shots cut real shards), and the annotated trace paints the
+//! critical path on its own lane.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -262,19 +263,32 @@ fn critpath_report_is_width_invariant_and_paints_its_trace_lane() {
 }
 
 #[test]
-fn traces_are_width_invariant_inert_and_faulty() {
+fn traces_and_metrics_are_width_invariant_inert_and_faulty() {
     let faulty = ["--faults", "all=0.25,max_attempts=8", "--fault-seed", "7"];
     for (kind, faults) in [("inert", &[][..]), ("faulty", &faulty[..])] {
-        let trace = |threads: &str| {
-            let path = format!("{kind}-t{threads}.json");
-            let mut args = vec!["--threads", threads, "--trace", &path];
+        // The trace, the metrics JSON and its Prometheus twin of one run.
+        let artefacts = |threads: &str| {
+            let trace = format!("{kind}-t{threads}.json");
+            let metrics = format!("{kind}-t{threads}-metrics.json");
+            let mut args = vec![
+                "--threads",
+                threads,
+                "--trace",
+                &trace,
+                "--metrics",
+                &metrics,
+            ];
             args.extend_from_slice(faults);
             run_bell(&args);
-            std::fs::read(tmpdir().join(&path)).expect("trace written")
+            [trace, metrics.clone(), format!("{metrics}.prom")]
+                .map(|path| std::fs::read(tmpdir().join(&path)).expect("artefact written"))
         };
-        assert!(
-            trace("1") == trace("4"),
-            "{kind} trace differs between 1 and 4 threads"
-        );
+        let names = ["trace", "metrics JSON", "Prometheus metrics"];
+        for ((name, serial), sharded) in names.iter().zip(artefacts("1")).zip(artefacts("4")) {
+            assert!(
+                serial == sharded,
+                "{kind} {name} differs between 1 and 4 threads"
+            );
+        }
     }
 }

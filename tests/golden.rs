@@ -341,6 +341,8 @@ fn faulty_ops_trace_matches_golden() {
 /// Renders the accounting fields of one [`RunReport`] under `label`:
 /// every duration in picoseconds, every tally as an integer, and
 /// `pulse_reduction` through `{:?}`, which round-trips an `f64` exactly.
+/// Then the rendered phase table and critical-path table, component
+/// section included.
 fn render_report(out: &mut String, label: &str, r: &RunReport) {
     let b = &r.breakdown;
     let c = &r.comm;
@@ -381,6 +383,8 @@ fn render_report(out: &mut String, label: &str, r: &RunReport) {
     writeln!(out, "host_cycles {}", r.host_cycles).unwrap();
     writeln!(out, "slt {:?}", r.slt).unwrap();
     writeln!(out, "resilience {:?}", r.resilience).unwrap();
+    out.push_str(&r.phases.render("phase"));
+    out.push_str(&r.critpath.render_critpath());
 }
 
 /// The active plan of the faulty report runs: every site fires, and most
