@@ -695,23 +695,14 @@ pub fn resilience(scale: &ExperimentScale) -> TextTable {
 /// program (cold pass = first iteration, warm pass = steady state).
 pub fn ablation(scale: &ExperimentScale) -> TextTable {
     use qtenon_controller::pgu::PguConfig;
-    use qtenon_controller::pipeline::{PipelineConfig, PulsePipeline, WorkItem};
+    use qtenon_controller::pipeline::{PipelineConfig, PulsePipeline};
 
     let layout = QccLayout::for_qubits(64).expect("layout");
     let workload = Workload::qaoa(64, 5, scale.seed).expect("workload");
     let program = QtenonCompiler::new(layout)
         .compile(&workload.circuit)
         .expect("compiles");
-    let items: Vec<WorkItem> = program
-        .work_items(&workload.initial_params)
-        .expect("items")
-        .into_iter()
-        .map(|(qubit, gate, data27)| WorkItem {
-            qubit,
-            gate,
-            data27,
-        })
-        .collect();
+    let items = program.work_items(&workload.initial_params).expect("items");
 
     let mut t = TextTable::new(vec![
         "PGUs".into(),

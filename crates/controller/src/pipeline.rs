@@ -34,25 +34,9 @@ impl Default for PipelineConfig {
 }
 
 /// One entry flowing through the pipeline: a gate whose pulse must be
-/// located or generated. The `data27` field is already regfile-resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkItem {
-    /// Owning qubit.
-    pub qubit: QubitId,
-    /// Gate kind.
-    pub gate: GateType,
-    /// Resolved 27-bit parameter/partner field.
-    pub data27: u32,
-}
-
-/// The pulse address each work item resolved to, in input order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolvedPulse {
-    /// The pulse's address in the `.pulse` segment.
-    pub qaddr: QAddress,
-    /// Whether a PGU computed it fresh this run.
-    pub generated: bool,
-}
+/// located or generated, as `(qubit, gate, data27)`. The `data27` field
+/// is already regfile-resolved.
+pub type WorkItem = (QubitId, GateType, u32);
 
 /// Timing and cache statistics for one pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,13 +71,10 @@ pub struct PipelineReport {
 /// let layout = QccLayout::for_qubits(4)?;
 /// let mut pipe = PulsePipeline::new(PipelineConfig::default(), layout)?;
 /// let mut no_faults = FaultInjector::new(FaultPlan::default());
-/// let item = WorkItem {
-///     qubit: QubitId::new(0),
-///     gate: GateType::Rx,
-///     data27: EncodedAngle::from_radians(0.5).code(),
-/// };
-/// let (report, _) = pipe.process(SimTime::ZERO, &[item, item], &mut no_faults)?;
+/// let item: WorkItem = (QubitId::new(0), GateType::Rx, EncodedAngle::from_radians(0.5).code());
+/// let (report, generated) = pipe.process(SimTime::ZERO, &[item, item], &mut no_faults)?;
 /// assert_eq!(report.generated, 1); // second occurrence hits the SLT
+/// assert_eq!(generated[0].0, 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
@@ -138,7 +119,8 @@ impl PulsePipeline {
     }
 
     /// Processes `items` starting at `start`, returning the run report and
-    /// each item's resolved pulse address in order. SLT lookups run their
+    /// the pulses PGUs computed fresh, as `(index into items, pulse
+    /// address)` in input order. SLT lookups run their
     /// parity check and PGU dispatches draw stall/failure faults from
     /// `faults`, with retries and degradation costed into the report's
     /// timing; an inert injector changes nothing.
@@ -155,11 +137,10 @@ impl PulsePipeline {
         start: SimTime,
         items: &[WorkItem],
         faults: &mut FaultInjector,
-    ) -> Result<(PipelineReport, Vec<ResolvedPulse>), ControllerError> {
+    ) -> Result<(PipelineReport, Vec<(usize, QAddress)>), ControllerError> {
         let cycle = self.config.clock.period();
         let slt_before = self.slt.stats();
-        let mut resolved = Vec::with_capacity(items.len());
-        let mut generated = 0u64;
+        let mut fresh = Vec::new();
         let mut stall_time = SimDuration::ZERO;
         let mut pgu_busy = SimDuration::ZERO;
         // Time the front of the pipeline (stages 1–2) hands the current
@@ -168,32 +149,20 @@ impl PulsePipeline {
         // Latest completion across all entries (stage 4 writebacks).
         let mut last_complete = start;
 
-        for item in items {
-            if item.gate == GateType::Idle {
+        for (index, &(qubit, gate, data27)) in items.iter().enumerate() {
+            if gate == GateType::Idle {
                 // Idle entries occupy a fetch slot but produce nothing.
                 front += cycle;
-                resolved.push(ResolvedPulse {
-                    qaddr: QAddress::new_unchecked(0),
-                    generated: false,
-                });
                 continue;
             }
             // Stages 1–2: fetch + decode/SLT, one cycle each, pipelined at
             // one entry per cycle; `front` models the initiation interval.
             front += cycle;
             let decode_done = front + cycle;
-            let resolution = self
-                .slt
-                .resolve(item.qubit, item.gate, item.data27, faults)?;
-            let (complete, was_generated) = match resolution {
-                PulseResolution::SltHit(qaddr) | PulseResolution::QSpaceHit(qaddr) => {
+            let complete = match self.slt.resolve(qubit, gate, data27, faults)? {
+                PulseResolution::SltHit(_) | PulseResolution::QSpaceHit(_) => {
                     // No PGU work: the QAddress link writes back next cycle.
-                    let done = decode_done + cycle;
-                    resolved.push(ResolvedPulse {
-                        qaddr,
-                        generated: false,
-                    });
-                    (done, false)
+                    decode_done + cycle
                 }
                 PulseResolution::Allocated(qaddr) => {
                     // Stage 3: dispatch, stalling the front if all busy.
@@ -204,18 +173,11 @@ impl PulsePipeline {
                         front += stall; // stages 1–2 stall with us
                     }
                     pgu_busy += dispatch.done.saturating_since(dispatch.start);
+                    fresh.push((index, qaddr));
                     // Stage 4: arbiter + writeback, one cycle.
-                    let done = dispatch.done + cycle;
-                    resolved.push(ResolvedPulse {
-                        qaddr,
-                        generated: true,
-                    });
-                    (done, true)
+                    dispatch.done + cycle
                 }
             };
-            if was_generated {
-                generated += 1;
-            }
             last_complete = last_complete.max(complete);
         }
 
@@ -223,7 +185,7 @@ impl PulsePipeline {
         let report = PipelineReport {
             total_time: last_complete.saturating_since(start),
             entries: items.len() as u64,
-            generated,
+            generated: fresh.len() as u64,
             stall_time,
             front_time: front.saturating_since(start),
             pgu_busy,
@@ -240,7 +202,7 @@ impl PulsePipeline {
         self.total_entries += report.entries;
         self.total_generated += report.generated;
         self.total_stall += report.stall_time;
-        Ok((report, resolved))
+        Ok((report, fresh))
     }
 
     /// Entries processed since the last reset.
@@ -306,34 +268,35 @@ mod tests {
     }
 
     fn rx(q: u32, theta: f64) -> WorkItem {
-        WorkItem {
-            qubit: QubitId::new(q),
-            gate: GateType::Rx,
-            data27: EncodedAngle::from_radians(theta).code(),
-        }
+        (
+            QubitId::new(q),
+            GateType::Rx,
+            EncodedAngle::from_radians(theta).code(),
+        )
     }
 
     #[test]
     fn single_item_takes_pipeline_plus_pgu_latency() {
         let mut p = pipeline();
-        let (report, resolved) = p
+        let (report, generated) = p
             .process(SimTime::ZERO, &[rx(0, 1.0)], &mut no_faults())
             .unwrap();
         // fetch (1) + decode (1) + PGU (1000) + writeback (1) cycles.
         assert_eq!(report.total_time, SimDuration::from_ns(1003));
         assert_eq!(report.generated, 1);
-        assert!(resolved[0].generated);
+        assert_eq!(generated.len(), 1);
+        assert_eq!(generated[0].0, 0);
     }
 
     #[test]
     fn repeated_parameter_is_skipped() {
         let mut p = pipeline();
         let items = [rx(0, 1.0), rx(0, 1.0), rx(0, 1.0)];
-        let (report, resolved) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
+        let (report, generated) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
         assert_eq!((report.entries, report.generated), (3, 1));
         assert_eq!(report.slt.hits, 2);
-        assert_eq!(resolved[0].qaddr, resolved[1].qaddr);
-        assert!(!resolved[2].generated);
+        // Only the first occurrence is computed.
+        assert_eq!(generated.iter().map(|g| g.0).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -370,25 +333,17 @@ mod tests {
     #[test]
     fn idle_entries_produce_nothing() {
         let mut p = pipeline();
-        let items = [WorkItem {
-            qubit: QubitId::new(0),
-            gate: GateType::Idle,
-            data27: 0,
-        }];
-        let (report, resolved) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
+        let items = [(QubitId::new(0), GateType::Idle, 0)];
+        let (report, generated) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
         assert_eq!(report.generated, 0);
         assert_eq!(report.slt.lookups, 0);
-        assert!(!resolved[0].generated);
+        assert!(generated.is_empty());
     }
 
     #[test]
     fn measurement_pulses_cache_like_gates() {
         let mut p = pipeline();
-        let m = WorkItem {
-            qubit: QubitId::new(0),
-            gate: GateType::Measure,
-            data27: 0,
-        };
+        let m = (QubitId::new(0), GateType::Measure, 0);
         let (r1, _) = p.process(SimTime::ZERO, &[m], &mut no_faults()).unwrap();
         let (r2, _) = p.process(SimTime::ZERO, &[m], &mut no_faults()).unwrap();
         assert_eq!(r1.generated, 1);
@@ -477,12 +432,11 @@ mod tests {
     fn report_counts_are_consistent() {
         let mut p = pipeline();
         let items: Vec<WorkItem> = (0..20).map(|i| rx(i % 4, (i % 5) as f64 * 0.3)).collect();
-        let (report, resolved) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
+        let (report, generated) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
         assert_eq!(report.entries, 20);
-        assert_eq!(
-            report.generated,
-            resolved.iter().filter(|r| r.generated).count() as u64
-        );
+        assert_eq!(report.generated, generated.len() as u64);
+        // In input order, each index once.
+        assert!(generated.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(
             report.slt.lookups,
             report.slt.hits + report.slt.qspace_hits + report.slt.allocations

@@ -94,11 +94,11 @@ pub struct QtenonConfig {
     /// always collected, so this flag never changes any report or metric
     /// — it only unlocks the explicitly-unstable wall-time printout.
     pub profile: bool,
-    /// Enables gate fusion in the exact statevector backend: runs of
-    /// adjacent same-qubit gates share each L1-resident tile. Fused and
-    /// unfused execution are bitwise interchangeable (DESIGN.md §13), so
-    /// like `threads` this is purely a wall-clock knob; `--no-fuse` is
-    /// the CLI escape hatch.
+    /// Enables gate fusion in the exact statevector backend: each run of
+    /// adjacent same-qubit gates is multiplied into one kernel and swept
+    /// once. Amplitudes move only within a rounding bound and sampled
+    /// artefacts stay identical (DESIGN.md §13), so like `threads` this
+    /// is a wall-clock knob; `--no-fuse` is the CLI escape hatch.
     pub fuse: bool,
 }
 

@@ -156,10 +156,10 @@ pub struct JobSpec {
     /// attempts 0 and 1 error and attempt 2 runs normally — the scripted
     /// recovery the retry path is measured against.
     pub chaos_fail_attempts: u32,
-    /// Gate fusion in the exact statevector backend (default on). A pure
-    /// performance toggle — fused and unfused execution are bitwise
-    /// interchangeable — surfaced so `batch --no-fuse` can flip a whole
-    /// fleet for the differential artefact checks.
+    /// Gate fusion in the exact statevector backend (default on). A
+    /// performance toggle — fused and unfused runs produce the same
+    /// artefacts (DESIGN.md §13) — surfaced so `batch --no-fuse` can flip
+    /// a whole fleet for the differential artefact checks.
     pub fuse: bool,
 }
 

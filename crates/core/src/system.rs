@@ -7,7 +7,7 @@
 //! fine-grained synchronisation allows.
 
 use qtenon_controller::bus::TransferTiming;
-use qtenon_controller::pipeline::{PipelineReport, PulsePipeline, WorkItem};
+use qtenon_controller::pipeline::{PipelineReport, PulsePipeline};
 use qtenon_controller::rbq::Tag;
 use qtenon_controller::{
     AdiModel, ControllerError, MemoryBarrier, ReadoutProcessor, ReorderBufferQueue, TileLinkBus,
@@ -698,29 +698,19 @@ impl QtenonSystem {
         items: &[(QubitId, GateType, u32)],
     ) -> Result<(PipelineReport, SimTime), SystemError> {
         let now = self.absorb_stall(now);
-        let work: Vec<WorkItem> = items
-            .iter()
-            .map(|&(qubit, gate, data27)| WorkItem {
-                qubit,
-                gate,
-                data27,
-            })
-            .collect();
         let wall = self.profiler.wall_start();
-        let (report, resolved) = self.pipeline.process(now, &work, &mut self.injector)?;
+        let (report, generated) = self.pipeline.process(now, items, &mut self.injector)?;
         self.profiler.wall_end(self.phases.pgu_dispatch, wall);
-        for (item, pulse) in work.iter().zip(&resolved) {
-            if pulse.generated {
-                // Synthetic-but-deterministic pulse payload derived from
-                // the work item; real systems compute an envelope here.
-                let seed = ((item.data27 as u64) << 8) | item.gate.encode() as u64;
-                let words: [u64; 10] = std::array::from_fn(|i| {
-                    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(i as u64)
-                });
-                self.qcc
-                    .write_pulse(AccessPort::Controller, pulse.qaddr, words)?;
-            }
+        for (index, qaddr) in generated {
+            // Synthetic-but-deterministic pulse payload derived from the
+            // work item; real systems compute an envelope here.
+            let (_, gate, data27) = items[index];
+            let seed = ((data27 as u64) << 8) | gate.encode() as u64;
+            let words: [u64; 10] = std::array::from_fn(|i| {
+                seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(i as u64)
+            });
+            self.qcc.write_pulse(AccessPort::Controller, qaddr, words)?;
         }
         self.profiler
             .record(self.phases.slt_resolve, report.front_time);

@@ -1,11 +1,12 @@
 //! Allocation count of one exact-backend `Simulator::prepare`.
 //!
-//! Preparing a bound QAOA-12 circuit plans it (`fuse::plan`: the op list
-//! and one kernel list per run), builds one state vector (a single
-//! allocation holding both the real and the imaginary parts), runs the
-//! plan, and builds one cumulative table. The count is pinned exactly, so a
-//! change to the statevector storage or the kernel layer that allocates
-//! more, or less, shows up here. A counting global allocator measures it;
+//! Preparing a bound QAOA-12 circuit plans it (`fuse::plan`: one op list,
+//! sized for the circuit, each sweep's kernel held inline), builds one
+//! state vector (a single allocation holding both the real and the
+//! imaginary parts), runs the plan, and builds one cumulative table. The
+//! count is pinned exactly, so a change to the statevector storage or the
+//! kernel layer that allocates more, or less, shows up here. A counting
+//! global allocator measures it;
 //! the file holds a single `#[test]` so no sibling test's allocations
 //! race the counter.
 
@@ -57,5 +58,5 @@ fn qaoa12_exact_prepare_allocation_count_is_pinned() {
     let prepared = sim.prepare(&bound).expect("prepare");
     let allocated = allocations() - before;
     drop(prepared);
-    assert_eq!(allocated, 725, "allocations of one QAOA-12 exact prepare");
+    assert_eq!(allocated, 3, "allocations of one QAOA-12 exact prepare");
 }

@@ -184,6 +184,39 @@ impl fmt::Display for Gate {
     }
 }
 
+/// Slots of a [`SinCosMemo`].
+const SIN_COS_SLOTS: usize = 64;
+
+/// A direct-mapped memo of `f64::sin_cos`, keyed on the argument's bits,
+/// for one lowering pass. A hit returns the bits a fresh call would, so
+/// results never depend on it. QAOA repeats a few angles thousands of
+/// times per circuit (12 distinct among QAOA-128's 9,536 rotations); VQE
+/// and QNN angles are all distinct and pay one compare per rotation.
+pub(crate) struct SinCosMemo {
+    slots: [(u64, (f64, f64)); SIN_COS_SLOTS],
+}
+
+impl SinCosMemo {
+    /// An empty memo: every slot holds the argument `+0.0`.
+    pub(crate) fn new() -> Self {
+        SinCosMemo {
+            slots: [(0, 0.0f64.sin_cos()); SIN_COS_SLOTS],
+        }
+    }
+
+    /// `x.sin_cos()`, computed at most once per slot occupancy.
+    #[inline]
+    pub(crate) fn sin_cos(&mut self, x: f64) -> (f64, f64) {
+        let bits = x.to_bits();
+        // Fibonacci hashing: the top 6 bits of a multiplicative hash.
+        let slot = &mut self.slots[(bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize];
+        if slot.0 != bits {
+            *slot = (bits, x.sin_cos());
+        }
+        slot.1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,5 +266,37 @@ mod tests {
             "RY(θ2)"
         );
         assert_eq!(Gate::Cz.to_string(), "CZ");
+    }
+
+    #[test]
+    fn sin_cos_memo_returns_the_bits_of_a_fresh_call() {
+        let mut memo = SinCosMemo::new();
+        let angles = [
+            0.0,
+            -0.0,
+            0.3,
+            -1.2,
+            0.3,
+            1e-300,
+            std::f64::consts::PI,
+            0.3,
+            -0.0,
+        ];
+        for _ in 0..2 {
+            for (i, &x) in angles.iter().enumerate() {
+                let (s, c) = memo.sin_cos(x);
+                let (fs, fc) = x.sin_cos();
+                assert_eq!(
+                    (s.to_bits(), c.to_bits()),
+                    (fs.to_bits(), fc.to_bits()),
+                    "{i}: {x:e}"
+                );
+            }
+        }
+        // Colliding keys evict each other and still answer exactly.
+        for k in 0..1000 {
+            let x = f64::from(k) * 0.01;
+            assert_eq!(memo.sin_cos(x).0.to_bits(), x.sin().to_bits());
+        }
     }
 }

@@ -1,19 +1,14 @@
-//! Tile-major statevector gate kernels over split-complex storage.
+//! Statevector gate kernels over split-complex storage.
 //!
 //! Every gate the exact simulator executes bottoms out here. The layer
-//! has one hard contract, on which the whole determinism story of the
-//! repo rests: **for a fixed sequence of [`Kernel1Q`]s, the resulting
-//! amplitudes are bitwise identical no matter how the sweeps are tiled,
-//! batched, or compiled.** The state is two `f64` arrays, `re` and `im`,
-//! and pair `i` of qubit `q` is amplitude `i` and amplitude `i | 1<<q`.
-//! `apply_run` runs same-qubit kernels tile-major: each kernel sweeps one
-//! L1-resident tile of pairs before the next kernel starts on it. Every
-//! pair still sees the same operations in the same order as under one
-//! full-array sweep per kernel; only the order between independent pairs
-//! changes. So fused and single-kernel runs are raw-bitwise identical,
-//! signs of zero included. A sweep is a monomorphic loop over a tile's
+//! has one hard contract: **a [`Kernel1Q`] sweep is bitwise identical no
+//! matter how the sweep is batched or compiled.** The state is two `f64`
+//! arrays, `re` and `im`, and pair `i` of qubit `q` is amplitude `i` and
+//! amplitude `i | 1<<q`. Each plan op is one sweep over every pair: a
+//! fused run arrives already multiplied into one kernel
+//! ([`crate::fuse::plan`]). A sweep is a monomorphic loop over matching
 //! lo/hi slices of both arrays, or over a gathered group's lanes, chosen
-//! once per tile or group and kernel, never per pair:
+//! once per block or group, never per pair:
 //!
 //! - [`Kernel1Q::Diag`]: diagonal gates (RZ and friends) scale each
 //!   amplitude with a single complex multiply — 4× fewer flops and half
@@ -26,7 +21,7 @@
 //!   `m[r][0]·a0 + m[r][1]·a1`, in that order;
 //! - low strides: on qubits 0–2 a block's half is at most 4 `f64`s
 //!   long, too short for a block loop to fill vector registers, so
-//!   `apply_run` cuts each tile into aligned groups of 8 amplitudes (4
+//!   `apply_kernel` cuts the state into aligned groups of 8 amplitudes (4
 //!   whole pairs), gathers their lo and hi values into 4-lane arrays,
 //!   sweeps those with the same four arms and scatters the results back:
 //!   every stride fills a whole vector register;
@@ -67,61 +62,48 @@ use crate::statevector::C64;
 /// A 2×2 complex matrix in row-major order: `m[row][col]`.
 pub type Mat2 = [[C64; 2]; 2];
 
-/// Amplitude pairs per tile of `apply_run`: 4 KiB of lo+hi amplitudes,
-/// which stay in L1 while every kernel of a run sweeps them. The bits
-/// never depend on it. Derivation, on a 2-vCPU Intel Xeon VM, for tiles
-/// of 32/64/128/256/512 pairs:
-///
-/// - on interleaved `C64` storage with RX/RY on the general loop, the
-///   QAOA-12 exact benchmark ran at 42.3/41.5/39.9/41.6/44.3 runs/s
-///   (median of 5 × 4 s) and a 12-qubit `[RZ, RY, RZ, RZ, RY]` run at
-///   2.38/2.00/1.98/2.00/2.11 ns per kernel and pair;
-/// - with the `Real`/`Cross` sweeps, the same benchmark ran at
-///   50.6/49.9/47.4/50.7/50.8 runs/s (median of 5 interleaved × 4 s);
-/// - on split storage with the AVX2 instance, the fused QAOA-12 plan
-///   took a best of 2.10/2.01/1.97/2.05 ms per `apply_plan` for tiles of
-///   64/128/256/512 pairs (3 × 300 runs), and QAOA-16's
-///   33.3/33.4/35.3/34.6 ms (3 × 10 runs).
-///
-/// All are flat within the host's noise (±15–20%) from 64 up: the
-/// state sits in L2. 128 is mid-band and leaves L1 room for wider states.
-const TILE_PAIRS: usize = 128;
-
 /// The RX(θ) = exp(-iθX/2) matrix, bit-for-bit the one the simulator has
 /// always applied.
 pub fn mat_rx(theta: f64) -> Mat2 {
-    let (c, s) = ((theta / 2.0).cos(), (theta / 2.0).sin());
+    rx_of((theta / 2.0).sin_cos())
+}
+
+/// The RY(θ) = exp(-iθY/2) matrix.
+pub fn mat_ry(theta: f64) -> Mat2 {
+    ry_of((theta / 2.0).sin_cos())
+}
+
+/// The RZ(θ) = exp(-iθZ/2) matrix.
+pub fn mat_rz(theta: f64) -> Mat2 {
+    rz_of((theta / 2.0).sin_cos())
+}
+
+/// [`mat_rx`] from `(sin, cos)` of the half angle.
+pub(crate) fn rx_of((s, c): (f64, f64)) -> Mat2 {
     [
         [C64::new(c, 0.0), C64::new(0.0, -s)],
         [C64::new(0.0, -s), C64::new(c, 0.0)],
     ]
 }
 
-/// The RY(θ) = exp(-iθY/2) matrix.
-pub fn mat_ry(theta: f64) -> Mat2 {
-    let (c, s) = ((theta / 2.0).cos(), (theta / 2.0).sin());
+/// [`mat_ry`] from `(sin, cos)` of the half angle.
+pub(crate) fn ry_of((s, c): (f64, f64)) -> Mat2 {
     [
         [C64::new(c, 0.0), C64::new(-s, 0.0)],
         [C64::new(s, 0.0), C64::new(c, 0.0)],
     ]
 }
 
-/// The RZ(θ) = exp(-iθZ/2) matrix.
-pub fn mat_rz(theta: f64) -> Mat2 {
-    let half = theta / 2.0;
-    [
-        [C64::new(half.cos(), -half.sin()), C64::ZERO],
-        [C64::ZERO, C64::new(half.cos(), half.sin())],
-    ]
+/// [`mat_rz`] from `(sin, cos)` of the half angle.
+pub(crate) fn rz_of((s, c): (f64, f64)) -> Mat2 {
+    [[C64::new(c, -s), C64::ZERO], [C64::ZERO, C64::new(c, s)]]
 }
 
-/// 2×2 complex matrix product `outer · inner` (apply `inner` first).
-///
-/// **Analysis only.** Executing a composed matrix performs *different*
-/// floating-point operations than executing its factors in sequence, so
-/// the execution path never multiplies matrices — fusion happens at the
-/// loop level (`apply_run`). The fusion-algebra tests use this to check
-/// approximate identities like RZ(a)·RZ(b) ≈ RZ(a+b).
+/// 2×2 complex matrix product `outer · inner` (apply `inner` first):
+/// how [`crate::fuse::plan`] multiplies a fused run into one kernel.
+/// Each entry is `outer[r][0]·inner[0][c] + outer[r][1]·inner[1][c]`
+/// with the `C64` operators, so it rounds like one pair of a general
+/// sweep.
 pub fn compose(outer: &Mat2, inner: &Mat2) -> Mat2 {
     let mut out = [[C64::ZERO; 2]; 2];
     for (r, row) in out.iter_mut().enumerate() {
@@ -156,9 +138,8 @@ pub enum KernelClass {
     General,
 }
 
-/// A classified single-qubit kernel: the unit of execution for both the
-/// fused and the unfused path, so toggling fusion can never change which
-/// per-element arithmetic runs.
+/// A classified single-qubit kernel: one gate when unfused, a whole
+/// run's product when fused. Each plan op sweeps exactly one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kernel1Q {
     /// Diagonal gate: `a0 ← d0·a0`, `a1 ← d1·a1`.
@@ -248,8 +229,8 @@ impl Kernel1Q {
         }
     }
 
-    /// The kernel as a matrix (for analysis; see [`compose`]). Bit-exact
-    /// with the matrix [`Kernel1Q::from_matrix`] classified.
+    /// The kernel as a matrix. Bit-exact with the matrix
+    /// [`Kernel1Q::from_matrix`] classified.
     pub fn matrix(&self) -> Mat2 {
         match *self {
             Kernel1Q::Diag { d0, d1 } => [[d0, C64::ZERO], [C64::ZERO, d1]],
@@ -297,60 +278,53 @@ fn apply_ops_avx2(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
     apply_ops_body(re, im, ops);
 }
 
-/// Every op in order: kernel runs tile-major ([`apply_run`]), CZs by
+/// Every op in order: single-qubit kernels by [`apply_kernel`], CZs by
 /// enumeration ([`apply_cz`]). Everything below it is `#[inline(always)]`,
 /// so each instance compiles the whole body for its own target features.
 #[inline(always)]
 fn apply_ops_body(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
     for op in ops {
         match op {
-            PlanOp::Run { qubit, kernels } => apply_run(re, im, *qubit, kernels),
+            PlanOp::Run { qubit, kernel } => apply_kernel(re, im, *qubit, kernel),
             PlanOp::Cz { a, b } => apply_cz(re, im, *a, *b),
         }
     }
 }
 
-/// Applies a run of same-qubit kernels (a single gate is a run of one),
-/// tile-major: each kernel sweeps a whole tile of about `TILE_PAIRS`
-/// pairs before the next starts on it. The result is bitwise identical
-/// to one full-array sweep per kernel; tiling only keeps traffic in L1.
-/// Strides of 1, 2 and 4 pairs sweep gathered 4-pair groups
-/// ([`gathered`]). `re` and `im` are the real and imaginary parts of the
-/// same 2ⁿ amplitudes.
+/// Sweeps one kernel over every pair of qubit `q`. Strides of 1, 2 and 4
+/// pairs sweep gathered 4-pair groups ([`gathered`]). `re` and `im` are
+/// the real and imaginary parts of the same 2ⁿ amplitudes.
 #[inline(always)]
-pub(crate) fn apply_run(re: &mut [f64], im: &mut [f64], q: u32, kernels: &[Kernel1Q]) {
+pub(crate) fn apply_kernel(re: &mut [f64], im: &mut [f64], q: u32, kernel: &Kernel1Q) {
     debug_assert!(1usize << q < re.len(), "qubit {q} out of range");
     debug_assert_eq!(re.len(), im.len());
     // A compile-time block width lets LLVM unroll small strides: 1.3–1.8×
     // per pair over a run-time width (12 qubits, 2-vCPU Intel Xeon VM).
     match q {
         // States of 2 or 4 amplitudes hold no group of 8 to gather.
-        0 if re.len() < 8 => blocks::<1>(re, im, kernels),
-        1 if re.len() < 8 => blocks::<2>(re, im, kernels),
-        0 => gathered::<1>(re, im, kernels),
-        1 => gathered::<2>(re, im, kernels),
-        2 => gathered::<4>(re, im, kernels),
-        3 => blocks::<8>(re, im, kernels),
-        4 => blocks::<16>(re, im, kernels),
-        5 => blocks::<32>(re, im, kernels),
-        6 => blocks::<64>(re, im, kernels),
-        _ => halves(re, im, 1 << q, kernels),
+        0 if re.len() < 8 => blocks(re, im, 1, kernel),
+        1 if re.len() < 8 => blocks(re, im, 2, kernel),
+        0 => gathered::<1>(re, im, kernel),
+        1 => gathered::<2>(re, im, kernel),
+        2 => gathered::<4>(re, im, kernel),
+        3 => blocks(re, im, 8, kernel),
+        4 => blocks(re, im, 16, kernel),
+        5 => blocks(re, im, 32, kernel),
+        6 => blocks(re, im, 64, kernel),
+        _ => blocks(re, im, 1 << q, kernel),
     }
 }
 
-/// Stride `S`: a tile holds whole `[lo | hi]` blocks of `2·S` amplitudes
-/// (at least one block, whatever `TILE_PAIRS` is).
+/// Stride `stride`: each `[lo | hi]` block of `2·stride` amplitudes is one
+/// sweep over its halves. Inlined into `apply_kernel`, every constant
+/// stride gets its own unrolled loop.
 #[inline(always)]
-fn blocks<const S: usize>(re: &mut [f64], im: &mut [f64], kernels: &[Kernel1Q]) {
-    let tile = (TILE_PAIRS << 1).max(S << 1);
-    for (re, im) in re.chunks_mut(tile).zip(im.chunks_mut(tile)) {
-        for kernel in kernels {
-            for (re, im) in re.chunks_exact_mut(S << 1).zip(im.chunks_exact_mut(S << 1)) {
-                let (re_lo, re_hi) = re.split_at_mut(S);
-                let (im_lo, im_hi) = im.split_at_mut(S);
-                sweep(re_lo, re_hi, im_lo, im_hi, kernel);
-            }
-        }
+fn blocks(re: &mut [f64], im: &mut [f64], stride: usize, kernel: &Kernel1Q) {
+    let block = stride << 1;
+    for (re, im) in re.chunks_exact_mut(block).zip(im.chunks_exact_mut(block)) {
+        let (re_lo, re_hi) = re.split_at_mut(stride);
+        let (im_lo, im_hi) = im.split_at_mut(stride);
+        sweep(re_lo, re_hi, im_lo, im_hi, kernel);
     }
 }
 
@@ -360,51 +334,17 @@ fn blocks<const S: usize>(re: &mut [f64], im: &mut [f64], kernels: &[Kernel1Q]) 
 /// group's lo and hi values are gathered into 4-lane arrays, swept, and
 /// scattered back, so a low stride fills a whole vector register.
 #[inline(always)]
-fn gathered<const S: usize>(re: &mut [f64], im: &mut [f64], kernels: &[Kernel1Q]) {
+fn gathered<const S: usize>(re: &mut [f64], im: &mut [f64], kernel: &Kernel1Q) {
     let lanes: [usize; 4] = std::array::from_fn(|p| p / S * 2 * S + p % S);
-    for (re, im) in re
-        .chunks_mut(TILE_PAIRS << 1)
-        .zip(im.chunks_mut(TILE_PAIRS << 1))
-    {
-        for kernel in kernels {
-            for (re, im) in re.chunks_exact_mut(8).zip(im.chunks_exact_mut(8)) {
-                let mut re_lo = lanes.map(|i| re[i]);
-                let mut re_hi = lanes.map(|i| re[i + S]);
-                let mut im_lo = lanes.map(|i| im[i]);
-                let mut im_hi = lanes.map(|i| im[i + S]);
-                sweep(&mut re_lo, &mut re_hi, &mut im_lo, &mut im_hi, kernel);
-                for (p, &i) in lanes.iter().enumerate() {
-                    (re[i], re[i + S]) = (re_lo[p], re_hi[p]);
-                    (im[i], im[i + S]) = (im_lo[p], im_hi[p]);
-                }
-            }
-        }
-    }
-}
-
-/// Large strides: each block's lo and hi halves are cut into matching
-/// tiles (both lengths are powers of two, so the tiles are whole).
-#[inline(always)]
-fn halves(re: &mut [f64], im: &mut [f64], stride: usize, kernels: &[Kernel1Q]) {
-    let tile = stride.min(TILE_PAIRS);
-    for (re, im) in re
-        .chunks_exact_mut(stride << 1)
-        .zip(im.chunks_exact_mut(stride << 1))
-    {
-        let (re_lo, re_hi) = re.split_at_mut(stride);
-        let (im_lo, im_hi) = im.split_at_mut(stride);
-        let tiles = re_lo
-            .chunks_exact_mut(tile)
-            .zip(re_hi.chunks_exact_mut(tile))
-            .zip(
-                im_lo
-                    .chunks_exact_mut(tile)
-                    .zip(im_hi.chunks_exact_mut(tile)),
-            );
-        for ((re_lo, re_hi), (im_lo, im_hi)) in tiles {
-            for kernel in kernels {
-                sweep(re_lo, re_hi, im_lo, im_hi, kernel);
-            }
+    for (re, im) in re.chunks_exact_mut(8).zip(im.chunks_exact_mut(8)) {
+        let mut re_lo = lanes.map(|i| re[i]);
+        let mut re_hi = lanes.map(|i| re[i + S]);
+        let mut im_lo = lanes.map(|i| im[i]);
+        let mut im_hi = lanes.map(|i| im[i + S]);
+        sweep(&mut re_lo, &mut re_hi, &mut im_lo, &mut im_hi, kernel);
+        for (p, &i) in lanes.iter().enumerate() {
+            (re[i], re[i + S]) = (re_lo[p], re_hi[p]);
+            (im[i], im[i + S]) = (im_lo[p], im_hi[p]);
         }
     }
 }
@@ -525,9 +465,9 @@ mod tests {
         (z.re.to_bits(), z.im.to_bits())
     }
 
-    /// [`super::apply_run`] on interleaved test data.
-    fn apply_run(amps: &mut [C64], q: u32, kernels: &[Kernel1Q]) {
-        on_split(amps, |re, im| super::apply_run(re, im, q, kernels));
+    /// [`super::apply_kernel`] on interleaved test data.
+    fn apply_kernel(amps: &mut [C64], q: u32, kernel: &Kernel1Q) {
+        on_split(amps, |re, im| super::apply_kernel(re, im, q, kernel));
     }
 
     /// [`super::apply_cz`] on interleaved test data.
@@ -574,13 +514,13 @@ mod tests {
 
     #[test]
     fn general_kernel_is_bitwise_identical_to_naive_loop() {
-        // 512 pairs: strides below, at and above one tile.
+        // 512 pairs: gathered, unrolled and run-time strides.
         for q in 0..10u32 {
             let m = mat_ry(1.234 + f64::from(q));
             let mut a = soup(1024);
             let mut b = a.clone();
             naive_1q(&mut a, q, &m);
-            apply_run(&mut b, q, &[Kernel1Q::General { m }]);
+            apply_kernel(&mut b, q, &Kernel1Q::General { m });
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(bits(*x), bits(*y), "qubit {q}");
             }
@@ -693,7 +633,7 @@ mod tests {
             (6, mat_rz(pi)),
             (8, mat_rx(pi / 2.0)),
         ] {
-            apply_run(&mut amps, q, &[Kernel1Q::General { m }]);
+            apply_kernel(&mut amps, q, &Kernel1Q::General { m });
         }
         amps
     }
@@ -718,8 +658,8 @@ mod tests {
                     for q in 0..10u32 {
                         let mut fast = start.clone();
                         let mut general = start.clone();
-                        apply_run(&mut fast, q, &[k]);
-                        apply_run(&mut general, q, &[Kernel1Q::General { m }]);
+                        apply_kernel(&mut fast, q, &k);
+                        apply_kernel(&mut general, q, &Kernel1Q::General { m });
                         assert_eq!(canonical(&fast), canonical(&general), "{k:?} on qubit {q}");
                     }
                 }
@@ -740,23 +680,26 @@ mod tests {
     }
 
     #[test]
-    fn fused_run_matches_sequential_sweeps_bitwise() {
-        let kernels = [
-            Kernel1Q::from_matrix(mat_rz(0.4)),
-            Kernel1Q::from_matrix(mat_rx(1.1)),
-            Kernel1Q::from_matrix(mat_ry(-2.6)),
-            Kernel1Q::from_matrix(mat_rz(0.9)),
-        ];
+    fn composed_run_matches_sequential_sweeps_within_bound() {
         for q in 0..10u32 {
-            let mut fused = soup(1024);
-            let mut seq = fused.clone();
-            apply_run(&mut fused, q, &kernels);
-            for k in &kernels {
-                apply_run(&mut seq, q, std::slice::from_ref(k));
-            }
-            for (x, y) in fused.iter().zip(&seq) {
-                assert_eq!(bits(*x), bits(*y), "qubit {q}");
-            }
+            let mut c = crate::Circuit::new(10);
+            c.rz(q, 0.4).rx(q, 1.1).ry(q, -2.6).rz(q, 0.9);
+            let fused = crate::fuse::plan(&c, true).unwrap();
+            let unfused = crate::fuse::plan(&c, false).unwrap();
+            assert_eq!((fused.ops.len(), unfused.ops.len()), (1, 4));
+            let start = soup(1024);
+            let norm = start.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+            let (mut composed, mut sequential) = (start.clone(), start);
+            on_split(&mut composed, |re, im| apply_ops(re, im, &fused.ops));
+            on_split(&mut sequential, |re, im| apply_ops(re, im, &unfused.ops));
+            let distance = composed
+                .iter()
+                .zip(&sequential)
+                .map(|(x, y)| (*x - *y).norm_sqr())
+                .sum::<f64>()
+                .sqrt();
+            let bound = fused.stats.composition_bound() * norm;
+            assert!(distance <= bound, "qubit {q}: {distance:e} > {bound:e}");
         }
     }
 

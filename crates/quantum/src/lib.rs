@@ -8,7 +8,7 @@
 //!   `{RX, RY, RZ, CZ}` + measurement;
 //! - [`statevector`]: an exact state-vector simulator (used up to
 //!   [`sim::EXACT_QUBIT_LIMIT`] qubits), executing through the
-//!   cache-blocked gate kernels in [`kernels`] with deterministic gate
+//!   vectorised gate kernels in [`kernels`] with deterministic gate
 //!   fusion planned by [`fuse`];
 //! - [`sim::MeanFieldState`]: a product-state (mean-field) approximation
 //!   that scales to the paper's 320-qubit experiments — measurement

@@ -35,7 +35,7 @@ use qtenon_sim_engine::rng::{self, splitmix64, stream_seed};
 use crate::bits::BitString;
 use crate::circuit::Circuit;
 use crate::fuse::{self, FuseStats};
-use crate::gate::{Angle, Gate};
+use crate::gate::{Angle, Gate, SinCosMemo};
 use crate::statevector::StateVector;
 use crate::QuantumError;
 
@@ -121,8 +121,12 @@ impl MeanFieldState {
     ///
     /// Panics if `q` is out of range.
     pub fn apply_rx(&mut self, q: u32, theta: f64) {
+        self.rx_by(q, theta.sin_cos());
+    }
+
+    /// RX by the angle whose `(sin, cos)` is given.
+    fn rx_by(&mut self, q: u32, (s, c): (f64, f64)) {
         let b = &mut self.qubits[q as usize];
-        let (s, c) = theta.sin_cos();
         let (y, z) = (b.y, b.z);
         b.y = y * c - z * s;
         b.z = y * s + z * c;
@@ -134,8 +138,12 @@ impl MeanFieldState {
     ///
     /// Panics if `q` is out of range.
     pub fn apply_ry(&mut self, q: u32, theta: f64) {
+        self.ry_by(q, theta.sin_cos());
+    }
+
+    /// RY by the angle whose `(sin, cos)` is given.
+    fn ry_by(&mut self, q: u32, (s, c): (f64, f64)) {
         let b = &mut self.qubits[q as usize];
-        let (s, c) = theta.sin_cos();
         let (x, z) = (b.x, b.z);
         b.x = x * c + z * s;
         b.z = -x * s + z * c;
@@ -147,8 +155,12 @@ impl MeanFieldState {
     ///
     /// Panics if `q` is out of range.
     pub fn apply_rz(&mut self, q: u32, theta: f64) {
+        self.rz_by(q, theta.sin_cos());
+    }
+
+    /// RZ by the angle whose `(sin, cos)` is given.
+    fn rz_by(&mut self, q: u32, (s, c): (f64, f64)) {
         let b = &mut self.qubits[q as usize];
-        let (s, c) = theta.sin_cos();
         let (x, y) = (b.x, b.y);
         b.x = x * c - y * s;
         b.y = x * s + y * c;
@@ -200,6 +212,7 @@ impl MeanFieldState {
     /// Returns [`QuantumError::NonNativeGate`] or
     /// [`QuantumError::UnboundParameter`] as appropriate.
     pub fn apply_circuit(&mut self, circuit: &Circuit) -> Result<(), QuantumError> {
+        let mut trig = SinCosMemo::new();
         for op in circuit.operations() {
             match op.gate {
                 Gate::Rx(a) | Gate::Ry(a) | Gate::Rz(a) => {
@@ -209,10 +222,11 @@ impl MeanFieldState {
                             return Err(QuantumError::UnboundParameter { param })
                         }
                     };
+                    let rotation = trig.sin_cos(theta);
                     match op.gate {
-                        Gate::Rx(_) => self.apply_rx(op.qubit, theta),
-                        Gate::Ry(_) => self.apply_ry(op.qubit, theta),
-                        Gate::Rz(_) => self.apply_rz(op.qubit, theta),
+                        Gate::Rx(_) => self.rx_by(op.qubit, rotation),
+                        Gate::Ry(_) => self.ry_by(op.qubit, rotation),
+                        Gate::Rz(_) => self.rz_by(op.qubit, rotation),
                         _ => unreachable!(),
                     }
                 }
@@ -431,9 +445,10 @@ impl Simulator {
     }
 
     /// Returns a copy of this simulator with gate fusion switched on or
-    /// off (default: on). Fused and unfused execution are bitwise
-    /// interchangeable (see `crates/quantum/src/fuse.rs`); the flag is a
-    /// pure performance toggle, exposed as `--no-fuse` at the CLI.
+    /// off (default: on). Fused amplitudes stay within a rounding bound
+    /// of unfused ones (see `crates/quantum/src/fuse.rs`) and sampled
+    /// shots do not change; the flag is a performance toggle, exposed as
+    /// `--no-fuse` at the CLI.
     pub fn with_fusion(mut self, fuse: bool) -> Self {
         self.fuse = fuse;
         self

@@ -155,8 +155,8 @@ impl StateVector {
         C64::new(re[basis], im[basis])
     }
 
-    /// Applies an arbitrary single-qubit unitary `[[a, b], [c, d]]` as a
-    /// one-kernel run (`kernels::apply_run`): diagonal (RZ), real (RY)
+    /// Applies an arbitrary single-qubit unitary `[[a, b], [c, d]]` as one
+    /// kernel sweep (`kernels::apply_kernel`): diagonal (RZ), real (RY)
     /// and cross (RX) matrices ([`Kernel1Q::from_matrix`]) take their
     /// structured sweeps, everything else the general 2×2 sweep.
     ///
@@ -166,7 +166,7 @@ impl StateVector {
     pub fn apply_matrix2(&mut self, q: u32, m: [[C64; 2]; 2]) {
         assert!(q < self.n_qubits, "qubit {q} out of range");
         let (re, im) = self.parts_mut();
-        kernels::apply_run(re, im, q, &[Kernel1Q::from_matrix(m)]);
+        kernels::apply_kernel(re, im, q, &Kernel1Q::from_matrix(m));
     }
 
     /// The naive reference implementation `apply_matrix2` historically
@@ -240,9 +240,10 @@ impl StateVector {
         }
     }
 
-    /// Executes a lowered plan (see [`fuse::plan`]): kernel runs
-    /// tile-major, CZs via the masked or enumerating kernel, all through
-    /// the widest kernel instance the CPU supports (DESIGN.md §13).
+    /// Executes a lowered plan (see [`fuse::plan`]): one sweep per
+    /// single-qubit kernel, CZs via the masked or enumerating kernel, all
+    /// through the widest kernel instance the CPU supports (DESIGN.md
+    /// §13).
     ///
     /// # Panics
     ///
@@ -433,18 +434,26 @@ mod tests {
         let mut a = StateVector::new(2).unwrap();
         a.apply_ry(0, 0.3);
         a.apply_ry(1, 1.1);
+        a.apply_rz(1, 0.7);
+        let before = a.clone();
         let mut b = a.clone();
         a.apply_cz(0, 1);
         b.apply_cz(1, 0);
-        for i in 0..4 {
-            assert!((a.amplitude(i).re - b.amplitude(i).re).abs() < 1e-12);
-            assert!((a.amplitude(i).im - b.amplitude(i).im).abs() < 1e-12);
-        }
+        // Sign flips are exact, so both checks compare raw bits.
+        let bits = |sv: &StateVector| -> Vec<(u64, u64)> {
+            (0..4)
+                .map(|i| (sv.amplitude(i).re.to_bits(), sv.amplitude(i).im.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&a), bits(&b), "CZ(0, 1) and CZ(1, 0) differ");
+        // |11⟩ carries a phase (the RZ), so both of its parts must flip.
+        let mut negated = bits(&before);
+        let a11 = before.amplitude(3);
+        negated[3] = ((-a11.re).to_bits(), (-a11.im).to_bits());
+        assert!(a11.im != 0.0);
+        assert_eq!(bits(&a), negated, "CZ must negate exactly |11⟩");
         a.apply_cz(0, 1);
-        // Applying CZ twice restores the pre-CZ state.
-        for i in 0..4 {
-            assert!((a.amplitude(i).re - b.amplitude(i).re).abs() > -1.0); // sanity
-        }
+        assert_eq!(bits(&a), bits(&before), "CZ twice is not the identity");
     }
 
     #[test]

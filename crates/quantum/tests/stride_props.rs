@@ -1,12 +1,12 @@
 //! Raw-bit properties of the kernel layer at every stride.
 //!
-//! `kernel_equiv.rs` compares fused against unfused runs, which take the
-//! same kernel paths, and checks the naive reference only after
-//! canonicalising zero signs. These properties compare the **raw** bits
-//! of both kernel instances (`apply_plan`, `apply_plan_baseline`) with
-//! test-local oracles instead, zero signs and NaN payloads included:
+//! `kernel_equiv.rs` checks the naive reference only after canonicalising
+//! zero signs, and fused runs only within a rounding bound. These
+//! properties compare the **raw** bits of both kernel instances
+//! (`apply_plan`, `apply_plan_baseline`) with test-local oracles instead,
+//! zero signs and NaN payloads included:
 //!
-//! - single-qubit runs of 1–6 kernels, every target qubit at widths
+//! - sequences of 1–6 single-kernel sweeps, every target qubit at widths
 //!   1–12, every kernel class, on dense and on ±0-heavy sparse states,
 //!   against a loop that applies the same arm expressions one pair at a
 //!   time, one kernel after the other;
@@ -194,27 +194,21 @@ fn kernel_runs_match_pairwise_oracle_raw_bits_at_every_stride() {
                 .flat_map(|a| [a.re, a.im])
                 .filter(|x| x.to_bits() == (-0.0f64).to_bits())
                 .count();
-            let fused = exec_plan(vec![PlanOp::Run {
-                qubit: q,
-                kernels: kernels.clone(),
-            }]);
-            let unfused = exec_plan(
+            let plan = exec_plan(
                 kernels
                     .iter()
                     .map(|k| PlanOp::Run {
                         qubit: q,
-                        kernels: vec![*k],
+                        kernel: *k,
                     })
                     .collect(),
             );
-            for (shape, plan) in [("fused", &fused), ("unfused", &unfused)] {
-                for (instance, got) in both_instances(&start, plan) {
-                    assert_eq!(
-                        raw_bits(&got),
-                        raw_bits(&expected),
-                        "{instance}, {shape} run of {kernels:?} on qubit {q} of {n}"
-                    );
-                }
+            for (instance, got) in both_instances(&start, &plan) {
+                assert_eq!(
+                    raw_bits(&got),
+                    raw_bits(&expected),
+                    "{instance}, sweeps of {kernels:?} on qubit {q} of {n}"
+                );
             }
         },
     );

@@ -49,10 +49,11 @@
 //! metrics, and fault accounting) identical to `--threads 1`.
 //!
 //! `--no-fuse` disables gate fusion in the exact statevector backend.
-//! Fusion is a pure performance optimisation — fused and unfused
-//! execution produce bitwise-identical shots and artefacts (only the
-//! `quantum.fuse.*` accounting counters differ) — so the flag exists for
-//! differential verification and benchmarking, not correctness.
+//! Fusion is a performance optimisation — fused and unfused execution
+//! produce identical shots and artefacts (only the `quantum.fuse.*`
+//! accounting counters differ; amplitudes differ within a rounding bound,
+//! DESIGN.md §13) — so the flag exists for differential verification and
+//! benchmarking, not correctness.
 //!
 //! The fleet compilation cache (DESIGN.md §14) is on for `batch` —
 //! near-identical jobs share whole compiles and pulse streams — and

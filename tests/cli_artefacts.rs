@@ -205,9 +205,9 @@ fn cachefleet_artefacts_and_ledger_depend_on_neither_cache_nor_width() {
 fn kernels_fleet_artefacts_differ_by_fusion_only_in_its_accounting() {
     // 64q VQE rides the mean-field backend, which never fuses, so its file
     // is byte-identical. 8q and 12q QAOA ride the exact backend, where
-    // only the quantum.fuse.* counters may differ: 256 amplitudes fit one
-    // kernel tile, 4096 span many. At 6 threads each of the three jobs
-    // gets two shard threads, and its 1024 shots cut two real shards.
+    // fused runs sweep composed kernels and only the quantum.fuse.*
+    // counters may differ. At 6 threads each of the three jobs gets two
+    // shard threads, and its 1024 shots cut two real shards.
     for width in ["1", "6"] {
         let fused = batch(
             "kernels.json",

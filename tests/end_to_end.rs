@@ -243,30 +243,32 @@ fn shots_scale_quantum_time_linearly() {
 
 /// The statevector kernels on the transpiled QAOA circuit at the widths
 /// the exact backend serves and the differential harness in
-/// `crates/quantum/tests/kernel_equiv.rs` does not reach: fused and
-/// unfused plans must agree bit for bit, zero signs included, and the
-/// naive reference must agree with them once IEEE signed zeros are
-/// canonicalised (DESIGN.md §13).
+/// `crates/quantum/tests/kernel_equiv.rs` does not reach: the per-gate
+/// plan must agree with the naive reference bit for bit once IEEE signed
+/// zeros are canonicalised, and the fused plan must sweep each run once
+/// (DESIGN.md §13).
 #[test]
 fn fused_kernels_match_reference_on_transpiled_qaoa() {
-    use qtenon::quantum::fuse::plan;
+    use qtenon::quantum::fuse::{plan, PlanOp};
     use qtenon::quantum::kernels::{mat_rx, mat_ry, mat_rz};
     use qtenon::quantum::{Angle, Gate, StateVector};
 
-    let bits = |sv: &StateVector, canonical: bool| -> Vec<(u64, u64)> {
-        let bits = |x: f64| {
-            if canonical && x == 0.0 {
-                0
-            } else {
-                x.to_bits()
-            }
-        };
+    let canonical = |sv: &StateVector| -> Vec<(u64, u64)> {
+        let bits = |x: f64| if x == 0.0 { 0 } else { x.to_bits() };
         (0..1usize << sv.n_qubits())
             .map(|i| {
                 let a = sv.amplitude(i);
                 (bits(a.re), bits(a.im))
             })
             .collect()
+    };
+    // Sweeps of the fused and the unfused plan: (1q sweeps, CZs).
+    let sweeps = |ops: &[PlanOp]| {
+        let runs = ops
+            .iter()
+            .filter(|op| matches!(op, PlanOp::Run { .. }))
+            .count();
+        (runs, ops.len() - runs)
     };
     for n in [8u32, 12, 16] {
         let workload = Workload::benchmark(WorkloadKind::Qaoa, n, 42).unwrap();
@@ -283,20 +285,106 @@ fn fused_kernels_match_reference_on_transpiled_qaoa() {
                 ref g => panic!("non-native gate {g:?} after transpile"),
             }
         }
+        let unfused_plan = plan(&circuit, false).unwrap();
         let mut unfused = StateVector::new(n).unwrap();
-        unfused.apply_plan(&plan(&circuit, false).unwrap());
-        let fused_plan = plan(&circuit, true).unwrap();
-        assert!(fused_plan.stats.fused_runs > 0, "{n} qubits: nothing fused");
-        let mut fused = StateVector::new(n).unwrap();
-        fused.apply_plan(&fused_plan);
+        unfused.apply_plan(&unfused_plan);
+        assert!(
+            canonical(&reference) == canonical(&unfused),
+            "{n} qubits: reference and unfused amplitudes differ after canonicalising zeros"
+        );
 
-        assert!(
-            bits(&fused, false) == bits(&unfused, false),
-            "{n} qubits: fused and unfused amplitudes differ in their raw bits"
+        let fused_plan = plan(&circuit, true).unwrap();
+        let stats = fused_plan.stats;
+        assert!(stats.fused_runs > 0, "{n} qubits: nothing fused");
+        let (fused_sweeps, czs) = sweeps(&fused_plan.ops);
+        assert_eq!(
+            fused_sweeps as u64, stats.runs,
+            "{n} qubits: one sweep per run"
         );
-        assert!(
-            bits(&reference, true) == bits(&fused, true),
-            "{n} qubits: reference and fused amplitudes differ after canonicalising zeros"
+        assert_eq!(
+            sweeps(&unfused_plan.ops),
+            (unfused_plan.stats.runs as usize, czs)
         );
+        if n == 12 {
+            // The `qaoa12-exact` evaluation: 894 gates in 342 runs.
+            assert_eq!((unfused_plan.stats.runs, stats.runs, czs), (894, 342, 180));
+        }
+    }
+}
+
+/// Fused plans against per-gate plans on every workload the exact
+/// backend runs: the 2-norm distance of the two final states stays within
+/// the bound DESIGN.md §13 derives from the run lengths.
+#[test]
+fn fused_plans_stay_within_the_composition_bound_on_every_workload() {
+    use qtenon::quantum::fuse::plan;
+    use qtenon::quantum::StateVector;
+
+    for kind in WorkloadKind::ALL {
+        for n in [8u32, 12, 16] {
+            let workload = Workload::benchmark(kind, n, 42).unwrap();
+            let circuit = workload.circuit.bind(&workload.initial_params).unwrap();
+            let [fused, unfused] = [true, false].map(|fuse| {
+                let mut sv = StateVector::new(n).unwrap();
+                sv.apply_plan(&plan(&circuit, fuse).unwrap());
+                sv
+            });
+            let distance = (0..1usize << n)
+                .map(|i| {
+                    let (a, b) = (fused.amplitude(i), unfused.amplitude(i));
+                    (a.re - b.re).powi(2) + (a.im - b.im).powi(2)
+                })
+                .sum::<f64>()
+                .sqrt();
+            let bound = plan(&circuit, true).unwrap().stats.composition_bound();
+            assert!(
+                distance <= bound,
+                "{kind} at {n} qubits: fused is {distance:e} from per-gate, bound {bound:e}"
+            );
+        }
+    }
+}
+
+/// What jobs consume does not depend on fusion: a VQA run's report and
+/// metrics JSON are byte-identical fused and unfused, except the
+/// `quantum.fuse.*` counters, which describe how the kernels ran.
+#[test]
+fn fused_and_unfused_vqa_runs_report_identical_results() {
+    use qtenon::sim_engine::{MetricValue, MetricsRegistry};
+
+    let run = |kind: WorkloadKind, n: u32, gd: bool, fuse: bool| {
+        let config = QtenonConfig::table4(n, CoreModel::Rocket)
+            .unwrap()
+            .with_fuse(fuse);
+        let mut runner =
+            VqaRunner::new(config, Workload::benchmark(kind, n, SEED).unwrap()).unwrap();
+        let report = if gd {
+            runner.run(&mut GradientDescentOptimizer::new(0.1), 1, SHOTS)
+        } else {
+            runner.run(&mut SpsaOptimizer::new(SEED), ITERS, SHOTS)
+        }
+        .unwrap();
+        let (mut all, mut kept) = (MetricsRegistry::new(), MetricsRegistry::new());
+        runner.export_metrics(&mut all);
+        for (path, value) in all.iter().filter(|(p, _)| !p.starts_with("quantum.fuse.")) {
+            match value {
+                MetricValue::Counter(v) => kept.counter(path, *v),
+                MetricValue::Gauge(v) => kept.gauge(path, *v),
+                MetricValue::Histogram(h) => kept.histogram(path, h),
+            }
+        }
+        (format!("{report:?}"), kept.snapshot().to_json())
+    };
+    for kind in WorkloadKind::ALL {
+        for n in [8u32, 12] {
+            for gd in [false, true] {
+                assert_eq!(
+                    run(kind, n, gd, true),
+                    run(kind, n, gd, false),
+                    "{kind} at {n} qubits, {}",
+                    if gd { "GD" } else { "SPSA" }
+                );
+            }
+        }
     }
 }
