@@ -419,7 +419,7 @@ fn report_runner(
 
 /// The accounting fields of a fixed set of runs: QAOA-8 SPSA and VQE-8
 /// GD under each synchronisation/transmission pair, inert and faulty,
-/// then one deadline-cut run and one baseline run.
+/// then one deadline-cut run and the baseline over the workload grid.
 fn run_reports() -> String {
     let scale = golden_scale();
     let mut out = String::new();
@@ -494,6 +494,25 @@ fn run_reports() -> String {
         .run(&mut SpsaOptimizer::new(7), scale.iterations, scale.shots)
         .expect("run succeeds");
     render_report(&mut out, "baseline qaoa8-spsa", &baseline);
+
+    // The baseline across the workload grid, two iterations each, with
+    // the cost history it reports. VQE-16 is past the exact limit.
+    for (name, kind, n, optimizer) in [
+        ("qaoa8-spsa", WorkloadKind::Qaoa, 8, JobOptimizer::Spsa),
+        ("qaoa8-gd", WorkloadKind::Qaoa, 8, JobOptimizer::Gd),
+        ("vqe8-spsa", WorkloadKind::Vqe, 8, JobOptimizer::Spsa),
+        ("vqe8-gd", WorkloadKind::Vqe, 8, JobOptimizer::Gd),
+        ("qnn8-spsa", WorkloadKind::Qnn, 8, JobOptimizer::Spsa),
+        ("qnn8-gd", WorkloadKind::Qnn, 8, JobOptimizer::Gd),
+        ("vqe16-gd", WorkloadKind::Vqe, 16, JobOptimizer::Gd),
+    ] {
+        let workload = Workload::benchmark(kind, n, scale.seed).expect("workload");
+        let baseline = BaselineRunner::new(BaselineConfig::default(), workload)
+            .run(optimizer.build(scale.seed).as_mut(), 2, scale.shots)
+            .expect("run succeeds");
+        render_report(&mut out, &format!("baseline {name} x2"), &baseline);
+        writeln!(out, "cost_history {:?}", baseline.cost_history).unwrap();
+    }
     out
 }
 
