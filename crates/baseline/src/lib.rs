@@ -11,9 +11,9 @@
 //!
 //! - [`network`]: the Ethernet/UDP link model;
 //! - [`host_model`]: the i9-plus-software-stack host cost model;
-//! - [`runner`]: [`BaselineRunner`], producing the same
-//!   [`qtenon_core::RunReport`] as the Qtenon runner so experiments can
-//!   compare them directly.
+//! - [`runner`]: [`BaselineRunner`], timing the [`qtenon_core::Trajectory`]
+//!   of a Qtenon run into the same [`qtenon_core::RunReport`], so
+//!   experiments compare two timing models of one physics.
 
 #![deny(unsafe_code)]
 

@@ -2,11 +2,11 @@
 
 use qtenon_compiler::{BaselineCompiler, BaselineCompilerConfig};
 use qtenon_core::report::{CommBreakdown, RunReport, TimeBreakdown};
-use qtenon_core::SystemError;
-use qtenon_quantum::sim::Simulator;
+use qtenon_core::{SystemError, Trajectory};
 use qtenon_quantum::{CircuitTiming, GateTimes};
 use qtenon_sim_engine::{CritPathTracker, OpCounter, SimDuration, SimTime};
-use qtenon_workloads::{evaluate_cost, Optimizer, Workload};
+use qtenon_workloads::optimizer::plan_lengths;
+use qtenon_workloads::{CostEvaluator, Workload};
 
 use crate::host_model::BaselineHostModel;
 use crate::network::NetworkModel;
@@ -27,8 +27,6 @@ pub struct BaselineConfig {
     pub adi_latency: SimDuration,
     /// Quantum gate durations (same chip as Qtenon).
     pub gate_times: GateTimes,
-    /// Chip sampling seed.
-    pub seed: u64,
 }
 
 impl Default for BaselineConfig {
@@ -40,7 +38,6 @@ impl Default for BaselineConfig {
             fpga_pulse_latency: SimDuration::from_ns(1_000),
             adi_latency: SimDuration::from_ns(100),
             gate_times: GateTimes::default(),
-            seed: 0x51,
         }
     }
 }
@@ -106,111 +103,99 @@ impl Ledger {
     }
 }
 
-/// Executes hybrid workloads on the decoupled baseline, producing the
-/// same [`RunReport`] shape as the Qtenon runner.
+/// Times hybrid workloads on the decoupled baseline, producing the same
+/// [`RunReport`] shape as the Qtenon runner.
+///
+/// The baseline runs no physics of its own. It times the [`Trajectory`]
+/// a [`VqaRunner`](qtenon_core::VqaRunner) run of the same workload
+/// recorded: every charge depends only on the circuit's structure, the
+/// shot count and each iteration's evaluation count and optimizer ops,
+/// and the cost history is the trajectory's.
 ///
 /// # Examples
 ///
 /// ```
 /// use qtenon_baseline::{BaselineConfig, BaselineRunner};
+/// use qtenon_core::{CoreModel, QtenonConfig, VqaRunner};
 /// use qtenon_workloads::{SpsaOptimizer, Workload};
 ///
 /// let workload = Workload::qaoa(8, 2, 7)?;
-/// let mut runner = BaselineRunner::new(BaselineConfig::default(), workload);
-/// let report = runner.run(&mut SpsaOptimizer::new(7), 2, 50)?;
+/// let config = QtenonConfig::table4(8, CoreModel::Rocket)?;
+/// let mut qtenon = VqaRunner::new(config, workload.clone())?;
+/// qtenon.run(&mut SpsaOptimizer::new(7), 2, 50)?;
+/// let baseline = BaselineRunner::new(BaselineConfig::default(), workload);
+/// let report = baseline.run(qtenon.trajectory())?;
 /// // Decoupled execution: communication dominates (Fig. 1).
 /// assert!(report.comm.total() > report.breakdown.quantum);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+#[derive(Debug)]
 pub struct BaselineRunner {
     config: BaselineConfig,
     workload: Workload,
-    simulator: Simulator,
-}
-
-impl std::fmt::Debug for BaselineRunner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BaselineRunner")
-            .field("workload", &self.workload.kind)
-            .field("n_qubits", &self.workload.n_qubits())
-            .finish()
-    }
 }
 
 impl BaselineRunner {
     /// Creates a runner for a workload.
     pub fn new(config: BaselineConfig, workload: Workload) -> Self {
-        let simulator = Simulator::fast(workload.n_qubits(), config.seed);
-        BaselineRunner {
-            config,
-            workload,
-            simulator,
-        }
+        BaselineRunner { config, workload }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &BaselineConfig {
-        &self.config
-    }
-
-    /// Runs `iterations` optimizer iterations at `shots` shots per
-    /// evaluation, strictly sequentially.
+    /// Times `trajectory` strictly sequentially: per evaluation a JIT
+    /// recompile, upload, pulse generation, quantum run, download and
+    /// cost evaluation, then per iteration the optimizer step.
     ///
     /// # Errors
     ///
-    /// Returns [`SystemError::Quantum`] for simulation failures.
-    pub fn run(
-        &mut self,
-        optimizer: &mut dyn Optimizer,
-        iterations: usize,
-        shots: u64,
-    ) -> Result<RunReport, SystemError> {
+    /// Returns [`SystemError::Config`] if the trajectory is of another
+    /// width, or holds an iteration whose evaluation count no plan over
+    /// this workload's parameters makes.
+    pub fn run(&self, trajectory: &Trajectory) -> Result<RunReport, SystemError> {
+        let n_qubits = self.workload.n_qubits();
+        let params = self.workload.num_params();
+        let plans = plan_lengths(params);
+        let fits = trajectory
+            .iterations
+            .iter()
+            .all(|it| plans.contains(&it.evaluations));
+        if trajectory.n_qubits != n_qubits || !fits {
+            return Err(SystemError::Config(format!(
+                "the trajectory is not a run of this {n_qubits}-qubit, {params}-parameter workload"
+            )));
+        }
         let cfg = self.config;
-        let jit = BaselineCompiler::new(cfg.compiler);
+        let shots = trajectory.shots;
+        // Neither the compile nor the circuit timing reads an angle, so
+        // every evaluation compiles and runs alike.
+        let compiled = BaselineCompiler::new(cfg.compiler).compile(&self.workload.circuit);
+        let timing = CircuitTiming::of(&self.workload.circuit, &cfg.gate_times);
+        let mut eval_ops = OpCounter::new();
+        CostEvaluator::new(&self.workload.hamiltonian).record_ops(shots, &mut eval_ops);
+        let upload = cfg.network.message_time(compiled.binary_bytes);
+        let pulses = cfg.fpga_pulse_latency * compiled.pulses_required;
+        let quantum = cfg.adi_latency * 2 + timing.shot_duration * shots;
+        let bytes_per_shot = (n_qubits as u64).div_ceil(8);
+        let download = cfg.network.stream_time(shots, bytes_per_shot);
+        let post = cfg.host.duration_for(&eval_ops);
+
         let mut ledger = Ledger::default();
         ledger.critpath.open_at(SimTime::ZERO);
         let mut host_ops_total = OpCounter::new();
-        let mut dynamic_instructions = 0u64;
-        let mut pulses_generated = 0u64;
         let mut evaluations = 0u64;
-        let mut cost_history = Vec::with_capacity(iterations);
-        let bytes_per_shot = (self.workload.n_qubits() as u64).div_ceil(8);
-
-        let mut params = self.workload.initial_params.clone();
-        for _iter in 0..iterations {
-            let plan = optimizer.iteration_plan(&params);
-            let mut evals = Vec::with_capacity(plan.len());
-            for eval_params in &plan {
-                let bound = self.workload.circuit.bind(eval_params)?;
-                let compiled = jit.compile(&bound);
-                dynamic_instructions += compiled.instruction_count;
+        for it in &trajectory.iterations {
+            for _ in 0..it.evaluations {
                 ledger.charge(&COMPILE, compiled.compile_time);
-
-                ledger.charge(&UPLOAD, cfg.network.message_time(compiled.binary_bytes));
-
-                pulses_generated += compiled.pulses_required;
-                ledger.charge(&PULSES, cfg.fpga_pulse_latency * compiled.pulses_required);
-
-                let timing = CircuitTiming::of(&bound, &cfg.gate_times);
-                ledger.charge(&QUANTUM, cfg.adi_latency * 2 + timing.shot_duration * shots);
-                let results = self.simulator.run(&bound, shots)?;
-
-                ledger.charge(&DOWNLOAD, cfg.network.stream_time(shots, bytes_per_shot));
-
-                let mut ops = OpCounter::new();
-                let cost = evaluate_cost(&self.workload.hamiltonian, &results, &mut ops);
-                ledger.charge(&HOST, cfg.host.duration_for(&ops));
-                host_ops_total += ops;
-                evals.push(cost);
-                evaluations += 1;
+                ledger.charge(&UPLOAD, upload);
+                ledger.charge(&PULSES, pulses);
+                ledger.charge(&QUANTUM, quantum);
+                ledger.charge(&DOWNLOAD, download);
+                ledger.charge(&HOST, post);
             }
-            let mut ops = OpCounter::new();
-            params = optimizer.update(&params, &plan, &evals, &mut ops);
-            ledger.charge(&HOST, cfg.host.duration_for(&ops));
-            host_ops_total += ops;
-            let mean = evals.iter().sum::<f64>() / evals.len().max(1) as f64;
-            cost_history.push(mean);
+            evaluations += it.evaluations as u64;
+            ledger.charge(&HOST, cfg.host.duration_for(&it.optimizer_ops));
+            host_ops_total += it.optimizer_ops;
         }
+        host_ops_total += eval_ops.scaled(evaluations);
 
         // One binary upload and one readout packet per shot, per evaluation.
         let comm = CommBreakdown {
@@ -218,7 +203,6 @@ impl BaselineRunner {
             q_acquire_count: evaluations * shots,
             ..ledger.comm
         };
-        let final_cost = cost_history.last().copied().unwrap_or(f64::NAN);
         Ok(RunReport {
             total: ledger.total,
             breakdown: TimeBreakdown {
@@ -226,16 +210,16 @@ impl BaselineRunner {
                 ..ledger.breakdown
             },
             comm,
-            dynamic_instructions,
-            static_instructions: dynamic_instructions / (iterations as u64 * 2).max(1), // one compile's worth
-            pulses_generated,
+            dynamic_instructions: evaluations * compiled.instruction_count,
+            static_instructions: compiled.instruction_count,
+            pulses_generated: evaluations * compiled.pulses_required,
             slt: Default::default(),
             host_cycles: qtenon_core::host::HostCoreModel::new(
                 qtenon_core::config::CoreModel::Rocket,
             )
             .cycles_for(&host_ops_total),
-            cost_history,
-            final_cost,
+            cost_history: trajectory.cost_history(),
+            final_cost: trajectory.final_cost(),
             pulse_reduction: 0.0,
             resilience: Default::default(),
             phases: Default::default(),
@@ -247,12 +231,40 @@ impl BaselineRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qtenon_workloads::{GradientDescentOptimizer, SpsaOptimizer, WorkloadKind};
+    use qtenon_core::{CoreModel, QtenonConfig, VqaRunner};
+    use qtenon_workloads::{
+        GradientDescentOptimizer, Optimizer, SpsaOptimizer, Workload, WorkloadKind,
+    };
+
+    /// The trajectory of a Qtenon run of `workload`.
+    fn record(
+        workload: &Workload,
+        optimizer: &mut dyn Optimizer,
+        iterations: usize,
+        shots: u64,
+    ) -> Trajectory {
+        let config = QtenonConfig::table4(workload.n_qubits(), CoreModel::Rocket).unwrap();
+        let mut runner = VqaRunner::new(config, workload.clone()).unwrap();
+        runner.run(optimizer, iterations, shots).unwrap();
+        runner.trajectory().clone()
+    }
+
+    /// `workload` recorded under `optimizer` and timed on the baseline.
+    fn time(
+        workload: Workload,
+        optimizer: &mut dyn Optimizer,
+        iterations: usize,
+        shots: u64,
+    ) -> RunReport {
+        let trajectory = record(&workload, optimizer, iterations, shots);
+        BaselineRunner::new(BaselineConfig::default(), workload)
+            .run(&trajectory)
+            .unwrap()
+    }
 
     fn run_baseline(kind: WorkloadKind, n: u32) -> RunReport {
         let workload = Workload::benchmark(kind, n, 11).unwrap();
-        let mut runner = BaselineRunner::new(BaselineConfig::default(), workload);
-        runner.run(&mut SpsaOptimizer::new(5), 2, 100).unwrap()
+        time(workload, &mut SpsaOptimizer::new(5), 2, 100)
     }
 
     #[test]
@@ -270,29 +282,70 @@ mod tests {
         assert_eq!(report.total, report.breakdown.busy_total());
     }
 
+    fn per_compile(workload: &Workload) -> u64 {
+        BaselineCompiler::new(BaselineCompilerConfig::default())
+            .compile(&workload.circuit)
+            .instruction_count
+    }
+
     #[test]
     fn recompiles_every_evaluation() {
         let workload = Workload::qaoa(8, 2, 1).unwrap();
-        let per_compile = BaselineCompiler::new(BaselineCompilerConfig::default())
-            .compile(&workload.circuit.bind(&workload.initial_params).unwrap())
-            .instruction_count;
-        let mut runner = BaselineRunner::new(BaselineConfig::default(), workload);
-        let report = runner.run(&mut SpsaOptimizer::new(5), 3, 10).unwrap();
+        let per_compile = per_compile(&workload);
+        let report = time(workload, &mut SpsaOptimizer::new(5), 3, 10);
         // 3 iterations × 2 SPSA evals = 6 compiles.
         assert_eq!(report.dynamic_instructions, 6 * per_compile);
         assert_eq!(report.pulse_reduction, 0.0);
     }
 
     #[test]
+    fn static_instructions_are_one_compile_under_gd() {
+        // GD's parameter-shift plan makes 2P evaluations per iteration,
+        // yet the program text is still one compile's worth.
+        let workload = Workload::qaoa(8, 2, 1).unwrap();
+        let per_compile = per_compile(&workload);
+        let report = time(workload, &mut GradientDescentOptimizer::new(0.05), 2, 10);
+        assert_eq!(report.static_instructions, per_compile);
+        assert_eq!(report.dynamic_instructions, 2 * 8 * per_compile);
+    }
+
+    #[test]
+    fn mismatched_trajectory_is_a_config_error() {
+        let qaoa = Workload::qaoa(8, 2, 1).unwrap();
+        let trajectory = record(&qaoa, &mut SpsaOptimizer::new(5), 2, 10);
+        let runner = |w: Workload| BaselineRunner::new(BaselineConfig::default(), w);
+        assert!(runner(qaoa.clone()).run(&trajectory).is_ok());
+
+        // Another width.
+        let wide = Workload::qaoa(10, 2, 1).unwrap();
+        assert!(matches!(
+            runner(wide).run(&trajectory),
+            Err(SystemError::Config(_))
+        ));
+
+        // An evaluation count neither SPSA (2) nor GD (2 × 4 parameters)
+        // makes.
+        for evaluations in [0, 3, 7] {
+            let mut bad = trajectory.clone();
+            bad.iterations[1].evaluations = evaluations;
+            assert!(matches!(
+                runner(qaoa.clone()).run(&bad),
+                Err(SystemError::Config(_))
+            ));
+        }
+    }
+
+    #[test]
     fn gd_pays_more_communication_than_spsa() {
         // Fig. 14: GD's per-parameter rounds multiply communication.
         let workload = Workload::vqe(8, 1).unwrap();
-        let gd = BaselineRunner::new(BaselineConfig::default(), workload.clone())
-            .run(&mut GradientDescentOptimizer::new(0.05), 2, 20)
-            .unwrap();
-        let spsa = BaselineRunner::new(BaselineConfig::default(), workload)
-            .run(&mut SpsaOptimizer::new(5), 2, 20)
-            .unwrap();
+        let gd = time(
+            workload.clone(),
+            &mut GradientDescentOptimizer::new(0.05),
+            2,
+            20,
+        );
+        let spsa = time(workload, &mut SpsaOptimizer::new(5), 2, 20);
         assert!(gd.comm.total() > 4 * spsa.comm.total());
     }
 
@@ -322,9 +375,7 @@ mod tests {
             ];
             for mut optimizer in optimizers {
                 let workload = Workload::benchmark(kind, n, 11).unwrap();
-                let r = BaselineRunner::new(BaselineConfig::default(), workload)
-                    .run(optimizer.as_mut(), 2, 20)
-                    .unwrap();
+                let r = time(workload, optimizer.as_mut(), 2, 20);
                 for (edge, component) in [
                     ("readout->host", r.breakdown.host),
                     ("host->bus", r.comm.q_set),

@@ -6,7 +6,7 @@ use qtenon_controller::{BusConfig, TileLinkBus};
 use qtenon_core::config::{CoreModel, QtenonConfig, SyncMode, TransmissionPolicy};
 use qtenon_core::jobs::JobOptimizer;
 use qtenon_core::report::RunReport;
-use qtenon_core::vqa::VqaRunner;
+use qtenon_core::vqa::{Trajectory, VqaRunner};
 use qtenon_isa::{QccLayout, Segment};
 use qtenon_sim_engine::{
     FaultInjector, FaultPlan, MetricsRegistry, MetricsSnapshot, SimDuration, SimTime,
@@ -85,7 +85,8 @@ fn ratio(a: SimDuration, b: SimDuration) -> f64 {
     }
 }
 
-/// Runs a workload on Qtenon with the given policies.
+/// Runs a workload on Qtenon with the given policies, returning its
+/// report and the trajectory it recorded.
 ///
 /// # Panics
 ///
@@ -99,7 +100,7 @@ pub fn qtenon_run(
     scale: &ExperimentScale,
     sync: SyncMode,
     policy: TransmissionPolicy,
-) -> RunReport {
+) -> (RunReport, Trajectory) {
     let config = QtenonConfig::table4(n, core)
         .expect("valid config")
         .with_sync(sync)
@@ -109,19 +110,21 @@ pub fn qtenon_run(
     let workload = Workload::benchmark(kind, n, scale.seed).expect("valid workload");
     let mut runner = VqaRunner::new(config, workload).expect("runner builds");
     let mut optimizer = opt.build(scale.seed);
-    runner
+    let report = runner
         .run(optimizer.as_mut(), scale.iterations, scale.shots)
-        .expect("run succeeds")
+        .expect("run succeeds");
+    (report, runner.trajectory().clone())
 }
 
-/// Runs a workload on Qtenon with the paper-default policies.
+/// Runs a workload on Qtenon with the paper-default policies, returning
+/// its report and the trajectory it recorded.
 pub fn qtenon_default(
     kind: WorkloadKind,
     n: u32,
     core: CoreModel,
     opt: JobOptimizer,
     scale: &ExperimentScale,
-) -> RunReport {
+) -> (RunReport, Trajectory) {
     qtenon_run(
         kind,
         n,
@@ -133,29 +136,25 @@ pub fn qtenon_default(
     )
 }
 
-/// Runs a workload on the decoupled baseline.
+/// Runs a workload on Qtenon with the paper-default policies and times its
+/// trajectory on the decoupled baseline: (Qtenon report, baseline report).
 ///
 /// # Panics
 ///
-/// Panics if execution fails.
-pub fn baseline_run(
+/// Panics if construction or execution fails.
+pub fn with_baseline(
     kind: WorkloadKind,
     n: u32,
+    core: CoreModel,
     opt: JobOptimizer,
     scale: &ExperimentScale,
-) -> RunReport {
+) -> (RunReport, RunReport) {
+    let (qtenon, trajectory) = qtenon_default(kind, n, core, opt, scale);
     let workload = Workload::benchmark(kind, n, scale.seed).expect("valid workload");
-    let mut runner = BaselineRunner::new(
-        BaselineConfig {
-            seed: scale.seed,
-            ..BaselineConfig::default()
-        },
-        workload,
-    );
-    let mut optimizer = opt.build(scale.seed);
-    runner
-        .run(optimizer.as_mut(), scale.iterations, scale.shots)
-        .expect("baseline run succeeds")
+    let baseline = BaselineRunner::new(BaselineConfig::default(), workload)
+        .run(&trajectory)
+        .expect("the trajectory is this workload's");
+    (qtenon, baseline)
 }
 
 /// Fig. 1: quantum vs classical share on the baseline, plus the 64-qubit
@@ -176,7 +175,7 @@ pub fn fig1(scale: &ExperimentScale) -> TextTable {
         (WorkloadKind::Vqe, 56),
         (WorkloadKind::Qnn, 64),
     ] {
-        let r = baseline_run(kind, n, JobOptimizer::Spsa, scale);
+        let (_, r) = with_baseline(kind, n, CoreModel::Rocket, JobOptimizer::Spsa, scale);
         let shares = r.exposed_shares();
         t.row(vec![
             kind.to_string(),
@@ -343,9 +342,8 @@ pub fn fig11_12(scale: &ExperimentScale, opt: JobOptimizer) -> TextTable {
     ]);
     for kind in WorkloadKind::ALL {
         for &n in &scale.qubit_sweep {
-            let base = baseline_run(kind, n, opt, scale);
-            let rocket = qtenon_default(kind, n, CoreModel::Rocket, opt, scale);
-            let boom = qtenon_default(kind, n, CoreModel::BoomLarge, opt, scale);
+            let (rocket, base) = with_baseline(kind, n, CoreModel::Rocket, opt, scale);
+            let boom = qtenon_default(kind, n, CoreModel::BoomLarge, opt, scale).0;
             t.row(vec![
                 kind.to_string(),
                 n.to_string(),
@@ -370,8 +368,8 @@ pub fn fig13(scale: &ExperimentScale) -> TextTable {
         "host %".into(),
     ]);
     let kind = WorkloadKind::Vqe;
-    let base = baseline_run(kind, 64, JobOptimizer::Spsa, scale);
-    let hw_only = qtenon_run(
+    let (full, base) = with_baseline(kind, 64, CoreModel::Rocket, JobOptimizer::Spsa, scale);
+    let (hw_only, _) = qtenon_run(
         kind,
         64,
         CoreModel::Rocket,
@@ -380,7 +378,6 @@ pub fn fig13(scale: &ExperimentScale) -> TextTable {
         SyncMode::Fence,
         TransmissionPolicy::Immediate,
     );
-    let full = qtenon_default(kind, 64, CoreModel::Rocket, JobOptimizer::Spsa, scale);
     for (name, r) in [
         ("baseline", &base),
         ("Qtenon w/o software", &hw_only),
@@ -411,8 +408,7 @@ pub fn fig14(scale: &ExperimentScale, opt: JobOptimizer) -> TextTable {
         "q_acquire %".into(),
     ]);
     for kind in WorkloadKind::ALL {
-        let base = baseline_run(kind, 64, opt, scale);
-        let qt = qtenon_default(kind, 64, CoreModel::BoomLarge, opt, scale);
+        let (qt, base) = with_baseline(kind, 64, CoreModel::BoomLarge, opt, scale);
         let shares = qt.comm.shares();
         t.row(vec![
             kind.to_string(),
@@ -438,8 +434,7 @@ pub fn table5(scale: &ExperimentScale) -> TextTable {
     ]);
     for opt in [JobOptimizer::Gd, JobOptimizer::Spsa] {
         for kind in WorkloadKind::ALL {
-            let base = baseline_run(kind, 64, opt, scale);
-            let qt = qtenon_default(kind, 64, CoreModel::Rocket, opt, scale);
+            let (qt, base) = with_baseline(kind, 64, CoreModel::Rocket, opt, scale);
             t.row(vec![
                 opt.name().into(),
                 kind.to_string(),
@@ -466,9 +461,8 @@ pub fn fig15(scale: &ExperimentScale) -> TextTable {
     ]);
     for opt in [JobOptimizer::Gd, JobOptimizer::Spsa] {
         for kind in WorkloadKind::ALL {
-            let base = baseline_run(kind, 64, opt, scale);
-            let boom = qtenon_default(kind, 64, CoreModel::BoomLarge, opt, scale);
-            let rocket = qtenon_default(kind, 64, CoreModel::Rocket, opt, scale);
+            let (boom, base) = with_baseline(kind, 64, CoreModel::BoomLarge, opt, scale);
+            let rocket = qtenon_default(kind, 64, CoreModel::Rocket, opt, scale).0;
             t.row(vec![
                 opt.name().into(),
                 kind.to_string(),
@@ -493,7 +487,7 @@ pub fn fig16a(scale: &ExperimentScale) -> TextTable {
     ]);
     for opt in [JobOptimizer::Gd, JobOptimizer::Spsa] {
         for kind in WorkloadKind::ALL {
-            let fence = qtenon_run(
+            let (fence, _) = qtenon_run(
                 kind,
                 64,
                 CoreModel::Rocket,
@@ -502,7 +496,7 @@ pub fn fig16a(scale: &ExperimentScale) -> TextTable {
                 SyncMode::Fence,
                 TransmissionPolicy::Batched,
             );
-            let fine = qtenon_default(kind, 64, CoreModel::Rocket, opt, scale);
+            let fine = qtenon_default(kind, 64, CoreModel::Rocket, opt, scale).0;
             t.row(vec![
                 opt.name().into(),
                 kind.to_string(),
@@ -526,7 +520,7 @@ pub fn fig16b(scale: &ExperimentScale) -> TextTable {
     ]);
     for opt in [JobOptimizer::Gd, JobOptimizer::Spsa] {
         for kind in WorkloadKind::ALL {
-            let unsched = qtenon_run(
+            let (unsched, _) = qtenon_run(
                 kind,
                 64,
                 CoreModel::Rocket,
@@ -535,7 +529,7 @@ pub fn fig16b(scale: &ExperimentScale) -> TextTable {
                 SyncMode::FineGrained,
                 TransmissionPolicy::Immediate,
             );
-            let sched = qtenon_default(kind, 64, CoreModel::Rocket, opt, scale);
+            let sched = qtenon_default(kind, 64, CoreModel::Rocket, opt, scale).0;
             t.row(vec![
                 opt.name().into(),
                 kind.to_string(),
@@ -562,7 +556,7 @@ pub fn fig17(scale: &ExperimentScale) -> TextTable {
     for kind in [WorkloadKind::Qaoa, WorkloadKind::Vqe] {
         let mut first: Option<(SimDuration, SimDuration)> = None;
         for &n in &scale.scaling_sweep {
-            let r = qtenon_default(kind, n, CoreModel::BoomLarge, JobOptimizer::Spsa, scale);
+            let r = qtenon_default(kind, n, CoreModel::BoomLarge, JobOptimizer::Spsa, scale).0;
             let comm = r.comm.total();
             let classical = r.classical_time();
             let (c0, h0) = *first.get_or_insert((comm, classical));
@@ -760,7 +754,7 @@ pub fn breakdown(scale: &ExperimentScale) -> TextTable {
     ]);
     let n = scale.qubit_sweep.first().copied().unwrap_or(8);
     for kind in WorkloadKind::ALL {
-        let report = qtenon_default(kind, n, CoreModel::Rocket, JobOptimizer::Spsa, scale);
+        let report = qtenon_default(kind, n, CoreModel::Rocket, JobOptimizer::Spsa, scale).0;
         let total = report.phases.total_ns().max(1);
         for row in &report.phases.rows {
             t.row(vec![
@@ -794,22 +788,14 @@ pub fn critpath(scale: &ExperimentScale) -> TextTable {
         "share".into(),
     ]);
     let n = scale.qubit_sweep.first().copied().unwrap_or(8);
-    let systems = [
-        (
-            "baseline",
-            baseline_run(WorkloadKind::Vqe, n, JobOptimizer::Spsa, scale),
-        ),
-        (
-            "qtenon",
-            qtenon_default(
-                WorkloadKind::Vqe,
-                n,
-                CoreModel::Rocket,
-                JobOptimizer::Spsa,
-                scale,
-            ),
-        ),
-    ];
+    let (qtenon, baseline) = with_baseline(
+        WorkloadKind::Vqe,
+        n,
+        CoreModel::Rocket,
+        JobOptimizer::Spsa,
+        scale,
+    );
+    let systems = [("baseline", baseline), ("qtenon", qtenon)];
     for (name, report) in &systems {
         let total = report.critpath.total_ns().max(1);
         for row in &report.critpath.rows {
@@ -883,8 +869,7 @@ mod tests {
     #[test]
     fn critpath_contrasts_comm_vs_onchip() {
         let scale = tiny();
-        let baseline = baseline_run(WorkloadKind::Vqe, 8, JobOptimizer::Spsa, &scale);
-        let qtenon = qtenon_default(
+        let (qtenon, baseline) = with_baseline(
             WorkloadKind::Vqe,
             8,
             CoreModel::Rocket,

@@ -80,11 +80,6 @@ impl BaselineCompiler {
         BaselineCompiler { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> BaselineCompilerConfig {
-        self.config
-    }
-
     /// Compiles (from scratch) one bound circuit.
     pub fn compile(&self, circuit: &Circuit) -> BaselineProgram {
         let gates = circuit.operations().len() as u64;

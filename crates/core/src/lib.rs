@@ -63,7 +63,7 @@ pub use parallel::{Shard, ShardPlan};
 pub use report::{CommBreakdown, ResilienceSummary, RunReport, TimeBreakdown};
 pub use schedule::TransmissionPlan;
 pub use system::QtenonSystem;
-pub use vqa::{DeadlineStatus, VqaRunner};
+pub use vqa::{DeadlineStatus, Trajectory, VqaRunner};
 
 use std::fmt;
 

@@ -121,6 +121,41 @@ impl DeadlineStatus {
     }
 }
 
+/// One completed optimizer iteration, as a timing model needs it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct IterationRecord {
+    /// Evaluations the iteration's plan made.
+    pub evaluations: usize,
+    /// Host work of the optimizer step.
+    pub optimizer_ops: OpCounter,
+    /// Mean cost over the iteration's evaluations.
+    pub mean_cost: f64,
+}
+
+/// A run's physics (bind → sample → cost → optimizer step), one record per
+/// completed iteration: the decoupled baseline times it, never re-runs it.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Trajectory {
+    /// Width of the workload that ran.
+    pub n_qubits: u32,
+    /// Shots per evaluation.
+    pub shots: u64,
+    /// The completed iterations, in order.
+    pub iterations: Vec<IterationRecord>,
+}
+
+impl Trajectory {
+    /// Each completed iteration's mean cost.
+    pub fn cost_history(&self) -> Vec<f64> {
+        self.iterations.iter().map(|it| it.mean_cost).collect()
+    }
+
+    /// The last iteration's mean cost, or NaN if none completed.
+    pub fn final_cost(&self) -> f64 {
+        self.iterations.last().map_or(f64::NAN, |it| it.mean_cost)
+    }
+}
+
 /// The runner's handle on a shared compilation cache: the cache itself
 /// plus the keyed program it compiled through it.
 struct CacheBinding {
@@ -139,7 +174,8 @@ pub struct VqaRunner {
     /// Evaluation and iteration latencies of the most recent run.
     evaluations: SpanStats,
     iterations: SpanStats,
-    final_cost: f64,
+    /// The most recent run's physics.
+    trajectory: Trajectory,
     /// Fine-grained PUT batches drained, summed over evaluations.
     des_puts: u64,
     /// The most PUT batches in one evaluation.
@@ -219,7 +255,7 @@ impl VqaRunner {
             cache,
             evaluations: SpanStats::default(),
             iterations: SpanStats::default(),
-            final_cost: f64::NAN,
+            trajectory: Trajectory::default(),
             des_puts: 0,
             des_high_water: 0,
         })
@@ -271,11 +307,16 @@ impl VqaRunner {
         self.system.export_metrics(m);
         m.histogram("core.vqa.eval_latency_ns", self.evaluations.hist());
         m.histogram("core.vqa.iteration_latency_ns", self.iterations.hist());
-        m.gauge("core.vqa.final_cost", self.final_cost);
+        m.gauge("core.vqa.final_cost", self.trajectory.final_cost());
         // PUT batch tallies. Every batch scheduled is drained within its
         // evaluation, so no dispatch count or queue depth is exported.
         m.counter("profile.des.puts_scheduled", self.des_puts);
         m.counter("profile.des.put_queue_high_water", self.des_high_water);
+    }
+
+    /// The trajectory of the most recent [`run`](Self::run).
+    pub fn trajectory(&self) -> &Trajectory {
+        &self.trajectory
     }
 
     /// Static instruction count of the program text: setup instructions
@@ -329,7 +370,11 @@ impl VqaRunner {
         self.system.cold_reset();
         self.evaluations = SpanStats::default();
         self.iterations = SpanStats::default();
-        self.final_cost = f64::NAN;
+        self.trajectory = Trajectory {
+            n_qubits: config.n_qubits,
+            shots,
+            iterations: Vec::with_capacity(iterations),
+        };
         self.des_puts = 0;
         self.des_high_water = 0;
         let phases = VqaPhases::intern(self.system.profiler_mut());
@@ -337,7 +382,6 @@ impl VqaRunner {
         // provenance node off the previous chain head.
         self.system.critpath_mut().open_at(SimTime::ZERO);
         let mut now = SimTime::ZERO;
-        let mut cost_history = Vec::with_capacity(iterations);
 
         let mut params = self.workload.initial_params.clone();
         // The slot codes the regfile holds, and a buffer for the next
@@ -429,15 +473,16 @@ impl VqaRunner {
             params = optimizer.update(&params, &plan, &evals, &mut ops);
             let d = self.system.host_time(&ops);
             now = self.system.host_segment(phases.optimizer_step, now, d);
-            let mean = evals.iter().sum::<f64>() / evals.len().max(1) as f64;
-            cost_history.push(mean);
+            self.trajectory.iterations.push(IterationRecord {
+                evaluations: plan.len(),
+                optimizer_ops: ops,
+                mean_cost: evals.iter().sum::<f64>() / evals.len().max(1) as f64,
+            });
             self.iterations.record(now.saturating_since(iter_start));
         }
 
         let comm = self.system.comm();
         let (pulses_generated, pulse_work_items) = self.system.pulse_tallies();
-        let final_cost = cost_history.last().copied().unwrap_or(f64::NAN);
-        self.final_cost = final_cost;
         let status = DeadlineStatus {
             hit: deadline_hit,
             completed_iterations: self.iterations.count() as usize,
@@ -452,8 +497,8 @@ impl VqaRunner {
             pulses_generated,
             slt: self.system.slt_stats(),
             host_cycles: self.system.host_cycles(),
-            cost_history,
-            final_cost,
+            cost_history: self.trajectory.cost_history(),
+            final_cost: self.trajectory.final_cost(),
             pulse_reduction: if pulse_work_items == 0 {
                 0.0
             } else {

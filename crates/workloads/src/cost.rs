@@ -25,6 +25,8 @@ pub struct CostEvaluator {
     coeffs: Vec<f64>,
     /// Qubits per term (diagonal Z products involve very few).
     term_qubits: Vec<Vec<u32>>,
+    /// The ops of one XOR/popcount reduction per term, for each block.
+    term_ops: OpCounter,
     constant: f64,
     n_qubits: u32,
 }
@@ -32,9 +34,16 @@ pub struct CostEvaluator {
 impl CostEvaluator {
     /// Builds the evaluator for a Hamiltonian.
     pub fn new(h: &Hamiltonian) -> Self {
+        let mut term_ops = OpCounter::new();
+        for t in h.terms() {
+            term_ops.record(OpClass::IntAlu, t.qubits.len() as u64 + 2);
+            term_ops.record(OpClass::Mem, t.qubits.len() as u64 + 1);
+            term_ops.record(OpClass::FpAlu, 2);
+        }
         CostEvaluator {
             coeffs: h.terms().iter().map(|t| t.coeff).collect(),
             term_qubits: h.terms().iter().map(|t| t.qubits.clone()).collect(),
+            term_ops,
             constant: h.constant(),
             n_qubits: h.n_qubits(),
         }
@@ -63,6 +72,13 @@ impl CostEvaluator {
         if shots.is_empty() {
             return 0.0;
         }
+        self.record_block_ops(shots.len() as u64, ops);
+        self.block_sum(shots, planes)
+    }
+
+    /// The block sum of [`block_value_sum`](Self::block_value_sum),
+    /// recording nothing.
+    fn block_sum(&self, shots: &[BitString], planes: &mut Vec<u64>) -> f64 {
         let k = shots.len();
         // Transpose to qubit-major bitplanes: plane[q] bit s = shot s's
         // qubit q. A firmware implementation does this with the standard
@@ -81,13 +97,6 @@ impl CostEvaluator {
                 }
             }
         }
-        let words_per_shot = (self.n_qubits as u64).div_ceil(64);
-        ops.record(OpClass::IntAlu, 6 * self.n_qubits as u64);
-        ops.record(
-            OpClass::Mem,
-            (k as u64) * words_per_shot + self.n_qubits as u64,
-        );
-
         let mut acc = 0.0;
         for (coeff, qubits) in self.coeffs.iter().zip(&self.term_qubits) {
             // Parity plane of the term: XOR of its qubits' planes.
@@ -95,9 +104,6 @@ impl CostEvaluator {
             // Shots with odd parity contribute −coeff, the rest +coeff.
             let odd = (parity & low_mask(k)).count_ones() as f64;
             acc += coeff * (k as f64 - 2.0 * odd);
-            ops.record(OpClass::IntAlu, qubits.len() as u64 + 2);
-            ops.record(OpClass::Mem, qubits.len() as u64 + 1);
-            ops.record(OpClass::FpAlu, 2);
         }
         acc
     }
@@ -105,18 +111,41 @@ impl CostEvaluator {
     /// Sample-mean cost over any number of shots, processed in 64-shot
     /// blocks, recording ops.
     pub fn mean_over(&self, shots: &[BitString], ops: &mut OpCounter) -> f64 {
+        self.record_ops(shots.len() as u64, ops);
         if shots.is_empty() {
             return self.constant;
         }
         let mut acc = 0.0;
         let mut planes = Vec::new();
         for block in shots.chunks(BLOCK_SHOTS) {
-            acc += self.block_value_sum(block, &mut planes, ops);
+            acc += self.block_sum(block, &mut planes);
+        }
+        self.constant + acc / shots.len() as f64
+    }
+
+    /// Records the ops [`mean_over`](Self::mean_over) spends on `k`
+    /// shots: each 64-shot block's transpose and term reductions plus
+    /// its loop control, then the final mean. The count depends on `k`,
+    /// the qubit count and the term table only, never on the bits.
+    pub fn record_ops(&self, k: u64, ops: &mut OpCounter) {
+        if k == 0 {
+            return;
+        }
+        for first in (0..k).step_by(BLOCK_SHOTS) {
+            self.record_block_ops((k - first).min(BLOCK_SHOTS as u64), ops);
             ops.record(OpClass::Branch, 2);
         }
         ops.record(OpClass::FpComplex, 1);
         ops.record(OpClass::FpAlu, 1);
-        self.constant + acc / shots.len() as f64
+    }
+
+    /// Records one bit-sliced block of `k` shots: the transpose's ~6 word
+    /// ops per qubit, a load per shot word and plane, each term's popcount.
+    fn record_block_ops(&self, k: u64, ops: &mut OpCounter) {
+        let words_per_shot = (self.n_qubits as u64).div_ceil(64);
+        ops.record(OpClass::IntAlu, 6 * self.n_qubits as u64);
+        ops.record(OpClass::Mem, k * words_per_shot + self.n_qubits as u64);
+        *ops += self.term_ops;
     }
 }
 
@@ -126,30 +155,6 @@ fn low_mask(k: usize) -> u64 {
     } else {
         (1u64 << k) - 1
     }
-}
-
-/// Computes the sample-mean cost `⟨H⟩` over `shots`, recording the
-/// arithmetic into `ops`.
-///
-/// Builds the term table on the fly; hot paths that evaluate the same
-/// Hamiltonian repeatedly should hold a [`CostEvaluator`] instead.
-///
-/// # Examples
-///
-/// ```
-/// use qtenon_quantum::{BitString, Hamiltonian, PauliTerm};
-/// use qtenon_sim_engine::OpCounter;
-/// use qtenon_workloads::evaluate_cost;
-///
-/// let h = Hamiltonian::new(1, vec![PauliTerm::z(0, 1.0)], 0.0);
-/// let shots = vec![BitString::from_u64(0, 1), BitString::from_u64(1, 1)];
-/// let mut ops = OpCounter::new();
-/// let cost = evaluate_cost(&h, &shots, &mut ops);
-/// assert_eq!(cost, 0.0);
-/// assert!(ops.total() > 0);
-/// ```
-pub fn evaluate_cost(h: &Hamiltonian, shots: &[BitString], ops: &mut OpCounter) -> f64 {
-    CostEvaluator::new(h).mean_over(shots, ops)
 }
 
 #[cfg(test)]
@@ -169,7 +174,7 @@ mod tests {
             .map(|&v| BitString::from_u64(v, 2))
             .collect();
         let mut ops = OpCounter::new();
-        let via_counter = evaluate_cost(&h, &shots, &mut ops);
+        let via_counter = CostEvaluator::new(&h).mean_over(&shots, &mut ops);
         let direct = h.expectation_from_shots(&shots);
         assert!((via_counter - direct).abs() < 1e-12);
     }
@@ -182,7 +187,7 @@ mod tests {
             .map(|i| BitString::from_u64(i.wrapping_mul(0x9E37_79B9), 10))
             .collect();
         let mut ops = OpCounter::new();
-        let fast = evaluate_cost(&h, &shots, &mut ops);
+        let fast = CostEvaluator::new(&h).mean_over(&shots, &mut ops);
         let direct = h.expectation_from_shots(&shots);
         assert!((fast - direct).abs() < 1e-9, "fast {fast} direct {direct}");
     }
@@ -199,7 +204,7 @@ mod tests {
         shot.set(63, true);
         shot.set(69, true);
         let mut ops = OpCounter::new();
-        let v = evaluate_cost(&h, &[shot.clone()], &mut ops);
+        let v = CostEvaluator::new(&h).mean_over(&[shot.clone()], &mut ops);
         assert!((v - h.value_on(&shot)).abs() < 1e-12);
     }
 
@@ -226,7 +231,7 @@ mod tests {
     fn empty_shots_cost_constant_only() {
         let h = Hamiltonian::new(1, vec![PauliTerm::z(0, 1.0)], 0.75);
         let mut ops = OpCounter::new();
-        assert_eq!(evaluate_cost(&h, &[], &mut ops), 0.75);
+        assert_eq!(CostEvaluator::new(&h).mean_over(&[], &mut ops), 0.75);
         assert_eq!(ops.total(), 0);
     }
 
@@ -243,16 +248,24 @@ mod tests {
     }
 
     #[test]
-    fn evaluator_reuse_matches_one_shot_path() {
+    fn record_ops_counts_what_evaluation_records() {
+        // An evaluation of up to one block records what `block_value_sum`
+        // records plus the mean's loop control; an empty one, nothing.
         let h = Hamiltonian::molecular(16, 3);
-        let shots = vec![BitString::from_u64(0xDEAD, 16); 5];
         let eval = CostEvaluator::new(&h);
-        let mut a = OpCounter::new();
-        let mut b = OpCounter::new();
-        assert_eq!(
-            eval.mean_over(&shots, &mut a),
-            evaluate_cost(&h, &shots, &mut b)
-        );
-        assert_eq!(a, b);
+        let mut none = OpCounter::new();
+        eval.record_ops(0, &mut none);
+        assert!(none.is_empty());
+        for k in [1, 5, 63, 64] {
+            let mut expected = OpCounter::new();
+            eval.record_ops(k as u64, &mut expected);
+            let shots = vec![BitString::from_u64(0xDEAD, 16); k];
+            let mut ops = OpCounter::new();
+            eval.block_value_sum(&shots, &mut Vec::new(), &mut ops);
+            ops.record(OpClass::Branch, 2);
+            ops.record(OpClass::FpComplex, 1);
+            ops.record(OpClass::FpAlu, 1);
+            assert_eq!(ops, expected, "{k} shots");
+        }
     }
 }

@@ -33,34 +33,10 @@ pub mod graph;
 pub mod optimizer;
 pub mod workload;
 
-pub use cost::{evaluate_cost, CostEvaluator};
+pub use cost::CostEvaluator;
 pub use graph::Graph;
 pub use optimizer::{GradientDescentOptimizer, Optimizer, SpsaOptimizer};
 pub use workload::{Workload, WorkloadKind};
 
-use qtenon_sim_engine::OpCounter;
-
 /// Convenience alias used throughout: a parameter vector.
 pub type Params = Vec<f64>;
-
-/// Runs `iterations` of an optimizer against an exact evaluation function
-/// (used in tests and examples to check optimizers actually descend).
-pub fn optimize<F>(
-    opt: &mut dyn Optimizer,
-    initial: Params,
-    iterations: usize,
-    mut eval: F,
-) -> (Params, f64)
-where
-    F: FnMut(&[f64]) -> f64,
-{
-    let mut params = initial;
-    let mut ops = OpCounter::new();
-    for _ in 0..iterations {
-        let plan = opt.iteration_plan(&params);
-        let evals: Vec<f64> = plan.iter().map(|p| eval(p)).collect();
-        params = opt.update(&params, &plan, &evals, &mut ops);
-    }
-    let final_cost = eval(&params);
-    (params, final_cost)
-}

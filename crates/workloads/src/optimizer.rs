@@ -51,6 +51,12 @@ pub trait Optimizer {
     fn is_single_parameter_stepped(&self) -> bool;
 }
 
+/// The evaluation counts an iteration plan over `num_params` parameters
+/// can have: SPSA's two perturbations, or GD's two shifts per parameter.
+pub fn plan_lengths(num_params: usize) -> [usize; 2] {
+    [2, 2 * num_params]
+}
+
 /// Gradient descent with the parameter-shift rule.
 ///
 /// # Examples
@@ -243,7 +249,25 @@ impl Optimizer for SpsaOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimize;
+
+    /// Runs `iterations` of `opt` against an exact evaluation function
+    /// and returns the final parameters and their cost.
+    fn optimize(
+        opt: &mut dyn Optimizer,
+        initial: Params,
+        iterations: usize,
+        eval: fn(&[f64]) -> f64,
+    ) -> (Params, f64) {
+        let mut params = initial;
+        let mut ops = OpCounter::new();
+        for _ in 0..iterations {
+            let plan = opt.iteration_plan(&params);
+            let evals: Vec<f64> = plan.iter().map(|p| eval(p)).collect();
+            params = opt.update(&params, &plan, &evals, &mut ops);
+        }
+        let final_cost = eval(&params);
+        (params, final_cost)
+    }
 
     /// A smooth convex test function: Σ (θ_i − 1)².
     fn quadratic(params: &[f64]) -> f64 {
@@ -298,6 +322,21 @@ mod tests {
             assert!(((plan[0][i] + plan[1][i]) / 2.0 - params[i]).abs() < 1e-12);
         }
         assert!(!spsa.is_single_parameter_stepped());
+    }
+
+    #[test]
+    fn plan_lengths_are_the_plans_the_optimizers_make() {
+        for p in [0, 1, 3, 10] {
+            let params = vec![0.1; p];
+            let [spsa, gd] = plan_lengths(p);
+            assert_eq!(SpsaOptimizer::new(1).iteration_plan(&params).len(), spsa);
+            assert_eq!(
+                GradientDescentOptimizer::new(0.1)
+                    .iteration_plan(&params)
+                    .len(),
+                gd
+            );
+        }
     }
 
     #[test]

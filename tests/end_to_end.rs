@@ -2,37 +2,47 @@
 
 use qtenon::baseline::{BaselineConfig, BaselineRunner};
 use qtenon::core::config::{CoreModel, QtenonConfig, SyncMode, TransmissionPolicy};
+use qtenon::core::report::RunReport;
 use qtenon::core::vqa::VqaRunner;
-use qtenon::sim_engine::SimDuration;
+use qtenon::quantum::sim::Simulator;
+use qtenon::sim_engine::{FaultPlan, OpCounter, SimDuration};
 use qtenon::workloads::{
-    GradientDescentOptimizer, Optimizer, SpsaOptimizer, Workload, WorkloadKind,
+    CostEvaluator, GradientDescentOptimizer, Optimizer, SpsaOptimizer, Workload, WorkloadKind,
 };
 
 const ITERS: usize = 2;
 const SHOTS: u64 = 100;
 const SEED: u64 = 7;
 
-fn qtenon(kind: WorkloadKind, n: u32, core: CoreModel) -> qtenon::core::report::RunReport {
+/// A Qtenon run, and the runner holding the trajectory it recorded.
+fn run_qtenon(kind: WorkloadKind, n: u32, core: CoreModel) -> (RunReport, VqaRunner) {
     let config = QtenonConfig::table4(n, core).unwrap();
     let workload = Workload::benchmark(kind, n, SEED).unwrap();
-    VqaRunner::new(config, workload)
-        .unwrap()
+    let mut runner = VqaRunner::new(config, workload).unwrap();
+    let report = runner
         .run(&mut SpsaOptimizer::new(SEED), ITERS, SHOTS)
-        .unwrap()
+        .unwrap();
+    (report, runner)
 }
 
-fn baseline(kind: WorkloadKind, n: u32) -> qtenon::core::report::RunReport {
+fn qtenon(kind: WorkloadKind, n: u32, core: CoreModel) -> RunReport {
+    run_qtenon(kind, n, core).0
+}
+
+/// A Qtenon run, and the baseline's timing of the trajectory it recorded.
+fn with_baseline(kind: WorkloadKind, n: u32, core: CoreModel) -> (RunReport, RunReport) {
+    let (report, runner) = run_qtenon(kind, n, core);
     let workload = Workload::benchmark(kind, n, SEED).unwrap();
-    BaselineRunner::new(BaselineConfig::default(), workload)
-        .run(&mut SpsaOptimizer::new(SEED), ITERS, SHOTS)
-        .unwrap()
+    let baseline = BaselineRunner::new(BaselineConfig::default(), workload)
+        .run(runner.trajectory())
+        .unwrap();
+    (report, baseline)
 }
 
 #[test]
 fn qtenon_beats_baseline_on_every_workload() {
     for kind in WorkloadKind::ALL {
-        let b = baseline(kind, 16);
-        let q = qtenon(kind, 16, CoreModel::Rocket);
+        let (q, b) = with_baseline(kind, 16, CoreModel::Rocket);
         assert!(
             b.total > q.total,
             "{kind}: baseline {} should exceed qtenon {}",
@@ -51,8 +61,7 @@ fn end_to_end_speedup_grows_with_qubits() {
     // The paper's central scaling trend (Figs. 11b/12b).
     let mut last = 0.0;
     for n in [8u32, 24, 48] {
-        let b = baseline(WorkloadKind::Vqe, n);
-        let q = qtenon(WorkloadKind::Vqe, n, CoreModel::Rocket);
+        let (q, b) = with_baseline(WorkloadKind::Vqe, n, CoreModel::Rocket);
         let speedup = b.total.as_ns() / q.total.as_ns();
         assert!(
             speedup > last,
@@ -64,8 +73,7 @@ fn end_to_end_speedup_grows_with_qubits() {
 
 #[test]
 fn quantum_dominates_qtenon_but_not_baseline() {
-    let q = qtenon(WorkloadKind::Vqe, 32, CoreModel::BoomLarge);
-    let b = baseline(WorkloadKind::Vqe, 32);
+    let (q, b) = with_baseline(WorkloadKind::Vqe, 32, CoreModel::BoomLarge);
     assert!(q.exposed_shares()[0] > 0.5, "qtenon quantum share too low");
     assert!(
         b.exposed_shares()[0] < 0.35,
@@ -73,16 +81,94 @@ fn quantum_dominates_qtenon_but_not_baseline() {
     );
 }
 
+/// The VQA loop written out apart from `VqaRunner`: bind →
+/// `Simulator::fast` → `CostEvaluator::mean_over` → optimizer step.
+/// Returns each iteration's evaluation count, optimizer ops and mean
+/// cost.
+fn reference_loop(
+    workload: &Workload,
+    optimizer: &mut dyn Optimizer,
+    iterations: usize,
+    shots: u64,
+) -> Vec<(usize, OpCounter, f64)> {
+    let mut sim = Simulator::fast(workload.n_qubits(), SEED);
+    let evaluator = CostEvaluator::new(&workload.hamiltonian);
+    let mut params = workload.initial_params.clone();
+    let mut out = Vec::new();
+    for _ in 0..iterations {
+        let plan = optimizer.iteration_plan(&params);
+        let evals: Vec<f64> = plan
+            .iter()
+            .map(|p| {
+                let bound = workload.circuit.bind(p).unwrap();
+                let results = sim.run(&bound, shots).unwrap();
+                evaluator.mean_over(&results, &mut OpCounter::new())
+            })
+            .collect();
+        let mut ops = OpCounter::new();
+        params = optimizer.update(&params, &plan, &evals, &mut ops);
+        let mean = evals.iter().sum::<f64>() / evals.len().max(1) as f64;
+        out.push((plan.len(), ops, mean));
+    }
+    out
+}
+
 #[test]
-fn both_systems_produce_identical_physics() {
-    // Same workload, same seeds, same optimizer: both systems sample the
-    // same simulated chip, so their cost trajectories must agree.
-    let kind = WorkloadKind::Qaoa;
-    let q = qtenon(kind, 8, CoreModel::Rocket);
-    let b = baseline(kind, 8);
-    assert_eq!(q.cost_history.len(), b.cost_history.len());
-    for (a, c) in q.cost_history.iter().zip(&b.cost_history) {
-        assert!((a - c).abs() < 1e-9, "cost divergence: {a} vs {c}");
+fn trajectories_match_an_independent_reference_loop_bitwise() {
+    // Every Qtenon variant samples the same simulated chip, so each
+    // trajectory must equal the reference loop bit for bit. 100 shots
+    // leave a 36-shot tail block after the last full 64-shot block.
+    let variants = |n: u32| {
+        let boom = QtenonConfig::table4(n, CoreModel::BoomLarge)
+            .unwrap()
+            .with_seed(SEED);
+        [
+            ("boom-l fine batched", boom),
+            (
+                "rocket",
+                QtenonConfig::table4(n, CoreModel::Rocket)
+                    .unwrap()
+                    .with_seed(SEED),
+            ),
+            ("fence", boom.with_sync(SyncMode::Fence)),
+            (
+                "immediate",
+                boom.with_transmission(TransmissionPolicy::Immediate),
+            ),
+            ("faulty", boom.with_faults(FaultPlan::all(0.05))),
+        ]
+    };
+    for kind in WorkloadKind::ALL {
+        for n in [8, 16] {
+            for gd in [false, true] {
+                let optimizer = || -> Box<dyn Optimizer> {
+                    if gd {
+                        Box::new(GradientDescentOptimizer::new(0.05))
+                    } else {
+                        Box::new(SpsaOptimizer::new(SEED))
+                    }
+                };
+                let workload = Workload::benchmark(kind, n, SEED).unwrap();
+                let reference = reference_loop(&workload, optimizer().as_mut(), ITERS, SHOTS);
+                for (name, config) in variants(n) {
+                    let mut runner = VqaRunner::new(config, workload.clone()).unwrap();
+                    runner.run(optimizer().as_mut(), ITERS, SHOTS).unwrap();
+                    let trajectory = runner.trajectory();
+                    assert_eq!(trajectory.n_qubits, n);
+                    assert_eq!(trajectory.shots, SHOTS);
+                    let recorded: Vec<(usize, OpCounter, u64)> = trajectory
+                        .iterations
+                        .iter()
+                        .map(|it| (it.evaluations, it.optimizer_ops, it.mean_cost.to_bits()))
+                        .collect();
+                    let expected: Vec<(usize, OpCounter, u64)> = reference
+                        .iter()
+                        .map(|&(evals, ops, mean)| (evals, ops, mean.to_bits()))
+                        .collect();
+                    assert_eq!(recorded, expected, "{kind}-{n} gd={gd} {name}");
+                }
+            }
+        }
     }
 }
 
@@ -213,11 +299,9 @@ fn boom_never_slower_than_rocket() {
 fn larger_systems_take_longer_on_both_sides() {
     {
         let (small, large) = (8u32, 32u32);
-        let qs = qtenon(WorkloadKind::Vqe, small, CoreModel::Rocket);
-        let ql = qtenon(WorkloadKind::Vqe, large, CoreModel::Rocket);
+        let (qs, bs) = with_baseline(WorkloadKind::Vqe, small, CoreModel::Rocket);
+        let (ql, bl) = with_baseline(WorkloadKind::Vqe, large, CoreModel::Rocket);
         assert!(ql.total > qs.total);
-        let bs = baseline(WorkloadKind::Vqe, small);
-        let bl = baseline(WorkloadKind::Vqe, large);
         assert!(bl.total > bs.total);
     }
 }

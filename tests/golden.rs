@@ -22,7 +22,7 @@ use qtenon_quantum::Circuit;
 use qtenon_sim_engine::{
     FaultPlan, FaultSite, MetricValue, MetricsRegistry, MetricsSnapshot, SimDuration, SimTime,
 };
-use qtenon_workloads::{SpsaOptimizer, Workload, WorkloadKind};
+use qtenon_workloads::{Optimizer, SpsaOptimizer, Workload, WorkloadKind};
 
 /// A fixed tiny scale so golden bytes are stable and cheap to produce.
 fn golden_scale() -> ExperimentScale {
@@ -489,11 +489,26 @@ fn run_reports() -> String {
         &cut,
     );
 
-    let workload = Workload::benchmark(WorkloadKind::Qaoa, 8, scale.seed).expect("workload");
-    let baseline = BaselineRunner::new(BaselineConfig::default(), workload)
-        .run(&mut SpsaOptimizer::new(7), scale.iterations, scale.shots)
-        .expect("run succeeds");
-    render_report(&mut out, "baseline qaoa8-spsa", &baseline);
+    // The baseline times the trajectory of a Qtenon run under the
+    // default config (chip seed 0x51).
+    let baseline = |kind: WorkloadKind, n: u32, optimizer: &mut dyn Optimizer, iterations| {
+        let workload = Workload::benchmark(kind, n, scale.seed).expect("workload");
+        let config = QtenonConfig::table4(n, CoreModel::Rocket).expect("valid config");
+        let mut qtenon = VqaRunner::new(config, workload.clone()).expect("runner builds");
+        qtenon
+            .run(optimizer, iterations, scale.shots)
+            .expect("run succeeds");
+        BaselineRunner::new(BaselineConfig::default(), workload)
+            .run(qtenon.trajectory())
+            .expect("the trajectory is this workload's")
+    };
+    let report = baseline(
+        WorkloadKind::Qaoa,
+        8,
+        &mut SpsaOptimizer::new(7),
+        scale.iterations,
+    );
+    render_report(&mut out, "baseline qaoa8-spsa", &report);
 
     // The baseline across the workload grid, two iterations each, with
     // the cost history it reports. VQE-16 is past the exact limit.
@@ -506,12 +521,9 @@ fn run_reports() -> String {
         ("qnn8-gd", WorkloadKind::Qnn, 8, JobOptimizer::Gd),
         ("vqe16-gd", WorkloadKind::Vqe, 16, JobOptimizer::Gd),
     ] {
-        let workload = Workload::benchmark(kind, n, scale.seed).expect("workload");
-        let baseline = BaselineRunner::new(BaselineConfig::default(), workload)
-            .run(optimizer.build(scale.seed).as_mut(), 2, scale.shots)
-            .expect("run succeeds");
-        render_report(&mut out, &format!("baseline {name} x2"), &baseline);
-        writeln!(out, "cost_history {:?}", baseline.cost_history).unwrap();
+        let report = baseline(kind, n, optimizer.build(scale.seed).as_mut(), 2);
+        render_report(&mut out, &format!("baseline {name} x2"), &report);
+        writeln!(out, "cost_history {:?}", report.cost_history).unwrap();
     }
     out
 }
