@@ -148,8 +148,8 @@ impl BaselineRunner {
     /// # Errors
     ///
     /// Returns [`SystemError::Config`] if the trajectory is of another
-    /// width, or holds an iteration whose evaluation count no plan over
-    /// this workload's parameters makes.
+    /// width or parameter count, or holds an iteration whose evaluation
+    /// count no plan over this workload's parameters makes.
     pub fn run(&self, trajectory: &Trajectory) -> Result<RunReport, SystemError> {
         let n_qubits = self.workload.n_qubits();
         let params = self.workload.num_params();
@@ -158,7 +158,7 @@ impl BaselineRunner {
             .iterations
             .iter()
             .all(|it| plans.contains(&it.evaluations));
-        if trajectory.n_qubits != n_qubits || !fits {
+        if trajectory.n_qubits != n_qubits || trajectory.n_params != params || !fits {
             return Err(SystemError::Config(format!(
                 "the trajectory is not a run of this {n_qubits}-qubit, {params}-parameter workload"
             )));
@@ -333,6 +333,20 @@ mod tests {
                 Err(SystemError::Config(_))
             ));
         }
+
+        // Another workload of the same width: the benchmark QAOA-8 has 10
+        // parameters, VQE-8 32, and SPSA's 2 evaluations fit both.
+        let (qaoa, vqe) = (
+            Workload::benchmark(WorkloadKind::Qaoa, 8, 1).unwrap(),
+            Workload::benchmark(WorkloadKind::Vqe, 8, 1).unwrap(),
+        );
+        assert_eq!((qaoa.num_params(), vqe.num_params()), (10, 32));
+        let trajectory = record(&qaoa, &mut SpsaOptimizer::new(5), 2, 10);
+        assert!(runner(qaoa).run(&trajectory).is_ok());
+        assert!(matches!(
+            runner(vqe).run(&trajectory),
+            Err(SystemError::Config(_))
+        ));
     }
 
     #[test]

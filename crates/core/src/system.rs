@@ -864,6 +864,7 @@ impl QtenonSystem {
             m.counter("quantum.fuse.gates_fused", f.gates_fused);
             m.counter("quantum.fuse.runs", f.runs);
             m.counter("quantum.fuse.fused_runs", f.fused_runs);
+            m.counter("quantum.fuse.blocks", f.blocks);
             m.counter("quantum.fuse.identities_elided", f.identities_elided);
             m.counter("quantum.fuse.kernels.diag", f.diag_kernels);
             m.counter("quantum.fuse.kernels.general", f.general_kernels);
@@ -1111,6 +1112,10 @@ mod tests {
         assert_eq!(
             exact.get("quantum.fuse.kernels.cz"),
             Some(&MetricValue::Counter(1))
+        );
+        assert_eq!(
+            exact.get("quantum.fuse.blocks"),
+            Some(&MetricValue::Counter(0))
         );
         // 64 qubits: mean-field backend, namespace absent entirely.
         let mean_field = run(64);

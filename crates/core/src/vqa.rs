@@ -138,6 +138,8 @@ pub struct IterationRecord {
 pub struct Trajectory {
     /// Width of the workload that ran.
     pub n_qubits: u32,
+    /// Parameter count of the workload that ran.
+    pub n_params: usize,
     /// Shots per evaluation.
     pub shots: u64,
     /// The completed iterations, in order.
@@ -372,6 +374,7 @@ impl VqaRunner {
         self.iterations = SpanStats::default();
         self.trajectory = Trajectory {
             n_qubits: config.n_qubits,
+            n_params: self.workload.num_params(),
             shots,
             iterations: Vec::with_capacity(iterations),
         };

@@ -1,14 +1,15 @@
 //! Statevector gate kernels over split-complex storage.
 //!
 //! Every gate the exact simulator executes bottoms out here. The layer
-//! has one hard contract: **a [`Kernel1Q`] sweep is bitwise identical no
-//! matter how the sweep is batched or compiled.** The state is two `f64`
-//! arrays, `re` and `im`, and pair `i` of qubit `q` is amplitude `i` and
-//! amplitude `i | 1<<q`. Each plan op is one sweep over every pair: a
-//! fused run arrives already multiplied into one kernel
-//! ([`crate::fuse::plan`]). A sweep is a monomorphic loop over matching
-//! lo/hi slices of both arrays, or over a gathered group's lanes, chosen
-//! once per block or group, never per pair:
+//! has one hard contract: **a [`Kernel1Q`] or [`Mat4`] sweep is bitwise
+//! identical no matter how the sweep is batched or compiled.** The state
+//! is two `f64` arrays, `re` and `im`, and pair `i` of qubit `q` is
+//! amplitude `i` and amplitude `i | 1<<q`. Each plan op is one sweep over
+//! every pair, or over every quadruple of a two-qubit block: a fused run
+//! or block arrives already multiplied into one kernel
+//! ([`crate::fuse::plan`]). A single-qubit sweep is a monomorphic loop
+//! over matching lo/hi slices of both arrays, or over a gathered group's
+//! lanes, chosen once per block or group, never per pair:
 //!
 //! - [`Kernel1Q::Diag`]: diagonal gates (RZ and friends) scale each
 //!   amplitude with a single complex multiply — 4× fewer flops and half
@@ -30,7 +31,21 @@
 //!   aligned group of 4 among the n/2 amplitudes with the higher bit set
 //!   (one XOR with a constant sign mask per group, branch-free); every
 //!   other operand pair enumerates only the n/4 basis states with both
-//!   operand bits set instead of scanning and testing all n.
+//!   operand bits set instead of scanning and testing all n;
+//! - `apply_block`: a two-qubit block on qubits `lo < hi` sweeps its 4×4
+//!   product over every quadruple `i`, `i | 1<<lo`, `i | 1<<hi`,
+//!   `i | 1<<lo | 1<<hi` (basis indices 0–3), as
+//!   `m[r][0]·a0 + m[r][1]·a1 + m[r][2]·a2 + m[r][3]·a3` added left to
+//!   right. It always sweeps 4 quadruples at once, held in local 4-lane
+//!   arrays, one array per amplitude index and component: lane `p` is
+//!   quadruple `p`. When `lo` is at least 3 the lanes are 4 contiguous
+//!   amplitudes of each of the four quarters `lo`/`hi` cut a block of
+//!   `2·2^hi` amplitudes into. Pairs that hold qubit 0, 1 or 2 gather the
+//!   lanes instead, from an aligned group of 16 amplitudes, which holds 4
+//!   whole quadruples, when both qubits are below 4; otherwise matching
+//!   groups of 8 from the `hi`-clear and `hi`-set halves are joined into
+//!   such a group first. Local arrays cannot alias the state, so the
+//!   sweep stays vectorised at every stride.
 //!
 //! Each output component is the expression the `C64` operators compute
 //! for it: the same products of the same operands, added in the same
@@ -49,11 +64,11 @@
 //! the same matrix only in the IEEE sign of exactly-zero results.
 //!
 //! The naive reference loops survive as `#[doc(hidden)]`
-//! `apply_matrix2_reference`/`apply_cz_reference` on
-//! [`crate::StateVector`], and the baseline instance as
+//! `apply_matrix2_reference`/`apply_matrix4_reference`/`apply_cz_reference`
+//! on [`crate::StateVector`], and the baseline instance as
 //! `apply_plan_baseline`; `crates/quantum/tests/kernel_equiv.rs` proves
 //! the equivalences on every CI run, and `stride_props.rs` pins the raw
-//! bits of both instances at every stride and CZ operand pair
+//! bits of both instances at every stride, CZ operand pair and block pair
 //! (DESIGN.md §13).
 
 use crate::fuse::PlanOp;
@@ -112,6 +127,29 @@ pub fn compose(outer: &Mat2, inner: &Mat2) -> Mat2 {
         }
     }
     out
+}
+
+/// A 4×4 complex matrix over a qubit pair `lo < hi`, row-major:
+/// `m[row][col]`, where basis index `k` is `bit(lo) + 2·bit(hi)`.
+pub type Mat4 = [[C64; 4]; 4];
+
+/// The 4×4 identity: a block's product before its first part.
+pub const IDENTITY4: Mat4 = {
+    let (o, l) = (C64::ZERO, C64::ONE);
+    [[l, o, o, o], [o, l, o, o], [o, o, l, o], [o, o, o, l]]
+};
+
+/// Multiplies a 2×2 kernel on one qubit of a pair into a block's product
+/// on the left: `p ← (m on that qubit)·p`, with `bit` 1 for `lo` and 2 for
+/// `hi`. Each row pair `(r, r | bit)` is updated as [`compose`] computes an
+/// entry, `m[i][0]·p[r][c] + m[i][1]·p[r | bit][c]`: how
+/// [`crate::fuse::plan`] lifts a run into a two-qubit block.
+pub fn lift(p: &mut Mat4, bit: usize, m: &Mat2) {
+    for r in (0..4).filter(|r| r & bit == 0) {
+        let (x0, x1) = (p[r], p[r | bit]);
+        p[r] = std::array::from_fn(|c| m[0][0] * x0[c] + m[0][1] * x1[c]);
+        p[r | bit] = std::array::from_fn(|c| m[1][0] * x0[c] + m[1][1] * x1[c]);
+    }
 }
 
 fn is_positive_zero(x: f64) -> bool {
@@ -278,14 +316,16 @@ fn apply_ops_avx2(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
     apply_ops_body(re, im, ops);
 }
 
-/// Every op in order: single-qubit kernels by [`apply_kernel`], CZs by
-/// enumeration ([`apply_cz`]). Everything below it is `#[inline(always)]`,
-/// so each instance compiles the whole body for its own target features.
+/// Every op in order: single-qubit kernels by [`apply_kernel`], two-qubit
+/// blocks by [`apply_block`], CZs by enumeration ([`apply_cz`]).
+/// Everything below it is `#[inline(always)]`, so each instance compiles
+/// the whole body for its own target features.
 #[inline(always)]
 fn apply_ops_body(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
     for op in ops {
         match op {
             PlanOp::Run { qubit, kernel } => apply_kernel(re, im, *qubit, kernel),
+            PlanOp::Block2 { lo, hi, kernel } => apply_block(re, im, *lo, *hi, kernel),
             PlanOp::Cz { a, b } => apply_cz(re, im, *a, *b),
         }
     }
@@ -403,6 +443,221 @@ fn sweep(
                 (re_lo[i], im_lo[i]) = (b0.re, b0.im);
                 (re_hi[i], im_hi[i]) = (b1.re, b1.im);
             }
+        }
+    }
+}
+
+/// Sweeps one 4×4 kernel over every quadruple of qubits `lo < hi`: the
+/// amplitudes `i`, `i | 1<<lo`, `i | 1<<hi` and `i | 1<<lo | 1<<hi`
+/// (basis indices 0–3 of [`Mat4`]) for each `i` with both bits clear.
+/// Every path sweeps groups of 4 quadruples held in local 4-lane arrays
+/// ([`sweep4`]): pairs that hold qubit 0, 1 or 2 gather each group's
+/// amplitudes from an aligned group of 16 ([`sweep_group`]), joined from
+/// matching groups of 8 in the halves of the higher qubit when it is 4 or
+/// more ([`gathered_split`]); the rest load 4 contiguous lanes of each
+/// quarter ([`quads`]).
+#[inline(always)]
+pub(crate) fn apply_block(re: &mut [f64], im: &mut [f64], lo: u32, hi: u32, m: &Mat4) {
+    debug_assert!(
+        lo < hi && 1usize << hi < re.len(),
+        "pair ({lo}, {hi}) out of range"
+    );
+    debug_assert_eq!(re.len(), im.len());
+    match (lo, hi) {
+        // States of 4 or 8 amplitudes hold no group of 16 to gather.
+        _ if re.len() < 16 => singles(re, im, 1 << lo, 1 << hi, m),
+        (0, 1) => gathered_low::<1, 2>(re, im, m),
+        (0, 2) => gathered_low::<1, 4>(re, im, m),
+        (0, 3) => gathered_low::<1, 8>(re, im, m),
+        (1, 2) => gathered_low::<2, 4>(re, im, m),
+        (1, 3) => gathered_low::<2, 8>(re, im, m),
+        (2, 3) => gathered_low::<4, 8>(re, im, m),
+        (0, _) => gathered_split::<1>(re, im, 1 << hi, m),
+        (1, _) => gathered_split::<2>(re, im, 1 << hi, m),
+        (2, _) => gathered_split::<4>(re, im, 1 << hi, m),
+        _ => quads(re, im, 1 << lo, 1 << hi, m),
+    }
+}
+
+/// One component of 4 quadruples: `[k][p]` is amplitude `k` of
+/// quadruple `p`.
+type Lanes = [[f64; 4]; 4];
+
+/// Strides `slo < shi` of at least 8: each block of `2·shi` amplitudes
+/// has a `hi`-clear and a `hi`-set half, each of those a `lo`-clear and a
+/// `lo`-set quarter per `2·slo` amplitudes. Four lanes at a time of the
+/// four matching quarters are copied into local arrays, swept, and copied
+/// back: the sweep never reads through a pointer that a store could alias,
+/// so it stays vectorised at every stride.
+#[inline(always)]
+fn quads(re: &mut [f64], im: &mut [f64], slo: usize, shi: usize, m: &Mat4) {
+    for (re, im) in re
+        .chunks_exact_mut(shi << 1)
+        .zip(im.chunks_exact_mut(shi << 1))
+    {
+        let (re_0, re_1) = re.split_at_mut(shi);
+        let (im_0, im_1) = im.split_at_mut(shi);
+        let quarters = re_0
+            .chunks_exact_mut(slo << 1)
+            .zip(re_1.chunks_exact_mut(slo << 1))
+            .zip(
+                im_0.chunks_exact_mut(slo << 1)
+                    .zip(im_1.chunks_exact_mut(slo << 1)),
+            );
+        for ((re_0, re_1), (im_0, im_1)) in quarters {
+            let (re_00, re_01) = re_0.split_at_mut(slo);
+            let (re_10, re_11) = re_1.split_at_mut(slo);
+            let (im_00, im_01) = im_0.split_at_mut(slo);
+            let (im_10, im_11) = im_1.split_at_mut(slo);
+            // Re-slicing to one length lets LLVM drop every bounds check.
+            let n = slo / 4;
+            let mut re_q = [re_00, re_01, re_10, re_11].map(|x| &mut x.as_chunks_mut().0[..n]);
+            let mut im_q = [im_00, im_01, im_10, im_11].map(|x| &mut x.as_chunks_mut().0[..n]);
+            for j in 0..n {
+                let mut re4 = re_q.each_ref().map(|x| x[j]);
+                let mut im4 = im_q.each_ref().map(|x| x[j]);
+                sweep4(&mut re4, &mut im4, m);
+                for (x, lane) in re_q.iter_mut().zip(re4) {
+                    x[j] = lane;
+                }
+                for (x, lane) in im_q.iter_mut().zip(im4) {
+                    x[j] = lane;
+                }
+            }
+        }
+    }
+}
+
+/// Where amplitude `k` of quadruple `p` sits in an aligned group of 16
+/// amplitudes, for strides `slo < shi` of at most 8: the quadruples are
+/// based at the 4 indices below 16 with neither bit set, ascending.
+const fn low_quads(slo: usize, shi: usize) -> [[usize; 4]; 4] {
+    let mut at = [[0; 4]; 4];
+    let (mut i, mut p) = (0, 0);
+    while p < 4 {
+        if i & (slo | shi) == 0 {
+            at[0][p] = i;
+            at[1][p] = i | slo;
+            at[2][p] = i | shi;
+            at[3][p] = i | slo | shi;
+            p += 1;
+        }
+        i += 1;
+    }
+    at
+}
+
+/// Pairs `(lo, hi)` with `hi` at most 3, on states of at least 16
+/// amplitudes: each aligned group of 16 holds 4 whole quadruples.
+#[inline(always)]
+fn gathered_low<const SLO: usize, const SHI: usize>(re: &mut [f64], im: &mut [f64], m: &Mat4) {
+    let groups = re
+        .as_chunks_mut::<16>()
+        .0
+        .iter_mut()
+        .zip(im.as_chunks_mut::<16>().0);
+    for (re, im) in groups {
+        sweep_group::<SLO, SHI>(re, im, m);
+    }
+}
+
+/// Pairs `(lo, hi)` with `lo` at most 2 and `hi` at least 4: the `hi`-clear
+/// and `hi`-set halves of each block of `2·shi` amplitudes are cut into
+/// matching groups of 8. Each such pair of groups, joined into one group
+/// of 16 with the `hi`-set group above, holds 4 whole quadruples of the
+/// pair `(lo, 3)` of that group.
+#[inline(always)]
+fn gathered_split<const SLO: usize>(re: &mut [f64], im: &mut [f64], shi: usize, m: &Mat4) {
+    for (re, im) in re
+        .chunks_exact_mut(shi << 1)
+        .zip(im.chunks_exact_mut(shi << 1))
+    {
+        let (re_0, re_1) = re.split_at_mut(shi);
+        let (im_0, im_1) = im.split_at_mut(shi);
+        let groups = re_0
+            .as_chunks_mut::<8>()
+            .0
+            .iter_mut()
+            .zip(re_1.as_chunks_mut::<8>().0)
+            .zip(
+                im_0.as_chunks_mut::<8>()
+                    .0
+                    .iter_mut()
+                    .zip(im_1.as_chunks_mut::<8>().0),
+            );
+        for ((re_0, re_1), (im_0, im_1)) in groups {
+            let join = |x0: &[f64; 8], x1: &[f64; 8]| -> [f64; 16] {
+                std::array::from_fn(|i| if i < 8 { x0[i] } else { x1[i - 8] })
+            };
+            let (mut re16, mut im16) = (join(re_0, re_1), join(im_0, im_1));
+            sweep_group::<SLO, 8>(&mut re16, &mut im16, m);
+            for (x, y) in [re_0, re_1, im_0, im_1].into_iter().zip([
+                &re16[..8],
+                &re16[8..],
+                &im16[..8],
+                &im16[8..],
+            ]) {
+                x.copy_from_slice(y);
+            }
+        }
+    }
+}
+
+/// The 4 quadruples of an aligned group of 16 amplitudes and strides
+/// `SLO < SHI` of at most 8 ([`low_quads`]): gathered into 4-lane arrays,
+/// swept, and scattered back.
+#[inline(always)]
+fn sweep_group<const SLO: usize, const SHI: usize>(
+    re: &mut [f64; 16],
+    im: &mut [f64; 16],
+    m: &Mat4,
+) {
+    let at = const { low_quads(SLO, SHI) };
+    let mut re4: Lanes = std::array::from_fn(|k| std::array::from_fn(|p| re[at[k][p]]));
+    let mut im4: Lanes = std::array::from_fn(|k| std::array::from_fn(|p| im[at[k][p]]));
+    sweep4(&mut re4, &mut im4, m);
+    for k in 0..4 {
+        for p in 0..4 {
+            re[at[k][p]] = re4[k][p];
+        }
+    }
+    for k in 0..4 {
+        for p in 0..4 {
+            im[at[k][p]] = im4[k][p];
+        }
+    }
+}
+
+/// States of 4 or 8 amplitudes: each quadruple alone, in lane 0 of a
+/// sweep whose other lanes hold zeros.
+#[inline(always)]
+fn singles(re: &mut [f64], im: &mut [f64], slo: usize, shi: usize, m: &Mat4) {
+    for i in (0..re.len()).filter(|i| i & (slo | shi) == 0) {
+        let at = [i, i | slo, i | shi, i | slo | shi];
+        let (mut re4, mut im4) = ([[0.0; 4]; 4], [[0.0; 4]; 4]);
+        for (k, &j) in at.iter().enumerate() {
+            (re4[k][0], im4[k][0]) = (re[j], im[j]);
+        }
+        sweep4(&mut re4, &mut im4, m);
+        for (k, &j) in at.iter().enumerate() {
+            (re[j], im[j]) = (re4[k][0], im4[k][0]);
+        }
+    }
+}
+
+/// One 4×4 kernel over 4 quadruples. This loop defines the
+/// floating-point behaviour of every block: output `r` is
+/// `m[r][0]·a0 + m[r][1]·a1 + m[r][2]·a2 + m[r][3]·a3` with the `C64`
+/// operators, added left to right, as
+/// [`crate::StateVector::apply_matrix4_reference`] computes it.
+#[inline(always)]
+fn sweep4(re: &mut Lanes, im: &mut Lanes, m: &Mat4) {
+    let (x, y) = (*re, *im);
+    for (r, row) in m.iter().enumerate() {
+        for p in 0..4 {
+            let a = |k: usize| C64::new(x[k][p], y[k][p]);
+            let b = row[0] * a(0) + row[1] * a(1) + row[2] * a(2) + row[3] * a(3);
+            (re[r][p], im[r][p]) = (b.re, b.im);
         }
     }
 }

@@ -192,6 +192,36 @@ impl StateVector {
         }
     }
 
+    /// The naive reference for a two-qubit block sweep: a scanning loop
+    /// that applies `m` to the amplitudes `i`, `i | 1<<lo`, `i | 1<<hi` and
+    /// `i | 1<<lo | 1<<hi` of every `i` with both bits clear, each output
+    /// `m[r][0]·a0 + m[r][1]·a1 + m[r][2]·a2 + m[r][3]·a3` with the `C64`
+    /// operators. `lo` names basis bit 0 of `m` and `hi` bit 1, in either
+    /// order. Kept (hidden) as the ground truth the kernel tests compare
+    /// every [`PlanOp::Block2`] sweep against; not part of the public API.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either qubit is out of range or they coincide.
+    #[doc(hidden)]
+    pub fn apply_matrix4_reference(&mut self, lo: u32, hi: u32, m: kernels::Mat4) {
+        assert!(
+            lo < self.n_qubits && hi < self.n_qubits,
+            "qubit out of range"
+        );
+        assert_ne!(lo, hi, "block qubits must differ");
+        let (slo, shi) = (1usize << lo, 1usize << hi);
+        let (re, im) = self.parts_mut();
+        for i in (0..re.len()).filter(|i| i & (slo | shi) == 0) {
+            let at = [i, i | slo, i | shi, i | slo | shi];
+            let a = at.map(|j| C64::new(re[j], im[j]));
+            for (row, j) in m.iter().zip(at) {
+                let b = row[0] * a[0] + row[1] * a[1] + row[2] * a[2] + row[3] * a[3];
+                (re[j], im[j]) = (b.re, b.im);
+            }
+        }
+    }
+
     /// Applies RX(θ) = exp(-iθX/2).
     pub fn apply_rx(&mut self, q: u32, theta: f64) {
         self.apply_matrix2(q, kernels::mat_rx(theta));
@@ -241,9 +271,9 @@ impl StateVector {
     }
 
     /// Executes a lowered plan (see [`fuse::plan`]): one sweep per
-    /// single-qubit kernel, CZs via the masked or enumerating kernel, all
-    /// through the widest kernel instance the CPU supports (DESIGN.md
-    /// §13).
+    /// single-qubit kernel and per two-qubit block, CZs via the masked or
+    /// enumerating kernel, all through the widest kernel instance the CPU
+    /// supports (DESIGN.md §13).
     ///
     /// # Panics
     ///
@@ -264,13 +294,19 @@ impl StateVector {
         kernels::apply_ops_baseline(re, im, &plan.ops);
     }
 
-    /// Panics unless every qubit the plan names is in range and every CZ
-    /// names two different qubits.
+    /// Panics unless every qubit the plan names is in range, every CZ
+    /// names two different qubits and every block two ascending ones.
     fn check_plan(&self, plan: &ExecPlan) {
         for op in &plan.ops {
             match *op {
                 PlanOp::Run { qubit, .. } => {
                     assert!(qubit < self.n_qubits, "qubit {qubit} out of range");
+                }
+                PlanOp::Block2 { lo, hi, .. } => {
+                    assert!(
+                        lo < hi && hi < self.n_qubits,
+                        "block ({lo}, {hi}) out of range"
+                    );
                 }
                 PlanOp::Cz { a, b } => {
                     assert!(a < self.n_qubits && b < self.n_qubits, "qubit out of range");

@@ -9,8 +9,9 @@
 //!     before the kernel layer existed;
 //! (b) the **per-gate kernels**: the unfused plan (every gate its own
 //!     classified kernel sweep) — what `apply_circuit` runs today;
-//! (c) the **fused plan**: every adjacent same-qubit run multiplied into
-//!     one 2×2 kernel and swept once.
+//! (c) the **fused plan**: each qubit's runs multiplied into one 2×2
+//!     kernel, and each two-qubit block that pays multiplied into one 4×4
+//!     kernel, each swept once.
 //!
 //! and asserts:
 //!
@@ -21,8 +22,9 @@
 //!   downstream artefact (probabilities, expectations, samples) squares
 //!   that sign away;
 //! - (b) vs (c) within `FuseStats::composition_bound`, the rounding
-//!   bound DESIGN.md §13 derives from the run lengths; plans without a
-//!   run of two or more are identical, and so are their bits.
+//!   bound DESIGN.md §13 derives from the plan's counts; plans without a
+//!   run of two or more or a kept block are identical, and so are their
+//!   bits.
 //!
 //! Sampled artefacts (the bitstrings jobs actually consume) must match
 //! **byte-for-byte across all three paths**, serial and sharded — the
@@ -30,11 +32,13 @@
 //! both pool widths.
 //!
 //! Finally, the dispatched kernel instance (AVX2 where the CPU has it)
-//! must be raw bitwise identical to the baseline-target instance.
+//! must be raw bitwise identical to the baseline-target instance, and
+//! both must sweep a block exactly as `apply_matrix4_reference` does.
 
 use qtenon_quantum::fuse::{plan, run_matrix, ExecPlan, FuseStats, PlanOp};
-use qtenon_quantum::kernels::{compose, mat_rx, mat_ry, mat_rz, Kernel1Q};
+use qtenon_quantum::kernels::{compose, lift, mat_rx, mat_ry, mat_rz, Kernel1Q, Mat4, IDENTITY4};
 use qtenon_quantum::sim::Simulator;
+use qtenon_quantum::statevector::C64;
 use qtenon_quantum::{transpile, Angle, BitString, Circuit, Gate, StateVector};
 use qtenon_sim_engine::rng::{splitmix64, unit};
 use std::f64::consts::{FRAC_PI_2, PI};
@@ -204,15 +208,18 @@ fn matrix_threads() -> u64 {
 
 #[test]
 fn fused_execution_stays_within_the_composition_bound() {
-    let mut composed = 0;
+    let (mut composed, mut blocks) = (0, 0);
     for (sweep, circuit) in SWEEPS {
         for seed in 0..CIRCUITS as u64 {
             let c = circuit(seed);
             assert_fused_within_bound(&c, &format!("{sweep} seed {seed}"));
-            composed += plan(&c, true).unwrap().stats.fused_runs;
+            let stats = plan(&c, true).unwrap().stats;
+            composed += stats.fused_runs;
+            blocks += stats.blocks;
         }
     }
     assert!(composed > 0, "no sweep composed a run");
+    assert!(blocks > 0, "no sweep kept a block");
 }
 
 #[test]
@@ -413,19 +420,46 @@ fn fusion_algebra_rz_angles_add() {
 }
 
 #[test]
-fn fusion_refused_across_cz_barriers() {
-    // Same-qubit rotations on both sides of a CZ must stay in separate
-    // runs — and the circuit-level result must match the reference.
+fn vqe_style_blocks_plan_as_their_parts() {
+    // RY·CZ·RY on a pair costs less swept gate by gate than as one 4×4
+    // sweep, so the block is refused: the fused plan is the per-gate
+    // plan, and matches the reference.
     let mut c = Circuit::new(2);
     c.ry(0, 0.8).cz(0, 1).ry(0, -0.8).measure_all();
     let p = plan(&c, true).unwrap();
-    assert_eq!(p.stats.fused_runs, 0, "fusion leaked across a CZ barrier");
+    assert_eq!((p.stats.blocks, p.stats.fused_runs), (0, 0));
     assert_eq!(p.ops.len(), 3);
-    assert_plans_identical(&c, "CZ barrier");
+    assert_plans_identical(&c, "refused block");
     assert_eq!(
         canonical_bits(&reference_state(&c)),
         canonical_bits(&kernel_state(&c, true))
     );
+}
+
+#[test]
+fn qaoa_style_blocks_sweep_their_product_once() {
+    // One QAOA edge, CX·RZ·CX after an H on each qubit: every gate lands
+    // in one block, swept once as the reference sweeps its product.
+    let mut l = Circuit::new(3);
+    l.h(0).h(1).cx(0, 1).rz(1, 0.7).cx(0, 1).measure_all();
+    let c = transpile::to_native(&l).unwrap();
+    let p = plan(&c, true).unwrap();
+    let [PlanOp::Block2 {
+        lo: 0,
+        hi: 1,
+        kernel,
+    }] = p.ops[..]
+    else {
+        panic!("expected one block, got {:?}", p.ops);
+    };
+    assert_eq!(
+        (p.stats.blocks, p.stats.runs, p.stats.cz_kernels),
+        (1, 0, 0)
+    );
+    let mut reference = StateVector::new(3).unwrap();
+    reference.apply_matrix4_reference(0, 1, kernel);
+    assert_eq!(raw_bits(&reference), raw_bits(&kernel_state(&c, true)));
+    assert_fused_within_bound(&c, "QAOA edge block");
 }
 
 #[test]
@@ -530,7 +564,8 @@ fn composed_runs_match_single_kernel_runs_and_reference_at_every_stride() {
 // Kernel instances: `apply_plan` runs an AVX2 build of the kernel body
 // when the CPU has AVX2, `apply_plan_baseline` the baseline-target build
 // of the same source. Their bits must agree exactly, zero signs
-// included. On a CPU without AVX2 both sides run the baseline build.
+// included, and a block must sweep as `apply_matrix4_reference`. On a
+// CPU without AVX2 both sides run the baseline build.
 // ---------------------------------------------------------------------
 
 /// A dense start state: no amplitude is zero.
@@ -615,7 +650,47 @@ fn dispatched_and_baseline_kernel_instances_are_raw_bitwise_identical() {
                     .map(|b| PlanOp::Cz { a: q, b })
                     .collect();
                 assert_instances_agree(&start, czs, &format!("{label} {n}q, CZs from {q}"));
+                for hi in q + 1..n {
+                    for kernel in block_kernels() {
+                        let what = format!("{label} {n}q, block ({q}, {hi}) of {kernel:?}");
+                        let block = PlanOp::Block2 { lo: q, hi, kernel };
+                        assert_instances_agree(&start, vec![block.clone()], &what);
+                        // Both instances sweep the block as the reference.
+                        let mut reference = start.clone();
+                        reference.apply_matrix4_reference(q, hi, kernel);
+                        let mut swept = start.clone();
+                        swept.apply_plan_baseline(&ExecPlan {
+                            ops: vec![block],
+                            stats: FuseStats::default(),
+                        });
+                        assert_eq!(raw_bits(&swept), raw_bits(&reference), "{what}");
+                    }
+                }
             }
         }
     }
+}
+
+/// 4×4 kernels for the block sweeps: a generic complex matrix (no two
+/// entries alike, so a transposed or mirrored sweep shows), the product
+/// of a QAOA edge block, and a product full of signed zeros.
+fn block_kernels() -> [Mat4; 3] {
+    let generic = std::array::from_fn(|r| {
+        std::array::from_fn(|c| {
+            let x = (4 * r + c) as f64;
+            C64::new((1.0 + x).sin(), (0.3 * x - 2.0).cos())
+        })
+    });
+    let mut edge = IDENTITY4;
+    let h = compose(&mat_ry(FRAC_PI_2), &mat_rz(PI));
+    lift(&mut edge, 1, &h);
+    lift(&mut edge, 2, &h);
+    edge[3].iter_mut().for_each(|x| *x = -*x);
+    lift(&mut edge, 2, &compose(&h, &compose(&mat_rz(0.7), &h)));
+    edge[3].iter_mut().for_each(|x| *x = -*x);
+    let mut zeros = IDENTITY4;
+    lift(&mut zeros, 1, &mat_rx(PI));
+    lift(&mut zeros, 2, &mat_ry(-0.0));
+    zeros[3].iter_mut().for_each(|x| *x = -*x);
+    [generic, edge, zeros]
 }

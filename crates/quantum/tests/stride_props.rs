@@ -12,11 +12,14 @@
 //!   time, one kernel after the other;
 //! - every ordered CZ operand pair at widths 2–12 against
 //!   `apply_cz_reference`, on states with lanes of ±0, ±∞, NaN and
-//!   subnormals.
+//!   subnormals;
+//! - a two-qubit block sweep on every ordered qubit pair at widths 3–10,
+//!   on dense and sparse states, against `apply_matrix4_reference`: 8 and
+//!   16 amplitudes, and every pair that holds qubit 0, 1 or 2.
 
 use qtenon_prop::{check, Gen};
 use qtenon_quantum::fuse::{ExecPlan, FuseStats, PlanOp};
-use qtenon_quantum::kernels::{compose, mat_rx, mat_ry, mat_rz, Kernel1Q};
+use qtenon_quantum::kernels::{compose, mat_rx, mat_ry, mat_rz, Kernel1Q, Mat4};
 use qtenon_quantum::statevector::C64;
 use qtenon_quantum::StateVector;
 use std::f64::consts::{FRAC_PI_2, PI};
@@ -295,5 +298,53 @@ fn cz_matches_scanning_reference_raw_bits_on_special_lanes() {
     assert_eq!(
         seen, [true; 6],
         "lane kinds +0, -0, +inf, -inf, NaN, subnormal"
+    );
+}
+
+#[test]
+fn block_sweeps_match_the_reference_raw_bits_on_every_ordered_pair() {
+    // Widths 3–10, each ordered pair `(a, b)` once per start state. A
+    // block names its pair ascending, so `(a, b)` and `(b, a)` are two
+    // draws of a matrix for the same pair.
+    let cases: Vec<(u32, u32, u32)> = (3..=10u32)
+        .flat_map(|n| {
+            (0..n).flat_map(move |a| (0..n).filter(move |&b| b != a).map(move |b| (n, a, b)))
+        })
+        .collect();
+    let pool = kernel_pool();
+    let mut case = 0;
+    check(
+        "block_sweeps_match_the_reference_raw_bits_on_every_ordered_pair",
+        2 * cases.len() as u32,
+        |g| {
+            let (n, a, b) = cases[case % cases.len()];
+            let dense = case < cases.len();
+            case += 1;
+            let start = if dense {
+                dense_state(n)
+            } else {
+                sparse_state(g, n)
+            };
+            // Entries drawn from edge-angle rotation entries and generic
+            // values, none forced equal to its transpose.
+            let m: Mat4 = std::array::from_fn(|_| {
+                let class = g.draw(0usize..4);
+                let row = g.select(&pool[class]).matrix();
+                let other = g.select(&pool[3]).matrix();
+                [row[0][0], other[1][0], row[1][1], other[0][1]]
+            });
+            let (lo, hi) = (a.min(b), a.max(b));
+            let mut reference = start.clone();
+            reference.apply_matrix4_reference(lo, hi, m);
+            let expected = raw_bits(&amplitudes(&reference));
+            let plan = exec_plan(vec![PlanOp::Block2 { lo, hi, kernel: m }]);
+            for (instance, got) in both_instances(&start, &plan) {
+                assert_eq!(
+                    raw_bits(&got),
+                    expected,
+                    "{instance}, block on ({a}, {b}) of {n} qubits, dense={dense}"
+                );
+            }
+        },
     );
 }

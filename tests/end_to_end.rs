@@ -329,8 +329,8 @@ fn shots_scale_quantum_time_linearly() {
 /// the exact backend serves and the differential harness in
 /// `crates/quantum/tests/kernel_equiv.rs` does not reach: the per-gate
 /// plan must agree with the naive reference bit for bit once IEEE signed
-/// zeros are canonicalised, and the fused plan must sweep each run once
-/// (DESIGN.md §13).
+/// zeros are canonicalised, and the fused plan must sweep each run and
+/// each block once (DESIGN.md §13).
 #[test]
 fn fused_kernels_match_reference_on_transpiled_qaoa() {
     use qtenon::quantum::fuse::{plan, PlanOp};
@@ -346,13 +346,14 @@ fn fused_kernels_match_reference_on_transpiled_qaoa() {
             })
             .collect()
     };
-    // Sweeps of the fused and the unfused plan: (1q sweeps, CZs).
+    // Sweeps of the fused and the unfused plan: (1q sweeps, blocks, CZs).
     let sweeps = |ops: &[PlanOp]| {
-        let runs = ops
-            .iter()
-            .filter(|op| matches!(op, PlanOp::Run { .. }))
-            .count();
-        (runs, ops.len() - runs)
+        let count = |f: fn(&PlanOp) -> bool| ops.iter().filter(|op| f(op)).count() as u64;
+        (
+            count(|op| matches!(op, PlanOp::Run { .. })),
+            count(|op| matches!(op, PlanOp::Block2 { .. })),
+            count(|op| matches!(op, PlanOp::Cz { .. })),
+        )
     };
     for n in [8u32, 12, 16] {
         let workload = Workload::benchmark(WorkloadKind::Qaoa, n, 42).unwrap();
@@ -379,26 +380,56 @@ fn fused_kernels_match_reference_on_transpiled_qaoa() {
 
         let fused_plan = plan(&circuit, true).unwrap();
         let stats = fused_plan.stats;
-        assert!(stats.fused_runs > 0, "{n} qubits: nothing fused");
-        let (fused_sweeps, czs) = sweeps(&fused_plan.ops);
+        assert!(stats.blocks > 0, "{n} qubits: nothing fused");
         assert_eq!(
-            fused_sweeps as u64, stats.runs,
-            "{n} qubits: one sweep per run"
+            sweeps(&fused_plan.ops),
+            (stats.runs, stats.blocks, stats.cz_kernels),
+            "{n} qubits: one sweep per run and per block"
         );
-        assert_eq!(
-            sweeps(&unfused_plan.ops),
-            (unfused_plan.stats.runs as usize, czs)
-        );
+        let czs = unfused_plan.stats.cz_kernels;
+        assert_eq!(sweeps(&unfused_plan.ops), (unfused_plan.stats.runs, 0, czs));
         if n == 12 {
-            // The `qaoa12-exact` evaluation: 894 gates in 342 runs.
-            assert_eq!((unfused_plan.stats.runs, stats.runs, czs), (894, 342, 180));
+            // The `qaoa12-exact` evaluation: 894 gates and 180 CZs in 78
+            // blocks, 24 runs and 24 CZs.
+            assert_eq!(
+                (unfused_plan.stats.runs, czs),
+                (894, 180),
+                "per-gate sweeps"
+            );
+            assert_eq!((stats.runs, stats.blocks, stats.cz_kernels), (24, 78, 24));
         }
     }
 }
 
+/// The sweep ledger of the bound benchmark circuits the exact backend
+/// runs (seed 11, as `perfbench` binds them): (single-qubit sweeps,
+/// two-qubit blocks, CZ sweeps, identities elided) of the fused plan. A
+/// change to the planner shows up here first, as a diff of these counts.
+#[test]
+fn fused_plan_sweep_ledger_is_pinned() {
+    use qtenon::quantum::fuse::plan;
+
+    let ledger = |kind: WorkloadKind, n: u32| {
+        let workload = Workload::benchmark(kind, n, 11).unwrap();
+        let circuit = workload.circuit.bind(&workload.initial_params).unwrap();
+        let s = plan(&circuit, true).unwrap().stats;
+        (s.runs, s.blocks, s.cz_kernels, s.identities_elided)
+    };
+    // QAOA: one block per edge and layer whose parts cost more than one
+    // 4×4 sweep. In four of the five layers, three edges find no open run
+    // on their control qubit: two runs and two CZs, 30 flops per
+    // amplitude, tie with the block and are swept as parts.
+    assert_eq!(ledger(WorkloadKind::Qaoa, 12), (24, 78, 24, 0));
+    assert_eq!(ledger(WorkloadKind::Qaoa, 16), (32, 104, 32, 0));
+    // VQE and QNN: RY runs and CZs are cheaper swept one by one, so every
+    // block is refused; QNN's encoding runs merge across other qubits.
+    assert_eq!(ledger(WorkloadKind::Vqe, 12), (48, 0, 33, 0));
+    assert_eq!(ledger(WorkloadKind::Qnn, 12), (36, 0, 22, 0));
+}
+
 /// Fused plans against per-gate plans on every workload the exact
 /// backend runs: the 2-norm distance of the two final states stays within
-/// the bound DESIGN.md §13 derives from the run lengths.
+/// the bound DESIGN.md §13 derives from the plan's counts.
 #[test]
 fn fused_plans_stay_within_the_composition_bound_on_every_workload() {
     use qtenon::quantum::fuse::plan;
