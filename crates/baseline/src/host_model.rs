@@ -33,7 +33,7 @@ impl Default for BaselineHostModel {
 
 impl BaselineHostModel {
     /// Wall time for the tallied operations on the baseline host.
-    pub fn duration_for(&self, ops: &OpCounter) -> SimDuration {
+    pub(crate) fn duration_for(&self, ops: &OpCounter) -> SimDuration {
         let reference = HostCoreModel::new(CoreModel::Rocket).duration_for(ops);
         let factor = self.software_overhead / self.hardware_speedup;
         SimDuration::from_ns_f64(reference.as_ns() * factor)

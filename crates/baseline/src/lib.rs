@@ -16,6 +16,7 @@
 //!   experiments compare two timing models of one physics.
 
 #![deny(unsafe_code)]
+#![deny(dead_code)]
 
 pub mod host_model;
 pub mod network;

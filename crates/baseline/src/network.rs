@@ -41,18 +41,13 @@ impl NetworkModel {
 
     /// Time to stream `count` small records of `record_bytes` each, one
     /// packet per record (the per-shot readout path).
-    pub fn stream_time(&self, count: u64, record_bytes: u64) -> SimDuration {
+    pub(crate) fn stream_time(&self, count: u64, record_bytes: u64) -> SimDuration {
         (self.per_packet_overhead + self.serialisation_time(record_bytes)) * count
     }
 
     /// Pure wire time for `bytes`.
-    pub fn serialisation_time(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn serialisation_time(&self, bytes: u64) -> SimDuration {
         SimDuration::from_ns_f64(bytes as f64 * 8.0 / self.bandwidth_bits_per_sec as f64 * 1e9)
-    }
-
-    /// Packets needed for a bulk transfer (MTU-limited).
-    pub fn packets_for(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.mtu_bytes).max(1)
     }
 }
 
@@ -84,14 +79,5 @@ mod tests {
         let t = net.stream_time(500, 8);
         assert!(t >= SimDuration::from_ms(7));
         assert!(t < SimDuration::from_ms(8));
-    }
-
-    #[test]
-    fn packet_count_respects_mtu() {
-        let net = NetworkModel::default();
-        assert_eq!(net.packets_for(100), 1);
-        assert_eq!(net.packets_for(1_472), 1);
-        assert_eq!(net.packets_for(1_473), 2);
-        assert_eq!(net.packets_for(0), 1);
     }
 }

@@ -31,7 +31,7 @@ use qtenon_sim_engine::json;
 use qtenon_workloads::{Workload, WorkloadKind};
 
 /// Schema version stamped into every snapshot.
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// One tracked measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +55,7 @@ pub struct BenchSnapshot {
 
 impl BenchSnapshot {
     /// An empty snapshot of the given family and source.
-    pub fn new(name: &str, kind: &str) -> Self {
+    pub(crate) fn new(name: &str, kind: &str) -> Self {
         BenchSnapshot {
             name: name.to_string(),
             kind: kind.to_string(),
@@ -64,7 +64,7 @@ impl BenchSnapshot {
     }
 
     /// Records one entry.
-    pub fn record(&mut self, id: &str, median_ns: f64, mean_ns: f64) {
+    pub(crate) fn record(&mut self, id: &str, median_ns: f64, mean_ns: f64) {
         self.entries
             .insert(id.to_string(), BenchEntry { median_ns, mean_ns });
     }

@@ -92,7 +92,7 @@ fn ratio(a: SimDuration, b: SimDuration) -> f64 {
 ///
 /// Panics if construction or execution fails (experiment configurations
 /// are known-valid).
-pub fn qtenon_run(
+pub(crate) fn qtenon_run(
     kind: WorkloadKind,
     n: u32,
     core: CoreModel,
@@ -118,7 +118,7 @@ pub fn qtenon_run(
 
 /// Runs a workload on Qtenon with the paper-default policies, returning
 /// its report and the trajectory it recorded.
-pub fn qtenon_default(
+pub(crate) fn qtenon_default(
     kind: WorkloadKind,
     n: u32,
     core: CoreModel,
@@ -142,7 +142,7 @@ pub fn qtenon_default(
 /// # Panics
 ///
 /// Panics if construction or execution fails.
-pub fn with_baseline(
+pub(crate) fn with_baseline(
     kind: WorkloadKind,
     n: u32,
     core: CoreModel,

@@ -9,6 +9,7 @@
 //! (500 shots × 10 iterations, 8–64 qubits).
 
 #![deny(unsafe_code)]
+#![deny(dead_code)]
 
 //!
 //! The crate also carries the perf-trajectory tooling: [`distill`]

@@ -7,12 +7,11 @@ use std::fmt;
 /// # Examples
 ///
 /// ```
-/// use qtenon_bench::TextTable;
+/// use qtenon_bench::{experiments, TextTable};
 ///
-/// let mut t = TextTable::new(vec!["algo".into(), "speedup".into()]);
-/// t.row(vec!["QAOA".into(), "14.7x".into()]);
+/// let t: TextTable = experiments::table4();
 /// let s = t.to_string();
-/// assert!(s.contains("QAOA"));
+/// assert!(s.contains("Rocket @ 1 GHz"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct TextTable {
@@ -22,7 +21,7 @@ pub struct TextTable {
 
 impl TextTable {
     /// Creates a table with the given column headers.
-    pub fn new(header: Vec<String>) -> Self {
+    pub(crate) fn new(header: Vec<String>) -> Self {
         TextTable {
             header,
             rows: Vec::new(),
@@ -30,25 +29,10 @@ impl TextTable {
     }
 
     /// Appends one row (padded/truncated to the header width).
-    pub fn row(&mut self, mut cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row(&mut self, mut cells: Vec<String>) -> &mut Self {
         cells.resize(self.header.len(), String::new());
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The rows (for assertions in tests).
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
     }
 }
 
@@ -88,6 +72,23 @@ impl fmt::Display for TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TextTable {
+        /// Number of data rows.
+        pub(crate) fn len(&self) -> usize {
+            self.rows.len()
+        }
+
+        /// Whether the table has no data rows.
+        fn is_empty(&self) -> bool {
+            self.rows.is_empty()
+        }
+
+        /// The rows (for assertions in tests).
+        pub(crate) fn rows(&self) -> &[Vec<String>] {
+            &self.rows
+        }
+    }
 
     #[test]
     fn aligns_columns() {

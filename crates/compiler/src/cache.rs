@@ -423,7 +423,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Total lookups across all levels.
-    pub fn lookups(&self) -> u64 {
+    pub(crate) fn lookups(&self) -> u64 {
         self.program_hits
             + self.program_misses
             + self.pulse_hits
@@ -434,7 +434,7 @@ impl CacheStats {
 
     /// Hit fraction across all levels; `None` for zero lookups (so
     /// renderers can print a fixed placeholder instead of a NaN).
-    pub fn hit_rate(&self) -> Option<f64> {
+    pub(crate) fn hit_rate(&self) -> Option<f64> {
         let lookups = self.lookups();
         if lookups == 0 {
             None

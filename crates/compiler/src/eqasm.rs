@@ -22,7 +22,7 @@ use crate::CompileError;
 
 /// Opcodes of the dedicated baseline ISA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EqasmOpcode {
+pub(crate) enum EqasmOpcode {
     /// Advance the timing grid.
     Wait,
     /// Single-qubit gate.
@@ -38,34 +38,9 @@ pub enum EqasmOpcode {
     End,
 }
 
-impl EqasmOpcode {
-    fn encode(self) -> u32 {
-        match self {
-            EqasmOpcode::Wait => 0,
-            EqasmOpcode::SqGate => 1,
-            EqasmOpcode::TqGate => 2,
-            EqasmOpcode::Measure => 3,
-            EqasmOpcode::SetParam => 4,
-            EqasmOpcode::End => 5,
-        }
-    }
-
-    fn decode(bits: u32) -> Option<Self> {
-        Some(match bits {
-            0 => EqasmOpcode::Wait,
-            1 => EqasmOpcode::SqGate,
-            2 => EqasmOpcode::TqGate,
-            3 => EqasmOpcode::Measure,
-            4 => EqasmOpcode::SetParam,
-            5 => EqasmOpcode::End,
-            _ => return None,
-        })
-    }
-}
-
 /// One 32-bit dedicated-ISA instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EqasmInstruction {
+pub(crate) struct EqasmInstruction {
     /// Operation.
     pub opcode: EqasmOpcode,
     /// Primary qubit (7 bits).
@@ -77,31 +52,7 @@ pub struct EqasmInstruction {
 }
 
 /// Maximum qubit index representable (HiSEP-Q extends eQASM to 128).
-pub const MAX_QUBITS: u32 = 128;
-
-const IMM_MASK: u32 = (1 << 14) - 1;
-
-impl EqasmInstruction {
-    /// Packs to the 32-bit word.
-    pub fn encode(&self) -> u32 {
-        (self.opcode.encode() << 28)
-            | ((self.qubit as u32 & 0x7f) << 21)
-            | ((self.qubit2 as u32 & 0x7f) << 14)
-            | (self.immediate as u32 & IMM_MASK)
-    }
-
-    /// Unpacks a 32-bit word.
-    ///
-    /// Returns `None` for unassigned opcodes.
-    pub fn decode(bits: u32) -> Option<Self> {
-        Some(EqasmInstruction {
-            opcode: EqasmOpcode::decode(bits >> 28)?,
-            qubit: ((bits >> 21) & 0x7f) as u8,
-            qubit2: ((bits >> 14) & 0x7f) as u8,
-            immediate: (bits & IMM_MASK) as u16,
-        })
-    }
-}
+pub(crate) const MAX_QUBITS: u32 = 128;
 
 /// A fully emitted dedicated-ISA program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,11 +169,6 @@ impl EqasmProgram {
         Ok(EqasmProgram { instructions: out })
     }
 
-    /// The emitted instructions.
-    pub fn instructions(&self) -> &[EqasmInstruction] {
-        &self.instructions
-    }
-
     /// Instruction count (Table 1's comparison quantity).
     pub fn len(&self) -> usize {
         self.instructions.len()
@@ -238,6 +184,62 @@ impl EqasmProgram {
 mod tests {
     use super::*;
     use qtenon_quantum::transpile;
+
+    impl EqasmProgram {
+        /// The emitted instructions.
+        fn instructions(&self) -> &[EqasmInstruction] {
+            &self.instructions
+        }
+    }
+
+    impl EqasmInstruction {
+        /// Packs to the 32-bit word.
+        fn encode(&self) -> u32 {
+            (self.opcode.encode() << 28)
+                | ((self.qubit as u32 & 0x7f) << 21)
+                | ((self.qubit2 as u32 & 0x7f) << 14)
+                | (self.immediate as u32 & IMM_MASK)
+        }
+
+        /// Unpacks a 32-bit word.
+        ///
+        /// Returns `None` for unassigned opcodes.
+        fn decode(bits: u32) -> Option<Self> {
+            Some(EqasmInstruction {
+                opcode: EqasmOpcode::decode(bits >> 28)?,
+                qubit: ((bits >> 21) & 0x7f) as u8,
+                qubit2: ((bits >> 14) & 0x7f) as u8,
+                immediate: (bits & IMM_MASK) as u16,
+            })
+        }
+    }
+
+    const IMM_MASK: u32 = (1 << 14) - 1;
+
+    impl EqasmOpcode {
+        fn encode(self) -> u32 {
+            match self {
+                EqasmOpcode::Wait => 0,
+                EqasmOpcode::SqGate => 1,
+                EqasmOpcode::TqGate => 2,
+                EqasmOpcode::Measure => 3,
+                EqasmOpcode::SetParam => 4,
+                EqasmOpcode::End => 5,
+            }
+        }
+
+        fn decode(bits: u32) -> Option<Self> {
+            Some(match bits {
+                0 => EqasmOpcode::Wait,
+                1 => EqasmOpcode::SqGate,
+                2 => EqasmOpcode::TqGate,
+                3 => EqasmOpcode::Measure,
+                4 => EqasmOpcode::SetParam,
+                5 => EqasmOpcode::End,
+                _ => return None,
+            })
+        }
+    }
 
     fn bound_qaoa(n: u32) -> Circuit {
         let mut c = Circuit::new(n);

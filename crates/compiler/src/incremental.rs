@@ -76,16 +76,6 @@ impl ParameterDiff {
         self.total_slots
     }
 
-    /// Fraction of the program's parameter state left untouched — the
-    /// "quantum locality" the paper exploits.
-    pub fn reuse_fraction(&self) -> f64 {
-        if self.total_slots == 0 {
-            1.0
-        } else {
-            1.0 - self.changed.len() as f64 / self.total_slots as f64
-        }
-    }
-
     /// The minimal `q_update` stream applying this diff.
     ///
     /// # Errors
@@ -120,6 +110,18 @@ mod tests {
     use crate::program::QtenonCompiler;
     use qtenon_isa::QccLayout;
     use qtenon_quantum::{Circuit, ParamId};
+
+    impl ParameterDiff {
+        /// Fraction of the program's parameter state left untouched — the
+        /// "quantum locality" the paper exploits.
+        fn reuse_fraction(&self) -> f64 {
+            if self.total_slots == 0 {
+                1.0
+            } else {
+                1.0 - self.changed.len() as f64 / self.total_slots as f64
+            }
+        }
+    }
 
     fn two_param_program() -> CompiledProgram {
         let layout = QccLayout::for_qubits(4).unwrap();

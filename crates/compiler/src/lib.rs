@@ -23,6 +23,7 @@
 //!   1–100 ms recompile overhead).
 
 #![deny(unsafe_code)]
+#![deny(dead_code)]
 
 pub mod baseline;
 pub mod cache;
@@ -34,7 +35,7 @@ pub use baseline::{BaselineCompiler, BaselineCompilerConfig, BaselineProgram};
 pub use cache::{
     CacheStats, CachedBound, CachedProgram, CachedPulses, CompilationCache, PulseSchedule,
 };
-pub use eqasm::{EqasmInstruction, EqasmOpcode, EqasmProgram};
+pub use eqasm::EqasmProgram;
 pub use incremental::ParameterDiff;
 pub use program::{CompiledProgram, QtenonCompiler, RegSlot};
 

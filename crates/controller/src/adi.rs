@@ -30,17 +30,6 @@ impl Default for AdiModel {
 }
 
 impl AdiModel {
-    /// Time to stream one pulse entry to one qubit's DACs.
-    pub fn entry_stream_time(&self) -> SimDuration {
-        SimDuration::from_ns(self.pulse_entry_bits / self.bits_per_ns_per_qubit)
-    }
-
-    /// Time to stream `entries` pulse entries to one qubit (entries for
-    /// *different* qubits stream in parallel on their own DAC pairs).
-    pub fn stream_time(&self, entries: u64) -> SimDuration {
-        self.interface_latency + self.entry_stream_time() * entries
-    }
-
     /// Latency for one measurement result to cross back from the chip.
     pub fn readout_latency(&self) -> SimDuration {
         self.interface_latency
@@ -50,6 +39,19 @@ impl AdiModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AdiModel {
+        /// Time to stream one pulse entry to one qubit's DACs.
+        fn entry_stream_time(&self) -> SimDuration {
+            SimDuration::from_ns(self.pulse_entry_bits / self.bits_per_ns_per_qubit)
+        }
+
+        /// Time to stream `entries` pulse entries to one qubit (entries for
+        /// *different* qubits stream in parallel on their own DAC pairs).
+        fn stream_time(&self, entries: u64) -> SimDuration {
+            self.interface_latency + self.entry_stream_time() * entries
+        }
+    }
 
     #[test]
     fn entry_streams_in_10ns() {

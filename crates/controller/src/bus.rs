@@ -93,13 +93,8 @@ impl TileLinkBus {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> BusConfig {
-        self.config
-    }
-
     /// Number of beats needed for `bytes`.
-    pub fn beats_for(&self, bytes: u64) -> u64 {
+    pub(crate) fn beats_for(&self, bytes: u64) -> u64 {
         (bytes * 8).div_ceil(self.config.width_bits as u64).max(1)
     }
 
@@ -184,24 +179,9 @@ impl TileLinkBus {
         })
     }
 
-    /// Total bytes moved.
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
-    }
-
-    /// Per-transfer latency distribution in nanoseconds.
-    pub fn latency(&self) -> &Histogram {
-        &self.latency
-    }
-
     /// Retransmissions performed after injected drops/corruptions.
     pub fn retries(&self) -> u64 {
         self.retries
-    }
-
-    /// Transactions abandoned after exhausting the retry budget.
-    pub fn retries_exhausted(&self) -> u64 {
-        self.retries_exhausted
     }
 
     /// Registers bus statistics under `prefix` (e.g. `controller.bus`).
@@ -224,6 +204,18 @@ impl TileLinkBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TileLinkBus {
+        /// Total bytes moved.
+        fn bytes_moved(&self) -> u64 {
+            self.bytes_moved
+        }
+
+        /// Per-transfer latency distribution in nanoseconds.
+        fn latency(&self) -> &Histogram {
+            &self.latency
+        }
+    }
     use qtenon_sim_engine::FaultPlan;
 
     fn ns(v: u64) -> SimDuration {

@@ -22,6 +22,7 @@
 //!   (64 bit/ns per qubit, 100 ns interface latency).
 
 #![deny(unsafe_code)]
+#![deny(dead_code)]
 
 pub mod adi;
 pub mod barrier;

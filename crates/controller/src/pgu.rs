@@ -92,23 +92,18 @@ impl PguPool {
         })
     }
 
-    /// The configuration.
-    pub fn config(&self) -> PguConfig {
-        self.config
-    }
-
     /// The latency of one pulse computation.
-    pub fn pulse_latency(&self) -> SimDuration {
+    pub(crate) fn pulse_latency(&self) -> SimDuration {
         self.config.clock.cycles(self.config.latency_cycles)
     }
 
     /// The lowest-numbered unit free at `now`, if any (priority encoder).
-    pub fn free_unit_at(&self, now: SimTime) -> Option<usize> {
+    pub(crate) fn free_unit_at(&self, now: SimTime) -> Option<usize> {
         self.busy_until.iter().position(|&t| t <= now)
     }
 
     /// The earliest time any unit frees up.
-    pub fn earliest_free(&self) -> SimTime {
+    pub(crate) fn earliest_free(&self) -> SimTime {
         // The pool is constructed with at least one unit.
         self.busy_until
             .iter()
@@ -177,30 +172,25 @@ impl PguPool {
         self.dispatched
     }
 
-    /// Per-dispatch wait distribution in nanoseconds.
-    pub fn wait(&self) -> &Histogram {
-        &self.wait
-    }
-
     /// Injected stalls observed so far.
-    pub fn stalls(&self) -> u64 {
+    pub(crate) fn stalls(&self) -> u64 {
         self.stalls
     }
 
     /// Re-dispatches forced by injected bad-pulse failures.
-    pub fn redispatches(&self) -> u64 {
+    pub(crate) fn redispatches(&self) -> u64 {
         self.redispatches
     }
 
     /// Registers pool statistics under `prefix` (e.g. `controller.pgu`).
-    pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
+    pub(crate) fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
         m.gauge(&format!("{prefix}.units"), self.config.units as f64);
         m.counter(&format!("{prefix}.dispatched"), self.dispatched);
         m.histogram(&format!("{prefix}.wait_ns"), &self.wait);
     }
 
     /// Returns all units to idle at time zero.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.busy_until.fill(SimTime::ZERO);
         self.dispatched = 0;
         self.wait.reset();

@@ -36,7 +36,7 @@ impl Default for PipelineConfig {
 /// One entry flowing through the pipeline: a gate whose pulse must be
 /// located or generated, as `(qubit, gate, data27)`. The `data27` field
 /// is already regfile-resolved.
-pub type WorkItem = (QubitId, GateType, u32);
+pub(crate) type WorkItem = (QubitId, GateType, u32);
 
 /// Timing and cache statistics for one pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,14 +64,14 @@ pub struct PipelineReport {
 /// # Examples
 ///
 /// ```
-/// use qtenon_controller::pipeline::{PipelineConfig, PulsePipeline, WorkItem};
+/// use qtenon_controller::pipeline::{PipelineConfig, PulsePipeline};
 /// use qtenon_isa::{EncodedAngle, GateType, QccLayout, QubitId};
 /// use qtenon_sim_engine::{FaultInjector, FaultPlan, SimTime};
 ///
 /// let layout = QccLayout::for_qubits(4)?;
 /// let mut pipe = PulsePipeline::new(PipelineConfig::default(), layout)?;
 /// let mut no_faults = FaultInjector::new(FaultPlan::default());
-/// let item: WorkItem = (QubitId::new(0), GateType::Rx, EncodedAngle::from_radians(0.5).code());
+/// let item = (QubitId::new(0), GateType::Rx, EncodedAngle::from_radians(0.5).code());
 /// let (report, generated) = pipe.process(SimTime::ZERO, &[item, item], &mut no_faults)?;
 /// assert_eq!(report.generated, 1); // second occurrence hits the SLT
 /// assert_eq!(generated[0].0, 0);
@@ -106,11 +106,6 @@ impl PulsePipeline {
             total_generated: 0,
             total_stall: SimDuration::ZERO,
         })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> PipelineConfig {
-        self.config
     }
 
     /// Cumulative SLT statistics across runs.

@@ -19,7 +19,7 @@ use qtenon_sim_engine::{MetricsRegistry, SimDuration, SimTime};
 use crate::error::ControllerError;
 
 /// Number of unique tags (5-bit tag space).
-pub const TAG_COUNT: usize = 32;
+pub(crate) const TAG_COUNT: usize = 32;
 
 /// A tag naming one outstanding bus transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -159,21 +159,6 @@ impl<T> ReorderBufferQueue<T> {
         reclaimed
     }
 
-    /// Number of outstanding (issued, unpopped) transactions.
-    pub fn outstanding(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Total tags ever issued.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// High-water mark of outstanding transactions.
-    pub fn peak_outstanding(&self) -> usize {
-        self.peak_outstanding
-    }
-
     /// Total tags reclaimed by the watchdog.
     pub fn reclaimed(&self) -> u64 {
         self.reclaimed
@@ -198,6 +183,13 @@ impl<T> Default for ReorderBufferQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> ReorderBufferQueue<T> {
+        /// Number of outstanding (issued, unpopped) transactions.
+        fn outstanding(&self) -> usize {
+            self.order.len()
+        }
+    }
 
     #[test]
     fn realigns_reversed_completions() {

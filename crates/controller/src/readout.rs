@@ -30,7 +30,7 @@ impl Default for ReadoutProcessor {
 
 impl ReadoutProcessor {
     /// Classification latency per shot.
-    pub fn latency(&self) -> SimDuration {
+    pub(crate) fn latency(&self) -> SimDuration {
         self.clock.cycles(self.latency_cycles)
     }
 

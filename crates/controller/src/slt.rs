@@ -22,17 +22,17 @@ use qtenon_sim_engine::{FaultInjector, FaultSite, MetricsRegistry};
 use crate::error::ControllerError;
 
 /// Saturation limit of the 5-bit use counter.
-pub const MAX_COUNT: u8 = 31;
+pub(crate) const MAX_COUNT: u8 = 31;
 
 /// Ways per set (Table 2).
-pub const WAYS: usize = 2;
+pub(crate) const WAYS: usize = 2;
 
 /// Sets per qubit (Table 2).
-pub const SETS: usize = 128;
+pub(crate) const SETS: usize = 128;
 
 /// The lookup key derived from a program entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SltKey {
+pub(crate) struct SltKey {
     /// 7-bit set index: 3 truncated type bits ++ 4 leading data bits.
     pub index: u8,
     /// 20-bit tag: the parameter quantized to tag resolution.
@@ -41,7 +41,7 @@ pub struct SltKey {
 
 impl SltKey {
     /// Builds the key for a gate with a raw 27-bit data field.
-    pub fn for_gate(gate: GateType, data27: u32) -> Self {
+    pub(crate) fn for_gate(gate: GateType, data27: u32) -> Self {
         let type_bits = gate.slt_type_bits();
         let data_bits = (data27 >> 23) & 0xf;
         SltKey {
@@ -89,11 +89,6 @@ impl PulseResolution {
             | PulseResolution::Allocated(a) => a,
         }
     }
-
-    /// Whether the PGU must compute a pulse.
-    pub fn needs_generation(&self) -> bool {
-        matches!(self, PulseResolution::Allocated(_))
-    }
 }
 
 /// Counters describing SLT behaviour over a run.
@@ -116,7 +111,7 @@ pub struct SltStats {
 
 impl SltStats {
     /// Fraction of lookups that avoided pulse generation.
-    pub fn skip_rate(&self) -> f64 {
+    pub(crate) fn skip_rate(&self) -> f64 {
         if self.lookups == 0 {
             0.0
         } else {
@@ -130,7 +125,7 @@ impl SltStats {
 /// # Examples
 ///
 /// ```
-/// use qtenon_controller::SltController;
+/// use qtenon_controller::{PulseResolution, SltController};
 /// use qtenon_isa::{EncodedAngle, GateType, QccLayout, QubitId};
 /// use qtenon_sim_engine::{FaultInjector, FaultPlan};
 ///
@@ -140,9 +135,9 @@ impl SltStats {
 /// let angle = EncodedAngle::from_radians(1.0);
 /// let q = QubitId::new(0);
 /// let first = slt.resolve(q, GateType::Rx, angle.code(), &mut no_faults)?;
-/// assert!(first.needs_generation());
+/// assert!(matches!(first, PulseResolution::Allocated(_)));
 /// let again = slt.resolve(q, GateType::Rx, angle.code(), &mut no_faults)?;
-/// assert!(!again.needs_generation()); // cached
+/// assert!(!matches!(again, PulseResolution::Allocated(_))); // cached
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -174,11 +169,6 @@ impl SltController {
     /// Statistics so far.
     pub fn stats(&self) -> SltStats {
         self.stats
-    }
-
-    /// The QSpace backing store (for traffic inspection).
-    pub fn qspace(&self) -> &QSpace {
-        &self.qspace
     }
 
     /// Rejects qubits outside the layout with a typed error so malformed
@@ -302,7 +292,7 @@ impl SltController {
 
     /// Registers SLT and QSpace statistics under `prefix`
     /// (e.g. `controller.slt`).
-    pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
+    pub(crate) fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
         let s = self.stats;
         m.counter(&format!("{prefix}.lookups"), s.lookups);
         m.counter(&format!("{prefix}.hits"), s.hits);
@@ -323,7 +313,7 @@ impl SltController {
     }
 
     /// Forgets all cached state (fresh run).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for t in &mut self.tables {
             *t = [[SltEntry::INVALID; WAYS]; SETS];
         }
@@ -340,6 +330,13 @@ mod tests {
     use super::*;
     use qtenon_isa::EncodedAngle;
     use qtenon_sim_engine::FaultPlan;
+
+    impl PulseResolution {
+        /// Whether the PGU must compute a pulse.
+        fn needs_generation(&self) -> bool {
+            matches!(self, PulseResolution::Allocated(_))
+        }
+    }
 
     fn controller(n: u32) -> SltController {
         SltController::new(QccLayout::for_qubits(n).unwrap())

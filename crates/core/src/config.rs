@@ -19,7 +19,7 @@ pub enum CoreModel {
 
 impl CoreModel {
     /// Display name matching the paper's figure labels.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CoreModel::Rocket => "Qtenon-Rocket",
             CoreModel::BoomLarge => "Qtenon-Boom-L",

@@ -16,7 +16,7 @@ use crate::config::CoreModel;
 /// Effective cycles per operation class, scaled by 100 for fixed-point
 /// arithmetic (e.g. 250 = 2.5 cycles/op).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostTable {
+pub(crate) struct CostTable {
     /// Integer ALU.
     pub int_alu_x100: u64,
     /// FP add/mul.
@@ -88,13 +88,8 @@ impl HostCoreModel {
         }
     }
 
-    /// Which core this models.
-    pub fn kind(&self) -> CoreModel {
-        self.kind
-    }
-
     /// The core clock.
-    pub fn clock(&self) -> ClockDomain {
+    pub(crate) fn clock(&self) -> ClockDomain {
         self.clock
     }
 

@@ -38,7 +38,7 @@
 //! all of its attempts in a row; attempt `n` draws its job seed from
 //! [`attempt_seed`]`(job_seed, n)` and its fault schedule from
 //! [`attempt_seed`]`(plan_seed, n)`. Retry decisions are
-//! [`retry_decision`] — a pure function of (spec, attempt, outcome) — so
+//! `retry_decision` — a pure function of (spec, attempt, outcome) — so
 //! every pool width produces the identical outcome [`BatchReport::ledger`].
 //!
 //! # Examples
@@ -79,10 +79,10 @@ use crate::report::RunReport;
 use crate::vqa::VqaRunner;
 
 /// Default bounded-queue capacity.
-pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
+pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
 /// Default fleet seed (matches the single-run default in `QtenonConfig`).
-pub const DEFAULT_FLEET_SEED: u64 = 0x51;
+pub(crate) const DEFAULT_FLEET_SEED: u64 = 0x51;
 
 /// Which optimizer a job uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,47 +225,9 @@ impl JobSpec {
         self
     }
 
-    /// Returns a copy with a different synchronisation mode.
-    pub fn with_sync(mut self, sync: SyncMode) -> Self {
-        self.sync = sync;
-        self
-    }
-
-    /// Returns a copy with a different transmission policy.
-    pub fn with_transmission(mut self, transmission: TransmissionPolicy) -> Self {
-        self.transmission = transmission;
-        self
-    }
-
     /// Returns a copy with a fault-injection plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Returns a copy with a transient-failure retry budget.
-    pub fn with_retry_budget(mut self, retries: u32) -> Self {
-        self.retry_budget = retries;
-        self
-    }
-
-    /// Returns a copy that panics deliberately on every attempt (chaos
-    /// hook pinning the quarantine path).
-    pub fn with_chaos_panic(mut self) -> Self {
-        self.chaos_panic = true;
-        self
-    }
-
-    /// Returns a copy whose first `attempts` attempts fail transiently
-    /// (chaos hook pinning the retry path).
-    pub fn with_chaos_fail_attempts(mut self, attempts: u32) -> Self {
-        self.chaos_fail_attempts = attempts;
-        self
-    }
-
-    /// Returns a copy with gate fusion enabled or disabled.
-    pub fn with_fuse(mut self, fuse: bool) -> Self {
-        self.fuse = fuse;
         self
     }
 
@@ -384,7 +346,7 @@ pub struct PoolPlan {
 
 impl PoolPlan {
     /// Splits `threads` across `jobs` (both clamped to at least 1).
-    pub fn new(jobs: usize, threads: usize) -> Self {
+    pub(crate) fn new(jobs: usize, threads: usize) -> Self {
         let threads = threads.max(1);
         let job_workers = jobs.clamp(1, threads);
         PoolPlan {
@@ -594,7 +556,7 @@ impl BatchReport {
     }
 
     /// Total shots sampled across jobs that produced artefacts.
-    pub fn total_shots_sampled(&self) -> u64 {
+    pub(crate) fn total_shots_sampled(&self) -> u64 {
         self.results
             .iter()
             .filter_map(|r| r.outcome.artifacts())
@@ -721,7 +683,7 @@ impl BatchReport {
 /// How one attempt of one job ended, before any retry policy is applied.
 /// `Panicked` is what `catch_unwind` makes of a panicking attempt.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AttemptOutcome {
+pub(crate) enum AttemptOutcome {
     /// All requested iterations ran.
     Completed(JobArtifacts),
     /// The deadline fired at an iteration boundary.
@@ -767,7 +729,11 @@ pub enum AttemptOutcome {
 /// - transient errors → retry while `attempt < retry_budget`; once the
 ///   budget is exhausted the job is quarantined (or, with a zero budget,
 ///   simply fails — the pre-containment behaviour).
-pub fn retry_decision(spec: &JobSpec, attempt: u32, outcome: AttemptOutcome) -> Option<JobOutcome> {
+pub(crate) fn retry_decision(
+    spec: &JobSpec,
+    attempt: u32,
+    outcome: AttemptOutcome,
+) -> Option<JobOutcome> {
     let attempts = attempt + 1;
     let outcome = match outcome {
         AttemptOutcome::Completed(artifacts) => JobOutcome::Completed {
@@ -1127,12 +1093,12 @@ impl BatchScheduler {
     /// Runs every admitted job over a pool of `threads` threads and
     /// returns the batch report in canonical submission order.
     ///
-    /// [`PoolPlan::new`]`(jobs, threads)` decides the split. Workers
+    /// `PoolPlan::new(jobs, threads)` decides the split. Workers
     /// claim jobs in [`schedule_order`](Self::schedule_order) off one
     /// shared cursor, so higher priorities start first, and the worker
     /// that claims a job runs every attempt of it before claiming the
     /// next: each attempt runs under `catch_unwind` and is fed through
-    /// [`retry_decision`] until that yields the job's final
+    /// `retry_decision` until that yields the job's final
     /// [`JobOutcome`]. A panicking or failing job ends as a typed outcome
     /// in its slot while the rest of the fleet keeps going, and nothing
     /// about the results depends on who finishes when.
@@ -1432,6 +1398,28 @@ fn parse_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl JobSpec {
+        /// Returns a copy with a transient-failure retry budget.
+        fn with_retry_budget(mut self, retries: u32) -> Self {
+            self.retry_budget = retries;
+            self
+        }
+
+        /// Returns a copy that panics deliberately on every attempt (chaos
+        /// hook pinning the quarantine path).
+        fn with_chaos_panic(mut self) -> Self {
+            self.chaos_panic = true;
+            self
+        }
+
+        /// Returns a copy whose first `attempts` attempts fail transiently
+        /// (chaos hook pinning the retry path).
+        fn with_chaos_fail_attempts(mut self, attempts: u32) -> Self {
+            self.chaos_fail_attempts = attempts;
+            self
+        }
+    }
 
     #[test]
     fn pool_plan_splits_threads_across_jobs() {

@@ -43,6 +43,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![deny(dead_code)]
 
 pub mod config;
 pub mod host;

@@ -101,7 +101,7 @@ impl ShardPlan {
     }
 
     /// Total shots covered by the plan.
-    pub fn total_shots(&self) -> u64 {
+    pub(crate) fn total_shots(&self) -> u64 {
         self.shards.iter().map(|s| s.shots).sum()
     }
 
@@ -113,7 +113,7 @@ impl ShardPlan {
     }
 
     /// Whether the plan degenerates to inline serial execution.
-    pub fn is_serial(&self) -> bool {
+    pub(crate) fn is_serial(&self) -> bool {
         self.shards.len() == 1
     }
 }

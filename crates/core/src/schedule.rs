@@ -90,16 +90,18 @@ impl TransmissionPlan {
     pub fn batches(&self) -> &[TransmissionBatch] {
         &self.batches
     }
-
-    /// Total payload bytes across all PUTs.
-    pub fn total_bytes(&self) -> u64 {
-        self.batches.iter().map(|b| b.bytes).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TransmissionPlan {
+        /// Total payload bytes across all PUTs.
+        fn total_bytes(&self) -> u64 {
+            self.batches.iter().map(|b| b.bytes).sum()
+        }
+    }
 
     #[test]
     fn paper_design_point_k4() {

@@ -273,7 +273,7 @@ impl QtenonSystem {
     }
 
     /// The configuration.
-    pub fn config(&self) -> &QtenonConfig {
+    pub(crate) fn config(&self) -> &QtenonConfig {
         &self.config
     }
 
@@ -323,7 +323,7 @@ impl QtenonSystem {
     }
 
     /// Dynamic instructions executed so far.
-    pub fn dynamic_instructions(&self) -> u64 {
+    pub(crate) fn dynamic_instructions(&self) -> u64 {
         self.dynamic_instructions
     }
 
@@ -508,7 +508,7 @@ impl QtenonSystem {
 
     /// Mutable profiler access, used by higher layers (the VQA runner) to
     /// intern and record their own phases into the same table.
-    pub fn profiler_mut(&mut self) -> &mut Profiler {
+    pub(crate) fn profiler_mut(&mut self) -> &mut Profiler {
         &mut self.profiler
     }
 
@@ -535,14 +535,19 @@ impl QtenonSystem {
     /// `start + d` (the seven canonical edges contain no host->host
     /// hand-off; the host's classical work closes the loop on the edge
     /// that delivered it data). Returns `start + d`.
-    pub fn host_segment(&mut self, phase: PhaseId, start: SimTime, d: SimDuration) -> SimTime {
+    pub(crate) fn host_segment(
+        &mut self,
+        phase: PhaseId,
+        start: SimTime,
+        d: SimDuration,
+    ) -> SimTime {
         self.profiler.record(phase, d);
         self.critpath.advance(self.edges.readout_host, start + d);
         start + d
     }
 
     /// Cumulative SLT statistics.
-    pub fn slt_stats(&self) -> qtenon_controller::SltStats {
+    pub(crate) fn slt_stats(&self) -> qtenon_controller::SltStats {
         self.pipeline.slt_stats()
     }
 
@@ -890,7 +895,7 @@ impl QtenonSystem {
 
     /// Resets transient state between independent experiment runs while
     /// keeping the warm SLT (use [`QtenonSystem::cold_reset`] to drop it).
-    pub fn reset_accounting(&mut self) {
+    pub(crate) fn reset_accounting(&mut self) {
         self.host_ops = OpCounter::new();
         self.dynamic_instructions = 0;
         self.bus.reset();
@@ -910,7 +915,7 @@ impl QtenonSystem {
     }
 
     /// Drops all cached pulse state as well (a from-scratch system).
-    pub fn cold_reset(&mut self) {
+    pub(crate) fn cold_reset(&mut self) {
         self.reset_accounting();
         self.pipeline.reset();
         self.hierarchy.reset();

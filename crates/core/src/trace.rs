@@ -35,24 +35,13 @@ pub enum TraceLane {
 
 impl TraceLane {
     /// A stable numeric id for trace viewers.
-    pub fn tid(self) -> u32 {
+    pub(crate) fn tid(self) -> u32 {
         match self {
             TraceLane::Host => 1,
             TraceLane::Communication => 2,
             TraceLane::PulsePipeline => 3,
             TraceLane::QuantumChip => 4,
             TraceLane::CritPath => 6,
-        }
-    }
-
-    /// The lane's display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceLane::Host => "host",
-            TraceLane::Communication => "communication",
-            TraceLane::PulsePipeline => "pulse-pipeline",
-            TraceLane::QuantumChip => "quantum-chip",
-            TraceLane::CritPath => "critpath",
         }
     }
 }
@@ -166,7 +155,7 @@ pub struct Trace {
 
 impl Trace {
     /// Creates an empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Trace::default()
     }
 
@@ -261,24 +250,6 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// The distinct lanes that carry events of the flow with id `flow`.
-    pub fn flow_lanes(&self, flow: u64) -> Vec<TraceLane> {
-        let mut lanes = Vec::new();
-        for e in &self.events {
-            let belongs = matches!(
-                e.kind,
-                TraceEventKind::FlowStart { flow: f }
-                    | TraceEventKind::FlowStep { flow: f }
-                    | TraceEventKind::FlowEnd { flow: f }
-                if f == flow
-            );
-            if belongs && !lanes.contains(&e.lane) {
-                lanes.push(e.lane);
-            }
-        }
-        lanes
-    }
-
     /// Serialises to the Chrome trace-event JSON array format
     /// (microsecond timestamps; "X" slices plus "s"/"t"/"f" flow
     /// events).
@@ -319,6 +290,26 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Trace {
+        /// The distinct lanes that carry events of the flow with id `flow`.
+        pub(crate) fn flow_lanes(&self, flow: u64) -> Vec<TraceLane> {
+            let mut lanes = Vec::new();
+            for e in &self.events {
+                let belongs = matches!(
+                    e.kind,
+                    TraceEventKind::FlowStart { flow: f }
+                        | TraceEventKind::FlowStep { flow: f }
+                        | TraceEventKind::FlowEnd { flow: f }
+                    if f == flow
+                );
+                if belongs && !lanes.contains(&e.lane) {
+                    lanes.push(e.lane);
+                }
+            }
+            lanes
+        }
+    }
 
     fn at(ns: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_ns(ns)

@@ -109,18 +109,6 @@ pub struct DeadlineStatus {
     pub requested_iterations: usize,
 }
 
-impl DeadlineStatus {
-    /// A status for a run that was never given a deadline (or finished
-    /// inside it).
-    pub fn completed(iterations: usize) -> Self {
-        DeadlineStatus {
-            hit: false,
-            completed_iterations: iterations,
-            requested_iterations: iterations,
-        }
-    }
-}
-
 /// One completed optimizer iteration, as a timing model needs it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IterationRecord {
@@ -213,7 +201,7 @@ impl VqaRunner {
     /// # Errors
     ///
     /// Returns [`SystemError`] for configuration or compilation failures.
-    pub fn with_cache(
+    pub(crate) fn with_cache(
         config: QtenonConfig,
         workload: Workload,
         cache: Arc<CompilationCache>,
@@ -293,11 +281,6 @@ impl VqaRunner {
         }
     }
 
-    /// The compiled program (for inspection).
-    pub fn program(&self) -> &CompiledProgram {
-        &self.program
-    }
-
     /// The underlying system (for inspection).
     pub fn system(&self) -> &QtenonSystem {
         &self.system
@@ -323,7 +306,7 @@ impl VqaRunner {
 
     /// Static instruction count of the program text: setup instructions
     /// plus one loop body (Table 1's code-size comparison).
-    pub fn static_instructions(&self) -> u64 {
+    pub(crate) fn static_instructions(&self) -> u64 {
         let setup = self.program.load_instructions(HOST_PROGRAM_ADDR).len()
             + self.program.slots().len()
             + self.program.gen_instructions().len();
@@ -703,6 +686,18 @@ mod tests {
     use crate::config::CoreModel;
     use qtenon_sim_engine::SimDuration;
     use qtenon_workloads::{GradientDescentOptimizer, SpsaOptimizer};
+
+    impl DeadlineStatus {
+        /// A status for a run that was never given a deadline (or finished
+        /// inside it).
+        fn completed(iterations: usize) -> Self {
+            DeadlineStatus {
+                hit: false,
+                completed_iterations: iterations,
+                requested_iterations: iterations,
+            }
+        }
+    }
 
     fn runner(n: u32, kind: qtenon_workloads::WorkloadKind) -> VqaRunner {
         let config = QtenonConfig::table4(n, CoreModel::Rocket).unwrap();

@@ -12,17 +12,10 @@ use std::f64::consts::TAU;
 use std::fmt;
 
 /// Bit width of the encoded angle (the `.program` entry `data` field).
-pub const ANGLE_BITS: u32 = 27;
+pub(crate) const ANGLE_BITS: u32 = 27;
 
 /// Number of representable angle codes.
-pub const ANGLE_CODES: u64 = 1 << ANGLE_BITS;
-
-/// Bit width of the SLT tag derived from an encoded angle.
-pub const SLT_TAG_BITS: u32 = 20;
-
-/// Bit width of the SLT index derived from an encoded angle (Fig. 7's
-/// truncated 3-bit type + 4-bit data concatenation).
-pub const SLT_INDEX_BITS: u32 = 7;
+pub(crate) const ANGLE_CODES: u64 = 1 << ANGLE_BITS;
 
 /// A rotation angle in the 27-bit fixed-point hardware format.
 ///
@@ -39,9 +32,6 @@ pub const SLT_INDEX_BITS: u32 = 7;
 pub struct EncodedAngle(u32);
 
 impl EncodedAngle {
-    /// The zero angle.
-    pub const ZERO: EncodedAngle = EncodedAngle(0);
-
     /// Encodes an angle in radians, reducing modulo 2π.
     ///
     /// NaN and infinite inputs are encoded as zero: the hardware has no
@@ -76,14 +66,6 @@ impl EncodedAngle {
             "angle code {code:#x} exceeds {ANGLE_BITS} bits"
         );
         EncodedAngle(code)
-    }
-
-    /// The 20-bit SLT tag: the most significant 20 bits of the code, i.e.
-    /// the parameter quantized to 2π/2²⁰ ≈ 6×10⁻⁶ rad. Pulses whose
-    /// parameters agree at this resolution share a tag and therefore share
-    /// a cached pulse.
-    pub fn slt_tag(self) -> u32 {
-        self.0 >> (ANGLE_BITS - SLT_TAG_BITS)
     }
 }
 
@@ -127,29 +109,20 @@ mod tests {
 
     #[test]
     fn non_finite_encodes_to_zero() {
-        assert_eq!(EncodedAngle::from_radians(f64::NAN), EncodedAngle::ZERO);
+        assert_eq!(
+            EncodedAngle::from_radians(f64::NAN),
+            EncodedAngle::from_code(0)
+        );
         assert_eq!(
             EncodedAngle::from_radians(f64::INFINITY),
-            EncodedAngle::ZERO
+            EncodedAngle::from_code(0)
         );
-    }
-
-    #[test]
-    fn tag_quantizes() {
-        // Two angles closer than the tag resolution share a tag...
-        let a = EncodedAngle::from_radians(1.0);
-        let b = EncodedAngle::from_radians(1.0 + 1e-7);
-        assert_eq!(a.slt_tag(), b.slt_tag());
-        // ...but well-separated angles do not.
-        let c = EncodedAngle::from_radians(1.01);
-        assert_ne!(a.slt_tag(), c.slt_tag());
     }
 
     #[test]
     fn tag_and_code_fit_their_widths() {
         let full = EncodedAngle::from_radians(TAU - 1e-9);
         assert!(full.code() < ANGLE_CODES as u32);
-        assert!(full.slt_tag() < (1 << SLT_TAG_BITS));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::rocc::{RoccFunct, RoccWord};
 use crate::IsaError;
 
 /// Width of the `length` field packed above the quantum address in `rs2`.
-pub const LENGTH_BITS: u32 = 64 - QADDRESS_BITS; // 25
+pub(crate) const LENGTH_BITS: u32 = 64 - QADDRESS_BITS; // 25
 
 /// Maximum transfer length (in entries) expressible by `q_set`/`q_acquire`.
 pub const MAX_TRANSFER_LEN: u64 = (1 << LENGTH_BITS) - 1;
@@ -87,26 +87,6 @@ pub struct EncodedInstruction {
 }
 
 impl Instruction {
-    /// The RoCC funct for this instruction.
-    pub fn funct(&self) -> RoccFunct {
-        match self {
-            Instruction::QUpdate { .. } => RoccFunct::QUpdate,
-            Instruction::QSet { .. } => RoccFunct::QSet,
-            Instruction::QAcquire { .. } => RoccFunct::QAcquire,
-            Instruction::QGen { .. } => RoccFunct::QGen,
-            Instruction::QRun { .. } => RoccFunct::QRun,
-        }
-    }
-
-    /// Whether this is a data-communication instruction (Table 3's
-    /// `Data Comm.` group) as opposed to a computation instruction.
-    pub fn is_communication(&self) -> bool {
-        matches!(
-            self,
-            Instruction::QUpdate { .. } | Instruction::QSet { .. } | Instruction::QAcquire { .. }
-        )
-    }
-
     /// Encodes to a RoCC word plus register values.
     ///
     /// Lengths are clamped at encode time by construction: building an
@@ -429,24 +409,19 @@ mod tests {
     }
 
     #[test]
-    fn communication_vs_computation_split() {
-        let instrs = all_instructions();
-        assert!(instrs[0].is_communication());
-        assert!(instrs[1].is_communication());
-        assert!(instrs[2].is_communication());
-        assert!(!instrs[3].is_communication());
-        assert!(!instrs[4].is_communication());
-    }
-
-    #[test]
     fn funct_matches_variant() {
-        assert_eq!(Instruction::QRun { shots: 1 }.funct(), RoccFunct::QRun);
+        assert_eq!(
+            Instruction::QRun { shots: 1 }.encode().word.funct,
+            RoccFunct::QRun
+        );
         assert_eq!(
             Instruction::QGen {
                 qaddr: qa(0),
                 length: 1
             }
-            .funct(),
+            .encode()
+            .word
+            .funct,
             RoccFunct::QGen
         );
     }

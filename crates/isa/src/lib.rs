@@ -32,6 +32,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![deny(dead_code)]
 
 pub mod angle;
 pub mod disasm;

@@ -10,7 +10,7 @@
 use std::fmt;
 
 use crate::angle::EncodedAngle;
-use crate::{IsaError, QAddress};
+use crate::IsaError;
 
 /// Gate kinds representable in the 4-bit `type` field.
 ///
@@ -34,7 +34,7 @@ pub enum GateType {
 
 impl GateType {
     /// All gate types in encoding order.
-    pub const ALL: [GateType; 6] = [
+    pub(crate) const ALL: [GateType; 6] = [
         GateType::Rx,
         GateType::Ry,
         GateType::Rz,
@@ -60,7 +60,7 @@ impl GateType {
     /// # Errors
     ///
     /// Returns [`IsaError::BadEncoding`] for unassigned codes.
-    pub fn decode(code: u8) -> Result<Self, IsaError> {
+    pub(crate) fn decode(code: u8) -> Result<Self, IsaError> {
         Self::ALL
             .get(code as usize)
             .copied()
@@ -71,7 +71,7 @@ impl GateType {
 
     /// Whether the gate's `data` field holds a rotation angle (and thus
     /// participates in SLT lookup / pulse generation keyed on parameters).
-    pub fn is_parameterised(self) -> bool {
+    pub(crate) fn is_parameterised(self) -> bool {
         matches!(self, GateType::Rx | GateType::Ry | GateType::Rz)
     }
 
@@ -110,7 +110,7 @@ pub enum EntryStatus {
 
 impl EntryStatus {
     /// The 3-bit hardware encoding.
-    pub fn encode(self) -> u8 {
+    pub(crate) fn encode(self) -> u8 {
         match self {
             EntryStatus::Invalid => 0,
             EntryStatus::Pending => 1,
@@ -123,7 +123,7 @@ impl EntryStatus {
     /// # Errors
     ///
     /// Returns [`IsaError::BadEncoding`] for unassigned codes.
-    pub fn decode(code: u8) -> Result<Self, IsaError> {
+    pub(crate) fn decode(code: u8) -> Result<Self, IsaError> {
         match code {
             0 => Ok(EntryStatus::Invalid),
             1 => Ok(EntryStatus::Pending),
@@ -137,7 +137,7 @@ impl EntryStatus {
 
 /// What the 27-bit `data` field of an entry holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EntryData {
+pub(crate) enum EntryData {
     /// An inline fixed-point angle (for `reg_flag = 0` rotations).
     Angle(EncodedAngle),
     /// A `.regfile` index (for `reg_flag = 1`: the parameter is fetched
@@ -247,7 +247,7 @@ impl ProgramEntry {
     }
 
     /// Interprets the data field.
-    pub fn payload(&self) -> EntryData {
+    pub(crate) fn payload(&self) -> EntryData {
         if self.reg_flag {
             EntryData::RegIndex(self.data)
         } else {
@@ -299,22 +299,6 @@ impl ProgramEntry {
             qaddr,
         })
     }
-
-    /// Returns a copy with the pulse link filled in and status set to
-    /// `PulseReady`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IsaError::FieldOverflow`] if the pulse address needs more
-    /// than 30 bits.
-    pub fn with_pulse(&self, pulse_addr: QAddress) -> Result<Self, IsaError> {
-        check_width("qaddr", pulse_addr.raw(), QADDR_FIELD_BITS)?;
-        Ok(ProgramEntry {
-            status: EntryStatus::PulseReady,
-            qaddr: pulse_addr.raw() as u32,
-            ..*self
-        })
-    }
 }
 
 impl fmt::Display for ProgramEntry {
@@ -338,6 +322,25 @@ fn check_width(field: &'static str, value: u64, bits: u32) -> Result<(), IsaErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QAddress;
+
+    impl ProgramEntry {
+        /// Returns a copy with the pulse link filled in and status set to
+        /// `PulseReady`.
+        ///
+        /// # Errors
+        ///
+        /// Returns [`IsaError::FieldOverflow`] if the pulse address needs more
+        /// than 30 bits.
+        pub(crate) fn with_pulse(&self, pulse_addr: QAddress) -> Result<Self, IsaError> {
+            check_width("qaddr", pulse_addr.raw(), QADDR_FIELD_BITS)?;
+            Ok(ProgramEntry {
+                status: EntryStatus::PulseReady,
+                qaddr: pulse_addr.raw() as u32,
+                ..*self
+            })
+        }
+    }
 
     #[test]
     fn gate_type_round_trip() {

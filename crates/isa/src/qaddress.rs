@@ -19,7 +19,7 @@ use std::fmt;
 use crate::IsaError;
 
 /// Width of the quantum address space in bits (Section 7.5).
-pub const QADDRESS_BITS: u32 = 39;
+pub(crate) const QADDRESS_BITS: u32 = 39;
 
 /// Mask selecting the valid QAddress bits.
 pub const QADDRESS_MASK: u64 = (1 << QADDRESS_BITS) - 1;
@@ -235,15 +235,15 @@ const ADDRESS_ORDER: [Segment; 5] = [
 
 /// `.program` entry width: type(4) + reg_flag(1) + data(27) + status(3) +
 /// qaddr(30) bits.
-pub const PROGRAM_ENTRY_BITS: u64 = 65;
+pub(crate) const PROGRAM_ENTRY_BITS: u64 = 65;
 /// `.pulse` entry width: 10 × 64 bits.
-pub const PULSE_ENTRY_BITS: u64 = 640;
+pub(crate) const PULSE_ENTRY_BITS: u64 = 640;
 /// `.measure` entry width.
-pub const MEASURE_ENTRY_BITS: u64 = 64;
+pub(crate) const MEASURE_ENTRY_BITS: u64 = 64;
 /// `.slt` entry width: tag(20) + qaddr(30) + valid(1) + count(5) bits.
-pub const SLT_ENTRY_BITS: u64 = 56;
+pub(crate) const SLT_ENTRY_BITS: u64 = 56;
 /// `.regfile` entry width.
-pub const REGFILE_ENTRY_BITS: u64 = 32;
+pub(crate) const REGFILE_ENTRY_BITS: u64 = 32;
 
 /// Fixed base of the `.regfile` segment in the 64-qubit map (Fig. 4).
 const REGFILE_BASE_64: u64 = 0x70000;

@@ -11,7 +11,7 @@ use std::fmt;
 use crate::IsaError;
 
 /// The RISC-V `custom-0` major opcode used by RoCC.
-pub const CUSTOM0_OPCODE: u32 = 0x0B;
+pub(crate) const CUSTOM0_OPCODE: u32 = 0x0B;
 
 /// The Qtenon operation selected by the `funct7` field (Table 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,7 +30,7 @@ pub enum RoccFunct {
 
 impl RoccFunct {
     /// All functs in encoding order.
-    pub const ALL: [RoccFunct; 5] = [
+    pub(crate) const ALL: [RoccFunct; 5] = [
         RoccFunct::QUpdate,
         RoccFunct::QSet,
         RoccFunct::QAcquire,
@@ -39,7 +39,7 @@ impl RoccFunct {
     ];
 
     /// The 7-bit `funct7` encoding.
-    pub fn encode(self) -> u8 {
+    pub(crate) fn encode(self) -> u8 {
         match self {
             RoccFunct::QUpdate => 0,
             RoccFunct::QSet => 1,
@@ -54,7 +54,7 @@ impl RoccFunct {
     /// # Errors
     ///
     /// Returns [`IsaError::BadEncoding`] for unassigned codes.
-    pub fn decode(code: u8) -> Result<Self, IsaError> {
+    pub(crate) fn decode(code: u8) -> Result<Self, IsaError> {
         Self::ALL
             .get(code as usize)
             .copied()
@@ -64,7 +64,7 @@ impl RoccFunct {
     }
 
     /// The instruction mnemonic.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             RoccFunct::QUpdate => "q_update",
             RoccFunct::QSet => "q_set",
@@ -93,7 +93,15 @@ impl fmt::Display for RoccFunct {
 /// ```
 /// use qtenon_isa::{RoccFunct, RoccWord};
 ///
-/// let w = RoccWord::new(RoccFunct::QRun, 0, 5, 0, false, true, false);
+/// let w = RoccWord {
+///     funct: RoccFunct::QRun,
+///     rd: 0,
+///     rs1: 5,
+///     rs2: 0,
+///     xd: false,
+///     xs1: true,
+///     xs2: false,
+/// };
 /// let bits = w.encode();
 /// assert_eq!(RoccWord::decode(bits)?, w);
 /// # Ok::<(), qtenon_isa::IsaError>(())
@@ -122,7 +130,15 @@ impl RoccWord {
     /// # Panics
     ///
     /// Panics if a register number exceeds 31.
-    pub fn new(funct: RoccFunct, rd: u8, rs1: u8, rs2: u8, xd: bool, xs1: bool, xs2: bool) -> Self {
+    pub(crate) fn new(
+        funct: RoccFunct,
+        rd: u8,
+        rs1: u8,
+        rs2: u8,
+        xd: bool,
+        xs1: bool,
+        xs2: bool,
+    ) -> Self {
         assert!(
             rd < 32 && rs1 < 32 && rs2 < 32,
             "register number out of range"

@@ -19,7 +19,7 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// The paper's L1: 16 KB, 4-way (Table 4), 64 B lines, 2-cycle hits.
-    pub fn l1_16k() -> Self {
+    pub(crate) fn l1_16k() -> Self {
         CacheConfig {
             size_bytes: 16 * 1024,
             ways: 4,
@@ -29,7 +29,7 @@ impl CacheConfig {
     }
 
     /// The paper's L2: 512 KB, 4-way, 8 banks (Table 4); 20-cycle hits.
-    pub fn l2_512k() -> Self {
+    pub(crate) fn l2_512k() -> Self {
         CacheConfig {
             size_bytes: 512 * 1024,
             ways: 4,
@@ -39,7 +39,7 @@ impl CacheConfig {
     }
 
     /// Number of sets implied by the geometry.
-    pub fn n_sets(&self) -> u64 {
+    pub(crate) fn n_sets(&self) -> u64 {
         self.size_bytes / (self.ways as u64 * self.line_bytes as u64)
     }
 }
@@ -69,9 +69,9 @@ struct Line {
 /// # Examples
 ///
 /// ```
-/// use qtenon_mem::{Cache, CacheConfig};
+/// use qtenon_mem::{Cache, HierarchyConfig};
 ///
-/// let mut l1 = Cache::new(CacheConfig::l1_16k())?;
+/// let mut l1 = Cache::new(HierarchyConfig::default().l1)?;
 /// assert!(!l1.access(0x1000, false).hit); // cold miss
 /// assert!(l1.access(0x1000, false).hit);  // now resident
 /// # Ok::<(), qtenon_mem::MemError>(())
@@ -116,11 +116,6 @@ impl Cache {
             misses: 0,
             writebacks: 0,
         })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> CacheConfig {
-        self.config
     }
 
     /// Performs one access at byte address `addr`, allocating on miss.
@@ -178,12 +173,12 @@ impl Cache {
     }
 
     /// Number of dirty evictions so far.
-    pub fn writebacks(&self) -> u64 {
+    pub(crate) fn writebacks(&self) -> u64 {
         self.writebacks
     }
 
     /// Hit rate over all accesses (0 if none).
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits() + self.misses();
         if total == 0 {
             0.0
@@ -193,7 +188,7 @@ impl Cache {
     }
 
     /// Registers this cache's statistics under `prefix` (e.g. `mem.l1`).
-    pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
+    pub(crate) fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
         m.counter(&format!("{prefix}.hits"), self.hits());
         m.counter(&format!("{prefix}.misses"), self.misses());
         m.counter(&format!("{prefix}.writebacks"), self.writebacks());
@@ -201,7 +196,7 @@ impl Cache {
     }
 
     /// Forgets all cached lines and statistics.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for set in &mut self.sets {
             set.clear();
         }

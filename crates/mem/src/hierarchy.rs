@@ -66,11 +66,6 @@ impl MemoryHierarchy {
         })
     }
 
-    /// The configuration.
-    pub fn config(&self) -> HierarchyConfig {
-        self.config
-    }
-
     /// Performs one access and returns its latency.
     pub fn access(&mut self, addr: u64, write: bool) -> SimDuration {
         let clk = self.config.clock;
@@ -95,11 +90,6 @@ impl MemoryHierarchy {
         (first..=last).map(|l| self.access(l * line, write)).sum()
     }
 
-    /// Number of DRAM accesses so far.
-    pub fn dram_accesses(&self) -> u64 {
-        self.dram_accesses
-    }
-
     /// Registers the hierarchy's statistics under `prefix` (e.g. `mem`),
     /// yielding `mem.l1.*`, `mem.l2.*`, and `mem.dram.accesses`.
     pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
@@ -119,6 +109,13 @@ impl MemoryHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MemoryHierarchy {
+        /// Number of DRAM accesses so far.
+        fn dram_accesses(&self) -> u64 {
+            self.dram_accesses
+        }
+    }
 
     fn mem() -> MemoryHierarchy {
         MemoryHierarchy::new(HierarchyConfig::default()).unwrap()

@@ -22,11 +22,12 @@
 //! let mut qcc = QuantumControllerCache::new(layout);
 //! let addr = layout.regfile_entry(0)?;
 //! qcc.write_regfile(AccessPort::HostPublic, addr, 0x55)?;
-//! assert_eq!(qcc.read_regfile(AccessPort::HostPublic, addr)?, 0x55);
+//! assert_eq!(qcc.regfile_by_index(0), 0x55);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![deny(unsafe_code)]
+#![deny(dead_code)]
 
 pub mod cache;
 pub mod hierarchy;

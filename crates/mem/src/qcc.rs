@@ -35,7 +35,7 @@ pub enum AccessPort {
 
 /// A 640-bit `.pulse` entry, stored as ten 64-bit words (the hardware
 /// splits each entry into ten parallel buffers ahead of the SerDes).
-pub type PulseWord = [u64; 10];
+pub(crate) type PulseWord = [u64; 10];
 
 /// Entries per storage page of a sparse segment.
 const PAGE_ENTRIES: usize = 64;
@@ -134,11 +134,6 @@ impl QuantumControllerCache {
         }
     }
 
-    /// The layout this cache was built for.
-    pub fn layout(&self) -> QccLayout {
-        self.layout
-    }
-
     fn locate(
         &self,
         port: AccessPort,
@@ -193,17 +188,6 @@ impl QuantumControllerCache {
         Ok(())
     }
 
-    /// Reads a `.pulse` entry (controller-only).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::PrivateSegment`] for host access.
-    pub fn read_pulse(&self, port: AccessPort, addr: QAddress) -> Result<PulseWord, MemError> {
-        let idx = self.locate(port, addr, Segment::Pulse)?;
-        self.reads.set(self.reads.get() + 1);
-        Ok(self.pulse.get(idx))
-    }
-
     /// Writes a `.pulse` entry (controller-only).
     ///
     /// # Errors
@@ -238,26 +222,9 @@ impl QuantumControllerCache {
         Ok(self.measure[idx])
     }
 
-    /// Writes a `.measure` entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError`] for unmapped or wrong-segment addresses.
-    pub fn write_measure(
-        &mut self,
-        port: AccessPort,
-        addr: QAddress,
-        value: u64,
-    ) -> Result<(), MemError> {
-        let idx = self.locate(port, addr, Segment::Measure)?;
-        self.deposit_measure(idx, value);
-        Ok(())
-    }
-
     /// The controller's readout deposit: writes `.measure` entry `index`
     /// (a flat segment index, not an address) without decoding an
-    /// address, exactly as [`write_measure`](Self::write_measure) writes
-    /// the entry at that index.
+    /// address.
     ///
     /// # Panics
     ///
@@ -270,22 +237,11 @@ impl QuantumControllerCache {
         self.writes += 1;
     }
 
-    /// Injects a single-event upset into the `.measure` entry at `addr`:
-    /// the raw array bits are flipped by `mask` until the next read
-    /// (SECDED correction) or write (check-bit refresh) of that entry.
-    /// A zero mask, or a second flip of the same bits, is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError`] for unmapped or wrong-segment addresses.
-    pub fn poison_measure(&mut self, addr: QAddress, mask: u64) -> Result<(), MemError> {
-        let idx = self.locate(AccessPort::Controller, addr, Segment::Measure)?;
-        self.poison_measure_index(idx, mask);
-        Ok(())
-    }
-
-    /// [`poison_measure`](Self::poison_measure) by flat segment index, the
-    /// index [`deposit_measure`](Self::deposit_measure) takes.
+    /// Injects a single-event upset into `.measure` entry `index` (the
+    /// flat index [`deposit_measure`](Self::deposit_measure) takes): the
+    /// raw array bits are flipped by `mask` until the next read (SECDED
+    /// correction) or write (check-bit refresh) of that entry. A zero
+    /// mask, or a second flip of the same bits, is a no-op.
     ///
     /// # Panics
     ///
@@ -308,17 +264,6 @@ impl QuantumControllerCache {
     /// Upsets detected and corrected by the `.measure` ECC decoder.
     pub fn ecc_corrections(&self) -> u64 {
         self.ecc_corrections.get()
-    }
-
-    /// Reads a `.regfile` entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError`] for unmapped or wrong-segment addresses.
-    pub fn read_regfile(&self, port: AccessPort, addr: QAddress) -> Result<u32, MemError> {
-        let idx = self.locate(port, addr, Segment::Regfile)?;
-        self.reads.set(self.reads.get() + 1);
-        Ok(self.regfile[idx])
     }
 
     /// Writes a `.regfile` entry (the `q_update` fast path).
@@ -349,12 +294,12 @@ impl QuantumControllerCache {
     }
 
     /// Number of successful reads so far (all segments and ports).
-    pub fn reads(&self) -> u64 {
+    pub(crate) fn reads(&self) -> u64 {
         self.reads.get()
     }
 
     /// Number of successful writes so far (all segments and ports).
-    pub fn writes(&self) -> u64 {
+    pub(crate) fn writes(&self) -> u64 {
         self.writes
     }
 
@@ -372,6 +317,65 @@ impl QuantumControllerCache {
 mod tests {
     use super::*;
     use qtenon_isa::{EncodedAngle, GateType, QubitId};
+
+    impl QuantumControllerCache {
+        /// The layout this cache was built for.
+        fn layout(&self) -> QccLayout {
+            self.layout
+        }
+
+        /// Reads a `.pulse` entry (controller-only).
+        ///
+        /// # Errors
+        ///
+        /// Returns [`MemError::PrivateSegment`] for host access.
+        fn read_pulse(&self, port: AccessPort, addr: QAddress) -> Result<PulseWord, MemError> {
+            let idx = self.locate(port, addr, Segment::Pulse)?;
+            self.reads.set(self.reads.get() + 1);
+            Ok(self.pulse.get(idx))
+        }
+
+        /// Writes a `.measure` entry.
+        ///
+        /// # Errors
+        ///
+        /// Returns [`MemError`] for unmapped or wrong-segment addresses.
+        fn write_measure(
+            &mut self,
+            port: AccessPort,
+            addr: QAddress,
+            value: u64,
+        ) -> Result<(), MemError> {
+            let idx = self.locate(port, addr, Segment::Measure)?;
+            self.deposit_measure(idx, value);
+            Ok(())
+        }
+
+        /// Injects a single-event upset into the `.measure` entry at `addr`:
+        /// the raw array bits are flipped by `mask` until the next read
+        /// (SECDED correction) or write (check-bit refresh) of that entry.
+        /// A zero mask, or a second flip of the same bits, is a no-op.
+        ///
+        /// # Errors
+        ///
+        /// Returns [`MemError`] for unmapped or wrong-segment addresses.
+        fn poison_measure(&mut self, addr: QAddress, mask: u64) -> Result<(), MemError> {
+            let idx = self.locate(AccessPort::Controller, addr, Segment::Measure)?;
+            self.poison_measure_index(idx, mask);
+            Ok(())
+        }
+
+        /// Reads a `.regfile` entry.
+        ///
+        /// # Errors
+        ///
+        /// Returns [`MemError`] for unmapped or wrong-segment addresses.
+        fn read_regfile(&self, port: AccessPort, addr: QAddress) -> Result<u32, MemError> {
+            let idx = self.locate(port, addr, Segment::Regfile)?;
+            self.reads.set(self.reads.get() + 1);
+            Ok(self.regfile[idx])
+        }
+    }
 
     fn qcc() -> (QccLayout, QuantumControllerCache) {
         let layout = QccLayout::for_qubits(8).unwrap();

@@ -8,8 +8,8 @@
 //! data path ❸ reaches it.
 //!
 //! The model stores mappings sparsely (a dense 4 MB/qubit allocation would
-//! be wasteful in a simulator); [`ENTRIES_PER_QUBIT`] and
-//! [`BYTES_PER_ENTRY`] keep the architectural capacity.
+//! be wasteful in a simulator); `ENTRIES_PER_QUBIT` keeps the
+//! architectural capacity of 2²⁰ entries of 4 B per qubit.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -17,10 +17,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use qtenon_isa::QAddress;
 
 /// Capacity in entries per qubit: one per 20-bit tag.
-pub const ENTRIES_PER_QUBIT: u64 = 1 << 20;
-
-/// Bytes per entry (a packed 30-bit QAddress plus a valid bit).
-pub const BYTES_PER_ENTRY: u64 = 4;
+pub(crate) const ENTRIES_PER_QUBIT: u64 = 1 << 20;
 
 /// Hashes a tag with one multiply by the golden-ratio constant
 /// (Fibonacci hashing). The maps are only probed, filled, cleared and
@@ -71,7 +68,6 @@ pub struct QSpaceEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct QSpace {
-    n_qubits: u32,
     tables: Vec<TagMap>,
     reads: u64,
     writes: u64,
@@ -81,16 +77,10 @@ impl QSpace {
     /// Creates an empty QSpace for `n_qubits` qubits.
     pub fn new(n_qubits: u32) -> Self {
         QSpace {
-            n_qubits,
             tables: vec![TagMap::default(); n_qubits as usize],
             reads: 0,
             writes: 0,
         }
-    }
-
-    /// The number of qubits.
-    pub fn n_qubits(&self) -> u32 {
-        self.n_qubits
     }
 
     /// Looks up a tag for one qubit.
@@ -113,15 +103,6 @@ impl QSpace {
         assert!((tag as u64) < ENTRIES_PER_QUBIT, "tag exceeds 20 bits");
         self.writes += 1;
         self.tables[qubit as usize].insert(tag, QSpaceEntry { qaddr });
-    }
-
-    /// Number of valid mappings currently held for one qubit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qubit` is out of range.
-    pub fn occupancy(&self, qubit: u32) -> usize {
-        self.tables[qubit as usize].len()
     }
 
     /// Total QSpace reads performed (data path ❸ traffic, read side).
@@ -147,6 +128,20 @@ impl QSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl QSpace {
+        /// Number of valid mappings currently held for one qubit.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `qubit` is out of range.
+        fn occupancy(&self, qubit: u32) -> usize {
+            self.tables[qubit as usize].len()
+        }
+    }
+
+    /// Bytes per entry (a packed 30-bit QAddress plus a valid bit).
+    const BYTES_PER_ENTRY: u64 = 4;
 
     fn qa(raw: u64) -> QAddress {
         QAddress::new(raw).unwrap()

@@ -22,6 +22,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![deny(dead_code)]
 
 use std::ops::{Range, RangeInclusive};
 use std::panic::{self, AssertUnwindSafe};

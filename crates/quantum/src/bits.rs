@@ -92,16 +92,6 @@ impl BitString {
         out
     }
 
-    /// The number of bits.
-    pub fn len(&self) -> u32 {
-        self.len
-    }
-
-    /// Returns `true` for a zero-width bitstring.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Reads bit `i`.
     ///
     /// # Panics
@@ -137,7 +127,7 @@ impl BitString {
     /// # Panics
     ///
     /// Panics if any index is out of range.
-    pub fn parity_of(&self, indices: &[u32]) -> bool {
+    pub(crate) fn parity_of(&self, indices: &[u32]) -> bool {
         indices.iter().fold(false, |acc, &i| acc ^ self.get(i))
     }
 
@@ -158,12 +148,6 @@ impl BitString {
             Words::Heap(w) => w,
         }
     }
-
-    /// The number of bytes needed to transmit this bitstring (the paper's
-    /// Algorithm 1 uses ⌈N/8⌉ bytes per shot).
-    pub fn byte_len(&self) -> u64 {
-        (self.len as u64).div_ceil(8)
-    }
 }
 
 impl fmt::Display for BitString {
@@ -182,6 +166,19 @@ impl fmt::Display for BitString {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BitString {
+        /// The number of bits.
+        pub(crate) fn len(&self) -> u32 {
+            self.len
+        }
+
+        /// The number of bytes needed to transmit this bitstring (the paper's
+        /// Algorithm 1 uses ⌈N/8⌉ bytes per shot).
+        fn byte_len(&self) -> u64 {
+            (self.len as u64).div_ceil(8)
+        }
+    }
 
     #[test]
     fn set_get_across_word_boundary() {

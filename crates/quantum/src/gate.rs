@@ -51,17 +51,17 @@ pub enum Angle {
 
 impl Angle {
     /// A plain reference to `param` with unit scale.
-    pub fn param(param: ParamId) -> Self {
+    pub(crate) fn param(param: ParamId) -> Self {
         Angle::Param { param, scale: 1.0 }
     }
 
     /// A scaled reference to `param`.
-    pub fn scaled_param(param: ParamId, scale: f64) -> Self {
+    pub(crate) fn scaled_param(param: ParamId, scale: f64) -> Self {
         Angle::Param { param, scale }
     }
 
     /// The parameter this angle references, if symbolic.
-    pub fn param_id(&self) -> Option<ParamId> {
+    pub(crate) fn param_id(&self) -> Option<ParamId> {
         match self {
             Angle::Value(_) => None,
             Angle::Param { param, .. } => Some(*param),
@@ -71,7 +71,7 @@ impl Angle {
     /// Resolves the angle against a parameter vector.
     ///
     /// Returns `None` if the referenced parameter is out of range.
-    pub fn resolve(&self, params: &[f64]) -> Option<f64> {
+    pub(crate) fn resolve(&self, params: &[f64]) -> Option<f64> {
         match *self {
             Angle::Value(v) => Some(v),
             Angle::Param { param, scale } => params.get(param.index() as usize).map(|&p| p * scale),
@@ -159,7 +159,7 @@ impl Gate {
     }
 
     /// Whether the gate is in the chip-native set.
-    pub fn is_native(&self) -> bool {
+    pub(crate) fn is_native(&self) -> bool {
         matches!(
             self,
             Gate::Rx(_) | Gate::Ry(_) | Gate::Rz(_) | Gate::Cz | Gate::Measure
@@ -167,7 +167,7 @@ impl Gate {
     }
 
     /// The gate's angle, if it is a rotation.
-    pub fn angle(&self) -> Option<Angle> {
+    pub(crate) fn angle(&self) -> Option<Angle> {
         match self {
             Gate::Rx(a) | Gate::Ry(a) | Gate::Rz(a) => Some(*a),
             _ => None,

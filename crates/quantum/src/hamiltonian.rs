@@ -11,8 +11,6 @@
 use qtenon_sim_engine::rng;
 
 use crate::bits::BitString;
-use crate::sim::MeanFieldState;
-use crate::statevector::StateVector;
 
 /// One weighted product of Pauli-Z operators.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +40,7 @@ impl PauliTerm {
     }
 
     /// The term's value on one measured bitstring: `coeff × (−1)^parity`.
-    pub fn value_on(&self, bits: &BitString) -> f64 {
+    pub(crate) fn value_on(&self, bits: &BitString) -> f64 {
         if bits.parity_of(&self.qubits) {
             -self.coeff
         } else {
@@ -119,26 +117,6 @@ impl Hamiltonian {
         shots.iter().map(|s| self.value_on(s)).sum::<f64>() / shots.len() as f64
     }
 
-    /// Exact ⟨H⟩ against a state vector.
-    pub fn exact_expectation(&self, sv: &StateVector) -> f64 {
-        self.constant
-            + self
-                .terms
-                .iter()
-                .map(|t| t.coeff * sv.expectation_z_product(&t.qubits))
-                .sum::<f64>()
-    }
-
-    /// Mean-field ⟨H⟩ against a product state.
-    pub fn mean_field_expectation(&self, mf: &MeanFieldState) -> f64 {
-        self.constant
-            + self
-                .terms
-                .iter()
-                .map(|t| t.coeff * mf.expectation_z_product(&t.qubits))
-                .sum::<f64>()
-    }
-
     /// The MAX-CUT Hamiltonian for a weighted graph: minimising
     /// `H = Σ w·(Z_u Z_v − 1)/2` maximises the cut value, and `−⟨H⟩` is
     /// the expected cut size.
@@ -186,6 +164,30 @@ impl Hamiltonian {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::MeanFieldState;
+    use crate::statevector::StateVector;
+
+    impl Hamiltonian {
+        /// Exact ⟨H⟩ against a state vector.
+        fn exact_expectation(&self, sv: &StateVector) -> f64 {
+            self.constant
+                + self
+                    .terms
+                    .iter()
+                    .map(|t| t.coeff * sv.expectation_z_product(&t.qubits))
+                    .sum::<f64>()
+        }
+
+        /// Mean-field ⟨H⟩ against a product state.
+        fn mean_field_expectation(&self, mf: &MeanFieldState) -> f64 {
+            self.constant
+                + self
+                    .terms
+                    .iter()
+                    .map(|t| t.coeff * mf.expectation_z_product(&t.qubits))
+                    .sum::<f64>()
+        }
+    }
 
     #[test]
     fn term_value_signs() {

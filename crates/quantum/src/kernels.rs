@@ -75,7 +75,7 @@ use crate::fuse::PlanOp;
 use crate::statevector::C64;
 
 /// A 2×2 complex matrix in row-major order: `m[row][col]`.
-pub type Mat2 = [[C64; 2]; 2];
+pub(crate) type Mat2 = [[C64; 2]; 2];
 
 /// The RX(θ) = exp(-iθX/2) matrix, bit-for-bit the one the simulator has
 /// always applied.
@@ -169,7 +169,7 @@ fn is_exact_one(z: C64) -> bool {
 /// so the `quantum.fuse.kernels.*` counters never depend on how a
 /// non-diagonal matrix is swept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelClass {
+pub(crate) enum KernelClass {
     /// Diagonal single-qubit kernel.
     Diag,
     /// Non-diagonal 2×2 single-qubit kernel.
@@ -258,7 +258,7 @@ impl Kernel1Q {
     }
 
     /// The kernel's class.
-    pub fn class(&self) -> KernelClass {
+    pub(crate) fn class(&self) -> KernelClass {
         match self {
             Kernel1Q::Diag { .. } => KernelClass::Diag,
             Kernel1Q::Real { .. } | Kernel1Q::Cross { .. } | Kernel1Q::General { .. } => {

@@ -37,6 +37,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![deny(dead_code)]
 
 pub mod bits;
 pub mod circuit;
@@ -55,7 +56,7 @@ pub use circuit::{Circuit, Operation};
 pub use fuse::{ExecPlan, FuseStats};
 pub use gate::{Angle, Gate, ParamId};
 pub use hamiltonian::{Hamiltonian, PauliTerm};
-pub use kernels::{Kernel1Q, KernelClass};
+pub use kernels::Kernel1Q;
 pub use sim::{PreparedCircuit, Simulator};
 pub use statevector::StateVector;
 pub use timing::{CircuitTiming, GateTimes};

@@ -1,4 +1,4 @@
-//! OpenQASM 2.0 subset: parsing and emission.
+//! OpenQASM 2.0 subset: parsing.
 //!
 //! The paper's baseline flow generates circuits with Qiskit and compiles
 //! them through OpenQASM (Section 7.1); eQASM is likewise "translated
@@ -23,8 +23,6 @@
 //! "#;
 //! let circuit = qasm::parse(src)?;
 //! assert_eq!(circuit.n_qubits(), 2);
-//! let text = qasm::emit(&circuit);
-//! assert_eq!(qasm::parse(&text)?, circuit);
 //! # Ok::<(), qtenon_quantum::qasm::QasmError>(())
 //! ```
 
@@ -241,63 +239,63 @@ fn parse_index(text: &str, lineno: usize) -> Result<u32, QasmError> {
         .map_err(|_| err(lineno, format!("bad index in {text:?}")))
 }
 
-/// Emits a circuit as OpenQASM 2.0 text.
-///
-/// Symbolic (unbound) angles are emitted as `rz(theta<N>)` placeholders,
-/// which [`parse`] does not accept — bind the circuit first for a
-/// round-trippable artifact.
-pub fn emit(circuit: &Circuit) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(out, "OPENQASM 2.0;");
-    let _ = writeln!(out, "include \"qelib1.inc\";");
-    let _ = writeln!(out, "qreg q[{}];", circuit.n_qubits());
-    let _ = writeln!(out, "creg c[{}];", circuit.n_qubits());
-    for op in circuit.operations() {
-        let line = match op.gate {
-            Gate::H => format!("h q[{}];", op.qubit),
-            Gate::X => format!("x q[{}];", op.qubit),
-            Gate::Y => format!("y q[{}];", op.qubit),
-            Gate::Z => format!("z q[{}];", op.qubit),
-            Gate::S => format!("s q[{}];", op.qubit),
-            Gate::T => format!("t q[{}];", op.qubit),
-            Gate::Rx(a) => format!("rx({}) q[{}];", emit_angle(a), op.qubit),
-            Gate::Ry(a) => format!("ry({}) q[{}];", emit_angle(a), op.qubit),
-            Gate::Rz(a) => format!("rz({}) q[{}];", emit_angle(a), op.qubit),
-            Gate::Cx => format!(
-                "cx q[{}], q[{}];",
-                op.qubit,
-                op.qubit2.expect("cx has two operands")
-            ),
-            Gate::Cz => format!(
-                "cz q[{}], q[{}];",
-                op.qubit,
-                op.qubit2.expect("cz has two operands")
-            ),
-            Gate::Measure => format!("measure q[{0}] -> c[{0}];", op.qubit),
-        };
-        let _ = writeln!(out, "{line}");
-    }
-    out
-}
-
-fn emit_angle(a: Angle) -> String {
-    match a {
-        Angle::Value(v) => format!("{v:.12}"),
-        Angle::Param { param, scale } => {
-            if scale == 1.0 {
-                format!("theta{}", param.index())
-            } else {
-                format!("{scale:.6}*theta{}", param.index())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::f64::consts::PI;
+
+    /// Emits a circuit as OpenQASM 2.0 text.
+    ///
+    /// Symbolic (unbound) angles are emitted as `rz(theta<N>)` placeholders,
+    /// which [`parse`] does not accept — bind the circuit first for a
+    /// round-trippable artifact.
+    fn emit(circuit: &Circuit) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        let _ = writeln!(out, "OPENQASM 2.0;");
+        let _ = writeln!(out, "include \"qelib1.inc\";");
+        let _ = writeln!(out, "qreg q[{}];", circuit.n_qubits());
+        let _ = writeln!(out, "creg c[{}];", circuit.n_qubits());
+        for op in circuit.operations() {
+            let line = match op.gate {
+                Gate::H => format!("h q[{}];", op.qubit),
+                Gate::X => format!("x q[{}];", op.qubit),
+                Gate::Y => format!("y q[{}];", op.qubit),
+                Gate::Z => format!("z q[{}];", op.qubit),
+                Gate::S => format!("s q[{}];", op.qubit),
+                Gate::T => format!("t q[{}];", op.qubit),
+                Gate::Rx(a) => format!("rx({}) q[{}];", emit_angle(a), op.qubit),
+                Gate::Ry(a) => format!("ry({}) q[{}];", emit_angle(a), op.qubit),
+                Gate::Rz(a) => format!("rz({}) q[{}];", emit_angle(a), op.qubit),
+                Gate::Cx => format!(
+                    "cx q[{}], q[{}];",
+                    op.qubit,
+                    op.qubit2.expect("cx has two operands")
+                ),
+                Gate::Cz => format!(
+                    "cz q[{}], q[{}];",
+                    op.qubit,
+                    op.qubit2.expect("cz has two operands")
+                ),
+                Gate::Measure => format!("measure q[{0}] -> c[{0}];", op.qubit),
+            };
+            let _ = writeln!(out, "{line}");
+        }
+        out
+    }
+
+    fn emit_angle(a: Angle) -> String {
+        match a {
+            Angle::Value(v) => format!("{v:.12}"),
+            Angle::Param { param, scale } => {
+                if scale == 1.0 {
+                    format!("theta{}", param.index())
+                } else {
+                    format!("{scale:.6}*theta{}", param.index())
+                }
+            }
+        }
+    }
 
     #[test]
     fn parses_bell_program() {

@@ -42,7 +42,7 @@ use crate::QuantumError;
 pub use crate::statevector::EXACT_QUBIT_LIMIT;
 
 /// Exactness threshold for [`Simulator::fast`].
-pub const FAST_EXACT_LIMIT: u32 = 12;
+pub(crate) const FAST_EXACT_LIMIT: u32 = 12;
 
 /// Shot streams [`PreparedCircuit::sample_range`] draws in lockstep. The
 /// bits never depend on it (see the module docs). Derivation, on a
@@ -108,11 +108,6 @@ impl MeanFieldState {
         MeanFieldState {
             qubits: vec![Bloch::ZERO_STATE; n_qubits as usize],
         }
-    }
-
-    /// The number of qubits.
-    pub fn n_qubits(&self) -> u32 {
-        self.qubits.len() as u32
     }
 
     /// Applies RX(θ) to qubit `q` (exact for product states).
@@ -197,12 +192,6 @@ impl MeanFieldState {
     /// Panics if `q` is out of range.
     pub fn expectation_z(&self, q: u32) -> f64 {
         self.qubits[q as usize].z
-    }
-
-    /// Mean-field expectation of a Z product: the product of individual
-    /// ⟨Z⟩ values.
-    pub fn expectation_z_product(&self, qubits: &[u32]) -> f64 {
-        qubits.iter().map(|&q| self.qubits[q as usize].z).product()
     }
 
     /// Runs all gates of a bound native circuit.
@@ -292,11 +281,6 @@ pub struct PreparedCircuit {
 }
 
 impl PreparedCircuit {
-    /// The circuit width.
-    pub fn n_qubits(&self) -> u32 {
-        self.n_qubits
-    }
-
     /// Fusion/kernel accounting from preparation. All-zero (see
     /// [`FuseStats::is_empty`]) for the mean-field backend, which never
     /// lowers through the kernel layer.
@@ -417,7 +401,7 @@ impl Simulator {
     }
 
     /// Creates a simulator tuned for *system-timing* experiments: exact
-    /// only up to [`FAST_EXACT_LIMIT`] qubits, mean-field beyond. Deep
+    /// only up to `FAST_EXACT_LIMIT` qubits, mean-field beyond. Deep
     /// variational circuits are re-simulated hundreds of times per run,
     /// so the timing experiments trade amplitude exactness (which never
     /// affects timing) for tractability much earlier than
@@ -454,19 +438,9 @@ impl Simulator {
         self
     }
 
-    /// The configured width.
-    pub fn n_qubits(&self) -> u32 {
-        self.n_qubits
-    }
-
     /// Whether the exact backend is in use.
     pub fn is_exact(&self) -> bool {
         self.exact
-    }
-
-    /// The configured RNG seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Reserves `shots` global shot indices and returns the first one.
@@ -561,6 +535,14 @@ impl Simulator {
 mod tests {
     use super::*;
     use std::f64::consts::{FRAC_PI_2, PI};
+
+    impl MeanFieldState {
+        /// Mean-field expectation of a Z product: the product of individual
+        /// ⟨Z⟩ values.
+        pub(crate) fn expectation_z_product(&self, qubits: &[u32]) -> f64 {
+            qubits.iter().map(|&q| self.qubits[q as usize].z).product()
+        }
+    }
 
     /// The marginals `prepare` freezes into thresholds, as probabilities.
     fn marginals(c: &Circuit) -> Vec<f64> {
@@ -915,7 +897,7 @@ mod tests {
     /// A NaN or infinite RX angle on qubit 2 is refused by name; the same
     /// circuit with a finite angle prepares.
     fn assert_non_finite_angles_rejected(sim: &Simulator) {
-        let n = sim.n_qubits();
+        let n = 3; // both callers build 3-qubit simulators
         let circuit = |angle: f64| {
             let mut c = Circuit::new(n);
             c.ry(0, 0.4).cz(0, 1).rx(2, angle).measure_all();

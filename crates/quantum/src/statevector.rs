@@ -29,7 +29,7 @@ impl C64 {
     /// Zero.
     pub const ZERO: C64 = C64 { re: 0.0, im: 0.0 };
     /// One.
-    pub const ONE: C64 = C64 { re: 1.0, im: 0.0 };
+    pub(crate) const ONE: C64 = C64 { re: 1.0, im: 0.0 };
 
     /// Creates a complex number.
     pub const fn new(re: f64, im: f64) -> Self {
@@ -37,7 +37,7 @@ impl C64 {
     }
 
     /// Squared magnitude.
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 }
@@ -353,30 +353,6 @@ impl StateVector {
         1.0 - 2.0 * self.probability_of_one(q)
     }
 
-    /// Expectation of a product of Z operators over `qubits`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn expectation_z_product(&self, qubits: &[u32]) -> f64 {
-        let mut mask = 0usize;
-        for &q in qubits {
-            assert!(q < self.n_qubits, "qubit {q} out of range");
-            mask |= 1usize << q;
-        }
-        self.amplitudes()
-            .enumerate()
-            .map(|(i, a)| {
-                let sign = if (i & mask).count_ones().is_multiple_of(2) {
-                    1.0
-                } else {
-                    -1.0
-                };
-                sign * a.norm_sqr()
-            })
-            .sum()
-    }
-
     /// The cumulative probability distribution over basis states plus its
     /// total mass, ready for inverse sampling. Summation runs in
     /// basis-state order, so the distribution — and therefore every draw
@@ -412,6 +388,32 @@ mod tests {
     use super::*;
     use qtenon_sim_engine::rng::unit;
     use std::f64::consts::{FRAC_PI_2, PI};
+
+    impl StateVector {
+        /// Expectation of a product of Z operators over `qubits`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if any index is out of range.
+        pub(crate) fn expectation_z_product(&self, qubits: &[u32]) -> f64 {
+            let mut mask = 0usize;
+            for &q in qubits {
+                assert!(q < self.n_qubits, "qubit {q} out of range");
+                mask |= 1usize << q;
+            }
+            self.amplitudes()
+                .enumerate()
+                .map(|(i, a)| {
+                    let sign = if (i & mask).count_ones().is_multiple_of(2) {
+                        1.0
+                    } else {
+                        -1.0
+                    };
+                    sign * a.norm_sqr()
+                })
+                .sum()
+        }
+    }
 
     #[test]
     fn initial_state_is_all_zeros() {

@@ -39,7 +39,7 @@ impl Default for GateTimes {
 
 impl GateTimes {
     /// The duration of one gate (measurement includes result processing).
-    pub fn duration_of(&self, gate: &Gate) -> SimDuration {
+    pub(crate) fn duration_of(&self, gate: &Gate) -> SimDuration {
         match gate {
             Gate::Measure => self.measure + self.readout_processing,
             g if g.arity() == 2 => self.two,

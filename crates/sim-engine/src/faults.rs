@@ -34,7 +34,7 @@
 //!         b.geometric_failures(FaultSite::BusDrop),
 //!     );
 //! }
-//! assert_eq!(a.injected(FaultSite::BusDrop), b.injected(FaultSite::BusDrop));
+//! assert_eq!(a.injected_total(), b.injected_total());
 //! ```
 
 use crate::metrics::MetricsRegistry;
@@ -154,7 +154,7 @@ impl FaultSite {
     ];
 
     /// The stable spec/metric name of the site.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FaultSite::BusDrop => "bus_drop",
             FaultSite::BusCorrupt => "bus_corrupt",
@@ -250,7 +250,7 @@ impl FaultPlan {
     }
 
     /// The injection rate configured for `site`.
-    pub fn rate(&self, site: FaultSite) -> f64 {
+    pub(crate) fn rate(&self, site: FaultSite) -> f64 {
         match site {
             FaultSite::BusDrop => self.bus_drop,
             FaultSite::BusCorrupt => self.bus_corrupt,
@@ -499,12 +499,12 @@ impl FaultInjector {
     }
 
     /// Decisions evaluated at `site` so far.
-    pub fn checked(&self, site: FaultSite) -> u64 {
+    pub(crate) fn checked(&self, site: FaultSite) -> u64 {
         self.checked[site.index()]
     }
 
     /// Faults actually injected at `site` so far.
-    pub fn injected(&self, site: FaultSite) -> u64 {
+    pub(crate) fn injected(&self, site: FaultSite) -> u64 {
         self.injected[site.index()]
     }
 

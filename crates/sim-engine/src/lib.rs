@@ -45,6 +45,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![deny(dead_code)]
 
 pub mod clock;
 pub mod critpath;

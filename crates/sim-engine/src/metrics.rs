@@ -14,13 +14,15 @@
 //! # Examples
 //!
 //! ```
-//! use qtenon_sim_engine::metrics::MetricsRegistry;
+//! use qtenon_sim_engine::metrics::{Histogram, MetricsRegistry};
 //!
 //! let mut m = MetricsRegistry::new();
 //! m.counter("controller.slt.hits", 42);
 //! m.gauge("mem.l1.hit_rate", 0.97);
-//! m.observe("controller.bus.latency", 21);
-//! m.observe("controller.bus.latency", 35);
+//! let mut latency = Histogram::new();
+//! latency.record(21);
+//! latency.record(35);
+//! m.histogram("controller.bus.latency", &latency);
 //! let snap = m.snapshot();
 //! assert_eq!(snap.len(), 3);
 //! assert!(snap.to_json().contains("controller.slt.hits"));
@@ -35,7 +37,7 @@ use crate::json;
 /// Number of histogram buckets: bucket 0 holds zero-valued samples and
 /// bucket `k` (1..=64) holds samples whose bit length is `k`, i.e. the
 /// range `[2^(k-1), 2^k - 1]`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A log-bucketed latency histogram over unsigned integer samples
 /// (conventionally nanoseconds).
@@ -87,12 +89,12 @@ impl Histogram {
     }
 
     /// The bucket index a sample falls into (its bit length).
-    pub fn bucket_index(value: u64) -> usize {
+    pub(crate) fn bucket_index(value: u64) -> usize {
         (64 - value.leading_zeros()) as usize
     }
 
     /// The largest value bucket `index` can hold.
-    pub fn bucket_upper_bound(index: usize) -> u64 {
+    pub(crate) fn bucket_upper_bound(index: usize) -> u64 {
         if index == 0 {
             0
         } else if index >= 64 {
@@ -121,13 +123,8 @@ impl Histogram {
         self.count
     }
 
-    /// Returns `true` if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
@@ -141,12 +138,7 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Mean sample, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// Per-bucket counts (length [`HISTOGRAM_BUCKETS`]).
+    /// Per-bucket counts (length `HISTOGRAM_BUCKETS`).
     pub fn buckets(&self) -> &[u64] {
         &self.buckets
     }
@@ -154,7 +146,7 @@ impl Histogram {
     /// Estimated value at quantile `q` in `[0, 1]`: the upper bound of
     /// the bucket holding the rank-`q` sample, clamped to the observed
     /// maximum. Returns `None` if empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
         }
@@ -242,8 +234,7 @@ pub enum MetricValue {
 ///
 /// Paths are dotted lower-case identifiers (`mem.l1.hits`); the dots are
 /// the hierarchy. Registering a path that already exists overwrites the
-/// previous value, except [`MetricsRegistry::observe`] which accumulates
-/// into an existing histogram.
+/// previous value.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     metrics: BTreeMap<String, MetricValue>,
@@ -266,20 +257,6 @@ impl MetricsRegistry {
     pub fn gauge(&mut self, path: &str, value: f64) {
         let v = if value.is_finite() { value } else { 0.0 };
         self.metrics.insert(path.to_string(), MetricValue::Gauge(v));
-    }
-
-    /// Records one sample into the histogram at `path`, creating it on
-    /// first use. A non-histogram metric already at `path` is replaced.
-    pub fn observe(&mut self, path: &str, sample: u64) {
-        match self.metrics.get_mut(path) {
-            Some(MetricValue::Histogram(h)) => h.record(sample),
-            _ => {
-                let mut h = Histogram::new();
-                h.record(sample);
-                self.metrics
-                    .insert(path.to_string(), MetricValue::Histogram(h));
-            }
-        }
     }
 
     /// Registers (or overwrites) a copy of an existing histogram at
@@ -497,10 +474,27 @@ fn prometheus_name(path: &str) -> String {
 mod tests {
     use super::*;
 
+    impl MetricsRegistry {
+        /// Records one sample into the histogram at `path`, creating it
+        /// on first use. A non-histogram metric already at `path` is
+        /// replaced.
+        fn observe(&mut self, path: &str, sample: u64) {
+            match self.metrics.get_mut(path) {
+                Some(MetricValue::Histogram(h)) => h.record(sample),
+                _ => {
+                    let mut h = Histogram::new();
+                    h.record(sample);
+                    self.metrics
+                        .insert(path.to_string(), MetricValue::Histogram(h));
+                }
+            }
+        }
+    }
+
     #[test]
     fn histogram_records_and_estimates() {
         let mut h = Histogram::new();
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.5), None);
         for v in 1..=100u64 {
             h.record(v);

@@ -104,11 +104,6 @@ impl OpCounter {
         self.total() == 0
     }
 
-    /// Resets all counts to zero.
-    pub fn reset(&mut self) {
-        self.counts = [0; 5];
-    }
-
     /// Scales every count by `factor` (e.g. to replicate a per-shot cost
     /// across all shots without recounting).
     pub fn scaled(&self, factor: u64) -> OpCounter {
@@ -179,15 +174,6 @@ mod tests {
         let d = c.scaled(10);
         assert_eq!(d.get(OpClass::FpAlu), 70);
         assert_eq!(d.total(), 90);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut ops = OpCounter::new();
-        ops.record(OpClass::Mem, 9);
-        assert!(!ops.is_empty());
-        ops.reset();
-        assert!(ops.is_empty());
     }
 
     #[test]

@@ -253,7 +253,9 @@ pub struct SpanTable {
 impl SpanTable {
     /// Freezes named accumulators into a table: accumulators that never
     /// recorded a span are omitted, and rows are sorted by name.
-    pub fn from_spans<'a>(spans: impl IntoIterator<Item = (&'a str, &'a SpanStats)>) -> Self {
+    pub(crate) fn from_spans<'a>(
+        spans: impl IntoIterator<Item = (&'a str, &'a SpanStats)>,
+    ) -> Self {
         let mut rows: Vec<SpanRow> = spans
             .into_iter()
             .filter(|(_, s)| s.count() > 0)

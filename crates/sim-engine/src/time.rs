@@ -48,11 +48,6 @@ impl SimDuration {
         SimDuration(ms * 1_000_000_000)
     }
 
-    /// Creates a duration from seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000_000)
-    }
-
     /// Creates a duration from a (non-negative, finite) number of
     /// nanoseconds, rounding to the nearest picosecond.
     ///
@@ -90,7 +85,7 @@ impl SimDuration {
     }
 
     /// This duration in seconds.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12
     }
 
@@ -102,16 +97,6 @@ impl SimDuration {
     /// Saturating subtraction: returns zero rather than underflowing.
     pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// The larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
-    /// The smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
     }
 
     /// The ratio of this duration to another, as a float.
@@ -220,29 +205,14 @@ impl SimTime {
     /// The origin of simulated time.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Creates an instant at the given picosecond offset from time zero.
-    pub const fn from_ps(ps: u64) -> Self {
-        SimTime(ps)
-    }
-
-    /// Raw picosecond offset from time zero.
-    pub const fn as_ps(self) -> u64 {
-        self.0
-    }
-
     /// The duration since time zero.
     pub const fn elapsed(self) -> SimDuration {
         SimDuration(self.0)
     }
 
     /// The later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
-    }
-
-    /// The earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
     }
 
     /// The duration from `earlier` to `self`, or zero if `earlier` is later.
@@ -293,7 +263,6 @@ mod tests {
         assert_eq!(SimDuration::from_ns(1), SimDuration::from_ps(1_000));
         assert_eq!(SimDuration::from_us(1), SimDuration::from_ns(1_000));
         assert_eq!(SimDuration::from_ms(1), SimDuration::from_us(1_000));
-        assert_eq!(SimDuration::from_secs(1), SimDuration::from_ms(1_000));
     }
 
     #[test]
@@ -352,6 +321,6 @@ mod tests {
         assert_eq!(SimDuration::from_ns(20).to_string(), "20.00 ns");
         assert_eq!(SimDuration::from_us(3).to_string(), "3.00 us");
         assert_eq!(SimDuration::from_ms(204).to_string(), "204.00 ms");
-        assert_eq!(SimDuration::from_secs(2).to_string(), "2.000 s");
+        assert_eq!(SimDuration::from_ms(2_000).to_string(), "2.000 s");
     }
 }

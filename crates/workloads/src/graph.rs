@@ -1,7 +1,5 @@
 //! Problem graphs for MAX-CUT workloads.
 
-use qtenon_sim_engine::rng;
-
 /// An undirected weighted graph on `n` vertices.
 ///
 /// # Examples
@@ -9,9 +7,9 @@ use qtenon_sim_engine::rng;
 /// ```
 /// use qtenon_workloads::Graph;
 ///
-/// let ring = Graph::ring(6);
-/// assert_eq!(ring.edges().len(), 6);
-/// assert_eq!(ring.max_degree(), 2);
+/// let g = Graph::circulant_3_regular(6);
+/// assert_eq!(g.n_vertices(), 6);
+/// assert_eq!(g.edges().len(), 9);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
@@ -20,25 +18,12 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Creates a graph from an explicit edge list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an edge references a vertex ≥ `n` or is a self-loop.
-    pub fn new(n: u32, edges: Vec<(u32, u32, f64)>) -> Self {
-        for &(u, v, _) in &edges {
-            assert!(u < n && v < n, "edge ({u},{v}) out of range");
-            assert_ne!(u, v, "self-loop at {u}");
-        }
-        Graph { n, edges }
-    }
-
     /// The unit-weight cycle graph C_n.
     ///
     /// # Panics
     ///
     /// Panics if `n < 3`.
-    pub fn ring(n: u32) -> Self {
+    pub(crate) fn ring(n: u32) -> Self {
         assert!(n >= 3, "ring needs at least 3 vertices");
         let edges = (0..n).map(|i| (i, (i + 1) % n, 1.0)).collect();
         Graph { n, edges }
@@ -62,26 +47,6 @@ impl Graph {
         Graph { n, edges }
     }
 
-    /// An Erdős–Rényi graph with edge probability `p` and seeded,
-    /// reproducible randomness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn erdos_renyi(n: u32, p: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        let mut state = seed;
-        let mut edges = Vec::new();
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if rng::unit(&mut state) < p {
-                    edges.push((u, v, 1.0));
-                }
-            }
-        }
-        Graph { n, edges }
-    }
-
     /// Number of vertices.
     pub fn n_vertices(&self) -> u32 {
         self.n
@@ -90,16 +55,6 @@ impl Graph {
     /// The edge list.
     pub fn edges(&self) -> &[(u32, u32, f64)] {
         &self.edges
-    }
-
-    /// The maximum vertex degree.
-    pub fn max_degree(&self) -> usize {
-        let mut deg = vec![0usize; self.n as usize];
-        for &(u, v, _) in &self.edges {
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
-        }
-        deg.into_iter().max().unwrap_or(0)
     }
 
     /// Greedy edge coloring: partitions the edges into matchings
@@ -123,21 +78,23 @@ impl Graph {
         }
         groups
     }
-
-    /// The cut value of a vertex bipartition given as a bitmask over
-    /// word-packed vertices (vertex `i` on side `bits[i]`).
-    pub fn cut_value(&self, side: &[bool]) -> f64 {
-        self.edges
-            .iter()
-            .filter(|&&(u, v, _)| side[u as usize] != side[v as usize])
-            .map(|&(_, _, w)| w)
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Graph {
+        /// The maximum vertex degree.
+        fn max_degree(&self) -> usize {
+            let mut deg = vec![0usize; self.n as usize];
+            for &(u, v, _) in &self.edges {
+                deg[u as usize] += 1;
+                deg[v as usize] += 1;
+            }
+            deg.into_iter().max().unwrap_or(0)
+        }
+    }
 
     #[test]
     fn ring_structure() {
@@ -154,36 +111,6 @@ mod tests {
             assert_eq!(g.edges().len() as u32, n + n / 2);
             assert_eq!(g.max_degree(), 3, "n={n}");
         }
-    }
-
-    #[test]
-    fn erdos_renyi_is_deterministic() {
-        let a = Graph::erdos_renyi(20, 0.3, 7);
-        let b = Graph::erdos_renyi(20, 0.3, 7);
-        assert_eq!(a, b);
-        let c = Graph::erdos_renyi(20, 0.3, 8);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn erdos_renyi_extreme_probabilities() {
-        assert!(Graph::erdos_renyi(10, 0.0, 1).edges().is_empty());
-        assert_eq!(Graph::erdos_renyi(10, 1.0, 1).edges().len(), 45);
-    }
-
-    #[test]
-    fn cut_value_counts_crossing_edges() {
-        let g = Graph::ring(4);
-        // Alternating sides cut every edge.
-        assert_eq!(g.cut_value(&[true, false, true, false]), 4.0);
-        assert_eq!(g.cut_value(&[true, true, true, true]), 0.0);
-        assert_eq!(g.cut_value(&[true, true, false, false]), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "self-loop")]
-    fn self_loop_rejected() {
-        let _ = Graph::new(3, vec![(1, 1, 1.0)]);
     }
 
     #[test]

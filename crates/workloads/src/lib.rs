@@ -9,8 +9,9 @@
 //! - [`optimizer`]: Gradient Descent via the parameter-shift rule (one
 //!   parameter per evaluation — many communication rounds, light
 //!   post-processing) and SPSA (two evaluations per iteration regardless
-//!   of parameter count), both instrumented with [`OpCounter`] so host
-//!   core models can convert their real arithmetic to cycles;
+//!   of parameter count), both instrumented with
+//!   [`OpCounter`](qtenon_sim_engine::OpCounter) so host core models can
+//!   convert their real arithmetic to cycles;
 //! - [`cost`]: shot-based cost evaluation with op counting.
 //!
 //! # Examples
@@ -27,6 +28,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![deny(dead_code)]
 
 pub mod cost;
 pub mod graph;
@@ -39,4 +41,4 @@ pub use optimizer::{GradientDescentOptimizer, Optimizer, SpsaOptimizer};
 pub use workload::{Workload, WorkloadKind};
 
 /// Convenience alias used throughout: a parameter vector.
-pub type Params = Vec<f64>;
+pub(crate) type Params = Vec<f64>;

@@ -86,11 +86,6 @@ impl GradientDescentOptimizer {
         );
         GradientDescentOptimizer { learning_rate }
     }
-
-    /// The learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.learning_rate
-    }
 }
 
 impl Optimizer for GradientDescentOptimizer {

@@ -143,7 +143,11 @@ impl Workload {
     /// # Errors
     ///
     /// Returns [`QuantumError`] if circuit construction fails.
-    pub fn vqe_with_layers(n_qubits: u32, layers: u32, seed: u64) -> Result<Self, QuantumError> {
+    pub(crate) fn vqe_with_layers(
+        n_qubits: u32,
+        layers: u32,
+        seed: u64,
+    ) -> Result<Self, QuantumError> {
         let mut c = Circuit::new(n_qubits);
         let mut param = 0u32;
         for layer in 0..=layers {
@@ -175,7 +179,7 @@ impl Workload {
     /// # Errors
     ///
     /// Returns [`QuantumError`] if circuit construction fails.
-    pub fn qnn(n_qubits: u32, seed: u64) -> Result<Self, QuantumError> {
+    pub(crate) fn qnn(n_qubits: u32, seed: u64) -> Result<Self, QuantumError> {
         let mut state = seed ^ 0xC0FFEE;
         let mut c = Circuit::new(n_qubits);
         // Angle-encode one input sample.

@@ -48,6 +48,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![deny(dead_code)]
 
 pub use qtenon_baseline as baseline;
 pub use qtenon_compiler as compiler;

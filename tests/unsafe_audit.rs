@@ -2,7 +2,9 @@
 //! carries `#![deny(unsafe_code)]`, and the one site that allows it is
 //! the AVX2 dispatch in `qtenon-quantum`'s kernel layer (DESIGN.md §13).
 //! Any other `unsafe` in `src/` or `crates/*/src`, library or binary,
-//! fails this test.
+//! fails this test. Every library root also carries
+//! `#![deny(dead_code)]`, so `cargo build` fails on crate-private code
+//! that only unit tests reach (DESIGN.md §3).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -45,11 +47,13 @@ fn every_library_root_denies_unsafe_code() {
     assert!(lib_roots.len() > 1, "found no workspace library crates");
     for lib in lib_roots {
         let text = fs::read_to_string(&lib).expect("library root is readable");
-        assert!(
-            text.lines().any(|l| l.trim() == "#![deny(unsafe_code)]"),
-            "{} lacks #![deny(unsafe_code)]",
-            lib.display()
-        );
+        for required in ["#![deny(unsafe_code)]", "#![deny(dead_code)]"] {
+            assert!(
+                text.lines().any(|l| l.trim() == required),
+                "{} lacks {required}",
+                lib.display()
+            );
+        }
     }
 }
 
