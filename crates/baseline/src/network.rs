@@ -17,8 +17,6 @@ pub struct NetworkModel {
     pub per_packet_overhead: SimDuration,
     /// Raw link bandwidth in bits per second.
     pub bandwidth_bits_per_sec: u64,
-    /// Maximum UDP payload per packet.
-    pub mtu_bytes: u64,
 }
 
 impl Default for NetworkModel {
@@ -27,7 +25,6 @@ impl Default for NetworkModel {
             per_message_latency: SimDuration::from_us(200),
             per_packet_overhead: SimDuration::from_us(15),
             bandwidth_bits_per_sec: 100_000_000_000, // 100 GbE
-            mtu_bytes: 1_472,
         }
     }
 }

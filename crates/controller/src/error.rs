@@ -44,13 +44,11 @@ pub enum ControllerError {
         /// The number of qubits in the layout.
         n_qubits: u32,
     },
-    /// The pulse allocator produced a slot the layout rejected — the
-    /// layout geometry and the allocator disagree (malformed config).
-    PulseSlotOutOfRange {
-        /// The owning qubit index.
-        qubit: u32,
-        /// The rejected slot.
-        slot: u64,
+    /// A layout's per-qubit `.pulse` chunk has more slots than an SLT
+    /// entry's 16-bit slot field can name (malformed config).
+    PulseChunkTooWide {
+        /// The chunk's entry count.
+        entries: u64,
     },
 }
 
@@ -76,8 +74,11 @@ impl std::fmt::Display for ControllerError {
             ControllerError::QubitOutOfRange { qubit, n_qubits } => {
                 write!(f, "qubit {qubit} outside layout of {n_qubits} qubits")
             }
-            ControllerError::PulseSlotOutOfRange { qubit, slot } => {
-                write!(f, "pulse slot {slot} rejected by layout for qubit {qubit}")
+            ControllerError::PulseChunkTooWide { entries } => {
+                write!(
+                    f,
+                    "{entries}-entry pulse chunk exceeds the SLT's 16-bit slot field"
+                )
             }
         }
     }

@@ -38,6 +38,9 @@ impl Default for PipelineConfig {
 /// is already regfile-resolved.
 pub(crate) type WorkItem = (QubitId, GateType, u32);
 
+/// A pulse a PGU computed: `(index into the run's items, pulse address)`.
+pub(crate) type FreshPulse = (usize, QAddress);
+
 /// Timing and cache statistics for one pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineReport {
@@ -82,6 +85,9 @@ pub struct PulsePipeline {
     config: PipelineConfig,
     slt: SltController,
     pgus: PguPool,
+    /// The last run's freshly computed pulses, kept so later runs reuse
+    /// its storage.
+    fresh: Vec<FreshPulse>,
     /// Cumulative entries processed across runs.
     total_entries: u64,
     /// Cumulative pulses generated across runs.
@@ -96,12 +102,15 @@ impl PulsePipeline {
     /// # Errors
     ///
     /// Returns [`ControllerError::NoPguUnits`] if the PGU pool is
-    /// configured with zero units.
+    /// configured with zero units, and
+    /// [`ControllerError::PulseChunkTooWide`] if the layout's pulse chunk
+    /// outgrows the SLT's slot field.
     pub fn new(config: PipelineConfig, layout: QccLayout) -> Result<Self, ControllerError> {
         Ok(PulsePipeline {
             config,
-            slt: SltController::new(layout),
+            slt: SltController::new(layout)?,
             pgus: PguPool::new(config.pgu)?,
+            fresh: Vec::new(),
             total_entries: 0,
             total_generated: 0,
             total_stall: SimDuration::ZERO,
@@ -132,10 +141,10 @@ impl PulsePipeline {
         start: SimTime,
         items: &[WorkItem],
         faults: &mut FaultInjector,
-    ) -> Result<(PipelineReport, Vec<(usize, QAddress)>), ControllerError> {
+    ) -> Result<(PipelineReport, &[FreshPulse]), ControllerError> {
         let cycle = self.config.clock.period();
         let slt_before = self.slt.stats();
-        let mut fresh = Vec::new();
+        self.fresh.clear();
         let mut stall_time = SimDuration::ZERO;
         let mut pgu_busy = SimDuration::ZERO;
         // Time the front of the pipeline (stages 1–2) hands the current
@@ -168,7 +177,7 @@ impl PulsePipeline {
                         front += stall; // stages 1–2 stall with us
                     }
                     pgu_busy += dispatch.done.saturating_since(dispatch.start);
-                    fresh.push((index, qaddr));
+                    self.fresh.push((index, qaddr));
                     // Stage 4: arbiter + writeback, one cycle.
                     dispatch.done + cycle
                 }
@@ -180,7 +189,7 @@ impl PulsePipeline {
         let report = PipelineReport {
             total_time: last_complete.saturating_since(start),
             entries: items.len() as u64,
-            generated: fresh.len() as u64,
+            generated: self.fresh.len() as u64,
             stall_time,
             front_time: front.saturating_since(start),
             pgu_busy,
@@ -197,7 +206,7 @@ impl PulsePipeline {
         self.total_entries += report.entries;
         self.total_generated += report.generated;
         self.total_stall += report.stall_time;
-        Ok((report, fresh))
+        Ok((report, &self.fresh))
     }
 
     /// Entries processed since the last reset.

@@ -10,12 +10,14 @@
 //! Each qubit owns an SLT of 2 ways × 128 entries (Table 2). The 7-bit set
 //! index concatenates 3 truncated type bits with 4 leading data bits; each
 //! entry holds a 20-bit tag, the pulse QAddress, a valid bit, and a 5-bit
-//! saturating use count. Replacement is Least-Count: invalid ways first,
-//! otherwise the way with the smallest count, which is written back to
-//! QSpace. On an SLT miss the controller consults QSpace: a QSpace hit
+//! saturating use count. The model keeps the QAddress as the entry's slot
+//! in its qubit's `.pulse` chunk (16 bits; the address is the chunk base
+//! plus the slot), so an entry is 8 bytes. Replacement is Least-Count:
+//! invalid ways first, otherwise the way with the smallest count, which is
+//! written back to QSpace. On an SLT miss the controller consults QSpace: a QSpace hit
 //! reuses the old allocation, a QSpace miss allocates a fresh pulse slot.
 
-use qtenon_isa::{GateType, QAddress, QccLayout, QubitId};
+use qtenon_isa::{GateType, QAddress, QccLayout, QubitId, Segment};
 use qtenon_mem::QSpace;
 use qtenon_sim_engine::{FaultInjector, FaultSite, MetricsRegistry};
 
@@ -54,7 +56,8 @@ impl SltKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SltEntry {
     tag: u32,
-    qaddr: QAddress,
+    /// The pulse's slot in its qubit's `.pulse` chunk.
+    slot: u16,
     valid: bool,
     count: u8,
 }
@@ -62,7 +65,7 @@ struct SltEntry {
 impl SltEntry {
     const INVALID: SltEntry = SltEntry {
         tag: 0,
-        qaddr: QAddress::new_unchecked(0),
+        slot: 0,
         valid: false,
         count: 0,
     };
@@ -130,7 +133,7 @@ impl SltStats {
 /// use qtenon_sim_engine::{FaultInjector, FaultPlan};
 ///
 /// let layout = QccLayout::for_qubits(4)?;
-/// let mut slt = SltController::new(layout);
+/// let mut slt = SltController::new(layout)?;
 /// let mut no_faults = FaultInjector::new(FaultPlan::default());
 /// let angle = EncodedAngle::from_radians(1.0);
 /// let q = QubitId::new(0);
@@ -146,24 +149,50 @@ pub struct SltController {
     /// `tables[qubit][set][way]`.
     tables: Vec<[[SltEntry; WAYS]; SETS]>,
     qspace: QSpace,
-    /// Next free pulse entry per qubit (wraps when the chunk fills; older
+    /// Next free pulse slot per qubit (wraps when the chunk fills; older
     /// pulses are overwritten, which is sound because QSpace/SLT entries
     /// are a cache, not ground truth).
-    next_pulse: Vec<u64>,
+    next_pulse: Vec<u16>,
     stats: SltStats,
 }
 
 impl SltController {
     /// Creates empty SLTs for every qubit in the layout.
-    pub fn new(layout: QccLayout) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ControllerError::PulseChunkTooWide`] if a qubit's
+    /// `.pulse` chunk holds more slots than an entry's 16-bit slot field
+    /// can name.
+    pub fn new(layout: QccLayout) -> Result<Self, ControllerError> {
+        let entries = layout.pulse_entries_per_qubit();
+        if entries > 1 << u16::BITS {
+            return Err(ControllerError::PulseChunkTooWide { entries });
+        }
         let n = layout.n_qubits() as usize;
-        SltController {
+        Ok(SltController {
             layout,
             tables: vec![[[SltEntry::INVALID; WAYS]; SETS]; n],
             qspace: QSpace::new(layout.n_qubits()),
             next_pulse: vec![0; n],
             stats: SltStats::default(),
-        }
+        })
+    }
+
+    /// The address of `slot` in qubit `q`'s `.pulse` chunk. `q` is in the
+    /// layout and `slot` below its chunk size, so the address is too.
+    fn pulse_addr(&self, q: usize, slot: u16) -> QAddress {
+        QAddress::new_unchecked(
+            self.layout.segment_base(Segment::Pulse)
+                + q as u64 * self.layout.pulse_entries_per_qubit()
+                + u64::from(slot),
+        )
+    }
+
+    /// The slot [`pulse_addr`](Self::pulse_addr) maps to `qaddr`.
+    fn pulse_slot(&self, q: usize, qaddr: QAddress) -> u16 {
+        let chunk = self.pulse_addr(q, 0).raw();
+        (qaddr.raw() - chunk) as u16
     }
 
     /// Statistics so far.
@@ -197,12 +226,11 @@ impl SltController {
         let set = &mut self.tables[q][key.index as usize];
 
         // ❶ Compare tags across both ways.
-        for way in set.iter_mut() {
-            if way.valid && way.tag == key.tag {
-                way.count = way.count.saturating_add(1).min(MAX_COUNT);
-                self.stats.hits += 1;
-                return Ok(PulseResolution::SltHit(way.qaddr));
-            }
+        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == key.tag) {
+            way.count = way.count.saturating_add(1).min(MAX_COUNT);
+            let slot = way.slot;
+            self.stats.hits += 1;
+            return Ok(PulseResolution::SltHit(self.pulse_addr(q, slot)));
         }
 
         // ❷ Least-Count replacement: invalid ways first, else min count.
@@ -218,37 +246,36 @@ impl SltController {
                 }
             })
             .unwrap_or(0);
-        if set[victim].valid {
+        let evicted = set[victim];
+        if evicted.valid {
             // Write back the evicted mapping to QSpace.
             self.stats.evictions += 1;
-            self.qspace
-                .store(qubit.index(), set[victim].tag, set[victim].qaddr);
+            let qaddr = self.pulse_addr(q, evicted.slot);
+            self.qspace.store(qubit.index(), evicted.tag, qaddr);
         }
 
         // ❸ Consult QSpace for the incoming tag.
-        let (qaddr, resolution) = match self.qspace.lookup(qubit.index(), key.tag) {
+        let (slot, resolution) = match self.qspace.lookup(qubit.index(), key.tag) {
             Some(entry) => {
                 self.stats.qspace_hits += 1;
-                (entry.qaddr, PulseResolution::QSpaceHit(entry.qaddr))
+                let slot = self.pulse_slot(q, entry.qaddr);
+                (slot, PulseResolution::QSpaceHit(entry.qaddr))
             }
             None => {
                 let slot = self.next_pulse[q];
-                self.next_pulse[q] = (slot + 1) % self.layout.pulse_entries_per_qubit();
-                let qaddr = self.layout.pulse_entry(qubit, slot).map_err(|_| {
-                    ControllerError::PulseSlotOutOfRange {
-                        qubit: qubit.index(),
-                        slot,
-                    }
-                })?;
+                let next = u64::from(slot) + 1;
+                // The chunk holds at most 2^16 slots (see `new`), so the
+                // wrapped successor fits the slot field.
+                self.next_pulse[q] = (next % self.layout.pulse_entries_per_qubit()) as u16;
                 self.stats.allocations += 1;
-                (qaddr, PulseResolution::Allocated(qaddr))
+                (slot, PulseResolution::Allocated(self.pulse_addr(q, slot)))
             }
         };
 
         // ❹ Update the SLT entry to reflect the current state.
-        set[victim] = SltEntry {
+        self.tables[q][key.index as usize][victim] = SltEntry {
             tag: key.tag,
-            qaddr,
+            slot,
             valid: true,
             count: 1,
         };
@@ -265,9 +292,8 @@ impl SltController {
     /// # Errors
     ///
     /// Returns [`ControllerError::QubitOutOfRange`] if `qubit` is outside
-    /// the layout, and [`ControllerError::PulseSlotOutOfRange`] if the
-    /// allocator and layout geometry disagree. Rejected requests are not
-    /// counted as lookups and draw no fault.
+    /// the layout. Rejected requests are not counted as lookups and draw
+    /// no fault.
     pub fn resolve(
         &mut self,
         qubit: QubitId,
@@ -339,7 +365,7 @@ mod tests {
     }
 
     fn controller(n: u32) -> SltController {
-        SltController::new(QccLayout::for_qubits(n).unwrap())
+        SltController::new(QccLayout::for_qubits(n).unwrap()).unwrap()
     }
 
     fn no_faults() -> FaultInjector {
@@ -490,7 +516,7 @@ mod tests {
     #[test]
     fn allocator_wraps_within_pulse_chunk() {
         let layout = QccLayout::with_geometry(1, 16, 4, 16, 16).unwrap();
-        let mut slt = SltController::new(layout);
+        let mut slt = SltController::new(layout).unwrap();
         let q = QubitId::new(0);
         let mut addrs = Vec::new();
         for i in 0..6u32 {
@@ -506,6 +532,42 @@ mod tests {
         let base = layout.pulse_entry(q, 0).unwrap().raw();
         assert_eq!(addrs[0], base);
         assert_eq!(addrs[4], base);
+    }
+
+    #[test]
+    fn slot_field_names_every_pulse_slot_or_the_layout_is_refused() {
+        assert_eq!(std::mem::size_of::<SltEntry>(), 8);
+        // 2^16 slots is the widest chunk a 16-bit slot names: its last
+        // slot maps to the chunk's last address, and the allocator wraps
+        // from it to slot 0.
+        let widest = QccLayout::with_geometry(2, 16, 1 << 16, 16, 16).unwrap();
+        let mut slt = SltController::new(widest).unwrap();
+        let q = QubitId::new(1);
+        slt.next_pulse[1] = u16::MAX;
+        let last = slt
+            .resolve(q, GateType::Rx, 1 << 7, &mut no_faults())
+            .unwrap();
+        assert_eq!(
+            last,
+            PulseResolution::Allocated(widest.pulse_entry(q, (1 << 16) - 1).unwrap())
+        );
+        let wrapped = slt
+            .resolve(q, GateType::Rx, 2 << 7, &mut no_faults())
+            .unwrap();
+        assert_eq!(wrapped.qaddr(), widest.pulse_entry(q, 0).unwrap());
+        // A hit hands back the address the slot was allocated at.
+        let hit = slt
+            .resolve(q, GateType::Rx, 1 << 7, &mut no_faults())
+            .unwrap();
+        assert_eq!(hit, PulseResolution::SltHit(last.qaddr()));
+        // One slot more does not fit the field.
+        let too_wide = QccLayout::with_geometry(2, 16, (1 << 16) + 1, 16, 16).unwrap();
+        assert_eq!(
+            SltController::new(too_wide).unwrap_err(),
+            ControllerError::PulseChunkTooWide {
+                entries: (1 << 16) + 1
+            }
+        );
     }
 
     #[test]

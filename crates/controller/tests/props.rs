@@ -73,7 +73,7 @@ fn slt_same_key_same_address_forever() {
     check("slt_same_key_same_address_forever", 256, |g| {
         let codes = g.vec(1..64, |g| g.draw(0u32..(1 << 27)));
         let layout = QccLayout::for_qubits(4).unwrap();
-        let mut slt = SltController::new(layout);
+        let mut slt = SltController::new(layout).unwrap();
         let mut no_faults = FaultInjector::new(FaultPlan::default());
         let mut book = std::collections::HashMap::new();
         for &code in &codes {

@@ -58,7 +58,7 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -886,7 +886,7 @@ fn run_attempt(
     };
     let artifacts = JobArtifacts {
         report,
-        metrics_json: m.snapshot().to_json(),
+        metrics_json: m.to_json(),
         shots_sampled,
     };
     if status.hit {
@@ -1064,27 +1064,40 @@ impl BatchScheduler {
     /// Derived from the same canonical key the cache itself uses
     /// (first-attempt seed), never from runtime hit counters — so every
     /// pool width renders the identical column.
+    ///
+    /// The key is a function of the job's kind, width and first-attempt
+    /// seed alone, so a job repeating an earlier job's triple (a
+    /// resubmission) reuses that job's answer instead of rebuilding the
+    /// workload and encoding its key: `"shared"` if the key was built,
+    /// `"-"` if it could not be.
     fn cache_attribution(&self) -> Vec<&'static str> {
+        if !self.cache {
+            return vec!["off"; self.queue.len()];
+        }
         let mut seen: HashSet<Vec<u8>> = HashSet::new();
+        let mut keyed: HashMap<(WorkloadKind, u32, u64), bool> = HashMap::new();
         self.queue
             .iter()
             .map(|job| {
-                if !self.cache {
-                    return "off";
-                }
+                let (kind, n_qubits) = (job.spec.kind, job.spec.n_qubits);
                 let seed = attempt_seed(job.seed, 0);
-                let Ok(layout) = QccLayout::for_qubits(job.spec.n_qubits) else {
-                    return "-";
-                };
-                let Ok(workload) = Workload::benchmark(job.spec.kind, job.spec.n_qubits, seed)
-                else {
-                    return "-";
-                };
-                let key = CompilationCache::program_key(&workload.circuit, &layout);
-                if seen.insert(key) {
-                    "cold"
-                } else {
-                    "shared"
+                if let Some(&built) = keyed.get(&(kind, n_qubits, seed)) {
+                    return if built { "shared" } else { "-" };
+                }
+                let key = QccLayout::for_qubits(n_qubits).ok().and_then(|layout| {
+                    let workload = Workload::benchmark(kind, n_qubits, seed).ok()?;
+                    Some(CompilationCache::program_key(&workload.circuit, &layout))
+                });
+                keyed.insert((kind, n_qubits, seed), key.is_some());
+                match key {
+                    None => "-",
+                    Some(key) => {
+                        if seen.insert(key) {
+                            "cold"
+                        } else {
+                            "shared"
+                        }
+                    }
                 }
             })
             .collect()
@@ -1847,6 +1860,27 @@ mod tests {
         .unwrap();
         let off = off.run(1).unwrap();
         assert_eq!(off.results[0].cache, "off");
+    }
+
+    #[test]
+    fn attribution_reuses_each_triples_answer_for_resubmissions() {
+        let mut sched = BatchScheduler::new(3).with_cache(true);
+        // A zero-qubit job has no layout, so no key can be built for it.
+        for (name, kind, n_qubits, seed) in [
+            ("a", WorkloadKind::Vqe, 8, 5),
+            ("bad", WorkloadKind::Qaoa, 0, 9),
+            ("a-again", WorkloadKind::Vqe, 8, 5),
+            ("bad-again", WorkloadKind::Qaoa, 0, 9),
+            ("b", WorkloadKind::Qnn, 8, 5),
+        ] {
+            sched
+                .submit(JobSpec::new(name, kind, n_qubits).with_seed(seed))
+                .unwrap();
+        }
+        assert_eq!(
+            sched.cache_attribution(),
+            ["cold", "-", "shared", "-", "cold"]
+        );
     }
 
     #[test]

@@ -706,7 +706,7 @@ impl QtenonSystem {
         let wall = self.profiler.wall_start();
         let (report, generated) = self.pipeline.process(now, items, &mut self.injector)?;
         self.profiler.wall_end(self.phases.pgu_dispatch, wall);
-        for (index, qaddr) in generated {
+        for &(index, qaddr) in generated {
             // Synthetic-but-deterministic pulse payload derived from the
             // work item; real systems compute an envelope here.
             let (_, gate, data27) = items[index];
@@ -761,8 +761,22 @@ impl QtenonSystem {
         circuit: &Circuit,
         shots: u64,
     ) -> Result<RunOutcome, SystemError> {
-        let now = self.absorb_stall(now);
         let timing = CircuitTiming::of(circuit, &self.config.gate_times);
+        self.q_run_timed(now, circuit, shots, &timing)
+    }
+
+    /// [`q_run`](Self::q_run) with the circuit's timing already computed
+    /// under this system's gate times. Timing reads only gate kinds, so a
+    /// caller that runs many bindings of one symbolic circuit computes it
+    /// once.
+    pub(crate) fn q_run_timed(
+        &mut self,
+        now: SimTime,
+        circuit: &Circuit,
+        shots: u64,
+        timing: &CircuitTiming,
+    ) -> Result<RunOutcome, SystemError> {
+        let now = self.absorb_stall(now);
         let prep_wall = self.profiler.wall_start();
         let prepared = self.simulator.prepare(circuit)?;
         self.profiler

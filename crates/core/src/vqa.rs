@@ -22,7 +22,7 @@ use qtenon_compiler::{
     CachedProgram, CompilationCache, CompiledProgram, ParameterDiff, QtenonCompiler,
 };
 use qtenon_isa::Instruction;
-use qtenon_quantum::{BitString, Circuit};
+use qtenon_quantum::{BitString, Circuit, CircuitTiming};
 use qtenon_sim_engine::{
     MetricsRegistry, OpClass, OpCounter, PhaseId, Profiler, SimDuration, SimTime, SpanStats,
 };
@@ -159,6 +159,9 @@ pub struct VqaRunner {
     workload: Workload,
     program: Arc<CompiledProgram>,
     cache: Option<CacheBinding>,
+    /// The circuit's shot timing: every binding times like the symbolic
+    /// circuit, so it is computed once per runner.
+    timing: CircuitTiming,
     /// The workload Hamiltonian's term table, built once per runner.
     evaluator: CostEvaluator,
     /// Evaluation and iteration latencies of the most recent run.
@@ -238,6 +241,7 @@ impl VqaRunner {
             ),
         };
         Ok(VqaRunner {
+            timing: CircuitTiming::of(&workload.circuit, &config.gate_times),
             system: QtenonSystem::new(config)?,
             evaluator: CostEvaluator::new(&workload.hamiltonian),
             workload,
@@ -548,7 +552,7 @@ impl VqaRunner {
         // 3. Quantum run.
         let bound = self.resolve_bound(eval_params)?;
         let run_start = now;
-        let outcome = self.system.q_run(now, &bound, shots)?;
+        let outcome = self.system.q_run_timed(now, &bound, shots, &self.timing)?;
         let quantum = outcome.complete.saturating_since(run_start);
         self.system
             .profiler_mut()

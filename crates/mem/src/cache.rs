@@ -53,18 +53,16 @@ pub struct AccessOutcome {
     pub writeback: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    dirty: bool,
-    /// Monotonic use stamp for LRU.
-    last_use: u64,
-}
-
 /// A set-associative cache with LRU replacement and write-back policy.
 ///
 /// This is a *timing/occupancy* model — it tracks which lines are present,
-/// not their data (data lives in the functional models).
+/// not their data (data lives in the functional models). The lines' tags
+/// and dirty bits live in one `n_sets × ways` array each, allocated at
+/// construction: set `s` owns slots `s * ways ..`, holds its `fill[s]`
+/// valid lines first, and keeps them in recency order, most recently used
+/// first, so the victim of a full set is its last line and no use stamps
+/// are stored. The power-of-two geometry turns the set index and tag into
+/// a mask and a shift.
 ///
 /// # Examples
 ///
@@ -78,9 +76,19 @@ struct Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    config: CacheConfig,
-    sets: Vec<Vec<Line>>,
-    clock: u64,
+    /// Each slot's line tag.
+    tags: Vec<u64>,
+    /// Whether each slot's line was written since it was filled.
+    dirty: Vec<bool>,
+    /// Valid lines per set.
+    fill: Vec<u32>,
+    ways: usize,
+    /// `log2(line_bytes)`: byte address → line address.
+    line_shift: u32,
+    /// `n_sets - 1`: line address → set index.
+    set_mask: u64,
+    /// `log2(n_sets)`: line address → tag.
+    tag_shift: u32,
     hits: u64,
     misses: u64,
     writebacks: u64,
@@ -108,10 +116,16 @@ impl Cache {
         if n_sets == 0 || !n_sets.is_power_of_two() {
             return Err(bad(format!("set count {n_sets} must be a power of two")));
         }
+        let ways = config.ways as usize;
+        let slots = n_sets as usize * ways;
         Ok(Cache {
-            config,
-            sets: vec![Vec::new(); n_sets as usize],
-            clock: 0,
+            tags: vec![0; slots],
+            dirty: vec![false; slots],
+            fill: vec![0; n_sets as usize],
+            ways,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_mask: n_sets - 1,
+            tag_shift: n_sets.trailing_zeros(),
             hits: 0,
             misses: 0,
             writebacks: 0,
@@ -120,15 +134,18 @@ impl Cache {
 
     /// Performs one access at byte address `addr`, allocating on miss.
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
-        self.clock += 1;
-        let line_addr = addr / self.config.line_bytes as u64;
-        let set_idx = (line_addr % self.config.n_sets()) as usize;
-        let tag = line_addr / self.config.n_sets();
-        let set = &mut self.sets[set_idx];
+        let line_addr = addr >> self.line_shift;
+        let set = (line_addr & self.set_mask) as usize;
+        let tag = line_addr >> self.tag_shift;
+        let fill = self.fill[set] as usize;
+        let tags = &mut self.tags[set * self.ways..][..self.ways];
+        let dirty = &mut self.dirty[set * self.ways..][..self.ways];
 
-        if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
-            line.last_use = self.clock;
-            line.dirty |= write;
+        if let Some(i) = tags[..fill].iter().position(|&t| t == tag) {
+            // Now the most recently used: move it to the front.
+            tags[..=i].rotate_right(1);
+            dirty[..=i].rotate_right(1);
+            dirty[0] |= write;
             self.hits += 1;
             return AccessOutcome {
                 hit: true,
@@ -137,25 +154,21 @@ impl Cache {
         }
 
         self.misses += 1;
-        let mut writeback = false;
-        if set.len() as u32 >= self.config.ways {
-            let victim = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
-                .expect("non-empty set");
-            let evicted = set.swap_remove(victim);
-            if evicted.dirty {
-                writeback = true;
-                self.writebacks += 1;
-            }
+        // A full set evicts its last, least recently used line; otherwise
+        // the first free slot takes the shift.
+        let full = fill == self.ways;
+        let writeback = full && dirty[fill - 1];
+        let last = if full { fill - 1 } else { fill };
+        tags[..=last].rotate_right(1);
+        dirty[..=last].rotate_right(1);
+        tags[0] = tag;
+        dirty[0] = write;
+        if writeback {
+            self.writebacks += 1;
         }
-        set.push(Line {
-            tag,
-            dirty: write,
-            last_use: self.clock,
-        });
+        if !full {
+            self.fill[set] += 1;
+        }
         AccessOutcome {
             hit: false,
             writeback,
@@ -197,10 +210,7 @@ impl Cache {
 
     /// Forgets all cached lines and statistics.
     pub(crate) fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        self.clock = 0;
+        self.fill.fill(0);
         self.hits = 0;
         self.misses = 0;
         self.writebacks = 0;
@@ -281,6 +291,129 @@ mod tests {
         assert!(Cache::new(CacheConfig::l1_16k()).is_ok());
         assert!(Cache::new(CacheConfig::l2_512k()).is_ok());
         assert_eq!(CacheConfig::l1_16k().n_sets(), 64);
+    }
+
+    #[derive(Clone, Copy)]
+    struct Line {
+        tag: u64,
+        dirty: bool,
+        /// Monotonic use stamp for LRU.
+        last_use: u64,
+    }
+
+    /// The `Vec`-per-set LRU the flat layout replaced: sets grow on first
+    /// touch, victims are found by the smallest use stamp and leave by
+    /// `swap_remove`, and the set index and tag come from a division by
+    /// the set count.
+    struct ReferenceCache {
+        config: CacheConfig,
+        sets: Vec<Vec<Line>>,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+        writebacks: u64,
+    }
+
+    impl ReferenceCache {
+        fn new(config: CacheConfig) -> Self {
+            ReferenceCache {
+                config,
+                sets: vec![Vec::new(); config.n_sets() as usize],
+                clock: 0,
+                hits: 0,
+                misses: 0,
+                writebacks: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
+            self.clock += 1;
+            let line_addr = addr / self.config.line_bytes as u64;
+            let set_idx = (line_addr % self.config.n_sets()) as usize;
+            let tag = line_addr / self.config.n_sets();
+            let set = &mut self.sets[set_idx];
+            if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
+                line.last_use = self.clock;
+                line.dirty |= write;
+                self.hits += 1;
+                return AccessOutcome {
+                    hit: true,
+                    writeback: false,
+                };
+            }
+            self.misses += 1;
+            let mut writeback = false;
+            if set.len() as u32 >= self.config.ways {
+                let victim = set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.last_use)
+                    .map(|(i, _)| i)
+                    .expect("non-empty set");
+                if set.swap_remove(victim).dirty {
+                    writeback = true;
+                    self.writebacks += 1;
+                }
+            }
+            set.push(Line {
+                tag,
+                dirty: write,
+                last_use: self.clock,
+            });
+            AccessOutcome {
+                hit: false,
+                writeback,
+            }
+        }
+
+        fn reset(&mut self) {
+            self.sets.iter_mut().for_each(Vec::clear);
+            self.clock = 0;
+            self.hits = 0;
+            self.misses = 0;
+            self.writebacks = 0;
+        }
+    }
+
+    #[test]
+    fn flat_layout_matches_the_vec_per_set_reference() {
+        use qtenon_sim_engine::rng::splitmix64;
+        for config in [CacheConfig::l1_16k(), CacheConfig::l2_512k()] {
+            let mut flat = Cache::new(config).unwrap();
+            let mut reference = ReferenceCache::new(config);
+            // A working set of twice the capacity, so every set fills,
+            // evicts clean and dirty lines, and rehits survivors.
+            let span = 2 * config.size_bytes;
+            let mut state = 0xcac4e ^ config.size_bytes;
+            for step in 0..200_000u64 {
+                let r = splitmix64(&mut state);
+                let addr = match r % 4 {
+                    // Streaming runs like the q_set/q_acquire buffers.
+                    0 => (step * u64::from(config.line_bytes)) % span,
+                    // A hot region that mostly hits.
+                    1 => (r >> 8) % (config.size_bytes / 8),
+                    // Anywhere, including far above the working set.
+                    2 => r >> 20,
+                    _ => (r >> 8) % span,
+                };
+                let write = (r >> 3).is_multiple_of(3);
+                assert_eq!(
+                    flat.access(addr, write),
+                    reference.access(addr, write),
+                    "{config:?}: step {step}, address {addr:#x}"
+                );
+                if step == 150_000 {
+                    flat.reset();
+                    reference.reset();
+                }
+            }
+            assert_eq!(
+                (flat.hits(), flat.misses(), flat.writebacks()),
+                (reference.hits, reference.misses, reference.writebacks),
+                "{config:?}"
+            );
+            assert!(flat.hits() > 0 && flat.misses() > 0 && flat.writebacks() > 0);
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! - [`qcc`]: the five-segment QCC with real storage (`.program`/`.pulse`
 //!   paged on first write), per-qubit chunks, and public/private access
 //!   control (Fig. 4, Table 2);
-//! - [`qspace`]: the per-qubit QSpace tag store (2²⁰ × 4 B per qubit).
+//! - [`qspace`]: the QSpace tag store (2²⁰ × 4 B per qubit), one table for
+//!   every qubit.
 //!
 //! # Examples
 //!

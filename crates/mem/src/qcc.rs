@@ -134,30 +134,35 @@ impl QuantumControllerCache {
         }
     }
 
+    /// The flat index of `addr` within `expected`'s backing store.
+    ///
+    /// Segments never overlap, so an address inside `expected`'s
+    /// `[base, base + entries)` range decodes to `expected`: only the port
+    /// check remains. The full decode (two divisions and a segment
+    /// search) runs only to name the error for an address outside it.
     fn locate(
         &self,
         port: AccessPort,
         addr: QAddress,
         expected: Segment,
     ) -> Result<usize, MemError> {
-        let decoded = self
+        let offset = addr.raw().wrapping_sub(self.layout.segment_base(expected));
+        if offset < self.layout.segment_entries(expected) {
+            if port == AccessPort::HostPublic && !expected.is_public() {
+                return Err(MemError::PrivateSegment { segment: expected });
+            }
+            return Ok(offset as usize);
+        }
+        // Outside `expected`: an address that decodes at all decodes to
+        // another segment, since `decode` accepts an address only inside
+        // its owning segment's range.
+        let actual = self
             .layout
             .decode(addr)
-            .map_err(|_| MemError::BadAddress { addr })?;
-        if decoded.segment != expected {
-            return Err(MemError::WrongSegment {
-                expected,
-                actual: decoded.segment,
-            });
-        }
-        if port == AccessPort::HostPublic && !decoded.segment.is_public() {
-            return Err(MemError::PrivateSegment {
-                segment: decoded.segment,
-            });
-        }
-        // Flat index within the segment's backing store.
-        let base = self.layout.segment_base(expected);
-        Ok((addr.raw() - base) as usize)
+            .map_err(|_| MemError::BadAddress { addr })?
+            .segment;
+        debug_assert_ne!(actual, expected);
+        Err(MemError::WrongSegment { expected, actual })
     }
 
     /// Reads a `.program` entry.
@@ -466,6 +471,146 @@ mod tests {
         let mut m = MetricsRegistry::new();
         qcc.export_metrics(&mut m, "mem.qcc");
         assert_eq!(m.len(), 2);
+    }
+
+    /// The decode-first `locate` the range check replaced: decode, then
+    /// compare segments, then check the port.
+    fn locate_by_decode(
+        layout: &QccLayout,
+        port: AccessPort,
+        addr: QAddress,
+        expected: Segment,
+    ) -> Result<usize, MemError> {
+        let decoded = layout
+            .decode(addr)
+            .map_err(|_| MemError::BadAddress { addr })?;
+        if decoded.segment != expected {
+            return Err(MemError::WrongSegment {
+                expected,
+                actual: decoded.segment,
+            });
+        }
+        if port == AccessPort::HostPublic && !decoded.segment.is_public() {
+            return Err(MemError::PrivateSegment {
+                segment: decoded.segment,
+            });
+        }
+        Ok((addr.raw() - layout.segment_base(expected)) as usize)
+    }
+
+    /// Each segment's first entry, last entry and one past its end.
+    fn boundaries(layout: &QccLayout, segment: Segment) -> [QAddress; 3] {
+        let base = layout.segment_base(segment);
+        let end = base + layout.segment_entries(segment);
+        [base, end - 1, end].map(|raw| QAddress::new(raw).unwrap())
+    }
+
+    #[test]
+    fn locate_pins_every_segment_boundary_through_both_ports() {
+        use AccessPort::{Controller, HostPublic};
+        let (layout, qcc) = qcc();
+        let bad = |segment| MemError::BadAddress {
+            addr: boundaries(&layout, segment)[2],
+        };
+        let private = |segment| Err(MemError::PrivateSegment { segment });
+        let past_pulse = Err(MemError::WrongSegment {
+            expected: Segment::Pulse,
+            actual: Segment::Slt,
+        });
+        // (segment, [first, last, past] via the host, the same via the
+        // controller), at 8 qubits: 8192 `.program` and `.pulse` entries,
+        // 128 registers, 640 `.measure` entries, 2048 `.slt` entries.
+        type Row = [Result<usize, MemError>; 3];
+        let pins: [(Segment, Row, Row); 5] = [
+            (
+                Segment::Program,
+                [Ok(0), Ok(8191), Err(bad(Segment::Program))],
+                [Ok(0), Ok(8191), Err(bad(Segment::Program))],
+            ),
+            (
+                Segment::Pulse,
+                [
+                    private(Segment::Pulse),
+                    private(Segment::Pulse),
+                    past_pulse.clone(),
+                ],
+                [Ok(0), Ok(8191), past_pulse],
+            ),
+            (
+                Segment::Measure,
+                [Ok(0), Ok(639), Err(bad(Segment::Measure))],
+                [Ok(0), Ok(639), Err(bad(Segment::Measure))],
+            ),
+            (
+                Segment::Slt,
+                [
+                    private(Segment::Slt),
+                    private(Segment::Slt),
+                    Err(bad(Segment::Slt)),
+                ],
+                [Ok(0), Ok(2047), Err(bad(Segment::Slt))],
+            ),
+            (
+                Segment::Regfile,
+                [Ok(0), Ok(127), Err(bad(Segment::Regfile))],
+                [Ok(0), Ok(127), Err(bad(Segment::Regfile))],
+            ),
+        ];
+        for (segment, host, controller) in pins {
+            for (port, want) in [(HostPublic, host), (Controller, controller)] {
+                for (addr, want) in boundaries(&layout, segment).into_iter().zip(want) {
+                    assert_eq!(
+                        qcc.locate(port, addr, segment),
+                        want,
+                        "{segment} {addr} via {port:?}"
+                    );
+                }
+            }
+        }
+        // Another segment's accessor names the segment the address is in.
+        let program = boundaries(&layout, Segment::Program)[0];
+        assert_eq!(
+            qcc.locate(HostPublic, program, Segment::Measure),
+            Err(MemError::WrongSegment {
+                expected: Segment::Measure,
+                actual: Segment::Program
+            })
+        );
+    }
+
+    #[test]
+    fn locate_agrees_with_decode_first_on_every_boundary_and_accessor() {
+        let layouts = [
+            QccLayout::for_qubits(8).unwrap(),
+            QccLayout::for_qubits(128).unwrap(),
+            // Past 448 qubits the shared segments shift above Fig. 4's map.
+            QccLayout::for_qubits(512).unwrap(),
+            // An empty `.regfile` has no entries to find.
+            QccLayout::with_geometry(3, 16, 4, 16, 0).unwrap(),
+        ];
+        for layout in layouts {
+            let qcc = QuantumControllerCache::new(layout);
+            for segment in Segment::ALL {
+                let [first, last, past] = boundaries(&layout, segment);
+                let probes = if layout.segment_entries(segment) == 0 {
+                    vec![past]
+                } else {
+                    vec![first, last, past]
+                };
+                for addr in probes {
+                    for expected in Segment::ALL {
+                        for port in [AccessPort::HostPublic, AccessPort::Controller] {
+                            assert_eq!(
+                                qcc.locate(port, addr, expected),
+                                locate_by_decode(&layout, port, addr, expected),
+                                "{} qubits: {segment} {addr} as {expected} via {port:?}",
+                                layout.n_qubits()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

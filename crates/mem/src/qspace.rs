@@ -8,8 +8,9 @@
 //! data path ❸ reaches it.
 //!
 //! The model stores mappings sparsely (a dense 4 MB/qubit allocation would
-//! be wasteful in a simulator); `ENTRIES_PER_QUBIT` keeps the
-//! architectural capacity of 2²⁰ entries of 4 B per qubit.
+//! be wasteful in a simulator) in one table for the whole system, keyed by
+//! `(qubit, tag)` and sized once at construction; `ENTRIES_PER_QUBIT`
+//! keeps the architectural capacity of 2²⁰ entries of 4 B per qubit.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -19,31 +20,39 @@ use qtenon_isa::QAddress;
 /// Capacity in entries per qubit: one per 20-bit tag.
 pub(crate) const ENTRIES_PER_QUBIT: u64 = 1 << 20;
 
-/// Hashes a tag with one multiply by the golden-ratio constant
-/// (Fibonacci hashing). The maps are only probed, filled, cleared and
-/// counted, never iterated, so no output depends on the hasher; SipHash's
-/// resistance to chosen keys buys nothing for controller-internal tags.
+/// Mappings per qubit the table is reserved for (it rounds up). A
+/// two-iteration benchmark job at 32–128 qubits writes back at most 34 per
+/// qubit over its whole run, so in practice the table is sized once per
+/// system.
+const RESERVED_PER_QUBIT: usize = 32;
+
+/// Hashes a packed `(qubit, tag)` key with one folded multiply by the
+/// golden-ratio constant, so the qubit bits reach the low bits that pick
+/// a bucket. The table is only probed, filled, cleared and counted, never
+/// iterated, so no output depends on the hasher; SipHash's resistance to
+/// chosen keys buys nothing for controller-internal tags.
 #[derive(Debug, Clone, Copy, Default)]
 struct TagHasher(u64);
 
 impl Hasher for TagHasher {
     fn finish(&self) -> u64 {
-        self.0
+        let product = u128::from(self.0) * 0x9E37_79B9_7F4A_7C15;
+        (product as u64) ^ ((product >> 64) as u64)
     }
 
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.write_u32(u32::from(b));
+            self.0 = (self.0 << 8) | u64::from(b);
         }
     }
 
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0.rotate_left(32) ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
     }
 }
 
-/// One qubit's tag store.
-type TagMap = HashMap<u32, QSpaceEntry, BuildHasherDefault<TagHasher>>;
+/// The system's tag store, keyed by [`key`].
+type TagMap = HashMap<u64, QSpaceEntry, BuildHasherDefault<TagHasher>>;
 
 /// One qubit's stored tag→pulse mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +61,7 @@ pub struct QSpaceEntry {
     pub qaddr: QAddress,
 }
 
-/// The per-qubit QSpace tag store.
+/// The QSpace tag store of every qubit.
 ///
 /// # Examples
 ///
@@ -68,19 +77,36 @@ pub struct QSpaceEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct QSpace {
-    tables: Vec<TagMap>,
+    table: TagMap,
+    n_qubits: u32,
     reads: u64,
     writes: u64,
+}
+
+/// The table key of `tag` in `qubit`'s region: the qubit above the
+/// 20 tag bits.
+fn key(qubit: u32, tag: u32) -> u64 {
+    (u64::from(qubit) << 20) | u64::from(tag)
 }
 
 impl QSpace {
     /// Creates an empty QSpace for `n_qubits` qubits.
     pub fn new(n_qubits: u32) -> Self {
         QSpace {
-            tables: vec![TagMap::default(); n_qubits as usize],
+            table: TagMap::with_capacity_and_hasher(
+                n_qubits as usize * RESERVED_PER_QUBIT,
+                BuildHasherDefault::default(),
+            ),
+            n_qubits,
             reads: 0,
             writes: 0,
         }
+    }
+
+    /// Panics unless `(qubit, tag)` names an entry of this QSpace.
+    fn check(&self, qubit: u32, tag: u32) {
+        assert!(qubit < self.n_qubits, "qubit {qubit} outside QSpace");
+        assert!((tag as u64) < ENTRIES_PER_QUBIT, "tag exceeds 20 bits");
     }
 
     /// Looks up a tag for one qubit.
@@ -89,9 +115,9 @@ impl QSpace {
     ///
     /// Panics if `qubit` or `tag` is out of range.
     pub fn lookup(&mut self, qubit: u32, tag: u32) -> Option<QSpaceEntry> {
-        assert!((tag as u64) < ENTRIES_PER_QUBIT, "tag exceeds 20 bits");
+        self.check(qubit, tag);
         self.reads += 1;
-        self.tables[qubit as usize].get(&tag).copied()
+        self.table.get(&key(qubit, tag)).copied()
     }
 
     /// Stores (or overwrites) a tag→pulse mapping for one qubit.
@@ -100,9 +126,9 @@ impl QSpace {
     ///
     /// Panics if `qubit` or `tag` is out of range.
     pub fn store(&mut self, qubit: u32, tag: u32, qaddr: QAddress) {
-        assert!((tag as u64) < ENTRIES_PER_QUBIT, "tag exceeds 20 bits");
+        self.check(qubit, tag);
         self.writes += 1;
-        self.tables[qubit as usize].insert(tag, QSpaceEntry { qaddr });
+        self.table.insert(key(qubit, tag), QSpaceEntry { qaddr });
     }
 
     /// Total QSpace reads performed (data path ❸ traffic, read side).
@@ -115,11 +141,9 @@ impl QSpace {
         self.writes
     }
 
-    /// Clears all mappings and statistics.
+    /// Clears all mappings and statistics, keeping the table's storage.
     pub fn reset(&mut self) {
-        for t in &mut self.tables {
-            t.clear();
-        }
+        self.table.clear();
         self.reads = 0;
         self.writes = 0;
     }
@@ -136,7 +160,8 @@ mod tests {
         ///
         /// Panics if `qubit` is out of range.
         fn occupancy(&self, qubit: u32) -> usize {
-            self.tables[qubit as usize].len()
+            let region = key(qubit, 0)..key(qubit + 1, 0);
+            self.table.keys().filter(|k| region.contains(k)).count()
         }
     }
 
@@ -185,6 +210,13 @@ mod tests {
     #[test]
     fn reserved_capacity_is_4mb_per_qubit() {
         assert_eq!(ENTRIES_PER_QUBIT * BYTES_PER_ENTRY, 4 * 1024 * 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "qubit 1 outside QSpace")]
+    fn out_of_range_qubit_panics() {
+        let mut qs = QSpace::new(1);
+        qs.lookup(1, 0);
     }
 
     #[test]

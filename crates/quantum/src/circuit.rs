@@ -210,7 +210,10 @@ impl Circuit {
                 got: params.len(),
             });
         }
-        let mut out = Circuit::new(self.n_qubits);
+        let mut out = Circuit {
+            n_qubits: self.n_qubits,
+            ops: Vec::with_capacity(self.ops.len()),
+        };
         for op in &self.ops {
             let gate = match op.gate {
                 Gate::Rx(a) => Gate::Rx(Angle::Value(a.resolve(params).expect("checked above"))),

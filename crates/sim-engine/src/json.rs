@@ -351,6 +351,13 @@ impl Parser<'_> {
 /// backslashes, double quotes, and all control characters below 0x20.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    write_escaped(&mut out, s);
+    out
+}
+
+/// Appends [`escape`]`(s)` to `out`.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
+    use std::fmt::Write;
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -359,12 +366,12 @@ pub fn escape(s: &str) -> String {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 use crate::json;
 
@@ -42,11 +42,11 @@ pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 /// A log-bucketed latency histogram over unsigned integer samples
 /// (conventionally nanoseconds).
 ///
-/// Buckets are powers of two, so recording is O(1), memory is constant,
-/// and two histograms merge bucket-for-bucket. Percentiles are estimated
-/// as the upper bound of the bucket containing the requested rank,
-/// clamped to the observed maximum — so `p50 <= p90 <= p99 <= max`
-/// always holds.
+/// Buckets are powers of two, so recording is O(1), memory is a fixed
+/// inline array (building one allocates nothing), and two histograms
+/// merge bucket-for-bucket. Percentiles are estimated as the upper bound
+/// of the bucket containing the requested rank, clamped to the observed
+/// maximum — so `p50 <= p90 <= p99 <= max` always holds.
 ///
 /// # Examples
 ///
@@ -67,7 +67,7 @@ pub struct Histogram {
     sum: u64,
     min: u64,
     max: u64,
-    buckets: Vec<u64>,
+    buckets: [u64; HISTOGRAM_BUCKETS],
 }
 
 impl Default for Histogram {
@@ -84,7 +84,7 @@ impl Histogram {
             sum: 0,
             min: 0,
             max: 0,
-            buckets: vec![0; HISTOGRAM_BUCKETS],
+            buckets: [0; HISTOGRAM_BUCKETS],
         }
     }
 
@@ -226,8 +226,8 @@ pub enum MetricValue {
     Counter(u64),
     /// An instantaneous level (rate, occupancy, cost, ...).
     Gauge(f64),
-    /// A latency distribution.
-    Histogram(Histogram),
+    /// A latency distribution (boxed: its bucket array is 520 bytes).
+    Histogram(Box<Histogram>),
 }
 
 /// A hierarchical registry of named metrics.
@@ -263,8 +263,10 @@ impl MetricsRegistry {
     /// `path` — the component-export path, where components own their
     /// histograms and publish them at snapshot time.
     pub fn histogram(&mut self, path: &str, h: &Histogram) {
-        self.metrics
-            .insert(path.to_string(), MetricValue::Histogram(h.clone()));
+        self.metrics.insert(
+            path.to_string(),
+            MetricValue::Histogram(Box::new(h.clone())),
+        );
     }
 
     /// The value at `path`, if registered.
@@ -290,6 +292,12 @@ impl MetricsRegistry {
     /// Iterates `(path, value)` pairs in sorted path order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
         self.metrics.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
+    /// Serialises the registry as [`MetricsSnapshot::to_json`] does,
+    /// without copying it into a snapshot first.
+    pub fn to_json(&self) -> String {
+        metrics_json(&self.metrics)
     }
 
     /// Freezes the current state into a snapshot.
@@ -330,52 +338,7 @@ impl MetricsSnapshot {
     /// `{"type":"gauge","value":X}`, histograms their full bucket table
     /// plus derived percentiles.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"metrics\":{");
-        for (i, (path, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&json::escape(path));
-            out.push_str("\":");
-            match value {
-                MetricValue::Counter(v) => {
-                    out.push_str(&format!("{{\"type\":\"counter\",\"value\":{v}}}"));
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(&format!(
-                        "{{\"type\":\"gauge\",\"value\":{}}}",
-                        json_f64(*v)
-                    ));
-                }
-                MetricValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        "{{\"type\":\"histogram\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-                        h.count(),
-                        h.sum(),
-                        h.min().unwrap_or(0),
-                        h.max().unwrap_or(0),
-                        h.p50().unwrap_or(0),
-                        h.p90().unwrap_or(0),
-                        h.p99().unwrap_or(0),
-                    ));
-                    let mut first = true;
-                    for (idx, &c) in h.buckets().iter().enumerate() {
-                        if c == 0 {
-                            continue;
-                        }
-                        if !first {
-                            out.push(',');
-                        }
-                        first = false;
-                        out.push_str(&format!("[{idx},{c}]"));
-                    }
-                    out.push_str("]}");
-                }
-            }
-        }
-        out.push_str("}}");
-        out
+        metrics_json(&self.metrics)
     }
 
     /// Serialises in the Prometheus text exposition format: one
@@ -392,7 +355,7 @@ impl MetricsSnapshot {
                     out.push_str(&format!("{name} {v}\n"));
                 }
                 MetricValue::Gauge(v) => {
-                    out.push_str(&format!("{name} {}\n", json_f64(*v)));
+                    out.push_str(&format!("{name} {}\n", JsonF64(*v)));
                 }
                 MetricValue::Histogram(h) => {
                     // Cumulative le-labelled buckets make the exporter
@@ -443,12 +406,65 @@ impl MetricsSnapshot {
     }
 }
 
-/// Formats a float as a JSON-safe token (`0` for non-finite values).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
+/// Writes `metrics` as the `{"metrics": {...}}` object of
+/// [`MetricsSnapshot::to_json`], straight into one buffer.
+fn metrics_json(metrics: &BTreeMap<String, MetricValue>) -> String {
+    let mut out = String::from("{\"metrics\":{");
+    for (i, (path, value)) in metrics.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        json::write_escaped(&mut out, path);
+        out.push_str("\":");
+        // Writing into a `String` cannot fail.
+        let _ = match value {
+            MetricValue::Counter(v) => write!(out, "{{\"type\":\"counter\",\"value\":{v}}}"),
+            MetricValue::Gauge(v) => {
+                write!(out, "{{\"type\":\"gauge\",\"value\":{}}}", JsonF64(*v))
+            }
+            MetricValue::Histogram(h) => write_histogram_json(&mut out, h),
+        };
+    }
+    out.push_str("}}");
+    out
+}
+
+/// Writes one histogram's JSON object: its summary fields, then the
+/// non-empty buckets as `[index, count]` pairs.
+fn write_histogram_json(out: &mut String, h: &Histogram) -> fmt::Result {
+    write!(
+        out,
+        "{{\"type\":\"histogram\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
+        h.count(),
+        h.sum(),
+        h.min().unwrap_or(0),
+        h.max().unwrap_or(0),
+        h.p50().unwrap_or(0),
+        h.p90().unwrap_or(0),
+        h.p99().unwrap_or(0),
+    )?;
+    let filled = h.buckets().iter().enumerate().filter(|&(_, &c)| c > 0);
+    for (k, (idx, c)) in filled.enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        write!(out, "[{idx},{c}]")?;
+    }
+    out.push_str("]}");
+    Ok(())
+}
+
+/// A float as a JSON-safe token (`0` for non-finite values).
+struct JsonF64(f64);
+
+impl fmt::Display for JsonF64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("0")
+        }
     }
 }
 
@@ -485,7 +501,7 @@ mod tests {
                     let mut h = Histogram::new();
                     h.record(sample);
                     self.metrics
-                        .insert(path.to_string(), MetricValue::Histogram(h));
+                        .insert(path.to_string(), MetricValue::Histogram(Box::new(h)));
                 }
             }
         }
