@@ -18,8 +18,8 @@
 //!   black-box latency, priority-encoder dispatch);
 //! - [`pipeline`]: the four-stage pulse pipeline tying it together
 //!   (Fig. 6);
-//! - [`adi`]: the SerDes/Analog-Digital-Interface bandwidth model
-//!   (64 bit/ns per qubit, 100 ns interface latency).
+//! - [`adi`]: the Analog-Digital-Interface latency model (100 ns per
+//!   direction).
 
 #![deny(unsafe_code)]
 #![deny(dead_code)]

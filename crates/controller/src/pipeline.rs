@@ -38,9 +38,6 @@ impl Default for PipelineConfig {
 /// is already regfile-resolved.
 pub(crate) type WorkItem = (QubitId, GateType, u32);
 
-/// A pulse a PGU computed: `(index into the run's items, pulse address)`.
-pub(crate) type FreshPulse = (usize, QAddress);
-
 /// Timing and cache statistics for one pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineReport {
@@ -77,7 +74,7 @@ pub struct PipelineReport {
 /// let item = (QubitId::new(0), GateType::Rx, EncodedAngle::from_radians(0.5).code());
 /// let (report, generated) = pipe.process(SimTime::ZERO, &[item, item], &mut no_faults)?;
 /// assert_eq!(report.generated, 1); // second occurrence hits the SLT
-/// assert_eq!(generated[0].0, 0);
+/// assert_eq!(generated, [layout.pulse_entry(QubitId::new(0), 0)?]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
@@ -87,7 +84,7 @@ pub struct PulsePipeline {
     pgus: PguPool,
     /// The last run's freshly computed pulses, kept so later runs reuse
     /// its storage.
-    fresh: Vec<FreshPulse>,
+    fresh: Vec<QAddress>,
     /// Cumulative entries processed across runs.
     total_entries: u64,
     /// Cumulative pulses generated across runs.
@@ -123,9 +120,9 @@ impl PulsePipeline {
     }
 
     /// Processes `items` starting at `start`, returning the run report and
-    /// the pulses PGUs computed fresh, as `(index into items, pulse
-    /// address)` in input order. SLT lookups run their
-    /// parity check and PGU dispatches draw stall/failure faults from
+    /// the `.pulse` addresses of the pulses PGUs computed fresh, in input
+    /// order. SLT lookups run their parity check and PGU dispatches draw
+    /// stall/failure faults from
     /// `faults`, with retries and degradation costed into the report's
     /// timing; an inert injector changes nothing.
     ///
@@ -141,7 +138,7 @@ impl PulsePipeline {
         start: SimTime,
         items: &[WorkItem],
         faults: &mut FaultInjector,
-    ) -> Result<(PipelineReport, &[FreshPulse]), ControllerError> {
+    ) -> Result<(PipelineReport, &[QAddress]), ControllerError> {
         let cycle = self.config.clock.period();
         let slt_before = self.slt.stats();
         self.fresh.clear();
@@ -153,7 +150,7 @@ impl PulsePipeline {
         // Latest completion across all entries (stage 4 writebacks).
         let mut last_complete = start;
 
-        for (index, &(qubit, gate, data27)) in items.iter().enumerate() {
+        for &(qubit, gate, data27) in items {
             if gate == GateType::Idle {
                 // Idle entries occupy a fetch slot but produce nothing.
                 front += cycle;
@@ -177,7 +174,7 @@ impl PulsePipeline {
                         front += stall; // stages 1–2 stall with us
                     }
                     pgu_busy += dispatch.done.saturating_since(dispatch.start);
-                    self.fresh.push((index, qaddr));
+                    self.fresh.push(qaddr);
                     // Stage 4: arbiter + writeback, one cycle.
                     dispatch.done + cycle
                 }
@@ -271,6 +268,12 @@ mod tests {
         PulsePipeline::new(PipelineConfig::default(), QccLayout::for_qubits(8).unwrap()).unwrap()
     }
 
+    /// The address of the first pulse a fresh pipeline generates on `q`.
+    fn first_slot(q: u32) -> QAddress {
+        let layout = QccLayout::for_qubits(8).unwrap();
+        layout.pulse_entry(QubitId::new(q), 0).unwrap()
+    }
+
     fn rx(q: u32, theta: f64) -> WorkItem {
         (
             QubitId::new(q),
@@ -288,8 +291,7 @@ mod tests {
         // fetch (1) + decode (1) + PGU (1000) + writeback (1) cycles.
         assert_eq!(report.total_time, SimDuration::from_ns(1003));
         assert_eq!(report.generated, 1);
-        assert_eq!(generated.len(), 1);
-        assert_eq!(generated[0].0, 0);
+        assert_eq!(generated, [first_slot(0)]);
     }
 
     #[test]
@@ -300,7 +302,7 @@ mod tests {
         assert_eq!((report.entries, report.generated), (3, 1));
         assert_eq!(report.slt.hits, 2);
         // Only the first occurrence is computed.
-        assert_eq!(generated.iter().map(|g| g.0).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(generated, [first_slot(0)]);
     }
 
     #[test]
@@ -439,8 +441,9 @@ mod tests {
         let (report, generated) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
         assert_eq!(report.entries, 20);
         assert_eq!(report.generated, generated.len() as u64);
-        // In input order, each index once.
-        assert!(generated.windows(2).all(|w| w[0].0 < w[1].0));
+        // Each fresh pulse has its own slot.
+        let slots: std::collections::BTreeSet<_> = generated.iter().collect();
+        assert_eq!(slots.len(), generated.len());
         assert_eq!(
             report.slt.lookups,
             report.slt.hits + report.slt.qspace_hits + report.slt.allocations

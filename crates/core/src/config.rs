@@ -70,7 +70,7 @@ pub struct QtenonConfig {
     pub bus: BusConfig,
     /// Pulse pipeline and PGU pool.
     pub pipeline: PipelineConfig,
-    /// SerDes/ADI model.
+    /// ADI latency model.
     pub adi: AdiModel,
     /// Quantum gate durations.
     pub gate_times: GateTimes,

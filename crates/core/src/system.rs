@@ -598,10 +598,9 @@ impl QtenonSystem {
         entries: &[ProgramEntry],
     ) -> Result<SimTime, SystemError> {
         let now = self.absorb_stall(now);
-        for (i, entry) in entries.iter().enumerate() {
-            let dst = qaddr.offset(i as u64)?;
+        for i in 0..entries.len() as u64 {
             self.qcc
-                .write_program(AccessPort::HostPublic, dst, *entry)?;
+                .write_program(AccessPort::HostPublic, qaddr.offset(i)?)?;
         }
         // Source read walks the host hierarchy; the bus then moves the
         // 9-byte records. The two pipelines overlap, so charge the max.
@@ -690,7 +689,8 @@ impl QtenonSystem {
     }
 
     /// `q_gen`: run the pulse pipeline over regfile-resolved work items,
-    /// writing generated pulses into the private `.pulse` segment.
+    /// making one controller write to the private `.pulse` segment per
+    /// generated pulse.
     ///
     /// # Errors
     ///
@@ -706,16 +706,8 @@ impl QtenonSystem {
         let wall = self.profiler.wall_start();
         let (report, generated) = self.pipeline.process(now, items, &mut self.injector)?;
         self.profiler.wall_end(self.phases.pgu_dispatch, wall);
-        for &(index, qaddr) in generated {
-            // Synthetic-but-deterministic pulse payload derived from the
-            // work item; real systems compute an envelope here.
-            let (_, gate, data27) = items[index];
-            let seed = ((data27 as u64) << 8) | gate.encode() as u64;
-            let words: [u64; 10] = std::array::from_fn(|i| {
-                seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(i as u64)
-            });
-            self.qcc.write_pulse(AccessPort::Controller, qaddr, words)?;
+        for &qaddr in generated {
+            self.qcc.write_pulse(AccessPort::Controller, qaddr)?;
         }
         self.profiler
             .record(self.phases.slt_resolve, report.front_time);
@@ -980,11 +972,10 @@ mod tests {
             vec![ProgramEntry::rotation(GateType::Rx, EncodedAngle::from_radians(0.3)); 16];
         let done = sys.q_set_program(t0(), 0x8000, qaddr, &entries).unwrap();
         assert!(done > t0());
-        let read_back = sys
-            .qcc()
-            .read_program(AccessPort::HostPublic, qaddr.offset(15).unwrap())
-            .unwrap();
-        assert_eq!(read_back, entries[15]);
+        use qtenon_sim_engine::MetricValue;
+        let mut m = MetricsRegistry::new();
+        sys.export_metrics(&mut m);
+        assert_eq!(m.get("mem.qcc.writes"), Some(&MetricValue::Counter(16)));
         assert_eq!(sys.comm().q_set_count, 1);
         assert!(sys.comm().q_set > SimDuration::ZERO);
     }

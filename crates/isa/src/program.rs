@@ -44,7 +44,7 @@ impl GateType {
     ];
 
     /// The 4-bit hardware encoding.
-    pub fn encode(self) -> u8 {
+    pub(crate) fn encode(self) -> u8 {
         match self {
             GateType::Rx => 0,
             GateType::Ry => 1,
@@ -235,17 +235,6 @@ impl ProgramEntry {
         }
     }
 
-    /// Creates an idle (alignment) entry.
-    pub fn idle() -> Self {
-        ProgramEntry {
-            gate: GateType::Idle,
-            reg_flag: false,
-            data: 0,
-            status: EntryStatus::Invalid,
-            qaddr: 0,
-        }
-    }
-
     /// Interprets the data field.
     pub(crate) fn payload(&self) -> EntryData {
         if self.reg_flag {
@@ -369,7 +358,10 @@ mod tests {
             ProgramEntry::rotation_from_reg(GateType::Rz, 1023).unwrap(),
             ProgramEntry::cz(63).unwrap(),
             ProgramEntry::measure(),
-            ProgramEntry::idle(),
+            ProgramEntry {
+                gate: GateType::Idle,
+                ..ProgramEntry::measure()
+            },
         ];
         for e in entries {
             assert_eq!(ProgramEntry::unpack(e.pack()).unwrap(), e);

@@ -1,25 +1,24 @@
-//! The quantum controller cache: five segments with real storage and
-//! public/private access control.
+//! The quantum controller cache: five segments with public/private
+//! access control, and storage for the segments that are read back.
 //!
 //! The QCC sits at the same level as the host L1 (Fig. 4). `.program`,
 //! `.regfile`, and `.measure` are public; `.pulse` and `.slt` are enforced
 //! private — the paper keeps them under exclusive hardware control to
 //! avoid three-way synchronisation between interdependent segments.
 //!
-//! The model keeps the full architectural geometry (1024 `.program` and
-//! 1024 `.pulse` entries per qubit; Table 2 totals 5.66 MB at 64 qubits)
-//! and accounts it architecturally, but stores `.program` and `.pulse`
-//! sparsely: host memory is allocated only for the 64-entry pages that
-//! have been written, and a never-written entry reads as its reset value.
-//! A job typically writes a few dozen of a qubit's 1024 pulse slots, so a
-//! dense copy would zero-fill megabytes per system for nothing.
-//! `.measure` and `.regfile` are small and on the `q_run` hot path, so
-//! they stay dense.
+//! The model keeps every segment's architectural geometry (1024
+//! `.program` and 1024 `.pulse` entries per qubit; Table 2 totals 5.66 MB
+//! at 64 qubits), checks every access against it and counts it, but
+//! stores only what is read back: `.measure` (with its ECC, read by
+//! `q_acquire`) and `.regfile` (read back to check incremental compilation
+//! against rebinding). Work items come from the compiled program on the
+//! host and pulse reuse from the controller's SLT, so `.program` and
+//! `.pulse` writes store nothing.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
-use qtenon_isa::{ProgramEntry, QAddress, QccLayout, Segment};
+use qtenon_isa::{QAddress, QccLayout, Segment};
 use qtenon_sim_engine::MetricsRegistry;
 
 use crate::MemError;
@@ -33,76 +32,29 @@ pub enum AccessPort {
     Controller,
 }
 
-/// A 640-bit `.pulse` entry, stored as ten 64-bit words (the hardware
-/// splits each entry into ten parallel buffers ahead of the SerDes).
-pub(crate) type PulseWord = [u64; 10];
-
-/// Entries per storage page of a sparse segment.
-const PAGE_ENTRIES: usize = 64;
-
-/// A segment's backing store: fixed pages allocated on first write. Reads
-/// of a never-written page return the segment's reset value, so the store
-/// is observably identical to a dense array filled with it.
-#[derive(Debug, Clone)]
-struct PagedSegment<T> {
-    pages: Vec<Option<Box<[T; PAGE_ENTRIES]>>>,
-    reset: T,
-    /// Logical length in entries: the architectural segment size.
-    len: usize,
-}
-
-impl<T: Copy> PagedSegment<T> {
-    fn new(len: usize, reset: T) -> Self {
-        PagedSegment {
-            pages: vec![None; len.div_ceil(PAGE_ENTRIES)],
-            reset,
-            len,
-        }
-    }
-
-    fn get(&self, idx: usize) -> T {
-        debug_assert!(idx < self.len);
-        match &self.pages[idx / PAGE_ENTRIES] {
-            Some(page) => page[idx % PAGE_ENTRIES],
-            None => self.reset,
-        }
-    }
-
-    fn set(&mut self, idx: usize, value: T) {
-        debug_assert!(idx < self.len);
-        let reset = self.reset;
-        let page =
-            self.pages[idx / PAGE_ENTRIES].get_or_insert_with(|| Box::new([reset; PAGE_ENTRIES]));
-        page[idx % PAGE_ENTRIES] = value;
-    }
-}
-
-/// The quantum controller cache with functional storage for every segment.
-///
-/// `.program` and `.pulse` are paged: only written 64-entry pages occupy
-/// host memory, so building a 128-qubit cache allocates kilobytes rather
-/// than the 12 MB a dense host copy of both segments would take (see the
-/// module docs).
+/// The quantum controller cache: access checks and counts for every
+/// segment, storage for `.measure` and `.regfile` (see the module docs).
 ///
 /// # Examples
 ///
 /// ```
-/// use qtenon_isa::{EncodedAngle, GateType, ProgramEntry, QccLayout, QubitId};
+/// use qtenon_isa::{QccLayout, QubitId, Segment};
 /// use qtenon_mem::qcc::{AccessPort, QuantumControllerCache};
+/// use qtenon_mem::MemError;
 ///
 /// let layout = QccLayout::for_qubits(8)?;
 /// let mut qcc = QuantumControllerCache::new(layout);
-/// let addr = layout.program_entry(QubitId::new(2), 0)?;
-/// let entry = ProgramEntry::rotation(GateType::Ry, EncodedAngle::from_radians(1.0));
-/// qcc.write_program(AccessPort::HostPublic, addr, entry)?;
-/// assert_eq!(qcc.read_program(AccessPort::HostPublic, addr)?, entry);
+/// qcc.write_program(AccessPort::HostPublic, layout.program_entry(QubitId::new(2), 0)?)?;
+/// // `.pulse` is private to the controller.
+/// let pulse = layout.pulse_entry(QubitId::new(2), 0)?;
+/// let private = MemError::PrivateSegment { segment: Segment::Pulse };
+/// assert_eq!(qcc.write_pulse(AccessPort::HostPublic, pulse), Err(private));
+/// qcc.write_pulse(AccessPort::Controller, pulse)?;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct QuantumControllerCache {
     layout: QccLayout,
-    program: PagedSegment<ProgramEntry>,
-    pulse: PagedSegment<PulseWord>,
     measure: Vec<u64>,
     regfile: Vec<u32>,
     /// Successful reads (interior-mutable: reads take `&self`).
@@ -118,13 +70,11 @@ pub struct QuantumControllerCache {
 }
 
 impl QuantumControllerCache {
-    /// Builds the cache for a layout, zero/idle-initialised.
+    /// Builds the cache for a layout, zero-initialised.
     pub fn new(layout: QccLayout) -> Self {
         let entries = |segment| layout.segment_entries(segment) as usize;
         QuantumControllerCache {
             layout,
-            program: PagedSegment::new(entries(Segment::Program), ProgramEntry::idle()),
-            pulse: PagedSegment::new(entries(Segment::Pulse), [0; 10]),
             measure: vec![0; entries(Segment::Measure)],
             regfile: vec![0; entries(Segment::Regfile)],
             reads: Cell::new(0),
@@ -134,7 +84,7 @@ impl QuantumControllerCache {
         }
     }
 
-    /// The flat index of `addr` within `expected`'s backing store.
+    /// The flat index of `addr` within `expected`.
     ///
     /// Segments never overlap, so an address inside `expected`'s
     /// `[base, base + entries)` range decodes to `expected`: only the port
@@ -165,47 +115,27 @@ impl QuantumControllerCache {
         Err(MemError::WrongSegment { expected, actual })
     }
 
-    /// Reads a `.program` entry.
+    /// Writes a `.program` entry: checks the address and port and counts
+    /// the write (the entry itself is kept by the compiled program).
     ///
     /// # Errors
     ///
     /// Returns [`MemError`] for unmapped or wrong-segment addresses.
-    pub fn read_program(&self, port: AccessPort, addr: QAddress) -> Result<ProgramEntry, MemError> {
-        let idx = self.locate(port, addr, Segment::Program)?;
-        self.reads.set(self.reads.get() + 1);
-        Ok(self.program.get(idx))
-    }
-
-    /// Writes a `.program` entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError`] for unmapped or wrong-segment addresses.
-    pub fn write_program(
-        &mut self,
-        port: AccessPort,
-        addr: QAddress,
-        entry: ProgramEntry,
-    ) -> Result<(), MemError> {
-        let idx = self.locate(port, addr, Segment::Program)?;
-        self.program.set(idx, entry);
+    pub fn write_program(&mut self, port: AccessPort, addr: QAddress) -> Result<(), MemError> {
+        self.locate(port, addr, Segment::Program)?;
         self.writes += 1;
         Ok(())
     }
 
-    /// Writes a `.pulse` entry (controller-only).
+    /// Writes a `.pulse` entry (controller-only): checks the address and
+    /// port and counts the write (the pulse itself is tracked by the SLT).
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::PrivateSegment`] for host access.
-    pub fn write_pulse(
-        &mut self,
-        port: AccessPort,
-        addr: QAddress,
-        word: PulseWord,
-    ) -> Result<(), MemError> {
-        let idx = self.locate(port, addr, Segment::Pulse)?;
-        self.pulse.set(idx, word);
+    /// Returns [`MemError::PrivateSegment`] for host access, and
+    /// [`MemError`] for unmapped or wrong-segment addresses.
+    pub fn write_pulse(&mut self, port: AccessPort, addr: QAddress) -> Result<(), MemError> {
+        self.locate(port, addr, Segment::Pulse)?;
         self.writes += 1;
         Ok(())
     }
@@ -288,7 +218,7 @@ impl QuantumControllerCache {
         Ok(())
     }
 
-    /// Reads a register by flat index (pipeline stage 2's regfile fetch).
+    /// Reads a register by flat index, without decoding an address.
     ///
     /// # Panics
     ///
@@ -321,25 +251,9 @@ impl QuantumControllerCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qtenon_isa::{EncodedAngle, GateType, QubitId};
+    use qtenon_isa::QubitId;
 
     impl QuantumControllerCache {
-        /// The layout this cache was built for.
-        fn layout(&self) -> QccLayout {
-            self.layout
-        }
-
-        /// Reads a `.pulse` entry (controller-only).
-        ///
-        /// # Errors
-        ///
-        /// Returns [`MemError::PrivateSegment`] for host access.
-        fn read_pulse(&self, port: AccessPort, addr: QAddress) -> Result<PulseWord, MemError> {
-            let idx = self.locate(port, addr, Segment::Pulse)?;
-            self.reads.set(self.reads.get() + 1);
-            Ok(self.pulse.get(idx))
-        }
-
         /// Writes a `.measure` entry.
         ///
         /// # Errors
@@ -390,14 +304,20 @@ mod tests {
     #[test]
     fn program_round_trip_per_qubit_chunks() {
         let (layout, mut qcc) = qcc();
-        let e0 = ProgramEntry::rotation(GateType::Rx, EncodedAngle::from_radians(0.5));
-        let e1 = ProgramEntry::cz(3).unwrap();
         let a0 = layout.program_entry(QubitId::new(0), 7).unwrap();
         let a1 = layout.program_entry(QubitId::new(7), 7).unwrap();
-        qcc.write_program(AccessPort::HostPublic, a0, e0).unwrap();
-        qcc.write_program(AccessPort::HostPublic, a1, e1).unwrap();
-        assert_eq!(qcc.read_program(AccessPort::HostPublic, a0).unwrap(), e0);
-        assert_eq!(qcc.read_program(AccessPort::HostPublic, a1).unwrap(), e1);
+        qcc.write_program(AccessPort::HostPublic, a0).unwrap();
+        qcc.write_program(AccessPort::Controller, a1).unwrap();
+        // A `.pulse` address is refused and not counted.
+        let pulse = layout.pulse_entry(QubitId::new(7), 7).unwrap();
+        assert!(matches!(
+            qcc.write_program(AccessPort::HostPublic, pulse),
+            Err(MemError::WrongSegment {
+                actual: Segment::Pulse,
+                ..
+            })
+        ));
+        assert_eq!(qcc.writes(), 2);
     }
 
     #[test]
@@ -405,18 +325,21 @@ mod tests {
         let (layout, mut qcc) = qcc();
         let addr = layout.pulse_entry(QubitId::new(0), 0).unwrap();
         assert!(matches!(
-            qcc.write_pulse(AccessPort::HostPublic, addr, [1; 10]),
+            qcc.write_pulse(AccessPort::HostPublic, addr),
             Err(MemError::PrivateSegment {
                 segment: Segment::Pulse
             })
         ));
-        qcc.write_pulse(AccessPort::Controller, addr, [7; 10])
-            .unwrap();
-        assert_eq!(
-            qcc.read_pulse(AccessPort::Controller, addr).unwrap(),
-            [7; 10]
-        );
-        assert!(qcc.read_pulse(AccessPort::HostPublic, addr).is_err());
+        qcc.write_pulse(AccessPort::Controller, addr).unwrap();
+        let program = layout.program_entry(QubitId::new(0), 0).unwrap();
+        assert!(matches!(
+            qcc.write_pulse(AccessPort::Controller, program),
+            Err(MemError::WrongSegment {
+                actual: Segment::Program,
+                ..
+            })
+        ));
+        assert_eq!(qcc.writes(), 1);
     }
 
     #[test]
@@ -448,10 +371,10 @@ mod tests {
 
     #[test]
     fn unmapped_address_rejected() {
-        let (_, qcc) = qcc();
+        let (_, mut qcc) = qcc();
         let hole = QAddress::new(0x40000).unwrap();
         assert!(matches!(
-            qcc.read_program(AccessPort::HostPublic, hole),
+            qcc.write_program(AccessPort::HostPublic, hole),
             Err(MemError::BadAddress { .. })
         ));
     }
@@ -465,7 +388,7 @@ mod tests {
         qcc.regfile_by_index(0);
         // A rejected access does not count.
         let pulse = layout.pulse_entry(qtenon_isa::QubitId::new(0), 0).unwrap();
-        assert!(qcc.read_pulse(AccessPort::HostPublic, pulse).is_err());
+        assert!(qcc.write_pulse(AccessPort::HostPublic, pulse).is_err());
         assert_eq!(qcc.writes(), 1);
         assert_eq!(qcc.reads(), 2);
         let mut m = MetricsRegistry::new();
@@ -650,139 +573,5 @@ mod tests {
         qcc.poison_measure(m, 0b11).unwrap();
         assert_eq!(qcc.read_measure(AccessPort::Controller, m).unwrap(), 0);
         assert_eq!(qcc.ecc_corrections(), 0);
-    }
-
-    #[test]
-    fn storage_sizes_match_layout() {
-        let (layout, qcc) = qcc();
-        assert_eq!(
-            qcc.program.len as u64,
-            layout.segment_entries(Segment::Program)
-        );
-        assert_eq!(qcc.pulse.len as u64, layout.segment_entries(Segment::Pulse));
-        // A fresh cache has logical size but no stored pages.
-        assert!(qcc.program.pages.iter().all(Option::is_none));
-        assert!(qcc.pulse.pages.iter().all(Option::is_none));
-    }
-
-    /// A dense, reset-filled copy of `.program` and `.pulse`: the storage
-    /// the paged segments must be indistinguishable from.
-    #[derive(Clone)]
-    struct DenseModel {
-        program: Vec<ProgramEntry>,
-        pulse: Vec<PulseWord>,
-    }
-
-    impl DenseModel {
-        fn new(layout: QccLayout) -> Self {
-            DenseModel {
-                program: vec![
-                    ProgramEntry::idle();
-                    layout.segment_entries(Segment::Program) as usize
-                ],
-                pulse: vec![[0; 10]; layout.segment_entries(Segment::Pulse) as usize],
-            }
-        }
-
-        /// Reads every entry of both segments back and compares.
-        fn assert_matches(&self, qcc: &QuantumControllerCache, context: &str) {
-            let layout = qcc.layout();
-            let per_qubit = layout.pulse_entries_per_qubit();
-            for q in 0..layout.n_qubits() {
-                for slot in 0..per_qubit {
-                    let i = (u64::from(q) * per_qubit + slot) as usize;
-                    let p = layout.program_entry(QubitId::new(q), slot).unwrap();
-                    let w = layout.pulse_entry(QubitId::new(q), slot).unwrap();
-                    assert_eq!(
-                        qcc.read_program(AccessPort::Controller, p).unwrap(),
-                        self.program[i],
-                        "{context}: .program qubit {q} slot {slot}"
-                    );
-                    assert_eq!(
-                        qcc.read_pulse(AccessPort::Controller, w).unwrap(),
-                        self.pulse[i],
-                        "{context}: .pulse qubit {q} slot {slot}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn paged_segments_match_a_dense_model() {
-        use qtenon_sim_engine::rng::splitmix64;
-        const BOUNDARY_SLOTS: [u64; 8] = [0, 1, 62, 63, 64, 65, 1022, 1023];
-        for n_qubits in [8u32, 128] {
-            let layout = QccLayout::for_qubits(n_qubits).unwrap();
-            let per_qubit = layout.pulse_entries_per_qubit();
-            assert_eq!(per_qubit, layout.program_entries_per_qubit());
-            let mut qcc = QuantumControllerCache::new(layout);
-            let mut model = DenseModel::new(layout);
-            let mut state = 0x5eed ^ u64::from(n_qubits);
-            let mut fork = None;
-            for step in 0..6_000 {
-                let r = splitmix64(&mut state);
-                // Mostly the first and last qubit and the page-boundary
-                // slots; the rest uniform over the whole segment.
-                let qubit = match r % 4 {
-                    0 => 0,
-                    1 => n_qubits - 1,
-                    _ => (r >> 8) as u32 % n_qubits,
-                };
-                let slot = match (r >> 2) % 4 {
-                    0 | 1 => BOUNDARY_SLOTS[(r >> 40) as usize % BOUNDARY_SLOTS.len()],
-                    _ => (r >> 40) % per_qubit,
-                };
-                let i = (u64::from(qubit) * per_qubit + slot) as usize;
-                let value = splitmix64(&mut state);
-                let p = layout.program_entry(QubitId::new(qubit), slot).unwrap();
-                let w = layout.pulse_entry(QubitId::new(qubit), slot).unwrap();
-                match (r >> 4) % 4 {
-                    0 => {
-                        let entry = ProgramEntry::rotation(
-                            GateType::Ry,
-                            EncodedAngle::from_radians((value % 6_283) as f64 / 1_000.0),
-                        );
-                        qcc.write_program(AccessPort::HostPublic, p, entry).unwrap();
-                        model.program[i] = entry;
-                    }
-                    1 => {
-                        let word: PulseWord = std::array::from_fn(|k| value.rotate_left(k as u32));
-                        qcc.write_pulse(AccessPort::Controller, w, word).unwrap();
-                        model.pulse[i] = word;
-                    }
-                    2 => assert_eq!(
-                        qcc.read_program(AccessPort::HostPublic, p).unwrap(),
-                        model.program[i],
-                        "{n_qubits} qubits, step {step}: .program qubit {qubit} slot {slot}"
-                    ),
-                    _ => assert_eq!(
-                        qcc.read_pulse(AccessPort::Controller, w).unwrap(),
-                        model.pulse[i],
-                        "{n_qubits} qubits, step {step}: .pulse qubit {qubit} slot {slot}"
-                    ),
-                }
-                if step == 3_000 {
-                    fork = Some((qcc.clone(), model.clone()));
-                }
-            }
-            model.assert_matches(&qcc, &format!("{n_qubits} qubits, original"));
-            // The mid-stream clone saw none of the original's later writes,
-            // and its own writes do not reach the original.
-            let (mut clone, mut clone_model) = fork.expect("stream passed the fork step");
-            clone_model.assert_matches(&clone, &format!("{n_qubits} qubits, clone"));
-            let last = layout
-                .pulse_entry(QubitId::new(n_qubits - 1), 1023)
-                .unwrap();
-            clone
-                .write_pulse(AccessPort::Controller, last, [u64::MAX; 10])
-                .unwrap();
-            clone_model.pulse[(u64::from(n_qubits) * per_qubit - 1) as usize] = [u64::MAX; 10];
-            clone_model.assert_matches(&clone, &format!("{n_qubits} qubits, clone after write"));
-            model.assert_matches(
-                &qcc,
-                &format!("{n_qubits} qubits, original after clone write"),
-            );
-        }
     }
 }

@@ -19,7 +19,7 @@
 //!   instructions, program-entry formats;
 //! - [`mem`]: caches, DRAM, the quantum controller cache, QSpace;
 //! - [`controller`]: RBQ, memory barrier, TileLink bus, SLT, PGU
-//!   pool, pulse pipeline, SerDes/ADI;
+//!   pool, pulse pipeline, ADI latency;
 //! - [`compiler`]: Qtenon compilation + dynamic incremental compilation,
 //!   and the baseline JIT model;
 //! - [`core`]: the integrated tightly coupled system and VQA runner;

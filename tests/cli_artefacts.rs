@@ -142,7 +142,7 @@ fn fleet_job_metrics_match_across_widths_and_standalone() {
 
 #[test]
 fn widefleet_job_metrics_match_at_widths_1_and_4() {
-    // 32-320 qubit jobs: the QCC's paged .program/.pulse storage.
+    // 32-320 qubit jobs: the widest QCC layouts and SLT tables.
     let serial = batch("widefleet.json", "wide-w1", &["--threads", "1"]);
     let pooled = batch("widefleet.json", "wide-w4", &["--threads", "4"]);
     assert_same_job_files(&serial, &pooled);
