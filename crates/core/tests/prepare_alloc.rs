@@ -3,9 +3,11 @@
 //! Preparing a bound QAOA-12 circuit plans it (`fuse::plan`: one op list,
 //! sized for the circuit, each sweep's kernel held inline), builds one
 //! state vector (a single allocation holding both the real and the
-//! imaginary parts), runs the plan, and builds one cumulative table. The
-//! count is pinned exactly, so a change to the statevector storage or the
-//! kernel layer that allocates more, or less, shows up here. A counting
+//! imaginary parts), runs the plan, and turns that same allocation into
+//! the sampling tables: the cumulative distribution over the real half,
+//! the guide over the imaginary half. The count is pinned exactly, so a
+//! change to the statevector storage, the sampler or the kernel layer
+//! that allocates more, or less, shows up here. A counting
 //! global allocator measures it;
 //! the file holds a single `#[test]` so no sibling test's allocations
 //! race the counter.
@@ -58,5 +60,5 @@ fn qaoa12_exact_prepare_allocation_count_is_pinned() {
     let prepared = sim.prepare(&bound).expect("prepare");
     let allocated = allocations() - before;
     drop(prepared);
-    assert_eq!(allocated, 3, "allocations of one QAOA-12 exact prepare");
+    assert_eq!(allocated, 2, "allocations of one QAOA-12 exact prepare");
 }

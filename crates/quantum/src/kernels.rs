@@ -36,27 +36,34 @@
 //!   product over every quadruple `i`, `i | 1<<lo`, `i | 1<<hi`,
 //!   `i | 1<<lo | 1<<hi` (basis indices 0–3), as
 //!   `m[r][0]·a0 + m[r][1]·a1 + m[r][2]·a2 + m[r][3]·a3` added left to
-//!   right. It always sweeps 4 quadruples at once, held in local 4-lane
-//!   arrays, one array per amplitude index and component: lane `p` is
-//!   quadruple `p`. When `lo` is at least 3 the lanes are 4 contiguous
-//!   amplitudes of each of the four quarters `lo`/`hi` cut a block of
-//!   `2·2^hi` amplitudes into. Pairs that hold qubit 0, 1 or 2 gather the
-//!   lanes instead, from an aligned group of 16 amplitudes, which holds 4
-//!   whole quadruples, when both qubits are below 4; otherwise matching
-//!   groups of 8 from the `hi`-clear and `hi`-set halves are joined into
-//!   such a group first. Local arrays cannot alias the state, so the
-//!   sweep stays vectorised at every stride.
+//!   right, always on `L`-lane local arrays (4 lanes, or 8 in the AVX-512
+//!   instance), one array per amplitude index and component. When `lo`
+//!   is at least 3 lane `p` is quadruple `p`: `L` contiguous amplitudes
+//!   of each of the four quarters `lo`/`hi` cut a block of `2·2^hi`
+//!   amplitudes into. At 4 lanes, pairs that hold qubit 0, 1 or 2 gather
+//!   4 whole quadruples from an aligned group of 16 amplitudes when both
+//!   qubits are below 4; otherwise matching groups of 8 from the
+//!   `hi`-clear and `hi`-set halves are joined into such a group first.
+//!   At 8 lanes those pairs sweep whole vectors of 8 amplitudes instead:
+//!   lane `p` is output row `bit(lo) + 2·bit(hi)` of its own quadruple,
+//!   amplitude `k` of that quadruple is lane `p` with the pair's bits
+//!   replaced by `k`'s (a constant lane permute), and each lane multiplies
+//!   by its own row of the matrix. Local arrays cannot alias the state,
+//!   so the sweep stays vectorised at every stride.
 //!
 //! Each output component is the expression the `C64` operators compute
 //! for it: the same products of the same operands, added in the same
 //! order, so the storage layout never shows in the bits. With real and
 //! imaginary parts in separate arrays, `i` runs over contiguous `f64`s
 //! in every one of the four slices, which is what lets the sweeps fill
-//! vector lanes. One body, `apply_ops_body`, is compiled twice: for the
-//! baseline target and with AVX2. `apply_ops` picks the widest one the
-//! CPU runs, once per plan. Both instances perform the same IEEE
-//! operations on every element, and Rust never fuses a multiply and an
-//! add into one rounding, so the instances agree bit for bit.
+//! vector lanes. One source has three instances ([`KernelInstance`]):
+//! `apply_ops_body` compiled for the baseline target and with AVX2 (4
+//! lanes), and an AVX-512F instance that sweeps blocks through the same
+//! `apply_block` at 8 lanes and hands `(0, 1)` blocks, single-qubit
+//! runs and CZs, which measured no faster at 8 lanes, to the AVX2 code.
+//! `apply_ops` picks the widest instance the CPU runs, once per plan. Every instance performs the same IEEE operations on
+//! every element, and Rust never fuses a multiply and an add into one
+//! rounding, so the instances agree bit for bit.
 //!
 //! The three structured classes drop only products with matrix entries
 //! that are bit-exact `+0.0`. With finite amplitudes those products are
@@ -65,11 +72,11 @@
 //!
 //! The naive reference loops survive as `#[doc(hidden)]`
 //! `apply_matrix2_reference`/`apply_matrix4_reference`/`apply_cz_reference`
-//! on [`crate::StateVector`], and the baseline instance as
-//! `apply_plan_baseline`; `crates/quantum/tests/kernel_equiv.rs` proves
+//! on [`crate::StateVector`], and each instance is reachable through the
+//! hidden `apply_plan_on`; `crates/quantum/tests/kernel_equiv.rs` proves
 //! the equivalences on every CI run, and `stride_props.rs` pins the raw
-//! bits of both instances at every stride, CZ operand pair and block pair
-//! (DESIGN.md §13).
+//! bits of every instance the CPU runs at every stride, CZ operand pair
+//! and block pair (DESIGN.md §13).
 
 use crate::fuse::PlanOp;
 use crate::statevector::C64;
@@ -282,50 +289,140 @@ impl Kernel1Q {
     }
 }
 
+/// A compiled instance of the kernel body: the same source, built for
+/// the baseline target, with AVX2, or with AVX-512F. Every instance
+/// performs the same IEEE operations on every element, so the bits
+/// never depend on which one runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelInstance {
+    /// The build's own target, on every architecture.
+    Baseline,
+    /// `#[target_feature(enable = "avx2")]`, 4 `f64` lanes.
+    Avx2,
+    /// `#[target_feature(enable = "avx512f")]`: 8-lane block sweeps but
+    /// for `(0, 1)`; every other op through the AVX2 instance.
+    Avx512,
+}
+
+impl KernelInstance {
+    /// Every instance, narrowest first.
+    pub const ALL: [KernelInstance; 3] = [
+        KernelInstance::Baseline,
+        KernelInstance::Avx2,
+        KernelInstance::Avx512,
+    ];
+
+    /// Whether this CPU runs the instance: it has every feature the
+    /// instance's `target_feature` turns on (`avx512f` also turns on
+    /// `avx2`, `fma` and `f16c`). Never true for a vector instance off
+    /// x86.
+    pub fn is_available(self) -> bool {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            match self {
+                KernelInstance::Baseline => true,
+                KernelInstance::Avx2 => has!("avx2"),
+                KernelInstance::Avx512 => {
+                    has!("avx512f") && has!("avx2") && has!("fma") && has!("f16c")
+                }
+            }
+        }
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        {
+            self == KernelInstance::Baseline
+        }
+    }
+
+    /// The widest instance this CPU runs.
+    fn widest() -> Self {
+        let mut all = KernelInstance::ALL.into_iter().rev();
+        all.find(|i| i.is_available())
+            .unwrap_or(KernelInstance::Baseline)
+    }
+}
+
 /// Executes plan ops on split-complex storage through the widest instance
-/// of one kernel body this CPU supports: AVX2 when
-/// `is_x86_feature_detected!` finds it, the baseline target otherwise
-/// (and always on other architectures). The instances differ only in
-/// codegen; every element sees the same operations in both, so the bits
-/// never depend on the choice.
+/// of one kernel body this CPU supports, picked once per plan.
 pub(crate) fn apply_ops(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
+    apply_ops_on(KernelInstance::widest(), re, im, ops);
+}
+
+/// Executes plan ops through the named instance.
+///
+/// # Panics
+///
+/// Panics if this CPU cannot run `instance`.
+pub(crate) fn apply_ops_on(
+    instance: KernelInstance,
+    re: &mut [f64],
+    im: &mut [f64],
+    ops: &[PlanOp],
+) {
+    assert!(instance.is_available(), "this CPU cannot run {instance:?}");
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `apply_ops_avx2` requires AVX2 and nothing else, and
-        // `is_x86_feature_detected!("avx2")` just confirmed this CPU has it.
+    {
+        let vector = match instance {
+            KernelInstance::Baseline => return apply_ops_baseline(re, im, ops),
+            KernelInstance::Avx2 => apply_ops_avx2,
+            KernelInstance::Avx512 => apply_ops_avx512,
+        };
+        // SAFETY: `vector` requires exactly the features that
+        // `instance.is_available()` just found on this CPU.
         #[allow(unsafe_code)]
         unsafe {
-            apply_ops_avx2(re, im, ops)
+            vector(re, im, ops)
         };
-        return;
     }
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
     apply_ops_baseline(re, im, ops);
 }
 
 /// The baseline-target instance of [`apply_ops_body`].
-pub(crate) fn apply_ops_baseline(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
+fn apply_ops_baseline(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
     apply_ops_body(re, im, ops);
 }
 
 /// The AVX2 instance of [`apply_ops_body`]: the same source with 4-wide
 /// `f64` lanes. AVX2 alone, never FMA, and Rust never contracts a
-/// multiply and an add into one rounding anyway.
+/// multiply and an add into one rounding anyway. Never inlined, so the
+/// AVX-512 instance calls this code, not a copy built for its target.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
+#[inline(never)]
 fn apply_ops_avx2(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
     apply_ops_body(re, im, ops);
 }
 
+/// The AVX-512 instance: two-qubit blocks sweep 8 lanes at a time
+/// ([`apply_block`] with `L = 8`); `(0, 1)` blocks, single-qubit runs
+/// and CZs, which measured no faster at 8 lanes, run the AVX2 instance's
+/// code (`avx512f` implies `avx2`, so that call is safe).
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f")]
+fn apply_ops_avx512(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
+    for op in ops {
+        match op {
+            PlanOp::Block2 { lo, hi, kernel } if (*lo, *hi) != (0, 1) => {
+                apply_block::<8>(re, im, *lo, *hi, kernel);
+            }
+            PlanOp::Block2 { .. } | PlanOp::Run { .. } | PlanOp::Cz { .. } => {
+                apply_ops_avx2(re, im, std::slice::from_ref(op));
+            }
+        }
+    }
+}
+
 /// Every op in order: single-qubit kernels by [`apply_kernel`], two-qubit
-/// blocks by [`apply_block`], CZs by enumeration ([`apply_cz`]).
-/// Everything below it is `#[inline(always)]`, so each instance compiles
-/// the whole body for its own target features.
+/// blocks by [`apply_block`] at 4 lanes, CZs by enumeration
+/// ([`apply_cz`]). Everything below it is `#[inline(always)]`, so each
+/// instance compiles the whole body for its own target features.
 #[inline(always)]
 fn apply_ops_body(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
     for op in ops {
         match op {
             PlanOp::Run { qubit, kernel } => apply_kernel(re, im, *qubit, kernel),
-            PlanOp::Block2 { lo, hi, kernel } => apply_block(re, im, *lo, *hi, kernel),
+            PlanOp::Block2 { lo, hi, kernel } => apply_block::<4>(re, im, *lo, *hi, kernel),
             PlanOp::Cz { a, b } => apply_cz(re, im, *a, *b),
         }
     }
@@ -450,14 +547,22 @@ fn sweep(
 /// Sweeps one 4×4 kernel over every quadruple of qubits `lo < hi`: the
 /// amplitudes `i`, `i | 1<<lo`, `i | 1<<hi` and `i | 1<<lo | 1<<hi`
 /// (basis indices 0–3 of [`Mat4`]) for each `i` with both bits clear.
-/// Every path sweeps groups of 4 quadruples held in local 4-lane arrays
-/// ([`sweep4`]): pairs that hold qubit 0, 1 or 2 gather each group's
-/// amplitudes from an aligned group of 16 ([`sweep_group`]), joined from
+/// Every path runs [`sweep4`] on `L`-lane local arrays. Pairs with both
+/// qubits at least 3 load `L` contiguous lanes of each quarter
+/// ([`quads`]). At 4 lanes, pairs that hold qubit 0, 1 or 2 gather 4
+/// quadruples from an aligned group of 16 ([`sweep_group`]), joined from
 /// matching groups of 8 in the halves of the higher qubit when it is 4 or
-/// more ([`gathered_split`]); the rest load 4 contiguous lanes of each
-/// quarter ([`quads`]).
+/// more ([`gathered_split`]). At 8 lanes they sweep whole 8-amplitude
+/// vectors instead, each output lane fed by constant lane permutes with
+/// its own row of the matrix ([`permuted_low`], [`permuted_split`]).
 #[inline(always)]
-pub(crate) fn apply_block(re: &mut [f64], im: &mut [f64], lo: u32, hi: u32, m: &Mat4) {
+pub(crate) fn apply_block<const L: usize>(
+    re: &mut [f64],
+    im: &mut [f64],
+    lo: u32,
+    hi: u32,
+    m: &Mat4,
+) {
     debug_assert!(
         lo < hi && 1usize << hi < re.len(),
         "pair ({lo}, {hi}) out of range"
@@ -466,6 +571,12 @@ pub(crate) fn apply_block(re: &mut [f64], im: &mut [f64], lo: u32, hi: u32, m: &
     match (lo, hi) {
         // States of 4 or 8 amplitudes hold no group of 16 to gather.
         _ if re.len() < 16 => singles(re, im, 1 << lo, 1 << hi, m),
+        (3.., _) => quads::<L>(re, im, 1 << lo, 1 << hi, m),
+        (0, 2) if L == 8 => permuted_low::<1, 4>(re, im, m),
+        (1, 2) if L == 8 => permuted_low::<2, 4>(re, im, m),
+        (0, _) if L == 8 => permuted_split::<1>(re, im, 1 << hi, m),
+        (1, _) if L == 8 => permuted_split::<2>(re, im, 1 << hi, m),
+        (2, _) if L == 8 => permuted_split::<4>(re, im, 1 << hi, m),
         (0, 1) => gathered_low::<1, 2>(re, im, m),
         (0, 2) => gathered_low::<1, 4>(re, im, m),
         (0, 3) => gathered_low::<1, 8>(re, im, m),
@@ -474,23 +585,22 @@ pub(crate) fn apply_block(re: &mut [f64], im: &mut [f64], lo: u32, hi: u32, m: &
         (2, 3) => gathered_low::<4, 8>(re, im, m),
         (0, _) => gathered_split::<1>(re, im, 1 << hi, m),
         (1, _) => gathered_split::<2>(re, im, 1 << hi, m),
-        (2, _) => gathered_split::<4>(re, im, 1 << hi, m),
-        _ => quads(re, im, 1 << lo, 1 << hi, m),
+        _ => gathered_split::<4>(re, im, 1 << hi, m),
     }
 }
 
-/// One component of 4 quadruples: `[k][p]` is amplitude `k` of
-/// quadruple `p`.
-type Lanes = [[f64; 4]; 4];
+/// One component of `L` lanes of the 4 amplitude indices: `[k][p]` is
+/// amplitude `k` in lane `p`.
+type Lanes<const L: usize> = [[f64; L]; 4];
 
 /// Strides `slo < shi` of at least 8: each block of `2·shi` amplitudes
 /// has a `hi`-clear and a `hi`-set half, each of those a `lo`-clear and a
-/// `lo`-set quarter per `2·slo` amplitudes. Four lanes at a time of the
+/// `lo`-set quarter per `2·slo` amplitudes. `L` lanes at a time of the
 /// four matching quarters are copied into local arrays, swept, and copied
 /// back: the sweep never reads through a pointer that a store could alias,
 /// so it stays vectorised at every stride.
 #[inline(always)]
-fn quads(re: &mut [f64], im: &mut [f64], slo: usize, shi: usize, m: &Mat4) {
+fn quads<const L: usize>(re: &mut [f64], im: &mut [f64], slo: usize, shi: usize, m: &Mat4) {
     for (re, im) in re
         .chunks_exact_mut(shi << 1)
         .zip(im.chunks_exact_mut(shi << 1))
@@ -510,13 +620,14 @@ fn quads(re: &mut [f64], im: &mut [f64], slo: usize, shi: usize, m: &Mat4) {
             let (im_00, im_01) = im_0.split_at_mut(slo);
             let (im_10, im_11) = im_1.split_at_mut(slo);
             // Re-slicing to one length lets LLVM drop every bounds check.
-            let n = slo / 4;
-            let mut re_q = [re_00, re_01, re_10, re_11].map(|x| &mut x.as_chunks_mut().0[..n]);
-            let mut im_q = [im_00, im_01, im_10, im_11].map(|x| &mut x.as_chunks_mut().0[..n]);
+            let n = slo / L;
+            let mut re_q = [re_00, re_01, re_10, re_11].map(|x| &mut x.as_chunks_mut::<L>().0[..n]);
+            let mut im_q = [im_00, im_01, im_10, im_11].map(|x| &mut x.as_chunks_mut::<L>().0[..n]);
             for j in 0..n {
                 let mut re4 = re_q.each_ref().map(|x| x[j]);
                 let mut im4 = im_q.each_ref().map(|x| x[j]);
-                sweep4(&mut re4, &mut im4, m);
+                let (x, y) = (re4, im4);
+                sweep4(&mut re4, &mut im4, &x, &y, m);
                 for (x, lane) in re_q.iter_mut().zip(re4) {
                     x[j] = lane;
                 }
@@ -613,9 +724,10 @@ fn sweep_group<const SLO: usize, const SHI: usize>(
     m: &Mat4,
 ) {
     let at = const { low_quads(SLO, SHI) };
-    let mut re4: Lanes = std::array::from_fn(|k| std::array::from_fn(|p| re[at[k][p]]));
-    let mut im4: Lanes = std::array::from_fn(|k| std::array::from_fn(|p| im[at[k][p]]));
-    sweep4(&mut re4, &mut im4, m);
+    let mut re4: Lanes<4> = std::array::from_fn(|k| std::array::from_fn(|p| re[at[k][p]]));
+    let mut im4: Lanes<4> = std::array::from_fn(|k| std::array::from_fn(|p| im[at[k][p]]));
+    let (x, y) = (re4, im4);
+    sweep4(&mut re4, &mut im4, &x, &y, m);
     for k in 0..4 {
         for p in 0..4 {
             re[at[k][p]] = re4[k][p];
@@ -624,6 +736,99 @@ fn sweep_group<const SLO: usize, const SHI: usize>(
     for k in 0..4 {
         for p in 0..4 {
             im[at[k][p]] = im4[k][p];
+        }
+    }
+}
+
+/// One matrix entry per lane, split into real and imaginary parts.
+type LaneEntry = ([f64; 8], [f64; 8]);
+
+/// Per-lane matrix rows for `R` output vectors of 8 lanes: `[r][k]`
+/// holds `m[row(r, p)][k]` in lane `p`. Built once per op.
+fn lane_rows<const R: usize>(m: &Mat4, row: impl Fn(usize, usize) -> usize) -> [[LaneEntry; 4]; R] {
+    std::array::from_fn(|r| {
+        std::array::from_fn(|k| {
+            (
+                std::array::from_fn(|p| m[row(r, p)][k].re),
+                std::array::from_fn(|p| m[row(r, p)][k].im),
+            )
+        })
+    })
+}
+
+/// `x` with lane `p` taken from lane `from(p)`: a constant permute once
+/// `from` is a constant function.
+#[inline(always)]
+fn permute(x: &[f64; 8], from: impl Fn(usize) -> usize) -> [f64; 8] {
+    std::array::from_fn(|p| x[from(p)])
+}
+
+/// Pairs `(lo, hi)` with both qubits below 3, at 8 lanes: every aligned
+/// vector of 8 amplitudes holds 2 whole quadruples. Lane `p` is output
+/// row `bit(lo) + 2·bit(hi)` of `p`'s quadruple, and amplitude `k` of
+/// that quadruple is lane `p` with both bits replaced by `k`'s.
+#[inline(always)]
+fn permuted_low<const SLO: usize, const SHI: usize>(re: &mut [f64], im: &mut [f64], m: &Mat4) {
+    let bits = |p: usize| usize::from(p & SLO != 0) + 2 * usize::from(p & SHI != 0);
+    let rows = lane_rows::<1>(m, |_, p| bits(p));
+    let from = |k: usize, p: usize| {
+        (p & !(SLO | SHI)) | if k & 1 != 0 { SLO } else { 0 } | if k & 2 != 0 { SHI } else { 0 }
+    };
+    let vectors = re
+        .as_chunks_mut::<8>()
+        .0
+        .iter_mut()
+        .zip(im.as_chunks_mut::<8>().0);
+    for (re, im) in vectors {
+        let a_re: Lanes<8> = std::array::from_fn(|k| permute(re, |p| from(k, p)));
+        let a_im: Lanes<8> = std::array::from_fn(|k| permute(im, |p| from(k, p)));
+        sweep4(
+            std::array::from_mut(re),
+            std::array::from_mut(im),
+            &a_re,
+            &a_im,
+            &rows,
+        );
+    }
+}
+
+/// Pairs `(lo, hi)` with `lo` below 3 and `hi` at least 3, at 8 lanes:
+/// the `hi`-clear and `hi`-set halves of each block of `2·shi` amplitudes
+/// are cut into matching vectors of 8. Lane `p` of the `hi`-clear vector
+/// is output row `bit(lo)` of `p`'s quadruple and lane `p` of the
+/// `hi`-set vector row `2 + bit(lo)`. Amplitudes 0 and 1 come from the
+/// `hi`-clear vector, 2 and 3 from the `hi`-set one, each at lane `p`
+/// with `lo`'s bit replaced by `k`'s.
+#[inline(always)]
+fn permuted_split<const S: usize>(re: &mut [f64], im: &mut [f64], shi: usize, m: &Mat4) {
+    let rows = lane_rows::<2>(m, |r, p| 2 * r + usize::from(p & S != 0));
+    let from = |k: usize, p: usize| (p & !S) | if k & 1 != 0 { S } else { 0 };
+    let of = |x0: &[f64; 8], x1: &[f64; 8]| -> Lanes<8> {
+        std::array::from_fn(|k| permute(if k < 2 { x0 } else { x1 }, |p| from(k, p)))
+    };
+    for (re, im) in re
+        .chunks_exact_mut(shi << 1)
+        .zip(im.chunks_exact_mut(shi << 1))
+    {
+        let (re_0, re_1) = re.split_at_mut(shi);
+        let (im_0, im_1) = im.split_at_mut(shi);
+        let vectors = re_0
+            .as_chunks_mut::<8>()
+            .0
+            .iter_mut()
+            .zip(re_1.as_chunks_mut::<8>().0)
+            .zip(
+                im_0.as_chunks_mut::<8>()
+                    .0
+                    .iter_mut()
+                    .zip(im_1.as_chunks_mut::<8>().0),
+            );
+        for ((re_0, re_1), (im_0, im_1)) in vectors {
+            let (a_re, a_im) = (of(re_0, re_1), of(im_0, im_1));
+            let (mut out_re, mut out_im) = ([[0.0; 8]; 2], [[0.0; 8]; 2]);
+            sweep4(&mut out_re, &mut out_im, &a_re, &a_im, &rows);
+            [*re_0, *re_1] = out_re;
+            [*im_0, *im_1] = out_im;
         }
     }
 }
@@ -638,27 +843,58 @@ fn singles(re: &mut [f64], im: &mut [f64], slo: usize, shi: usize, m: &Mat4) {
         for (k, &j) in at.iter().enumerate() {
             (re4[k][0], im4[k][0]) = (re[j], im[j]);
         }
-        sweep4(&mut re4, &mut im4, m);
+        let (x, y) = (re4, im4);
+        sweep4(&mut re4, &mut im4, &x, &y, m);
         for (k, &j) in at.iter().enumerate() {
             (re[j], im[j]) = (re4[k][0], im4[k][0]);
         }
     }
 }
 
-/// One 4×4 kernel over 4 quadruples. This loop defines the
-/// floating-point behaviour of every block: output `r` is
-/// `m[r][0]·a0 + m[r][1]·a1 + m[r][2]·a2 + m[r][3]·a3` with the `C64`
-/// operators, added left to right, as
-/// [`crate::StateVector::apply_matrix4_reference`] computes it.
+/// `R` outputs of a 4×4 kernel over `L` lanes. This loop defines the
+/// floating-point behaviour of every block: output `r` in lane `p` is
+/// `c0·a0 + c1·a1 + c2·a2 + c3·a3` with the `C64` operators, added left
+/// to right, where `ak` is lane `p` of `x + i·y` at index `k` and `ck`
+/// is entry `k` of row `r` in lane `p`, as
+/// [`crate::StateVector::apply_matrix4_reference`] computes it. Where
+/// lanes are quadruples a row is a row of `m`, the same in every lane;
+/// where lanes are vector positions each lane has its own ([`lane_rows`]).
 #[inline(always)]
-fn sweep4(re: &mut Lanes, im: &mut Lanes, m: &Mat4) {
-    let (x, y) = (*re, *im);
-    for (r, row) in m.iter().enumerate() {
-        for p in 0..4 {
+fn sweep4<const R: usize, const L: usize, C: Coefficient>(
+    re: &mut [[f64; L]; R],
+    im: &mut [[f64; L]; R],
+    x: &Lanes<L>,
+    y: &Lanes<L>,
+    rows: &[[C; 4]; R],
+) {
+    for (r, row) in rows.iter().enumerate() {
+        for p in 0..L {
             let a = |k: usize| C64::new(x[k][p], y[k][p]);
-            let b = row[0] * a(0) + row[1] * a(1) + row[2] * a(2) + row[3] * a(3);
+            let c = |k: usize| row[k].lane(p);
+            let b = c(0) * a(0) + c(1) * a(1) + c(2) * a(2) + c(3) * a(3);
             (re[r][p], im[r][p]) = (b.re, b.im);
         }
+    }
+}
+
+/// A matrix entry as [`sweep4`] reads it in lane `p`.
+trait Coefficient {
+    fn lane(&self, p: usize) -> C64;
+}
+
+/// One entry for every lane.
+impl Coefficient for C64 {
+    #[inline(always)]
+    fn lane(&self, _: usize) -> C64 {
+        *self
+    }
+}
+
+/// Each lane's own entry.
+impl Coefficient for LaneEntry {
+    #[inline(always)]
+    fn lane(&self, p: usize) -> C64 {
+        C64::new(self.0[p], self.1[p])
     }
 }
 

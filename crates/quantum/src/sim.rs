@@ -19,8 +19,23 @@
 //! runs `N` of those streams in lockstep and accumulates each shot's bits
 //! in a register; [`PreparedCircuit::sample_shot`] is its `N = 1` case
 //! and [`PreparedCircuit::sample_range`] calls it [`SHOT_LANES`] shots at
-//! a time. Each lane consumes exactly the draws one shot would alone, so
+//! a time on the mean-field backend. Exact shots are one table lookup
+//! each, which lanes do not speed up, so `sample_range` draws them one
+//! by one. Each lane consumes exactly the draws one shot would alone, so
 //! the bits never depend on the lane count or on how a run is blocked.
+//!
+//! An exact draw is inverse sampling: `r = rng::unit(state) · total`
+//! picks the first basis state whose cumulative probability is at least
+//! `r`, clamped to the last one. Preparation evolves the state and then
+//! reuses its buffer: the real half becomes the cumulative table, the
+//! imaginary half a guide of 2ⁿ buckets, `guide[b]` the first index whose
+//! cumulative value falls in a bucket `≥ b`, where `bucket(x) = ⌊x·2ⁿ /
+//! total⌋` saturated to the last bucket. A draw starts at
+//! `guide[bucket(r)]` and steps forward while the cumulative value is
+//! below `r`. Every index it skips has a bucket below `bucket(r)`, and
+//! since `bucket` is monotone its cumulative value is below `r`; so the
+//! scan stops exactly where `partition_point(|&c| c < r)` would, and a
+//! draw reads about one entry on average instead of a binary search's n.
 //!
 //! A mean-field draw compares integers. At preparation each marginal `p`
 //! becomes the threshold `t = ⌈p·2⁵³⌉`, and a draw is the bit
@@ -235,10 +250,85 @@ impl MeanFieldState {
 #[derive(Debug, Clone)]
 enum PreparedBackend {
     /// Inverse sampling over the exact basis-state distribution.
-    Exact { cumulative: Vec<f64>, total: f64 },
+    Exact(ExactTable),
     /// Independent per-qubit marginals from the mean-field state, as
     /// integer draw thresholds (see [`threshold`]).
     MeanField { thresholds: Vec<u64> },
+}
+
+/// The exact backend's inverse-sampling tables, in the buffer the state
+/// was evolved in: the cumulative distribution over the real half, a
+/// guide over the imaginary half (module docs).
+#[derive(Debug, Clone)]
+struct ExactTable {
+    buf: Vec<f64>,
+    /// Where the cumulative table starts in `buf`; the guide follows it.
+    start: usize,
+    /// Basis states, and guide buckets.
+    len: usize,
+    total: f64,
+    /// Buckets per unit of mass, `len / total`.
+    scale: f64,
+}
+
+impl ExactTable {
+    /// Freezes an evolved state into its tables.
+    fn new(sv: StateVector) -> Result<Self, QuantumError> {
+        let len = 1usize << sv.n_qubits();
+        let mut scale = 0.0;
+        let (buf, start, total) = sv.into_sampling_tables(|cumulative, total, guide| {
+            scale = len as f64 / total;
+            let (last, mut i) = (len - 1, 0);
+            for (b, slot) in guide.iter_mut().enumerate() {
+                while i < last && bucket(cumulative[i], scale, last) < b {
+                    i += 1;
+                }
+                *slot = f64::from_bits(i as u64);
+            }
+        })?;
+        Ok(ExactTable {
+            buf,
+            start,
+            len,
+            total,
+            scale,
+        })
+    }
+
+    /// One shot of `n_qubits` from the SplitMix64 stream `state`: one
+    /// draw, scaled to the total mass.
+    #[inline(always)]
+    fn shot(&self, state: &mut u64, n_qubits: u32) -> BitString {
+        let r = rng::unit(state) * self.total;
+        BitString::from_u64(self.index_of(r) as u64, n_qubits)
+    }
+
+    /// The basis state of draw `r` in `[0, total]`: the first index whose
+    /// cumulative value is at least `r`, clamped to the last one, as
+    /// `partition_point(|&c| c < r).min(len - 1)` finds it (module docs).
+    #[inline(always)]
+    fn index_of(&self, r: f64) -> usize {
+        let (cumulative, guide) = self.buf[self.start..].split_at(self.len);
+        let last = self.len - 1;
+        let mut i = guide[bucket(r, self.scale, last)].to_bits() as usize;
+        // Most draws end within two entries of the guide: two steps
+        // without a branch to mispredict, then a loop that rarely runs.
+        for _ in 0..2 {
+            i += usize::from((i < last) & (cumulative[i] < r));
+        }
+        while i < last && cumulative[i] < r {
+            i += 1;
+        }
+        i
+    }
+}
+
+/// The guide bucket of a mass `x`: `⌊x·scale⌋`, saturated into
+/// `0..=last`. Monotone in `x`, which is all the guide's exactness rests
+/// on (module docs).
+#[inline(always)]
+fn bucket(x: f64, scale: f64, last: usize) -> usize {
+    ((x * scale) as usize).min(last)
 }
 
 /// A circuit applied once and frozen into its measurement distribution:
@@ -254,8 +344,11 @@ enum PreparedBackend {
 ///
 /// The mean-field table holds one integer threshold `⌈p·2⁵³⌉` per qubit
 /// rather than the marginal `p`, so a draw is an integer compare that
-/// decides exactly as `rng::unit(state) < p` would (module docs). Every
-/// sampling entry point goes through [`PreparedCircuit::sample_lanes`].
+/// decides exactly as `rng::unit(state) < p` would (module docs). The
+/// exact table is the cumulative distribution and its guide, in the
+/// state's own buffer. Every sampling entry point draws an exact shot with
+/// one guide lookup and a mean-field shot through
+/// [`PreparedCircuit::sample_lanes`].
 ///
 /// # Examples
 ///
@@ -297,13 +390,18 @@ impl PreparedCircuit {
     }
 
     /// Draws global shots `first..first + shots` of `sim`'s streams, in
-    /// shot order, [`SHOT_LANES`] at a time; the last `shots %
-    /// SHOT_LANES` go one by one. Bitwise equal to calling
-    /// [`PreparedCircuit::sample_shot`] on each shot's
-    /// [`Simulator::shot_rng`].
+    /// shot order: exact shots one by one, mean-field shots
+    /// [`SHOT_LANES`] at a time with the last `shots % SHOT_LANES` one by
+    /// one. Bitwise equal to calling [`PreparedCircuit::sample_shot`] on
+    /// each shot's [`Simulator::shot_rng`].
     pub fn sample_range(&self, sim: &Simulator, first: u64, shots: u64) -> Vec<BitString> {
         let mut out = Vec::with_capacity(shots as usize);
         let end = first + shots;
+        if let PreparedBackend::Exact(table) = &self.backend {
+            // An exact draw is one table lookup: lanes gain it nothing.
+            out.extend((first..end).map(|s| table.shot(&mut sim.shot_rng(s), self.n_qubits)));
+            return out;
+        }
         let mut shot = first;
         while end - shot >= SHOT_LANES as u64 {
             let mut states: [u64; SHOT_LANES] =
@@ -323,11 +421,9 @@ impl PreparedCircuit {
     /// draws.
     pub fn sample_lanes<const N: usize>(&self, states: &mut [u64; N]) -> [BitString; N] {
         match &self.backend {
-            PreparedBackend::Exact { cumulative, total } => std::array::from_fn(|lane| {
-                let r = rng::unit(&mut states[lane]) * total;
-                let idx = cumulative.partition_point(|&c| c < r);
-                BitString::from_u64(idx.min(cumulative.len() - 1) as u64, self.n_qubits)
-            }),
+            PreparedBackend::Exact(table) => {
+                states.each_mut().map(|s| table.shot(s, self.n_qubits))
+            }
             PreparedBackend::MeanField { thresholds } => {
                 let mut lanes = std::array::from_fn(|_| BitString::zeros(self.n_qubits));
                 for (w, word_thresholds) in thresholds.chunks(64).enumerate() {
@@ -497,8 +593,7 @@ impl Simulator {
             fuse_stats = plan.stats;
             let mut sv = StateVector::new(self.n_qubits)?;
             sv.apply_plan(&plan);
-            let (cumulative, total) = sv.cumulative_distribution()?;
-            PreparedBackend::Exact { cumulative, total }
+            PreparedBackend::Exact(ExactTable::new(sv)?)
         } else {
             let mut mf = MeanFieldState::new(self.n_qubits);
             mf.apply_circuit(circuit)?;
@@ -534,6 +629,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::statevector::C64;
     use std::f64::consts::{FRAC_PI_2, PI};
 
     impl MeanFieldState {
@@ -549,6 +645,57 @@ mod tests {
         let mut mf = MeanFieldState::new(c.n_qubits());
         mf.apply_circuit(c).unwrap();
         mf.qubits.iter().map(|b| (1.0 - b.z) / 2.0).collect()
+    }
+
+    /// Exact states of `n` qubits whose distributions stress a guide
+    /// table: all mass on index 0, all on the last index, one spike
+    /// inside, uniform mass over a subset (runs of equal cumulative
+    /// values), and a dense state.
+    fn guide_states(n: u32) -> Vec<StateVector> {
+        let x = [[C64::ZERO, C64::ONE], [C64::ONE, C64::ZERO]];
+        let on = |qubits: &mut dyn Iterator<Item = u32>, f: &dyn Fn(&mut StateVector, u32)| {
+            let mut sv = StateVector::new(n).unwrap();
+            for q in qubits {
+                f(&mut sv, q);
+            }
+            sv
+        };
+        vec![
+            StateVector::new(n).unwrap(),
+            on(&mut (0..n), &|sv, q| sv.apply_matrix2(q, x)),
+            on(&mut (0..n).filter(|q| q % 3 == 1), &|sv, q| {
+                sv.apply_matrix2(q, x)
+            }),
+            on(&mut (0..n).step_by(2), &|sv, q| sv.apply_ry(q, FRAC_PI_2)),
+            on(&mut (0..n), &|sv, q| {
+                sv.apply_ry(q, 0.3 + f64::from(q));
+                sv.apply_rx(q, 1.1 - 0.4 * f64::from(q));
+            }),
+        ]
+    }
+
+    #[test]
+    fn guide_lookups_find_the_partition_point_at_every_boundary() {
+        for n in [0u32, 1, 2, 3, 5, 8, 12] {
+            for sv in guide_states(n) {
+                let (cumulative, total) = sv.cumulative_distribution().unwrap();
+                let table = ExactTable::new(sv).unwrap();
+                assert_eq!(table.total.to_bits(), total.to_bits());
+                let last = cumulative.len() - 1;
+                // Every cumulative value, every bucket edge, both ends of
+                // the range and each one's neighbouring doubles.
+                let mut draws = vec![0.0, total];
+                draws.extend(cumulative.iter().copied());
+                draws.extend((0..=cumulative.len()).map(|b| b as f64 / table.scale));
+                for r in draws.clone() {
+                    draws.extend([r.next_down(), r.next_up()]);
+                }
+                for r in draws.into_iter().filter(|r| (0.0..=total).contains(r)) {
+                    let oracle = cumulative.partition_point(|&c| c < r).min(last);
+                    assert_eq!(table.index_of(r), oracle, "{n} qubits, draw {r:e}");
+                }
+            }
+        }
     }
 
     #[test]

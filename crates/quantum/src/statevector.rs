@@ -1,10 +1,18 @@
 //! Exact state-vector simulation of native-gate circuits.
+//!
+//! A [`StateVector`] keeps its 2ⁿ amplitudes split-complex in one
+//! allocation: all real parts, then all imaginary parts, each half
+//! starting on a 64-byte boundary from 3 qubits up, so that no vector
+//! load of a kernel sweep (`crate::kernels`) splits a cache line. Gates
+//! run through the kernel layer; the naive loops they replaced stay as
+//! hidden references for the tests. Once evolved, a state can be frozen
+//! into the exact sampler's tables in its own buffer (`crate::sim`).
 
 use std::fmt;
 
 use crate::circuit::Circuit;
 use crate::fuse::{self, ExecPlan, PlanOp};
-use crate::kernels::{self, Kernel1Q};
+use crate::kernels::{self, Kernel1Q, KernelInstance};
 use crate::QuantumError;
 
 /// A complex number with `f64` parts.
@@ -82,9 +90,14 @@ impl fmt::Display for C64 {
 /// Widest circuit the exact simulator accepts (2²² amplitudes ≈ 67 MB).
 pub const EXACT_QUBIT_LIMIT: u32 = 22;
 
+/// `f64`s per 64-byte cache line.
+const LINE: usize = 64 / std::mem::size_of::<f64>();
+
 /// An exact state vector over up to [`EXACT_QUBIT_LIMIT`] qubits, stored
 /// split-complex: the real parts of all 2ⁿ amplitudes, then their
-/// imaginary parts, in one allocation.
+/// imaginary parts, in one allocation. From 3 qubits up both halves start
+/// on a 64-byte boundary, so no vector load of a sweep splits a cache
+/// line.
 ///
 /// # Examples
 ///
@@ -97,11 +110,23 @@ pub const EXACT_QUBIT_LIMIT: u32 = 22;
 /// assert!((sv.probability_of_one(0) - 0.5).abs() < 1e-12);
 /// # Ok::<(), qtenon_quantum::QuantumError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StateVector {
     n_qubits: u32,
-    /// `2·2ⁿ` values: real parts in the first half, imaginary in the second.
-    amps: Vec<f64>,
+    /// `2·2ⁿ` values from `start` on: real parts in the first half,
+    /// imaginary in the second. The buffer holds one cache line more, and
+    /// `start` is the first 64-byte boundary in it.
+    buf: Vec<f64>,
+    start: usize,
+}
+
+impl Clone for StateVector {
+    /// A copy in a buffer of its own, aligned like the original.
+    fn clone(&self) -> Self {
+        let mut copy = StateVector::zeroed(self.n_qubits);
+        copy.values_mut().copy_from_slice(self.values());
+        copy
+    }
 }
 
 impl StateVector {
@@ -118,20 +143,45 @@ impl StateVector {
                 limit: EXACT_QUBIT_LIMIT,
             });
         }
-        let mut amps = vec![0.0; 2usize << n_qubits];
-        amps[0] = 1.0;
-        Ok(StateVector { n_qubits, amps })
+        let mut sv = StateVector::zeroed(n_qubits);
+        sv.values_mut()[0] = 1.0;
+        Ok(sv)
+    }
+
+    /// All-zero storage for `n_qubits`: one line more than the `2·2ⁿ`
+    /// values, started at the first 64-byte boundary. `align_offset` may
+    /// report no offset (`usize::MAX`); the state then starts a line in,
+    /// unaligned but still in bounds.
+    fn zeroed(n_qubits: u32) -> Self {
+        let buf = vec![0.0; (2usize << n_qubits) + LINE];
+        let start = buf.as_ptr().align_offset(64).min(LINE);
+        StateVector {
+            n_qubits,
+            buf,
+            start,
+        }
+    }
+
+    /// The `2·2ⁿ` values: real parts, then imaginary parts.
+    fn values(&self) -> &[f64] {
+        &self.buf[self.start..self.start + (2usize << self.n_qubits)]
+    }
+
+    /// The `2·2ⁿ` values, mutably.
+    fn values_mut(&mut self) -> &mut [f64] {
+        let len = 2usize << self.n_qubits;
+        &mut self.buf[self.start..self.start + len]
     }
 
     /// The real and imaginary halves of the storage.
     fn parts(&self) -> (&[f64], &[f64]) {
-        self.amps.split_at(self.amps.len() / 2)
+        self.values().split_at(1 << self.n_qubits)
     }
 
     /// The real and imaginary halves of the storage, mutably.
     fn parts_mut(&mut self) -> (&mut [f64], &mut [f64]) {
-        let half = self.amps.len() / 2;
-        self.amps.split_at_mut(half)
+        let half = 1 << self.n_qubits;
+        self.values_mut().split_at_mut(half)
     }
 
     /// Every amplitude, in basis-state order.
@@ -284,14 +334,19 @@ impl StateVector {
         kernels::apply_ops(re, im, &plan.ops);
     }
 
-    /// [`StateVector::apply_plan`] pinned to the baseline-target kernel
-    /// instance, so tests can compare it with the dispatched one bit for
-    /// bit. Not part of the public API.
+    /// [`StateVector::apply_plan`] through a named kernel instance, so
+    /// tests can pin each instance's bits. Not part of the public API.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU cannot run `instance`
+    /// ([`KernelInstance::is_available`]) or the plan references qubits
+    /// outside this state vector.
     #[doc(hidden)]
-    pub fn apply_plan_baseline(&mut self, plan: &ExecPlan) {
+    pub fn apply_plan_on(&mut self, plan: &ExecPlan, instance: KernelInstance) {
         self.check_plan(plan);
         let (re, im) = self.parts_mut();
-        kernels::apply_ops_baseline(re, im, &plan.ops);
+        kernels::apply_ops_on(instance, re, im, &plan.ops);
     }
 
     /// Panics unless every qubit the plan names is in range, every CZ
@@ -377,6 +432,34 @@ impl StateVector {
         }
     }
 
+    /// Consumes the state into the exact sampler's tables, in its own
+    /// buffer: the real half becomes the cumulative distribution that
+    /// [`StateVector::cumulative_distribution`] computes (the same sums in
+    /// the same order), the imaginary half the guide `guide_of` fills from
+    /// it. Returns the buffer, the index where the cumulative half starts,
+    /// and the total mass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantumError::NonFiniteState`] unless the total is finite
+    /// and positive.
+    pub(crate) fn into_sampling_tables(
+        mut self,
+        guide_of: impl FnOnce(&[f64], f64, &mut [f64]),
+    ) -> Result<(Vec<f64>, usize, f64), QuantumError> {
+        let (re, im) = self.parts_mut();
+        let mut acc = 0.0;
+        for (re, &im) in re.iter_mut().zip(im.iter()) {
+            acc += C64::new(*re, im).norm_sqr();
+            *re = acc;
+        }
+        if !(acc.is_finite() && acc > 0.0) {
+            return Err(QuantumError::NonFiniteState { total: acc });
+        }
+        guide_of(re, acc, im);
+        Ok((self.buf, self.start, acc))
+    }
+
     /// Total probability (should be 1 within floating-point error).
     pub fn norm(&self) -> f64 {
         self.amplitudes().map(|a| a.norm_sqr()).sum()
@@ -421,6 +504,22 @@ mod tests {
         assert_eq!(sv.amplitude(0), C64::ONE);
         assert!((sv.norm() - 1.0).abs() < 1e-12);
         assert_eq!(sv.expectation_z(0), 1.0);
+    }
+
+    #[test]
+    fn both_halves_start_on_a_cache_line_at_every_width() {
+        for n in 3..=16 {
+            let sv = StateVector::new(n).unwrap();
+            for (what, sv) in [("new", &sv), ("clone", &sv.clone())] {
+                let (re, im) = sv.parts();
+                assert_eq!(re.as_ptr().addr() % 64, 0, "{what}: real half, {n} qubits");
+                assert_eq!(
+                    im.as_ptr().addr() % 64,
+                    0,
+                    "{what}: imaginary half, {n} qubits"
+                );
+            }
+        }
     }
 
     #[test]

@@ -31,12 +31,14 @@
 //! suite reads `QTENON_THREADS` so the CI determinism matrix exercises
 //! both pool widths.
 //!
-//! Finally, the dispatched kernel instance (AVX2 where the CPU has it)
+//! Finally, every kernel instance the CPU runs (baseline, AVX2, AVX-512)
 //! must be raw bitwise identical to the baseline-target instance, and
-//! both must sweep a block exactly as `apply_matrix4_reference` does.
+//! each must sweep a block exactly as `apply_matrix4_reference` does.
 
 use qtenon_quantum::fuse::{plan, run_matrix, ExecPlan, FuseStats, PlanOp};
-use qtenon_quantum::kernels::{compose, lift, mat_rx, mat_ry, mat_rz, Kernel1Q, Mat4, IDENTITY4};
+use qtenon_quantum::kernels::{
+    compose, lift, mat_rx, mat_ry, mat_rz, Kernel1Q, KernelInstance, Mat4, IDENTITY4,
+};
 use qtenon_quantum::sim::Simulator;
 use qtenon_quantum::statevector::C64;
 use qtenon_quantum::{transpile, Angle, BitString, Circuit, Gate, StateVector};
@@ -561,11 +563,11 @@ fn composed_runs_match_single_kernel_runs_and_reference_at_every_stride() {
 }
 
 // ---------------------------------------------------------------------
-// Kernel instances: `apply_plan` runs an AVX2 build of the kernel body
-// when the CPU has AVX2, `apply_plan_baseline` the baseline-target build
-// of the same source. Their bits must agree exactly, zero signs
-// included, and a block must sweep as `apply_matrix4_reference`. On a
-// CPU without AVX2 both sides run the baseline build.
+// Kernel instances: `apply_plan` runs the widest build of the kernel
+// body the CPU has, `apply_plan_on` any named one (baseline, AVX2,
+// AVX-512). Their bits must agree exactly, zero signs included, and a
+// block must sweep as `apply_matrix4_reference`. An instance the CPU
+// lacks is skipped with a printed note.
 // ---------------------------------------------------------------------
 
 /// A dense start state: no amplitude is zero.
@@ -590,25 +592,62 @@ fn sparse_state(n: u32) -> StateVector {
     sv
 }
 
-/// Applies `ops` through both kernel instances and compares raw bits.
-fn assert_instances_agree(start: &StateVector, ops: Vec<PlanOp>, what: &str) {
+/// The kernel instances this CPU runs; a note names each one it lacks.
+fn instances() -> Vec<KernelInstance> {
+    KernelInstance::ALL
+        .into_iter()
+        .filter(|&instance| {
+            let available = instance.is_available();
+            if !available {
+                println!("note: this CPU cannot run the {instance:?} kernel instance; skipped");
+            }
+            available
+        })
+        .collect()
+}
+
+/// `ops` through `instance`.
+fn swept(start: &StateVector, ops: Vec<PlanOp>, instance: KernelInstance) -> StateVector {
+    let mut sv = start.clone();
     let plan = ExecPlan {
         ops,
         stats: FuseStats::default(),
     };
+    sv.apply_plan_on(&plan, instance);
+    sv
+}
+
+/// Applies `ops` through the dispatched instance and each of
+/// `instances`, and compares their raw bits with the baseline's.
+fn assert_instances_agree(
+    instances: &[KernelInstance],
+    start: &StateVector,
+    ops: Vec<PlanOp>,
+    what: &str,
+) {
+    let baseline = raw_bits(&swept(start, ops.clone(), KernelInstance::Baseline));
     let mut dispatched = start.clone();
-    dispatched.apply_plan(&plan);
-    let mut baseline = start.clone();
-    baseline.apply_plan_baseline(&plan);
+    dispatched.apply_plan(&ExecPlan {
+        ops: ops.clone(),
+        stats: FuseStats::default(),
+    });
     assert_eq!(
         raw_bits(&dispatched),
-        raw_bits(&baseline),
-        "{what}: dispatched kernel instance diverged from the baseline instance"
+        baseline,
+        "{what}: the dispatched kernel instance diverged from the baseline instance"
     );
+    for &instance in instances {
+        assert_eq!(
+            raw_bits(&swept(start, ops.clone(), instance)),
+            baseline,
+            "{what}: {instance:?} diverged from the baseline instance"
+        );
+    }
 }
 
 #[test]
 fn dispatched_and_baseline_kernel_instances_are_raw_bitwise_identical() {
+    let instances = instances();
     let angles = EDGE_ANGLES.into_iter().chain([0.7, -2.9]);
     let kernels: Vec<Kernel1Q> = angles
         .flat_map(|t| {
@@ -639,31 +678,38 @@ fn dispatched_and_baseline_kernel_instances_are_raw_bitwise_identical() {
                     .collect();
                 for run in &runs {
                     assert_instances_agree(
+                        &instances,
                         &start,
                         vec![run.clone()],
                         &format!("{label} {n}q, {run:?}"),
                     );
                 }
-                assert_instances_agree(&start, runs, &format!("{label} {n}q, every kernel on {q}"));
+                assert_instances_agree(
+                    &instances,
+                    &start,
+                    runs,
+                    &format!("{label} {n}q, every kernel on {q}"),
+                );
                 let czs = (0..n)
                     .filter(|&b| b != q)
                     .map(|b| PlanOp::Cz { a: q, b })
                     .collect();
-                assert_instances_agree(&start, czs, &format!("{label} {n}q, CZs from {q}"));
+                assert_instances_agree(
+                    &instances,
+                    &start,
+                    czs,
+                    &format!("{label} {n}q, CZs from {q}"),
+                );
                 for hi in q + 1..n {
                     for kernel in block_kernels() {
                         let what = format!("{label} {n}q, block ({q}, {hi}) of {kernel:?}");
                         let block = PlanOp::Block2 { lo: q, hi, kernel };
-                        assert_instances_agree(&start, vec![block.clone()], &what);
-                        // Both instances sweep the block as the reference.
+                        assert_instances_agree(&instances, &start, vec![block.clone()], &what);
+                        // The instances sweep the block as the reference.
                         let mut reference = start.clone();
                         reference.apply_matrix4_reference(q, hi, kernel);
-                        let mut swept = start.clone();
-                        swept.apply_plan_baseline(&ExecPlan {
-                            ops: vec![block],
-                            stats: FuseStats::default(),
-                        });
-                        assert_eq!(raw_bits(&swept), raw_bits(&reference), "{what}");
+                        let baseline = swept(&start, vec![block], KernelInstance::Baseline);
+                        assert_eq!(raw_bits(&baseline), raw_bits(&reference), "{what}");
                     }
                 }
             }

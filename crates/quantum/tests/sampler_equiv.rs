@@ -1,10 +1,13 @@
 //! The block shot sampler against a per-shot oracle.
 //!
-//! The oracle is the sampler as it was before shots were drawn in blocks
-//! and mean-field draws became integer compares: one shot at a time, an
-//! exact shot as one inverse-CDF draw, a mean-field shot as one
-//! `rng::unit(state) < p` per qubit. Every sampling entry point must reproduce it bit for bit and
-//! leave every stream where the oracle leaves it.
+//! The oracle is the sampler as it was before shots were drawn in blocks,
+//! exact draws went through a guide table and mean-field draws became
+//! integer compares: one shot at a time, an exact shot as one inverse-CDF
+//! draw (`partition_point` over the cumulative table), a mean-field shot
+//! as one `rng::unit(state) < p` per qubit. Every sampling entry point
+//! must reproduce it bit for bit and leave every stream where the oracle
+//! leaves it, on random circuits and on the degenerate exact
+//! distributions a guide table handles at its edges.
 
 use qtenon_prop::check;
 use qtenon_quantum::sim::{MeanFieldState, PreparedCircuit, Simulator, SHOT_LANES};
@@ -149,4 +152,85 @@ fn simulator_run_matches_the_per_shot_oracle() {
             .collect();
         assert_eq!(sim.run(&circuit, shots).unwrap(), expected);
     });
+}
+
+/// Circuits whose exact distributions are degenerate for a guide table,
+/// at `n` qubits: all mass on index 0 (no gate), a single spike (RX(π) on
+/// a subset; `cos(π/2)` leaves ~1e-33 of mass on the other states, all
+/// of it in the first bucket), the spike on the last index (RX(π) on
+/// every qubit), and uniform mass over a subset with exact zeros
+/// everywhere else (RY(π/2) on a subset: long runs of equal cumulative
+/// values).
+fn degenerate_circuits(g: &mut qtenon_prop::Gen, n: u32) -> Vec<(&'static str, Circuit)> {
+    let subset: Vec<u32> = (0..n).filter(|_| g.bool()).collect();
+    let zero = Circuit::new(n);
+    let mut spike = Circuit::new(n);
+    let mut last = Circuit::new(n);
+    let mut uniform = Circuit::new(n);
+    for &q in &subset {
+        spike.rx(q, std::f64::consts::PI);
+        uniform.ry(q, std::f64::consts::FRAC_PI_2);
+    }
+    for q in 0..n {
+        last.rx(q, std::f64::consts::PI);
+    }
+    let mut out = vec![
+        ("all mass on index 0", zero),
+        ("one spike", spike),
+        ("spike on the last index", last),
+        ("uniform over a subset", uniform),
+    ];
+    for (_, c) in &mut out {
+        c.measure_all();
+    }
+    out
+}
+
+#[test]
+fn exact_draws_match_the_oracle_on_degenerate_distributions() {
+    check(
+        "exact_draws_match_the_oracle_on_degenerate_distributions",
+        48,
+        |g| {
+            for n in 1..=12u32 {
+                let sim = Simulator::auto(n, g.u64());
+                assert!(sim.is_exact());
+                for (what, circuit) in degenerate_circuits(g, n) {
+                    let prepared = sim.prepare(&circuit).unwrap();
+                    let oracle = Oracle::new(&sim, &circuit);
+                    let first = g.draw(0u64..1 << 40);
+                    // Raw indices and end states, shot by shot.
+                    for s in first..first + 64 {
+                        let (mut one, mut oracle_one) = (sim.shot_rng(s), sim.shot_rng(s));
+                        assert_eq!(
+                            prepared.sample_shot(&mut one).words(),
+                            oracle.shot(n, &mut oracle_one).words(),
+                            "sample_shot: {what}, {n} qubits, shot {s}"
+                        );
+                        assert_eq!(one, oracle_one, "sample_shot end state: {what}, {n} qubits");
+                    }
+                    let mut states: [u64; SHOT_LANES] =
+                        std::array::from_fn(|lane| sim.shot_rng(first + lane as u64));
+                    let mut oracle_states = states;
+                    let block = prepared.sample_lanes(&mut states);
+                    for (lane, (bits, state)) in block.iter().zip(&mut oracle_states).enumerate() {
+                        assert_eq!(
+                            bits.words(),
+                            oracle.shot(n, state).words(),
+                            "sample_lanes: {what}, {n} qubits, lane {lane}"
+                        );
+                    }
+                    assert_eq!(states, oracle_states, "sample_lanes end states: {what}");
+                    let expected: Vec<BitString> = (first..first + 257)
+                        .map(|s| oracle.shot(n, &mut sim.shot_rng(s)))
+                        .collect();
+                    assert_eq!(
+                        prepared.sample_range(&sim, first, 257),
+                        expected,
+                        "sample_range: {what}, {n} qubits"
+                    );
+                }
+            }
+        },
+    );
 }

@@ -2,31 +2,36 @@
 //!
 //! `kernel_equiv.rs` checks the naive reference only after canonicalising
 //! zero signs, and fused runs only within a rounding bound. These
-//! properties compare the **raw** bits of both kernel instances
-//! (`apply_plan`, `apply_plan_baseline`) with test-local oracles instead,
-//! zero signs and NaN payloads included:
+//! properties compare the **raw** bits of every kernel instance this CPU
+//! runs (baseline, AVX2, AVX-512, through `apply_plan_on`) with
+//! references instead, zero signs and NaN payloads included; an instance
+//! the CPU lacks is skipped with a printed note:
 //!
 //! - sequences of 1–6 single-kernel sweeps, every target qubit at widths
-//!   1–12, every kernel class, on dense and on ±0-heavy sparse states,
+//!   1–14, every kernel class, on dense and on ±0-heavy sparse states,
 //!   against a loop that applies the same arm expressions one pair at a
-//!   time, one kernel after the other;
-//! - every ordered CZ operand pair at widths 2–12 against
+//!   time, one kernel after the other (and, for general kernels, against
+//!   `apply_matrix2_reference`);
+//! - every ordered CZ operand pair at widths 2–14 against
 //!   `apply_cz_reference`, on states with lanes of ±0, ±∞, NaN and
 //!   subnormals;
-//! - a two-qubit block sweep on every ordered qubit pair at widths 3–10,
+//! - a two-qubit block sweep on every ordered qubit pair at widths 3–14,
 //!   on dense and sparse states, against `apply_matrix4_reference`: 8 and
-//!   16 amplitudes, and every pair that holds qubit 0, 1 or 2.
+//!   16 amplitudes, every pair that holds qubit 0, 1 or 2 (the 4-lane
+//!   gathers and the 8-lane permutes) and every pair of higher qubits
+//!   (4- and 8-lane quarters).
 
 use qtenon_prop::{check, Gen};
 use qtenon_quantum::fuse::{ExecPlan, FuseStats, PlanOp};
-use qtenon_quantum::kernels::{compose, mat_rx, mat_ry, mat_rz, Kernel1Q, Mat4};
+use qtenon_quantum::kernels::{compose, mat_rx, mat_ry, mat_rz, Kernel1Q, KernelInstance, Mat4};
 use qtenon_quantum::statevector::C64;
 use qtenon_quantum::StateVector;
 use std::f64::consts::{FRAC_PI_2, PI};
 
-/// The widest state the properties run: 2¹² amplitudes, the width of
-/// the `qaoa12-exact` benchmark.
-const MAX_QUBITS: u32 = 12;
+/// The widest state the properties run: 2¹⁴ amplitudes, past the
+/// `qaoa12-exact` benchmark's 12 qubits, so that every kernel path meets
+/// blocks of 2¹³ amplitudes and more.
+const MAX_QUBITS: u32 = 14;
 
 /// Rotation angles whose matrices carry exact zeros and signed zeros,
 /// plus generic ones. Past ±π an RY row turns all-negative, so it sweeps
@@ -120,16 +125,35 @@ fn exec_plan(ops: Vec<PlanOp>) -> ExecPlan {
     }
 }
 
-/// `plan` through the dispatched and the baseline kernel instance.
-fn both_instances(start: &StateVector, plan: &ExecPlan) -> [(&'static str, Vec<C64>); 2] {
+/// The kernel instances this CPU runs; a note names each one it lacks.
+fn instances() -> Vec<KernelInstance> {
+    KernelInstance::ALL
+        .into_iter()
+        .filter(|&instance| {
+            let available = instance.is_available();
+            if !available {
+                println!("note: this CPU cannot run the {instance:?} kernel instance; skipped");
+            }
+            available
+        })
+        .collect()
+}
+
+/// `plan` through the dispatched instance and each of `instances`.
+fn every_instance(
+    instances: &[KernelInstance],
+    start: &StateVector,
+    plan: &ExecPlan,
+) -> Vec<(String, Vec<C64>)> {
     let mut dispatched = start.clone();
     dispatched.apply_plan(plan);
-    let mut baseline = start.clone();
-    baseline.apply_plan_baseline(plan);
-    [
-        ("apply_plan", amplitudes(&dispatched)),
-        ("apply_plan_baseline", amplitudes(&baseline)),
-    ]
+    let mut out = vec![("apply_plan".to_string(), amplitudes(&dispatched))];
+    for &instance in instances {
+        let mut sv = start.clone();
+        sv.apply_plan_on(plan, instance);
+        out.push((format!("apply_plan_on({instance:?})"), amplitudes(&sv)));
+    }
+    out
 }
 
 /// A state with no zero amplitude.
@@ -162,6 +186,7 @@ fn sparse_state(g: &mut Gen, n: u32) -> StateVector {
 
 #[test]
 fn kernel_runs_match_pairwise_oracle_raw_bits_at_every_stride() {
+    let instances = instances();
     let pool = kernel_pool();
     let targets: Vec<(u32, u32)> = (1..=MAX_QUBITS)
         .flat_map(|n| (0..n).map(move |q| (n, q)))
@@ -192,6 +217,21 @@ fn kernel_runs_match_pairwise_oracle_raw_bits_at_every_stride() {
                 .collect();
             let mut expected = amplitudes(&start);
             oracle_run(&mut expected, q, &kernels);
+            if kernels
+                .iter()
+                .all(|k| matches!(k, Kernel1Q::General { .. }))
+            {
+                // General kernels sweep as the scanning reference does.
+                let mut reference = start.clone();
+                for k in &kernels {
+                    reference.apply_matrix2_reference(q, k.matrix());
+                }
+                assert_eq!(
+                    raw_bits(&amplitudes(&reference)),
+                    raw_bits(&expected),
+                    "apply_matrix2_reference, {kernels:?} on qubit {q} of {n}"
+                );
+            }
             negative_zeros += expected
                 .iter()
                 .flat_map(|a| [a.re, a.im])
@@ -206,7 +246,7 @@ fn kernel_runs_match_pairwise_oracle_raw_bits_at_every_stride() {
                     })
                     .collect(),
             );
-            for (instance, got) in both_instances(&start, &plan) {
+            for (instance, got) in every_instance(&instances, &start, &plan) {
                 assert_eq!(
                     raw_bits(&got),
                     raw_bits(&expected),
@@ -246,6 +286,7 @@ fn special_state(g: &mut Gen, n: u32) -> StateVector {
 
 #[test]
 fn cz_matches_scanning_reference_raw_bits_on_special_lanes() {
+    let instances = instances();
     // Which lane kinds the generated states held: +0, -0, +∞, -∞, NaN,
     // subnormal.
     let mut seen = [false; 6];
@@ -283,7 +324,7 @@ fn cz_matches_scanning_reference_raw_bits_on_special_lanes() {
                             "apply_cz({a}, {b}) on {n} qubits"
                         );
                         let plan = exec_plan(vec![PlanOp::Cz { a, b }]);
-                        for (instance, got) in both_instances(&start, &plan) {
+                        for (instance, got) in every_instance(&instances, &start, &plan) {
                             assert_eq!(
                                 raw_bits(&got),
                                 expected,
@@ -303,10 +344,11 @@ fn cz_matches_scanning_reference_raw_bits_on_special_lanes() {
 
 #[test]
 fn block_sweeps_match_the_reference_raw_bits_on_every_ordered_pair() {
-    // Widths 3–10, each ordered pair `(a, b)` once per start state. A
+    // Widths 3–14, each ordered pair `(a, b)` once per start state. A
     // block names its pair ascending, so `(a, b)` and `(b, a)` are two
     // draws of a matrix for the same pair.
-    let cases: Vec<(u32, u32, u32)> = (3..=10u32)
+    let instances = instances();
+    let cases: Vec<(u32, u32, u32)> = (3..=MAX_QUBITS)
         .flat_map(|n| {
             (0..n).flat_map(move |a| (0..n).filter(move |&b| b != a).map(move |b| (n, a, b)))
         })
@@ -338,7 +380,7 @@ fn block_sweeps_match_the_reference_raw_bits_on_every_ordered_pair() {
             reference.apply_matrix4_reference(lo, hi, m);
             let expected = raw_bits(&amplitudes(&reference));
             let plan = exec_plan(vec![PlanOp::Block2 { lo, hi, kernel: m }]);
-            for (instance, got) in both_instances(&start, &plan) {
+            for (instance, got) in every_instance(&instances, &start, &plan) {
                 assert_eq!(
                     raw_bits(&got),
                     expected,

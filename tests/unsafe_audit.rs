@@ -1,6 +1,7 @@
 //! The workspace's `unsafe` surface, pinned: every library crate root
 //! carries `#![deny(unsafe_code)]`, and the one site that allows it is
-//! the AVX2 dispatch in `qtenon-quantum`'s kernel layer (DESIGN.md §13).
+//! the kernel-instance dispatch in `qtenon-quantum`'s kernel layer: one
+//! call through the AVX2 or the AVX-512 instance (DESIGN.md §13).
 //! Any other `unsafe` in `src/` or `crates/*/src`, library or binary,
 //! fails this test. Every library root also carries
 //! `#![deny(dead_code)]`, so `cargo build` fails on crate-private code
@@ -58,7 +59,7 @@ fn every_library_root_denies_unsafe_code() {
 }
 
 #[test]
-fn the_avx2_dispatch_is_the_only_unsafe_site() {
+fn the_instance_dispatch_is_the_only_unsafe_site() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     for src in source_dirs(root) {
@@ -92,11 +93,28 @@ fn the_avx2_dispatch_is_the_only_unsafe_site() {
     assert_eq!(
         found,
         [(audited, "#[allow(unsafe_code)]"), (audited, "unsafe {")],
-        "the only unsafe code allowed is the AVX2 dispatch in {AUDITED}"
+        "the only unsafe code allowed is the kernel-instance dispatch in {AUDITED}"
     );
-    assert!(
-        sites[1].2.starts_with("apply_ops_avx2("),
-        "the audited unsafe block must call apply_ops_avx2, not {:?}",
-        sites[1].2
+    assert_eq!(
+        sites[1].2, "vector(re, im, ops)",
+        "the audited unsafe block must call the chosen instance, `vector`"
+    );
+    // `vector` is bound once, to the AVX2 or the AVX-512 instance.
+    let text = fs::read_to_string(root.join(AUDITED)).expect("audited file is readable");
+    let lines: Vec<&str> = text.lines().map(str::trim).collect();
+    let bindings: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].starts_with("let vector ="))
+        .collect();
+    assert_eq!(bindings.len(), 1, "`vector` must be bound exactly once");
+    assert_eq!(
+        lines[bindings[0]..bindings[0] + 5],
+        [
+            "let vector = match instance {",
+            "KernelInstance::Baseline => return apply_ops_baseline(re, im, ops),",
+            "KernelInstance::Avx2 => apply_ops_avx2,",
+            "KernelInstance::Avx512 => apply_ops_avx512,",
+            "};",
+        ],
+        "`vector` must be apply_ops_avx2 or apply_ops_avx512, nothing else"
     );
 }
