@@ -180,7 +180,6 @@ impl BaselineRunner {
 
         let mut ledger = Ledger::default();
         ledger.critpath.open_at(SimTime::ZERO);
-        let mut host_ops_total = OpCounter::new();
         let mut evaluations = 0u64;
         for it in &trajectory.iterations {
             for _ in 0..it.evaluations {
@@ -193,9 +192,7 @@ impl BaselineRunner {
             }
             evaluations += it.evaluations as u64;
             ledger.charge(&HOST, cfg.host.duration_for(&it.optimizer_ops));
-            host_ops_total += it.optimizer_ops;
         }
-        host_ops_total += eval_ops.scaled(evaluations);
 
         // One binary upload and one readout packet per shot, per evaluation.
         let comm = CommBreakdown {
@@ -214,10 +211,6 @@ impl BaselineRunner {
             static_instructions: compiled.instruction_count,
             pulses_generated: evaluations * compiled.pulses_required,
             slt: Default::default(),
-            host_cycles: qtenon_core::host::HostCoreModel::new(
-                qtenon_core::config::CoreModel::Rocket,
-            )
-            .cycles_for(&host_ops_total),
             cost_history: trajectory.cost_history(),
             final_cost: trajectory.final_cost(),
             pulse_reduction: 0.0,

@@ -637,6 +637,12 @@ pub fn telemetry_snapshot_exact(
 /// uniform fault rates. Every run completes — graceful degradation — and
 /// the columns show how much recovery work and wall time each rate costs.
 ///
+/// The runs use fine-grained sync, where results reach the host by PUT
+/// and no `.measure` entry is ever read, so the `ecc corrections` column
+/// is 0 at every rate: `qcc_bitflip` upsets stay pending until the next
+/// deposit refreshes them. Only `q_acquire` (FENCE sync) reads through
+/// the decoder.
+///
 /// # Panics
 ///
 /// Panics if construction or execution fails (the configuration is

@@ -8,8 +8,6 @@
 //!
 //! - [`rbq`]: the Reorder Buffer Queue — 32 tagged outstanding TileLink
 //!   transactions realigned to issue order;
-//! - [`barrier`]: the soft memory barrier enabling fine-grained
-//!   synchronisation (queried via RoCC in one cycle, Section 6.2);
 //! - [`bus`]: the TileLink system-bus timing model with tag-limited
 //!   pipelining;
 //! - [`slt`]: the per-qubit Skip Lookup Table with Least-Count replacement
@@ -25,7 +23,6 @@
 #![deny(dead_code)]
 
 pub mod adi;
-pub mod barrier;
 pub mod bus;
 pub mod error;
 pub mod pgu;
@@ -35,7 +32,6 @@ pub mod readout;
 pub mod slt;
 
 pub use adi::AdiModel;
-pub use barrier::MemoryBarrier;
 pub use bus::{BusConfig, TileLinkBus};
 pub use error::ControllerError;
 pub use pgu::PguPool;

@@ -2,15 +2,17 @@
 //!
 //! The system bus returns responses out of order. Each request carries a
 //! unique 5-bit tag; the RBQ holds 32 entries (one per tag) and realigns
-//! responses: a FIFO of issued tags decides which response queue to pop
-//! next, so consumers always observe issue order.
+//! responses: a FIFO of issued tags decides which completed tag to pop
+//! next, so consumers always observe issue order. The model carries no
+//! response data: the timing model reads only which tags have completed,
+//! so a completion marks its tag and a pop retires it.
 //!
 //! Tags can get *stuck* — a response lost to a fault never arrives, and
 //! the tag would leak forever. A watchdog ([`ReorderBufferQueue::
 //! reclaim_stuck`]) sweeps tags whose responses are overdue back into the
 //! free pool; a late completion for a reclaimed tag then surfaces as a
-//! typed [`ControllerError`] instead of silently corrupting a recycled
-//! tag's slot.
+//! typed [`ControllerError`] instead of silently completing a recycled
+//! tag.
 
 use std::collections::VecDeque;
 
@@ -34,26 +36,24 @@ impl Tag {
 
 /// The reorder buffer realigning out-of-order bus responses.
 ///
-/// Generic over the response payload so both read data and write
-/// acknowledgements can flow through it.
-///
 /// # Examples
 ///
 /// ```
 /// use qtenon_controller::ReorderBufferQueue;
 ///
-/// let mut rbq = ReorderBufferQueue::<&str>::new();
+/// let mut rbq = ReorderBufferQueue::new();
 /// let t1 = rbq.issue().unwrap();
 /// let t2 = rbq.issue().unwrap();
-/// rbq.complete(t2, "second").unwrap(); // arrives first…
-/// rbq.complete(t1, "first").unwrap();
-/// assert_eq!(rbq.pop_in_order(), Some("first")); // …but pops in issue order
-/// assert_eq!(rbq.pop_in_order(), Some("second"));
+/// rbq.complete(t2).unwrap(); // arrives first…
+/// assert_eq!(rbq.pop_in_order(), None); // …but waits for t1
+/// rbq.complete(t1).unwrap();
+/// assert_eq!(rbq.pop_in_order(), Some(t1)); // pops in issue order
+/// assert_eq!(rbq.pop_in_order(), Some(t2));
 /// ```
 #[derive(Debug)]
-pub struct ReorderBufferQueue<T> {
-    /// Response slot per tag (`None` while the response is outstanding).
-    slots: Vec<Option<T>>,
+pub struct ReorderBufferQueue {
+    /// Whether each allocated tag's response has arrived.
+    completed: [bool; TAG_COUNT],
     /// Whether each tag is currently allocated.
     allocated: [bool; TAG_COUNT],
     /// When each allocated tag was issued (for the watchdog).
@@ -70,11 +70,11 @@ pub struct ReorderBufferQueue<T> {
     reclaimed: u64,
 }
 
-impl<T> ReorderBufferQueue<T> {
+impl ReorderBufferQueue {
     /// Creates an empty RBQ with all 32 tags free.
     pub fn new() -> Self {
         ReorderBufferQueue {
-            slots: (0..TAG_COUNT).map(|_| None).collect(),
+            completed: [false; TAG_COUNT],
             allocated: [false; TAG_COUNT],
             issued_at: [None; TAG_COUNT],
             order: VecDeque::new(),
@@ -103,7 +103,7 @@ impl<T> ReorderBufferQueue<T> {
         Some(tag)
     }
 
-    /// Delivers the response for `tag` (out-of-order arrival).
+    /// Marks the response for `tag` as arrived (out-of-order arrival).
     ///
     /// # Errors
     ///
@@ -111,27 +111,32 @@ impl<T> ReorderBufferQueue<T> {
     /// outstanding (typically a late completion for a watchdog-reclaimed
     /// tag) and [`ControllerError::DoubleCompletion`] when the tag already
     /// has its response.
-    pub fn complete(&mut self, tag: Tag, payload: T) -> Result<(), ControllerError> {
-        if !self.allocated[tag.0 as usize] {
+    pub fn complete(&mut self, tag: Tag) -> Result<(), ControllerError> {
+        let i = tag.0 as usize;
+        if !self.allocated[i] {
             return Err(ControllerError::UnissuedTag { tag: tag.0 });
         }
-        let slot = &mut self.slots[tag.0 as usize];
-        if slot.is_some() {
+        if self.completed[i] {
             return Err(ControllerError::DoubleCompletion { tag: tag.0 });
         }
-        *slot = Some(payload);
+        self.completed[i] = true;
         Ok(())
     }
 
-    /// Pops the next response *in issue order*, if it has arrived.
-    pub fn pop_in_order(&mut self) -> Option<T> {
+    /// Retires the oldest outstanding tag *in issue order*, if its
+    /// response has arrived, and returns it.
+    pub fn pop_in_order(&mut self) -> Option<Tag> {
         let &tag = self.order.front()?;
-        let payload = self.slots[tag.0 as usize].take()?;
+        let i = tag.0 as usize;
+        if !self.completed[i] {
+            return None;
+        }
         self.order.pop_front();
-        self.allocated[tag.0 as usize] = false;
-        self.issued_at[tag.0 as usize] = None;
+        self.completed[i] = false;
+        self.allocated[i] = false;
+        self.issued_at[i] = None;
         self.free.push_back(tag);
-        Some(payload)
+        Some(tag)
     }
 
     /// Watchdog sweep: frees every tag that was issued at least `timeout`
@@ -143,7 +148,7 @@ impl<T> ReorderBufferQueue<T> {
         let mut kept = VecDeque::with_capacity(self.order.len());
         while let Some(tag) = self.order.pop_front() {
             let i = tag.0 as usize;
-            let overdue = self.slots[i].is_none()
+            let overdue = !self.completed[i]
                 && self.issued_at[i].is_some_and(|t| now.saturating_since(t) >= timeout);
             if overdue {
                 self.allocated[i] = false;
@@ -174,7 +179,7 @@ impl<T> ReorderBufferQueue<T> {
     }
 }
 
-impl<T> Default for ReorderBufferQueue<T> {
+impl Default for ReorderBufferQueue {
     fn default() -> Self {
         Self::new()
     }
@@ -184,7 +189,7 @@ impl<T> Default for ReorderBufferQueue<T> {
 mod tests {
     use super::*;
 
-    impl<T> ReorderBufferQueue<T> {
+    impl ReorderBufferQueue {
         /// Number of outstanding (issued, unpopped) transactions.
         fn outstanding(&self) -> usize {
             self.order.len()
@@ -195,11 +200,11 @@ mod tests {
     fn realigns_reversed_completions() {
         let mut rbq = ReorderBufferQueue::new();
         let tags: Vec<_> = (0..8).map(|_| rbq.issue().unwrap()).collect();
-        for (i, &tag) in tags.iter().enumerate().rev() {
-            rbq.complete(tag, i).unwrap();
+        for &tag in tags.iter().rev() {
+            rbq.complete(tag).unwrap();
         }
-        for i in 0..8 {
-            assert_eq!(rbq.pop_in_order(), Some(i));
+        for &tag in &tags {
+            assert_eq!(rbq.pop_in_order(), Some(tag));
         }
         assert_eq!(rbq.pop_in_order(), None);
     }
@@ -209,12 +214,12 @@ mod tests {
         let mut rbq = ReorderBufferQueue::new();
         let t1 = rbq.issue().unwrap();
         let t2 = rbq.issue().unwrap();
-        rbq.complete(t2, "b").unwrap();
+        rbq.complete(t2).unwrap();
         // t1 hasn't arrived: nothing pops even though t2 is ready.
         assert_eq!(rbq.pop_in_order(), None);
-        rbq.complete(t1, "a").unwrap();
-        assert_eq!(rbq.pop_in_order(), Some("a"));
-        assert_eq!(rbq.pop_in_order(), Some("b"));
+        rbq.complete(t1).unwrap();
+        assert_eq!(rbq.pop_in_order(), Some(t1));
+        assert_eq!(rbq.pop_in_order(), Some(t2));
     }
 
     #[test]
@@ -222,10 +227,10 @@ mod tests {
         let mut rbq = ReorderBufferQueue::new();
         let tags: Vec<_> = (0..TAG_COUNT).map(|_| rbq.issue().unwrap()).collect();
         assert!(rbq.issue().is_none());
-        rbq.complete(tags[0], 0u32).unwrap();
-        assert!(rbq.pop_in_order().is_some());
+        rbq.complete(tags[0]).unwrap();
+        assert_eq!(rbq.pop_in_order(), Some(tags[0]));
         // A tag freed by popping becomes issuable again.
-        assert!(rbq.issue().is_some());
+        assert_eq!(rbq.issue(), Some(tags[0]));
     }
 
     #[test]
@@ -234,7 +239,7 @@ mod tests {
         assert_eq!(rbq.outstanding(), 0);
         let t = rbq.issue().unwrap();
         assert_eq!(rbq.outstanding(), 1);
-        rbq.complete(t, ()).unwrap();
+        rbq.complete(t).unwrap();
         assert_eq!(rbq.outstanding(), 1); // completed but not popped
         rbq.pop_in_order();
         assert_eq!(rbq.outstanding(), 0);
@@ -244,9 +249,9 @@ mod tests {
     fn double_completion_is_a_typed_error() {
         let mut rbq = ReorderBufferQueue::new();
         let t = rbq.issue().unwrap();
-        rbq.complete(t, 1).unwrap();
+        rbq.complete(t).unwrap();
         assert_eq!(
-            rbq.complete(t, 2),
+            rbq.complete(t),
             Err(ControllerError::DoubleCompletion { tag: t.value() })
         );
     }
@@ -263,12 +268,12 @@ mod tests {
         assert_eq!(rbq.outstanding(), 1);
         // The reclaimed tag is free again; a late completion errors.
         assert_eq!(
-            rbq.complete(old, 1u32),
+            rbq.complete(old),
             Err(ControllerError::UnissuedTag { tag: old.value() })
         );
         // The young tag still works normally.
-        rbq.complete(young, 2).unwrap();
-        assert_eq!(rbq.pop_in_order(), Some(2));
+        rbq.complete(young).unwrap();
+        assert_eq!(rbq.pop_in_order(), Some(young));
     }
 
     #[test]
@@ -277,13 +282,13 @@ mod tests {
         let mut rbq = ReorderBufferQueue::new();
         let _stuck = rbq.issue_at(t0).unwrap();
         let ok = rbq.issue_at(t0).unwrap();
-        rbq.complete(ok, "data").unwrap();
+        rbq.complete(ok).unwrap();
         // Head-of-line: the stuck elder blocks the completed younger.
         assert_eq!(rbq.pop_in_order(), None);
         rbq.reclaim_stuck(t0 + SimDuration::from_us(20), SimDuration::from_us(10));
         // reclaim frees BOTH if the young one is also overdue — but the
-        // young one has its payload, so it is not overdue and now pops.
-        assert_eq!(rbq.pop_in_order(), Some("data"));
+        // young one has completed, so it is not overdue and now pops.
+        assert_eq!(rbq.pop_in_order(), Some(ok));
     }
 
     #[test]
@@ -300,10 +305,10 @@ mod tests {
             order.swap(i, j);
         }
         for &i in &order {
-            rbq.complete(tags[i], i).unwrap();
+            rbq.complete(tags[i]).unwrap();
         }
-        for i in 0..TAG_COUNT {
-            assert_eq!(rbq.pop_in_order(), Some(i));
+        for &tag in &tags {
+            assert_eq!(rbq.pop_in_order(), Some(tag));
         }
     }
 }

@@ -3,9 +3,9 @@
 use qtenon_prop::check;
 
 use qtenon_controller::pgu::{PguConfig, PguPool};
-use qtenon_controller::{MemoryBarrier, ReorderBufferQueue, SltController};
+use qtenon_controller::{ReorderBufferQueue, SltController};
 use qtenon_isa::{GateType, QccLayout, QubitId};
-use qtenon_sim_engine::{FaultInjector, FaultPlan, SimDuration, SimTime};
+use qtenon_sim_engine::{FaultInjector, FaultPlan, SimTime};
 
 #[test]
 fn rbq_realigns_any_completion_order() {
@@ -19,26 +19,10 @@ fn rbq_realigns_any_completion_order() {
         let mut rbq = ReorderBufferQueue::new();
         let tags: Vec<_> = (0..16).map(|_| rbq.issue().unwrap()).collect();
         for &i in &perm {
-            rbq.complete(tags[i], i).unwrap();
+            rbq.complete(tags[i]).unwrap();
         }
-        for expected in 0..16 {
+        for &expected in &tags {
             assert_eq!(rbq.pop_in_order(), Some(expected));
-        }
-    });
-}
-
-#[test]
-fn barrier_query_matches_marked_ranges() {
-    check("barrier_query_matches_marked_ranges", 256, |g| {
-        let ranges = g.vec(0..20, |g| (g.draw(0u64..10_000), g.draw(1u64..256)));
-        let probes = g.vec(20, |g| g.draw(0u64..11_000));
-        let mut barrier = MemoryBarrier::new();
-        for (i, &(start, len)) in ranges.iter().enumerate() {
-            barrier.mark_synced(start, len, SimTime::ZERO + SimDuration::from_ns(i as u64));
-        }
-        for &p in &probes {
-            let expected = ranges.iter().any(|&(s, l)| p >= s && p < s + l);
-            assert_eq!(barrier.is_synced(p), expected, "probe {p}");
         }
     });
 }

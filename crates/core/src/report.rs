@@ -140,8 +140,6 @@ pub struct RunReport {
     pub pulses_generated: u64,
     /// Pulse pipeline cache statistics.
     pub slt: SltStats,
-    /// Host cycles spent on classical computation.
-    pub host_cycles: u64,
     /// Cost value after each iteration.
     pub cost_history: Vec<f64>,
     /// The final cost.

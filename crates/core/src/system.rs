@@ -5,12 +5,21 @@
 //! [`SimTime`] through each operation and receive its completion time, so
 //! higher layers (the VQA runner) can overlap operations exactly as the
 //! fine-grained synchronisation allows.
+//!
+//! The ops move time, not payloads. `q_run` hands its shots to the caller
+//! in [`RunOutcome`] and deposits each packed word into `.measure` as a
+//! counted write; `q_acquire` and the controller's PUTs charge the bus
+//! and host-memory time of the bytes they move and return when they
+//! complete. The soft memory barrier of Section 6.2 is therefore no
+//! structure here: in the fine-grained loop of `vqa.rs` the host waits
+//! on each PUT's own completion time and pays its per-batch query and
+//! bookkeeping ops.
 
 use qtenon_controller::bus::TransferTiming;
 use qtenon_controller::pipeline::{PipelineReport, PulsePipeline};
 use qtenon_controller::rbq::Tag;
 use qtenon_controller::{
-    AdiModel, ControllerError, MemoryBarrier, ReadoutProcessor, ReorderBufferQueue, TileLinkBus,
+    AdiModel, ControllerError, ReadoutProcessor, ReorderBufferQueue, TileLinkBus,
 };
 use qtenon_isa::{GateType, ProgramEntry, QAddress, QubitId};
 use qtenon_mem::qcc::{AccessPort, QuantumControllerCache};
@@ -165,18 +174,15 @@ pub struct QtenonSystem {
     qcc: QuantumControllerCache,
     pipeline: PulsePipeline,
     bus: TileLinkBus,
-    barrier: MemoryBarrier,
     hierarchy: MemoryHierarchy,
     host: HostCoreModel,
-    /// Host ops timed by [`QtenonSystem::host_time`] since the last reset.
-    host_ops: OpCounter,
     adi: AdiModel,
     simulator: Simulator,
     dynamic_instructions: u64,
     trace: Option<Trace>,
     /// RBQ tags naming in-flight logical requests: every op runs inside
     /// one tagged flow.
-    rbq: ReorderBufferQueue<()>,
+    rbq: ReorderBufferQueue,
     /// The currently open flow (flow id, RBQ tag), if any.
     active_flow: Option<(u64, Tag)>,
     /// Monotonic flow-id allocator.
@@ -245,10 +251,8 @@ impl QtenonSystem {
             qcc: QuantumControllerCache::new(config.layout),
             pipeline: PulsePipeline::new(config.pipeline, config.layout)?,
             bus: TileLinkBus::new(config.bus),
-            barrier: MemoryBarrier::new(),
             hierarchy: MemoryHierarchy::new(config.hierarchy)?,
             host: HostCoreModel::new(config.core),
-            host_ops: OpCounter::new(),
             adi: config.adi,
             simulator: Simulator::fast(config.n_qubits, config.seed).with_fusion(config.fuse),
             dynamic_instructions: 0,
@@ -277,17 +281,9 @@ impl QtenonSystem {
         &self.config
     }
 
-    /// Times `ops` of host-side classical work on the host core and adds
-    /// them to the host op tally behind [`QtenonSystem::host_cycles`].
-    pub(crate) fn host_time(&mut self, ops: &OpCounter) -> SimDuration {
-        self.host_ops += *ops;
+    /// Times `ops` of host-side classical work on the host core.
+    pub(crate) fn host_time(&self, ops: &OpCounter) -> SimDuration {
         self.host.duration_for(ops)
-    }
-
-    /// Host core cycles of every op timed by
-    /// [`QtenonSystem::host_time`] since the last reset.
-    pub(crate) fn host_cycles(&self) -> u64 {
-        self.host.cycles_for(&self.host_ops)
     }
 
     /// Pulses generated and pulse work items processed since the last
@@ -302,11 +298,6 @@ impl QtenonSystem {
     /// The quantum controller cache (for inspection).
     pub fn qcc(&self) -> &QuantumControllerCache {
         &self.qcc
-    }
-
-    /// The soft memory barrier.
-    pub fn barrier_mut(&mut self) -> &mut MemoryBarrier {
-        &mut self.barrier
     }
 
     /// Communication accounting so far.
@@ -469,7 +460,7 @@ impl QtenonSystem {
         }
         // A tag the watchdog already reclaimed completes late; dropping
         // that response is the recovery contract, not an error.
-        if self.rbq.complete(tag, ()).is_ok() {
+        if self.rbq.complete(tag).is_ok() {
             // Retire every realigned response. Without faults the
             // completed tag is always at the head; with leaked tags ahead
             // of it, retirement waits until the watchdog frees them.
@@ -614,11 +605,13 @@ impl QtenonSystem {
 
     /// `q_acquire`: pull `.measure` entries back to host memory.
     ///
-    /// Returns the data and the completion time. Under fault injection,
-    /// each `.measure` read passes through the ECC decoder (correcting
-    /// injected upsets) and an injected readout-classification timeout
-    /// re-arms the readout processor with backoff up to the plan's retry
-    /// budget.
+    /// Returns the completion time: every entry read is checked and
+    /// counted, and its bytes are charged on the bus and written into the
+    /// host hierarchy (the shots themselves are [`RunOutcome::shots`]).
+    /// Under fault injection, each `.measure` read passes through the ECC
+    /// decoder (correcting pending upsets) and an injected
+    /// readout-classification timeout re-arms the readout processor with
+    /// backoff up to the plan's retry budget.
     ///
     /// # Errors
     ///
@@ -631,12 +624,11 @@ impl QtenonSystem {
         qaddr: QAddress,
         length: u64,
         classical_addr: u64,
-    ) -> Result<(Vec<u64>, SimTime), SystemError> {
+    ) -> Result<SimTime, SystemError> {
         let now = self.absorb_stall(now);
-        let mut data = Vec::with_capacity(length as usize);
         for i in 0..length {
-            let src = qaddr.offset(i)?;
-            data.push(self.qcc.read_measure(AccessPort::HostPublic, src)?);
+            self.qcc
+                .read_measure(AccessPort::HostPublic, qaddr.offset(i)?)?;
         }
         let bytes = length * 8;
         let transfer = self.bus_transfer(now, bytes)?;
@@ -660,29 +652,21 @@ impl QtenonSystem {
                 trace.record("fault:readout_timeout", lane, now, SimDuration::ZERO);
             }
         }
-        self.barrier
-            .mark_synced(classical_addr, bytes, transfer.complete);
-        Ok((data, self.retire(Op::Acquire, now, complete, None)))
+        Ok(self.retire(Op::Acquire, now, complete, None))
     }
 
-    /// A controller-initiated PUT of measurement results to host memory
-    /// (the fine-grained path of Fig. 9b). Accounted as `q_acquire`-class
-    /// traffic; marks the barrier when the request hits the bus.
+    /// A controller-initiated PUT of `bytes` of measurement results to
+    /// host memory (the fine-grained path of Fig. 9b), accounted as
+    /// `q_acquire`-class traffic. Returns when the transfer completes,
+    /// the time the host's barrier query for it first succeeds.
     ///
     /// # Errors
     ///
     /// Returns [`SystemError::Controller`] when injected bus faults
     /// exhaust the transfer's retry budget.
-    pub fn put_results(
-        &mut self,
-        now: SimTime,
-        classical_addr: u64,
-        bytes: u64,
-    ) -> Result<SimTime, SystemError> {
+    pub fn put_results(&mut self, now: SimTime, bytes: u64) -> Result<SimTime, SystemError> {
         let now = self.absorb_stall(now);
         let transfer = self.bus_transfer(now, bytes)?;
-        self.barrier
-            .mark_synced(classical_addr, bytes, transfer.complete);
         // Early batches complete while the chip is still running; the
         // tracker's monotone clamp charges only the exposed tail.
         Ok(self.retire(Op::Put, now, transfer.complete, None))
@@ -734,7 +718,8 @@ impl QtenonSystem {
     }
 
     /// `q_run`: execute the bound circuit for `shots` repetitions,
-    /// depositing packed measurement words into `.measure`.
+    /// returning the shots and depositing one counted `.measure` write per
+    /// packed measurement word.
     ///
     /// Sampling fans out across the configured worker threads in
     /// contiguous shot shards; every shot draws from its own
@@ -797,7 +782,7 @@ impl QtenonSystem {
         }
         *self.shots_sampled.get_or_insert(0) += shots;
         self.profiler.wall_end(self.phases.chip_execute, wall);
-        // Pack each shot's bits into consecutive 64-bit measure entries,
+        // Each shot's bits pack into consecutive 64-bit measure entries,
         // by segment index: the cursor wraps modulo the segment size, so
         // every index is in range.
         let entries = self.config.layout.measure_entries() as usize;
@@ -808,8 +793,8 @@ impl QtenonSystem {
             // keyed by global shot index, so the schedule is independent
             // of shard boundaries; counters fold back in shot order.
             let mut shot_injector = faults_active.then(|| self.injector.for_shot(base + i as u64));
-            for &word in bits.words() {
-                self.qcc.deposit_measure(cursor, word);
+            for _ in bits.words() {
+                self.qcc.deposit_measure(cursor);
                 if let Some(inj) = shot_injector.as_mut() {
                     if inj.bernoulli(FaultSite::QccBitFlip) {
                         // A single-event upset lands on the freshly written
@@ -848,7 +833,6 @@ impl QtenonSystem {
         self.qcc.export_metrics(m, "mem.qcc");
         self.pipeline.export_metrics(m, "controller");
         self.bus.export_metrics(m, "controller.bus");
-        self.barrier.export_metrics(m, "controller.barrier");
         self.rbq.export_metrics(m, "controller.rbq");
         m.counter("core.instructions", self.dynamic_instructions);
         for (i, (op, span)) in LATENCY_OPS.iter().zip(&self.latency).enumerate() {
@@ -902,10 +886,8 @@ impl QtenonSystem {
     /// Resets transient state between independent experiment runs while
     /// keeping the warm SLT (use [`QtenonSystem::cold_reset`] to drop it).
     pub(crate) fn reset_accounting(&mut self) {
-        self.host_ops = OpCounter::new();
         self.dynamic_instructions = 0;
         self.bus.reset();
-        self.barrier.reset();
         self.rbq = ReorderBufferQueue::new();
         self.active_flow = None;
         self.injector = FaultInjector::new(self.config.faults);
@@ -940,6 +922,16 @@ mod tests {
 
     fn t0() -> SimTime {
         SimTime::ZERO
+    }
+
+    /// The QCC's `mem.qcc.<name>` access counter.
+    fn qcc_count(sys: &QtenonSystem, name: &str) -> u64 {
+        let mut m = MetricsRegistry::new();
+        sys.qcc().export_metrics(&mut m, "mem.qcc");
+        match m.get(&format!("mem.qcc.{name}")) {
+            Some(qtenon_sim_engine::MetricValue::Counter(n)) => *n,
+            other => panic!("mem.qcc.{name}: {other:?}"),
+        }
     }
 
     #[test]
@@ -998,18 +990,22 @@ mod tests {
     #[test]
     fn q_run_deposits_measure_words() {
         let mut sys = system(4);
+        // An upset pending on the first entry before the run.
+        sys.qcc.poison_measure_index(0, 1);
         let mut c = Circuit::new(4);
         c.rx(0, std::f64::consts::PI).measure_all();
         let outcome = sys.q_run(t0(), &c, 10).unwrap();
         assert_eq!(outcome.shots.len(), 10);
         // Qubit 0 always measures 1.
         assert!(outcome.shots.iter().all(|s| s.get(0)));
+        // One counted write per shot's word; the first refreshed the
+        // entry's check bits, so reading it back corrects nothing.
+        assert_eq!(qcc_count(&sys, "writes"), 10);
         let layout = sys.config().layout;
-        let first = sys
-            .qcc()
+        sys.qcc()
             .read_measure(AccessPort::HostPublic, layout.measure_entry(0).unwrap())
             .unwrap();
-        assert_eq!(first & 1, 1);
+        assert_eq!(sys.qcc().ecc_corrections(), 0);
         // Timing: 2 × 100 ns ADI + 10 × (20 + 600) ns.
         assert_eq!(
             outcome.complete.saturating_since(t0()),
@@ -1185,30 +1181,32 @@ mod tests {
     }
 
     #[test]
-    fn q_acquire_returns_written_data_and_syncs_barrier() {
+    fn q_acquire_reads_measure_entries_and_corrects_pending_upsets() {
         let mut sys = system(4);
-        let mut c = Circuit::new(4);
-        c.x(0); // not native: build natively instead
         let mut c = Circuit::new(4);
         c.rx(0, std::f64::consts::PI).measure_all();
         sys.q_run(t0(), &c, 4).unwrap();
+        // Upsets on entries 1 and 5: a four-entry read corrects only the
+        // first, and a run's deposit refreshes the second.
+        sys.qcc.poison_measure_index(1, 1);
+        sys.qcc.poison_measure_index(5, 1);
         let maddr = sys.config().layout.measure_entry(0).unwrap();
-        let (data, done) = sys.q_acquire(t0(), maddr, 4, 0xA000).unwrap();
-        assert_eq!(data.len(), 4);
-        assert!(data.iter().all(|w| w & 1 == 1));
+        let done = sys.q_acquire(t0(), maddr, 4, 0xA000).unwrap();
         assert!(done > t0());
-        assert!(sys.barrier_mut().is_synced(0xA000));
-        assert!(sys.barrier_mut().is_synced(0xA000 + 31));
-        assert!(!sys.barrier_mut().is_synced(0xA000 + 32));
+        assert_eq!(qcc_count(&sys, "reads"), 4);
+        assert_eq!(sys.qcc().ecc_corrections(), 1);
+        assert_eq!(sys.comm().q_acquire_count, 1);
+        sys.q_run(done, &c, 8).unwrap();
+        sys.q_acquire(t0(), maddr, 8, 0xA000).unwrap();
+        assert_eq!(sys.resilience().ecc_corrections, 1);
     }
 
     #[test]
     fn put_results_accounts_as_acquire_traffic() {
         let mut sys = system(8);
-        let done = sys.put_results(t0(), 0xB000, 32).unwrap();
+        let done = sys.put_results(t0(), 32).unwrap();
         assert!(done > t0());
         assert_eq!(sys.comm().q_acquire_count, 1);
-        assert!(sys.barrier_mut().is_synced(0xB000));
     }
 
     #[test]
@@ -1300,10 +1298,7 @@ mod tests {
                 let (_, tg) = sys.q_gen(t, &items).unwrap();
                 let out = sys.q_run(tg, &c, 4).unwrap();
                 let maddr = layout.measure_entry(0).unwrap();
-                let (data, done) = sys.q_acquire(out.complete, maddr, 4, 0xA000).unwrap();
-                // ECC corrects injected upsets before data leaves `.measure`.
-                assert!(data.iter().all(|w| w & 1 == 1));
-                t = done;
+                t = sys.q_acquire(out.complete, maddr, 4, 0xA000).unwrap();
             }
             let mut m = MetricsRegistry::new();
             sys.export_metrics(&mut m);
@@ -1378,7 +1373,7 @@ mod tests {
                 let items = vec![(QubitId::new(0), GateType::Rx, 100 + i)];
                 let (_, tg) = sys.q_gen(t, &items).unwrap();
                 t = sys.q_run(tg, &c, 4).unwrap().complete;
-                t = sys.put_results(t, 0xB000, 32).unwrap();
+                t = sys.put_results(t, 32).unwrap();
             }
             let mut m = MetricsRegistry::new();
             sys.export_metrics(&mut m);

@@ -22,7 +22,7 @@ use qtenon_compiler::{
     CachedProgram, CompilationCache, CompiledProgram, ParameterDiff, QtenonCompiler,
 };
 use qtenon_isa::Instruction;
-use qtenon_quantum::{BitString, Circuit, CircuitTiming};
+use qtenon_quantum::{Circuit, CircuitTiming};
 use qtenon_sim_engine::{
     MetricsRegistry, OpClass, OpCounter, PhaseId, Profiler, SimDuration, SimTime, SpanStats,
 };
@@ -37,7 +37,7 @@ use crate::SystemError;
 
 /// Host memory address where the program image lives.
 const HOST_PROGRAM_ADDR: u64 = 0x8000_0000;
-/// Host memory address where measurement results land.
+/// Host memory address where `q_acquire` writes measurement results.
 const HOST_RESULT_ADDR: u64 = 0x9000_0000;
 
 /// Per-batch host handshake cost (barrier query, buffer management,
@@ -486,7 +486,6 @@ impl VqaRunner {
             static_instructions: self.static_instructions(),
             pulses_generated,
             slt: self.system.slt_stats(),
-            host_cycles: self.system.host_cycles(),
             cost_history: self.trajectory.cost_history(),
             final_cost: self.trajectory.final_cost(),
             pulse_reduction: if pulse_work_items == 0 {
@@ -563,7 +562,7 @@ impl VqaRunner {
                 // Fig. 9a: run → FENCE → q_acquire → FENCE → post-process.
                 let words_per_shot = (config.n_qubits as u64).div_ceil(64);
                 let measure_base = config.layout.measure_entry(0)?;
-                let (_, acq_done) = self.system.q_acquire(
+                let acq_done = self.system.q_acquire(
                     outcome.complete,
                     measure_base,
                     (shots * words_per_shot).min(config.layout.measure_entries()),
@@ -582,9 +581,10 @@ impl VqaRunner {
             }
             SyncMode::FineGrained => {
                 // Fig. 9b: PUTs stream per Algorithm 1; the host consumes
-                // each batch as its barrier entry goes valid, folding
-                // completed shots into the bit-sliced cost evaluator one
-                // 64-shot block at a time.
+                // each batch once its PUT completes (when the soft
+                // barrier's query for it first succeeds), folding completed
+                // shots into the bit-sliced cost evaluator one 64-shot
+                // block at a time.
                 let plan = TransmissionPlan::new(
                     config.transmission,
                     config.n_qubits,
@@ -596,7 +596,6 @@ impl VqaRunner {
                 let first_shot_at = run_start + config.adi.interface_latency;
                 let mut host_free = run_start;
                 let mut value_sum = 0.0;
-                let mut addr = HOST_RESULT_ADDR;
                 let mut flushed = 0usize;
                 let mut arrived = 0usize;
                 // Each batch's PUT is ready when its last shot finishes;
@@ -605,8 +604,7 @@ impl VqaRunner {
                 for batch in plan.batches() {
                     let ready =
                         first_shot_at + outcome.shot_duration * (batch.first_shot + batch.shots);
-                    let put_done = self.system.put_results(ready, addr, batch.bytes)?;
-                    addr += batch.bytes;
+                    let put_done = self.system.put_results(ready, batch.bytes)?;
                     // Per-PUT host wake: barrier query + buffer
                     // bookkeeping, plus any full blocks now evaluable.
                     let mut ops = OpCounter::new();
@@ -660,28 +658,6 @@ impl VqaRunner {
         };
         Ok((cost, end))
     }
-}
-
-/// Collects measurement words back into bitstrings (the host-side inverse
-/// of the controller's `.measure` packing). Exposed for tests and
-/// examples that drive the raw ISA path.
-pub fn unpack_measurements(words: &[u64], n_qubits: u32, shots: u64) -> Vec<BitString> {
-    let words_per_shot = (n_qubits as u64).div_ceil(64) as usize;
-    (0..shots as usize)
-        .map(|s| {
-            let mut bits = BitString::zeros(n_qubits);
-            for w in 0..words_per_shot {
-                let word = words.get(s * words_per_shot + w).copied().unwrap_or(0);
-                for b in 0..64u32 {
-                    let idx = w as u32 * 64 + b;
-                    if idx < n_qubits && (word >> b) & 1 == 1 {
-                        bits.set(idx, true);
-                    }
-                }
-            }
-            bits
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -834,17 +810,6 @@ mod tests {
         let config = QtenonConfig::table4(16, CoreModel::Rocket).unwrap();
         let workload = Workload::benchmark(qtenon_workloads::WorkloadKind::Qaoa, 8, 0).unwrap();
         assert!(VqaRunner::new(config, workload).is_err());
-    }
-
-    #[test]
-    fn unpack_measurements_round_trip() {
-        let words = vec![0b101u64, 0, u64::MAX, 1];
-        let shots = unpack_measurements(&words, 70, 2);
-        assert_eq!(shots.len(), 2);
-        assert!(shots[0].get(0) && !shots[0].get(1) && shots[0].get(2));
-        assert!(!shots[0].get(64));
-        assert!(shots[1].get(0) && shots[1].get(63) && shots[1].get(64));
-        assert!(!shots[1].get(65));
     }
 
     #[test]

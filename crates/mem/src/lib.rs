@@ -8,9 +8,9 @@
 //! - [`cache`]: a set-associative cache timing model with LRU replacement;
 //! - [`hierarchy`]: L1 → L2 → DRAM latency composition with access stats;
 //! - [`qcc`]: the five-segment QCC with per-qubit chunks, public/private
-//!   access control and access counts for every segment, and storage for
-//!   the two segments that are read back, `.measure` and `.regfile`
-//!   (Fig. 4, Table 2);
+//!   access control and access counts for every segment, storage for
+//!   `.regfile`, the one segment whose contents are read back, and the
+//!   `.measure` ECC state (Fig. 4, Table 2);
 //! - [`qspace`]: the QSpace tag store (2²⁰ × 4 B per qubit), one table for
 //!   every qubit.
 //!

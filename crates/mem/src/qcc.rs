@@ -1,5 +1,6 @@
 //! The quantum controller cache: five segments with public/private
-//! access control, and storage for the segments that are read back.
+//! access control, and storage for the one segment whose contents are
+//! read back.
 //!
 //! The QCC sits at the same level as the host L1 (Fig. 4). `.program`,
 //! `.regfile`, and `.measure` are public; `.pulse` and `.slt` are enforced
@@ -9,11 +10,13 @@
 //! The model keeps every segment's architectural geometry (1024
 //! `.program` and 1024 `.pulse` entries per qubit; Table 2 totals 5.66 MB
 //! at 64 qubits), checks every access against it and counts it, but
-//! stores only what is read back: `.measure` (with its ECC, read by
-//! `q_acquire`) and `.regfile` (read back to check incremental compilation
-//! against rebinding). Work items come from the compiled program on the
-//! host and pulse reuse from the controller's SLT, so `.program` and
-//! `.pulse` writes store nothing.
+//! stores only what is read back: `.regfile` (read back to check
+//! incremental compilation against rebinding). Work items come from the
+//! compiled program on the host and pulse reuse from the controller's
+//! SLT, so `.program` and `.pulse` writes store nothing. Measurement
+//! results reach the host as `q_run`'s shots, so `.measure` keeps no words
+//! either: only its SECDED state, the single-event upsets pending on its
+//! entries, which decides how many corrections a `q_acquire` read makes.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -33,7 +36,8 @@ pub enum AccessPort {
 }
 
 /// The quantum controller cache: access checks and counts for every
-/// segment, storage for `.measure` and `.regfile` (see the module docs).
+/// segment, storage for `.regfile` and the pending ECC upsets of
+/// `.measure` (see the module docs).
 ///
 /// # Examples
 ///
@@ -55,15 +59,14 @@ pub enum AccessPort {
 #[derive(Debug, Clone)]
 pub struct QuantumControllerCache {
     layout: QccLayout,
-    measure: Vec<u64>,
     regfile: Vec<u32>,
     /// Successful reads (interior-mutable: reads take `&self`).
     reads: Cell<u64>,
     /// Successful writes.
     writes: u64,
     /// Pending single-event upsets in `.measure`, keyed by flat segment
-    /// index. Each value is the xor mask the upset applied to the raw
-    /// array bits; the SECDED decoder corrects it on the next read.
+    /// index. Each value is the xor mask the upsets applied to the entry's
+    /// bits; the SECDED decoder corrects it on the next read.
     measure_faults: RefCell<BTreeMap<usize, u64>>,
     /// Upsets detected and corrected by the ECC decoder.
     ecc_corrections: Cell<u64>,
@@ -72,11 +75,9 @@ pub struct QuantumControllerCache {
 impl QuantumControllerCache {
     /// Builds the cache for a layout, zero-initialised.
     pub fn new(layout: QccLayout) -> Self {
-        let entries = |segment| layout.segment_entries(segment) as usize;
         QuantumControllerCache {
             layout,
-            measure: vec![0; entries(Segment::Measure)],
-            regfile: vec![0; entries(Segment::Regfile)],
+            regfile: vec![0; layout.regfile_entries() as usize],
             reads: Cell::new(0),
             writes: 0,
             measure_faults: RefCell::new(BTreeMap::new()),
@@ -140,41 +141,40 @@ impl QuantumControllerCache {
         Ok(())
     }
 
-    /// Reads a `.measure` entry.
+    /// Reads a `.measure` entry: checks the address and port and counts
+    /// the read. The SECDED decoder sits on the read path: a pending
+    /// upset is detected, corrected and scrubbed, and counted in
+    /// [`ecc_corrections`](Self::ecc_corrections).
     ///
     /// # Errors
     ///
     /// Returns [`MemError`] for unmapped or wrong-segment addresses.
-    pub fn read_measure(&self, port: AccessPort, addr: QAddress) -> Result<u64, MemError> {
+    pub fn read_measure(&self, port: AccessPort, addr: QAddress) -> Result<(), MemError> {
         let idx = self.locate(port, addr, Segment::Measure)?;
         self.reads.set(self.reads.get() + 1);
-        // The SECDED decoder sits on the read path: a pending upset is
-        // detected, corrected, and scrubbed before data leaves the array,
-        // so callers always observe the value that was written.
         if self.measure_faults.borrow_mut().remove(&idx).is_some() {
             self.ecc_corrections.set(self.ecc_corrections.get() + 1);
         }
-        Ok(self.measure[idx])
+        Ok(())
     }
 
     /// The controller's readout deposit: writes `.measure` entry `index`
     /// (a flat segment index, not an address) without decoding an
-    /// address.
+    /// address, and counts the write. A full-word write refreshes the
+    /// check bits, clearing any pending upset without a correction.
     ///
     /// # Panics
     ///
     /// Panics if `index` is not below the segment size.
-    pub fn deposit_measure(&mut self, index: usize, value: u64) {
-        self.measure[index] = value;
-        // A full-word write refreshes the check bits, clearing any
-        // pending upset without a correction event.
+    pub fn deposit_measure(&mut self, index: usize) {
+        self.check_measure_index(index);
         self.measure_faults.get_mut().remove(&index);
         self.writes += 1;
     }
 
     /// Injects a single-event upset into `.measure` entry `index` (the
     /// flat index [`deposit_measure`](Self::deposit_measure) takes): the
-    /// raw array bits are flipped by `mask` until the next read (SECDED
+    /// entry's bits are flipped by `mask` until the next read (SECDED
     /// correction) or write (check-bit refresh) of that entry. A zero
     /// mask, or a second flip of the same bits, is a no-op.
     ///
@@ -182,10 +182,7 @@ impl QuantumControllerCache {
     ///
     /// Panics if `index` is not below the segment size.
     pub fn poison_measure_index(&mut self, index: usize, mask: u64) {
-        assert!(
-            index < self.measure.len(),
-            ".measure index {index} out of range"
-        );
+        self.check_measure_index(index);
         if mask != 0 {
             let faults = self.measure_faults.get_mut();
             let pending = faults.entry(index).or_insert(0);
@@ -194,6 +191,13 @@ impl QuantumControllerCache {
                 faults.remove(&index);
             }
         }
+    }
+
+    fn check_measure_index(&self, index: usize) {
+        assert!(
+            (index as u64) < self.layout.measure_entries(),
+            ".measure index {index} out of range"
+        );
     }
 
     /// Upsets detected and corrected by the `.measure` ECC decoder.
@@ -254,26 +258,19 @@ mod tests {
     use qtenon_isa::QubitId;
 
     impl QuantumControllerCache {
-        /// Writes a `.measure` entry.
+        /// Writes the `.measure` entry at `addr`.
         ///
         /// # Errors
         ///
         /// Returns [`MemError`] for unmapped or wrong-segment addresses.
-        fn write_measure(
-            &mut self,
-            port: AccessPort,
-            addr: QAddress,
-            value: u64,
-        ) -> Result<(), MemError> {
+        fn write_measure(&mut self, port: AccessPort, addr: QAddress) -> Result<(), MemError> {
             let idx = self.locate(port, addr, Segment::Measure)?;
-            self.deposit_measure(idx, value);
+            self.deposit_measure(idx);
             Ok(())
         }
 
-        /// Injects a single-event upset into the `.measure` entry at `addr`:
-        /// the raw array bits are flipped by `mask` until the next read
-        /// (SECDED correction) or write (check-bit refresh) of that entry.
-        /// A zero mask, or a second flip of the same bits, is a no-op.
+        /// Injects a single-event upset into the `.measure` entry at `addr`
+        /// (see [`poison_measure_index`](Self::poison_measure_index)).
         ///
         /// # Errors
         ///
@@ -347,13 +344,18 @@ mod tests {
         let (layout, mut qcc) = qcc();
         let m = layout.measure_entry(5).unwrap();
         let r = layout.regfile_entry(3).unwrap();
-        qcc.write_measure(AccessPort::Controller, m, 0xdead)
-            .unwrap();
+        // `.measure` holds no words: a write and a read of one entry are
+        // counted, and a write over a pending upset leaves nothing to
+        // correct.
+        qcc.poison_measure(m, 0b100).unwrap();
+        qcc.write_measure(AccessPort::Controller, m).unwrap();
+        qcc.read_measure(AccessPort::HostPublic, m).unwrap();
+        assert_eq!(qcc.ecc_corrections(), 0);
         qcc.write_regfile(AccessPort::HostPublic, r, 0xbeef)
             .unwrap();
-        assert_eq!(qcc.read_measure(AccessPort::HostPublic, m).unwrap(), 0xdead);
         assert_eq!(qcc.read_regfile(AccessPort::HostPublic, r).unwrap(), 0xbeef);
         assert_eq!(qcc.regfile_by_index(3), 0xbeef);
+        assert_eq!((qcc.writes(), qcc.reads()), (2, 3));
     }
 
     #[test]
@@ -540,15 +542,20 @@ mod tests {
     fn measure_upset_is_corrected_and_scrubbed_on_read() {
         let (layout, mut qcc) = qcc();
         let m = layout.measure_entry(2).unwrap();
-        qcc.write_measure(AccessPort::Controller, m, 0b1010)
-            .unwrap();
+        qcc.write_measure(AccessPort::Controller, m).unwrap();
         qcc.poison_measure(m, 0b0110).unwrap();
-        // The decoder corrects the flip: the caller sees the written value.
-        assert_eq!(qcc.read_measure(AccessPort::Controller, m).unwrap(), 0b1010);
+        // The decoder corrects the flip on the read path.
+        qcc.read_measure(AccessPort::Controller, m).unwrap();
         assert_eq!(qcc.ecc_corrections(), 1);
         // Scrubbed: the second read is clean, no new correction.
-        assert_eq!(qcc.read_measure(AccessPort::Controller, m).unwrap(), 0b1010);
+        qcc.read_measure(AccessPort::Controller, m).unwrap();
         assert_eq!(qcc.ecc_corrections(), 1);
+        // An upset that a later write refreshes is never corrected.
+        qcc.poison_measure(m, 0b0110).unwrap();
+        qcc.write_measure(AccessPort::Controller, m).unwrap();
+        qcc.read_measure(AccessPort::Controller, m).unwrap();
+        assert_eq!(qcc.ecc_corrections(), 1);
+        assert_eq!((qcc.writes(), qcc.reads()), (2, 3));
         let mut metrics = MetricsRegistry::new();
         qcc.export_metrics(&mut metrics, "mem.qcc");
         assert_eq!(metrics.len(), 3);
@@ -559,9 +566,10 @@ mod tests {
         let (layout, mut qcc) = qcc();
         let m = layout.measure_entry(0).unwrap();
         qcc.poison_measure(m, u64::MAX).unwrap();
-        qcc.write_measure(AccessPort::Controller, m, 77).unwrap();
-        assert_eq!(qcc.read_measure(AccessPort::Controller, m).unwrap(), 77);
+        qcc.write_measure(AccessPort::Controller, m).unwrap();
+        qcc.read_measure(AccessPort::Controller, m).unwrap();
         assert_eq!(qcc.ecc_corrections(), 0);
+        assert_eq!((qcc.writes(), qcc.reads()), (1, 1));
     }
 
     #[test]
@@ -571,7 +579,14 @@ mod tests {
         qcc.poison_measure(m, 0).unwrap();
         qcc.poison_measure(m, 0b11).unwrap();
         qcc.poison_measure(m, 0b11).unwrap();
-        assert_eq!(qcc.read_measure(AccessPort::Controller, m).unwrap(), 0);
+        qcc.read_measure(AccessPort::Controller, m).unwrap();
         assert_eq!(qcc.ecc_corrections(), 0);
+        // A flip on either side of a write does not cancel: the write
+        // refreshed the first, so only the second is corrected.
+        qcc.poison_measure(m, 0b11).unwrap();
+        qcc.write_measure(AccessPort::Controller, m).unwrap();
+        qcc.poison_measure(m, 0b11).unwrap();
+        qcc.read_measure(AccessPort::Controller, m).unwrap();
+        assert_eq!(qcc.ecc_corrections(), 1);
     }
 }

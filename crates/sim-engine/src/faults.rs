@@ -196,7 +196,8 @@ pub struct FaultPlan {
     pub pgu_fail: f64,
     /// Probability an SLT lookup observes a parity error (per lookup).
     pub slt_bitflip: f64,
-    /// Probability a QCC `.measure` read sees a correctable flip (per read).
+    /// Probability a QCC `.measure` write takes a correctable flip (per
+    /// deposited word).
     pub qcc_bitflip: f64,
     /// Probability an issued RBQ tag gets stuck (per flow).
     pub rbq_stuck: f64,

@@ -1,9 +1,11 @@
 //! Drive the Qtenon ISA by hand: assemble the five instructions, execute
-//! them against the integrated system, and read measurement results back
-//! through the soft memory barrier.
+//! them against the integrated system, time the transfer of the results
+//! back to host memory, and check the shots `q_run` returned.
 //!
 //! This is the path a firmware author would take — no VQA runner, just
-//! `q_set` / `q_update` / `q_gen` / `q_run` / `q_acquire`.
+//! `q_set` / `q_update` / `q_gen` / `q_run` / `q_acquire`. The model is
+//! timed: `q_run` hands back the measured shots, and `q_acquire` charges
+//! moving their packed `.measure` words over the bus into host memory.
 //!
 //! ```text
 //! cargo run --release --example isa_playground
@@ -12,7 +14,6 @@
 use qtenon::compiler::QtenonCompiler;
 use qtenon::core::config::{CoreModel, QtenonConfig};
 use qtenon::core::system::QtenonSystem;
-use qtenon::core::vqa::unpack_measurements;
 use qtenon::isa::Instruction;
 use qtenon::quantum::{transpile, Circuit};
 use qtenon::sim_engine::SimTime;
@@ -83,18 +84,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         shots, outcome.shot_duration, outcome.complete
     );
 
-    // --- q_acquire: pull the packed results to host memory.
+    // --- q_acquire: move the packed results (one 64-bit `.measure` word
+    // per 4-qubit shot) to host memory. The host may read the buffer once
+    // the transfer completes.
     let measure_base = config.layout.measure_entry(0)?;
     let host_buf = 0x9000_0000u64;
-    let (words, done) = system.q_acquire(outcome.complete, measure_base, shots, host_buf)?;
-    println!("q_acquire complete at {done}");
+    let done = system.q_acquire(outcome.complete, measure_base, shots, host_buf)?;
+    println!(
+        "q_acquire: {shots} words to {host_buf:#x}, took {}, done at {done}",
+        done.saturating_since(outcome.complete)
+    );
 
-    // The barrier says when the host may touch the buffer.
-    assert!(system.barrier_mut().is_synced(host_buf));
-
-    let results = unpack_measurements(&words, n, shots);
     println!("\nshots (q3 q2 q1 q0):");
-    for bits in &results {
+    for bits in &outcome.shots {
         // Bell pair: qubits 0 and 1 always agree.
         assert_eq!(bits.get(0), bits.get(1), "Bell correlation violated");
         println!("  {bits}");

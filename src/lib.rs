@@ -18,8 +18,8 @@
 //! - [`isa`]: QAddress space, RoCC encodings, the five Qtenon
 //!   instructions, program-entry formats;
 //! - [`mem`]: caches, DRAM, the quantum controller cache, QSpace;
-//! - [`controller`]: RBQ, memory barrier, TileLink bus, SLT, PGU
-//!   pool, pulse pipeline, ADI latency;
+//! - [`controller`]: RBQ, TileLink bus, SLT, PGU pool, pulse
+//!   pipeline, ADI latency;
 //! - [`compiler`]: Qtenon compilation + dynamic incremental compilation,
 //!   and the baseline JIT model;
 //! - [`core`]: the integrated tightly coupled system and VQA runner;

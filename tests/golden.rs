@@ -286,8 +286,8 @@ fn traced_ops(faults: FaultPlan, rounds: usize) -> (String, QtenonSystem) {
     let t = sys.q_update(t, reg, 11).expect("q_update");
     let (_, t) = sys.q_gen(t, &items(11)).expect("q_gen");
     let t = sys.q_run(t, &circuit, 8).expect("q_run").complete;
-    let (_, t) = sys.q_acquire(t, measure, 8, 0xA000).expect("q_acquire");
-    let mut t = sys.put_results(t, 0xB000, 64).expect("put");
+    let t = sys.q_acquire(t, measure, 8, 0xA000).expect("q_acquire");
+    let mut t = sys.put_results(t, 64).expect("put");
     for round in 0..rounds as u32 {
         t = sys.q_update(t, reg, 12 + round).expect("q_update");
         let (_, tg) = sys.q_gen(t, &items(12 + round)).expect("q_gen");
@@ -380,7 +380,6 @@ fn render_report(out: &mut String, label: &str, r: &RunReport) {
         r.pulses_generated, r.pulse_reduction
     )
     .unwrap();
-    writeln!(out, "host_cycles {}", r.host_cycles).unwrap();
     writeln!(out, "slt {:?}", r.slt).unwrap();
     writeln!(out, "resilience {:?}", r.resilience).unwrap();
     out.push_str(&r.phases.render("phase"));
