@@ -226,11 +226,7 @@ pub fn table1(scale: &ExperimentScale) -> TextTable {
     // Count the dedicated ISA's instructions from a real emitted stream.
     let eqasm = qtenon_compiler::EqasmProgram::emit(&bound).expect("within 128 qubits");
     let gd_evals = 2 * workload.num_params() as u64 * 10;
-    let qtenon_static = program.load_instructions(0).len() as u64
-        + program.slots().len() as u64
-        + program.gen_instructions().len() as u64
-        + program.slots().len() as u64
-        + 3;
+    let qtenon_static = program.static_instructions();
     t.row(vec![
         "instructions (64q QAOA-5, 10 GD iters)".into(),
         format!(

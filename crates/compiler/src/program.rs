@@ -136,20 +136,14 @@ impl CompiledProgram {
             .collect()
     }
 
-    /// One `q_gen` per non-empty chunk, covering exactly the used entries.
-    pub fn gen_instructions(&self) -> Vec<Instruction> {
-        self.chunks
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.is_empty())
-            .map(|(q, c)| Instruction::QGen {
-                qaddr: self
-                    .layout
-                    .program_entry(QubitId::new(q as u32), 0)
-                    .expect("chunk fits layout"),
-                length: c.len() as u64,
-            })
-            .collect()
+    /// Static instruction count of the program text (Table 1's code-size
+    /// comparison). Setup is one `q_set` and one `q_gen` per non-empty
+    /// chunk plus one `q_update` per slot; the loop body is a worst-case
+    /// `q_update` per slot plus `q_gen`, `q_run` and `q_acquire`.
+    pub fn static_instructions(&self) -> u64 {
+        let used_chunks = self.chunks.iter().filter(|c| !c.is_empty()).count() as u64;
+        let slots = self.slots.len() as u64;
+        2 * used_chunks + 2 * slots + 3
     }
 
     /// The encoded register value of every slot for `params`, in slot
@@ -469,16 +463,28 @@ mod tests {
     }
 
     #[test]
-    fn gen_instructions_cover_used_entries() {
+    fn static_instructions_count_used_chunks_and_slots() {
         let mut c = Circuit::new(8);
         c.rx(2, 0.1).rx(2, 0.2);
         let p = QtenonCompiler::new(layout()).compile(&c).unwrap();
-        let gens = p.gen_instructions();
-        assert_eq!(gens.len(), 1);
-        match gens[0] {
-            Instruction::QGen { length, .. } => assert_eq!(length, 2),
-            ref other => panic!("expected q_gen, got {other}"),
-        }
+        // q_set + q_gen for the one used chunk, then q_gen, q_run and
+        // q_acquire in the loop body.
+        assert_eq!(p.static_instructions(), 2 + 3);
+        let mut c = Circuit::new(8);
+        c.rx_param(0, ParamId::new(0))
+            .ry_param(5, ParamId::new(1))
+            .rx(5, 0.3);
+        let p = QtenonCompiler::new(layout()).compile(&c).unwrap();
+        assert_eq!(p.slots().len(), 2);
+        // Two used chunks and two slots, each slot bound at setup and
+        // updated in the loop body.
+        assert_eq!(p.static_instructions(), 2 * 2 + 2 * 2 + 3);
+        assert_eq!(
+            p.static_instructions(),
+            (p.load_instructions(0).len() + p.bind_instructions(&[0.1, 0.2]).unwrap().len()) as u64
+                * 2
+                + 3
+        );
     }
 
     #[test]

@@ -75,8 +75,6 @@ pub struct TileLinkBus {
     latency: Histogram,
     /// Retransmissions performed after injected drops/corruptions.
     retries: u64,
-    /// Transactions abandoned after exhausting the retry budget.
-    retries_exhausted: u64,
 }
 
 impl TileLinkBus {
@@ -89,7 +87,6 @@ impl TileLinkBus {
             bytes_moved: 0,
             latency: Histogram::new(),
             retries: 0,
-            retries_exhausted: 0,
         }
     }
 
@@ -162,7 +159,6 @@ impl TileLinkBus {
                 let retry_at = first.complete + plan.backoff(attempt - 1);
                 self.attempt(retry_at, bytes);
             }
-            self.retries_exhausted += 1;
             return Err(ControllerError::BusRetriesExhausted { attempts: budget });
         }
         // Each failed attempt occupies the link for its beats, then the
@@ -197,7 +193,6 @@ impl TileLinkBus {
         self.bytes_moved = 0;
         self.latency.reset();
         self.retries = 0;
-        self.retries_exhausted = 0;
     }
 }
 

@@ -62,9 +62,9 @@ pub struct Dispatch {
 pub struct PguPool {
     config: PguConfig,
     busy_until: Vec<SimTime>,
-    dispatched: u64,
     /// Request-to-start wait of each dispatch, in nanoseconds (zero when
-    /// a unit was free immediately).
+    /// a unit was free immediately); its count is the number of
+    /// dispatches, re-dispatches included.
     wait: Histogram,
     /// Injected stalls observed (extra busy cycles).
     stalls: u64,
@@ -85,7 +85,6 @@ impl PguPool {
         Ok(PguPool {
             config,
             busy_until: vec![SimTime::ZERO; config.units],
-            dispatched: 0,
             wait: Histogram::new(),
             stalls: 0,
             redispatches: 0,
@@ -125,7 +124,6 @@ impl PguPool {
         };
         let done = start + self.pulse_latency();
         self.busy_until[unit] = done;
-        self.dispatched += 1;
         self.wait
             .record(start.saturating_since(now).as_ps() / 1_000);
         Dispatch { unit, start, done }
@@ -167,11 +165,6 @@ impl PguPool {
         Ok(d)
     }
 
-    /// Total pulses dispatched.
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched
-    }
-
     /// Injected stalls observed so far.
     pub(crate) fn stalls(&self) -> u64 {
         self.stalls
@@ -183,16 +176,15 @@ impl PguPool {
     }
 
     /// Registers pool statistics under `prefix` (e.g. `controller.pgu`).
-    pub(crate) fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
+    /// The dispatch count is `{prefix}.wait_ns`'s sample count.
+    pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
         m.gauge(&format!("{prefix}.units"), self.config.units as f64);
-        m.counter(&format!("{prefix}.dispatched"), self.dispatched);
         m.histogram(&format!("{prefix}.wait_ns"), &self.wait);
     }
 
     /// Returns all units to idle at time zero.
     pub(crate) fn reset(&mut self) {
         self.busy_until.fill(SimTime::ZERO);
-        self.dispatched = 0;
         self.wait.reset();
         self.stalls = 0;
         self.redispatches = 0;
@@ -253,7 +245,7 @@ mod tests {
         }
         // 80 jobs over 8 units = 10 sequential rounds of 1 µs.
         assert_eq!(last_done, at(10_000));
-        assert_eq!(pool.dispatched(), 80);
+        assert_eq!(pool.wait.count(), 80);
     }
 
     #[test]

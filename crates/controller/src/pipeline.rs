@@ -55,8 +55,6 @@ pub struct PipelineReport {
     /// Total PGU busy time summed across dispatches (overlapping units
     /// accumulate, so this can exceed `total_time`).
     pub pgu_busy: SimDuration,
-    /// SLT statistics delta for this run.
-    pub slt: SltStats,
 }
 
 /// The pipeline: SLT + PGU pool + stage timing.
@@ -89,8 +87,6 @@ pub struct PulsePipeline {
     total_entries: u64,
     /// Cumulative pulses generated across runs.
     total_generated: u64,
-    /// Cumulative stall time across runs.
-    total_stall: SimDuration,
 }
 
 impl PulsePipeline {
@@ -110,7 +106,6 @@ impl PulsePipeline {
             fresh: Vec::new(),
             total_entries: 0,
             total_generated: 0,
-            total_stall: SimDuration::ZERO,
         })
     }
 
@@ -140,7 +135,6 @@ impl PulsePipeline {
         faults: &mut FaultInjector,
     ) -> Result<(PipelineReport, &[QAddress]), ControllerError> {
         let cycle = self.config.clock.period();
-        let slt_before = self.slt.stats();
         self.fresh.clear();
         let mut stall_time = SimDuration::ZERO;
         let mut pgu_busy = SimDuration::ZERO;
@@ -182,7 +176,6 @@ impl PulsePipeline {
             last_complete = last_complete.max(complete);
         }
 
-        let slt_after = self.slt.stats();
         let report = PipelineReport {
             total_time: last_complete.saturating_since(start),
             entries: items.len() as u64,
@@ -190,19 +183,9 @@ impl PulsePipeline {
             stall_time,
             front_time: front.saturating_since(start),
             pgu_busy,
-            slt: SltStats {
-                lookups: slt_after.lookups - slt_before.lookups,
-                hits: slt_after.hits - slt_before.hits,
-                qspace_hits: slt_after.qspace_hits - slt_before.qspace_hits,
-                allocations: slt_after.allocations - slt_before.allocations,
-                evictions: slt_after.evictions - slt_before.evictions,
-                parity_invalidations: slt_after.parity_invalidations
-                    - slt_before.parity_invalidations,
-            },
         };
         self.total_entries += report.entries;
         self.total_generated += report.generated;
-        self.total_stall += report.stall_time;
         Ok((report, &self.fresh))
     }
 
@@ -228,16 +211,14 @@ impl PulsePipeline {
 
     /// Registers pipeline, SLT, and PGU statistics under `prefix`
     /// (e.g. `controller`), yielding `controller.pipeline.*`,
-    /// `controller.slt.*`, and `controller.pgu.*`.
+    /// `controller.slt.*`, and `controller.pgu.*`. The stall time is not
+    /// among them: the caller records each report's
+    /// [`stall_time`](PipelineReport::stall_time) once, in its profile.
     pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
         m.counter(&format!("{prefix}.pipeline.entries"), self.total_entries);
         m.counter(
             &format!("{prefix}.pipeline.generated"),
             self.total_generated,
-        );
-        m.gauge(
-            &format!("{prefix}.pipeline.stall_ns"),
-            self.total_stall.as_ns(),
         );
         self.slt.export_metrics(m, &format!("{prefix}.slt"));
         self.pgus.export_metrics(m, &format!("{prefix}.pgu"));
@@ -250,7 +231,6 @@ impl PulsePipeline {
         self.pgus.reset();
         self.total_entries = 0;
         self.total_generated = 0;
-        self.total_stall = SimDuration::ZERO;
     }
 }
 
@@ -300,9 +280,9 @@ mod tests {
         let items = [rx(0, 1.0), rx(0, 1.0), rx(0, 1.0)];
         let (report, generated) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
         assert_eq!((report.entries, report.generated), (3, 1));
-        assert_eq!(report.slt.hits, 2);
         // Only the first occurrence is computed.
         assert_eq!(generated, [first_slot(0)]);
+        assert_eq!(p.slt_stats().hits, 2);
     }
 
     #[test]
@@ -342,8 +322,8 @@ mod tests {
         let items = [(QubitId::new(0), GateType::Idle, 0)];
         let (report, generated) = p.process(SimTime::ZERO, &items, &mut no_faults()).unwrap();
         assert_eq!(report.generated, 0);
-        assert_eq!(report.slt.lookups, 0);
         assert!(generated.is_empty());
+        assert_eq!(p.slt_stats().lookups, 0);
     }
 
     #[test]
@@ -382,12 +362,14 @@ mod tests {
         clean
             .process(SimTime::ZERO, &items, &mut no_faults())
             .unwrap(); // warm
+        let before = p.slt_stats();
         let (faulty, _) = p.process(SimTime::ZERO, &items, &mut inj).unwrap();
+        let after = p.slt_stats();
         let (warm, _) = clean
             .process(SimTime::ZERO, &items, &mut no_faults())
             .unwrap();
-        assert!(faulty.slt.parity_invalidations > 0);
-        assert!(faulty.generated + faulty.slt.qspace_hits > 0);
+        assert!(after.parity_invalidations > before.parity_invalidations);
+        assert!(faulty.generated + after.qspace_hits - before.qspace_hits > 0);
         assert!(
             faulty.total_time > warm.total_time,
             "degraded run must pay for recomputation"
@@ -444,9 +426,8 @@ mod tests {
         // Each fresh pulse has its own slot.
         let slots: std::collections::BTreeSet<_> = generated.iter().collect();
         assert_eq!(slots.len(), generated.len());
-        assert_eq!(
-            report.slt.lookups,
-            report.slt.hits + report.slt.qspace_hits + report.slt.allocations
-        );
+        let slt = p.slt_stats();
+        assert_eq!(slt.lookups, slt.hits + slt.qspace_hits + slt.allocations);
+        assert_eq!(slt.allocations, report.generated);
     }
 }

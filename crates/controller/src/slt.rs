@@ -335,7 +335,6 @@ impl SltController {
         }
         m.gauge(&format!("{prefix}.skip_rate"), s.skip_rate());
         m.counter(&format!("{prefix}.qspace.reads"), self.qspace.reads());
-        m.counter(&format!("{prefix}.qspace.writes"), self.qspace.writes());
     }
 
     /// Forgets all cached state (fresh run).

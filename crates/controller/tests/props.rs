@@ -5,7 +5,7 @@ use qtenon_prop::check;
 use qtenon_controller::pgu::{PguConfig, PguPool};
 use qtenon_controller::{ReorderBufferQueue, SltController};
 use qtenon_isa::{GateType, QccLayout, QubitId};
-use qtenon_sim_engine::{FaultInjector, FaultPlan, SimTime};
+use qtenon_sim_engine::{FaultInjector, FaultPlan, MetricValue, MetricsRegistry, SimTime};
 
 #[test]
 fn rbq_realigns_any_completion_order() {
@@ -48,7 +48,13 @@ fn pgu_pool_never_overlaps_a_unit() {
                 assert!(w[0].1 <= w[1].0, "unit double-booked");
             }
         }
-        assert_eq!(pool.dispatched(), jobs as u64);
+        // Every dispatch records one wait sample.
+        let mut m = MetricsRegistry::new();
+        pool.export_metrics(&mut m, "pgu");
+        match m.get("pgu.wait_ns") {
+            Some(MetricValue::Histogram(h)) => assert_eq!(h.count(), jobs as u64),
+            other => panic!("pgu.wait_ns is {other:?}"),
+        }
     });
 }
 

@@ -149,7 +149,8 @@ pub struct JobSpec {
     /// iteration boundaries in the VQA loop. `None` never times out.
     pub deadline: Option<SimDuration>,
     /// Chaos hook: panic deliberately at the start of every attempt.
-    /// Exercises the quarantine path end to end (tests, CI, `--chaos`).
+    /// Exercises the quarantine path end to end (tests and
+    /// `examples/chaos.json`).
     pub chaos_panic: bool,
     /// Chaos hook: fail (transiently) every attempt whose index is below
     /// this count, deterministically. `chaos_fail_attempts: 2` means
@@ -1213,10 +1214,6 @@ pub struct BatchSpec {
     pub fleet_seed: u64,
     /// Bounded-queue capacity.
     pub capacity: usize,
-    /// Fleet-default retry budget for jobs without their own `retries`.
-    pub retries: u32,
-    /// Fleet-default deadline for jobs without their own `deadline_ns`.
-    pub deadline: Option<SimDuration>,
     /// The jobs, in file order, with seeds already materialised — so
     /// filtering or reordering the list later cannot change any job's
     /// seed or artefacts.
@@ -1297,8 +1294,6 @@ impl BatchSpec {
         Ok(BatchSpec {
             fleet_seed,
             capacity,
-            retries: defaults.retry_budget,
-            deadline: defaults.deadline,
             jobs,
         })
     }
@@ -2082,8 +2077,6 @@ mod tests {
             ]
         }"#;
         let spec = BatchSpec::from_json(text).unwrap();
-        assert_eq!(spec.retries, 2);
-        assert_eq!(spec.deadline, Some(SimDuration::from_ns(500_000)));
         let inherits = &spec.jobs[0];
         assert_eq!(inherits.retry_budget, 2);
         assert_eq!(inherits.deadline, Some(SimDuration::from_ns(500_000)));

@@ -21,7 +21,7 @@ use qtenon_controller::rbq::Tag;
 use qtenon_controller::{
     AdiModel, ControllerError, ReadoutProcessor, ReorderBufferQueue, TileLinkBus,
 };
-use qtenon_isa::{GateType, ProgramEntry, QAddress, QubitId};
+use qtenon_isa::{GateType, QAddress, QubitId};
 use qtenon_mem::qcc::{AccessPort, QuantumControllerCache};
 use qtenon_mem::MemoryHierarchy;
 use qtenon_quantum::sim::Simulator;
@@ -575,27 +575,32 @@ impl QtenonSystem {
         Ok(self.retire(Op::Update, now, now + d, None))
     }
 
-    /// `q_set`: bulk-load program entries into a qubit chunk over
-    /// TileLink (data path ❷), reading the image from host memory.
+    /// `q_set`: bulk-load `length` program entries from host memory at
+    /// `classical_addr` into `.program` from `qaddr` on, over TileLink
+    /// (data path ❷). The operands are [`Instruction::QSet`]'s; the
+    /// entries themselves stay with the compiled program.
+    ///
+    /// [`Instruction::QSet`]: qtenon_isa::Instruction::QSet
     ///
     /// # Errors
     ///
-    /// Returns [`SystemError::Mem`] for bad destination addresses.
-    pub fn q_set_program(
+    /// Returns [`SystemError::Mem`] for a destination range that is not
+    /// all inside `.program`.
+    pub fn q_set(
         &mut self,
         now: SimTime,
         classical_addr: u64,
         qaddr: QAddress,
-        entries: &[ProgramEntry],
+        length: u64,
     ) -> Result<SimTime, SystemError> {
         let now = self.absorb_stall(now);
-        for i in 0..entries.len() as u64 {
+        for i in 0..length {
             self.qcc
                 .write_program(AccessPort::HostPublic, qaddr.offset(i)?)?;
         }
         // Source read walks the host hierarchy; the bus then moves the
         // 9-byte records. The two pipelines overlap, so charge the max.
-        let bytes = entries.len() as u64 * 9;
+        let bytes = length * 9;
         let read = self.hierarchy.access_range(classical_addr, bytes, false);
         self.profiler.record(self.phases.host_read, read);
         let transfer = self.bus_transfer(now, bytes)?;
@@ -960,9 +965,7 @@ mod tests {
         let mut sys = system(8);
         let layout = sys.config().layout;
         let qaddr = layout.program_entry(QubitId::new(2), 0).unwrap();
-        let entries =
-            vec![ProgramEntry::rotation(GateType::Rx, EncodedAngle::from_radians(0.3)); 16];
-        let done = sys.q_set_program(t0(), 0x8000, qaddr, &entries).unwrap();
+        let done = sys.q_set(t0(), 0x8000, qaddr, 16).unwrap();
         assert!(done > t0());
         use qtenon_sim_engine::MetricValue;
         let mut m = MetricsRegistry::new();
@@ -970,6 +973,47 @@ mod tests {
         assert_eq!(m.get("mem.qcc.writes"), Some(&MetricValue::Counter(16)));
         assert_eq!(sys.comm().q_set_count, 1);
         assert!(sys.comm().q_set > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn q_set_outside_program_fails_like_write_program() {
+        use qtenon_isa::Segment;
+        use qtenon_mem::MemError;
+        let mut sys = system(8);
+        let layout = sys.config().layout;
+        let chunk = layout.program_entries_per_qubit();
+        // The error `write_program` gives for the first bad address.
+        let locate = |addr| {
+            QuantumControllerCache::new(layout)
+                .write_program(AccessPort::HostPublic, addr)
+                .unwrap_err()
+        };
+        let mem_err = |r: Result<SimTime, SystemError>| match r {
+            Err(SystemError::Mem(e)) => e,
+            other => panic!("expected a memory error, got {other:?}"),
+        };
+
+        // Runs one entry past the last qubit's chunk, the end of
+        // `.program`, into the unmapped gap below `.regfile`.
+        let last = layout.program_entry(QubitId::new(7), 0).unwrap();
+        let past = last.offset(chunk).unwrap();
+        let err = mem_err(sys.q_set(t0(), 0x8000, last, chunk + 1));
+        assert_eq!(err, locate(past));
+        assert_eq!(err, MemError::BadAddress { addr: past });
+
+        // Starts in `.regfile`.
+        let reg = layout.regfile_entry(0).unwrap();
+        let err = mem_err(sys.q_set(t0(), 0x8000, reg, 1));
+        assert_eq!(err, locate(reg));
+        assert!(matches!(
+            err,
+            MemError::WrongSegment {
+                expected: Segment::Program,
+                actual: Segment::Regfile
+            }
+        ));
+        // A failed upload moves nothing over the bus.
+        assert_eq!(sys.comm().q_set_count, 0);
     }
 
     #[test]
@@ -1283,13 +1327,11 @@ mod tests {
             let mut sys = QtenonSystem::new(cfg).unwrap();
             let layout = sys.config().layout;
             let qaddr = layout.program_entry(QubitId::new(0), 0).unwrap();
-            let entries =
-                vec![ProgramEntry::rotation(GateType::Rx, EncodedAngle::from_radians(0.3)); 8];
             let mut c = Circuit::new(4);
             c.rx(0, std::f64::consts::PI).measure_all();
             let mut t = t0();
             for i in 0..25u32 {
-                t = sys.q_set_program(t, 0x8000, qaddr, &entries).unwrap();
+                t = sys.q_set(t, 0x8000, qaddr, 8).unwrap();
                 let items = vec![(
                     QubitId::new(0),
                     GateType::Ry,

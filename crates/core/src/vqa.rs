@@ -308,18 +308,6 @@ impl VqaRunner {
         &self.trajectory
     }
 
-    /// Static instruction count of the program text: setup instructions
-    /// plus one loop body (Table 1's code-size comparison).
-    pub(crate) fn static_instructions(&self) -> u64 {
-        let setup = self.program.load_instructions(HOST_PROGRAM_ADDR).len()
-            + self.program.slots().len()
-            + self.program.gen_instructions().len();
-        // Loop body: worst-case q_update per slot + q_gen + q_run +
-        // q_acquire.
-        let body = self.program.slots().len() + 3;
-        (setup + body) as u64
-    }
-
     /// Runs `iterations` optimizer iterations at `shots` shots per
     /// evaluation and returns the full report.
     ///
@@ -390,30 +378,14 @@ impl VqaRunner {
             now = self.system.host_segment(phases.compile_patch, now, d);
 
             let upload_start = now;
-            for (chunk_idx, instr) in self
-                .program
-                .load_instructions(HOST_PROGRAM_ADDR)
-                .into_iter()
-                .enumerate()
-            {
+            for instr in self.program.load_instructions(HOST_PROGRAM_ADDR) {
                 if let Instruction::QSet {
                     classical_addr,
                     qaddr,
-                    ..
+                    length,
                 } = instr
                 {
-                    // Find the chunk this q_set came from (chunks in order
-                    // of non-empty qubits).
-                    let entries = self
-                        .program
-                        .chunks()
-                        .iter()
-                        .filter(|c| !c.is_empty())
-                        .nth(chunk_idx)
-                        .expect("instruction per non-empty chunk");
-                    now = self
-                        .system
-                        .q_set_program(now, classical_addr, qaddr, entries)?;
+                    now = self.system.q_set(now, classical_addr, qaddr, length)?;
                 }
             }
             for instr in self.program.bind_instructions(&params)? {
@@ -483,7 +455,7 @@ impl VqaRunner {
             breakdown: phases.breakdown(self.system.profiler(), comm),
             comm,
             dynamic_instructions: self.system.dynamic_instructions(),
-            static_instructions: self.static_instructions(),
+            static_instructions: self.program.static_instructions(),
             pulses_generated,
             slt: self.system.slt_stats(),
             cost_history: self.trajectory.cost_history(),

@@ -5,7 +5,9 @@
 //! `--threads` and across `--profile` on/off, because wall-clock data
 //! lives in a separate, explicitly unstable section that is never
 //! exported. These tests enforce both axes on rendered bytes, not just
-//! parsed values, so `qtenon run --profile` output is covered too.
+//! parsed values, so `qtenon run --profile` output is covered too. One
+//! more checks that the phase and controller series conserve what each
+//! other series used to restate.
 
 use qtenon_core::config::{CoreModel, QtenonConfig};
 use qtenon_core::parallel::MIN_SHOTS_PER_SHARD;
@@ -218,4 +220,88 @@ fn empty_tables_render_fixed_placeholders() {
         SpanTable::default().render_critpath(),
         "no critical path recorded\n"
     );
+}
+
+/// The controller exports each fact once, and the series that remain
+/// still carry what three deleted ones restated: PGU dispatches are the
+/// `controller.pgu.wait_ns` samples, the pipeline's stall time is the
+/// `controller.pgu_stall` phase, and every SLT eviction wrote back to
+/// QSpace. Checked straight on `q_gen`, inert and under PGU and SLT
+/// faults.
+#[test]
+fn controller_series_conserve_the_dispatch_stall_and_writeback_tallies() {
+    use qtenon_compiler::QtenonCompiler;
+    use qtenon_core::system::QtenonSystem;
+    use qtenon_sim_engine::{FaultPlan, MetricValue, SimDuration, SimTime};
+
+    let counter = |m: &MetricsRegistry, path: &str| match m.get(path) {
+        Some(MetricValue::Counter(n)) => *n,
+        None => 0,
+        other => panic!("{path} is {other:?}"),
+    };
+    let faulty =
+        FaultPlan::parse("pgu_fail=0.2,pgu_stall=0.2,slt_bitflip=0.05,max_attempts=16,seed=3")
+            .expect("valid plan");
+    for plan in [FaultPlan::default(), faulty] {
+        let config = QtenonConfig::table4(8, CoreModel::Rocket)
+            .expect("valid config")
+            .with_faults(plan);
+        let workload = Workload::benchmark(WorkloadKind::Qaoa, 8, 7).expect("workload");
+        let program = QtenonCompiler::new(config.layout)
+            .compile(&workload.circuit)
+            .expect("compiles");
+        let rounds: Vec<_> = (0..24)
+            .map(|round| {
+                let params: Vec<f64> = (0..workload.num_params())
+                    .map(|i| 0.37 * (round * workload.num_params() + i) as f64)
+                    .collect();
+                program.work_items(&params).expect("binds")
+            })
+            .collect();
+        let mut sys = QtenonSystem::new(config).expect("system builds");
+        let mut t = SimTime::ZERO;
+        let mut stall = SimDuration::ZERO;
+        let mut gen = |sys: &mut QtenonSystem, t: &mut SimTime| {
+            for items in &rounds {
+                let (report, done) = sys.q_gen(*t, items).expect("q_gen");
+                stall += report.stall_time;
+                *t = done;
+            }
+            let mut m = MetricsRegistry::new();
+            sys.export_metrics(&mut m);
+            m
+        };
+        let first = gen(&mut sys, &mut t);
+        // Replaying every request: a pulse the SLT evicted is found
+        // again in QSpace, never generated again, unless a parity flip
+        // dropped its SLT entry before any write-back.
+        let m = gen(&mut sys, &mut t);
+        let generated = counter(&m, "controller.pipeline.generated");
+        let regenerated = generated - counter(&first, "controller.pipeline.generated");
+        let evictions = counter(&m, "controller.slt.evictions");
+        assert!(evictions > counter(&first, "controller.slt.evictions"));
+        assert!(counter(&m, "controller.slt.qspace_hits") > 0);
+        assert!(regenerated <= counter(&m, "controller.slt.parity_invalidations"));
+
+        // One wait sample per PGU attempt: each generated pulse plus each
+        // re-dispatch after a bad pulse.
+        let redispatches = counter(&m, "resilience.pgu_redispatches");
+        let waits = match m.get("controller.pgu.wait_ns") {
+            Some(MetricValue::Histogram(h)) => h.count(),
+            other => panic!("controller.pgu.wait_ns is {other:?}"),
+        };
+        assert_eq!(waits, generated + redispatches);
+        // Every report's stall time lands in the phase, once.
+        let stall_ns = counter(&m, "profile.controller.pgu_stall.sim_total_ns");
+        assert!(stall_ns > 0);
+        assert_eq!(stall_ns as f64, stall.as_ns());
+
+        if plan.is_active() {
+            assert!(redispatches > 0);
+            assert!(counter(&m, "controller.slt.parity_invalidations") > 0);
+        } else {
+            assert_eq!(regenerated, 0);
+            assert_eq!(redispatches, 0);
+        }
+    }
 }

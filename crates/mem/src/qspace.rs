@@ -80,7 +80,6 @@ pub struct QSpace {
     table: TagMap,
     n_qubits: u32,
     reads: u64,
-    writes: u64,
 }
 
 /// The table key of `tag` in `qubit`'s region: the qubit above the
@@ -99,7 +98,6 @@ impl QSpace {
             ),
             n_qubits,
             reads: 0,
-            writes: 0,
         }
     }
 
@@ -120,14 +118,15 @@ impl QSpace {
         self.table.get(&key(qubit, tag)).copied()
     }
 
-    /// Stores (or overwrites) a tag→pulse mapping for one qubit.
+    /// Stores (or overwrites) a tag→pulse mapping for one qubit. Only
+    /// an SLT eviction writes back, so the write side of data path ❸ is
+    /// counted once, as the SLT's evictions.
     ///
     /// # Panics
     ///
     /// Panics if `qubit` or `tag` is out of range.
     pub fn store(&mut self, qubit: u32, tag: u32, qaddr: QAddress) {
         self.check(qubit, tag);
-        self.writes += 1;
         self.table.insert(key(qubit, tag), QSpaceEntry { qaddr });
     }
 
@@ -136,16 +135,10 @@ impl QSpace {
         self.reads
     }
 
-    /// Total QSpace writes performed (data path ❸ traffic, write side).
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
     /// Clears all mappings and statistics, keeping the table's storage.
     pub fn reset(&mut self) {
         self.table.clear();
         self.reads = 0;
-        self.writes = 0;
     }
 }
 
@@ -200,10 +193,9 @@ mod tests {
         qs.store(0, 1, qa(1));
         qs.lookup(0, 1);
         qs.lookup(0, 2);
-        assert_eq!(qs.writes(), 1);
         assert_eq!(qs.reads(), 2);
         qs.reset();
-        assert_eq!(qs.reads() + qs.writes(), 0);
+        assert_eq!(qs.reads(), 0);
         assert_eq!(qs.occupancy(0), 0);
     }
 

@@ -51,16 +51,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if let Instruction::QSet {
             classical_addr,
             qaddr,
-            ..
+            length,
         } = instr
         {
-            let chunk_qubit = config.layout.decode(qaddr)?.qubit.expect("program chunk");
-            now = system.q_set_program(
-                now,
-                classical_addr,
-                qaddr,
-                &program.chunks()[chunk_qubit.index() as usize],
-            )?;
+            now = system.q_set(now, classical_addr, qaddr, length)?;
         }
     }
     println!("program loaded at {now}");

@@ -457,22 +457,11 @@ fn run() -> Result<(), String> {
                 if let qtenon::isa::Instruction::QSet {
                     classical_addr,
                     qaddr,
-                    ..
+                    length,
                 } = instr
                 {
-                    let q = config
-                        .layout
-                        .decode(qaddr)
-                        .map_err(|e| e.to_string())?
-                        .qubit
-                        .expect("program chunk");
                     now = system
-                        .q_set_program(
-                            now,
-                            classical_addr,
-                            qaddr,
-                            &program.chunks()[q.index() as usize],
-                        )
+                        .q_set(now, classical_addr, qaddr, length)
                         .map_err(|e| e.to_string())?;
                 }
             }

@@ -17,7 +17,7 @@ use qtenon_core::parallel::MIN_SHOTS_PER_SHARD;
 use qtenon_core::report::RunReport;
 use qtenon_core::system::QtenonSystem;
 use qtenon_core::vqa::VqaRunner;
-use qtenon_isa::{EncodedAngle, GateType, ProgramEntry, QubitId};
+use qtenon_isa::{GateType, QubitId};
 use qtenon_quantum::Circuit;
 use qtenon_sim_engine::{
     FaultPlan, FaultSite, MetricValue, MetricsRegistry, MetricsSnapshot, SimDuration, SimTime,
@@ -254,7 +254,7 @@ fn wide_metrics_json_matches_golden_at_any_thread_count() {
 const STUCK_ROUNDS: usize = 40;
 
 /// The traced ISA sequence behind the trace goldens, straight on a
-/// 4-qubit system: `q_set_program`, `q_update`, `q_gen`, `q_run`,
+/// 4-qubit system: `q_set`, `q_update`, `q_gen`, `q_run`,
 /// `q_acquire`, `put_results`, then `rounds` repeats of a second
 /// `q_update`/`q_gen`/`q_run` block, then `trace_critpath`. Returns the
 /// Chrome JSON and the system, for the callers' extra checks.
@@ -267,7 +267,6 @@ fn traced_ops(faults: FaultPlan, rounds: usize) -> (String, QtenonSystem) {
     let mut sys = QtenonSystem::new(config).expect("system builds");
     sys.set_tracing(true);
     sys.critpath_mut().open_at(SimTime::ZERO);
-    let entries = vec![ProgramEntry::rotation(GateType::Rx, EncodedAngle::from_radians(0.3)); 8];
     let program = layout.program_entry(QubitId::new(0), 0).expect("program");
     let reg = layout.regfile_entry(0).expect("regfile");
     let measure = layout.measure_entry(0).expect("measure");
@@ -280,9 +279,7 @@ fn traced_ops(faults: FaultPlan, rounds: usize) -> (String, QtenonSystem) {
         ]
     };
 
-    let t = sys
-        .q_set_program(SimTime::ZERO, 0x8000, program, &entries)
-        .expect("q_set");
+    let t = sys.q_set(SimTime::ZERO, 0x8000, program, 8).expect("q_set");
     let t = sys.q_update(t, reg, 11).expect("q_update");
     let (_, t) = sys.q_gen(t, &items(11)).expect("q_gen");
     let t = sys.q_run(t, &circuit, 8).expect("q_run").complete;

@@ -36,16 +36,15 @@ fn ghz_state_measured_through_the_full_path() {
         if let Instruction::QSet {
             classical_addr,
             qaddr,
-            ..
-        } = load
+            length,
+        } = *load
         {
             assert_eq!(
-                config.layout.decode(*qaddr).unwrap().qubit.unwrap().index(),
+                config.layout.decode(qaddr).unwrap().qubit.unwrap().index(),
                 q as u32
             );
-            now = sys
-                .q_set_program(now, *classical_addr, *qaddr, chunk)
-                .unwrap();
+            assert_eq!(length, chunk.len() as u64);
+            now = sys.q_set(now, classical_addr, qaddr, length).unwrap();
         }
     }
     // Generate pulses and run.
@@ -97,18 +96,10 @@ fn q_update_changes_subsequent_runs() {
         if let Instruction::QSet {
             classical_addr,
             qaddr,
-            ..
+            length,
         } = instr
         {
-            let q = config.layout.decode(qaddr).unwrap().qubit.unwrap();
-            now = sys
-                .q_set_program(
-                    now,
-                    classical_addr,
-                    qaddr,
-                    &program.chunks()[q.index() as usize],
-                )
-                .unwrap();
+            now = sys.q_set(now, classical_addr, qaddr, length).unwrap();
         }
     }
 
@@ -220,18 +211,10 @@ fn tracing_records_the_whole_instruction_flow() {
         if let Instruction::QSet {
             classical_addr,
             qaddr,
-            ..
+            length,
         } = instr
         {
-            let q = config.layout.decode(qaddr).unwrap().qubit.unwrap();
-            now = sys
-                .q_set_program(
-                    now,
-                    classical_addr,
-                    qaddr,
-                    &program.chunks()[q.index() as usize],
-                )
-                .unwrap();
+            now = sys.q_set(now, classical_addr, qaddr, length).unwrap();
         }
     }
     let items = program.work_items(&[]).unwrap();
