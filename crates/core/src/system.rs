@@ -21,9 +21,10 @@ use qtenon_controller::rbq::Tag;
 use qtenon_controller::{
     AdiModel, ControllerError, ReadoutProcessor, ReorderBufferQueue, TileLinkBus,
 };
-use qtenon_isa::{GateType, QAddress, QubitId};
+use qtenon_isa::qaddress::DecodedAddress;
+use qtenon_isa::{GateType, QAddress, QubitId, Segment};
 use qtenon_mem::qcc::{AccessPort, QuantumControllerCache};
-use qtenon_mem::MemoryHierarchy;
+use qtenon_mem::{MemError, MemoryHierarchy};
 use qtenon_quantum::sim::Simulator;
 use qtenon_quantum::{BitString, Circuit, CircuitTiming, FuseStats};
 use qtenon_sim_engine::{
@@ -585,7 +586,11 @@ impl QtenonSystem {
     /// # Errors
     ///
     /// Returns [`SystemError::Mem`] for a destination range that is not
-    /// all inside `.program`.
+    /// all inside `.program`, with `write_program`'s error for the first
+    /// address outside it, or that runs from one qubit's chunk into the
+    /// next one's ([`MemError::ChunkOverrun`]), before writing anything.
+    ///
+    /// [`MemError::ChunkOverrun`]: qtenon_mem::MemError::ChunkOverrun
     pub fn q_set(
         &mut self,
         now: SimTime,
@@ -594,6 +599,26 @@ impl QtenonSystem {
         length: u64,
     ) -> Result<SimTime, SystemError> {
         let now = self.absorb_stall(now);
+        let layout = &self.config.layout;
+        if let Ok(DecodedAddress {
+            segment: Segment::Program,
+            qubit: Some(qubit),
+            entry,
+        }) = layout.decode(qaddr)
+        {
+            // Past the last qubit's chunk `.program` ends, and the loop
+            // below fails at the first address outside it.
+            let chunk = layout.program_entries_per_qubit();
+            if length > chunk - entry && qubit.index() + 1 < layout.n_qubits() {
+                return Err(MemError::ChunkOverrun {
+                    qubit,
+                    entry,
+                    length,
+                    chunk,
+                }
+                .into());
+            }
+        }
         for i in 0..length {
             self.qcc
                 .write_program(AccessPort::HostPublic, qaddr.offset(i)?)?;
@@ -1014,6 +1039,49 @@ mod tests {
         ));
         // A failed upload moves nothing over the bus.
         assert_eq!(sys.comm().q_set_count, 0);
+    }
+
+    #[test]
+    fn q_set_past_its_qubit_chunk_fails_before_writing() {
+        let mut sys = system(8);
+        let layout = sys.config().layout;
+        let chunk = layout.program_entries_per_qubit();
+        let at = |q, entry| layout.program_entry(QubitId::new(q), entry).unwrap();
+
+        // 5 entries into qubit 1's chunk: every address is in `.program`,
+        // but the load is refused whole.
+        let err = sys.q_set(t0(), 0x8000, at(0, 0), chunk + 5).unwrap_err();
+        let overrun = MemError::ChunkOverrun {
+            qubit: QubitId::new(0),
+            entry: 0,
+            length: chunk + 5,
+            chunk,
+        };
+        assert!(
+            matches!(&err, SystemError::Mem(e) if *e == overrun),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "memory error: {} entries from entry 0 of q0's .program chunk overrun its \
+                 {chunk} entries",
+                chunk + 5
+            )
+        );
+        // From mid-chunk, one entry too many.
+        let err = sys.q_set(t0(), 0x8000, at(3, 7), chunk - 6).unwrap_err();
+        assert!(matches!(
+            err,
+            SystemError::Mem(MemError::ChunkOverrun { entry: 7, .. })
+        ));
+        assert_eq!(qcc_count(&sys, "writes"), 0);
+        assert_eq!(sys.comm().q_set_count, 0);
+
+        // Filling a chunk to its last entry is fine, the last qubit's too.
+        sys.q_set(t0(), 0x8000, at(3, 7), chunk - 7).unwrap();
+        sys.q_set(t0(), 0x8000, at(7, 0), chunk).unwrap();
+        assert_eq!(qcc_count(&sys, "writes"), 2 * chunk - 7);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use qspace::QSpace;
 
 use std::fmt;
 
-use qtenon_isa::{QAddress, Segment};
+use qtenon_isa::{QAddress, QubitId, Segment};
 
 /// Errors from memory-model operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,6 +65,18 @@ pub enum MemError {
         /// The offending address.
         addr: QAddress,
     },
+    /// A bulk `.program` load ran past the end of its qubit's chunk into
+    /// the next qubit's.
+    ChunkOverrun {
+        /// The qubit whose chunk the load starts in.
+        qubit: QubitId,
+        /// The first entry written, within that chunk.
+        entry: u64,
+        /// The entries the load asked for.
+        length: u64,
+        /// Entries per qubit chunk.
+        chunk: u64,
+    },
     /// A cache/hierarchy configuration was invalid.
     BadConfig {
         /// Description of the invalid configuration.
@@ -82,6 +94,16 @@ impl fmt::Display for MemError {
                 write!(f, "expected a {expected} address, got {actual}")
             }
             MemError::BadAddress { addr } => write!(f, "unmapped quantum address {addr}"),
+            MemError::ChunkOverrun {
+                qubit,
+                entry,
+                length,
+                chunk,
+            } => write!(
+                f,
+                "{length} entries from entry {entry} of {qubit}'s .program chunk \
+                 overrun its {chunk} entries"
+            ),
             MemError::BadConfig { message } => write!(f, "bad memory config: {message}"),
         }
     }

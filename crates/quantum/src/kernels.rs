@@ -58,12 +58,16 @@
 //! in every one of the four slices, which is what lets the sweeps fill
 //! vector lanes. One source has three instances ([`KernelInstance`]):
 //! `apply_ops_body` compiled for the baseline target and with AVX2 (4
-//! lanes), and an AVX-512F instance that sweeps blocks through the same
+//! lanes), and an AVX-512 instance that sweeps blocks through the same
 //! `apply_block` at 8 lanes and hands `(0, 1)` blocks, single-qubit
 //! runs and CZs, which measured no faster at 8 lanes, to the AVX2 code.
-//! `apply_ops` picks the widest instance the CPU runs, once per plan. Every instance performs the same IEEE operations on
-//! every element, and Rust never fuses a multiply and an add into one
-//! rounding, so the instances agree bit for bit.
+//! `apply_ops` picks the widest instance the CPU runs, once per plan.
+//! Every instance performs the same IEEE operations on every element,
+//! and Rust never fuses a multiply and an add into one rounding, so the
+//! instances agree bit for bit. The instances are generic over the
+//! `Body` they run, so the mean-field shot draw of [`crate::sim`]
+//! goes through the same dispatch: 8 SplitMix64 streams per register in
+//! the AVX-512 instance, which therefore also needs AVX-512DQ.
 //!
 //! The three structured classes drop only products with matrix entries
 //! that are bit-exact `+0.0`. With finite amplitudes those products are
@@ -289,9 +293,9 @@ impl Kernel1Q {
     }
 }
 
-/// A compiled instance of the kernel body: the same source, built for
-/// the baseline target, with AVX2, or with AVX-512F. Every instance
-/// performs the same IEEE operations on every element, so the bits
+/// A compiled instance of the kernel bodies: the same source, built for
+/// the baseline target, with AVX2, or with AVX-512F and AVX-512DQ. Every
+/// instance performs the same operations on every element, so the bits
 /// never depend on which one runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelInstance {
@@ -299,8 +303,10 @@ pub enum KernelInstance {
     Baseline,
     /// `#[target_feature(enable = "avx2")]`, 4 `f64` lanes.
     Avx2,
-    /// `#[target_feature(enable = "avx512f")]`: 8-lane block sweeps but
-    /// for `(0, 1)`; every other op through the AVX2 instance.
+    /// `#[target_feature(enable = "avx512f,avx512dq")]`: 8-lane block
+    /// sweeps but for `(0, 1)`, every other plan op through the AVX2
+    /// instance; 8 mean-field shot streams per register, multiplied with
+    /// `vpmullq`.
     Avx512,
 }
 
@@ -324,7 +330,11 @@ impl KernelInstance {
                 KernelInstance::Baseline => true,
                 KernelInstance::Avx2 => has!("avx2"),
                 KernelInstance::Avx512 => {
-                    has!("avx512f") && has!("avx2") && has!("fma") && has!("f16c")
+                    has!("avx512f")
+                        && has!("avx512dq")
+                        && has!("avx2")
+                        && has!("fma")
+                        && has!("f16c")
                 }
             }
         }
@@ -342,22 +352,80 @@ impl KernelInstance {
     }
 }
 
+/// Work the kernel instances run: ops that write two buffers, `re` and
+/// `im`, compiled into every instance for that instance's target. A
+/// plan's [`PlanOp`]s sweep split-complex amplitudes; a mean-field shot
+/// draw (`crate::sim::ShotDraw`) fills shots and their streams' end
+/// states. Implementations are `#[inline(always)]`, so each instance
+/// holds its own copy of the body.
+pub(crate) trait Body {
+    /// The first buffer the ops write.
+    type Re: ?Sized;
+    /// The second buffer the ops write.
+    type Im: ?Sized;
+
+    /// The body of the baseline and the AVX2 instance.
+    fn narrow(re: &mut Self::Re, im: &mut Self::Im, ops: &Self);
+
+    /// The body of the AVX-512 instance. `avx2` runs ops through the AVX2
+    /// instance, for the ops that measured no faster at 8 lanes.
+    fn wide(
+        re: &mut Self::Re,
+        im: &mut Self::Im,
+        ops: &Self,
+        avx2: impl Fn(&mut Self::Re, &mut Self::Im, &Self),
+    );
+}
+
+/// A plan: every op in order ([`apply_ops_body`]); at 8 lanes, two-qubit
+/// blocks but for `(0, 1)` sweep through [`apply_block`] with `L = 8`,
+/// and `(0, 1)` blocks, single-qubit runs and CZs run the AVX2 instance's
+/// code.
+impl Body for [PlanOp] {
+    type Re = [f64];
+    type Im = [f64];
+
+    #[inline(always)]
+    fn narrow(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
+        apply_ops_body(re, im, ops);
+    }
+
+    #[inline(always)]
+    fn wide(
+        re: &mut [f64],
+        im: &mut [f64],
+        ops: &[PlanOp],
+        avx2: impl Fn(&mut [f64], &mut [f64], &[PlanOp]),
+    ) {
+        for op in ops {
+            match op {
+                PlanOp::Block2 { lo, hi, kernel } if (*lo, *hi) != (0, 1) => {
+                    apply_block::<8>(re, im, *lo, *hi, kernel);
+                }
+                PlanOp::Block2 { .. } | PlanOp::Run { .. } | PlanOp::Cz { .. } => {
+                    avx2(re, im, std::slice::from_ref(op));
+                }
+            }
+        }
+    }
+}
+
 /// Executes plan ops on split-complex storage through the widest instance
 /// of one kernel body this CPU supports, picked once per plan.
 pub(crate) fn apply_ops(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
     apply_ops_on(KernelInstance::widest(), re, im, ops);
 }
 
-/// Executes plan ops through the named instance.
+/// Runs `ops` on `re` and `im` through the named instance.
 ///
 /// # Panics
 ///
 /// Panics if this CPU cannot run `instance`.
-pub(crate) fn apply_ops_on(
+pub(crate) fn apply_ops_on<W: Body + ?Sized>(
     instance: KernelInstance,
-    re: &mut [f64],
-    im: &mut [f64],
-    ops: &[PlanOp],
+    re: &mut W::Re,
+    im: &mut W::Im,
+    ops: &W,
 ) {
     assert!(instance.is_available(), "this CPU cannot run {instance:?}");
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -378,39 +446,31 @@ pub(crate) fn apply_ops_on(
     apply_ops_baseline(re, im, ops);
 }
 
-/// The baseline-target instance of [`apply_ops_body`].
-fn apply_ops_baseline(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
-    apply_ops_body(re, im, ops);
+/// The baseline-target instance of a [`Body`]. Never inlined, so each
+/// instance's body keeps its own symbol in the assembly.
+#[inline(never)]
+fn apply_ops_baseline<W: Body + ?Sized>(re: &mut W::Re, im: &mut W::Im, ops: &W) {
+    W::narrow(re, im, ops);
 }
 
-/// The AVX2 instance of [`apply_ops_body`]: the same source with 4-wide
-/// `f64` lanes. AVX2 alone, never FMA, and Rust never contracts a
-/// multiply and an add into one rounding anyway. Never inlined, so the
-/// AVX-512 instance calls this code, not a copy built for its target.
+/// The AVX2 instance of a [`Body`]: the same source with 4-wide `f64`
+/// lanes. AVX2 alone, never FMA, and Rust never contracts a multiply and
+/// an add into one rounding anyway. Never inlined, so the AVX-512
+/// instance calls this code, not a copy built for its target.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
 #[inline(never)]
-fn apply_ops_avx2(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
-    apply_ops_body(re, im, ops);
+fn apply_ops_avx2<W: Body + ?Sized>(re: &mut W::Re, im: &mut W::Im, ops: &W) {
+    W::narrow(re, im, ops);
 }
 
-/// The AVX-512 instance: two-qubit blocks sweep 8 lanes at a time
-/// ([`apply_block`] with `L = 8`); `(0, 1)` blocks, single-qubit runs
-/// and CZs, which measured no faster at 8 lanes, run the AVX2 instance's
-/// code (`avx512f` implies `avx2`, so that call is safe).
+/// The AVX-512 instance of a [`Body`], with `avx512dq` for the shot
+/// draw's 64-bit multiplies. `avx512f` implies `avx2`, so the body's
+/// calls into the AVX2 instance are safe.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512f")]
-fn apply_ops_avx512(re: &mut [f64], im: &mut [f64], ops: &[PlanOp]) {
-    for op in ops {
-        match op {
-            PlanOp::Block2 { lo, hi, kernel } if (*lo, *hi) != (0, 1) => {
-                apply_block::<8>(re, im, *lo, *hi, kernel);
-            }
-            PlanOp::Block2 { .. } | PlanOp::Run { .. } | PlanOp::Cz { .. } => {
-                apply_ops_avx2(re, im, std::slice::from_ref(op));
-            }
-        }
-    }
+#[target_feature(enable = "avx512f,avx512dq")]
+fn apply_ops_avx512<W: Body + ?Sized>(re: &mut W::Re, im: &mut W::Im, ops: &W) {
+    W::wide(re, im, ops, |re, im, ops| apply_ops_avx2(re, im, ops));
 }
 
 /// Every op in order: single-qubit kernels by [`apply_kernel`], two-qubit

@@ -15,14 +15,18 @@
 //! # Sampling
 //!
 //! Every shot draws from its own SplitMix64 stream,
-//! [`Simulator::shot_rng`]. One routine, [`PreparedCircuit::sample_lanes`],
-//! runs `N` of those streams in lockstep and accumulates each shot's bits
-//! in a register; [`PreparedCircuit::sample_shot`] is its `N = 1` case
-//! and [`PreparedCircuit::sample_range`] calls it [`SHOT_LANES`] shots at
-//! a time on the mean-field backend. Exact shots are one table lookup
-//! each, which lanes do not speed up, so `sample_range` draws them one
-//! by one. Each lane consumes exactly the draws one shot would alone, so
-//! the bits never depend on the lane count or on how a run is blocked.
+//! [`Simulator::shot_rng`]. An exact shot is one draw and one table
+//! lookup, which lanes do not speed up, so every entry point draws exact
+//! shots one by one. A mean-field shot is one draw per qubit. One
+//! routine, `draw_words`, runs `N` of those streams in lockstep and
+//! accumulates each shot's bits in a register.
+//! [`PreparedCircuit::sample_shot`] is its `N = 1` case, and
+//! [`PreparedCircuit::sample_range`] runs it through a kernel instance
+//! ([`crate::kernels::KernelInstance`]): [`SHOT_LANES`] streams at a time
+//! on the baseline, [`WIDE_SHOT_LANES`] to a vector register in the
+//! AVX-512 instance, which also seeds each lane's stream in its register.
+//! Each lane consumes exactly the draws one shot would alone, so the bits
+//! never depend on the lane count, the instance or how a run is blocked.
 //!
 //! An exact draw is inverse sampling: `r = rng::unit(state) · total`
 //! picks the first basis state whose cumulative probability is at least
@@ -51,6 +55,7 @@ use crate::bits::BitString;
 use crate::circuit::Circuit;
 use crate::fuse::{self, FuseStats};
 use crate::gate::{Angle, Gate, SinCosMemo};
+use crate::kernels::{self, Body, KernelInstance};
 use crate::statevector::StateVector;
 use crate::QuantumError;
 
@@ -59,19 +64,35 @@ pub use crate::statevector::EXACT_QUBIT_LIMIT;
 /// Exactness threshold for [`Simulator::fast`].
 pub(crate) const FAST_EXACT_LIMIT: u32 = 12;
 
-/// Shot streams [`PreparedCircuit::sample_range`] draws in lockstep. The
-/// bits never depend on it (see the module docs). Derivation, on a
-/// 2-vCPU Intel Xeon VM: 100-shot ranges of the mean-field VQE circuit
-/// at 16/64/128 qubits took a best of 44.9/135.5/270.6 ns per shot with
-/// 1 lane, 43.9/123.9/245.8 with 2, 45.1/125.2/248.8 with 4 and
-/// 47.1/126.6/254.9 with 8 (lane counts interleaved, best of 40).
+/// Shot streams [`PreparedCircuit::sample_range`] draws in lockstep on
+/// the baseline instance. The bits never depend on it (see the module
+/// docs). Derivation, on a 2-vCPU Intel Xeon VM with `avx512f/dq/vl`:
+/// 100-shot ranges of the mean-field VQE circuit at 16/64/128 qubits
+/// took a best of (ns per shot, lane counts interleaved, best of 3,000)
 ///
-/// Lanes are flat at 16 qubits and gain ~8% from 64 up, with 2–8 level
-/// within the host's noise. One stream already overlaps its own draws:
-/// a SplitMix64 state only adds a constant, so successive finalisers
-/// are independent. 4 is mid-band and keeps each lane's word in a
-/// register.
+/// | Lanes | Registers | 16 | 64 | 128 |
+/// |---|---|---|---|---|
+/// | 1 | scalar | 28.9 | 97.7 | 205.0 |
+/// | 2 | scalar | 27.6 | 96.9 | 190.6 |
+/// | 4 | scalar | 20.2 | 70.2 | 147.5 |
+/// | 8 | scalar | 20.5 | 71.8 | 152.6 |
+/// | 4 | one `ymm` (AVX-512VL) | 19.5 | 61.7 | 132.2 |
+/// | 8 | one `zmm` | 8.3 | 25.4 | 55.0 |
+/// | 16 | two `zmm` | 8.1 | 24.7 | 53.9 |
+///
+/// One stream already overlaps its own draws: a SplitMix64 state only
+/// adds a constant, so successive finalisers are independent. 4 scalar
+/// lanes keep each lane's word in a register and lead the scalar rows.
+/// In vector registers `vpmullq` makes 8 lanes in one `zmm` 2.4–2.8×
+/// faster than 4 scalar ones, and 2.3–2.4× faster than 4 in a `ymm`;
+/// a second `zmm` gains nothing measurable, so the AVX-512 instance
+/// draws [`WIDE_SHOT_LANES`] = 8.
 pub const SHOT_LANES: usize = 4;
+
+/// Shot streams the AVX-512 instance draws per vector register: one
+/// 64-bit lane each, multiplied with `vpmullq` (see [`SHOT_LANES`] for
+/// the measurements).
+pub const WIDE_SHOT_LANES: usize = 8;
 
 /// `2⁵³`: the scale of a [`rng::unit`] draw's integer numerator.
 const UNIT_SCALE: f64 = (1u64 << 53) as f64;
@@ -347,8 +368,8 @@ fn bucket(x: f64, scale: f64, last: usize) -> usize {
 /// decides exactly as `rng::unit(state) < p` would (module docs). The
 /// exact table is the cumulative distribution and its guide, in the
 /// state's own buffer. Every sampling entry point draws an exact shot with
-/// one guide lookup and a mean-field shot through
-/// [`PreparedCircuit::sample_lanes`].
+/// one guide lookup and a mean-field shot through the lane routine
+/// (module docs).
 ///
 /// # Examples
 ///
@@ -382,71 +403,204 @@ impl PreparedCircuit {
     }
 
     /// Draws one measurement outcome from the SplitMix64 stream `state`,
-    /// normally a [`Simulator::shot_rng`]: the one-lane case of
-    /// [`PreparedCircuit::sample_lanes`].
+    /// normally a [`Simulator::shot_rng`]: one guide lookup, or the
+    /// one-lane case of the mean-field lane routine.
     pub fn sample_shot(&self, state: &mut u64) -> BitString {
-        let [bits] = self.sample_lanes(std::array::from_mut(state));
-        bits
+        match &self.backend {
+            PreparedBackend::Exact(table) => table.shot(state, self.n_qubits),
+            PreparedBackend::MeanField { thresholds } => {
+                let mut bits = BitString::zeros(self.n_qubits);
+                draw_words(
+                    thresholds,
+                    std::array::from_mut(state),
+                    std::array::from_mut(&mut bits),
+                );
+                bits
+            }
+        }
     }
 
     /// Draws global shots `first..first + shots` of `sim`'s streams, in
-    /// shot order: exact shots one by one, mean-field shots
-    /// [`SHOT_LANES`] at a time with the last `shots % SHOT_LANES` one by
-    /// one. Bitwise equal to calling [`PreparedCircuit::sample_shot`] on
-    /// each shot's [`Simulator::shot_rng`].
+    /// shot order: exact shots one by one, mean-field shots through the
+    /// AVX-512 kernel instance where the CPU runs it, else the baseline.
+    /// Bitwise equal to calling [`PreparedCircuit::sample_shot`] on each
+    /// shot's [`Simulator::shot_rng`].
     pub fn sample_range(&self, sim: &Simulator, first: u64, shots: u64) -> Vec<BitString> {
-        let mut out = Vec::with_capacity(shots as usize);
-        let end = first + shots;
-        if let PreparedBackend::Exact(table) = &self.backend {
-            // An exact draw is one table lookup: lanes gain it nothing.
-            out.extend((first..end).map(|s| table.shot(&mut sim.shot_rng(s), self.n_qubits)));
-            return out;
+        match &self.backend {
+            PreparedBackend::Exact(table) => (first..first + shots)
+                .map(|s| table.shot(&mut sim.shot_rng(s), self.n_qubits))
+                .collect(),
+            PreparedBackend::MeanField { thresholds } => {
+                self.draw_on(draw_instance(), thresholds, sim, first, shots, &mut [])
+            }
         }
-        let mut shot = first;
-        while end - shot >= SHOT_LANES as u64 {
-            let mut states: [u64; SHOT_LANES] =
-                std::array::from_fn(|lane| sim.shot_rng(shot + lane as u64));
-            out.extend(self.sample_lanes(&mut states));
-            shot += SHOT_LANES as u64;
-        }
-        out.extend((shot..end).map(|s| self.sample_shot(&mut sim.shot_rng(s))));
-        out
     }
 
-    /// The draw routine: one measurement outcome per stream in `states`,
-    /// each drawn exactly as that stream would draw it alone. Per lane,
-    /// the exact backend takes one draw; the mean-field backend takes one
-    /// per qubit in qubit order, accumulating each 64-qubit word in a
-    /// register. On return every state has advanced past its shot's
-    /// draws.
-    pub fn sample_lanes<const N: usize>(&self, states: &mut [u64; N]) -> [BitString; N] {
-        match &self.backend {
-            PreparedBackend::Exact(table) => {
-                states.each_mut().map(|s| table.shot(s, self.n_qubits))
+    /// [`PreparedCircuit::sample_range`] of a mean-field circuit through
+    /// a named kernel instance, with each shot's stream end state, so
+    /// tests can pin each instance's bits. Not part of the public API.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit was prepared on the exact backend, whose
+    /// draws have no instances, or this CPU cannot run `instance`
+    /// ([`KernelInstance::is_available`]).
+    #[doc(hidden)]
+    pub fn sample_range_on(
+        &self,
+        instance: KernelInstance,
+        sim: &Simulator,
+        first: u64,
+        shots: u64,
+    ) -> (Vec<BitString>, Vec<u64>) {
+        let PreparedBackend::MeanField { thresholds } = &self.backend else {
+            panic!("exact draws have no kernel instances");
+        };
+        let mut ends = vec![0; shots as usize];
+        let out = self.draw_on(instance, thresholds, sim, first, shots, &mut ends);
+        (out, ends)
+    }
+
+    /// Mean-field shots `first..first + shots` through `instance`, each
+    /// stream's end state written to `ends` unless it is empty.
+    fn draw_on(
+        &self,
+        instance: KernelInstance,
+        thresholds: &[u64],
+        sim: &Simulator,
+        first: u64,
+        shots: u64,
+        ends: &mut [u64],
+    ) -> Vec<BitString> {
+        let mut out = vec![BitString::zeros(self.n_qubits); shots as usize];
+        let draw = ShotDraw {
+            thresholds,
+            seed: sim.seed,
+            first,
+        };
+        kernels::apply_ops_on(instance, &mut out[..], ends, &draw);
+        out
+    }
+}
+
+/// The instance mean-field draws run on: AVX-512 where the CPU has it
+/// (with `avx512dq`, whose `vpmullq` multiplies 8 streams at once), else
+/// the baseline. AVX2 has no 64-bit multiply, so its instance would
+/// emulate one from 32-bit halves or draw the same scalar code.
+fn draw_instance() -> KernelInstance {
+    if KernelInstance::Avx512.is_available() {
+        KernelInstance::Avx512
+    } else {
+        KernelInstance::Baseline
+    }
+}
+
+/// A range of mean-field shots as the kernel instances draw it
+/// ([`Body`]): global shots `first..` of the streams under `seed`, one
+/// per output shot, each drawing one bit per threshold.
+struct ShotDraw<'a> {
+    thresholds: &'a [u64],
+    seed: u64,
+    first: u64,
+}
+
+/// The buffers are the drawn shots and, unless empty, one end state per
+/// shot.
+impl Body for ShotDraw<'_> {
+    type Re = [BitString];
+    type Im = [u64];
+
+    /// [`SHOT_LANES`] streams at a time, the last `shots % SHOT_LANES`
+    /// one by one.
+    #[inline(always)]
+    fn narrow(shots: &mut [BitString], ends: &mut [u64], draw: &Self) {
+        let mut blocks = shots.chunks_exact_mut(SHOT_LANES);
+        let mut offset = 0;
+        for block in &mut blocks {
+            draw.block::<SHOT_LANES>(offset, block, ends);
+            offset += SHOT_LANES;
+        }
+        for single in blocks.into_remainder().chunks_mut(1) {
+            draw.block::<1>(offset, single, ends);
+            offset += 1;
+        }
+    }
+
+    /// [`WIDE_SHOT_LANES`] streams to a register; the last block's idle
+    /// lanes draw and are dropped.
+    #[inline(always)]
+    fn wide(
+        shots: &mut [BitString],
+        ends: &mut [u64],
+        draw: &Self,
+        _avx2: impl Fn(&mut [BitString], &mut [u64], &Self),
+    ) {
+        for (b, block) in shots.chunks_mut(WIDE_SHOT_LANES).enumerate() {
+            draw.block::<WIDE_SHOT_LANES>(b * WIDE_SHOT_LANES, block, ends);
+        }
+    }
+}
+
+impl ShotDraw<'_> {
+    /// Draws `shots`, at most `N` of them, from the streams of global
+    /// shots `first + offset` on, one per lane, and writes their end
+    /// states to `ends[offset..]` unless `ends` is empty.
+    #[inline(always)]
+    fn block<const N: usize>(&self, offset: usize, shots: &mut [BitString], ends: &mut [u64]) {
+        let first = self.first.wrapping_add(offset as u64);
+        let mut states: [u64; N] =
+            std::array::from_fn(|lane| stream_seed(self.seed, first.wrapping_add(lane as u64)));
+        draw_words(self.thresholds, &mut states, shots);
+        if !ends.is_empty() {
+            ends[offset..offset + shots.len()].copy_from_slice(&states[..shots.len()]);
+        }
+    }
+}
+
+/// The lane routine: one mean-field shot per stream in `states`, each
+/// drawn exactly as that stream would draw it alone, one draw per qubit
+/// in qubit order, each 64-qubit word accumulated in a register. Lane `i`
+/// writes its words into `shots[i]`; lanes past `shots.len()` draw and
+/// are dropped. On return every state has advanced past its shot's
+/// draws.
+#[inline(always)]
+fn draw_words<const N: usize>(thresholds: &[u64], states: &mut [u64; N], shots: &mut [BitString]) {
+    for (w, word_thresholds) in thresholds.chunks(64).enumerate() {
+        let mut words = [0u64; N];
+        if N == WIDE_SHOT_LANES {
+            // Every lane keeps its own copy of the bit, so each step is
+            // one operation on all lanes, which LLVM packs into one
+            // register: a `vpcmpuq` into a mask, then a masked OR. With
+            // one shared bit it packs the bit beside seven lanes' words.
+            let mut bits = [1u64; N];
+            for &t in word_thresholds {
+                let lanes = words.iter_mut().zip(states.iter_mut()).zip(&mut bits);
+                for ((word, state), bit) in lanes {
+                    *word |= if (splitmix64(state) >> 11) < t {
+                        *bit
+                    } else {
+                        0
+                    };
+                    *bit <<= 1;
+                }
             }
-            PreparedBackend::MeanField { thresholds } => {
-                let mut lanes = std::array::from_fn(|_| BitString::zeros(self.n_qubits));
-                for (w, word_thresholds) in thresholds.chunks(64).enumerate() {
-                    let mut words = [0u64; N];
-                    let mut bit = 1u64;
-                    for &t in word_thresholds {
-                        // Set under a branch, not OR-ed in as a shifted
-                        // bool: the latter lets LLVM vectorise the one-lane
-                        // instance over qubits with SSE2 64-bit multiplies
-                        // (`pmuludq`); this form keeps it scalar.
-                        for (word, state) in words.iter_mut().zip(states.iter_mut()) {
-                            if (splitmix64(state) >> 11) < t {
-                                *word |= bit;
-                            }
-                        }
-                        bit <<= 1;
-                    }
-                    for (bits, word) in lanes.iter_mut().zip(words) {
-                        bits.words_mut()[w] = word;
+        } else {
+            let mut bit = 1u64;
+            for &t in word_thresholds {
+                // Set under a branch, not OR-ed in as a shifted bool: the
+                // latter lets LLVM vectorise the one-lane instance over
+                // qubits with SSE2 64-bit multiplies (`pmuludq`); this
+                // form keeps it scalar.
+                for (word, state) in words.iter_mut().zip(states.iter_mut()) {
+                    if (splitmix64(state) >> 11) < t {
+                        *word |= bit;
                     }
                 }
-                lanes
+                bit <<= 1;
             }
+        }
+        for (shot, word) in shots.iter_mut().zip(words) {
+            shot.words_mut()[w] = word;
         }
     }
 }

@@ -346,7 +346,7 @@ impl StateVector {
     pub fn apply_plan_on(&mut self, plan: &ExecPlan, instance: KernelInstance) {
         self.check_plan(plan);
         let (re, im) = self.parts_mut();
-        kernels::apply_ops_on(instance, re, im, &plan.ops);
+        kernels::apply_ops_on(instance, re, im, &plan.ops[..]);
     }
 
     /// Panics unless every qubit the plan names is in range, every CZ

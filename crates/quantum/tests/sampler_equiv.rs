@@ -7,10 +7,14 @@
 //! as one `rng::unit(state) < p` per qubit. Every sampling entry point
 //! must reproduce it bit for bit and leave every stream where the oracle
 //! leaves it, on random circuits and on the degenerate exact
-//! distributions a guide table handles at its edges.
+//! distributions a guide table handles at its edges. Mean-field ranges
+//! are drawn through every kernel instance this CPU runs (an instance it
+//! lacks is skipped with a printed note), and each must match the
+//! baseline instance and the oracle bit for bit.
 
 use qtenon_prop::check;
-use qtenon_quantum::sim::{MeanFieldState, PreparedCircuit, Simulator, SHOT_LANES};
+use qtenon_quantum::kernels::KernelInstance;
+use qtenon_quantum::sim::{MeanFieldState, PreparedCircuit, Simulator, WIDE_SHOT_LANES};
 use qtenon_quantum::{fuse, BitString, Circuit, StateVector};
 use qtenon_sim_engine::rng;
 
@@ -85,6 +89,37 @@ fn random_circuit(g: &mut qtenon_prop::Gen, n: u32) -> Circuit {
 /// run long enough to be mostly whole blocks.
 const SHOT_COUNTS: [u64; 11] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1_000];
 
+/// The kernel instances this CPU runs; a note names each one it lacks.
+fn instances() -> Vec<KernelInstance> {
+    KernelInstance::ALL
+        .into_iter()
+        .filter(|&instance| {
+            let available = instance.is_available();
+            if !available {
+                println!("note: this CPU cannot run the {instance:?} kernel instance; skipped");
+            }
+            available
+        })
+        .collect()
+}
+
+/// Global shots `first..first + shots` drawn by the oracle, with each
+/// stream's end state.
+fn oracle_range(
+    oracle: &Oracle,
+    sim: &Simulator,
+    n: u32,
+    first: u64,
+    shots: u64,
+) -> (Vec<BitString>, Vec<u64>) {
+    (first..first + shots)
+        .map(|s| {
+            let mut state = sim.shot_rng(s);
+            (oracle.shot(n, &mut state), state)
+        })
+        .unzip()
+}
+
 #[test]
 fn block_sampler_matches_the_per_shot_oracle() {
     check("block_sampler_matches_the_per_shot_oracle", 96, |g| {
@@ -117,16 +152,8 @@ fn block_sampler_matches_the_per_shot_oracle() {
             "sample_range: {n} qubits, exact {exact}, {shots} shots"
         );
 
-        // One block and one single shot: the same bits, and every stream
-        // left exactly where the oracle leaves it.
-        let mut states: [u64; SHOT_LANES] =
-            std::array::from_fn(|lane| sim.shot_rng(first + lane as u64));
-        let mut oracle_states = states;
-        let block = prepared.sample_lanes(&mut states);
-        for (lane, (bits, state)) in block.iter().zip(&mut oracle_states).enumerate() {
-            assert_eq!(*bits, oracle.shot(n, state), "lane {lane}");
-        }
-        assert_eq!(states, oracle_states, "stream end states");
+        // One single shot: the same bits, and its stream left exactly
+        // where the oracle leaves it.
         let (mut one, mut oracle_one) = (sim.shot_rng(first), sim.shot_rng(first));
         assert_eq!(
             prepared.sample_shot(&mut one),
@@ -209,18 +236,6 @@ fn exact_draws_match_the_oracle_on_degenerate_distributions() {
                         );
                         assert_eq!(one, oracle_one, "sample_shot end state: {what}, {n} qubits");
                     }
-                    let mut states: [u64; SHOT_LANES] =
-                        std::array::from_fn(|lane| sim.shot_rng(first + lane as u64));
-                    let mut oracle_states = states;
-                    let block = prepared.sample_lanes(&mut states);
-                    for (lane, (bits, state)) in block.iter().zip(&mut oracle_states).enumerate() {
-                        assert_eq!(
-                            bits.words(),
-                            oracle.shot(n, state).words(),
-                            "sample_lanes: {what}, {n} qubits, lane {lane}"
-                        );
-                    }
-                    assert_eq!(states, oracle_states, "sample_lanes end states: {what}");
                     let expected: Vec<BitString> = (first..first + 257)
                         .map(|s| oracle.shot(n, &mut sim.shot_rng(s)))
                         .collect();
@@ -232,5 +247,88 @@ fn exact_draws_match_the_oracle_on_degenerate_distributions() {
                 }
             }
         },
+    );
+}
+
+/// A mean-field circuit of `n` qubits whose marginals saturate: each
+/// qubit is left at |0⟩ (`p = 0`, threshold 0, never fires), flipped by
+/// RX(π) or RY(π) (`p = 1`, threshold 2⁵³, always fires) or rotated by a
+/// random angle, then a few CZs entangle random pairs.
+fn saturating_circuit(g: &mut qtenon_prop::Gen, n: u32) -> Circuit {
+    let mut c = Circuit::new(n);
+    for q in 0..n {
+        match g.draw(0u8..4) {
+            0 => {}
+            1 => {
+                c.rx(q, std::f64::consts::PI);
+            }
+            2 => {
+                c.ry(q, std::f64::consts::PI);
+            }
+            _ => {
+                c.ry(q, g.draw(-7.0f64..7.0));
+            }
+        }
+    }
+    for _ in 0..g.draw(0..n as usize) {
+        let q = g.draw(0..n);
+        if n > 1 {
+            c.cz(q, (q + 1 + g.draw(0..n - 1)) % n);
+        }
+    }
+    c.measure_all();
+    c
+}
+
+#[test]
+fn every_sampling_instance_draws_the_oracle_raw_bits() {
+    let instances = instances();
+    assert!(instances.contains(&KernelInstance::Baseline));
+    // Every remainder modulo both lane counts, twice, a VQA evaluation's
+    // 100 shots (12 full vectors and 4 shots) and one long run.
+    let counts: Vec<u64> = (0..=2 * WIDE_SHOT_LANES as u64 + 1)
+        .chain([100, 1_000])
+        .collect();
+    // Qubits seen with marginal exactly 0 and exactly 1.
+    let mut saturated = [0usize; 2];
+    check(
+        "every_sampling_instance_draws_the_oracle_raw_bits",
+        8,
+        |g| {
+            for n in [1u32, 16, 63, 64, 65, 128, 130, 320] {
+                let sim = Simulator::mean_field(n, g.u64());
+                let circuit = saturating_circuit(g, n);
+                let prepared = sim.prepare(&circuit).unwrap();
+                let oracle = Oracle::new(&sim, &circuit);
+                let Oracle::MeanField { p1 } = &oracle else {
+                    unreachable!("a mean-field simulator");
+                };
+                saturated[0] += p1.iter().filter(|&&p| p == 0.0).count();
+                saturated[1] += p1.iter().filter(|&&p| p == 1.0).count();
+                for &shots in &counts {
+                    let first = g.draw(0u64..1 << 40);
+                    let (oracle_bits, oracle_ends) = oracle_range(&oracle, &sim, n, first, shots);
+                    let baseline =
+                        prepared.sample_range_on(KernelInstance::Baseline, &sim, first, shots);
+                    for &instance in &instances {
+                        let (bits, ends) = prepared.sample_range_on(instance, &sim, first, shots);
+                        let what = format!("{instance:?}: {n} qubits, {shots} shots from {first}");
+                        assert_eq!(bits, baseline.0, "{what}: against the baseline");
+                        assert_eq!(ends, baseline.1, "{what}: end states against the baseline");
+                        assert_eq!(bits, oracle_bits, "{what}: against the oracle");
+                        assert_eq!(ends, oracle_ends, "{what}: end states against the oracle");
+                    }
+                    assert_eq!(
+                        prepared.sample_range(&sim, first, shots),
+                        oracle_bits,
+                        "sample_range"
+                    );
+                }
+            }
+        },
+    );
+    assert!(
+        saturated.iter().all(|&k| k > 0),
+        "saturated marginals {saturated:?}"
     );
 }

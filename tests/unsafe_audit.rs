@@ -1,7 +1,8 @@
 //! The workspace's `unsafe` surface, pinned: every library crate root
 //! carries `#![deny(unsafe_code)]`, and the one site that allows it is
 //! the kernel-instance dispatch in `qtenon-quantum`'s kernel layer: one
-//! call through the AVX2 or the AVX-512 instance (DESIGN.md §13).
+//! call through the AVX2 or the AVX-512 instance, generic over the body
+//! it runs, a plan's sweeps or a mean-field shot draw (DESIGN.md §13).
 //! Any other `unsafe` in `src/` or `crates/*/src`, library or binary,
 //! fails this test. Every library root also carries
 //! `#![deny(dead_code)]`, so `cargo build` fails on crate-private code
